@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"starfish/internal/ckpt"
+	"starfish/internal/svm"
 )
 
 const (
@@ -37,18 +38,22 @@ func newEpochImage(rng *rand.Rand) []byte {
 // paged heap, which is what incremental checkpointing exploits. (Scattering
 // single-byte writes across the heap would touch every 4 KiB block and no
 // delta scheme could help; that is the workload's property, not the
-// pipeline's.)
-func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) {
+// pipeline's.) It returns the bytes it wrote as dirty spans, the hint a
+// write-tracking application hands the pipeline.
+func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 	n := ckptBlocks * pct / 100
 	if n < 1 {
 		n = 1
 	}
+	dirty := make([]svm.Span, n)
 	for i := 0; i < n; i++ {
 		b := rng.Intn(ckptBlocks)
 		off := b * ckpt.DeltaBlockSize
 		binary.BigEndian.PutUint64(img[off:], epoch<<24|uint64(b))
 		binary.BigEndian.PutUint64(img[off+8:], rng.Uint64())
+		dirty[i] = svm.Span{Off: off, Len: 16}
 	}
+	return dirty
 }
 
 // BenchmarkCheckpoint measures one rank's per-epoch checkpoint cost into
@@ -58,7 +63,9 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) {
 //     image every epoch, whatever changed.
 //   - mode=delta: the incremental pipeline — full record every 8th epoch,
 //     delta records between, content-addressed blocks deduplicated against
-//     the replica, superseded chains collected as full records commit.
+//     the replica, superseded chains collected as full records commit. Each
+//     Put carries the dirty spans of the epoch's writes, as a VM
+//     application's does, so a delta epoch compares only hinted blocks.
 //   - restore=chain: a surviving replica restores the newest epoch of a
 //     full + 7-delta chain (the materialized cache: the replica applies
 //     deltas as they arrive, so the restore is a lookup).
@@ -116,8 +123,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ResetTimer()
 			n := uint64(1)
 			for i := 0; i < b.N; i++ {
-				mutateImage(img, pct, n, rng)
-				if err := p.Put(1, 0, n, img, nil); err != nil {
+				dirty := mutateImage(img, pct, n, rng)
+				if err := p.PutHinted(1, 0, n, img, nil, n-1, dirty); err != nil {
 					b.Fatal(err)
 				}
 				// A full record commits a new chain every 8th epoch; the GC
@@ -198,4 +205,34 @@ func BenchmarkCheckpoint(b *testing.B) {
 			restoreOnce(b, store, n)
 		}
 	})
+}
+
+// BenchmarkEncodeImage measures svm.EncodeImage — the Snapshot of a VM
+// application, paid by every checkpoint epoch — on an 8 MiB heap for the two
+// extreme representations: 64-bit little-endian (the host's own) and 32-bit
+// big-endian (narrowing and byte-swapping every word).
+func BenchmarkEncodeImage(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		arch svm.Arch
+	}{
+		{"arch=le64", svm.Machines[5]},
+		{"arch=be32", svm.Machines[1]},
+	} {
+		b.Run(c.name+"/size=8MB", func(b *testing.B) {
+			m := svm.New(c.arch, svm.MustAssemble("halt"), 8)
+			m.Grow(ckptImageSize / (c.arch.WordBits / 8))
+			rng := rand.New(rand.NewSource(1))
+			for i := range m.Mem {
+				m.Mem[i] = int64(int32(rng.Uint32()))
+			}
+			b.SetBytes(int64(m.ImageSize()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if img := m.EncodeImage(); len(img) != m.ImageSize() {
+					b.Fatalf("image of %d bytes, want %d", len(img), m.ImageSize())
+				}
+			}
+		})
+	}
 }

@@ -47,10 +47,15 @@ type Ring struct {
 	// migrate) set it so the control-command window is seconds wide
 	// instead of racing an unthrottled ring to completion.
 	Pace time.Duration
+	// Ballast, when non-zero, is the size of a block of per-rank state the
+	// ring carries in its snapshots, so checkpoints and restores move real
+	// bytes and ranks finish restoring at different times.
+	Ballast int
 
-	round int64
-	val   int64
-	init  bool
+	round   int64
+	val     int64
+	ballast []byte
+	init    bool
 }
 
 // RingArgs encodes the submission arguments for a Ring of the given length.
@@ -67,13 +72,24 @@ func RingArgsPaced(rounds int64, pace time.Duration) []byte {
 	return w.Bytes()
 }
 
-// DecodeRing parses RingArgs. The pace field is optional so plain
-// RingArgs submissions keep decoding.
+// RingArgsBallast is RingArgs plus a per-rank state ballast of the given
+// size in bytes.
+func RingArgsBallast(rounds int64, ballast int) []byte {
+	w := wire.NewWriter(20)
+	w.I64(rounds).I64(0).U32(uint32(ballast))
+	return w.Bytes()
+}
+
+// DecodeRing parses RingArgs. The pace and ballast fields are optional so
+// plain RingArgs submissions keep decoding.
 func DecodeRing(args []byte) (*Ring, error) {
 	r := wire.NewReader(args)
 	a := &Ring{Rounds: r.I64()}
 	if r.Err() == nil && r.Remaining() > 0 {
 		a.Pace = time.Duration(r.I64())
+	}
+	if r.Err() == nil && r.Remaining() > 0 {
+		a.Ballast = int(r.U32())
 	}
 	return a, r.Err()
 }
@@ -83,17 +99,21 @@ const ringTag int32 = 100
 // Init implements proc.App.
 func (a *Ring) Init(ctx *proc.Ctx) error {
 	a.val = int64(ctx.Rank)
+	a.ballast = make([]byte, a.Ballast)
 	a.init = true
 	return nil
 }
 
-// Restore implements proc.App. The pace field is optional so snapshots
-// taken before it existed keep decoding.
+// Restore implements proc.App. The pace and ballast fields are optional so
+// snapshots taken before they existed keep decoding.
 func (a *Ring) Restore(_ *proc.Ctx, state []byte) error {
 	r := wire.NewReader(state)
 	a.Rounds, a.round, a.val = r.I64(), r.I64(), r.I64()
 	if r.Err() == nil && r.Remaining() > 0 {
 		a.Pace = time.Duration(r.I64())
+	}
+	if r.Err() == nil && r.Remaining() > 0 {
+		a.ballast = append([]byte(nil), r.Bytes32()...)
 	}
 	a.init = true
 	return r.Err()
@@ -101,8 +121,8 @@ func (a *Ring) Restore(_ *proc.Ctx, state []byte) error {
 
 // Snapshot implements proc.App.
 func (a *Ring) Snapshot() ([]byte, error) {
-	w := wire.NewWriter(32)
-	w.I64(a.Rounds).I64(a.round).I64(a.val).I64(int64(a.Pace))
+	w := wire.NewWriter(40 + len(a.ballast))
+	w.I64(a.Rounds).I64(a.round).I64(a.val).I64(int64(a.Pace)).Bytes32(a.ballast)
 	return w.Bytes(), nil
 }
 

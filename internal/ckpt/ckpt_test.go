@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +237,51 @@ func TestProtocolStrings(t *testing.T) {
 	}
 	if Independent.String() != "independent" || Independent.Coordinated() {
 		t.Error("Independent misdescribed")
+	}
+}
+
+// TestEncodeMatchesReference: the single-buffer image writer with its cached
+// runtime segment produces the bytes the encoders always produced — header,
+// byte-loop-filled runtime segment, state — for both kinds, on every machine,
+// at default and custom segment sizes; NewImage lays out the same image
+// around a window the caller fills.
+func TestEncodeMatchesReference(t *testing.T) {
+	reference := func(magic uint32, mult, overhead int, state []byte, arch svm.Arch) []byte {
+		runtime := make([]byte, overhead)
+		for i := range runtime {
+			runtime[i] = byte(i * mult)
+		}
+		w := wire.NewWriter(32 + len(runtime) + len(state))
+		w.U32(magic)
+		w.U8(uint8(arch.Order)).U8(uint8(arch.WordBits))
+		w.Bytes32(runtime)
+		w.Bytes32(state)
+		return w.Bytes()
+	}
+	state := make([]byte, 70000)
+	rand.New(rand.NewSource(5)).Read(state)
+	for _, arch := range svm.Machines {
+		for _, size := range []int{0, 1000} { // 0: the paper's default sizes
+			for _, st := range [][]byte{nil, state[:1], state} {
+				n, p := &NativeEncoder{RuntimeImageSize: size}, &PortableEncoder{VMHeaderSize: size}
+				for _, c := range []struct {
+					enc  Encoder
+					want []byte
+				}{
+					{n, reference(imgMagicNative, 2654435761, n.Overhead(), st, arch)},
+					{p, reference(imgMagicPortable, 40503, p.Overhead(), st, arch)},
+				} {
+					got, err := c.enc.Encode(st, arch)
+					if err != nil || !bytes.Equal(got, c.want) {
+						t.Fatalf("%s encoder, %s, segment %d, %d-byte state: image differs from the reference (err %v)",
+							c.enc.Kind(), arch, size, len(st), err)
+					}
+					img, window := c.enc.NewImage(arch, len(st))
+					if copy(window, st) != len(st) || !bytes.Equal(img, c.want) {
+						t.Fatalf("%s encoder: NewImage lays out a different image", c.enc.Kind())
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,8 +10,10 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"starfish/internal/svm"
 	"starfish/internal/wire"
@@ -77,6 +79,10 @@ type Encoder interface {
 	Kind() Kind
 	// Encode wraps state into a checkpoint image taken on arch.
 	Encode(state []byte, arch svm.Arch) ([]byte, error)
+	// NewImage is Encode for a caller that assembles the state itself: it
+	// returns an exactly-sized image taken on arch with everything but the
+	// state written, and the stateLen-byte window of img the caller fills.
+	NewImage(arch svm.Arch, stateLen int) (img, state []byte)
 	// Decode unwraps a checkpoint image for restoration on arch,
 	// returning the state bytes. Native images refuse foreign
 	// architectures; portable images convert.
@@ -90,6 +96,45 @@ const (
 	imgMagicNative   = 0xC0DE0001
 	imgMagicPortable = 0xC0DE0002
 )
+
+// runtimeSegs caches the simulated runtime segments, segKey -> []byte: the
+// bytes are a pure function of the key, and every epoch of every rank
+// embeds one.
+var runtimeSegs sync.Map
+
+type segKey struct {
+	mult uint32
+	size int
+}
+
+// runtimeSegment returns size bytes of the deterministic fill byte(i*mult).
+// A real core dump is not zeros, and a non-trivial pattern keeps the I/O
+// path honest (no sparse-file or zero-page shortcuts). Read-only.
+func runtimeSegment(mult uint32, size int) []byte {
+	k := segKey{mult, size}
+	seg, ok := runtimeSegs.Load(k)
+	if !ok {
+		fill := make([]byte, size)
+		for i := range fill {
+			fill[i] = byte(uint32(i) * mult)
+		}
+		seg, _ = runtimeSegs.LoadOrStore(k, fill)
+	}
+	return seg.([]byte)
+}
+
+// newImage lays out a checkpoint image in one exactly-sized buffer — magic,
+// architecture tag, length-prefixed runtime segment, length-prefixed state —
+// and returns it with the window the state goes into.
+func newImage(magic uint32, runtime []byte, arch svm.Arch, stateLen int) (img, state []byte) {
+	img = make([]byte, 10+len(runtime)+4+stateLen)
+	binary.BigEndian.PutUint32(img, magic)
+	img[4], img[5] = uint8(arch.Order), uint8(arch.WordBits)
+	binary.BigEndian.PutUint32(img[6:], uint32(len(runtime)))
+	off := 10 + copy(img[10:], runtime)
+	binary.BigEndian.PutUint32(img[off:], uint32(stateLen))
+	return img, img[off+4:]
+}
 
 // NativeEncoder is the homogeneous, process-level encoder.
 type NativeEncoder struct {
@@ -112,19 +157,14 @@ func (e *NativeEncoder) Overhead() int {
 // Encode implements Encoder. The image embeds the architecture tag, the
 // simulated runtime segments, and the raw state.
 func (e *NativeEncoder) Encode(state []byte, arch svm.Arch) ([]byte, error) {
-	runtime := make([]byte, e.Overhead())
-	// Deterministic fill: a real core dump is not zeros, and a
-	// non-trivial pattern keeps the I/O path honest (no sparse-file or
-	// zero-page shortcuts).
-	for i := range runtime {
-		runtime[i] = byte(i * 2654435761)
-	}
-	w := wire.NewWriter(32 + len(runtime) + len(state))
-	w.U32(imgMagicNative)
-	w.U8(uint8(arch.Order)).U8(uint8(arch.WordBits))
-	w.Bytes32(runtime)
-	w.Bytes32(state)
-	return w.Bytes(), nil
+	img, dst := e.NewImage(arch, len(state))
+	copy(dst, state)
+	return img, nil
+}
+
+// NewImage implements Encoder.
+func (e *NativeEncoder) NewImage(arch svm.Arch, stateLen int) (img, state []byte) {
+	return newImage(imgMagicNative, runtimeSegment(2654435761, e.Overhead()), arch, stateLen)
 }
 
 // Decode implements Encoder.
@@ -172,16 +212,14 @@ func (e *PortableEncoder) Overhead() int {
 // already in the machine's native representation with its own tag, which
 // is what makes the portable path heterogeneous.
 func (e *PortableEncoder) Encode(state []byte, arch svm.Arch) ([]byte, error) {
-	header := make([]byte, e.Overhead())
-	for i := range header {
-		header[i] = byte(i * 40503)
-	}
-	w := wire.NewWriter(32 + len(header) + len(state))
-	w.U32(imgMagicPortable)
-	w.U8(uint8(arch.Order)).U8(uint8(arch.WordBits))
-	w.Bytes32(header)
-	w.Bytes32(state)
-	return w.Bytes(), nil
+	img, dst := e.NewImage(arch, len(state))
+	copy(dst, state)
+	return img, nil
+}
+
+// NewImage implements Encoder.
+func (e *PortableEncoder) NewImage(arch svm.Arch, stateLen int) (img, state []byte) {
+	return newImage(imgMagicPortable, runtimeSegment(40503, e.Overhead()), arch, stateLen)
 }
 
 // Decode implements Encoder. Any architecture may restore a portable image;

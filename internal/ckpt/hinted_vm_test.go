@@ -2,10 +2,215 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"starfish/internal/svm"
+	"starfish/internal/wire"
 )
+
+// recorder is an in-memory ChunkedBackend of one (app, rank) that keeps what
+// each PutRecord was handed. It has the methods a Pipeline's Put and Get use
+// and no others.
+type recorder struct {
+	Backend
+	envs   [][]byte
+	blocks [][]RecBlock
+	slots  map[uint64][]byte
+	byID   map[BlockID][]byte
+}
+
+func newRecorder() *recorder {
+	return &recorder{slots: map[uint64][]byte{}, byID: map[BlockID][]byte{}}
+}
+
+func (r *recorder) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
+	env = append([]byte(nil), env...)
+	kept := make([]RecBlock, len(blocks))
+	for i, b := range blocks {
+		kept[i] = RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
+		r.byID[b.Ref.ID] = kept[i].Data
+	}
+	r.envs, r.blocks = append(r.envs, env), append(r.blocks, kept)
+	r.slots[n] = env
+	return nil
+}
+
+func (r *recorder) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
+	env, ok := r.slots[n]
+	if !ok {
+		return nil, nil, ErrNoCheckpoint
+	}
+	return env, &Meta{Rank: rank, Index: n}, nil
+}
+
+func (r *recorder) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
+	b, ok := r.byID[ref.ID]
+	if !ok {
+		return nil, ErrMissingBlock
+	}
+	return b, nil
+}
+
+// sameLastRecord fails unless the newest records of a and b are byte-identical:
+// envelope, block set, block contents.
+func sameLastRecord(t *testing.T, epoch int, a, b *recorder) {
+	t.Helper()
+	i := len(a.envs) - 1
+	if len(b.envs)-1 != i {
+		t.Fatalf("epoch %d: %d vs %d records", epoch, len(a.envs), len(b.envs))
+	}
+	if !bytes.Equal(a.envs[i], b.envs[i]) {
+		t.Fatalf("epoch %d: hinted envelope differs from the unhinted one", epoch)
+	}
+	if len(a.blocks[i]) != len(b.blocks[i]) {
+		t.Fatalf("epoch %d: %d vs %d blocks", epoch, len(a.blocks[i]), len(b.blocks[i]))
+	}
+	for j := range a.blocks[i] {
+		x, y := a.blocks[i][j], b.blocks[i][j]
+		if x.Ref != y.Ref || !bytes.Equal(x.Data, y.Data) {
+			t.Fatalf("epoch %d: block %d differs", epoch, j)
+		}
+	}
+}
+
+// randomWriter generates a straight-line VM program that stores to the heap
+// and the globals, grows the heap and the output stream, and pushes and pops
+// the stack — so that, cut into epochs at arbitrary instructions, its images
+// change a few blocks, grow, and shrink.
+func randomWriter(r *rand.Rand, heap, globals int) string {
+	var b strings.Builder
+	depth := 0
+	for i := 0; i < 400; i++ {
+		switch k := r.Intn(20); {
+		case k < 10:
+			// Clustered or scattered heap stores.
+			addr := r.Intn(heap)
+			for j := 0; j < 1+r.Intn(4) && addr+j < heap; j++ {
+				fmt.Fprintf(&b, "push %d\npush %d\nstorem\n", addr+j, r.Int31())
+			}
+		case k < 12:
+			fmt.Fprintf(&b, "push %d\nstoreg %d\n", r.Int31(), r.Intn(globals))
+		case k == 12:
+			n := 1 + r.Intn(3000)
+			fmt.Fprintf(&b, "push %d\nalloc\npop\n", n)
+			heap += n
+		case k == 13:
+			fmt.Fprintf(&b, "push %d\nout\n", r.Int31())
+		case k < 17:
+			for j := 0; j < 1+r.Intn(600); j++ {
+				fmt.Fprintf(&b, "push %d\n", r.Int31())
+				depth++
+			}
+		default:
+			for j := r.Intn(depth + 1); j > 0; j-- {
+				b.WriteString("pop\n")
+				depth--
+			}
+		}
+	}
+	b.WriteString("halt\n")
+	return b.String()
+}
+
+// FuzzHintedPipeline: over random VM programs on every machine, a Put that
+// carries the VM's dirty spans emits byte-for-byte the records an unhinted
+// Put emits — full and delta, across epochs that grow and shrink the image —
+// while comparing only hinted blocks; a hint tagged with any other base than
+// the previous epoch is ignored, however wrong its spans.
+func FuzzHintedPipeline(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		const globals = 4
+		heap := 2000 + r.Intn(30000)
+		m := svm.New(svm.Machines[r.Intn(len(svm.Machines))], svm.MustAssemble(randomWriter(r, heap, globals)), globals)
+		m.Grow(heap)
+		m.TrackDirty()
+
+		hinted, plain, stale := newRecorder(), newRecorder(), newRecorder()
+		ph, pp, ps := NewPipeline(hinted, 5), NewPipeline(plain, 5), NewPipeline(stale, 5)
+		// The VM image sits at an odd offset inside the stored image, as the
+		// application state does behind a checkpoint header.
+		prefix := make([]byte, 1+r.Intn(2*DeltaBlockSize))
+		r.Read(prefix)
+		sizes := map[int]bool{}
+		for n := uint64(1); n <= 40; n++ {
+			spans := m.DirtyByteSpans()
+			img := append(append([]byte(nil), prefix...), m.EncodeImage()...)
+			m.ResetDirty()
+			sizes[len(img)] = true
+			for i := range spans {
+				spans[i].Off += len(prefix)
+			}
+			var noSpans []svm.Span
+			if n == 1 {
+				spans = nil // nothing to be relative to
+			} else {
+				noSpans = []svm.Span{}
+			}
+			if err := ph.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
+				t.Fatal(err)
+			}
+			if err := pp.Put(1, 0, n, img, nil); err != nil {
+				t.Fatal(err)
+			}
+			// "Nothing changed" is as wrong as a hint gets; under a base
+			// that is not the previous epoch it must not be believed.
+			if err := ps.PutHinted(1, 0, n, img, nil, n+uint64(r.Intn(3)), noSpans); err != nil {
+				t.Fatal(err)
+			}
+			sameLastRecord(t, int(n), hinted, plain)
+			sameLastRecord(t, int(n), stale, plain)
+			// A full record that continues the cached copy reuses the
+			// addresses of unchanged blocks; they must be the blocks' own.
+			if rec, err := DecodeRecord(hinted.envs[len(hinted.envs)-1]); err != nil {
+				t.Fatal(err)
+			} else if rec.Kind == RecFull {
+				for i, b := range SplitBlocks(img) {
+					if rec.Refs[i] != (BlockRef{ID: HashBlock(b), Len: uint32(len(b))}) {
+						t.Fatalf("epoch %d: full record block %d carries a stale address", n, i)
+					}
+				}
+			}
+			got, _, err := ph.Get(1, 0, n)
+			if err != nil || !bytes.Equal(got, img) {
+				t.Fatalf("epoch %d: hinted chain does not reconstruct the image (err %v)", n, err)
+			}
+			if halted, err := m.RunSteps(1 + r.Intn(120)); err != nil {
+				t.Fatal(err)
+			} else if halted {
+				break
+			}
+		}
+		if len(sizes) < 2 {
+			t.Errorf("seed %d: every epoch had the same image size; the program should grow and shrink it", seed)
+		}
+	})
+}
+
+// TestHintIsUsed: with the right base the pipeline does take the hint's word
+// for it — an (unsound) empty hint yields an empty delta — so the equalities
+// FuzzHintedPipeline checks are properties of sound hints, not of a hint path
+// that is never taken.
+func TestHintIsUsed(t *testing.T) {
+	rec := newRecorder()
+	p := NewPipeline(rec, 8)
+	imgs := epochImages(t, 2, 16)
+	if err := p.Put(1, 0, 1, imgs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, []svm.Span{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.blocks[1]); n != 0 {
+		t.Fatalf("delta under an empty hint carries %d blocks, want 0", n)
+	}
+}
 
 // memWriter walks the heap writing one word per iteration — the incremental
 // checkpointing workload: a little state changes per epoch, most does not.
@@ -27,53 +232,37 @@ loop:   loadg 1       ; remaining
 done:   halt
 `
 
-// TestHintedDeltaMatchesFullDiff runs a VM across several checkpoint epochs
-// and verifies the end-to-end hint path: the spans DirtyByteSpans reports
-// make ComputeDeltaHinted produce exactly the delta a full byte comparison
-// would, at a fraction of the scan work. The hints being sound is what lets
-// a capture path skip diffing untouched heap blocks.
-func TestHintedDeltaMatchesFullDiff(t *testing.T) {
+// TestHintedEpochsStayIncremental runs a VM across several checkpoint epochs
+// through the hinted pipeline path: every epoch restores exactly, and each
+// delta is a sliver of the image.
+func TestHintedEpochsStayIncremental(t *testing.T) {
 	m := svm.New(svm.Machines[0], svm.MustAssemble(memWriter), 2)
 	m.Globals[1] = 2000 // iterations
 	m.Grow(64 * 1024)   // 64K-word heap, mostly untouched
 	m.TrackDirty()
-	prev := m.EncodeImage()
-
-	for epoch := 0; epoch < 5; epoch++ {
+	p, _ := pipeStore(t, 8)
+	for n := uint64(1); n <= 6; n++ {
+		spans := m.DirtyByteSpans()
+		if n == 1 {
+			spans = nil
+		}
+		img := m.EncodeImage()
+		m.ResetDirty()
+		before := p.Stats().StoredBytes
+		if err := p.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := p.Get(1, 0, n)
+		if err != nil || !bytes.Equal(got, img) {
+			t.Fatalf("epoch %d does not reconstruct (err %v)", n, err)
+		}
+		if stored := int(p.Stats().StoredBytes - before); n > 1 && stored >= len(img)/4 {
+			t.Errorf("epoch %d: stored %d bytes for a %d-byte image", n, stored, len(img))
+		}
 		halted, err := m.RunSteps(1500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := m.EncodeImage()
-		var spans []ByteSpan
-		for _, sp := range m.DirtyByteSpans() {
-			spans = append(spans, ByteSpan{Off: sp.Off, Len: sp.Len})
-		}
-		m.ResetDirty()
-
-		hinted := ComputeDeltaHinted(prev, next, spans)
-		full := ComputeDelta(prev, next)
-		if len(hinted.Blocks) != len(full.Blocks) {
-			t.Fatalf("epoch %d: hinted delta has %d blocks, full diff %d",
-				epoch, len(hinted.Blocks), len(full.Blocks))
-		}
-		for b, want := range full.Blocks {
-			if !bytes.Equal(hinted.Blocks[b], want) {
-				t.Fatalf("epoch %d: block %d differs between hinted and full diff", epoch, b)
-			}
-		}
-		out, err := hinted.Apply(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, next) {
-			t.Fatalf("epoch %d: hinted delta does not reconstruct the image", epoch)
-		}
-		// The delta must actually be incremental: a sliver of the image.
-		if epoch > 0 && hinted.Size() >= len(next)/4 {
-			t.Errorf("epoch %d: delta of %d bytes for a %d-byte image", epoch, hinted.Size(), len(next))
-		}
-		prev = next
 		if halted {
 			break
 		}

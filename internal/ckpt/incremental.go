@@ -56,58 +56,6 @@ func ComputeDelta(base, next []byte) *Delta {
 	return d
 }
 
-// ByteSpan is a half-open byte range [Off, Off+Len) of an encoded state,
-// used as a dirty hint: bytes outside every hint span are known unchanged.
-type ByteSpan struct {
-	Off, Len int
-}
-
-// ComputeDeltaHinted is ComputeDelta restricted to blocks overlapping the
-// given dirty spans. A block outside every span is assumed unchanged and is
-// compared only for the structural cases (growth past the base, or a length
-// change of the shared tail block). The hints must be sound — a span list
-// missing a genuinely changed byte produces an incorrect delta; callers
-// derive spans from write tracking (see svm's dirty segments).
-//
-//starfish:deterministic
-func ComputeDeltaHinted(base, next []byte, spans []ByteSpan) *Delta {
-	if spans == nil {
-		return ComputeDelta(base, next)
-	}
-	d := &Delta{BaseLen: len(base), NewLen: len(next), Blocks: map[int][]byte{}}
-	nBlocks := (len(next) + DeltaBlockSize - 1) / DeltaBlockSize
-	dirty := make([]bool, nBlocks)
-	for _, sp := range spans {
-		if sp.Len <= 0 {
-			continue
-		}
-		first := max(sp.Off, 0) / DeltaBlockSize
-		last := (min(sp.Off+sp.Len, len(next)) - 1) / DeltaBlockSize
-		for b := first; b <= last && b < nBlocks; b++ {
-			dirty[b] = true
-		}
-	}
-	for b := 0; b < nBlocks; b++ {
-		lo := b * DeltaBlockSize
-		hi := min(lo+DeltaBlockSize, len(next))
-		newBlock := next[lo:hi]
-		if lo < len(base) {
-			oldHi := min(lo+DeltaBlockSize, len(base))
-			oldBlock := base[lo:oldHi]
-			if len(oldBlock) == len(newBlock) {
-				if !dirty[b] {
-					continue // hinted clean, same geometry: unchanged
-				}
-				if bytes.Equal(oldBlock, newBlock) {
-					continue
-				}
-			}
-		}
-		d.Blocks[b] = append([]byte(nil), newBlock...)
-	}
-	return d
-}
-
 // Apply reconstructs the target state from base.
 func (d *Delta) Apply(base []byte) ([]byte, error) {
 	if len(base) != d.BaseLen {

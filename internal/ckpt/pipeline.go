@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"starfish/internal/svm"
 	"starfish/internal/wire"
 )
 
@@ -74,9 +75,10 @@ type EpochEvent struct {
 
 // rankState is the writer-side capture cache of one rank.
 type rankState struct {
-	lastRaw   []byte // our own copy of the previous epoch's image
-	lastIndex uint64 // checkpoint index of lastRaw
-	sinceFull int    // records since (and including) the chain's full base
+	lastRaw   []byte     // our own copy of the previous epoch's image
+	refs      []BlockRef // content addresses of lastRaw's blocks
+	lastIndex uint64     // checkpoint index of lastRaw
+	sinceFull int        // records since (and including) the chain's full base
 }
 
 // PipelineStats counts capture-side work, the savings metric of the
@@ -109,43 +111,93 @@ func (p *Pipeline) Stats() PipelineStats {
 // Put captures checkpoint n of (app, rank) as a full or delta record,
 // per the cadence policy.
 func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
+	return p.PutHinted(app, rank, n, img, meta, 0, nil)
+}
+
+// PutHinted is Put with a dirty hint from a writer that tracks its own
+// writes: every byte of img outside the dirty spans equals the byte at the
+// same offset of the image of checkpoint hintBase. The hint is honoured only
+// when hintBase is the checkpoint the rank's cached copy holds — the image
+// img is compared against — and then only blocks overlapping a span are
+// looked at; a nil dirty, or any other hintBase, compares every block. The
+// records emitted are the same either way.
+func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta, hintBase uint64, dirty []svm.Span) error {
 	p.mu.Lock()
 	st := p.ranks[rank]
 	if st == nil {
 		st = &rankState{}
 		p.ranks[rank] = st
 	}
-	// A delta is only valid against the immediately preceding index; a gap
-	// (restart, skipped epoch) restarts the chain with a full record.
-	asDelta := p.fullEvery > 1 && st.lastRaw != nil &&
-		st.lastIndex+1 == n && st.sinceFull < p.fullEvery
-	base := st.lastIndex
-	var baseRaw []byte
-	if asDelta {
-		baseRaw = st.lastRaw
+	// The cached copy is only a base for the immediately following index; a
+	// gap (restart, skipped epoch) starts over from nothing, which makes
+	// every block changed and the record a full one.
+	base, baseRaw, baseRefs := st.lastIndex, st.lastRaw, st.refs
+	if baseRaw == nil || base+1 != n {
+		baseRaw, baseRefs = nil, nil
 	}
+	asDelta := p.fullEvery > 1 && baseRaw != nil && st.sinceFull < p.fullEvery
 	p.mu.Unlock()
 
+	var hinted []bool
+	if dirty != nil && baseRaw != nil && hintBase == base {
+		hinted = spanBlocks(dirty, len(img))
+	}
+	changed := diffBlocks(baseRaw, img, hinted)
+	refs := make([]BlockRef, (len(img)+DeltaBlockSize-1)/DeltaBlockSize)
+	copy(refs, baseRefs)
+	for _, d := range changed {
+		refs[d.Index] = d.Ref
+	}
+	// A delta record lists and carries the changed blocks. A full record
+	// lists every block and carries every block — it must stand on its own
+	// in a store that lost the chain before it — but when it continues the
+	// cached copy it costs a delta's hashing: unchanged blocks keep their
+	// content addresses.
 	var env []byte
 	var blocks []RecBlock
+	seen := make(map[BlockID]bool)
+	carry := func(i uint32, ref BlockRef) {
+		if !seen[ref.ID] {
+			seen[ref.ID] = true
+			lo := int(i) * DeltaBlockSize
+			blocks = append(blocks, RecBlock{Ref: ref, Data: img[lo:min(lo+DeltaBlockSize, len(img))]})
+		}
+	}
 	if asDelta {
-		env, blocks = encodeDeltaEpoch(base, baseRaw, img)
+		env = EncodeDeltaRecord(base, len(baseRaw), len(img), changed)
+		for _, d := range changed {
+			carry(d.Index, d.Ref)
+		}
 	} else {
-		env, blocks = encodeFullEpoch(img)
+		env = EncodeFullRecord(len(img), refs)
+		for i, ref := range refs {
+			carry(uint32(i), ref)
+		}
 	}
 	if err := p.inner.PutRecord(app, rank, n, env, blocks, meta); err != nil {
 		return err
 	}
 
-	p.mu.Lock()
 	// Cache our own copy: img belongs to the caller, and next epoch's diff
-	// must not race the application mutating its state.
-	if st.lastRaw == nil || cap(st.lastRaw) < len(img) {
-		st.lastRaw = make([]byte, len(img))
+	// must not race the application mutating its state. A copy that was the
+	// base already equals img outside the changed blocks.
+	raw := st.lastRaw
+	if baseRaw != nil && cap(raw) >= len(img) {
+		raw = raw[:len(img)]
+		for _, d := range changed {
+			lo := int(d.Index) * DeltaBlockSize
+			copy(raw[lo:], img[lo:min(lo+DeltaBlockSize, len(img))])
+		}
+	} else {
+		if cap(raw) < len(img) {
+			raw = make([]byte, len(img))
+		}
+		raw = raw[:len(img)]
+		copy(raw, img)
 	}
-	st.lastRaw = st.lastRaw[:len(img)]
-	copy(st.lastRaw, img)
-	st.lastIndex = n
+
+	p.mu.Lock()
+	st.lastRaw, st.refs, st.lastIndex = raw, refs, n
 	if asDelta {
 		st.sinceFull++
 		p.stats.Deltas++
@@ -171,50 +223,44 @@ func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	return nil
 }
 
-// encodeFullEpoch builds a full record over every block of img. Block data
-// aliases img (valid for the PutRecord call only, per the contract).
-func encodeFullEpoch(img []byte) ([]byte, []RecBlock) {
-	raw := SplitBlocks(img)
-	refs := make([]BlockRef, len(raw))
-	blocks := make([]RecBlock, 0, len(raw))
-	seen := make(map[BlockID]bool, len(raw))
-	for i, b := range raw {
-		ref := BlockRef{ID: HashBlock(b), Len: uint32(len(b))}
-		refs[i] = ref
-		if !seen[ref.ID] {
-			seen[ref.ID] = true
-			blocks = append(blocks, RecBlock{Ref: ref, Data: b})
+// spanBlocks marks the blocks of an n-byte image that overlap a dirty span.
+//
+//starfish:deterministic
+func spanBlocks(spans []svm.Span, n int) []bool {
+	dirty := make([]bool, (n+DeltaBlockSize-1)/DeltaBlockSize)
+	for _, sp := range spans {
+		lo, hi := max(sp.Off, 0), min(sp.Off+sp.Len, n)
+		if lo >= hi {
+			continue
+		}
+		for b := lo / DeltaBlockSize; b <= (hi-1)/DeltaBlockSize; b++ {
+			dirty[b] = true
 		}
 	}
-	return EncodeFullRecord(len(img), refs), blocks
+	return dirty
 }
 
-// encodeDeltaEpoch builds a delta record holding only the blocks of next
-// that differ from base (ComputeDelta's block rule, applied without the
-// per-block copies — block data aliases next).
-func encodeDeltaEpoch(baseIndex uint64, base, next []byte) ([]byte, []RecBlock) {
-	var deltas []DeltaRef
-	var blocks []RecBlock
-	seen := make(map[BlockID]bool)
-	nBlocks := (len(next) + DeltaBlockSize - 1) / DeltaBlockSize
-	for i := 0; i < nBlocks; i++ {
-		lo := i * DeltaBlockSize
-		hi := min(lo+DeltaBlockSize, len(next))
-		nb := next[lo:hi]
+// diffBlocks returns the content addresses of the blocks of next that differ
+// from base (ComputeDelta's block rule, without its per-block copies); a nil
+// base makes every block differ. With a non-nil hinted, a block it does not
+// mark is taken as unchanged without looking, provided base has a block of
+// the same length there; growth past the base and a resized tail block are
+// always compared.
+//
+//starfish:deterministic
+func diffBlocks(base, next []byte, hinted []bool) []DeltaRef {
+	var changed []DeltaRef
+	for i, lo := 0, 0; lo < len(next); i, lo = i+1, lo+DeltaBlockSize {
+		nb := next[lo:min(lo+DeltaBlockSize, len(next))]
 		if lo < len(base) {
-			oldHi := min(lo+DeltaBlockSize, len(base))
-			if ob := base[lo:oldHi]; len(ob) == len(nb) && bytes.Equal(ob, nb) {
+			ob := base[lo:min(lo+DeltaBlockSize, len(base))]
+			if len(ob) == len(nb) && (hinted != nil && !hinted[i] || bytes.Equal(ob, nb)) {
 				continue
 			}
 		}
-		ref := BlockRef{ID: HashBlock(nb), Len: uint32(len(nb))}
-		deltas = append(deltas, DeltaRef{Index: uint32(i), Ref: ref})
-		if !seen[ref.ID] {
-			seen[ref.ID] = true
-			blocks = append(blocks, RecBlock{Ref: ref, Data: nb})
-		}
+		changed = append(changed, DeltaRef{Index: uint32(i), Ref: BlockRef{ID: HashBlock(nb), Len: uint32(len(nb))}})
 	}
-	return EncodeDeltaRecord(baseIndex, len(base), len(next), deltas), blocks
+	return changed
 }
 
 // Get reconstructs checkpoint n of (app, rank). Raw (pre-pipeline) images

@@ -253,3 +253,43 @@ func TestPingPongAppOnCluster(t *testing.T) {
 		t.Fatalf("status = %v, failure = %q", info.Status, info.Failure)
 	}
 }
+
+// TestRestoreKeepsReceiveOrder kills a node under a single-tag ring whose
+// ranks each carry 4 MiB of state. Restores then take milliseconds and ranks
+// finish them far apart, so a fast peer is already sending while a slow one
+// still rebuilds its communicator: the checkpoint's pending and channel-state
+// messages must be in the receive queue before anything new, or the ring
+// consumes tokens out of order and ends a lap off. The ring verifies its
+// exact final value.
+func TestRestoreKeepsReceiveOrder(t *testing.T) {
+	for episode := 0; episode < 2; episode++ {
+		c := newCluster(t, 4)
+		waitMainView(t, c, 4)
+		id := wire.AppID(60 + episode)
+		spec := ringSpec(id, 3, 60000)
+		spec.Args = apps.RingArgsBallast(60000, 4<<20)
+		spec.Store = ckpt.StoreMemory
+		spec.CkptEverySteps = 3000
+		if err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WaitCommittedLine(id, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		info, ok := c.AnyDaemon().AppInfo(id)
+		if !ok {
+			t.Fatal("app vanished")
+		}
+		if err := c.Crash(info.Placement[wire.Rank(1+episode%2)]); err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.WaitApp(id, 120*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Status != daemon.StatusDone || final.Gen < 2 {
+			t.Fatalf("episode %d: status = %v, gen = %d, failure = %q", episode, final.Status, final.Gen, final.Failure)
+		}
+		c.Shutdown()
+	}
+}

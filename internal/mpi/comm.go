@@ -92,6 +92,15 @@ type Config struct {
 	// linger in the unexpected queue as a stale extra token.
 	SentCounts map[wire.Rank]uint64
 	RecvCounts map[wire.Rank]uint64
+	// Pending and ChannelState seed the receive queue of a restarted rank
+	// from its checkpoint, in that order, before the progress engine
+	// starts — for the same reason as the counts: a peer that restored
+	// faster is already sending, and a new message accepted first would be
+	// matched ahead of the older restored ones. Pending messages were
+	// counted before the snapshot (RecvCounts covers them); channel-state
+	// messages arrived after it and advance the receive counts here.
+	Pending      []RecordedMsg
+	ChannelState []RecordedMsg
 }
 
 // envelope is a matched or matchable message inside the engine.
@@ -179,6 +188,13 @@ func New(cfg Config) (*Comm, error) {
 	}
 	for r, n := range cfg.RecvCounts {
 		c.recvCount[r] = n
+	}
+	for _, m := range cfg.Pending {
+		c.unexpected = append(c.unexpected, envelope{src: m.Src, tag: m.Tag, data: m.Data, interval: m.Interval, seq: m.Seq})
+	}
+	for _, m := range cfg.ChannelState {
+		c.unexpected = append(c.unexpected, envelope{src: m.Src, tag: m.Tag, data: m.Data, interval: m.Interval, seq: m.Seq})
+		c.bumpRecvLocked(m.Src, m.Seq)
 	}
 	if cfg.Coll != nil {
 		c.coll = *cfg.Coll
@@ -736,23 +752,15 @@ func (c *Comm) Recorded() []RecordedMsg {
 	return append([]RecordedMsg(nil), c.recorded...)
 }
 
-// InjectRecorded replays messages from a restored checkpoint into the
-// receive queue, as if they had just arrived. counted says whether these
-// messages advance the receive counts: pending-queue messages were already
-// counted before the snapshot (pass false), while recorded channel-state
-// messages arrived after it (pass true).
-func (c *Comm) InjectRecorded(msgs []RecordedMsg, counted bool) {
+// TakeRecorded ends channel recording and returns what it captured since
+// the Cut (or StartRecording) that began it. A C/R round calls it when it
+// finalizes, so traffic between rounds is not copied.
+func (c *Comm) TakeRecorded() []RecordedMsg {
 	c.mu.Lock()
-	for _, m := range msgs {
-		c.unexpected = append(c.unexpected, envelope{
-			src: m.Src, tag: m.Tag, data: m.Data, interval: m.Interval, seq: m.Seq,
-		})
-		if counted {
-			c.bumpRecvLocked(m.Src, m.Seq)
-		}
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	rec := c.recorded
+	c.recording, c.recordFrom, c.recorded = false, nil, nil
+	return rec
 }
 
 // SetCounts restores the per-peer cumulative send/receive counters from a

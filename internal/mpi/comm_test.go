@@ -366,14 +366,36 @@ func TestMarkersAndRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// And can be re-injected on a restored incarnation.
-	comms[1].InjectRecorded(rec, true)
-	data, _, err := comms[1].Recv(0, 0)
-	if err != nil {
+}
+
+// TestSeededQueueOrder: the pending and channel-state messages a restarted
+// rank seeds through Config are received before anything that arrives after
+// construction, in checkpoint order, and channel state advances the receive
+// counts while pending messages (already counted at the cut) do not.
+func TestSeededQueueOrder(t *testing.T) {
+	comms := worldCfg(t, 2, func(cfg *Config) {
+		if cfg.Rank == 1 {
+			cfg.RecvCounts = map[wire.Rank]uint64{0: 2}
+			cfg.Pending = []RecordedMsg{{Src: 0, Tag: 0, Data: []byte("pending-1"), Seq: 1}, {Src: 0, Tag: 0, Data: []byte("pending-2"), Seq: 2}}
+			cfg.ChannelState = []RecordedMsg{{Src: 0, Tag: 0, Data: []byte("channel-3"), Seq: 3}}
+		} else {
+			cfg.SentCounts = map[wire.Rank]uint64{1: 3}
+		}
+	})
+	if got := comms[1].RecvCounts()[0]; got != 3 {
+		t.Errorf("receive count after seeding = %d, want 3", got)
+	}
+	if err := comms[0].Send(1, 0, []byte("new-4")); err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != "in-flight-1" {
-		t.Errorf("replayed = %q", data)
+	for _, want := range []string{"pending-1", "pending-2", "channel-3", "new-4"} {
+		data, _, err := comms[1].Recv(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("received %q, want %q", data, want)
+		}
 	}
 }
 

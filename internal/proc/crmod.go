@@ -7,6 +7,7 @@ import (
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
 	"starfish/internal/mpi"
+	"starfish/internal/svm"
 	"starfish/internal/wire"
 )
 
@@ -26,32 +27,32 @@ type crModule struct {
 	nextIndex uint64
 	lastIndex uint64
 
+	// snapIndex is the checkpoint the application's latest Snapshot was
+	// taken for (0: none by this process) — what its next dirty hint is
+	// relative to. Main loop only.
+	snapIndex uint64
+
 	// Independent-protocol state: receipts recorded since the last
 	// checkpoint.
 	deps []ckpt.Dep
 
-	// Chandy–Lamport round state.
+	// Chandy–Lamport round state. clCut is staged once the local snapshot
+	// is complete; the round finalizes when it and every marker are in.
 	clActive        bool
 	clID            uint64
 	clSnapshotTaken bool
 	clPendingFlag   bool
 	clMarkersIn     map[wire.Rank]bool
-	clStagedState   []byte
-	clStagedPending []mpi.RecordedMsg
-	clStagedSent    map[wire.Rank]uint64
-	clStagedRecv    map[wire.Rank]uint64
+	clCut           *cut
 
 	// Stop-and-sync round state (safe-point adaptation: the cut happens
 	// at the step boundary, and the "sync" drains announced in-flight
 	// messages into recorded channel state instead of blocking senders).
-	sfsActive        bool
-	sfsID            uint64
-	sfsStagedState   []byte
-	sfsStagedPending []mpi.RecordedMsg
-	sfsStagedSent    map[wire.Rank]uint64
-	sfsStagedRecv    map[wire.Rank]uint64
-	sfsTargets       map[wire.Rank]uint64 // peer -> messages it sent us pre-cut
-	sfsFlushes       map[wire.Rank]bool
+	sfsActive  bool
+	sfsID      uint64
+	sfsCut     *cut
+	sfsTargets map[wire.Rank]uint64 // peer -> messages it sent us pre-cut
+	sfsFlushes map[wire.Rank]bool
 
 	// Coordinator (rank 0) ack collection and commit tracking.
 	acks         map[wire.Rank]bool
@@ -105,15 +106,25 @@ func decodeMsgList(b []byte) ([]mpi.RecordedMsg, error) {
 	return msgs, r.Err()
 }
 
-// encodeCkptState bundles the application snapshot with the MPI layer's
-// pending (received-but-unconsumed) messages and, for Chandy–Lamport, the
-// recorded channel state.
-func encodeCkptState(appState []byte, pending, recorded []mpi.RecordedMsg) []byte {
-	w := wire.NewWriter(64 + len(appState))
+// A checkpoint's state bundles the application snapshot with the MPI
+// layer's pending (received-but-unconsumed) messages and, for Chandy–Lamport
+// and stop-and-sync, the recorded channel state. ckptStateSize is the
+// encoded size of what writeCkptState writes.
+func ckptStateSize(appState []byte, pending, recorded []mpi.RecordedMsg) int {
+	n := 4 + len(appState)
+	for _, msgs := range [][]mpi.RecordedMsg{pending, recorded} {
+		n += 4
+		for _, m := range msgs {
+			n += 32 + len(m.Data)
+		}
+	}
+	return n
+}
+
+func writeCkptState(w *wire.Writer, appState []byte, pending, recorded []mpi.RecordedMsg) {
 	w.Bytes32(appState)
 	writeMsgList(w, pending)
 	writeMsgList(w, recorded)
-	return w.Bytes()
 }
 
 func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.RecordedMsg, err error) {
@@ -125,6 +136,91 @@ func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.Recorde
 		return nil, nil, nil, r.Err()
 	}
 	return appState, pending, recorded, nil
+}
+
+// cut is what a process captures at its snapshot point: the application
+// state and the MPI layer's pending messages and counters.
+type cut struct {
+	state []byte
+	// dirty lists the byte ranges of state that may differ from the state
+	// snapshotted for checkpoint dirtyBase; nil when the application does
+	// not track its writes or this is its first snapshot.
+	dirty      []svm.Span
+	dirtyBase  uint64
+	pending    []mpi.RecordedMsg
+	sent, recv map[wire.Rank]uint64
+}
+
+// dirtyTracker is the optional App extension behind hinted capture (VMApp
+// implements it): every byte of the next Snapshot outside the spans equals
+// the previous Snapshot's.
+type dirtyTracker interface {
+	DirtySpans() []svm.Span
+}
+
+// hintedStore is a checkpoint backend that takes dirty hints (ckpt.Pipeline).
+type hintedStore interface {
+	PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta, hintBase uint64, dirty []svm.Span) error
+}
+
+// snapshotApp takes the application's part of the cut for checkpoint idx.
+// Main loop, step boundary.
+func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
+	// Snapshot re-baselines the application's write tracking, so the hint
+	// has to be read first.
+	if t, ok := cr.p.app.(dirtyTracker); ok && cr.snapIndex != 0 {
+		c.dirty, c.dirtyBase = t.DirtySpans(), cr.snapIndex
+	}
+	state, err := cr.p.app.Snapshot()
+	if err != nil {
+		return fmt.Errorf("proc: snapshot: %w", err)
+	}
+	c.state = state
+	cr.snapIndex = idx
+	return nil
+}
+
+// capture writes checkpoint idx: it assembles the image — encoder header,
+// application state, the cut's pending messages and the channel state that
+// followed it (Chandy–Lamport, stop-and-sync) — in one exactly-sized buffer,
+// stores it with the cut's dirty hint shifted to image offsets and with meta
+// completed from the cut, and emits the checkpoint record under the given
+// protocol name.
+func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
+	p := cr.p
+	meta.Rank, meta.Index, meta.SentCounts, meta.RecvCounts = p.rank, idx, c.sent, c.recv
+	stateLen := ckptStateSize(c.state, c.pending, channel)
+	img, window := p.encoder.NewImage(p.arch, stateLen)
+	w := wire.NewWriterOn(window)
+	writeCkptState(w, c.state, c.pending, channel)
+	if w.Len() != stateLen {
+		return fmt.Errorf("proc: checkpoint %d: state encodes to %d bytes, sized %d", idx, w.Len(), stateLen)
+	}
+
+	var err error
+	if hs, ok := p.store.(hintedStore); ok && c.dirty != nil {
+		// Outside the application state everything but the encoder's
+		// constant runtime segment counts as dirty: the image header, the
+		// two length prefixes in front of the state, the message lists
+		// behind it.
+		off := len(img) - stateLen + 4
+		dirty := make([]svm.Span, 0, len(c.dirty)+3)
+		dirty = append(dirty, svm.Span{Off: 0, Len: 10}, svm.Span{Off: off - 8, Len: 8})
+		for _, sp := range c.dirty {
+			dirty = append(dirty, svm.Span{Off: off + sp.Off, Len: sp.Len})
+		}
+		dirty = append(dirty, svm.Span{Off: off + len(c.state), Len: len(img) - off - len(c.state)})
+		err = hs.PutHinted(p.spec.ID, p.rank, idx, img, meta, c.dirtyBase, dirty)
+	} else {
+		err = p.store.Put(p.spec.ID, p.rank, idx, img, meta)
+	}
+	if err != nil {
+		return fmt.Errorf("proc: store checkpoint %d: %w", idx, err)
+	}
+	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
+		evstore.F("index", idx), evstore.F("protocol", protocol),
+		evstore.F("bytes", len(img))))
+	return nil
 }
 
 // ---- callbacks from the MPI progress engine ----
@@ -179,12 +275,14 @@ func (cr *crModule) startRoundLocked(id uint64) {
 	cr.clID = id
 	cr.clSnapshotTaken = false
 	cr.clMarkersIn = make(map[wire.Rank]bool)
-	cr.clStagedState = nil
-	cr.clStagedPending = nil
+	cr.clCut = nil
 }
 
+// allMarkersInLocked reports whether the round can finalize. The staged
+// cut, not clSnapshotTaken, is the condition: a marker that arrives while
+// the main loop is still inside Snapshot must not finalize without state.
 func (cr *crModule) allMarkersInLocked() bool {
-	return cr.clSnapshotTaken && len(cr.clMarkersIn) == cr.p.spec.Ranks-1
+	return cr.clCut != nil && len(cr.clMarkersIn) == cr.p.spec.Ranks-1
 }
 
 // pendingSnapshot reports whether the main loop must take a CL snapshot at
@@ -216,16 +314,16 @@ func (cr *crModule) clBegin(id uint64) error {
 			recordFrom = append(recordFrom, rank)
 		}
 	}
-	cr.clStagedPending, cr.clStagedSent, cr.clStagedRecv = cr.p.comm.Cut(id, recordFrom)
+	c := &cut{}
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(id, recordFrom)
 	cr.mu.Unlock()
 
-	state, err := cr.p.app.Snapshot()
-	if err != nil {
-		return fmt.Errorf("proc: snapshot: %w", err)
+	if err := cr.snapshotApp(id, c); err != nil {
+		return err
 	}
 
 	cr.mu.Lock()
-	cr.clStagedState = state
+	cr.clCut = c
 	finalize := cr.allMarkersInLocked()
 	cr.mu.Unlock()
 
@@ -252,10 +350,7 @@ func (cr *crModule) finalizeCL() {
 		cr.mu.Unlock()
 		return
 	}
-	id := cr.clID
-	state := cr.clStagedState
-	pending := cr.clStagedPending
-	sent, recv := cr.clStagedSent, cr.clStagedRecv
+	id, c := cr.clID, cr.clCut
 	cr.clActive = false
 	cr.clPendingFlag = false
 	cr.lastIndex = id
@@ -264,20 +359,10 @@ func (cr *crModule) finalizeCL() {
 	}
 	cr.mu.Unlock()
 
-	recorded := cr.p.comm.Recorded()
-	img, err := cr.p.encoder.Encode(encodeCkptState(state, pending, recorded), cr.p.arch)
-	if err != nil {
-		cr.p.logff("encode checkpoint %d: %v", id, err)
+	if err := cr.capture(id, "chandy-lamport", c, cr.p.comm.TakeRecorded(), &ckpt.Meta{}); err != nil {
+		cr.p.logff("%v", err)
 		return
 	}
-	meta := &ckpt.Meta{Rank: cr.p.rank, Index: id, SentCounts: sent, RecvCounts: recv}
-	if err := cr.p.store.Put(cr.p.spec.ID, cr.p.rank, id, img, meta); err != nil {
-		cr.p.logff("store checkpoint %d: %v", id, err)
-		return
-	}
-	cr.p.event(evstore.EvRank("checkpoint", cr.p.spec.ID, cr.p.rank,
-		evstore.F("index", id), evstore.F("protocol", "chandy-lamport"),
-		evstore.F("bytes", len(img))))
 	cr.sendAck(id)
 }
 
@@ -337,28 +422,17 @@ func (cr *crModule) takeLocal() error {
 	cr.deps = nil
 	cr.mu.Unlock()
 
-	pending, sent, recv := cr.p.comm.Cut(idx, nil)
-	state, err := cr.p.app.Snapshot()
-	if err != nil {
-		return fmt.Errorf("proc: snapshot: %w", err)
-	}
-	img, err := cr.p.encoder.Encode(encodeCkptState(state, pending, nil), cr.p.arch)
-	if err != nil {
+	c := &cut{}
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(idx, nil)
+	if err := cr.snapshotApp(idx, c); err != nil {
 		return err
 	}
-	meta := &ckpt.Meta{
-		Rank: cr.p.rank, Index: idx, Deps: deps,
-		SentCounts: sent, RecvCounts: recv,
-		// Persist the sends of the interval this checkpoint closes, for
-		// lost-message replay at restart.
-		SentLog: encodeMsgList(cr.p.comm.TakeSentLog()),
-	}
-	if err := cr.p.store.Put(cr.p.spec.ID, cr.p.rank, idx, img, meta); err != nil {
+	// Persist the sends of the interval this checkpoint closes, for
+	// lost-message replay at restart.
+	meta := &ckpt.Meta{Deps: deps, SentLog: encodeMsgList(cr.p.comm.TakeSentLog())}
+	if err := cr.capture(idx, "independent", c, nil, meta); err != nil {
 		return err
 	}
-	cr.p.event(evstore.EvRank("checkpoint", cr.p.spec.ID, cr.p.rank,
-		evstore.F("index", idx), evstore.F("protocol", "independent"),
-		evstore.F("bytes", len(img))))
 
 	cr.mu.Lock()
 	cr.lastIndex = idx
@@ -406,17 +480,15 @@ func (cr *crModule) sfsBegin(idx uint64) error {
 			allPeers = append(allPeers, rank)
 		}
 	}
-	pending, sent, recv := cr.p.comm.Cut(idx, allPeers)
-	state, err := cr.p.app.Snapshot()
-	if err != nil {
-		return fmt.Errorf("proc: snapshot: %w", err)
+	c := &cut{}
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(idx, allPeers)
+	if err := cr.snapshotApp(idx, c); err != nil {
+		return err
 	}
+	sent := c.sent
 
 	cr.mu.Lock()
-	cr.sfsStagedState = state
-	cr.sfsStagedPending = pending
-	cr.sfsStagedSent = sent
-	cr.sfsStagedRecv = recv
+	cr.sfsCut = c
 	cr.mu.Unlock()
 
 	// Announce cumulative sent counts: each receiver drains until it has
@@ -489,9 +561,7 @@ func (cr *crModule) sfsPoll() {
 		cr.mu.Unlock()
 		return
 	}
-	state := cr.sfsStagedState
-	pending := cr.sfsStagedPending
-	sent, recvAtCut := cr.sfsStagedSent, cr.sfsStagedRecv
+	c := cr.sfsCut
 	cr.sfsActive = false
 	cr.lastIndex = idx
 	if cr.nextIndex <= idx {
@@ -501,26 +571,18 @@ func (cr *crModule) sfsPoll() {
 
 	// Channel state: recorded messages up to each sender's announced
 	// count; anything later was sent after the sender's cut and will be
-	// resent by its re-execution.
+	// resent by its re-execution. Taking the list ends the recording, so
+	// traffic between rounds is not copied.
 	var channelState []mpi.RecordedMsg
-	for _, m := range cr.p.comm.Recorded() {
+	for _, m := range cr.p.comm.TakeRecorded() {
 		if m.Seq <= targets[m.Src] {
 			channelState = append(channelState, m)
 		}
 	}
-	img, err := cr.p.encoder.Encode(encodeCkptState(state, pending, channelState), cr.p.arch)
-	if err != nil {
-		cr.p.logff("encode checkpoint %d: %v", idx, err)
+	if err := cr.capture(idx, "sync-flush", c, channelState, &ckpt.Meta{}); err != nil {
+		cr.p.logff("%v", err)
 		return
 	}
-	meta := &ckpt.Meta{Rank: cr.p.rank, Index: idx, SentCounts: sent, RecvCounts: recvAtCut}
-	if err := cr.p.store.Put(cr.p.spec.ID, cr.p.rank, idx, img, meta); err != nil {
-		cr.p.logff("store checkpoint %d: %v", idx, err)
-		return
-	}
-	cr.p.event(evstore.EvRank("checkpoint", cr.p.spec.ID, cr.p.rank,
-		evstore.F("index", idx), evstore.F("protocol", "sync-flush"),
-		evstore.F("bytes", len(img))))
 	cr.sendAck(idx)
 }
 

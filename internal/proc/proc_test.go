@@ -431,6 +431,40 @@ func TestStopAndSyncCheckpointAndRestart(t *testing.T) {
 	}
 }
 
+// TestRecordingStopsWhenRoundFinalizes: a stop-and-sync round records every
+// channel from its cut until it finalizes, and not a message longer — traffic
+// between rounds must not be copied into a list nobody reads.
+func TestRecordingStopsWhenRoundFinalizes(t *testing.T) {
+	spec := ringSpec(8, 3, 1<<40) // runs until aborted
+	spec.Protocol = ckpt.StopAndSync
+	h := newHarness(t, spec)
+	h.launch(nil)
+	h.sendTo(0, wire.Msg{Type: wire.TConfiguration, Kind: CfgCkptNow, App: spec.ID})
+	// The line commits after every rank finalized its round and acked.
+	h.waitForCommittedLine()
+	h.mu.Lock()
+	procs := append([]*Process(nil), h.procs...)
+	h.mu.Unlock()
+	for _, p := range procs {
+		p.cmu.Lock()
+		comm := p.comm
+		p.cmu.Unlock()
+		left := wire.Rank((int(p.rank) + spec.Ranks - 1) % spec.Ranks)
+		start := comm.RecvCounts()[left]
+		deadline := time.Now().Add(20 * time.Second)
+		for comm.RecvCounts()[left] < start+500 {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d: ring stopped making progress after the commit", p.rank)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if rec := comm.Recorded(); len(rec) != 0 {
+			t.Errorf("rank %d: %d messages recorded after the round finalized", p.rank, len(rec))
+		}
+	}
+	h.abortAll()
+}
+
 func TestChandyLamportCheckpointAndRestart(t *testing.T) {
 	spec := ringSpec(4, 3, 400)
 	spec.Protocol = ckpt.ChandyLamport
@@ -717,7 +751,14 @@ func TestCkptStateRoundTrip(t *testing.T) {
 		{Src: 2, Dst: 0, Tag: 4, Data: []byte("r"), Interval: 1, Seq: 10},
 		{Src: 2, Dst: 0, Tag: 4, Data: nil, Interval: 1, Seq: 11},
 	}
-	b := encodeCkptState([]byte("app-state"), pending, recorded)
+	// The size is computed up front so a checkpoint image can be sized
+	// exactly: the encoding must fill it and not a byte more.
+	b := make([]byte, ckptStateSize([]byte("app-state"), pending, recorded))
+	w := wire.NewWriterOn(b)
+	writeCkptState(w, []byte("app-state"), pending, recorded)
+	if w.Len() != len(b) || &w.Bytes()[0] != &b[0] {
+		t.Fatalf("state encoded to %d bytes, sized %d (in place: %v)", w.Len(), len(b), &w.Bytes()[0] == &b[0])
+	}
 	state, gp, gr, err := decodeCkptState(b)
 	if err != nil {
 		t.Fatal(err)

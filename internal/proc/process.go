@@ -3,6 +3,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,6 +250,11 @@ func (p *Process) run() {
 	}
 
 	for {
+		// A compute-bound Step never blocks: without this yield a rank
+		// keeps its processor from its own node's daemon, group engines
+		// and stores until the scheduler's 10 ms preemption, and every hop
+		// of a commit or a failure-detector probe waits that long.
+		runtime.Gosched()
 		// Handle everything the daemon queued, then any deferred
 		// messages from a blocking protocol round.
 		if err := p.drainCtl(); err != nil {
@@ -460,15 +466,30 @@ func (p *Process) initialize(si StartInfo) error {
 	// briefly, those duplicates would be accepted instead of suppressed
 	// and would desynchronize the application permanently.
 	restore := si.Restore && si.RestoreIndex > 0
-	var img []byte
-	var meta *ckpt.Meta
+	var state []byte
 	if restore {
-		var err error
-		img, meta, err = p.store.Get(p.spec.ID, p.rank, si.RestoreIndex)
+		img, meta, err := p.store.Get(p.spec.ID, p.rank, si.RestoreIndex)
 		if err != nil {
 			return fmt.Errorf("proc: restart: %w", err)
 		}
 		mcfg.SentCounts, mcfg.RecvCounts = meta.SentCounts, meta.RecvCounts
+		raw, err := p.encoder.Decode(img, p.arch)
+		if err != nil {
+			return fmt.Errorf("proc: restart decode: %w", err)
+		}
+		// The MPI-layer state goes in with the counts, for the same
+		// reason: a peer's new message accepted before the restored ones
+		// were queued would be received ahead of them.
+		if state, mcfg.Pending, mcfg.ChannelState, err = decodeCkptState(raw); err != nil {
+			return fmt.Errorf("proc: restart state: %w", err)
+		}
+	}
+	// The communicator's callbacks into the C/R module start with it.
+	if p.cr.nextIndex = si.NextCkptIndex; p.cr.nextIndex == 0 {
+		p.cr.nextIndex = 1
+	}
+	if restore {
+		p.cr.lastIndex = si.RestoreIndex
 	}
 	comm, err := mpi.New(mcfg)
 	if err != nil {
@@ -486,30 +507,12 @@ func (p *Process) initialize(si StartInfo) error {
 		Comm: comm, Rank: p.rank, Size: si.Size,
 		Gen: si.Gen, Arch: p.arch, p: p,
 	}
-	p.cr.nextIndex = si.NextCkptIndex
-	if p.cr.nextIndex == 0 {
-		p.cr.nextIndex = 1
-	}
 
 	if restore {
-		raw, err := p.encoder.Decode(img, p.arch)
-		if err != nil {
-			return fmt.Errorf("proc: restart decode: %w", err)
-		}
-		state, pending, recorded, err := decodeCkptState(raw)
-		if err != nil {
-			return fmt.Errorf("proc: restart state: %w", err)
-		}
 		if err := p.app.Restore(p.ctx, state); err != nil {
 			return fmt.Errorf("proc: restore: %w", err)
 		}
-		// Re-inject the MPI-layer state (sequence continuity was seeded at
-		// construction): pending messages were counted before the snapshot,
-		// recorded channel state arrived after it.
-		comm.InjectRecorded(pending, false)
-		comm.InjectRecorded(recorded, true)
 		comm.SetInterval(si.RestoreIndex)
-		p.cr.lastIndex = si.RestoreIndex
 		if p.spec.Protocol == ckpt.Independent {
 			if err := p.replayLostMessages(si); err != nil {
 				return fmt.Errorf("proc: log replay: %w", err)

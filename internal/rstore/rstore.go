@@ -215,7 +215,7 @@ type Store struct {
 	// raw image behind a record chain, materialized eagerly as records
 	// arrive so a restore from a chain is pointer-speed (rstore_chunked.go).
 	blocks   map[ckpt.BlockID]*blockEntry
-	resolved map[key][]byte
+	resolved map[key]*resolvedImage
 
 	pushes, pushFailures, peerFetches, peerFetchMisses, repBytes uint64
 }
@@ -250,7 +250,7 @@ func New(cfg Config) (*Store, error) {
 		acked:    make(map[key]map[wire.NodeID]bool),
 		peers:    make(map[wire.NodeID]*peerConn),
 		blocks:   make(map[ckpt.BlockID]*blockEntry),
-		resolved: make(map[key][]byte),
+		resolved: make(map[key]*resolvedImage),
 	}
 	//starfish:allow goleak accept loop returns when Close closes s.ln
 	go s.serve()

@@ -32,6 +32,16 @@ var _ ckpt.ChunkedBackend = (*Store)(nil)
 var _ ckpt.RecordResolver = (*Store)(nil)
 var _ ckpt.EnvelopeGetter = (*Store)(nil)
 
+// resolvedImage is the materialized raw image behind one record, with the
+// content address of each of its blocks (nil for a chain-walked image). Once
+// a reader was handed raw (published) it is immutable; until then the rank's
+// next record is applied onto it in place.
+type resolvedImage struct {
+	raw       []byte
+	ids       []ckpt.BlockID
+	published bool
+}
+
 // blockBatchTarget bounds one kBlockPut frame (plus one block of slack).
 const blockBatchTarget = 1 << 20
 
@@ -126,9 +136,10 @@ func (s *Store) ResolveRecord(app wire.AppID, rank wire.Rank, n uint64) ([]byte,
 func (s *Store) resolveEnv(app wire.AppID, rank wire.Rank, n uint64, env []byte) ([]byte, error) {
 	k := key{app, rank, n}
 	s.mu.Lock()
-	if raw, ok := s.resolved[k]; ok {
+	if r, ok := s.resolved[k]; ok {
+		r.published = true
 		s.mu.Unlock()
-		return raw, nil
+		return r.raw, nil
 	}
 	s.mu.Unlock()
 	// Cold path: the chain walk reads earlier links through GetEnvelope, so
@@ -138,7 +149,7 @@ func (s *Store) resolveEnv(app wire.AppID, rank wire.Rank, n uint64, env []byte)
 		return nil, err
 	}
 	s.mu.Lock()
-	s.resolved[k] = raw
+	s.resolved[k] = &resolvedImage{raw: raw, published: true}
 	s.mu.Unlock()
 	return raw, nil
 }
@@ -210,11 +221,14 @@ func (s *Store) refEnvLocked(env []byte, d int) {
 }
 
 // materializeLocked eagerly reconstructs the raw image behind the record in
-// slot k from local blocks (full records) or from the previous epoch's
-// materialized image plus local blocks (delta records), then drops older
-// materializations of the same (app, rank) — one resident raw image per rank
-// bounds the cache, and restores overwhelmingly want the newest epoch.
-// Failure is silent: the cold chain walk in resolveEnv still works.
+// slot k as patches onto the rank's previous materialization — one resident
+// raw image per rank bounds the cache, and restores overwhelmingly want the
+// newest epoch. A delta record patches its changed blocks onto its base; a
+// full record the blocks whose address differs from the one that image holds
+// there (all of them when there is no such image). While no reader was handed
+// the previous image the patches go onto it in place, so an epoch costs what
+// changed, not the image. Failure is silent: the cold chain walk in
+// resolveEnv still works.
 func (s *Store) materializeLocked(k key) {
 	e := s.images[k]
 	if e == nil || !ckpt.IsRecord(e.img) {
@@ -224,48 +238,61 @@ func (s *Store) materializeLocked(k key) {
 	if err != nil {
 		return
 	}
-	var raw []byte
+	var prev *resolvedImage
+	for rk, r := range s.resolved {
+		if rk.app == k.app && rk.rank == k.rank && rk.n < k.n && (rec.Kind == ckpt.RecFull || rk.n == rec.Base) {
+			prev = r
+		}
+	}
+	nBlocks := (rec.RawLen + ckpt.DeltaBlockSize - 1) / ckpt.DeltaBlockSize
+	patches := rec.Deltas
 	switch rec.Kind {
-	case ckpt.RecFull:
-		raw = make([]byte, rec.RawLen)
-		off := 0
-		for _, ref := range rec.Refs {
-			be := s.blocks[ref.ID]
-			if be == nil || off+int(ref.Len) > len(raw) {
-				return
-			}
-			copy(raw[off:], be.data)
-			off += int(ref.Len)
-		}
-		if off != len(raw) {
-			return
-		}
 	case ckpt.RecDelta:
-		base, ok := s.resolved[key{k.app, k.rank, rec.Base}]
-		if !ok || len(base) != rec.BaseLen {
+		if prev == nil || len(prev.raw) != rec.BaseLen {
 			return
 		}
-		raw = make([]byte, rec.RawLen)
-		// Copy, never extend in place: base is published (Get returned
-		// pointers to it).
-		copy(raw, base[:min(len(base), rec.RawLen)])
-		for _, d := range rec.Deltas {
-			lo := int(d.Index) * ckpt.DeltaBlockSize
-			be := s.blocks[d.Ref.ID]
-			if be == nil || lo+int(d.Ref.Len) > len(raw) {
-				return
+	case ckpt.RecFull:
+		if len(rec.Refs) != nBlocks {
+			return
+		}
+		if prev != nil && (len(prev.raw) != rec.RawLen || len(prev.ids) != nBlocks) {
+			prev = nil
+		}
+		for i, ref := range rec.Refs {
+			if prev == nil || prev.ids[i] != ref.ID {
+				patches = append(patches, ckpt.DeltaRef{Index: uint32(i), Ref: ref})
 			}
-			copy(raw[lo:], be.data)
 		}
 	default:
 		return
 	}
-	s.resolved[k] = raw
+	// Every patch must fill its whole block slot from a local block.
+	for _, d := range patches {
+		lo := int(d.Index) * ckpt.DeltaBlockSize
+		be := s.blocks[d.Ref.ID]
+		if be == nil || lo >= rec.RawLen || len(be.data) != min(ckpt.DeltaBlockSize, rec.RawLen-lo) {
+			return
+		}
+	}
+	img := prev
+	if prev == nil || prev.published || len(prev.raw) != rec.RawLen {
+		// A published image is immutable (Get returned pointers to it).
+		img = &resolvedImage{raw: make([]byte, rec.RawLen), ids: make([]ckpt.BlockID, nBlocks)}
+		if prev != nil {
+			copy(img.raw, prev.raw)
+			copy(img.ids, prev.ids)
+		}
+	}
+	for _, d := range patches {
+		copy(img.raw[int(d.Index)*ckpt.DeltaBlockSize:], s.blocks[d.Ref.ID].data)
+		img.ids[d.Index] = d.Ref.ID
+	}
 	for rk := range s.resolved {
 		if rk.app == k.app && rk.rank == k.rank && rk.n < k.n {
 			delete(s.resolved, rk)
 		}
 	}
+	s.resolved[k] = img
 }
 
 // ---------------------------------------------------------------------------

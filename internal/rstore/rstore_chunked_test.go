@@ -219,3 +219,48 @@ func TestPutRecMissingBlocks(t *testing.T) {
 		t.Fatalf("peer restore: %v", err)
 	}
 }
+
+// TestMaterializeInPlaceKeepsPublishedImages: the newest epoch's raw image is
+// patched in place from record to record — through deltas, a full record that
+// re-bases the chain, and resizes — and is exact on origin and replica at
+// every epoch; an image a reader was handed is never written again.
+func TestMaterializeInPlaceKeepsPublishedImages(t *testing.T) {
+	fn := vni.NewFastnet(0)
+	stores := newCluster(t, fn, 2, 2)
+	p := ckpt.NewPipeline(stores[1], 4)
+
+	imgs := chunkEpochs(12, 32)
+	imgs[6] = append(imgs[6], bytes.Repeat([]byte{7}, 5000)...) // grow
+	imgs[7] = append([]byte(nil), imgs[6]...)
+	imgs[7][100]++
+	imgs[9] = imgs[9][:len(imgs[9])-ckpt.DeltaBlockSize-1] // shrink
+	type handedOut struct{ got, want []byte }
+	var published []handedOut
+	for n, img := range imgs {
+		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
+			t.Fatalf("put #%d: %v", n, err)
+		}
+		for id, st := range stores {
+			st.mu.Lock()
+			r := st.resolved[key{1, 0, uint64(n)}]
+			st.mu.Unlock()
+			if r == nil || !bytes.Equal(r.raw, img) {
+				t.Fatalf("node %d: epoch #%d not materialized exactly", id, n)
+			}
+		}
+		// Every third epoch a reader takes the image; it must stay what it
+		// was while later epochs land.
+		if n%3 == 0 {
+			got, _, err := stores[2].Get(1, 0, uint64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			published = append(published, handedOut{got, append([]byte(nil), img...)})
+		}
+		for i, h := range published {
+			if !bytes.Equal(h.got, h.want) {
+				t.Fatalf("after epoch #%d: image handed out earlier (%d) was overwritten", n, i)
+			}
+		}
+	}
+}

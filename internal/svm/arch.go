@@ -13,6 +13,7 @@
 package svm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -87,21 +88,37 @@ func (a Arch) fits(v int64) bool {
 	return true
 }
 
-// putWord appends v in this architecture's native representation.
-func (a Arch) putWord(buf []byte, v int64) []byte {
-	n := a.wordBytes()
-	var tmp [8]byte
-	u := uint64(v)
-	if a.Order == LittleEndian {
-		for i := 0; i < n; i++ {
-			tmp[i] = byte(u >> (8 * i))
+// putWords writes words into dst (len(words)*wordBytes bytes) in this
+// architecture's native representation, chosen once per call rather than
+// once per word.
+func (a Arch) putWords(dst []byte, words []int64) {
+	switch {
+	case a.WordBits == 64 && a.Order == LittleEndian:
+		for i, v := range words {
+			binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			tmp[n-1-i] = byte(u >> (8 * i))
+	case a.WordBits == 64:
+		for i, v := range words {
+			binary.BigEndian.PutUint64(dst[i*8:], uint64(v))
+		}
+	case a.Order == LittleEndian:
+		for i, v := range words {
+			binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
+		}
+	default:
+		for i, v := range words {
+			binary.BigEndian.PutUint32(dst[i*4:], uint32(v))
 		}
 	}
-	return append(buf, tmp[:n]...)
+}
+
+// setU32 writes a 32-bit count at dst[0:4] in the architecture's byte order.
+func (a Arch) setU32(dst []byte, v uint32) {
+	if a.Order == LittleEndian {
+		binary.LittleEndian.PutUint32(dst, v)
+	} else {
+		binary.BigEndian.PutUint32(dst, v)
+	}
 }
 
 // getWord decodes one native word from buf, sign-extending to int64.
@@ -126,16 +143,7 @@ func (a Arch) getWord(buf []byte) (int64, error) {
 	return int64(u), nil
 }
 
-// putU32 appends a 32-bit count in the architecture's byte order (metadata
-// is also stored natively; the representation tag covers everything).
-func (a Arch) putU32(buf []byte, v uint32) []byte {
-	if a.Order == LittleEndian {
-		return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-// getU32 decodes a count written by putU32.
+// getU32 decodes a count written by setU32.
 func (a Arch) getU32(buf []byte) (uint32, error) {
 	if len(buf) < 4 {
 		return 0, errShortImage

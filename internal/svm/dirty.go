@@ -1,9 +1,11 @@
 package svm
 
+import "math/bits"
+
 // Write tracking for incremental checkpointing. A VM with tracking enabled
 // remembers which parts of its state changed since the last ResetDirty, and
 // DirtyByteSpans maps that onto byte ranges of the *encoded image* — the
-// dirty hints ckpt.ComputeDeltaHinted consumes. The hints are conservative
+// dirty hints ckpt.Pipeline consumes. The hints are conservative
 // (sound): a byte outside every span is guaranteed unchanged since the
 // baseline, while bytes inside a span merely may have changed.
 //
@@ -35,9 +37,17 @@ type dirtyState struct {
 	outLen    int
 
 	globals bool
-	// memLo/memHi is the dirty word range of Mem ([0,0) = clean).
-	memLo, memHi int
+	// mem has one bit per dirtyChunk of Mem's encoded bytes, sized for
+	// memLen; memShift turns a word address into its chunk number. A
+	// bitmap rather than one [lo, hi) range, so a strided sweep that wraps
+	// around the heap dirties two runs, not the whole heap.
+	mem      []uint64
+	memShift uint
 }
+
+// dirtyChunk is the tracking granularity of Mem in encoded bytes: the block
+// size of the checkpoint differ.
+const dirtyChunk = 4096
 
 // TrackDirty enables write tracking, with the VM's current state as the
 // clean baseline. Call it right after encoding the image the next delta will
@@ -54,6 +64,8 @@ func (m *VM) ResetDirty() {
 	if d == nil {
 		return
 	}
+	shift := uint(bits.TrailingZeros(uint(dirtyChunk / m.Arch.wordBytes())))
+	chunks := (len(m.Mem) + 1<<shift - 1) >> shift
 	*d = dirtyState{
 		codeLen:   len(m.Code),
 		stackLen:  len(m.Stack),
@@ -61,25 +73,22 @@ func (m *VM) ResetDirty() {
 		globalLen: len(m.Globals),
 		memLen:    len(m.Mem),
 		outLen:    len(m.Output),
+		mem:       make([]uint64, (chunks+63)/64),
+		memShift:  shift,
 	}
 }
 
+// markMem records a write to Mem[addr]. An address past the baseline length
+// (the heap grew) needs no bit: a length change dirties the whole section.
 func (d *dirtyState) markMem(addr int) {
-	if d.memLo == d.memHi { // first write
-		d.memLo, d.memHi = addr, addr+1
-		return
-	}
-	if addr < d.memLo {
-		d.memLo = addr
-	}
-	if addr >= d.memHi {
-		d.memHi = addr + 1
+	if c := addr >> d.memShift; c>>6 < len(d.mem) {
+		d.mem[c>>6] |= 1 << (c & 63)
 	}
 }
 
 // DirtyByteSpans returns the byte ranges of the current EncodeImage output
 // that may differ from the baseline image, or nil when tracking is disabled
-// (nil tells ckpt.ComputeDeltaHinted to fall back to a full diff).
+// (nil tells the differ to compare every block).
 //
 //starfish:deterministic
 func (m *VM) DirtyByteSpans() []Span {
@@ -133,13 +142,27 @@ func (m *VM) DirtyByteSpans() []Span {
 	off += globalSize
 
 	// Mem: the big segment and the whole point of the hints — only the
-	// written word range is dirty.
+	// written chunks are dirty, one span per run of them.
 	memSize := 4 + len(m.Mem)*wb
 	if len(m.Mem) != d.memLen {
 		return rest()
 	}
-	if d.memHi > d.memLo {
-		spans = append(spans, Span{off + 4 + d.memLo*wb, (d.memHi - d.memLo) * wb})
+	chunks := (len(m.Mem) + 1<<d.memShift - 1) >> d.memShift
+	for c := 0; c < chunks; c++ {
+		if d.mem[c>>6] == 0 {
+			c |= 63 // skip a clean bitmap word
+			continue
+		}
+		if d.mem[c>>6]&(1<<(c&63)) == 0 {
+			continue
+		}
+		lo := c
+		for c+1 < chunks && d.mem[(c+1)>>6]&(1<<((c+1)&63)) != 0 {
+			c++
+		}
+		hi := min((c+1)<<d.memShift, len(m.Mem))
+		first := lo << d.memShift
+		spans = append(spans, Span{off + 4 + first*wb, (hi - first) * wb})
 	}
 	off += memSize
 

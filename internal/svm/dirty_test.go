@@ -1,6 +1,10 @@
 package svm
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -25,29 +29,30 @@ func newWriterVM(t *testing.T, heapWords int) *VM {
 	return m
 }
 
-func TestDirtySpansSound(t *testing.T) {
-	m := newWriterVM(t, 1024)
-	m.TrackDirty()
-	prev := m.EncodeImage()
-	if err := m.Run(1000); err != nil {
-		t.Fatal(err)
+// storeProgram writes a distinct non-zero value to each given heap address.
+func storeProgram(addrs ...int) string {
+	var b strings.Builder
+	for i, a := range addrs {
+		fmt.Fprintf(&b, "push %d\npush %d\nstorem\n", a, i+1)
 	}
-	if !m.Halted {
-		t.Fatal("not halted")
-	}
-	next := m.EncodeImage()
+	b.WriteString("halt\n")
+	return b.String()
+}
+
+// checkSound fails unless every byte of next outside spans equals prev's,
+// and returns the bytes the spans cover.
+func checkSound(t *testing.T, prev, next []byte, spans []Span) int {
+	t.Helper()
 	if len(prev) != len(next) {
-		t.Fatalf("image grew %d -> %d without alloc", len(prev), len(next))
+		t.Fatalf("image size changed %d -> %d", len(prev), len(next))
 	}
-	spans := m.DirtyByteSpans()
 	if spans == nil {
 		t.Fatal("tracking enabled but no spans")
 	}
-	// Soundness: every byte outside the spans is unchanged.
 	covered := make([]bool, len(next))
 	dirtyBytes := 0
 	for _, sp := range spans {
-		if sp.Off < 0 || sp.Off+sp.Len > len(next) {
+		if sp.Off < 0 || sp.Len <= 0 || sp.Off+sp.Len > len(next) {
 			t.Fatalf("span %+v outside image of %d bytes", sp, len(next))
 		}
 		for i := sp.Off; i < sp.Off+sp.Len; i++ {
@@ -60,20 +65,72 @@ func TestDirtySpansSound(t *testing.T) {
 			t.Fatalf("byte %d changed outside every dirty span", i)
 		}
 	}
-	// Locality: two written words in a 1024-word heap must not dirty the
-	// whole image — that is the entire value of the hints.
-	if dirtyBytes >= len(next)/2 {
-		t.Errorf("dirty spans cover %d of %d bytes", dirtyBytes, len(next))
+	return dirtyBytes
+}
+
+func TestDirtySpansSound(t *testing.T) {
+	const heap = 64 * 1024
+	for _, arch := range []Arch{Machines[0], Machines[1], Machines[5]} {
+		// Two neighbouring words, and a sweep that wraps around the end of
+		// the heap: a single [lo, hi) range would call the whole heap dirty.
+		for _, addrs := range [][]int{{3, 50}, {heap - 700, heap - 300, 100, 500}} {
+			m := New(arch, MustAssemble(storeProgram(addrs...)), 2)
+			m.Grow(heap)
+			m.TrackDirty()
+			prev := m.EncodeImage()
+			if err := m.Run(1000); err != nil || !m.Halted {
+				t.Fatalf("run: halted=%v err=%v", m.Halted, err)
+			}
+			next := m.EncodeImage()
+			dirtyBytes := checkSound(t, prev, next, m.DirtyByteSpans())
+			// Locality is the entire value of the hints: a few written
+			// words dirty a few 4 KiB chunks, not the image.
+			if dirtyBytes > 4*dirtyChunk+256 {
+				t.Errorf("%s, writes %v: dirty spans cover %d of %d bytes", arch, addrs, dirtyBytes, len(next))
+			}
+
+			// After a reset the same machine reports the next epoch only.
+			m.ResetDirty()
+			if got := checkSound(t, next, m.EncodeImage(), m.DirtyByteSpans()); got > 256 {
+				t.Errorf("%s: %d dirty bytes right after ResetDirty", arch, got)
+			}
+		}
+	}
+}
+
+// TestDirtySpansRandomWrites: soundness over random write sets on every
+// machine, including heaps that are not a whole number of chunks.
+func TestDirtySpansRandomWrites(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 60; i++ {
+		arch := Machines[r.Intn(len(Machines))]
+		heap := 1 + r.Intn(40000)
+		addrs := make([]int, 1+r.Intn(12))
+		for j := range addrs {
+			addrs[j] = r.Intn(heap)
+		}
+		m := New(arch, MustAssemble(storeProgram(addrs...)), 1)
+		m.Grow(heap)
+		m.TrackDirty()
+		prev := m.EncodeImage()
+		if err := m.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		checkSound(t, prev, m.EncodeImage(), m.DirtyByteSpans())
 	}
 }
 
 func TestDirtySpansMemRange(t *testing.T) {
-	m := newWriterVM(t, 1024)
+	// 32-bit words: a chunk is 1024 words. Words 3 and 1030 dirty chunks 0
+	// and 1 (one merged span), word 5000 chunk 4, and the last word the
+	// short final chunk [9216, 9300).
+	const heap = 9300
+	m := New(Machines[0], MustAssemble(storeProgram(3, 1030, 5000, heap-1)), 2)
+	m.Grow(heap)
 	m.TrackDirty()
 	if err := m.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	// The mem section's dirty range is [3, 51) words.
 	segs, err := SegmentSpans(m.EncodeImage())
 	if err != nil {
 		t.Fatal(err)
@@ -87,18 +144,20 @@ func TestDirtySpansMemRange(t *testing.T) {
 	if mem.Len == 0 {
 		t.Fatal("no mem segment")
 	}
-	wb := m.Arch.wordBytes()
-	wantOff := mem.Off + 4 + 3*wb
-	wantLen := (51 - 3) * wb
-	found := false
+	words := mem.Off + 4
+	want := []Span{
+		{words, 2 * dirtyChunk},
+		{words + 4*dirtyChunk, dirtyChunk},
+		{words + 9*dirtyChunk, (heap - 9*1024) * 4},
+	}
+	var got []Span
 	for _, sp := range m.DirtyByteSpans() {
-		if sp.Off == wantOff && sp.Len == wantLen {
-			found = true
+		if sp.Off >= words {
+			got = append(got, sp)
 		}
 	}
-	if !found {
-		t.Errorf("no span {%d,%d} for the written word range; spans = %v",
-			wantOff, wantLen, m.DirtyByteSpans())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("mem spans = %v, want %v", got, want)
 	}
 }
 

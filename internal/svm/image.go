@@ -21,32 +21,37 @@ import (
 var imageMagic = [5]byte{'S', 'V', 'M', 'v', '1'}
 
 // EncodeImage serializes the VM's complete state in its own architecture's
-// native representation.
+// native representation. The buffer is sized once and the word sections —
+// where all the bytes are — go through putWords, one bulk loop per section
+// (image_golden_test.go keeps the word-at-a-time encoder as the reference).
 func (m *VM) EncodeImage() []byte {
 	a := m.Arch
-	size := m.ImageSize()
-	buf := make([]byte, 0, size)
-	buf = append(buf, imageMagic[:]...)
-	buf = append(buf, byte(a.Order), byte(a.WordBits), 0)
+	wb := a.wordBytes()
+	buf := make([]byte, m.ImageSize())
+	copy(buf, imageMagic[:])
+	buf[5], buf[6], buf[7] = byte(a.Order), byte(a.WordBits), 0
 
 	// Execution counters are metadata, not program values: they are stored
 	// as fixed 32-bit quantities (in native byte order) so a long-running
 	// computation's step count survives narrow-word machines.
-	buf = a.putU32(buf, uint32(m.PC))
-	buf = a.putU32(buf, uint32(m.Steps>>32))
-	buf = a.putU32(buf, uint32(m.Steps))
-	buf = a.putU32(buf, uint32(boolWord(m.Halted)))
+	a.setU32(buf[8:], uint32(m.PC))
+	a.setU32(buf[12:], uint32(m.Steps>>32))
+	a.setU32(buf[16:], uint32(m.Steps))
+	a.setU32(buf[20:], uint32(boolWord(m.Halted)))
 
-	buf = a.putU32(buf, uint32(len(m.Code)))
+	a.setU32(buf[24:], uint32(len(m.Code)))
+	off := 28
+	var arg [1]int64
 	for _, in := range m.Code {
-		buf = append(buf, byte(in.Op))
-		buf = a.putWord(buf, in.Arg)
+		buf[off] = byte(in.Op)
+		arg[0] = in.Arg
+		a.putWords(buf[off+1:], arg[:])
+		off += 1 + wb
 	}
 	for _, sec := range [][]int64{m.Stack, m.CallStack, m.Globals, m.Mem, m.Output} {
-		buf = a.putU32(buf, uint32(len(sec)))
-		for _, v := range sec {
-			buf = a.putWord(buf, v)
-		}
+		a.setU32(buf[off:], uint32(len(sec)))
+		a.putWords(buf[off+4:], sec)
+		off += 4 + len(sec)*wb
 	}
 	return buf
 }

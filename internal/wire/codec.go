@@ -22,6 +22,11 @@ func NewWriter(capHint int) *Writer {
 	return &Writer{buf: make([]byte, 0, capHint)}
 }
 
+// NewWriterOn returns a Writer that encodes into buf's storage from its
+// start, for a caller that sized buf for the whole payload: while the
+// encoding fits cap(buf) it is written in place, with no allocation.
+func NewWriterOn(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
+
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
