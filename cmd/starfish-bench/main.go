@@ -701,11 +701,11 @@ func measureRecovery(loss float64, seed int64) time.Duration {
 	}
 	defer os.RemoveAll(dir)
 	c, err := cluster.New(cluster.Options{
-		Nodes:              4,
-		StoreDir:           dir,
-		HeartbeatEvery:     10 * time.Millisecond,
-		SuspectAfterMisses: 40,
-		ChaosSeed:          seed,
+		Nodes:          4,
+		StoreDir:       dir,
+		HeartbeatEvery: 10 * time.Millisecond,
+		FailAfter:      400 * time.Millisecond, // 40 probes
+		ChaosSeed:      seed,
 	})
 	if err != nil {
 		log.Fatal(err)

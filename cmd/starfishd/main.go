@@ -60,10 +60,6 @@ func main() {
 		passwd  = flag.String("admin-password", "starfish", "management admin password")
 		verbose = flag.Bool("v", false, "log daemon diagnostics")
 
-		gossipEvery  = flag.Duration("gossip-every", 0, "SWIM gossip probe round length (default: the heartbeat interval, 25ms)")
-		gossipFanout = flag.Int("gossip-fanout", 0, "indirect-probe proxies asked before suspecting a silent peer (default 3)")
-		suspectAfter = flag.Duration("suspect-after", 0, "how long a gossip suspicion may stay unrefuted before the member is confirmed dead (default: half the detection budget, 100ms)")
-
 		evChunk = flag.Int("events-chunk", evstore.DefaultChunkRecords, "event-store records per sealed chunk")
 		evMax   = flag.Int("events-chunks", evstore.DefaultMaxChunks, "event-store sealed-chunk retention (0 disables the event plane)")
 
@@ -154,13 +150,10 @@ func main() {
 		// are exchanged through the lightweight group metadata. Per-group
 		// sequencer streams do the same: members learn the creator's
 		// concrete address from its join announce.
-		DataAddr:     func(wire.AppID, uint32, wire.Rank) string { return host + ":0" },
-		GroupAddr:    func(wire.AppID, uint32) string { return host + ":0" },
-		GossipEvery:  *gossipEvery,
-		GossipFanout: *gossipFanout,
-		SuspectAfter: *suspectAfter,
-		Events:       events,
-		Logf:         logf,
+		DataAddr:  func(wire.AppID, uint32, wire.Rank) string { return host + ":0" },
+		GroupAddr: func(wire.AppID, uint32) string { return host + ":0" },
+		Events:    events,
+		Logf:      logf,
 	})
 	if err != nil {
 		log.Fatal(err)

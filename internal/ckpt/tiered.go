@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"starfish/internal/wire"
@@ -21,8 +20,8 @@ import (
 // remain recoverable from the fast tier's surviving replicas. Flush blocks
 // until the spill queue drains (tests, clean shutdown).
 type Tiered struct {
-	fast Backend
-	slow Backend
+	fast ChunkedBackend
+	slow ChunkedBackend
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -34,12 +33,12 @@ type Tiered struct {
 	logf      func(string, ...any)
 }
 
-var _ Backend = (*Tiered)(nil)
+var _ ChunkedBackend = (*Tiered)(nil)
 
 // NewTiered builds a tiered backend over a fast and a slow tier. logf, when
 // non-nil, receives spill diagnostics (spill errors are not surfaced to the
 // checkpointing process — the fast tier already accepted the data).
-func NewTiered(fast, slow Backend, logf func(string, ...any)) *Tiered {
+func NewTiered(fast, slow ChunkedBackend, logf func(string, ...any)) *Tiered {
 	t := &Tiered{fast: fast, slow: slow, logf: logf}
 	t.cond = sync.NewCond(&t.mu)
 	go t.spiller()
@@ -222,48 +221,34 @@ func (t *Tiered) DropApp(app wire.AppID) error {
 // it to the slow tier. The PutRecord contract only guarantees block data for
 // the duration of the call, so the spill captures its own copy.
 func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
-	fast, fok := t.fast.(ChunkedBackend)
-	slow, sok := t.slow.(ChunkedBackend)
-	if !fok || !sok {
-		return fmt.Errorf("ckpt: tiered backend tiers do not support chunked records")
-	}
-	if err := fast.PutRecord(app, rank, n, env, blocks, meta); err != nil {
+	if err := t.fast.PutRecord(app, rank, n, env, blocks, meta); err != nil {
 		return err
 	}
 	cp := make([]RecBlock, len(blocks))
 	for i, b := range blocks {
 		cp[i] = RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
 	}
-	t.spill(func() error { return slow.PutRecord(app, rank, n, env, cp, meta) })
+	t.spill(func() error { return t.slow.PutRecord(app, rank, n, env, cp, meta) })
 	return nil
 }
 
 // GetBlock reads a content-addressed block memory-first with disk fallback.
 func (t *Tiered) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
-	fast, fok := t.fast.(ChunkedBackend)
-	slow, sok := t.slow.(ChunkedBackend)
-	if !fok || !sok {
-		return nil, fmt.Errorf("ckpt: tiered backend tiers do not support chunked records")
-	}
-	b, err := fast.GetBlock(app, rank, ref)
+	b, err := t.fast.GetBlock(app, rank, ref)
 	if err == nil {
 		return b, nil
 	}
 	if !errors.Is(err, ErrNoCheckpoint) {
 		return nil, err
 	}
-	return slow.GetBlock(app, rank, ref)
+	return t.slow.GetBlock(app, rank, ref)
 }
 
 // GetEnvelope reads slot n's stored bytes verbatim, memory-first with disk
 // fallback — the chain walker's view of the tiers (the fast tier's plain Get
 // resolves records, which would hide the links).
 func (t *Tiered) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	fast, ok := t.fast.(ChunkedBackend)
-	if !ok {
-		return t.Get(app, rank, n) // non-chunked tiers never hold records
-	}
-	env, meta, err := envelopeGet(fast, app, rank, n)
+	env, meta, err := envelopeGet(t.fast, app, rank, n)
 	if err == nil {
 		return env, meta, nil
 	}

@@ -9,11 +9,13 @@ import (
 	"starfish/internal/wire"
 )
 
-// memBackend is a minimal in-memory Backend for exercising Tiered without
-// pulling in the replicated store (which lives downstream of this package).
+// memBackend is a minimal in-memory ChunkedBackend for exercising Tiered
+// without pulling in the replicated store (which lives downstream of this
+// package).
 type memBackend struct {
 	mu      sync.Mutex
 	images  map[[3]uint64][]byte
+	blocks  map[BlockID][]byte
 	metas   map[[3]uint64]*Meta
 	commits map[wire.AppID]RecoveryLine
 	fail    bool
@@ -22,6 +24,7 @@ type memBackend struct {
 func newMemBackend() *memBackend {
 	return &memBackend{
 		images:  make(map[[3]uint64][]byte),
+		blocks:  make(map[BlockID][]byte),
 		metas:   make(map[[3]uint64]*Meta),
 		commits: make(map[wire.AppID]RecoveryLine),
 	}
@@ -53,6 +56,28 @@ func (m *memBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Met
 		return nil, nil, ErrNoCheckpoint
 	}
 	return img, m.metas[bkey(app, rank, n)], nil
+}
+
+func (m *memBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
+	if err := m.Put(app, rank, n, env, meta); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range blocks {
+		m.blocks[b.Ref.ID] = append([]byte(nil), b.Data...)
+	}
+	return nil
+}
+
+func (m *memBackend) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.blocks[ref.ID]
+	if !ok {
+		return nil, ErrNoCheckpoint
+	}
+	return b, nil
 }
 
 func (m *memBackend) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {

@@ -32,9 +32,9 @@ import (
 type chaosScenario struct {
 	name string
 	seed int64
-	// misses, when positive, selects the miss-count failure detector
-	// (Options.SuspectAfterMisses).
-	misses int
+	// failAfter overrides the default 600ms detection budget (60 probes
+	// at the soak's 10ms heartbeat).
+	failAfter time.Duration
 	// preset programs the fault plan after the cluster forms, before the
 	// application is submitted.
 	preset func(ctl *chaosnet.Controller)
@@ -63,14 +63,17 @@ func runChaosScenario(t *testing.T, sc chaosScenario) {
 	// Registered before the cluster exists so its cleanup runs after
 	// Shutdown; slack covers runtime/testing helpers, not ours.
 	leakcheck.Check(t, 4)
+	failAfter := 600 * time.Millisecond
+	if sc.failAfter > 0 {
+		failAfter = sc.failAfter
+	}
 	c, err := New(Options{
-		Nodes:              4,
-		StoreDir:           t.TempDir(),
-		HeartbeatEvery:     10 * time.Millisecond,
-		FailAfter:          600 * time.Millisecond,
-		SuspectAfterMisses: sc.misses,
-		ChaosSeed:          sc.seed,
-		Logf:               t.Logf,
+		Nodes:          4,
+		StoreDir:       t.TempDir(),
+		HeartbeatEvery: 10 * time.Millisecond,
+		FailAfter:      failAfter,
+		ChaosSeed:      sc.seed,
+		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +283,10 @@ func chaosScenarios() []chaosScenario {
 			// rank-hosting node dies: gcs recovers casts and views through
 			// sequenced-stream retransmission (the per-group streams are gcs
 			// engines too, so scoped casts ride the same machinery), rstore
-			// through request retries. The miss-count detector keeps random
-			// probe loss from reading as death.
-			name:   "loss5pct",
-			seed:   0x5EED0003,
-			misses: 60,
+			// through request retries. The 60-probe detection budget keeps
+			// random probe loss from reading as death.
+			name: "loss5pct",
+			seed: 0x5EED0003,
 			preset: func(ctl *chaosnet.Controller) {
 				ctl.SetClassFaults("gcs", chaosnet.Faults{Drop: 0.05})
 				ctl.SetClassFaults("lwg", chaosnet.Faults{Drop: 0.05})
@@ -306,11 +308,11 @@ func chaosScenarios() []chaosScenario {
 			// head-of-line-blocks every queued message on the link; the
 			// spike rate must keep the delayed share of link time well
 			// under saturation (2% x 100ms against ~150 msg/s ≈ 30%), and
-			// the miss threshold (150 x 10ms probes = 1.5s) must absorb
+			// the detection budget (150 x 10ms probes = 1.5s) must absorb
 			// chained spikes without reading them as death.
-			name:   "delay-spikes",
-			seed:   0x5EED0004,
-			misses: 150,
+			name:      "delay-spikes",
+			seed:      0x5EED0004,
+			failAfter: 1500 * time.Millisecond,
 			preset: func(ctl *chaosnet.Controller) {
 				ctl.SetClassFaults("gcs", chaosnet.Faults{DelayProb: 0.02, Delay: 100 * time.Millisecond})
 			},

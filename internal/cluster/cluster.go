@@ -42,18 +42,6 @@ type Options struct {
 	// happens, but detection latency is the cheaper defence).
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
-	// SuspectAfterMisses expresses the failure-detector threshold as a
-	// count of consecutive missed probe intervals; when positive it takes
-	// precedence over FailAfter. Chaos runs with delay spikes use it to
-	// tune tolerance without recomputing durations.
-	SuspectAfterMisses int
-	// GossipEvery/GossipFanout/SuspectAfter tune the main group's SWIM
-	// gossip membership (zero values take the gcs defaults: probe every
-	// heartbeat interval, three indirect proxies, confirm-dead after half
-	// the detection budget stays unrefuted).
-	GossipEvery  time.Duration
-	GossipFanout int
-	SuspectAfter time.Duration
 	// Replicas is the in-memory replication factor of each node's
 	// replicated checkpoint store (default 2: survive one node loss).
 	Replicas int
@@ -235,21 +223,17 @@ func (c *Cluster) AddNode() (wire.NodeID, error) {
 		return 0, err
 	}
 	d, err := daemon.New(daemon.Config{
-		Node:               id,
-		Transport:          tr,
-		GCSAddr:            gcsAddr(id),
-		Contact:            contact,
-		Store:              c.store,
-		Memory:             mem,
-		Arch:               arch,
-		HeartbeatEvery:     c.opts.HeartbeatEvery,
-		FailAfter:          c.opts.FailAfter,
-		SuspectAfterMisses: c.opts.SuspectAfterMisses,
-		GossipEvery:        c.opts.GossipEvery,
-		GossipFanout:       c.opts.GossipFanout,
-		SuspectAfter:       c.opts.SuspectAfter,
-		Events:             ev,
-		Logf:               c.opts.Logf,
+		Node:           id,
+		Transport:      tr,
+		GCSAddr:        gcsAddr(id),
+		Contact:        contact,
+		Store:          c.store,
+		Memory:         mem,
+		Arch:           arch,
+		HeartbeatEvery: c.opts.HeartbeatEvery,
+		FailAfter:      c.opts.FailAfter,
+		Events:         ev,
+		Logf:           c.opts.Logf,
 	})
 	if err != nil {
 		mem.Close()

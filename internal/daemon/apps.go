@@ -671,17 +671,17 @@ func (d *Daemon) handleMainView(v gcs.View) {
 	}
 	d.mu.Unlock()
 
-	// Forward the main group's failure verdicts into the per-group
-	// sequencer streams: their engines run no detector of their own and
-	// only remove members the main group has confirmed dead. Re-admitted
-	// nodes (a departed id rejoining) get their tombstone retracted.
+	// Mirror the main group's failure verdicts to the per-group sequencer
+	// streams: their engines run no detection of their own and only remove
+	// members the main group removed. Re-admitted nodes (a departed id
+	// rejoining) get their verdict retracted.
 	for _, n := range prev.Members {
 		if !v.Contains(n) {
-			d.router.ReportDead(n)
+			d.router.SetDead(n, true)
 		}
 	}
 	for _, n := range v.Members {
-		d.router.ReportAlive(n)
+		d.router.SetDead(n, false)
 	}
 
 	// Update lightweight membership (deterministic at every daemon).

@@ -22,6 +22,7 @@ import (
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
 	"starfish/internal/gcs"
+	"starfish/internal/gossip"
 	"starfish/internal/lwg"
 	"starfish/internal/proc"
 	"starfish/internal/rstore"
@@ -92,21 +93,13 @@ type Config struct {
 	// name (TCP deployments return host:0 — peers learn the concrete
 	// address from the creator's announce).
 	GroupAddr func(app wire.AppID, gen uint32) string
-	// HeartbeatEvery/FailAfter tune the failure detector.
+	// HeartbeatEvery/FailAfter tune failure detection (defaults 25ms /
+	// 8 intervals): the main group's SWIM detector probes one peer per
+	// HeartbeatEvery, and FailAfter is the detection budget — half of it
+	// for probing and indirect-probe escalation, half for a suspect to
+	// refute the suspicion before it is confirmed dead.
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
-	// SuspectAfterMisses, when positive, expresses the failure-detector
-	// threshold as a count of consecutive missed probe intervals instead of
-	// a duration; it takes precedence over FailAfter (see gcs.Config).
-	SuspectAfterMisses int
-	// GossipEvery/GossipFanout/SuspectAfter tune the SWIM gossip membership
-	// the main group runs instead of all-to-coordinator heartbeats. Zero
-	// values take the gcs defaults: probe every heartbeat interval, three
-	// indirect-probe proxies, confirm-dead after half the detection budget
-	// stays unrefuted.
-	GossipEvery  time.Duration
-	GossipFanout int
-	SuspectAfter time.Duration
 	// Events, when non-nil, is this node's structured event store. The
 	// daemon records application lifecycle transitions in it and hands
 	// component-tagged emitters to the subsystems it owns (gcs, proc,
@@ -212,20 +205,30 @@ func New(cfg Config) (*Daemon, error) {
 			return fmt.Sprintf("lwg-a%d-g%d-n%d", app, gen, node)
 		}
 	}
+	if cfg.HeartbeatEvery <= 0 {
+		cfg.HeartbeatEvery = 25 * time.Millisecond
+	}
+	if cfg.FailAfter <= 0 {
+		cfg.FailAfter = 8 * cfg.HeartbeatEvery
+	}
 	ep, err := gcs.Join(gcs.Config{
-		Node:               cfg.Node,
-		Transport:          cfg.Transport,
-		Addr:               cfg.GCSAddr,
-		Contact:            cfg.Contact,
-		HeartbeatEvery:     cfg.HeartbeatEvery,
-		FailAfter:          cfg.FailAfter,
-		SuspectAfterMisses: cfg.SuspectAfterMisses,
-		UseGossip:          true,
-		GossipEvery:        cfg.GossipEvery,
-		GossipFanout:       cfg.GossipFanout,
-		SuspectAfter:       cfg.SuspectAfter,
-		GossipEvents:       cfg.Events.Emitter("gossip"),
-		Events:             cfg.Events.Emitter("gcs"),
+		Node:           cfg.Node,
+		Transport:      cfg.Transport,
+		Addr:           cfg.GCSAddr,
+		Contact:        cfg.Contact,
+		HeartbeatEvery: cfg.HeartbeatEvery,
+		FailAfter:      cfg.FailAfter,
+		Detector: gossip.New(gossip.Config{
+			Self: cfg.Node,
+			Seed: uint64(cfg.Node)*0x9e3779b97f4a7c15 + 1,
+			Params: gossip.Params{
+				ProbeEvery:     cfg.HeartbeatEvery,
+				SuspectAfter:   cfg.FailAfter / 2,
+				IndirectFanout: 3,
+			},
+			Events: cfg.Events.Emitter("gossip"),
+		}),
+		Events: cfg.Events.Emitter("gcs"),
 	})
 	if err != nil {
 		return nil, err
@@ -267,7 +270,7 @@ func New(cfg Config) (*Daemon, error) {
 // incremental capture pipeline (one per app — its writer-side diff state
 // must see every epoch).
 func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
-	var be ckpt.Backend = d.cfg.Store
+	var be ckpt.ChunkedBackend = d.cfg.Store
 	switch spec.Store {
 	case ckpt.StoreMemory:
 		if d.cfg.Memory != nil {
@@ -281,15 +284,11 @@ func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
 	if !spec.DeltaCkpt {
 		return be
 	}
-	cb, ok := be.(ckpt.ChunkedBackend)
-	if !ok {
-		return be // tier cannot store records: fall back to opaque images
-	}
 	d.pipeMu.Lock()
 	defer d.pipeMu.Unlock()
 	p := d.pipelines[spec.ID]
 	if p == nil {
-		p = ckpt.NewPipeline(cb, int(spec.FullEvery))
+		p = ckpt.NewPipeline(be, int(spec.FullEvery))
 		// Adapt the pipeline's observer callback onto the event plane
 		// (ckpt sits below evstore in the import graph, so it cannot
 		// emit records itself).

@@ -62,8 +62,6 @@ const (
 	cmdSend
 	cmdLeave
 	cmdView
-	cmdReportDead
-	cmdReportAlive
 )
 
 type command struct {
@@ -94,35 +92,29 @@ type engine struct {
 	pendingCasts  []seqMsg // unconfirmed own casts (Seq unset)
 
 	// coordinator
-	nextSeq   uint64
-	lastHeard map[wire.NodeID]time.Time
+	nextSeq uint64
 
-	// member-side failure detection
-	lastCoordHeard time.Time
-	suspected      map[wire.NodeID]bool
+	// failure detection: suspected is the members cfg.Detector called dead
+	// at the last tick — the only thing removals and failover act on.
+	suspected map[wire.NodeID]bool
 	// announced dedups suspicion event records (per suspect, per view) so
-	// the 10ms tick loop does not flood the event plane while a removal
-	// is quorum-blocked.
+	// the tick loop does not flood the event plane while a removal is
+	// quorum-blocked.
 	announced map[wire.NodeID]bool
 
 	// failover candidate state
-	syncing      bool
-	syncFor      wire.NodeID // the coordinator this sync is replacing
-	syncStarted  time.Time
-	syncResps    map[wire.NodeID]syncResp
-	syncTargets  map[wire.NodeID]bool
-	failoverWait time.Time // non-candidate: when we started waiting for the candidate
+	syncing     bool
+	syncFor     wire.NodeID // the coordinator this sync is replacing
+	syncStarted time.Time
+	syncResps   map[wire.NodeID]syncResp
+	syncTargets map[wire.NodeID]bool
 
 	// gap repair
 	lastRetransReq time.Time
-
-	// gossip failure detection (UseGossip): replaces the heartbeat timers
-	// above; e.suspected is recomputed from fd verdicts each tick.
-	fd *gossip.Detector
-	// gap beacon (gossip/external modes): the coordinator re-advertises its
-	// highest sequenced slot for a bounded window after sequencing activity,
-	// so a member that lost the final kDeliver of a burst still notices the
-	// gap. lastSeqAt tracks the activity window; lastBeacon rate-limits.
+	// gap beacon: the coordinator re-advertises its highest sequenced slot
+	// for a bounded window after sequencing activity, so a member that lost
+	// the final kDeliver of a burst still notices the gap. lastSeqAt tracks
+	// the activity window; lastBeacon rate-limits.
 	lastSeqAt  time.Time
 	lastBeacon time.Time
 }
@@ -156,20 +148,7 @@ func Join(cfg Config) (*Endpoint, error) {
 		pendingDel: make(map[uint64]seqMsg),
 		log:        make(map[uint64]seqMsg),
 		lastSender: make(map[wire.NodeID]uint64),
-		lastHeard:  make(map[wire.NodeID]time.Time),
 		suspected:  make(map[wire.NodeID]bool),
-	}
-	if cfg.UseGossip {
-		eng.fd = gossip.New(gossip.Config{
-			Self: cfg.Node,
-			Seed: cfg.GossipSeed,
-			Params: gossip.Params{
-				ProbeEvery:     cfg.GossipEvery,
-				SuspectAfter:   cfg.SuspectAfter,
-				IndirectFanout: cfg.GossipFanout,
-			},
-			Events: cfg.GossipEvents,
-		})
 	}
 
 	if cfg.Contact == "" {
@@ -183,10 +162,7 @@ func Join(cfg Config) (*Endpoint, error) {
 		eng.view = v
 		eng.delivered = 1
 		eng.nextSeq = 2
-		eng.lastCoordHeard = time.Now()
-		if eng.fd != nil {
-			eng.fd.SetMembers(v.Members)
-		}
+		cfg.Detector.SetMembers(v.Members)
 		ep.evq.push(Event{Kind: EView, View: v.Clone()})
 	} else if err := eng.joinExisting(); err != nil {
 		nic.Close()
@@ -226,7 +202,7 @@ func (e *engine) joinExisting() error {
 					timer.Stop()
 					return e.applyWelcome(in)
 				}
-				// Not the welcome (e.g. an early heartbeat); process it
+				// Not the welcome (e.g. an early beacon); process it
 				// once the engine runs. Deliveries before the welcome
 				// can only have seq <= welcome seq and will be ignored,
 				// so dropping anything but kDeliver here is safe; buffer
@@ -259,10 +235,7 @@ func (e *engine) applyWelcome(m wire.Msg) error {
 	}
 	e.view = v
 	e.delivered = seq
-	e.lastCoordHeard = time.Now()
-	if e.fd != nil {
-		e.fd.SetMembers(v.Members)
-	}
+	e.cfg.Detector.SetMembers(v.Members)
 	ev := Event{Kind: EView, View: v.Clone()}
 	if len(state) > 0 {
 		ev.State = state
@@ -309,20 +282,6 @@ func (ep *Endpoint) View() View {
 	}
 }
 
-// ReportDead injects an external failure verdict: the member is treated
-// as crashed and removed from the view (coordinator) or counted against
-// the coordinator for failover (member). Meaningful with Config.ExternalFD,
-// where the endpoint runs no failure detection of its own.
-func (ep *Endpoint) ReportDead(n wire.NodeID) error {
-	return ep.do(command{kind: cmdReportDead, to: n})
-}
-
-// ReportAlive retracts an injected verdict before it was acted on, and
-// aborts a failover election the verdict may have started.
-func (ep *Endpoint) ReportAlive(n wire.NodeID) error {
-	return ep.do(command{kind: cmdReportAlive, to: n})
-}
-
 // Leave announces departure to the group and shuts the endpoint down.
 func (ep *Endpoint) Leave() error {
 	err := ep.do(command{kind: cmdLeave})
@@ -330,8 +289,8 @@ func (ep *Endpoint) Leave() error {
 	return err
 }
 
-// Close tears the endpoint down without notifying the group (the failure
-// detector will remove it — this is how tests simulate a crash).
+// Close tears the endpoint down without notifying the group (its Detector
+// will remove it — this is how tests simulate a crash).
 func (ep *Endpoint) Close() {
 	select {
 	case <-ep.stop:
@@ -354,11 +313,7 @@ func (ep *Endpoint) do(c command) error {
 // ---- engine loop ----
 
 func (e *engine) run() {
-	tickEvery := e.cfg.HeartbeatEvery
-	if e.fd != nil && e.cfg.GossipEvery < tickEvery {
-		tickEvery = e.cfg.GossipEvery
-	}
-	ticker := time.NewTicker(tickEvery)
+	ticker := time.NewTicker(e.cfg.HeartbeatEvery)
 	defer ticker.Stop()
 	defer func() {
 		e.nic.Close()
@@ -397,7 +352,7 @@ func (e *engine) event(r evstore.Record) {
 }
 
 // suspectEvent announces one suspicion, deduplicated per suspect per view.
-func (e *engine) suspectEvent(n wire.NodeID, role string) {
+func (e *engine) suspectEvent(n wire.NodeID) {
 	if e.announced[n] {
 		return
 	}
@@ -405,12 +360,16 @@ func (e *engine) suspectEvent(n wire.NodeID, role string) {
 		e.announced = make(map[wire.NodeID]bool)
 	}
 	e.announced[n] = true
+	role := "member"
+	if n == e.view.Coord {
+		role = "coord"
+	}
 	e.event(evstore.Ev("suspect",
 		evstore.F("target", n), evstore.F("role", role),
 		evstore.F("view", e.view.ID)))
 }
 
-// cast is best-effort delivery of group-protocol traffic (heartbeats,
+// cast is best-effort delivery of group-protocol traffic (beacons,
 // sequencer casts, sync and retransmission messages). The protocol is
 // self-healing: a lost send is recovered by retransmission requests, and
 // a dead destination is noticed by failure detection — the error itself
@@ -440,21 +399,6 @@ func (e *engine) handleCmd(c command) {
 		}
 		m := wire.Msg{Type: wire.TControl, Kind: kP2P, Src: wire.Rank(e.cfg.Node), Payload: c.payload}
 		c.reply <- e.nic.Send(addr, &m)
-	case cmdReportDead:
-		if c.to != e.cfg.Node && e.view.Contains(c.to) {
-			e.suspected[c.to] = true
-			e.suspectEvent(c.to, "external")
-		}
-		c.reply <- nil
-	case cmdReportAlive:
-		delete(e.suspected, c.to)
-		if e.syncing && e.syncFor == c.to {
-			e.abortSync()
-		}
-		if c.to == e.view.Coord {
-			e.failoverWait = time.Time{}
-		}
-		c.reply <- nil
 	case cmdLeave:
 		if e.isCoord() {
 			// Sequence our own removal before going away.
@@ -489,9 +433,7 @@ func (e *engine) sequence(sm seqMsg) {
 	}
 	sm.Seq = e.nextSeq
 	e.nextSeq++
-	if e.fd != nil || e.cfg.ExternalFD {
-		e.lastSeqAt = time.Now() // opens the gap-beacon window
-	}
+	e.lastSeqAt = time.Now() // opens the gap-beacon window
 	e.broadcast(sm)
 	e.deliver(sm)
 }
@@ -565,34 +507,14 @@ func (e *engine) confirmPending(senderSeq uint64) {
 
 func (e *engine) applyView(v View) {
 	e.view = v
-	if e.cfg.ExternalFD {
-		// Injected verdicts outlive view changes that don't remove their
-		// subject (e.g. a join sequenced while a removal is still pending);
-		// only the supervisor retracts them.
-		for n := range e.suspected {
-			if !v.Contains(n) {
-				delete(e.suspected, n)
-			}
-		}
-	} else {
-		e.suspected = make(map[wire.NodeID]bool)
-	}
-	if e.fd != nil {
-		e.fd.SetMembers(v.Members)
-	}
+	// The detector keeps its verdicts on members that stay (a join sequenced
+	// while a removal is still quorum-blocked must not clear it); the next
+	// tick re-reads them.
+	e.cfg.Detector.SetMembers(v.Members)
 	e.announced = nil
 	e.syncing = false
-	e.failoverWait = time.Time{}
-	e.lastCoordHeard = time.Now()
-	if e.isCoord() {
-		if e.nextSeq <= e.delivered {
-			e.nextSeq = e.delivered + 1
-		}
-		now := time.Now()
-		e.lastHeard = make(map[wire.NodeID]time.Time)
-		for _, m := range v.Members {
-			e.lastHeard[m] = now
-		}
+	if e.isCoord() && e.nextSeq <= e.delivered {
+		e.nextSeq = e.delivered + 1
 	}
 	if !v.Contains(e.cfg.Node) {
 		// Excluded (false suspicion or forced removal): shut down.
@@ -619,8 +541,7 @@ func (e *engine) handleMsg(m wire.Msg) {
 	}
 	from := wire.NodeID(m.Src)
 	switch m.Kind {
-	case kHeartbeat:
-		e.noteAlive(from)
+	case kBeacon:
 		if from == e.view.Coord && !e.isCoord() && len(m.Payload) >= 8 {
 			if last := wire.NewReader(m.Payload).U64(); last > e.delivered {
 				e.requestRetrans()
@@ -629,9 +550,6 @@ func (e *engine) handleMsg(m wire.Msg) {
 	case kRetransReq:
 		e.handleRetransReq(m)
 	case kDeliver:
-		if from == e.view.Coord || e.syncTargets != nil {
-			e.noteAlive(from)
-		}
 		sm, err := decodeSeqMsg(m.Payload)
 		if err == nil {
 			e.deliver(sm)
@@ -667,37 +585,11 @@ func (e *engine) handleMsg(m wire.Msg) {
 		e.handleSyncResp(m)
 
 	case kGossip:
-		if e.fd != nil {
-			if outs, err := e.fd.Handle(time.Now(), m.Payload); err == nil {
-				e.sendGossip(outs)
-			}
+		if outs, err := e.cfg.Detector.Handle(time.Now(), m.Payload); err == nil {
+			e.sendGossip(outs)
 		}
 		m.Release() // the detector decodes into its own structures
 	}
-}
-
-func (e *engine) noteAlive(n wire.NodeID) {
-	if e.fd != nil || e.cfg.ExternalFD {
-		// Liveness is owned by the gossip detector or the external
-		// supervisor; incidental protocol traffic must not clear verdicts.
-		return
-	}
-	now := time.Now()
-	if n == e.view.Coord {
-		e.lastCoordHeard = now
-		// A live coordinator means no failover is needed: stop waiting for
-		// a candidate, and if we are the candidate mid-election, abort the
-		// sync — completing it would install a spurious view that excludes
-		// a coordinator that merely fell silent for a while.
-		e.failoverWait = time.Time{}
-		if e.syncing && e.syncFor == n {
-			e.abortSync()
-		}
-	}
-	if e.isCoord() {
-		e.lastHeard[n] = now
-	}
-	delete(e.suspected, n)
 }
 
 // abortSync cancels an in-progress failover election without installing a
@@ -789,127 +681,37 @@ func (e *engine) installViewWithout(gone []wire.NodeID) {
 
 // ---- timers ----
 
-// tick dispatches on the failure-detection mode: legacy all-to-coordinator
-// heartbeats (the default), SWIM gossip (UseGossip), or none at all with
-// verdicts injected by a supervisor (ExternalFD).
+// tick is the engine's one periodic duty cycle: drive the detector, read
+// its verdicts, then act on them — the coordinator removes dead members, a
+// member repairs its stream and fails over from a dead coordinator.
 func (e *engine) tick() {
-	switch {
-	case e.cfg.ExternalFD:
-		e.tickExternal()
-	case e.fd != nil:
-		e.tickGossip()
-	default:
-		e.tickLegacy()
-	}
-}
-
-// tickGossip drives the SWIM detector and derives suspicion from its
-// confirmed-dead verdicts: a merely-Suspect peer may still refute itself,
-// so only Dead drives view changes — keeping "exactly one view change per
-// kill" intact under gossip.
-func (e *engine) tickGossip() {
 	now := time.Now()
-	e.sendGossip(e.fd.Tick(now))
-	e.fd.Changes() // drain; statuses are read below, records flow via GossipEvents
-
+	fd := e.cfg.Detector
+	e.sendGossip(fd.Tick(now))
+	clear(e.suspected)
+	var gone []wire.NodeID
 	for _, member := range e.view.Members {
-		if member == e.cfg.Node {
-			continue
-		}
-		if e.fd.Status(member) == gossip.Dead {
+		if member != e.cfg.Node && fd.Dead(member) {
 			e.suspected[member] = true
-			role := "member"
-			if member == e.view.Coord {
-				role = "coord"
-			}
-			e.suspectEvent(member, role)
-		} else {
-			delete(e.suspected, member)
+			gone = append(gone, member)
+			e.suspectEvent(member)
 		}
 	}
-	// A resurrected coordinator (alive at a higher incarnation) cancels an
-	// in-flight failover election.
-	if e.syncing && e.fd.Status(e.syncFor) == gossip.Alive {
+	// The verdict that started a failover election was withdrawn (a gossip
+	// refutation, a retracted entry): completing the sync would install a
+	// spurious view that excludes a live coordinator.
+	if e.syncing && !e.suspected[e.syncFor] {
 		e.abortSync()
 	}
 	e.beacon(now)
 
 	if e.isCoord() {
-		var gone []wire.NodeID
-		for _, member := range e.view.Members {
-			if member != e.cfg.Node && e.suspected[member] {
-				gone = append(gone, member)
-			}
-		}
-		if len(gone) > 0 && hasQuorum(len(e.view.Members)-len(gone), len(e.view.Members)) {
-			e.installViewWithout(gone)
-		}
-		return
-	}
-	e.memberMaintenance()
-	e.failoverTick(now)
-}
-
-// tickExternal runs no failure detection of its own: e.suspected changes
-// only through ReportDead/ReportAlive. Crash-driven view changes skip the
-// quorum rule because the injected verdicts already carry the
-// supervisor's agreement.
-func (e *engine) tickExternal() {
-	now := time.Now()
-	e.beacon(now)
-	if e.isCoord() {
-		var gone []wire.NodeID
-		for _, member := range e.view.Members {
-			if member != e.cfg.Node && e.suspected[member] {
-				gone = append(gone, member)
-			}
-		}
-		if len(gone) > 0 {
-			e.installViewWithout(gone)
-		}
-		return
-	}
-	e.memberMaintenance()
-	e.failoverTick(now)
-}
-
-func (e *engine) tickLegacy() {
-	now := time.Now()
-	if e.isCoord() {
-		// Probe members, detect member crashes. The heartbeat carries the
-		// highest assigned sequence number so a member that lost the tail
-		// of the delivery stream notices the gap even when no further
-		// traffic arrives.
-		hbPayload := wire.NewWriter(8).U64(e.nextSeq - 1).Bytes()
-		var gone []wire.NodeID
-		for _, member := range e.view.Members {
-			if member == e.cfg.Node {
-				continue
-			}
-			hb := wire.Msg{Type: wire.TControl, Kind: kHeartbeat, Src: wire.Rank(e.cfg.Node), Payload: hbPayload}
-			e.cast(e.view.Addrs[member], &hb)
-			if last, ok := e.lastHeard[member]; ok && now.Sub(last) > e.cfg.FailAfter {
-				gone = append(gone, member)
-				e.suspectEvent(member, "member")
-			}
-		}
-		// Primary-partition rule: a crash-driven view change must retain
-		// a strict majority of the current view, or this side might be
-		// the partitioned minority (e.g. mutual false suspicion under
-		// load) and installing the view would split the brain. Defer the
-		// removal until either the suspicions clear or enough members
-		// remain.
-		if len(gone) > 0 && hasQuorum(len(e.view.Members)-len(gone), len(e.view.Members)) {
+		if len(gone) > 0 && e.mayExclude(len(e.view.Members)-len(gone)) {
 			e.installViewWithout(gone)
 		}
 		return
 	}
 
-	// Member: probe the coordinator, resend unconfirmed casts.
-	if addr, ok := e.view.Addrs[e.view.Coord]; ok {
-		hb := wire.Msg{Type: wire.TControl, Kind: kHeartbeat, Src: wire.Rank(e.cfg.Node)}
-		e.cast(addr, &hb)
-	}
 	for _, p := range e.pendingCasts {
 		e.forwardCast(p)
 	}
@@ -919,63 +721,34 @@ func (e *engine) tickLegacy() {
 		e.requestRetrans()
 	}
 
-	if !e.syncing && now.Sub(e.lastCoordHeard) > e.cfg.FailAfter {
-		e.suspected[e.view.Coord] = true
-		e.suspectEvent(e.view.Coord, "coord")
-	}
-	e.failoverTick(now)
-}
-
-// memberMaintenance re-forwards unconfirmed casts and repairs delivery
-// gaps; shared by the gossip and external-FD modes (the legacy mode does
-// the same inline in tickLegacy).
-func (e *engine) memberMaintenance() {
-	for _, p := range e.pendingCasts {
-		e.forwardCast(p)
-	}
-	// A buffered out-of-order delivery means an earlier kDeliver was lost:
-	// ask the coordinator to repair the gap from its retransmission log.
-	if !e.syncing && len(e.pendingDel) > 0 && !e.suspected[e.view.Coord] {
-		e.requestRetrans()
-	}
-}
-
-// failoverTick is the member-side failover state machine, shared by all
-// FD modes; callers decide how e.suspected gets populated.
-func (e *engine) failoverTick(now time.Time) {
-	if e.syncing {
+	switch {
+	case e.syncing:
 		if now.Sub(e.syncStarted) > e.cfg.FailAfter {
 			// Non-responders are dropped; finish with what we have.
 			e.finishSync()
 		}
-		return
-	}
-	if !e.suspected[e.view.Coord] {
-		return
-	}
-
-	// Coordinator is suspected: the lowest-id survivor runs the failover.
-	candidate := e.lowestSurvivor()
-	if candidate == e.cfg.Node {
+	case e.suspected[e.view.Coord] && e.lowestSurvivor() == e.cfg.Node:
+		// The lowest-id survivor runs the failover; the others wait for its
+		// view, or for the detector to call that candidate dead as well.
 		e.startSync()
-		return
-	}
-	// Wait for the candidate; if it too stays silent, suspect it as well.
-	if e.failoverWait.IsZero() {
-		e.failoverWait = now
-	} else if now.Sub(e.failoverWait) > 2*e.cfg.FailAfter {
-		e.suspected[candidate] = true
-		e.suspectEvent(candidate, "candidate")
-		e.failoverWait = now
 	}
 }
 
+// mayExclude is the primary-partition rule for crash-driven view changes:
+// the `remaining` members must be a strict majority of the current view, or
+// this side might be the partitioned minority (mutual false suspicion under
+// load) and installing the view would split the brain. A blocked removal
+// waits until the verdicts clear or enough members remain. Verdicts agreed
+// outside the group need no second vote.
+func (e *engine) mayExclude(remaining int) bool {
+	return e.cfg.Detector.Agreed() || hasQuorum(remaining, len(e.view.Members))
+}
+
 // beacon re-advertises the coordinator's highest sequenced slot for a
-// bounded window after sequencing activity. The gossip and external-FD
-// modes have no per-tick heartbeat to carry that horizon, so without the
-// beacon a member that lost the *final* kDeliver of a burst would never
-// notice the gap. Outside the activity window the beacon is silent,
-// keeping the idle control-plane load O(1).
+// bounded window after sequencing activity; without it a member that lost
+// the *final* kDeliver of a burst would never notice the gap. Outside the
+// activity window the beacon is silent, keeping the idle control-plane load
+// O(1).
 func (e *engine) beacon(now time.Time) {
 	if !e.isCoord() || len(e.view.Members) <= 1 {
 		return
@@ -987,13 +760,13 @@ func (e *engine) beacon(now time.Time) {
 		return
 	}
 	e.lastBeacon = now
-	hbPayload := wire.NewWriter(8).U64(e.nextSeq - 1).Bytes()
+	horizon := wire.NewWriter(8).U64(e.nextSeq - 1).Bytes()
 	for _, member := range e.view.Members {
 		if member == e.cfg.Node {
 			continue
 		}
-		hb := wire.Msg{Type: wire.TControl, Kind: kHeartbeat, Src: wire.Rank(e.cfg.Node), Payload: hbPayload}
-		e.cast(e.view.Addrs[member], &hb)
+		m := wire.Msg{Type: wire.TControl, Kind: kBeacon, Src: wire.Rank(e.cfg.Node), Payload: horizon}
+		e.cast(e.view.Addrs[member], &m)
 	}
 }
 
@@ -1047,11 +820,6 @@ func (e *engine) handleSyncReq(m wire.Msg) {
 	if !e.view.Contains(from) {
 		return
 	}
-	// The candidate is acting coordinator-elect: treat its probe as a sign
-	// of life so we don't start a competing sync.
-	e.lastCoordHeard = time.Now()
-	e.failoverWait = time.Time{}
-
 	w := wire.NewWriter(256)
 	w.U64(e.delivered)
 	// Send the retained suffix of the delivery log.
@@ -1107,11 +875,9 @@ func (e *engine) finishSync() {
 	// Primary-partition rule: the candidate may only take over if it and
 	// its responders form a strict majority of the current view. A
 	// minority side (real partition or false suspicion) waits — the
-	// failure detector clears transient suspicions, and a later tick
-	// retries the sync if they persist. External-FD groups skip the rule:
-	// their verdicts were agreed in the main group, so a lone survivor of
-	// an app group may legitimately take over.
-	if !e.cfg.ExternalFD && !hasQuorum(len(responders)+1, len(e.view.Members)) {
+	// detector clears transient suspicions, and a later tick retries the
+	// sync if they persist.
+	if !e.mayExclude(len(responders) + 1) {
 		e.event(evstore.Ev("election-stalled",
 			evstore.F("for", e.syncFor), evstore.F("view", e.view.ID),
 			evstore.F("responders", len(responders))))
@@ -1233,7 +999,7 @@ func (e *engine) finishSync() {
 // ---- gap repair ----
 
 // requestRetrans asks the coordinator to resend every sequenced message
-// above our delivered horizon, rate-limited to one request per heartbeat
+// above our delivered horizon, rate-limited to one request per tick
 // interval so a long outage does not flood the sequencer.
 func (e *engine) requestRetrans() {
 	now := time.Now()

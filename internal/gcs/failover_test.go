@@ -6,107 +6,237 @@ import (
 	"time"
 
 	"starfish/internal/chaosnet"
+	"starfish/internal/gossip"
 	"starfish/internal/leakcheck"
 	"starfish/internal/vni"
 	"starfish/internal/wire"
 )
 
 func TestSequentialCrashesDownToQuorum(t *testing.T) {
-	fn, eps := testGroup(t, 5)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3, 4, 5)
-	}
-	// Crash 4 then 5: each removal keeps a majority of the then-current
-	// view (4/5, then 3/4).
-	fn.Crash("node4")
-	go eps[3].Close()
-	for _, ep := range []*Endpoint{eps[0], eps[1], eps[2], eps[4]} {
-		waitForView(t, ep, 1, 2, 3, 5)
-	}
-	fn.Crash("node5")
-	go eps[4].Close()
-	for _, ep := range eps[:3] {
-		waitForView(t, ep, 1, 2, 3)
-	}
-	// The group still sequences casts.
-	if err := eps[2].Cast([]byte("post-crashes")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eps[:3] {
-		e := nextEvent(t, ep)
-		if e.Kind != ECast || string(e.Payload) != "post-crashes" {
-			t.Errorf("node %d: %+v", ep.Node(), e)
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 5, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3, 4, 5)
 		}
-	}
-}
-
-func TestQuorumHoldsBackMinorityCoordinator(t *testing.T) {
-	// In a 4-member group, the coordinator loses contact with 2 members
-	// at once (they crash). 2 of 4 is not a strict majority, so no view
-	// may be installed while both are suspected... but these members are
-	// genuinely dead, so the group must NOT be stuck forever either —
-	// quorum rules trade availability for safety only while the suspicion
-	// set is too large. Here we verify the safe half: with half the view
-	// gone, the survivors install no new view (they wait).
-	fn, eps := testGroup(t, 4)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3, 4)
-	}
-	fn.Crash("node3")
-	fn.Crash("node4")
-	go eps[2].Close()
-	go eps[3].Close()
-
-	// Give the failure detector ample time; no view with fewer members
-	// than quorum may appear.
-	timeout := time.After(300 * time.Millisecond)
-	for {
-		select {
-		case e := <-eps[0].Events():
-			if e.Kind == EView && len(e.View.Members) < 3 {
-				t.Fatalf("minority view installed: %v", e.View)
+		// Crash 4 then 5: each removal keeps a majority of the then-current
+		// view (4/5, then 3/4).
+		k.crash(fn, eps[3])
+		for _, ep := range []*Endpoint{eps[0], eps[1], eps[2], eps[4]} {
+			waitForView(t, ep, 1, 2, 3, 5)
+		}
+		k.crash(fn, eps[4])
+		for _, ep := range eps[:3] {
+			waitForView(t, ep, 1, 2, 3)
+		}
+		// The group still sequences casts.
+		if err := eps[2].Cast([]byte("post-crashes")); err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range eps[:3] {
+			e := nextEvent(t, ep)
+			if e.Kind != ECast || string(e.Payload) != "post-crashes" {
+				t.Errorf("node %d: %+v", ep.Node(), e)
 			}
-		case <-timeout:
-			return // held back, as required
 		}
-	}
+	})
 }
 
-func TestJoinAfterCrashReusesGroup(t *testing.T) {
-	fn, eps := testGroup(t, 3)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3)
+// forgeRumor delivers a SWIM message to one endpoint in which member `from`
+// reports all of `dead` confirmed dead at incarnation inc — the way to give
+// a real detector a verdict at a moment of the test's choosing. It rides an
+// ack for no probe.
+func forgeRumor(t *testing.T, tr vni.Transport, to string, from wire.NodeID, inc uint32, dead ...wire.NodeID) {
+	t.Helper()
+	const ack = 2 // gossip's mAck
+	msg := gossip.Message{Kind: ack, From: from}
+	for _, n := range dead {
+		msg.Updates = append(msg.Updates, gossip.Update{Node: n, Status: gossip.Dead, Inc: inc})
 	}
-	fn.Crash("node3")
-	go eps[2].Close()
-	for _, ep := range eps[:2] {
-		waitForView(t, ep, 1, 2)
-	}
-	// A new node (fresh id) joins the surviving group.
-	ep4, err := Join(Config{
-		Node: 4, Transport: fn, Addr: "node4b", Contact: "node1",
-		HeartbeatEvery: 5 * time.Millisecond,
-	})
+	nic, err := vni.NewNIC(tr, "forger", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ep4.Close()
-	for _, ep := range []*Endpoint{eps[0], eps[1], ep4} {
-		waitForView(t, ep, 1, 2, 4)
-	}
-	if err := ep4.Cast([]byte("newcomer")); err != nil {
+	defer nic.Close()
+	m := wire.Msg{Type: wire.TControl, Kind: kGossip, Src: wire.Rank(from), Payload: gossip.EncodeMessage(&msg)}
+	if err := nic.Send(to, &m); err != nil {
 		t.Fatal(err)
 	}
-	e := nextEvent(t, eps[0])
-	if e.Kind != ECast || e.From != 4 {
-		t.Errorf("%+v", e)
+}
+
+// TestQuorumRuleFollowsDetector loses half of a 4-member view at once. 2 of
+// 4 is not a strict majority, so on a detector's own opinion (gossip) the
+// survivors must install nothing — they might be the partitioned minority.
+// Verdicts agreed outside the group need no second vote: the same loss is
+// removed at once, which is what lets a two-member app group lose a member.
+func TestQuorumRuleFollowsDetector(t *testing.T) {
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 4, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3, 4)
+		}
+		k.crash(fn, eps[2])
+		k.crash(fn, eps[3])
+		if k.agreed {
+			for _, ep := range eps[:2] {
+				waitForView(t, ep, 1, 2)
+			}
+			return
+		}
+		// Left to their probing the detectors would bury the two one after
+		// the other, each removal a majority of the view before it. Hand the
+		// coordinator both verdicts in one message instead.
+		forgeRumor(t, fn, "node1", 2, 0, 3, 4)
+		timeout := time.After(300 * time.Millisecond)
+		for {
+			select {
+			case e := <-eps[0].Events():
+				if e.Kind == EView {
+					t.Fatalf("minority view installed: %v", e.View)
+				}
+			case <-timeout:
+				return // held back, as required
+			}
+		}
+	})
+}
+
+func TestJoinAfterCrashReusesGroup(t *testing.T) {
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 3, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3)
+		}
+		k.crash(fn, eps[2])
+		for _, ep := range eps[:2] {
+			waitForView(t, ep, 1, 2)
+		}
+		// A new node (fresh id) joins the surviving group.
+		ep4 := join(t, Config{Node: 4, Transport: fn, Contact: "node1", Detector: k.detector(4)})
+		for _, ep := range []*Endpoint{eps[0], eps[1], ep4} {
+			waitForView(t, ep, 1, 2, 4)
+		}
+		if err := ep4.Cast([]byte("newcomer")); err != nil {
+			t.Fatal(err)
+		}
+		e := nextEvent(t, eps[0])
+		if e.Kind != ECast || e.From != 4 {
+			t.Errorf("%+v", e)
+		}
+	})
+}
+
+// TestElectionFromSurvivingView is the regression test for coordinator
+// election: the coordinator role must stay with the previous coordinator
+// while it survives (even when lower ids join), and fall back to the
+// lowest *surviving* member only when it departs. Before the fix the
+// sequencer role thrashed to the lowest global id on every join.
+func TestElectionFromSurvivingView(t *testing.T) {
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn := vni.NewFastnet(0)
+		mk := func(id wire.NodeID, contact string) *Endpoint {
+			return join(t, Config{Node: id, Transport: fn, Contact: contact, Detector: k.detector(id)})
+		}
+		// A high-id node creates the group; lower ids join it.
+		ep5 := mk(5, "")
+		ep3 := mk(3, "node5")
+		ep7 := mk(7, "node5")
+
+		v, _ := waitForView(t, ep5, 3, 5, 7)
+		if v.Coord != 5 {
+			t.Fatalf("after joins coord = %d, want creator 5 to keep the role", v.Coord)
+		}
+		waitForView(t, ep3, 3, 5, 7)
+		waitForView(t, ep7, 3, 5, 7)
+
+		// The coordinator leaves: the lowest survivor takes over.
+		if err := ep5.Leave(); err != nil {
+			t.Fatalf("leave: %v", err)
+		}
+		v, _ = waitForView(t, ep3, 3, 7)
+		if v.Coord != 3 {
+			t.Fatalf("after coordinator left coord = %d, want lowest survivor 3", v.Coord)
+		}
+		waitForView(t, ep7, 3, 7)
+
+		// The new coordinator crashes: the remaining member self-elects.
+		k.crash(fn, ep3)
+		v, _ = waitForView(t, ep7, 7)
+		if v.Coord != 7 {
+			t.Fatalf("after coordinator crash coord = %d, want survivor 7", v.Coord)
+		}
+	})
+}
+
+// TestVerdictsWaitForVerdict checks both halves of the verdict-set
+// contract: a silent (crashed) member is NOT removed until the set says so,
+// and once it does the member is removed promptly.
+func TestVerdictsWaitForVerdict(t *testing.T) {
+	v := new(Verdicts)
+	_, eps := joinGroup(t, 3, func(wire.NodeID) Detector { return v })
+	for _, ep := range eps {
+		waitForView(t, ep, 1, 2, 3)
+	}
+
+	eps[2].Close() // crash node 3 — nobody is watching
+	time.Sleep(100 * time.Millisecond)
+	if view := eps[0].View(); !view.Contains(3) {
+		t.Fatal("group removed a member without a verdict")
+	}
+
+	v.Set(3, true)
+	for _, ep := range eps[:2] {
+		waitForView(t, ep, 1, 2)
+	}
+}
+
+// TestVerdictSetBeforeJoinApplies declares node 3 dead before any engine
+// exists. The engines that join afterwards read the shared set on their
+// first tick, so the member is removed as soon as it shows up in a view —
+// nobody replays the verdict to them.
+func TestVerdictSetBeforeJoinApplies(t *testing.T) {
+	v := new(Verdicts)
+	v.Set(3, true)
+	_, eps := joinGroup(t, 3, func(wire.NodeID) Detector { return v })
+	for _, ep := range eps[:2] {
+		waitForView(t, ep, 1, 2, 3)
+		waitForView(t, ep, 1, 2)
+	}
+	// Node 3 is told it was excluded: its stream ends.
+	for range eps[2].Events() {
+	}
+}
+
+// TestNoDetectorNeverExcludes crashes a member of a group that was given no
+// Detector: nobody is ever declared dead, so the survivors sit through many
+// FailAfter periods without a view change.
+func TestNoDetectorNeverExcludes(t *testing.T) {
+	fn, eps := joinGroup(t, 3, nil)
+	for _, ep := range eps {
+		waitForView(t, ep, 1, 2, 3)
+	}
+	fn.Crash("node3")
+	go eps[2].Close()
+
+	timeout := time.After(400 * time.Millisecond) // FailAfter is 8 x 5ms
+	for {
+		select {
+		case e := <-eps[0].Events():
+			t.Fatalf("node 1: unexpected %+v", e)
+		case e := <-eps[1].Events():
+			t.Fatalf("node 2: unexpected %+v", e)
+		case <-timeout:
+			if view := eps[0].View(); !view.Contains(3) {
+				t.Fatalf("silent member removed without a detector: %v", view)
+			}
+			return
+		}
 	}
 }
 
 func TestChurnManyCastsAcrossViewChanges(t *testing.T) {
 	// Casts issued continuously while members leave must keep total order
 	// among the survivors.
-	_, eps := testGroup(t, 4)
+	_, eps := joinGroup(t, 4, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3, 4)
 	}
@@ -181,26 +311,11 @@ func TestStateTransferReflectsLatestState(t *testing.T) {
 	// view.
 	fn := vni.NewFastnet(0)
 	state := []byte("v1")
-	a, err := Join(Config{
-		Node: 1, Transport: fn, Addr: "st1",
-		HeartbeatEvery: 5 * time.Millisecond,
-		StateProvider:  func() []byte { return state },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	a := join(t, Config{Node: 1, Transport: fn, StateProvider: func() []byte { return state }})
 	nextEvent(t, a)
 	state = []byte("v2") // coordinator state evolves
 
-	b, err := Join(Config{
-		Node: 2, Transport: fn, Addr: "st2", Contact: "st1",
-		HeartbeatEvery: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := join(t, Config{Node: 2, Transport: fn, Contact: "node1"})
 	e := nextEvent(t, b)
 	if string(e.State) != "v2" {
 		t.Errorf("joiner state = %q, want v2", e.State)
@@ -208,7 +323,7 @@ func TestStateTransferReflectsLatestState(t *testing.T) {
 }
 
 func TestSendAfterViewShrink(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
@@ -231,114 +346,126 @@ func TestSendAfterViewShrink(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDuringElectionAbortsSync reproduces the mid-election revival
-// bug: members 2 and 3 lose the coordinator's heartbeats (one-way partition,
-// so the coordinator still hears them and removes nobody), member 2 starts a
-// failover sync, and the partition heals while member 3's sync response is
-// still in flight (injected 60ms delay). The coordinator's fresh heartbeat
-// must abort the election; before the fix the delayed response completed the
-// sync and installed a spurious view {2,3} that split the group.
-func TestHeartbeatDuringElectionAbortsSync(t *testing.T) {
-	leakcheck.Check(t, 0)
-	const hb = 10 * time.Millisecond
-	net := chaosnet.New(vni.NewFastnet(0), 0xE1EC, chaosnet.Config{})
-	ctl := net.Controller()
-
-	mk := func(i int, failAfter time.Duration, misses int) *Endpoint {
-		cfg := Config{
-			Node:               wire.NodeID(i),
-			Transport:          net.Node(fmt.Sprintf("node%d", i)),
-			Addr:               fmt.Sprintf("node%d", i),
-			HeartbeatEvery:     hb,
-			FailAfter:          failAfter,
-			SuspectAfterMisses: misses,
+// TestWithdrawnVerdictAbortsElection reproduces the mid-election revival
+// bug under both detectors: member 2 comes to believe coordinator 1 dead and
+// starts a failover sync, which member 3's answer cannot complete (its link
+// to 2 is cut), and then the verdict is withdrawn — under gossip the live
+// coordinator refutes the rumor at a higher incarnation, under a verdict
+// set the entry is retracted. That must abort the election: finishing it
+// would install a spurious view that splits a healthy group.
+func TestWithdrawnVerdictAbortsElection(t *testing.T) {
+	t.Run("gossip-refutation", func(t *testing.T) {
+		// A forged rumor from member 3. The accused hears it back from
+		// member 2 and refutes it unprompted; a retry has to outbid the
+		// incarnation the refutation claimed.
+		var inc uint32
+		accuse := func(net *chaosnet.Net) {
+			inc += 100
+			forgeRumor(t, net.Node("forger"), "node2", 3, inc, 1)
 		}
-		if i > 1 {
+		withdrawnVerdict(t, swim(nil), accuse, func() {})
+	})
+	t.Run("verdict-retraction", func(t *testing.T) {
+		v := new(Verdicts)
+		withdrawnVerdict(t, func(wire.NodeID) Detector { return v },
+			func(*chaosnet.Net) { v.Set(1, true) }, func() { v.Set(1, false) })
+	})
+}
+
+// withdrawnVerdict runs one TestWithdrawnVerdictAbortsElection case: accuse
+// makes member 2's detector call node 1 dead (and is repeated until member 2
+// acts on it: under gossip any word from node 1 clears the verdict, possibly
+// before the next tick reads it), withdraw takes it back.
+func withdrawnVerdict(t *testing.T, detector func(wire.NodeID) Detector, accuse func(*chaosnet.Net), withdraw func()) {
+	leakcheck.Check(t, 0)
+	net := chaosnet.New(vni.NewFastnet(0), 0xE1EC, chaosnet.Config{})
+	elections := &collector{} // member 2's gcs records
+	eps := make([]*Endpoint, 3)
+	for i := range eps {
+		cfg := Config{
+			Node:      wire.NodeID(i + 1),
+			Transport: net.Node(fmt.Sprintf("node%d", i+1)),
+			// Long enough that the open sync never times out on its own.
+			FailAfter: 5 * time.Second,
+			Detector:  detector(wire.NodeID(i + 1)),
+		}
+		if i > 0 {
 			cfg.Contact = "node1"
 		}
-		ep, err := Join(cfg)
-		if err != nil {
-			t.Fatalf("Join node%d: %v", i, err)
+		if i == 1 {
+			cfg.Events = elections
 		}
-		t.Cleanup(ep.Close)
-		return ep
+		eps[i] = join(t, cfg)
 	}
-	// The coordinator is given a long failure budget so the stalls this
-	// test injects on the members never make IT remove anyone; members use
-	// the tunable miss threshold (8 misses × 10ms = 80ms).
-	eps := []*Endpoint{mk(1, 5*time.Second, 0), mk(2, 0, 8), mk(3, 0, 8)}
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
+	// await polls member 2's records for up to d.
+	await := func(kind string, d time.Duration) bool {
+		for deadline := time.Now().Add(d); elections.count(kind) == 0; {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
 
-	// Member 3's sync response to candidate 2 will arrive 60ms late —
-	// after the heal below, but before candidate 2's sync round times out.
-	ctl.SetLinkFaults("node3", "node2", chaosnet.Faults{DelayProb: 1, Delay: 6 * hb})
-	// Cut coordinator→member heartbeats only.
-	ctl.PartitionOneWay("node1", "node2")
-	ctl.PartitionOneWay("node1", "node3")
-	// Members suspect at ~80ms and member 2 starts its sync; heal at 110ms
-	// so a fresh coordinator heartbeat lands mid-election.
-	time.Sleep(11 * hb)
-	ctl.Heal()
-	// Let the delayed sync response land (~140-150ms) and any spurious
-	// view change play out.
-	time.Sleep(15 * hb)
-	ctl.ClearFaults()
+	// Member 3's sync response to candidate 2 is lost, holding the election
+	// open (probes between them still get through, relayed by node 1).
+	net.Controller().PartitionOneWay("node3", "node2")
+	for tries := 1; ; tries++ {
+		accuse(net)
+		if await("election-start", 20*time.Millisecond) {
+			break
+		}
+		if tries == 100 {
+			t.Fatal("member 2 never started an election")
+		}
+	}
+	withdraw()
+	if !await("election-abort", 5*time.Second) {
+		t.Fatal("member 2 never aborted its election")
+	}
 
 	// The group must be intact: a cast from the original coordinator
 	// reaches everyone, and nobody saw a view change.
 	if err := eps[0].Cast([]byte("still-one-group")); err != nil {
-		t.Fatalf("cast after heal: %v", err)
+		t.Fatalf("cast after the aborted election: %v", err)
 	}
 	for _, ep := range eps {
-		deadline := time.After(5 * time.Second)
-		for {
-			select {
-			case e, ok := <-ep.Events():
-				if !ok {
-					t.Fatalf("node %d: events closed (excluded from group)", ep.Node())
-				}
-				if e.Kind == EView {
-					t.Fatalf("node %d: spurious view change %v after mid-election heartbeat", ep.Node(), e.View)
-				}
-				if e.Kind == ECast && string(e.Payload) == "still-one-group" {
-					goto next
-				}
-			case <-deadline:
-				t.Fatalf("node %d: cast never delivered after healed election", ep.Node())
+		for delivered := false; !delivered; {
+			e := nextEvent(t, ep) // fails the test if node was excluded
+			if e.Kind == EView {
+				t.Fatalf("node %d: spurious view change %v after the aborted election", ep.Node(), e.View)
 			}
+			delivered = e.Kind == ECast && string(e.Payload) == "still-one-group"
 		}
-	next:
+	}
+	if n := elections.count("election-win"); n != 0 {
+		t.Fatalf("member 2 won %d elections against a live coordinator", n)
 	}
 }
 
 // TestRetransRepairsDeliveryGap drops 30% of the coordinator's kDeliver
-// traffic to member 2 and verifies the gap-repair path (kRetransReq +
-// heartbeat sequence hints) still delivers every cast, in order.
+// traffic to member 2 and verifies the gap-repair path (kRetransReq + the
+// coordinator's horizon beacon) still delivers every cast, in order — and
+// that SWIM's indirect probes keep the lossy link from reading as a death.
 func TestRetransRepairsDeliveryGap(t *testing.T) {
 	leakcheck.Check(t, 0)
 	net := chaosnet.New(vni.NewFastnet(0), 0xD407, chaosnet.Config{})
-	mk := func(i int) *Endpoint {
+	eps := make([]*Endpoint, 3)
+	for i := range eps {
 		cfg := Config{
-			Node:           wire.NodeID(i),
-			Transport:      net.Node(fmt.Sprintf("node%d", i)),
-			Addr:           fmt.Sprintf("node%d", i),
-			HeartbeatEvery: 5 * time.Millisecond,
-			// Lossy links need a forgiving miss threshold.
-			SuspectAfterMisses: 40,
+			Node:      wire.NodeID(i + 1),
+			Transport: net.Node(fmt.Sprintf("node%d", i+1)),
+			Detector:  swim(nil)(wire.NodeID(i + 1)),
 		}
-		if i > 1 {
+		if i > 0 {
 			cfg.Contact = "node1"
 		}
-		ep, err := Join(cfg)
-		if err != nil {
-			t.Fatalf("Join node%d: %v", i, err)
-		}
-		t.Cleanup(ep.Close)
-		return ep
+		eps[i] = join(t, cfg)
 	}
-	eps := []*Endpoint{mk(1), mk(2), mk(3)}
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}

@@ -2,12 +2,12 @@
 // stand-in for the Ensemble toolkit the paper builds on.
 //
 // It provides process groups with virtual synchrony semantics: a totally
-// ordered, reliable multicast; automatic failure detection; and view events
-// that every surviving member delivers at the same point of the message
-// stream. Views and application casts travel through the same sequencer, so
-// "membership change" is just another totally ordered message — which is
-// what makes the replicated daemon state machine of §3.1.1 trivial to keep
-// coherent.
+// ordered, reliable multicast; removal of members an injected Detector
+// declares dead; and view events that every surviving member delivers at
+// the same point of the message stream. Views and application casts travel
+// through the same sequencer, so "membership change" is just another
+// totally ordered message — which is what makes the replicated daemon state
+// machine of §3.1.1 trivial to keep coherent.
 //
 // The implementation uses a coordinator/sequencer: the lowest-id member of
 // the current view sequences all multicasts and membership changes. When
@@ -107,19 +107,17 @@ type Config struct {
 	// Contact is the address of any current member; empty creates a new
 	// singleton group.
 	Contact string
-	// HeartbeatEvery is the failure-detector probe interval
+	// HeartbeatEvery is the engine's tick: how often it polls the
+	// Detector, re-forwards unconfirmed casts and repairs delivery gaps
 	// (default 25ms).
 	HeartbeatEvery time.Duration
-	// FailAfter is how long without a heartbeat before a member is
-	// declared crashed (default 8 probe intervals). SuspectAfterMisses
-	// takes precedence when set.
+	// FailAfter bounds how long a failover candidate waits for sync
+	// responses and paces the coordinator's gap beacon (default 8 ticks).
+	// Detection latency itself belongs to the Detector.
 	FailAfter time.Duration
-	// SuspectAfterMisses, when positive, declares a member crashed after
-	// that many consecutive missed probe intervals — a tunable miss
-	// threshold instead of the fixed FailAfter multiple, so deployments on
-	// lossy or delay-spiky links can trade detection latency for fewer
-	// spurious view changes.
-	SuspectAfterMisses int
+	// Detector is the group's one source of failure verdicts; nil means
+	// nobody is ever declared dead (members still come and go by Leave).
+	Detector Detector
 	// StateProvider, if non-nil, is called on the coordinator when a new
 	// member joins; its snapshot is handed to the joiner with its first
 	// view (state transfer).
@@ -128,41 +126,6 @@ type Config struct {
 	// suspicions and elections. The sink is expected to tag the component
 	// (the daemon passes its store's "gcs" emitter).
 	Events evstore.Sink
-
-	// UseGossip replaces the all-to-coordinator heartbeat failure detector
-	// with a SWIM-style gossip detector (internal/gossip) multiplexed over
-	// this endpoint's transport: O(1) probe load per member per round
-	// instead of O(n) fan-in at the coordinator. View changes still require
-	// the gossip detector's *confirmed-dead* verdict, so transient silence
-	// is refuted, not punished.
-	UseGossip bool
-	// GossipEvery is the gossip protocol round length (default
-	// HeartbeatEvery). Only meaningful with UseGossip.
-	GossipEvery time.Duration
-	// GossipFanout is k, the number of proxies an unanswered direct ping is
-	// retried through before suspicion (default 3).
-	GossipFanout int
-	// SuspectAfter is how long a gossip suspicion may stay unrefuted before
-	// the member is confirmed dead (default FailAfter/2, so probing plus
-	// the refutation grace period together stay within the heartbeat
-	// mode's detection budget).
-	SuspectAfter time.Duration
-	// GossipSeed seeds the detector's probe-order randomness; zero derives
-	// a per-node seed from Node.
-	GossipSeed uint64
-	// GossipEvents receives the detector's ping-timeout / suspect / refute /
-	// confirm-dead records (the daemon passes its store's "gossip" emitter;
-	// nil discards them).
-	GossipEvents evstore.Sink
-
-	// ExternalFD disables the endpoint's own failure detection entirely:
-	// membership verdicts are injected through ReportDead/ReportAlive by a
-	// supervisor that already agreed on them elsewhere (the lwg router
-	// forwards the main group's verdicts into each per-app group). Because
-	// injected verdicts carry that external agreement, crash-driven view
-	// changes skip the local quorum rule — a two-member app group may lose
-	// both members' "majority" without wedging.
-	ExternalFD bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -170,27 +133,11 @@ func (c *Config) withDefaults() Config {
 	if out.HeartbeatEvery <= 0 {
 		out.HeartbeatEvery = 25 * time.Millisecond
 	}
-	if out.SuspectAfterMisses > 0 {
-		out.FailAfter = time.Duration(out.SuspectAfterMisses) * out.HeartbeatEvery
-	}
 	if out.FailAfter <= 0 {
 		out.FailAfter = 8 * out.HeartbeatEvery
 	}
-	if out.GossipEvery <= 0 {
-		out.GossipEvery = out.HeartbeatEvery
-	}
-	if out.GossipFanout <= 0 {
-		out.GossipFanout = 3
-	}
-	if out.SuspectAfter <= 0 {
-		// Half the detection budget goes to probing and indirect-probe
-		// escalation, half to the refutation grace period, keeping
-		// end-to-end detection latency comparable to the heartbeat mode's
-		// FailAfter silence window.
-		out.SuspectAfter = out.FailAfter / 2
-	}
-	if out.GossipSeed == 0 {
-		out.GossipSeed = uint64(out.Node)*0x9e3779b97f4a7c15 + 1
+	if out.Detector == nil {
+		out.Detector = new(Verdicts) // a set nobody ever adds to
 	}
 	return out
 }
@@ -206,22 +153,22 @@ var (
 
 // Sub-kinds carried in wire.Msg.Kind for Type=TControl gcs traffic.
 const (
-	kJoinReq   uint16 = 0x10 // joiner -> contact -> coordinator
-	kWelcome   uint16 = 0x11 // coordinator -> joiner (first view + state)
-	kMcastReq  uint16 = 0x12 // member -> coordinator
-	kDeliver   uint16 = 0x13 // coordinator -> all (sequenced cast or view)
-	kHeartbeat uint16 = 0x14 // member <-> coordinator liveness
-	kP2P       uint16 = 0x15 // member -> member direct
-	kSyncReq   uint16 = 0x16 // failover candidate -> survivors
-	kSyncResp  uint16 = 0x17 // survivor -> candidate
-	kLeave     uint16 = 0x18 // departing member -> coordinator
+	kJoinReq  uint16 = 0x10 // joiner -> contact -> coordinator
+	kWelcome  uint16 = 0x11 // coordinator -> joiner (first view + state)
+	kMcastReq uint16 = 0x12 // member -> coordinator
+	kDeliver  uint16 = 0x13 // coordinator -> all (sequenced cast or view)
+	kBeacon   uint16 = 0x14 // coordinator -> all (highest sequenced slot)
+	kP2P      uint16 = 0x15 // member -> member direct
+	kSyncReq  uint16 = 0x16 // failover candidate -> survivors
+	kSyncResp uint16 = 0x17 // survivor -> candidate
+	kLeave    uint16 = 0x18 // departing member -> coordinator
 	// kRetransReq asks the coordinator to resend sequenced messages above
 	// the sender's delivered horizon — the gap-repair path that lets the
 	// group make progress when kDeliver traffic is lost on the wire.
 	kRetransReq uint16 = 0x19 // member -> coordinator (payload: delivered)
-	// kGossip carries a SWIM gossip protocol message (gossip.Message)
-	// multiplexed over the group endpoint's transport when UseGossip is set.
-	kGossip uint16 = 0x20 // member <-> member (payload: gossip message)
+	// kGossip carries one of the Detector's own protocol messages,
+	// multiplexed over the group endpoint's transport.
+	kGossip uint16 = 0x20 // member <-> member (payload: detector message)
 )
 
 // retransBatch bounds how many log entries one kRetransReq resends, so a

@@ -2,36 +2,132 @@ package gcs
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"starfish/internal/evstore"
+	"starfish/internal/gossip"
 	"starfish/internal/vni"
 	"starfish/internal/wire"
 )
 
-// testGroup spins up n endpoints on one fastnet, joined through endpoint 1.
-func testGroup(t *testing.T, n int) (*vni.Fastnet, []*Endpoint) {
+// join starts one endpoint with the suite's defaults filled in — a 5ms
+// tick, the address "node<id>" — and registers its teardown.
+func join(t *testing.T, cfg Config) *Endpoint {
+	t.Helper()
+	if cfg.Addr == "" {
+		cfg.Addr = fmt.Sprintf("node%d", cfg.Node)
+	}
+	if cfg.HeartbeatEvery == 0 {
+		cfg.HeartbeatEvery = 5 * time.Millisecond
+	}
+	ep, err := Join(cfg)
+	if err != nil {
+		t.Fatalf("Join %s: %v", cfg.Addr, err)
+	}
+	t.Cleanup(ep.Close)
+	return ep
+}
+
+// joinGroup spins up nodes 1..n on one fastnet, joined through node 1.
+// detector makes each node's Detector; nil leaves the group without one
+// (nobody is ever declared dead).
+func joinGroup(t *testing.T, n int, detector func(wire.NodeID) Detector) (*vni.Fastnet, []*Endpoint) {
 	t.Helper()
 	fn := vni.NewFastnet(0)
 	eps := make([]*Endpoint, n)
-	for i := 0; i < n; i++ {
-		cfg := Config{
-			Node:           wire.NodeID(i + 1),
-			Transport:      fn,
-			Addr:           fmt.Sprintf("node%d", i+1),
-			HeartbeatEvery: 5 * time.Millisecond,
-		}
+	for i := range eps {
+		cfg := Config{Node: wire.NodeID(i + 1), Transport: fn}
 		if i > 0 {
 			cfg.Contact = "node1"
 		}
-		ep, err := Join(cfg)
-		if err != nil {
-			t.Fatalf("Join node%d: %v", i+1, err)
+		if detector != nil {
+			cfg.Detector = detector(cfg.Node)
 		}
-		eps[i] = ep
-		t.Cleanup(ep.Close)
+		eps[i] = join(t, cfg)
 	}
 	return fn, eps
+}
+
+// swim makes per-node SWIM detectors paced for tests: 5ms rounds, 40ms for
+// a suspect to refute. records receives their event records.
+func swim(records evstore.Sink) func(wire.NodeID) Detector {
+	return func(id wire.NodeID) Detector {
+		return gossip.New(gossip.Config{
+			Self: id,
+			Seed: uint64(id),
+			Params: gossip.Params{
+				ProbeEvery:     5 * time.Millisecond,
+				SuspectAfter:   40 * time.Millisecond,
+				IndirectFanout: 3,
+			},
+			Events: records,
+		})
+	}
+}
+
+// detectorKind is one of the two Detector implementations, as a crash
+// scenario needs it.
+type detectorKind struct {
+	// detector is joinGroup's per-node factory.
+	detector func(wire.NodeID) Detector
+	// told informs the detectors of a crash, where they have to be told.
+	told func(wire.NodeID)
+	// agreed mirrors Detector.Agreed.
+	agreed bool
+	// records collects SWIM's own event records (nil for a verdict set).
+	records *collector
+}
+
+// eachDetector runs a crash scenario once per Detector implementation: SWIM
+// detectors that find out by probing, and one shared verdict set that is
+// told.
+func eachDetector(t *testing.T, scenario func(t *testing.T, k detectorKind)) {
+	t.Run("gossip", func(t *testing.T) {
+		records := &collector{}
+		scenario(t, detectorKind{detector: swim(records), told: func(wire.NodeID) {}, records: records})
+	})
+	t.Run("verdicts", func(t *testing.T) {
+		v := new(Verdicts)
+		scenario(t, detectorKind{
+			detector: func(wire.NodeID) Detector { return v },
+			told:     func(n wire.NodeID) { v.Set(n, true) },
+			agreed:   true,
+		})
+	})
+}
+
+// crash kills an endpoint the way a node dies: its address goes dark and
+// its engine stops without a word to the group.
+func (k detectorKind) crash(fn *vni.Fastnet, ep *Endpoint) {
+	fn.Crash(ep.Addr())
+	go ep.Close()
+	k.told(ep.Node())
+}
+
+// collector is a thread-safe evstore.Sink for asserting on emitted records.
+type collector struct {
+	mu   sync.Mutex
+	recs []evstore.Record
+}
+
+func (c *collector) Emit(r evstore.Record) {
+	c.mu.Lock()
+	c.recs = append(c.recs, r)
+	c.mu.Unlock()
+}
+
+func (c *collector) count(kind string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, r := range c.recs {
+		if r.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // nextEvent waits for the next event with a deadline.
@@ -87,7 +183,7 @@ func sameMembers(a, b []wire.NodeID) bool {
 }
 
 func TestSingletonGroup(t *testing.T) {
-	_, eps := testGroup(t, 1)
+	_, eps := joinGroup(t, 1, nil)
 	e := nextEvent(t, eps[0])
 	if e.Kind != EView {
 		t.Fatalf("first event = %v, want EView", e.Kind)
@@ -98,7 +194,7 @@ func TestSingletonGroup(t *testing.T) {
 }
 
 func TestJoinGrowsView(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for i, ep := range eps {
 		v, _ := waitForView(t, ep, 1, 2, 3)
 		if v.Coord != 1 {
@@ -111,7 +207,7 @@ func TestJoinGrowsView(t *testing.T) {
 }
 
 func TestCastReachesAllIncludingSender(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
@@ -127,7 +223,7 @@ func TestCastReachesAllIncludingSender(t *testing.T) {
 }
 
 func TestTotalOrderAcrossSenders(t *testing.T) {
-	_, eps := testGroup(t, 4)
+	_, eps := joinGroup(t, 4, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3, 4)
 	}
@@ -160,7 +256,7 @@ func TestTotalOrderAcrossSenders(t *testing.T) {
 }
 
 func TestPerSenderFIFO(t *testing.T) {
-	_, eps := testGroup(t, 2)
+	_, eps := joinGroup(t, 2, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2)
 	}
@@ -179,7 +275,7 @@ func TestPerSenderFIFO(t *testing.T) {
 }
 
 func TestPointToPointSend(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
@@ -196,109 +292,120 @@ func TestPointToPointSend(t *testing.T) {
 }
 
 func TestMemberCrashTriggersViewChange(t *testing.T) {
-	fn, eps := testGroup(t, 3)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3)
-	}
-	// Crash node 3 (not the coordinator).
-	fn.Crash("node3")
-	go eps[2].Close()
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 5, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3, 4, 5)
+		}
+		k.crash(fn, eps[4]) // not the coordinator
 
-	for _, ep := range eps[:2] {
-		v, _ := waitForView(t, ep, 1, 2)
-		if v.Coord != 1 {
-			t.Errorf("coord = %d, want 1", v.Coord)
+		for _, ep := range eps[:4] {
+			v, casts := waitForView(t, ep, 1, 2, 3, 4)
+			if v.Coord != 1 {
+				t.Errorf("coord = %d, want 1", v.Coord)
+			}
+			if len(casts) != 0 {
+				t.Errorf("node %d: %d casts before any were sent", ep.Node(), len(casts))
+			}
 		}
-	}
-	// Group still works.
-	if err := eps[0].Cast([]byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eps[:2] {
-		e := nextEvent(t, ep)
-		if e.Kind != ECast || string(e.Payload) != "after" {
-			t.Errorf("post-crash cast: %+v", e)
+		if k.records != nil {
+			// SWIM's path to the verdict is on its own sink.
+			for _, kind := range []string{"suspect", "confirm-dead"} {
+				if k.records.count(kind) == 0 {
+					t.Errorf("no gossip %s record emitted for the crash", kind)
+				}
+			}
 		}
-	}
+		// Group still works.
+		if err := eps[1].Cast([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range eps[:4] {
+			e := nextEvent(t, ep)
+			if e.Kind != ECast || string(e.Payload) != "after" {
+				t.Errorf("post-crash cast: %+v", e)
+			}
+		}
+	})
 }
 
 func TestCoordinatorCrashFailover(t *testing.T) {
-	fn, eps := testGroup(t, 3)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3)
-	}
-	// Crash the coordinator (node 1). Node 2 must take over.
-	fn.Crash("node1")
-	go eps[0].Close()
-
-	for _, ep := range eps[1:] {
-		v, _ := waitForView(t, ep, 2, 3)
-		if v.Coord != 2 {
-			t.Errorf("node %d: new coord = %d, want 2", ep.Node(), v.Coord)
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 4, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3, 4)
 		}
-	}
-	// The group must still sequence casts.
-	if err := eps[2].Cast([]byte("survived")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eps[1:] {
-		e := nextEvent(t, ep)
-		if e.Kind != ECast || string(e.Payload) != "survived" {
-			t.Errorf("node %d: %+v", ep.Node(), e)
+		// Crash the coordinator (node 1). Node 2 must take over, in exactly
+		// one view change.
+		k.crash(fn, eps[0])
+		for _, ep := range eps[1:] {
+			e := nextEvent(t, ep)
+			if e.Kind != EView || !sameMembers(e.View.Members, []wire.NodeID{2, 3, 4}) || e.View.Coord != 2 {
+				t.Errorf("node %d: after failover got %+v, want view {2,3,4} led by 2", ep.Node(), e)
+			}
 		}
-	}
+		// The group must still sequence casts.
+		if err := eps[2].Cast([]byte("survived")); err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range eps[1:] {
+			e := nextEvent(t, ep)
+			if e.Kind != ECast || string(e.Payload) != "survived" {
+				t.Errorf("node %d: %+v", ep.Node(), e)
+			}
+		}
+	})
 }
 
 func TestCastDuringCoordinatorFailure(t *testing.T) {
 	// A cast issued while the coordinator is dead must still be delivered
 	// exactly once after failover (pending-cast retransmission + dedup).
-	fn, eps := testGroup(t, 3)
-	for _, ep := range eps {
-		waitForView(t, ep, 1, 2, 3)
-	}
-	fn.Crash("node1")
-	go eps[0].Close()
-	// Issue immediately, before the failure detector has fired.
-	if err := eps[2].Cast([]byte("limbo")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eps[1:] {
-		_, casts := waitForView(t, ep, 2, 3)
-		// The cast may arrive before or after the view.
-		got := len(casts)
-		for got == 0 {
-			e := nextEvent(t, ep)
-			if e.Kind == ECast {
-				casts = append(casts, e)
-				got++
-			}
+	eachDetector(t, func(t *testing.T, k detectorKind) {
+		fn, eps := joinGroup(t, 3, k.detector)
+		for _, ep := range eps {
+			waitForView(t, ep, 1, 2, 3)
 		}
-		if string(casts[0].Payload) != "limbo" {
-			t.Errorf("node %d: got %q", ep.Node(), casts[0].Payload)
-		}
-		// Exactly once: no duplicate should follow. Send a sentinel and
-		// make sure the very next cast is the sentinel.
-		ep2 := ep
-		if err := ep2.Cast([]byte("sentinel")); err != nil {
+		fn.Crash("node1")
+		go eps[0].Close()
+		// Issue immediately, before anyone knows of the crash.
+		if err := eps[2].Cast([]byte("limbo")); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			e := nextEvent(t, ep2)
-			if e.Kind != ECast {
-				continue
+		k.told(1)
+		for _, ep := range eps[1:] {
+			_, casts := waitForView(t, ep, 2, 3)
+			// The cast may arrive before or after the view.
+			for len(casts) == 0 {
+				if e := nextEvent(t, ep); e.Kind == ECast {
+					casts = append(casts, e)
+				}
 			}
-			if string(e.Payload) == "limbo" {
-				t.Fatalf("node %d: duplicate delivery of pending cast", ep2.Node())
+			if string(casts[0].Payload) != "limbo" {
+				t.Errorf("node %d: got %q", ep.Node(), casts[0].Payload)
 			}
-			if string(e.Payload) == "sentinel" {
-				break
+			// Exactly once: no duplicate should follow. Send a sentinel and
+			// make sure the very next cast is the sentinel.
+			if err := ep.Cast([]byte("sentinel")); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				e := nextEvent(t, ep)
+				if e.Kind != ECast {
+					continue
+				}
+				if string(e.Payload) == "limbo" {
+					t.Fatalf("node %d: duplicate delivery of pending cast", ep.Node())
+				}
+				if string(e.Payload) == "sentinel" {
+					break
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestLeaveShrinksView(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
@@ -311,7 +418,7 @@ func TestLeaveShrinksView(t *testing.T) {
 }
 
 func TestCoordinatorLeaveHandsOver(t *testing.T) {
-	_, eps := testGroup(t, 3)
+	_, eps := joinGroup(t, 3, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2, 3)
 	}
@@ -336,26 +443,10 @@ func TestCoordinatorLeaveHandsOver(t *testing.T) {
 func TestStateTransferToJoiner(t *testing.T) {
 	fn := vni.NewFastnet(0)
 	state := []byte("replicated-config-v17")
-	a, err := Join(Config{
-		Node: 1, Transport: fn, Addr: "node1",
-		HeartbeatEvery: 5 * time.Millisecond,
-		StateProvider:  func() []byte { return state },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	a := join(t, Config{Node: 1, Transport: fn, StateProvider: func() []byte { return state }})
 	nextEvent(t, a) // own first view
 
-	b, err := Join(Config{
-		Node: 2, Transport: fn, Addr: "node2", Contact: "node1",
-		HeartbeatEvery: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
+	b := join(t, Config{Node: 2, Transport: fn, Contact: "node1"})
 	e := nextEvent(t, b)
 	if e.Kind != EView {
 		t.Fatalf("first joiner event = %v", e.Kind)
@@ -377,7 +468,7 @@ func TestJoinBadContact(t *testing.T) {
 }
 
 func TestViewAccessor(t *testing.T) {
-	_, eps := testGroup(t, 2)
+	_, eps := joinGroup(t, 2, nil)
 	for _, ep := range eps {
 		waitForView(t, ep, 1, 2)
 	}
@@ -391,7 +482,7 @@ func TestViewAccessor(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndEndsEvents(t *testing.T) {
-	_, eps := testGroup(t, 1)
+	_, eps := joinGroup(t, 1, nil)
 	nextEvent(t, eps[0])
 	eps[0].Close()
 	eps[0].Close()

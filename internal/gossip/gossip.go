@@ -111,13 +111,6 @@ type Envelope struct {
 	Payload []byte
 }
 
-// Change reports one observed status transition, in occurrence order.
-type Change struct {
-	Node   wire.NodeID
-	Status Status
-	Inc    uint32
-}
-
 // Stats counts protocol work for load measurement.
 type Stats struct {
 	// Rounds is the number of protocol rounds started.
@@ -234,7 +227,6 @@ type Detector struct {
 	nextSeq   uint64
 	probes    []probe
 	rumors    []*rumor
-	changes   []Change
 	lastRound time.Time
 	rng       uint64
 	stats     Stats
@@ -330,12 +322,13 @@ func (d *Detector) Status(n wire.NodeID) Status {
 	return Alive
 }
 
-// Changes drains observed status transitions in order.
-func (d *Detector) Changes() []Change {
-	out := d.changes
-	d.changes = nil
-	return out
-}
+// Dead reports whether the peer is confirmed dead. A merely Suspect peer may
+// still refute itself, so group membership acts on this verdict only.
+func (d *Detector) Dead(n wire.NodeID) bool { return d.Status(n) == Dead }
+
+// Agreed reports false: a SWIM verdict is this node's own conclusion, so a
+// group acting on it keeps its quorum rule (see gcs.Detector).
+func (*Detector) Agreed() bool { return false }
 
 // Stats returns cumulative protocol-load counters.
 func (d *Detector) Stats() Stats { return d.stats }
@@ -516,7 +509,6 @@ func (d *Detector) suspect(id wire.NodeID, m *member, inc uint32, now time.Time)
 	m.inc = inc
 	m.suspectAt = now
 	d.queueRumor(Update{Node: id, Status: Suspect, Inc: inc})
-	d.changes = append(d.changes, Change{Node: id, Status: Suspect, Inc: inc})
 	d.event(evstore.Ev("suspect", evstore.F("target", id), evstore.F("inc", inc)))
 }
 
@@ -529,7 +521,6 @@ func (d *Detector) confirmDead(id wire.NodeID, m *member, inc uint32) {
 		m.inc = inc
 	}
 	d.queueRumor(Update{Node: id, Status: Dead, Inc: m.inc})
-	d.changes = append(d.changes, Change{Node: id, Status: Dead, Inc: m.inc})
 	d.event(evstore.Ev("confirm-dead", evstore.F("target", id), evstore.F("inc", m.inc)))
 }
 
@@ -537,11 +528,7 @@ func (d *Detector) markAlive(id wire.NodeID, m *member, inc uint32) {
 	if inc > m.inc {
 		m.inc = inc
 	}
-	if m.status == Alive {
-		return
-	}
 	m.status = Alive
-	d.changes = append(d.changes, Change{Node: id, Status: Alive, Inc: m.inc})
 }
 
 // applyUpdate merges one piggybacked rumor under SWIM's precedence rules:
@@ -579,7 +566,6 @@ func (d *Detector) applyUpdate(u Update, now time.Time) {
 			if wasAlive {
 				m.status = Suspect
 				m.suspectAt = now
-				d.changes = append(d.changes, Change{Node: u.Node, Status: Suspect, Inc: u.Inc})
 				d.event(evstore.Ev("suspect",
 					evstore.F("target", u.Node), evstore.F("inc", u.Inc),
 					evstore.F("via", "rumor")))

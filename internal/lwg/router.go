@@ -36,8 +36,10 @@ type RouterConfig struct {
 	// deployments return an ephemeral host:0 — peers learn the concrete
 	// address from the creator's announce).
 	GroupAddr func(app wire.AppID, gen uint32) string
-	// HeartbeatEvery/FailAfter tune each per-group engine (the engines run
-	// with ExternalFD, so these only pace maintenance and the gap beacon).
+	// HeartbeatEvery/FailAfter tune each per-group engine (detection is
+	// the main group's, so these only pace maintenance and the gap beacon);
+	// a group's formation timeout is 50 HeartbeatEvery. The daemon passes
+	// its own resolved values.
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
 	// Events receives per-group sequencer records; the router stamps the
@@ -84,9 +86,9 @@ type grp struct {
 // node hosts: scoped casts for disjoint apps ride independent sequencers
 // instead of all ordering through the main group. Join/leave stay
 // anchored in the main group — the Manager remains the membership
-// authority — and failure verdicts flow in from the main group through
-// ReportDead/ReportAlive (the per-group engines run no detector of their
-// own).
+// authority — and so do failure verdicts: SetDead mirrors the main group's
+// view changes into one gcs.Verdicts that every per-group engine reads as
+// its Detector.
 //
 // Formation handshake, per group: the deterministic creator (chosen from
 // the group's sorted member set) joins first and only then announces its
@@ -99,9 +101,12 @@ type grp struct {
 type Router struct {
 	cfg RouterConfig
 
+	// verdicts is the main group's opinion of who is dead, shared by all
+	// per-group engines, present and future.
+	verdicts gcs.Verdicts
+
 	mu     sync.Mutex
 	grps   map[groupKey]*grp
-	dead   map[wire.NodeID]bool // main-group verdicts for engines joined later
 	closed bool
 
 	out    chan GroupEvent
@@ -111,18 +116,9 @@ type Router struct {
 
 // NewRouter creates a router; Close must be called to release its groups.
 func NewRouter(cfg RouterConfig) *Router {
-	// Mirror the gcs defaults so a zero-valued daemon config still gets a
-	// sane formation timeout (50 heartbeat intervals).
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 25 * time.Millisecond
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 8 * cfg.HeartbeatEvery
-	}
 	return &Router{
 		cfg:    cfg,
 		grps:   make(map[groupKey]*grp),
-		dead:   make(map[wire.NodeID]bool),
 		out:    make(chan GroupEvent, 64),
 		stopCh: make(chan struct{}),
 	}
@@ -206,48 +202,11 @@ func (r *Router) Cast(app wire.AppID, gen uint32, payload []byte) error {
 	return ep.Cast(payload)
 }
 
-// ReportDead forwards a main-group failure verdict into every running
-// per-group engine, and records it for engines that join later (a group
-// forming while the main view changes must not miss the verdict).
-func (r *Router) ReportDead(n wire.NodeID) {
-	r.mu.Lock()
-	r.dead[n] = true
-	eps := r.endpoints()
-	r.mu.Unlock()
-	for _, ep := range eps {
-		//starfish:allow errdrop verdict for a non-member or closed group is moot
-		ep.ReportDead(n)
-	}
-}
-
-// ReportAlive retracts a verdict (the main group re-admitted the node).
-// Calling it for a node never reported dead is a cheap no-op, so the
-// daemon may invoke it for every member of each new main view.
-func (r *Router) ReportAlive(n wire.NodeID) {
-	r.mu.Lock()
-	if !r.dead[n] {
-		r.mu.Unlock()
-		return
-	}
-	delete(r.dead, n)
-	eps := r.endpoints()
-	r.mu.Unlock()
-	for _, ep := range eps {
-		//starfish:allow errdrop retraction for a closed group is moot
-		ep.ReportAlive(n)
-	}
-}
-
-// endpoints snapshots the joined endpoints; callers hold r.mu.
-func (r *Router) endpoints() []*gcs.Endpoint {
-	out := make([]*gcs.Endpoint, 0, len(r.grps))
-	for _, g := range r.grps {
-		if g.ep != nil {
-			out = append(out, g.ep)
-		}
-	}
-	return out
-}
+// SetDead records (or, with dead=false, retracts) the main group's failure
+// verdict on a node for every per-group engine. Retracting a verdict that
+// was never set is a cheap no-op, so the daemon may do it for every member
+// of each new main view.
+func (r *Router) SetDead(n wire.NodeID, dead bool) { r.verdicts.Set(n, dead) }
 
 // Drop tears down every generation of one app's streams (app dissolved).
 func (r *Router) Drop(app wire.AppID) {
@@ -282,8 +241,7 @@ func (r *Router) Close() {
 }
 
 // runGroup is the lifecycle goroutine of one group endpoint: wait for the
-// contact (members), join, apply tombstoned verdicts, announce, pump
-// events.
+// contact (members), join, announce, pump events.
 func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr string)) {
 	defer r.wg.Done()
 	isCreator := creator == r.cfg.Self
@@ -324,7 +282,7 @@ func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr str
 		Contact:        contact,
 		HeartbeatEvery: r.cfg.HeartbeatEvery,
 		FailAfter:      r.cfg.FailAfter,
-		ExternalFD:     true,
+		Detector:       &r.verdicts,
 		Events:         &groupSink{sink: r.cfg.Events, app: g.app},
 	})
 	if err != nil {
@@ -343,16 +301,7 @@ func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr str
 		return
 	}
 	g.ep = ep
-	deads := make([]wire.NodeID, 0, len(r.dead))
-	for n := range r.dead {
-		deads = append(deads, n)
-	}
 	r.mu.Unlock()
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, n := range deads {
-		//starfish:allow errdrop verdict for a non-member is moot
-		ep.ReportDead(n)
-	}
 	if !announced {
 		if isCreator {
 			announce(ep.Addr())

@@ -1,6 +1,7 @@
 package lwg
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,12 +34,17 @@ type rtHarness struct {
 	nodes   []wire.NodeID
 	routers map[wire.NodeID]*Router
 	apps    map[wire.AppID][]wire.NodeID
+	// absent names, per app, a member whose daemon never gets round to
+	// Ensure (it died mid-formation); when that is the stream's creator the
+	// others must fall back to the main path.
+	absent map[wire.AppID]wire.NodeID
 
 	bus chan mainMsg
 
 	mu    sync.Mutex
 	seen  map[wire.NodeID]map[wire.AppID]map[string]int // node -> app -> payload -> count
 	joins map[wire.AppID]map[wire.NodeID]bool           // announced OpJoins (any node's view: total order)
+	addrs map[wire.AppID]string                         // creator contact announced per app ("" if none)
 	views map[wire.NodeID]map[wire.AppID]gcs.View       // latest stream view per node per app
 
 	stop chan struct{}
@@ -55,6 +61,7 @@ func newRtHarness(t *testing.T, n int, apps map[wire.AppID][]wire.NodeID) *rtHar
 		bus:     make(chan mainMsg, 4096),
 		seen:    make(map[wire.NodeID]map[wire.AppID]map[string]int),
 		joins:   make(map[wire.AppID]map[wire.NodeID]bool),
+		addrs:   make(map[wire.AppID]string),
 		views:   make(map[wire.NodeID]map[wire.AppID]gcs.View),
 		stop:    make(chan struct{}),
 	}
@@ -117,6 +124,9 @@ func (h *rtHarness) pumpBus() {
 					h.joins[m.app] = make(map[wire.NodeID]bool)
 				}
 				h.joins[m.app][m.node] = true
+				if m.addr != "" {
+					h.addrs[m.app] = m.addr
+				}
 				h.mu.Unlock()
 				if m.addr != "" {
 					for _, id := range h.nodes {
@@ -149,26 +159,35 @@ func (h *rtHarness) record(node wire.NodeID, app wire.AppID, payload string) {
 	byApp[app][payload]++
 }
 
-// ensureAll starts every member's endpoint for every app and waits until
-// all OpJoins appeared on the bus (the daemon's maybeStart gate).
+// ensureAll starts every (present) member's endpoint for every app and
+// waits until all their OpJoins appeared on the bus (the daemon's
+// maybeStart gate).
 func (h *rtHarness) ensureAll() {
 	h.t.Helper()
+	// A daemon sees an app's launch (its Ensure) before any member's OpJoin,
+	// both being main-stream casts; holding the lock pumpBus needs keeps a
+	// quick creator's contact from reaching a router ahead of its Ensure.
+	h.mu.Lock()
 	for app, members := range h.apps {
 		app, members := app, members
 		for _, node := range members {
 			node := node
+			if node == h.absent[app] {
+				continue
+			}
 			h.routers[node].Ensure(app, 1, members, func(gcsAddr string) {
 				h.bus <- mainMsg{op: OpJoin, app: app, node: node, addr: gcsAddr}
 			})
 		}
 	}
+	h.mu.Unlock()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		done := true
 		h.mu.Lock()
 		for app, members := range h.apps {
 			for _, node := range members {
-				if !h.joins[app][node] {
+				if !h.joins[app][node] && node != h.absent[app] {
 					done = false
 				}
 			}
@@ -336,7 +355,10 @@ func without(ms []wire.NodeID, gone wire.NodeID) []wire.NodeID {
 // four nodes; every member must agree on every stream view and deliver
 // every scoped cast exactly once — including across a member crash whose
 // verdict arrives from the (simulated) main group, which for app 5 kills
-// the stream's own coordinator.
+// the stream's own coordinator. App 6 never gets a stream at all: its
+// creator stays absent, so after the formation timeout the other member
+// announces without one and every cast of the app takes the main path,
+// still exactly once.
 func TestRouterPropertySeeded(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		seed := seed
@@ -346,16 +368,37 @@ func TestRouterPropertySeeded(t *testing.T) {
 				2: {1, 2},
 				3: {2, 3, 4},
 				5: {1, 2, 4}, // Creator(5, {1,2,4}) == 4: the crash below kills its coordinator
+				6: {1, 3},    // Creator(6, {1,3}) == 1, which never shows up
 			}
 			h := newRtHarness(t, 4, apps)
+			h.absent = map[wire.AppID]wire.NodeID{6: 1}
 			h.ensureAll()
+
+			// App 6's member gave up waiting for a contact and announced
+			// without a stream; its casts are refused, not half-sent.
+			h.mu.Lock()
+			contact := h.addrs[6]
+			h.mu.Unlock()
+			if contact != "" {
+				t.Fatalf("app 6: contact %q announced although the creator never joined", contact)
+			}
+			if err := h.routers[3].Cast(6, 1, []byte("x")); !errors.Is(err, ErrNoGroup) {
+				t.Fatalf("app 6: Cast without a stream = %v, want ErrNoGroup", err)
+			}
 
 			all := func(app wire.AppID) []wire.NodeID { return apps[app] }
 			h.castAll(seed, 20, "r1", all)
 			h.waitExactlyOnce(20, "r1", all)
-			h.waitViewAgreement(all)
+			streams := func(app wire.AppID) []wire.NodeID {
+				if app == 6 {
+					return nil
+				}
+				return apps[app]
+			}
+			h.waitViewAgreement(streams)
 
-			// Crash node 4; the main group's verdict flows in via ReportDead.
+			// Crash node 4; the main group's verdict reaches the survivors'
+			// routers, whose per-app engines all read it from there.
 			victim := wire.NodeID(4)
 			h.mu.Lock()
 			delete(h.seen, victim) // stop asserting on the dead node's deliveries
@@ -363,12 +406,12 @@ func TestRouterPropertySeeded(t *testing.T) {
 			h.routers[victim].Close()
 			for _, id := range h.nodes {
 				if id != victim {
-					h.routers[id].ReportDead(victim)
+					h.routers[id].SetDead(victim, true)
 				}
 			}
 
 			survivors := func(app wire.AppID) []wire.NodeID { return without(apps[app], victim) }
-			h.waitViewAgreement(survivors)
+			h.waitViewAgreement(func(app wire.AppID) []wire.NodeID { return without(streams(app), victim) })
 			h.castAll(seed+7, 10, "r2", survivors)
 			h.waitExactlyOnce(10, "r2", survivors)
 		})
