@@ -215,11 +215,12 @@ func BenchmarkControlPlane(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		n := n
 		b.Run(fmt.Sprintf("gossip/nodes=%d", n), func(b *testing.B) {
-			var msgs, detectMs float64
+			var msgs, killMsgs, detectMs float64
 			for i := 0; i < b.N; i++ {
-				msgs, detectMs = cpGossipSim(b, n)
+				msgs, killMsgs, detectMs = cpGossipSim(b, n)
 			}
 			b.ReportMetric(msgs, "msgs_node_round")
+			b.ReportMetric(killMsgs, "kill_msgs_node_round")
 			b.ReportMetric(detectMs, "detect_ms")
 		})
 	}
@@ -229,8 +230,9 @@ func BenchmarkControlPlane(b *testing.B) {
 // detectors: measure steady-state message load per node per round, then
 // kill one node and measure how long until every survivor has confirmed it
 // dead (first suspicion, the unrefuted-suspicion budget, and the epidemic
-// spread of the dead rumor all included).
-func cpGossipSim(b *testing.B, n int) (msgsPerNodeRound, detectMs float64) {
+// spread of the dead rumor all included) and the load per node per round
+// over those rounds, accusations and pushed verdicts included.
+func cpGossipSim(b *testing.B, n int) (msgsPerNodeRound, killMsgsPerNodeRound, detectMs float64) {
 	b.Helper()
 	params := gossip.Params{ProbeEvery: 25 * time.Millisecond}
 	ids := make([]wire.NodeID, n)
@@ -266,7 +268,8 @@ func cpGossipSim(b *testing.B, n int) (msgsPerNodeRound, detectMs float64) {
 		now = now.Add(params.ProbeEvery)
 		for _, id := range ids {
 			if !down[id] {
-				deliver(dets[id].Tick(now))
+				envs, _ := dets[id].Tick(now)
+				deliver(envs)
 			}
 		}
 	}
@@ -276,23 +279,22 @@ func cpGossipSim(b *testing.B, n int) (msgsPerNodeRound, detectMs float64) {
 		round()
 	}
 	const loadRounds = 16
-	var before uint64
-	for _, id := range ids {
-		before += dets[id].Stats().Sent
+	sent := func() (total uint64) {
+		for _, id := range ids {
+			total += dets[id].Stats().Sent
+		}
+		return total
 	}
+	before := sent()
 	for i := 0; i < loadRounds; i++ {
 		round()
 	}
-	var after uint64
-	for _, id := range ids {
-		after += dets[id].Stats().Sent
-	}
-	msgsPerNodeRound = float64(after-before) / float64(n) / float64(loadRounds)
+	msgsPerNodeRound = float64(sent()-before) / float64(n) / float64(loadRounds)
 
 	// Kill one mid-ring node; run until every survivor confirms it dead.
 	victim := ids[n/2]
 	down[victim] = true
-	killed := now
+	killed, before := now, sent()
 	for r := 0; ; r++ {
 		if r > 400 {
 			b.Fatalf("gossip nodes=%d: victim not confirmed dead after %d rounds", n, r)
@@ -309,6 +311,8 @@ func cpGossipSim(b *testing.B, n int) (msgsPerNodeRound, detectMs float64) {
 			break
 		}
 	}
+	rounds := float64(now.Sub(killed) / params.ProbeEvery)
+	killMsgsPerNodeRound = float64(sent()-before) / float64(n) / rounds
 	detectMs = float64(now.Sub(killed).Milliseconds())
-	return msgsPerNodeRound, detectMs
+	return msgsPerNodeRound, killMsgsPerNodeRound, detectMs
 }

@@ -35,11 +35,12 @@ type Options struct {
 	// svm.Machines (a heterogeneous cluster).
 	Archs []svm.Arch
 	// HeartbeatEvery/FailAfter tune the failure detector (defaults:
-	// 5ms / 150ms). The default detection budget is deliberately
+	// 5ms / 150ms; see daemon.Config). The default budget is deliberately
 	// generous: simulated nodes share the host's cores, and a
-	// compute-bound application must not starve heartbeats into false
-	// suspicions (the gcs quorum rule contains the damage if it still
-	// happens, but detection latency is the cheaper defence).
+	// compute-bound application must not starve probes into false
+	// suspicions. Only a death several members fail to reach first-hand
+	// is confirmed in a quarter of the budget; a lone opinion waits it out
+	// (and the gcs quorum rule contains the damage if it is still wrong).
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
 	// Replicas is the in-memory replication factor of each node's
@@ -395,8 +396,10 @@ func (c *Cluster) Chaos() *chaosnet.Controller {
 }
 
 // Crash kills a node abruptly: its network presence vanishes and its
-// daemon (with all hosted application processes) dies. Remote failure
-// detectors notice via missed heartbeats — nothing is announced.
+// daemon (with all hosted application processes) dies. Nothing is
+// announced: the survivors' NICs see their connections to it close, which
+// makes their detectors probe it out of turn, and the probes going
+// unanswered on every path is what condemns it.
 func (c *Cluster) Crash(id wire.NodeID) error {
 	c.mu.Lock()
 	d, ok := c.daemons[id]

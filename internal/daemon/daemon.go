@@ -95,9 +95,12 @@ type Config struct {
 	GroupAddr func(app wire.AppID, gen uint32) string
 	// HeartbeatEvery/FailAfter tune failure detection (defaults 25ms /
 	// 8 intervals): the main group's SWIM detector probes one peer per
-	// HeartbeatEvery, and FailAfter is the detection budget — half of it
-	// for probing and indirect-probe escalation, half for a suspect to
-	// refute the suspicion before it is confirmed dead.
+	// HeartbeatEvery, each probe stage (direct, then through proxies)
+	// waiting one HeartbeatEvery for its answer, and FailAfter/2 is how
+	// long a suspicion only one member vouches for may stay unrefuted
+	// before it is confirmed. Members that each failed to reach the
+	// suspect first-hand confirm sooner, in FailAfter/8 once three agree.
+	// FailAfter itself bounds a failover election's wait for answers.
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
 	// Events, when non-nil, is this node's structured event store. The

@@ -200,7 +200,8 @@ var Registry = map[string][]string{
 		"election-win", "election-abort", "election-stalled"},
 	"lwg": {"suspect", "excluded", "view-change", "election-start",
 		"election-win", "election-abort", "election-stalled"},
-	"gossip": {"ping-timeout", "suspect", "confirm-dead", "refute"},
+	"gossip": {"ping-timeout", "evidence", "suspect", "corroborate",
+		"confirm-dead", "refute"},
 	"proc":   {"start", "done", "restore", "checkpoint", "commit"},
 	"rstore": {"view", "push-failure", "gc", "rereplicate"},
 	"chaosnet": {"set-faults", "clear-faults", "partition",

@@ -8,10 +8,11 @@ import (
 	"starfish/internal/wire"
 )
 
-// Detector is what an engine needs from failure detection. Each tick the
-// engine drives it, carries its protocol messages over the group's own
-// transport, and acts on nothing but Dead: the coordinator removes dead
-// members, members fail over from a dead coordinator. There are two
+// Detector is what an engine needs from failure detection. The engine
+// drives it, carries its protocol messages over the group's own transport,
+// passes on what the transport noticed, and acts on nothing but Dead: the
+// coordinator removes dead members, members fail over from a dead
+// coordinator. There are two
 // implementations: *gossip.Detector (SWIM; one instance per endpoint, the
 // daemon's main group) and *Verdicts (decided elsewhere; one instance
 // shared by every per-app group of an lwg.Router).
@@ -19,10 +20,14 @@ type Detector interface {
 	// SetMembers reconciles the tracked peers with a newly agreed view.
 	SetMembers(ids []wire.NodeID)
 	// Tick advances the detector's timers and returns the protocol
-	// messages to transmit.
-	Tick(now time.Time) []gossip.Envelope
+	// messages to transmit, and when it next needs to run (zero: it keeps
+	// no timers; the engine's own tick is soon enough).
+	Tick(now time.Time) ([]gossip.Envelope, time.Time)
 	// Handle processes one received protocol message and returns replies.
 	Handle(now time.Time, payload []byte) ([]gossip.Envelope, error)
+	// Probe passes on transport evidence — the connection to the member
+	// was seen closing — and returns the messages that check on it.
+	Probe(now time.Time, n wire.NodeID) []gossip.Envelope
 	// Dead reports whether the member is currently considered crashed.
 	Dead(n wire.NodeID) bool
 	// Agreed reports whether Dead verdicts were already agreed
@@ -71,7 +76,10 @@ func (*Verdicts) Agreed() bool { return true }
 func (*Verdicts) SetMembers([]wire.NodeID) {}
 
 // Tick implements Detector; a verdict set has no protocol of its own.
-func (*Verdicts) Tick(time.Time) []gossip.Envelope { return nil }
+func (*Verdicts) Tick(time.Time) ([]gossip.Envelope, time.Time) { return nil, time.Time{} }
+
+// Probe implements Detector; whoever fills the set does the checking.
+func (*Verdicts) Probe(time.Time, wire.NodeID) []gossip.Envelope { return nil }
 
 // Handle implements Detector; a verdict set has no protocol of its own.
 func (*Verdicts) Handle(time.Time, []byte) ([]gossip.Envelope, error) { return nil, nil }

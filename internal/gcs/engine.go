@@ -97,6 +97,12 @@ type engine struct {
 	// failure detection: suspected is the members cfg.Detector called dead
 	// at the last tick — the only thing removals and failover act on.
 	suspected map[wire.NodeID]bool
+	// fdMoved is set when the detector was handed a message or evidence
+	// since the last tick: a verdict or a deadline may have moved, so the
+	// engine ticks as soon as its queue is drained rather than at the timer.
+	fdMoved bool
+	// lastDuty is when the once-per-HeartbeatEvery duties last ran.
+	lastDuty time.Time
 	// announced dedups suspicion event records (per suspect, per view) so
 	// the tick loop does not flood the event plane while a removal is
 	// quorum-blocked.
@@ -133,6 +139,11 @@ func Join(cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Sends run on the engine goroutine, which must not sleep in a dial
+	// backoff while peers wait for its acks: one dial per send, and a dead
+	// address fails fast for a heartbeat. The protocol's own repetition
+	// (probes, re-forwards, retransmission requests) is the retry.
+	nic.SetDialRetry(1, 0, cfg.HeartbeatEvery)
 	ep := &Endpoint{
 		cfg:  cfg,
 		nic:  nic,
@@ -313,31 +324,60 @@ func (ep *Endpoint) do(c command) error {
 // ---- engine loop ----
 
 func (e *engine) run() {
-	ticker := time.NewTicker(e.cfg.HeartbeatEvery)
-	defer ticker.Stop()
+	// wake fires when tick is next due (wakeAt): at the detector's next
+	// deadline or one HeartbeatEvery after the last periodic duties,
+	// whichever is first.
+	wake := time.NewTimer(e.cfg.HeartbeatEvery)
+	defer wake.Stop()
+	var wakeAt time.Time
 	defer func() {
 		e.nic.Close()
 		e.ep.evq.close()
 		close(e.ep.dead)
 	}()
 
-	for {
+	for !e.left {
+		due := false
 		select {
 		case <-e.ep.stop:
 			return
 		case m := <-e.nic.Queue():
 			e.handleMsg(m)
-			if e.left {
-				return
-			}
-		case <-ticker.C:
-			e.tick()
+		case addr := <-e.nic.PeerDown():
+			e.peerDown(addr)
 		case c := <-e.ep.cmds:
 			e.handleCmd(c)
-			if e.left {
-				return
+		case <-wake.C:
+			due = true
+		}
+		if !due && !e.fdMoved {
+			continue
+		}
+		// Timers run on a drained queue. After a stall (GC, a stolen
+		// timeslice, a checkpoint copy) the timer and a backlog of messages
+		// are ready together, and an ack that sat in the queue must not be
+		// judged missing.
+		for n := len(e.nic.Queue()); n > 0 && !e.left; n-- {
+			e.handleMsg(<-e.nic.Queue())
+		}
+		if e.left {
+			return
+		}
+		next := e.tick()
+		if !due && next.Equal(wakeAt) {
+			// Most messages move no deadline, and re-arming a timer is not
+			// free: it can wake another thread, which the ranks sharing
+			// these cores pay for.
+			continue
+		}
+		if !due && !wake.Stop() {
+			select {
+			case <-wake.C:
+			default:
 			}
 		}
+		wake.Reset(time.Until(next))
+		wakeAt = next
 	}
 }
 
@@ -588,6 +628,7 @@ func (e *engine) handleMsg(m wire.Msg) {
 		if outs, err := e.cfg.Detector.Handle(time.Now(), m.Payload); err == nil {
 			e.sendGossip(outs)
 		}
+		e.fdMoved = true
 		m.Release() // the detector decodes into its own structures
 	}
 }
@@ -681,13 +722,16 @@ func (e *engine) installViewWithout(gone []wire.NodeID) {
 
 // ---- timers ----
 
-// tick is the engine's one periodic duty cycle: drive the detector, read
-// its verdicts, then act on them — the coordinator removes dead members, a
-// member repairs its stream and fails over from a dead coordinator.
-func (e *engine) tick() {
+// tick runs the engine's timers: drive the detector, read its verdicts and
+// act on them — the coordinator removes dead members, the lowest survivor
+// fails over from a dead coordinator — then, once per HeartbeatEvery, do the
+// periodic duties. It returns when it is next due.
+func (e *engine) tick() time.Time {
 	now := time.Now()
 	fd := e.cfg.Detector
-	e.sendGossip(fd.Tick(now))
+	e.fdMoved = false
+	envs, next := fd.Tick(now)
+	e.sendGossip(envs)
 	clear(e.suspected)
 	var gone []wire.NodeID
 	for _, member := range e.view.Members {
@@ -703,15 +747,37 @@ func (e *engine) tick() {
 	if e.syncing && !e.suspected[e.syncFor] {
 		e.abortSync()
 	}
-	e.beacon(now)
-
-	if e.isCoord() {
+	switch {
+	case e.isCoord():
 		if len(gone) > 0 && e.mayExclude(len(e.view.Members)-len(gone)) {
 			e.installViewWithout(gone)
 		}
-		return
+	case !e.syncing && e.suspected[e.view.Coord] && e.lowestSurvivor() == e.cfg.Node:
+		// The lowest-id survivor runs the failover; the others wait for its
+		// view, or for the detector to call that candidate dead as well.
+		e.startSync()
 	}
 
+	if now.Sub(e.lastDuty) >= e.cfg.HeartbeatEvery {
+		e.lastDuty = now
+		e.duty(now)
+	}
+	due := e.lastDuty.Add(e.cfg.HeartbeatEvery)
+	if !next.IsZero() && next.Before(due) {
+		due = next
+	}
+	return due
+}
+
+// duty is what the engine owes the group once per HeartbeatEvery whatever
+// the detector says: the coordinator beacons; a member re-forwards its
+// unconfirmed casts, repairs its stream and closes an election that not
+// every survivor answered.
+func (e *engine) duty(now time.Time) {
+	e.beacon(now)
+	if e.isCoord() {
+		return
+	}
 	for _, p := range e.pendingCasts {
 		e.forwardCast(p)
 	}
@@ -720,17 +786,21 @@ func (e *engine) tick() {
 	if !e.syncing && len(e.pendingDel) > 0 && !e.suspected[e.view.Coord] {
 		e.requestRetrans()
 	}
+	if e.syncing && now.Sub(e.syncStarted) > e.cfg.FailAfter {
+		// Non-responders are dropped; finish with what we have.
+		e.finishSync()
+	}
+}
 
-	switch {
-	case e.syncing:
-		if now.Sub(e.syncStarted) > e.cfg.FailAfter {
-			// Non-responders are dropped; finish with what we have.
-			e.finishSync()
+// peerDown hands the detector the transport's evidence that a member's
+// connection closed from the far side.
+func (e *engine) peerDown(addr string) {
+	for _, member := range e.view.Members {
+		if member != e.cfg.Node && e.view.Addrs[member] == addr {
+			e.sendGossip(e.cfg.Detector.Probe(time.Now(), member))
+			e.fdMoved = true
+			return
 		}
-	case e.suspected[e.view.Coord] && e.lowestSurvivor() == e.cfg.Node:
-		// The lowest-id survivor runs the failover; the others wait for its
-		// view, or for the detector to call that candidate dead as well.
-		e.startSync()
 	}
 }
 

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -374,8 +375,9 @@ func TestWithdrawnVerdictAbortsElection(t *testing.T) {
 
 // withdrawnVerdict runs one TestWithdrawnVerdictAbortsElection case: accuse
 // makes member 2's detector call node 1 dead (and is repeated until member 2
-// acts on it: under gossip any word from node 1 clears the verdict, possibly
-// before the next tick reads it), withdraw takes it back.
+// acts on it: under gossip node 1 refutes as soon as a reply from member 2
+// tells it, possibly before member 2 has started anything), withdraw takes
+// it back.
 func withdrawnVerdict(t *testing.T, detector func(wire.NodeID) Detector, accuse func(*chaosnet.Net), withdraw func()) {
 	leakcheck.Check(t, 0)
 	net := chaosnet.New(vni.NewFastnet(0), 0xE1EC, chaosnet.Config{})
@@ -499,5 +501,81 @@ func TestRetransRepairsDeliveryGap(t *testing.T) {
 				t.Fatalf("node %d: stalled at %d/%d casts under loss", ep.Node(), got, casts)
 			}
 		}
+	}
+}
+
+// TestTransportEvidenceStartsTheProbe: the detectors here start a round only
+// every minute, so after the first one no ring probe will find a dead member
+// while the test lasts. The crash is found all the same: the coordinator's
+// NIC sees the connection close, the engine maps the address to the member
+// and hands it to the detector, which probes it out of turn — no ping-timeout
+// stage, direct and indirect paths together — and, the one proxy having
+// failed alongside, confirms on corroborated suspicion. Evidence alone does
+// not suspect: the same report about a live member (its connection reset,
+// not its node) ends with an answered probe and no record but the evidence.
+func TestTransportEvidenceStartsTheProbe(t *testing.T) {
+	leakcheck.Check(t, 0)
+	records := &collector{} // the coordinator's detector records
+	detector := func(id wire.NodeID) Detector {
+		cfg := gossip.Config{Self: id, Seed: uint64(id), Params: gossip.Params{
+			ProbeEvery:   time.Minute,
+			ProbeTimeout: 10 * time.Millisecond,
+			SuspectAfter: 200 * time.Millisecond,
+		}}
+		if id == 1 {
+			cfg.Events = records
+		}
+		return gossip.New(cfg)
+	}
+	fn := vni.NewFastnet(0)
+	net := chaosnet.New(fn, 0xE71D, chaosnet.Config{})
+	eps := make([]*Endpoint, 3)
+	for i := range eps {
+		cfg := Config{
+			Node:      wire.NodeID(i + 1),
+			Transport: net.Node(fmt.Sprintf("node%d", i+1)),
+			Detector:  detector(wire.NodeID(i + 1)),
+		}
+		if i > 0 {
+			cfg.Contact = "node1"
+		}
+		eps[i] = join(t, cfg)
+	}
+	for _, ep := range eps {
+		waitForView(t, ep, 1, 2, 3)
+	}
+	kinds := func() []string {
+		records.mu.Lock()
+		defer records.mu.Unlock()
+		var out []string
+		for _, r := range records.recs {
+			target, _ := r.Get("target")
+			out = append(out, r.Kind+":"+target)
+		}
+		return out
+	}
+
+	// A reset link to a live member: evidence, a probe, an answer.
+	net.Controller().ResetLink("node1", "node2")
+	for deadline := time.Now().Add(5 * time.Second); records.count("evidence") == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the reset link was never reported to the detector")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // five probe timeouts
+	if got := kinds(); len(got) != 1 || got[0] != "evidence:2" {
+		t.Fatalf("a reset link to a live member left %v, want the evidence record alone", got)
+	}
+
+	// A crash.
+	fn.Crash(eps[2].Addr())
+	go eps[2].Close()
+	for _, ep := range eps[:2] {
+		waitForView(t, ep, 1, 2)
+	}
+	want := []string{"evidence:2", "evidence:3", "suspect:3", "corroborate:3", "confirm-dead:3"}
+	if got := kinds(); !slices.Equal(got, want) {
+		t.Fatalf("coordinator's detector records = %v, want %v", got, want)
 	}
 }

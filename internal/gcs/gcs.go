@@ -107,9 +107,11 @@ type Config struct {
 	// Contact is the address of any current member; empty creates a new
 	// singleton group.
 	Contact string
-	// HeartbeatEvery is the engine's tick: how often it polls the
-	// Detector, re-forwards unconfirmed casts and repairs delivery gaps
-	// (default 25ms).
+	// HeartbeatEvery paces the engine's periodic duties — re-forwarding
+	// unconfirmed casts, repairing delivery gaps, the coordinator's beacon
+	// — and is how often a Detector that keeps no timers of its own is
+	// read; it is also the fail-fast window of a dial that found nobody
+	// listening (default 25ms).
 	HeartbeatEvery time.Duration
 	// FailAfter bounds how long a failover candidate waits for sync
 	// responses and paces the coordinator's gap beacon (default 8 ticks).

@@ -42,7 +42,10 @@ type NIC struct {
 	dialBackoff  time.Duration
 	dialCooldown time.Duration
 
-	inq  chan wire.Msg
+	inq chan wire.Msg
+	// down carries the address of each dialed peer whose connection was
+	// seen closing from the remote side, see PeerDown.
+	down chan string
 	wg   sync.WaitGroup
 	done chan struct{}
 
@@ -98,6 +101,7 @@ func NewNIC(tr Transport, addr string, queueLen int) (*NIC, error) {
 		dialing:  make(map[string]*dialCall),
 		dialCool: make(map[string]dialCool),
 		inq:      make(chan wire.Msg, queueLen),
+		down:     make(chan string, peerDownBacklog),
 		done:     make(chan struct{}),
 
 		dialAttempts: 4,
@@ -130,19 +134,24 @@ func (n *NIC) acceptLoop() {
 		}
 		n.accepted = append(n.accepted, c)
 		n.mu.Unlock()
-		n.startPoller(c)
+		n.startPoller(c, "")
 	}
 }
 
 // startPoller launches the polling goroutine for one connection: it moves
-// every arrived message into the received-message queue.
-func (n *NIC) startPoller(c Conn) {
+// every arrived message into the received-message queue. dialed is the
+// address the connection is registered under in conns ("" for an accepted
+// one): when Recv fails the poller retires that registration.
+func (n *NIC) startPoller(c Conn, dialed string) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		for {
 			m, err := c.Recv()
 			if err != nil {
+				if dialed != "" {
+					n.peerClosed(dialed, c)
+				}
 				return
 			}
 			n.stats.countRecv(&m)
@@ -155,6 +164,39 @@ func (n *NIC) startPoller(c Conn) {
 		}
 	}()
 }
+
+// peerDownBacklog is how many peer-down notices wait for a reader: one per
+// peer of a mid-sized group. The notices are hints, so overflow is dropped.
+const peerDownBacklog = 64
+
+// peerClosed retires a dialed connection whose Recv failed. If c is still
+// the one registered for addr, the remote side closed it (a local
+// Disconnect or Close unregisters first): the registration goes, so the
+// next Send redials instead of failing on the corpse forever, and the
+// address is reported on PeerDown.
+func (n *NIC) peerClosed(addr string, c Conn) {
+	n.mu.Lock()
+	remote := !n.closed && n.conns[addr] == c
+	if remote {
+		delete(n.conns, addr)
+	}
+	n.mu.Unlock()
+	if !remote {
+		return
+	}
+	c.Close()
+	select {
+	case n.down <- addr:
+	default:
+	}
+}
+
+// PeerDown reports the listen address of each dialed peer whose connection
+// the polling thread saw close from the remote side (a fastnet Crash, a TCP
+// EOF or reset). It is evidence for a failure detector, not a verdict — the
+// link may merely have flapped, and the next Send redials — and it is
+// best-effort: notices nobody reads are dropped.
+func (n *NIC) PeerDown() <-chan string { return n.down }
 
 // dialCall single-flights a dial: the owner closes done after setting err.
 type dialCall struct {
@@ -248,7 +290,7 @@ func (n *NIC) Connect(addr string) error {
 		n.conns[addr] = c
 		n.mu.Unlock()
 		close(dc.done)
-		n.startPoller(c)
+		n.startPoller(c, addr)
 		return nil
 	}
 }

@@ -609,3 +609,111 @@ func TestNICCloseDuringDialBackoff(t *testing.T) {
 		t.Fatal("Connect did not return after NIC close")
 	}
 }
+
+// TestNICRedialsAfterPeerClose: a connection the remote side closed must not
+// stay registered — before the poller retired it, every later Send to that
+// address failed with ErrClosed without ever redialling, so one reset made a
+// live peer unreachable for good. The close is reported on PeerDown, the
+// next Send redials and delivers, and an address nobody listens on any more
+// fails fast instead of sleeping in a dial backoff.
+func TestNICRedialsAfterPeerClose(t *testing.T) {
+	for _, tc := range transports() {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t, 0)
+			ln, err := tc.tr.Listen(tc.addr(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			nic, err := NewNIC(tc.tr, tc.addr(2), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nic.Close()
+			// The policy of a caller that cannot afford to sleep (the gcs
+			// engine): one dial per send, fail fast for a while after.
+			nic.SetDialRetry(1, 0, time.Minute)
+
+			// deliver sends one message and returns the far end of the
+			// connection it arrived on.
+			deliver := func(tag int32) Conn {
+				t.Helper()
+				if err := nic.Send(ln.Addr(), &wire.Msg{Type: wire.TData, Tag: tag}); err != nil {
+					t.Fatalf("send %d: %v", tag, err)
+				}
+				c, err := ln.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := c.Recv()
+				if err != nil || m.Tag != tag {
+					t.Fatalf("recv %d: %+v, %v", tag, m, err)
+				}
+				return c
+			}
+			deliver(1).Close() // the remote side hangs up
+
+			select {
+			case addr := <-nic.PeerDown():
+				if addr != ln.Addr() {
+					t.Fatalf("PeerDown reported %q, want %q", addr, ln.Addr())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the poller never reported the closed connection")
+			}
+			deliver(2).Close() // a fresh connection, not the corpse
+			<-nic.PeerDown()
+
+			// Now the peer is gone for good.
+			ln.Close()
+			start := time.Now()
+			if err := nic.Send(ln.Addr(), &wire.Msg{Type: wire.TData}); err == nil {
+				t.Fatal("send to an address nobody listens on succeeded")
+			}
+			if err := nic.Send(ln.Addr(), &wire.Msg{Type: wire.TData}); err == nil {
+				t.Fatal("send during the dial cooldown succeeded")
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("two sends to a dead address blocked for %v", took)
+			}
+			select {
+			case addr := <-nic.PeerDown():
+				t.Fatalf("a failed dial was reported as peer-down for %q", addr)
+			default:
+			}
+		})
+	}
+}
+
+// TestNICLocalDisconnectIsNotPeerDown: dropping a connection from this side
+// (Disconnect, Close) is no evidence about the peer.
+func TestNICLocalDisconnectIsNotPeerDown(t *testing.T) {
+	leakcheck.Check(t, 0)
+	fn := NewFastnet(0)
+	a, err := NewNIC(fn, "a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNIC(fn, "b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Send("b", &wire.Msg{Type: wire.TData}); err != nil {
+		t.Fatal(err)
+	}
+	<-b.Queue()
+	a.Disconnect("b")
+	// The poller of the dropped connection exits on the close; give it the
+	// chance to misreport before looking.
+	if err := a.Send("b", &wire.Msg{Type: wire.TData}); err != nil {
+		t.Fatal(err)
+	}
+	<-b.Queue()
+	select {
+	case addr := <-a.PeerDown():
+		t.Fatalf("local Disconnect reported as peer-down for %q", addr)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
