@@ -36,6 +36,24 @@ func TestNativeEncoderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBorrows pins the restore-side copy budget: Decode hands out a
+// view into the image (the Encoder contract), so the defensive copy cannot
+// quietly come back.
+func TestDecodeBorrows(t *testing.T) {
+	state := bytes.Repeat([]byte{0xA5}, 4096)
+	for _, e := range []Encoder{&NativeEncoder{RuntimeImageSize: 64}, &PortableEncoder{VMHeaderSize: 64}} {
+		img, window := e.NewImage(le32, len(state))
+		copy(window, state)
+		got, err := e.Decode(img, le32)
+		if err != nil {
+			t.Fatalf("%v: %v", e.Kind(), err)
+		}
+		if !bytes.Equal(got, state) || &got[0] != &window[0] {
+			t.Errorf("%v: Decode returned a copy of the state, want a view into the image", e.Kind())
+		}
+	}
+}
+
 func TestNativeEncoderRejectsForeignArch(t *testing.T) {
 	e := &NativeEncoder{RuntimeImageSize: 64}
 	img, _ := e.Encode([]byte("s"), le32)

@@ -85,7 +85,9 @@ type Encoder interface {
 	NewImage(arch svm.Arch, stateLen int) (img, state []byte)
 	// Decode unwraps a checkpoint image for restoration on arch,
 	// returning the state bytes. Native images refuse foreign
-	// architectures; portable images convert.
+	// architectures; portable images convert. The state is a view into
+	// img, not a copy: it is as read-only as the image Backend.Get handed
+	// out, and whoever keeps any of it past the restore copies that part.
 	Decode(img []byte, arch svm.Arch) ([]byte, error)
 	// Overhead is the fixed image size of an empty program (the §5
 	// checkpoint-size floor).
@@ -187,7 +189,7 @@ func (e *NativeEncoder) Decode(img []byte, arch svm.Arch) ([]byte, error) {
 		return nil, fmt.Errorf("%w: image %s/%d-bit, host %s/%d-bit",
 			ErrArchMismatch, order, bits, arch.Order, arch.WordBits)
 	}
-	return append([]byte(nil), state...), nil
+	return state, nil
 }
 
 // PortableEncoder is the heterogeneous, VM-level encoder.
@@ -241,7 +243,7 @@ func (e *PortableEncoder) Decode(img []byte, arch svm.Arch) ([]byte, error) {
 	if magic != imgMagicPortable {
 		return nil, ErrBadImage
 	}
-	return append([]byte(nil), state...), nil
+	return state, nil
 }
 
 // ImageOrigin reports the architecture representation an image was taken

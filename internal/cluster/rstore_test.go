@@ -218,3 +218,134 @@ func TestTieredStoreSpillsAndRecovers(t *testing.T) {
 		t.Fatalf("status = %v, failure = %q", info.Status, info.Failure)
 	}
 }
+
+// TestKillMiddleHostMovesOnlyWhatDied holds a failure restart to the rule
+// the replicated store was built on: recovery reads the surviving replica
+// where it lies, and a death moves only what it took. The middle of three
+// hosting nodes dies under a memory-store job; exactly one rank may change
+// node, at most one image may be fetched, re-replication may push no more
+// images than lost a copy, and the redundancy it restores must be real — a
+// second kill, of the restarted rank's new host, still recovers from RAM
+// with the disk store deleted.
+func TestKillMiddleHostMovesOnlyWhatDied(t *testing.T) {
+	c := newCluster(t, 4)
+	waitMainView(t, c, 4)
+
+	// One explicit checkpoint round and no cadence: between the commit and
+	// the kills no Put runs, so every push counted below is re-replication.
+	const app = 43
+	args := wire.NewWriter(20)
+	args.I64(2500).I64(int64(time.Millisecond)).U32(256 << 10) // rounds, pace, ballast
+	spec := ringSpec(app, 3, 0)
+	spec.Args = args.Bytes()
+	spec.Store = ckpt.StoreMemory
+	if err := c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitStatus(app, daemon.StatusRunning, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AnyDaemon().Checkpoint(app); err != nil {
+		t.Fatal(err)
+	}
+	line, err := c.WaitCommittedLine(app, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(c.Store().Dir()); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := c.AnyDaemon().AppInfo(app)
+	victim := before.Placement[1]
+	if victim == before.Placement[0] || victim == before.Placement[2] {
+		t.Fatalf("placement %v does not give rank 1 a node of its own", before.Placement)
+	}
+
+	storeSums := func() (fetches, pushes uint64) {
+		for _, id := range c.Nodes() {
+			mem, err := c.MemStore(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := mem.Stats()
+			fetches, pushes = fetches+st.PeerFetches, pushes+st.Pushes
+		}
+		return fetches, pushes
+	}
+	lostCopies := uint64(0)
+	mem, err := c.MemStore(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, n := range line {
+		if mem.Holds(app, r, n) {
+			lostCopies++
+		}
+	}
+	if err := c.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	fetches0, pushes0 := storeSums() // survivors only: the victim is gone
+
+	// waitRedundant blocks until the app runs in generation gen and every
+	// image of the line is back at two live copies with nothing owed.
+	waitRedundant := func(gen uint32) daemon.AppInfo {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			info, _ := c.AnyDaemon().AppInfo(app)
+			ok := info.Gen == gen && info.Status == daemon.StatusRunning
+			for r, n := range line {
+				copies := 0
+				for _, id := range c.Nodes() {
+					mem, _ := c.MemStore(id)
+					if mem.Holds(app, r, n) {
+						copies++
+					}
+					ok = ok && mem.Stats().UnderReplicated == 0
+				}
+				ok = ok && copies >= 2
+			}
+			if ok {
+				return info
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("generation %d never ran fully replicated (status %v gen %d)", gen, info.Status, info.Gen)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	after := waitRedundant(2)
+	var moved []wire.Rank
+	for r, node := range after.Placement {
+		if node == victim {
+			t.Errorf("rank %d still on crashed node %d", r, node)
+		}
+		if node != before.Placement[r] {
+			moved = append(moved, r)
+		}
+	}
+	if len(moved) != 1 || moved[0] != 1 {
+		t.Errorf("ranks %v changed node (%v -> %v), want only rank 1", moved, before.Placement, after.Placement)
+	}
+	fetches1, pushes1 := storeSums()
+	if fetches1-fetches0 > 1 {
+		t.Errorf("restart fetched %d images from peers, want at most the lost rank's", fetches1-fetches0)
+	}
+	if pushes1-pushes0 > lostCopies {
+		t.Errorf("re-replication pushed %d images, the death took %d copies", pushes1-pushes0, lostCopies)
+	}
+
+	// Redundancy really was restored: the restarted rank's new host dies
+	// too, and the job still finishes from RAM alone.
+	if err := c.Crash(after.Placement[1]); err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.WaitApp(app, 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != daemon.StatusDone || final.Gen < 3 {
+		t.Fatalf("status = %v, gen = %d, failure = %q; want done after a second restart", final.Status, final.Gen, final.Failure)
+	}
+}

@@ -53,7 +53,7 @@ func (d *Daemon) Migrate(app wire.AppID) error {
 	if err != nil {
 		return err
 	}
-	return d.castCmd(&Cmd{Kind: CmdRestart, App: app, Line: line})
+	return d.castCmd(&Cmd{Kind: CmdRestart, App: app, Line: line, Flag: true})
 }
 
 // SetNodeEnabled includes or excludes a node from future placements.
@@ -361,7 +361,20 @@ func (d *Daemon) applyRestart(c *Cmd) {
 	st.started = false
 	st.done = make(map[wire.Rank]bool)
 	st.addrs = make(map[wire.Rank]string)
-	st.placement = placeRanks(st.spec.Ranks, d.eligibleNodesLocked())
+	prev := st.placement
+	if c.Flag {
+		st.placement = placeRanks(st.spec.Ranks, d.eligibleNodesLocked())
+	} else {
+		st.placement = restartPlacement(c.App, st.spec.Ranks, prev, d.eligibleNodesLocked())
+	}
+	placement := make([]wire.NodeID, len(st.placement))
+	var moved []wire.Rank
+	for r := range placement {
+		placement[r] = st.placement[wire.Rank(r)]
+		if placement[r] != prev[wire.Rank(r)] {
+			moved = append(moved, wire.Rank(r))
+		}
+	}
 	oldEps := d.localEndpointsLocked(c.App)
 	delete(d.local, c.App)
 	noNodes := st.placement == nil
@@ -375,7 +388,9 @@ func (d *Daemon) applyRestart(c *Cmd) {
 		d.ev.Emit(evstore.EvApp("app-failed", c.App, evstore.F("err", ErrNoNodes)))
 	} else {
 		d.ev.Emit(evstore.EvApp("restarting", c.App,
-			evstore.F("gen", gen), evstore.F("line", c.Line)))
+			evstore.F("gen", gen), evstore.F("line", c.Line),
+			evstore.F("placement", evstore.List(placement)),
+			evstore.F("moved", evstore.List(moved))))
 	}
 
 	// Abort the previous incarnation's local processes and drop its

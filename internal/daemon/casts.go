@@ -39,9 +39,10 @@ const (
 	// CmdRankDone records one process's completion (Err empty on
 	// success). Gen guards against reports from torn-down incarnations.
 	CmdRankDone
-	// CmdRestart relaunches an application from a recovery line with a
-	// fresh placement (crash recovery, and migration when issued
-	// manually). Issued by the leader so every daemon uses the same line.
+	// CmdRestart relaunches an application from a recovery line. Crash
+	// recovery, issued by the leader so every daemon uses the same line,
+	// keeps surviving ranks where they are (restartPlacement); a manual
+	// migration sets Flag and gets a freshly dealt placement.
 	CmdRestart
 	// CmdSetNodeEnabled includes or excludes a node from future
 	// placements (management ENABLE/DISABLE NODE).
@@ -89,7 +90,8 @@ type Cmd struct {
 	Line ckpt.RecoveryLine
 	// Key/Value are set for CmdSetParam.
 	Key, Value string
-	// Flag is set for CmdSetNodeEnabled.
+	// Flag is the enabled state for CmdSetNodeEnabled, and asks CmdRestart
+	// for a fresh deal.
 	Flag bool
 }
 

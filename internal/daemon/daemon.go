@@ -554,5 +554,46 @@ func placeRanks(ranks int, nodes []wire.NodeID) map[wire.Rank]wire.NodeID {
 	return out
 }
 
+// restartPlacement places a failure restart where the bytes are. Every rank
+// whose node is still eligible stays on it — its newest checkpoints are in
+// that node's RAM — and each other rank goes to the least-loaded eligible
+// node, ties broken by the order the replicated store ranks the holders of
+// that rank's checkpoints in: when a replica holder is as idle as any other
+// node, the rank restarts beside its replica. Like placeRanks it is a pure
+// function of replicated inputs, identical at every daemon.
+func restartPlacement(app wire.AppID, ranks int, prev map[wire.Rank]wire.NodeID, nodes []wire.NodeID) map[wire.Rank]wire.NodeID {
+	if len(nodes) == 0 {
+		return nil
+	}
+	load := make(map[wire.NodeID]int, len(nodes))
+	for _, n := range nodes {
+		load[n] = 0
+	}
+	out := make(map[wire.Rank]wire.NodeID, ranks)
+	for r := wire.Rank(0); int(r) < ranks; r++ {
+		if n, placed := prev[r]; placed {
+			if _, eligible := load[n]; eligible {
+				out[r] = n
+				load[n]++
+			}
+		}
+	}
+	for r := wire.Rank(0); int(r) < ranks; r++ {
+		if _, kept := out[r]; kept {
+			continue
+		}
+		order := rstore.HolderOrder(app, r, nodes)
+		best := order[0]
+		for _, n := range order[1:] {
+			if load[n] < load[best] {
+				best = n
+			}
+		}
+		out[r] = best
+		load[best]++
+	}
+	return out
+}
+
 // ErrNoNodes is returned when an application cannot be placed.
 var ErrNoNodes = errors.New("daemon: no eligible nodes")

@@ -1,12 +1,16 @@
 package daemon
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"starfish/internal/ckpt"
 	"starfish/internal/proc"
+	"starfish/internal/rstore"
 	"starfish/internal/svm"
 	"starfish/internal/vni"
 	"starfish/internal/wire"
@@ -150,6 +154,81 @@ func TestQuickPlaceRanksProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestRestartPlacement(t *testing.T) {
+	// The benchmark's case: ranks 0-2 on nodes 1-3 of four, node 2 dies. The
+	// survivors stay, the lost rank takes the idle node.
+	prev := placeRanks(3, []wire.NodeID{1, 2, 3, 4})
+	got := restartPlacement(7, 3, prev, []wire.NodeID{1, 3, 4})
+	if want := map[wire.Rank]wire.NodeID{0: 1, 1: 4, 2: 3}; !maps.Equal(got, want) {
+		t.Errorf("placement = %v, want %v", got, want)
+	}
+	// Two equally idle nodes: the one the store ranks first for the rank's
+	// checkpoints, because that is where a replica is.
+	got = restartPlacement(7, 2, map[wire.Rank]wire.NodeID{0: 1, 1: 2}, []wire.NodeID{1, 3, 4})
+	if want := rstore.HolderOrder(7, 1, []wire.NodeID{3, 4})[0]; got[0] != 1 || got[1] != want {
+		t.Errorf("placement = %v, want rank 0 kept on 1 and rank 1 on %d", got, want)
+	}
+	if restartPlacement(7, 3, prev, nil) != nil {
+		t.Error("placement without nodes should be nil")
+	}
+}
+
+// TestRestartPlacementProperties draws failures over seeded clusters: some
+// of the nodes a job was dealt onto have departed, some are disabled.
+func TestRestartPlacementProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for draw := 0; draw < 1500; draw++ {
+		ranks, n := 1+rng.Intn(12), 2+rng.Intn(15)
+		all := make([]wire.NodeID, n)
+		for i := range all {
+			all[i] = wire.NodeID(i + 1)
+		}
+		prev := placeRanks(ranks, all)
+		var nodes []wire.NodeID // still in the view and enabled
+		for _, id := range all {
+			if rng.Intn(4) != 0 {
+				nodes = append(nodes, id)
+			}
+		}
+		app := wire.AppID(rng.Uint32())
+		got := restartPlacement(app, ranks, prev, nodes)
+		if len(nodes) == 0 {
+			if got != nil {
+				t.Fatalf("draw %d: placed %v on no nodes", draw, got)
+			}
+			continue
+		}
+		// Identical at every daemon, however it lists the nodes.
+		shuffled := slices.Clone(nodes)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if again := restartPlacement(app, ranks, prev, shuffled); !maps.Equal(again, got) {
+			t.Fatalf("draw %d: placement depends on node order: %v vs %v", draw, again, got)
+		}
+		load := map[wire.NodeID]int{}
+		for r := wire.Rank(0); int(r) < ranks; r++ {
+			node, placed := got[r]
+			if !placed || !slices.Contains(nodes, node) {
+				t.Fatalf("draw %d: rank %d on %d, eligible %v", draw, r, node, nodes)
+			}
+			if slices.Contains(nodes, prev[r]) && node != prev[r] {
+				t.Fatalf("draw %d: surviving rank %d moved %d -> %d", draw, r, prev[r], node)
+			}
+			load[node]++
+		}
+		// Lost ranks went to the least-loaded nodes: none sits on a node
+		// more than one rank above the emptiest.
+		lightest := ranks
+		for _, id := range nodes {
+			lightest = min(lightest, load[id])
+		}
+		for r := wire.Rank(0); int(r) < ranks; r++ {
+			if !slices.Contains(nodes, prev[r]) && load[got[r]] > lightest+1 {
+				t.Fatalf("draw %d: lost rank %d placed on node %d with %d ranks while a node has %d: %v", draw, r, got[r], load[got[r]], lightest, got)
+			}
+		}
 	}
 }
 

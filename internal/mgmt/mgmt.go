@@ -403,7 +403,7 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 		return []string{
 			fmt.Sprintf("node %d members %d replicas %d", st.Node, st.Members, st.Replicas),
 			fmt.Sprintf("images %d bytes %d index %d commits %d", st.Images, st.Bytes, st.IndexEntries, st.Commits),
-			fmt.Sprintf("under-replicated %d pushes %d push-failures %d", st.UnderReplicated, st.Pushes, st.PushFailures),
+			fmt.Sprintf("under-replicated %d pushes %d push-failures %d pushes-skipped %d", st.UnderReplicated, st.Pushes, st.PushFailures, st.PushesSkipped),
 			fmt.Sprintf("peer-fetches %d peer-fetch-misses %d", st.PeerFetches, st.PeerFetchMisses),
 		}, nil
 

@@ -35,7 +35,9 @@ import (
 type App interface {
 	// Init starts a fresh run.
 	Init(ctx *Ctx) error
-	// Restore resumes from a Snapshot taken at a step boundary.
+	// Restore resumes from a Snapshot taken at a step boundary. state is
+	// borrowed from the checkpoint store and read-only for the duration of
+	// the call: copy what you keep.
 	Restore(ctx *Ctx, state []byte) error
 	// Step performs one unit of work and reports whether the application
 	// is finished.

@@ -82,9 +82,14 @@ func writeMsgList(w *wire.Writer, msgs []mpi.RecordedMsg) {
 	}
 }
 
+// minMsgEntry is the encoded size of a message with no payload.
+const minMsgEntry = 32
+
 func readMsgList(r *wire.Reader) []mpi.RecordedMsg {
 	n := r.U32()
-	msgs := make([]mpi.RecordedMsg, 0, n)
+	// The count is input: size the list by what the remaining bytes can
+	// hold, not by what they claim.
+	msgs := make([]mpi.RecordedMsg, 0, min(uint64(n), uint64(r.Remaining()/minMsgEntry)))
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		m := mpi.RecordedMsg{
 			Src:      wire.Rank(r.U32()),
@@ -115,7 +120,7 @@ func ckptStateSize(appState []byte, pending, recorded []mpi.RecordedMsg) int {
 	for _, msgs := range [][]mpi.RecordedMsg{pending, recorded} {
 		n += 4
 		for _, m := range msgs {
-			n += 32 + len(m.Data)
+			n += minMsgEntry + len(m.Data)
 		}
 	}
 	return n
@@ -127,9 +132,12 @@ func writeCkptState(w *wire.Writer, appState []byte, pending, recorded []mpi.Rec
 	writeMsgList(w, recorded)
 }
 
+// decodeCkptState splits what writeCkptState wrote. appState is a view into
+// b (the application makes the one copy, in Restore); message payloads are
+// copied, because they are handed to the application to keep.
 func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.RecordedMsg, err error) {
 	r := wire.NewReader(b)
-	appState = append([]byte(nil), r.Bytes32()...)
+	appState = r.Bytes32()
 	pending = readMsgList(r)
 	recorded = readMsgList(r)
 	if r.Err() != nil {

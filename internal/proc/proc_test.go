@@ -95,7 +95,7 @@ func (a *ringApp) Step(ctx *Ctx) (bool, error) {
 // and coordination messages to every process (the lightweight-group cast)
 // in a single total order, and collects completion reports.
 type harness struct {
-	t     *testing.T
+	t     testing.TB
 	fn    *vni.Fastnet
 	store *ckpt.Store
 	spec  AppSpec
@@ -116,7 +116,7 @@ type doneEvent struct {
 	err  string
 }
 
-func newHarness(t *testing.T, spec AppSpec) *harness {
+func newHarness(t testing.TB, spec AppSpec) *harness {
 	t.Helper()
 	store, err := ckpt.NewStore(t.TempDir())
 	if err != nil {
@@ -411,8 +411,11 @@ func TestStopAndSyncCheckpointAndRestart(t *testing.T) {
 	spec.CkptEverySteps = 10
 	h := newHarness(t, spec)
 	h.launch(nil)
-	line := h.waitForCommittedLine()
+	h.waitForCommittedLine()
 	h.abortAll()
+	// Read the line once nothing runs: a commit between an earlier read and
+	// the abort would already have collected that line's checkpoints.
+	line := h.waitForCommittedLine()
 
 	// Restart the whole application from the committed line; the
 	// self-verifying app proves the resumed computation is correct.
@@ -471,8 +474,11 @@ func TestChandyLamportCheckpointAndRestart(t *testing.T) {
 	spec.CkptEverySteps = 10
 	h := newHarness(t, spec)
 	h.launch(nil)
-	line := h.waitForCommittedLine()
+	h.waitForCommittedLine()
 	h.abortAll()
+	// Read the line once nothing runs: a commit between an earlier read and
+	// the abort would already have collected that line's checkpoints.
+	line := h.waitForCommittedLine()
 	h.launch(line)
 	h.waitAll()
 }
@@ -818,5 +824,45 @@ func TestAppRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("registry %v missing %q", names, VMAppName)
+	}
+}
+
+// deafApp blocks in a receive nobody will ever satisfy.
+type deafApp struct{}
+
+func init() { Register("test-deaf", func([]byte) (App, error) { return deafApp{}, nil }) }
+
+func (deafApp) Init(*Ctx) error            { return nil }
+func (deafApp) Restore(*Ctx, []byte) error { return nil }
+func (deafApp) Snapshot() ([]byte, error)  { return nil, nil }
+func (deafApp) Step(ctx *Ctx) (bool, error) {
+	_, _, err := ctx.Comm.Recv(1, 1)
+	return false, err
+}
+
+// TestLinkDownInterruptsBlockedReceive: a daemon tears a process down with
+// CfgAbort followed at once by closing the link, and the group handler may
+// see the closed link first. That must unblock an application stuck inside a
+// receive just as the abort would, or the process — its state, its NIC —
+// never goes away.
+func TestLinkDownInterruptsBlockedReceive(t *testing.T) {
+	pside, dside := NewChanLink(0)
+	spec := AppSpec{ID: 47, Name: "test-deaf", Ranks: 2, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyRestart}
+	p, err := New(Config{Spec: spec, Arch: svm.Machines[0], Link: pside, Transport: vni.NewFastnet(0), ListenAddr: "deaf-r0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	si := StartInfo{Gen: 1, Size: 2, Addrs: map[wire.Rank]string{0: p.Addr(), 1: "deaf-r1"}, NextCkptIndex: 1}
+	dside.Send(wire.Msg{Type: wire.TConfiguration, Kind: CfgStart, App: spec.ID, Payload: si.Encode()})
+	time.Sleep(20 * time.Millisecond) // let it block in Recv
+	dside.Close()
+	select {
+	case <-p.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("process still blocked in a receive after its daemon link closed")
+	}
+	if !errors.Is(p.Err(), ErrAborted) {
+		t.Errorf("terminal error = %v, want ErrAborted", p.Err())
 	}
 }

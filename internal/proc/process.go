@@ -157,12 +157,7 @@ func (p *Process) groupHandler() {
 			// the communicator unblocks the main loop, which then sees
 			// the queued CfgAbort.
 			if m.Type == wire.TConfiguration && m.Kind == CfgAbort {
-				p.hardAbort.Store(true)
-				p.cmu.Lock()
-				if p.comm != nil {
-					p.comm.Close()
-				}
-				p.cmu.Unlock()
+				p.interrupt()
 			}
 			// Post on the bus for any subscribed module (observability,
 			// extensions), and queue for the scheduler.
@@ -183,13 +178,28 @@ func (p *Process) groupHandler() {
 			}
 		case <-p.link.Done():
 			// Daemon connection lost: the scheduler sees a closed queue
-			// and aborts.
+			// and aborts. A daemon tearing a process down sends CfgAbort
+			// and closes the link at once, so this case can win the select
+			// over the queued abort; the application may be blocked in a
+			// receive either way.
+			p.interrupt()
 			close(p.ctl)
 			return
 		case <-p.done:
 			return
 		}
 	}
+}
+
+// interrupt unblocks an application stuck inside a receive by closing its
+// communicator; whatever error that surfaces is reported as ErrAborted.
+func (p *Process) interrupt() {
+	p.hardAbort.Store(true)
+	p.cmu.Lock()
+	if p.comm != nil {
+		p.comm.Close()
+	}
+	p.cmu.Unlock()
 }
 
 // sendToDaemon forwards a message to the daemon over the group-handler

@@ -1,0 +1,185 @@
+package rstore
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"starfish/internal/ckpt"
+	"starfish/internal/vni"
+	"starfish/internal/wire"
+)
+
+// TestHolderOrderProperties checks rendezvous placement as properties over
+// seeded draws of member sets (2…16 nodes), replication factors (1…3) and
+// keys.
+func TestHolderOrderProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for draw := 0; draw < 1200; draw++ {
+		n, k := 2+rng.Intn(15), 1+rng.Intn(3)
+		members := make([]wire.NodeID, 0, n)
+		for _, id := range rng.Perm(64)[:n] {
+			members = append(members, wire.NodeID(id+1))
+		}
+		app, rank := wire.AppID(rng.Uint32()), wire.Rank(rng.Intn(1024))
+		order := HolderOrder(app, rank, members)
+
+		// A permutation of the members: the first min(k, n) are k distinct
+		// holders.
+		sorted := slices.Clone(order)
+		slices.Sort(sorted)
+		want := slices.Clone(members)
+		slices.Sort(want)
+		if !slices.Equal(sorted, want) {
+			t.Fatalf("draw %d: order %v is not a permutation of %v", draw, order, members)
+		}
+
+		// Every node computes the same order, however its view is listed.
+		shuffled := slices.Clone(members)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := HolderOrder(app, rank, shuffled); !slices.Equal(got, order) {
+			t.Fatalf("draw %d: order depends on how members are listed: %v vs %v", draw, got, order)
+		}
+
+		// Removing a member leaves the others' order untouched, so a holder
+		// set that did not contain it does not change, and one that did
+		// changes by one substitution at its tail.
+		gone := members[rng.Intn(n)]
+		survivors := slices.DeleteFunc(slices.Clone(members), func(m wire.NodeID) bool { return m == gone })
+		after := HolderOrder(app, rank, survivors)
+		if want := slices.DeleteFunc(slices.Clone(order), func(m wire.NodeID) bool { return m == gone }); !slices.Equal(after, want) {
+			t.Fatalf("draw %d: removing %d reordered the survivors: %v, want %v", draw, gone, after, want)
+		}
+		holders, holdersAfter := order[:min(k, n)], after[:min(k, n-1)]
+		if !slices.Contains(holders, gone) {
+			if !slices.Equal(holdersAfter, holders[:len(holdersAfter)]) {
+				t.Fatalf("draw %d: removing non-holder %d changed holders %v to %v", draw, gone, holders, holdersAfter)
+			}
+		} else if kept := slices.DeleteFunc(slices.Clone(holders), func(m wire.NodeID) bool { return m == gone }); !slices.Equal(holdersAfter[:len(kept)], kept) {
+			t.Fatalf("draw %d: removing holder %d changed holders %v to %v, want the rest kept in front", draw, gone, holders, holdersAfter)
+		}
+
+		// 256 keys spread over the members within 2x of even.
+		load := make(map[wire.NodeID]int, n)
+		for key := 0; key < 256; key++ {
+			for _, h := range HolderOrder(app, wire.Rank(key), members)[:min(k, n)] {
+				load[h]++
+			}
+		}
+		even := float64(256*min(k, n)) / float64(n)
+		for _, m := range members {
+			if float64(load[m]) > 2*even {
+				t.Fatalf("draw %d: node %d holds %d of 256 keys (k=%d over %d nodes), even is %.1f", draw, m, load[m], k, n, even)
+			}
+		}
+	}
+}
+
+// copiesOf counts the live stores holding (app, rank, n).
+func copiesOf(stores map[wire.NodeID]*Store, live []wire.NodeID, app wire.AppID, rank wire.Rank, n uint64) int {
+	copies := 0
+	for _, id := range live {
+		if stores[id].Holds(app, rank, n) {
+			copies++
+		}
+	}
+	return copies
+}
+
+// TestDeathMovesOnlyLostCopies removes one of four members and requires the
+// survivors to push exactly the copies it took — of the images a restart can
+// still need — and nothing else: no image that kept both copies moves, no
+// image older than the committed line moves, no two nodes push the same image.
+func TestDeathMovesOnlyLostCopies(t *testing.T) {
+	for victim := wire.NodeID(1); victim <= 4; victim++ {
+		fn := vni.NewFastnet(0)
+		stores := newCluster(t, fn, 4, 2)
+		// Three ranks written on three different nodes, two indices each, the
+		// line committed at the second.
+		const app = 11
+		img := bytes.Repeat([]byte{0xC3}, 32<<10)
+		for r := wire.Rank(0); r < 3; r++ {
+			for n := uint64(1); n <= 2; n++ {
+				if err := stores[wire.NodeID(r+1)].Put(app, r, n, img, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := stores[1].CommitLine(app, ckpt.RecoveryLine{0: 2, 1: 2, 2: 2}); err != nil {
+			t.Fatal(err)
+		}
+		lost := 0
+		for r := wire.Rank(0); r < 3; r++ {
+			if stores[victim].Holds(app, r, 2) {
+				lost++
+			}
+		}
+		var live []wire.NodeID
+		var before uint64
+		for id, s := range stores {
+			if id != victim {
+				live = append(live, id)
+				before += s.Stats().Pushes
+			}
+		}
+		fn.Crash(addr(victim))
+		stores[victim].Close()
+		for _, id := range live {
+			stores[id].UpdateView(live)
+		}
+		for _, id := range live {
+			stores[id].bg.Wait()
+		}
+
+		var pushed, skipped uint64
+		for _, id := range live {
+			st := stores[id].Stats()
+			pushed += st.Pushes
+			skipped += st.PushesSkipped
+			if st.UnderReplicated != 0 || st.PushFailures != 0 {
+				t.Errorf("victim %d: node %d reports %d under-replicated, %d failed pushes", victim, id, st.UnderReplicated, st.PushFailures)
+			}
+		}
+		if pushed -= before; pushed != uint64(lost) {
+			t.Errorf("victim %d took %d needed copies, re-replication pushed %d (skipped %d)", victim, lost, pushed, skipped)
+		}
+		for r := wire.Rank(0); r < 3; r++ {
+			if c := copiesOf(stores, live, app, r, 2); c != 2 {
+				t.Errorf("victim %d: rank %d's committed image has %d live copies, want 2", victim, r, c)
+			}
+		}
+	}
+}
+
+// TestHaveAnswersForTheBytes pins what "have" means: a holder of an earlier
+// incarnation's checkpoint of the same index must be sent the new bytes.
+func TestHaveAnswersForTheBytes(t *testing.T) {
+	fn := vni.NewFastnet(0)
+	stores := newCluster(t, fn, 3, 2)
+	k := key{app: 12, rank: 0, n: 1}
+	if err := stores[1].Put(k.app, k.rank, k.n, []byte("first incarnation"), nil); err != nil {
+		t.Fatal(err)
+	}
+	var holder wire.NodeID
+	for _, id := range []wire.NodeID{2, 3} {
+		if stores[id].Holds(k.app, k.rank, k.n) {
+			holder = id
+		}
+	}
+	stores[1].mu.Lock()
+	tag := stores[1].images[k].tag
+	stores[1].mu.Unlock()
+	if !stores[1].peerHas(holder, k, tag) {
+		t.Fatal("the holder of a pushed image does not report having it")
+	}
+	if stores[1].peerHas(holder, k, tag+1) {
+		t.Fatal("a holder reports having bytes of a Put it never saw")
+	}
+	if stores[1].peerHas(5-holder, k, tag) {
+		t.Fatal("a node that holds nothing reports having the image")
+	}
+	if got := stores[1].Stats().PushesSkipped; got != 1 {
+		t.Fatalf("PushesSkipped = %d, want 1", got)
+	}
+}

@@ -1,32 +1,40 @@
 // Package rstore implements a replicated in-memory checkpoint store.
 //
 // Each Starfish daemon embeds one rstore.Store: an in-RAM shard of checkpoint
-// images plus a small replication protocol that pushes every image to k peer
-// daemons over the ordinary wire/vni transport. Recovery after a node failure
-// then restores a rank from a surviving peer's RAM instead of a shared file
+// images plus a small replication protocol that keeps k copies of every image
+// on k daemons over the ordinary wire/vni transport. Recovery after a node
+// failure then restores a rank from surviving RAM instead of a shared file
 // system — the dominant cost of restart in the paper's disk-based design.
 //
-// Design:
+// Design (the rule is ReStore's: recovery reads the surviving replica where it
+// lies, and redistribution after a failure moves only the lost share):
 //
-//   - Placement is deterministic: the holders of (app, rank) are k consecutive
-//     members of the current sorted membership starting at an FNV-1a hash of
-//     the pair. Every node computes the same holder set from the same view,
-//     so no directory service is needed. The writer always keeps a local copy
-//     regardless of placement (it is about to be the one reading it back).
+//   - Placement is rendezvous (highest-random-weight) hashing: HolderOrder
+//     ranks the view's members for (app, rank) by a hash of (app, rank,
+//     member). Every node derives the same order from the same view, so no
+//     directory service is needed, and a member's weight does not depend on
+//     who else is in the view, so a death changes only the holder sets that
+//     contained the dead member — by one substitution at their tail.
+//   - The writer's own copy is replica #1 (it is about to be the one reading
+//     it back): a Put pushes to the first k-1 members of the order other than
+//     the writer. Every copy carries a tag naming that Put, so each holder
+//     knows whose copy is first and can tell these bytes from an earlier
+//     incarnation's checkpoint of the same index.
 //   - A lightweight index of which checkpoints exist (app, rank, n) is
 //     replicated to every member, so List/Ranks/GatherLine work on any node,
 //     including nodes that never hosted the rank. Committed recovery lines
 //     are likewise broadcast.
 //   - On a view change the daemon calls UpdateView; a background pass then
-//     re-replicates: every locally held image whose holder set under the new
-//     view includes peers that have not acknowledged a copy is pushed again.
-//     The pass is idempotent (puts of the same (app, rank, n) overwrite), so
-//     racing passes and duplicate pushes are harmless.
-//   - Replication reuses the pooled-buffer ownership discipline of the fast
-//     data path: an outgoing image is staged once into a wire.BufPool buffer
-//     and then moves to the peer with no further copies. Get returns the
-//     store's internal buffer (callers treat images as read-only), so a
-//     restore from local or peer RAM never copies the image at all.
+//     re-replicates what a restart can still need (each app's committed line
+//     and anything newer). Exactly one holder acts for an image — the writer
+//     while it is a member, else the first member of the order — and it asks
+//     each target "have?" before sending (kHas, as kBlockHas does for
+//     blocks), so a death moves the copies it took and nothing else.
+//   - The store sends what it stores: an image goes into the frame as the
+//     stored slice itself (fastnet clones it once at exact size, TCP writev's
+//     it), and Get returns the store's internal buffer (callers treat images
+//     as read-only), so a restore from local RAM never copies the image and
+//     a restore from a peer's RAM copies it once, in the transport.
 //
 // The store speaks TControl messages on its own listener, daemon-to-daemon —
 // the one route Table 1 allows for system traffic.
@@ -35,6 +43,7 @@ package rstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,10 +57,9 @@ import (
 // Protocol message kinds (wire.Msg.Kind on TControl messages).
 //
 // Whole images travel in their own frame (kPutData/kGetData, tag-paired with
-// the request) rather than being concatenated with the metadata: the image
-// frame is staged into an exactly-sized pooled buffer, so an 8 MiB image
-// costs one 8 MiB-class checkout instead of overflowing into the next
-// power-of-two class with the metadata prefix glued on.
+// the request) rather than being concatenated with the metadata, so the
+// frame's payload can be the stored slice itself. "meta" below is always the
+// slot's image tag followed by the encoded ckpt.Meta (encodeTagMeta).
 const (
 	kPut       uint16 = 0x60 // header: App, Src=rank, Seq=n; payload: meta; followed by kPutData
 	kGet       uint16 = 0x61 // header: App, Src=rank, Seq=n
@@ -75,6 +83,7 @@ const (
 	kBlockGet  uint16 = 0x73 // payload: one block id
 	kBlockOK   uint16 = 0x74 // payload: the block bytes
 	kBlockMiss uint16 = 0x75
+	kHas       uint16 = 0x76 // header: App, Src=rank, Seq=n; payload: u64 image tag; reply kOK (held) or kGetMiss
 )
 
 // Config parameterizes a Store.
@@ -119,10 +128,27 @@ type key struct {
 type entry struct {
 	img  []byte
 	meta *ckpt.Meta
-	// origin marks images this node stored on behalf of a local process (as
-	// opposed to replicas pushed by a peer); origin entries drive the
-	// under-replication counter.
-	origin bool
+	// tag names the Put that produced these bytes: the writer's node in the
+	// high half, the writer's put count in the low. It travels with every
+	// copy, so each holder knows whose copy is replica #1, and a holder asked
+	// "have?" answers for these bytes, not for an earlier incarnation's
+	// checkpoint of the same index.
+	tag uint64
+}
+
+func (e *entry) writer() wire.NodeID { return wire.NodeID(e.tag >> 32) }
+
+// encodeTagMeta is the metadata half of every frame that moves a slot.
+func encodeTagMeta(tag uint64, meta *ckpt.Meta) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, tag), meta.Encode()...)
+}
+
+func decodeTagMeta(b []byte) (uint64, *ckpt.Meta, error) {
+	if len(b) < 8 {
+		return 0, nil, ckpt.ErrBadImage
+	}
+	meta, err := ckpt.DecodeMeta(b[8:])
+	return binary.BigEndian.Uint64(b), meta, err
 }
 
 // blockEntry is one content-addressed block of the chunked checkpoint
@@ -150,13 +176,17 @@ type Stats struct {
 	// index), Commits the apps with a known committed line.
 	IndexEntries int
 	Commits      int
-	// UnderReplicated counts origin images with fewer acknowledged live
-	// copies than the replication target.
+	// UnderReplicated counts images whose first replica is here and that
+	// a restart can still need, with a push target that has not
+	// acknowledged its copy.
 	UnderReplicated int
-	// Pushes/PushFailures count replica push attempts; PeerFetches counts
-	// Get requests served from a peer's RAM, PeerFetchMisses failed ones.
+	// Pushes/PushFailures count replica push attempts, PushesSkipped the
+	// re-replication pushes a holder's "have" answer made unnecessary;
+	// PeerFetches counts Get requests served from a peer's RAM,
+	// PeerFetchMisses failed ones.
 	Pushes          uint64
 	PushFailures    uint64
+	PushesSkipped   uint64
 	PeerFetches     uint64
 	PeerFetchMisses uint64
 	// Blocks and BlockBytes count locally resident content-addressed
@@ -172,9 +202,9 @@ type Stats struct {
 // String formats the snapshot as a single management-protocol-friendly line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d peer-fetches %d peer-fetch-misses %d blocks %d block-bytes %d replicated-bytes %d",
+		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d pushes-skipped %d peer-fetches %d peer-fetch-misses %d blocks %d block-bytes %d replicated-bytes %d",
 		st.Node, st.Members, st.Replicas, st.Images, st.Bytes, st.IndexEntries,
-		st.Commits, st.UnderReplicated, st.Pushes, st.PushFailures,
+		st.Commits, st.UnderReplicated, st.Pushes, st.PushFailures, st.PushesSkipped,
 		st.PeerFetches, st.PeerFetchMisses, st.Blocks, st.BlockBytes,
 		st.BytesReplicated)
 }
@@ -217,7 +247,10 @@ type Store struct {
 	blocks   map[ckpt.BlockID]*blockEntry
 	resolved map[key]*resolvedImage
 
-	pushes, pushFailures, peerFetches, peerFetchMisses, repBytes uint64
+	// puts numbers this node's Puts (the low half of an image tag).
+	puts uint32
+
+	pushes, pushFailures, pushesSkipped, peerFetches, peerFetchMisses, repBytes uint64
 }
 
 var _ ckpt.Backend = (*Store)(nil)
@@ -301,43 +334,73 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
-// hashKey is FNV-1a over (app, rank); it seeds replica placement.
-func hashKey(app wire.AppID, rank wire.Rank) uint32 {
-	var b [8]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(app))
-	binary.BigEndian.PutUint32(b[4:], uint32(rank))
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-// holdersLocked returns the members that should hold (app, rank) under the
-// current view: min(Replicas, len(members)) consecutive members starting at
-// the placement hash. Callers hold s.mu.
-func (s *Store) holdersLocked(app wire.AppID, rank wire.Rank) []wire.NodeID {
-	n := len(s.members)
-	if n == 0 {
+// HolderOrder ranks members as holders of (app, rank)'s checkpoints by
+// rendezvous hashing: descending weight, where a member's weight is a hash of
+// (app, rank, member). It is a pure function of its arguments, whatever order
+// members comes in, and because a weight does not depend on who else is in
+// the view, removing a member leaves the relative order of the rest untouched.
+// The first min(k, len(members)) of the order are the key's holders.
+func HolderOrder(app wire.AppID, rank wire.Rank, members []wire.NodeID) []wire.NodeID {
+	keyHash := mix64(uint64(app)<<32 | uint64(uint32(rank)))
+	weight := func(n wire.NodeID) uint64 { return mix64(keyHash + uint64(n)*0x9e3779b97f4a7c15) }
+	out := append([]wire.NodeID(nil), members...)
+	sort.Slice(out, func(i, j int) bool {
+		if wi, wj := weight(out[i]), weight(out[j]); wi != wj {
+			return wi > wj
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// pushTargetsLocked lists the peers this node keeps supplied with slot k: none
+// unless the slot's first replica is here — the writer's copy while the writer
+// is a member, else that of the first member in the key's order — and then
+// the first min(Replicas, members)-1 members of the order other than this
+// node. Exactly one holder answers for a slot, so a view change never makes
+// two nodes push the same image. Callers hold s.mu.
+func (s *Store) pushTargetsLocked(k key, e *entry) []wire.NodeID {
+	order := HolderOrder(k.app, k.rank, s.members)
+	first := e.writer()
+	if len(order) > 0 && !slices.Contains(order, first) {
+		first = order[0]
+	}
+	if first != s.cfg.Node {
 		return nil
 	}
-	k := s.cfg.Replicas
-	if k > n {
-		k = n
-	}
-	start := int(hashKey(app, rank) % uint32(n))
-	out := make([]wire.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, s.members[(start+i)%n])
+	var out []wire.NodeID
+	for _, h := range order {
+		if h != s.cfg.Node && len(out) < min(s.cfg.Replicas, len(order))-1 {
+			out = append(out, h)
+		}
 	}
 	return out
 }
 
+// owedLocked lists the push targets of slot k that have not acknowledged a
+// copy, if a restart can still read the slot: anything at or past its app's
+// committed line (everything, for an app that has none), and every record —
+// GC already clamps those to the live chain. Callers hold s.mu.
+func (s *Store) owedLocked(k key, e *entry) []wire.NodeID {
+	if line, committed := s.commits[k.app]; committed && k.n < line[k.rank] && !ckpt.IsRecord(e.img) {
+		return nil
+	}
+	return slices.DeleteFunc(s.pushTargetsLocked(k, e), func(h wire.NodeID) bool { return s.acked[k][h] })
+}
+
 // UpdateView installs a new membership (sorted copy taken) and starts a
 // background re-replication pass restoring the replication target for every
-// image this node holds. Acks from departed members are pruned so the
-// under-replication counter reflects live copies only.
+// image whose first replica is here. Acks from departed members are pruned so
+// the under-replication counter reflects live copies only.
 func (s *Store) UpdateView(members []wire.NodeID) {
 	ms := append([]wire.NodeID(nil), members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
@@ -407,6 +470,7 @@ func (s *Store) Stats() Stats {
 		Commits:         len(s.commits),
 		Pushes:          s.pushes,
 		PushFailures:    s.pushFailures,
+		PushesSkipped:   s.pushesSkipped,
 		PeerFetches:     s.peerFetches,
 		PeerFetchMisses: s.peerFetchMisses,
 		Blocks:          len(s.blocks),
@@ -423,21 +487,8 @@ func (s *Store) Stats() Stats {
 			st.IndexEntries += len(ns)
 		}
 	}
-	want := s.cfg.Replicas
-	if want > len(s.members) {
-		want = len(s.members)
-	}
 	for k, e := range s.images {
-		if !e.origin {
-			continue
-		}
-		have := 1 // our own copy
-		for n := range s.acked[k] {
-			if n != s.cfg.Node {
-				have++
-			}
-		}
-		if have < want {
+		if len(s.owedLocked(k, e)) > 0 {
 			st.UnderReplicated++
 		}
 	}
@@ -464,11 +515,11 @@ func (s *Store) indexAddLocked(app wire.AppID, rank wire.Rank, n uint64) {
 // ckpt.Backend implementation
 // ---------------------------------------------------------------------------
 
-// Put stores checkpoint n of (app, rank) in local RAM, pushes replicas to the
-// holder peers, and replicates the index entry to every member. Replication
-// failures do not fail the Put — the local copy exists and the
-// under-replication counter (and the next view change's re-replication pass)
-// pick up the slack.
+// Put stores checkpoint n of (app, rank) in local RAM — replica #1 — pushes
+// the other Replicas-1 to the first members of the key's order, and
+// replicates the index entry to every member. Replication failures do not
+// fail the Put — the local copy exists and the under-replication counter (and
+// the next view change's re-replication pass) pick up the slack.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
 	if meta == nil {
 		meta = &ckpt.Meta{Rank: rank, Index: n}
@@ -482,18 +533,16 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 		s.mu.Unlock()
 		return fmt.Errorf("rstore: store closed")
 	}
-	s.setImageLocked(k, stored, meta, true)
+	tag := s.nextTagLocked()
+	targets := s.pushTargetsLocked(k, s.setImageLocked(k, stored, meta, tag))
+	delete(s.acked, k) // acks were for the bytes this Put replaces
 	s.indexAddLocked(app, rank, n)
-	holders := s.holdersLocked(app, rank)
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
 
-	mb := meta.Encode()
-	for _, h := range holders {
-		if h == s.cfg.Node {
-			continue
-		}
-		if err := s.pushImage(h, k, mb, stored); err != nil {
+	mb := encodeTagMeta(tag, meta)
+	for _, h := range targets {
+		if _, err := s.pushImage(h, k, mb, stored); err != nil {
 			s.logf("[rstore %d] push #%d of app %d rank %d to node %d: %v",
 				s.cfg.Node, n, app, rank, h, err)
 			s.event(evstore.EvRank("push-failure", app, rank,
@@ -504,53 +553,78 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 	return nil
 }
 
-// pushImage sends one image to a peer and records the ack. The metadata
-// rides in the request frame; the image is staged into an exactly-sized
-// pooled buffer that moves to the peer copy-free in a second frame. A
-// successful Send gives the buffer away, so each retry after a timeout or
-// dropped reply restages a fresh one (puts are idempotent overwrites).
-func (s *Store) pushImage(peer wire.NodeID, k key, metaBytes, img []byte) error {
-	s.mu.Lock()
-	s.pushes++
-	s.mu.Unlock()
-	var err error
-	for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
-		hdr := &wire.Msg{
-			Type: wire.TControl, Kind: kPut,
-			App: k.app, Src: k.rank, Seq: k.n,
-			Payload: metaBytes,
-		}
-		buf := wire.GetBuf(len(img))
-		copy(buf, img)
-		data := &wire.Msg{
-			Type: wire.TControl, Kind: kPutData,
-			App: k.app, Src: k.rank, Seq: k.n,
-			Payload: buf, Pooled: true,
-		}
-		var replies []wire.Msg
-		replies, err = s.exchange(peer, []*wire.Msg{hdr, data}, nil)
-		if err == nil && replies[0].Kind != kOK {
-			err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
-		}
-		if err == nil {
-			s.mu.Lock()
-			s.repBytes += uint64(len(metaBytes) + len(img))
-			s.ackLocked(k, peer)
-			s.mu.Unlock()
-			return nil
-		}
-		if s.isClosed() {
-			break
-		}
-	}
-	s.mu.Lock()
-	s.pushFailures++
-	s.mu.Unlock()
-	return err
+// nextTagLocked names this node's next Put. Callers hold s.mu.
+func (s *Store) nextTagLocked() uint64 {
+	s.puts++
+	return uint64(s.cfg.Node)<<32 | uint64(s.puts)
 }
 
-// ackLocked records that peer acknowledged holding a replica of k.
+// pushImage sends one image to a peer and records the ack, returning the
+// bytes that crossed. The metadata rides in the request frame and the stored
+// image itself is the payload of a second one: nothing is staged, so the only
+// copy is the transport's own (fastnet's exact-size clone, TCP's writev) and
+// the same two frames are simply sent again — by exchange after a timeout or
+// a dropped reply, here when the peer answers that it saw only half the pair
+// (puts are idempotent overwrites).
+func (s *Store) pushImage(peer wire.NodeID, k key, metaBytes, img []byte) (int, error) {
+	hdr := &wire.Msg{
+		Type: wire.TControl, Kind: kPut,
+		App: k.app, Src: k.rank, Seq: k.n,
+		Payload: metaBytes,
+	}
+	data := &wire.Msg{
+		Type: wire.TControl, Kind: kPutData,
+		App: k.app, Src: k.rank, Seq: k.n,
+		Payload: img,
+	}
+	var err error
+	for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
+		var replies []wire.Msg
+		if replies, err = s.exchange(peer, []*wire.Msg{hdr, data}, nil); err != nil || replies[0].Kind == kOK {
+			break
+		}
+		err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pushes++
+	if err != nil {
+		s.pushFailures++
+		return 0, err
+	}
+	sent := len(metaBytes) + len(img)
+	s.repBytes += uint64(sent)
+	s.ackLocked(k, peer)
+	return sent, nil
+}
+
+// peerHas asks a peer whether slot k there already holds the bytes tag names:
+// the image path's need/have, as kBlockHas is the block path's. A "have"
+// counts as the peer's ack. Any failure reads as "no" — pushing is always
+// safe.
+func (s *Store) peerHas(peer wire.NodeID, k key, tag uint64) bool {
+	m := &wire.Msg{
+		Type: wire.TControl, Kind: kHas,
+		App: k.app, Src: k.rank, Seq: k.n,
+		Payload: binary.BigEndian.AppendUint64(nil, tag),
+	}
+	reply, err := s.request(peer, m)
+	if err != nil || reply.Kind != kOK {
+		return false
+	}
+	s.mu.Lock()
+	s.pushesSkipped++
+	s.ackLocked(k, peer)
+	s.mu.Unlock()
+	return true
+}
+
+// ackLocked records that peer acknowledged holding a replica of k, unless a
+// newer view has already dropped the peer.
 func (s *Store) ackLocked(k key, peer wire.NodeID) {
+	if !slices.Contains(s.members, peer) {
+		return
+	}
 	acks := s.acked[k]
 	if acks == nil {
 		acks = make(map[wire.NodeID]bool)
@@ -610,13 +684,13 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Met
 
 // getImage loads the slot contents of checkpoint n of (app, rank) verbatim
 // (a raw image or a record envelope): from local RAM when present, else by
-// fetching from a peer (holders first, then everyone) and caching the result.
+// fetching from a peer (in the key's holder order) and caching the result.
 func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
 	k := key{app, rank, n}
 	s.mu.Lock()
 	if e, ok := s.images[k]; ok {
 		// Snapshot under mu: a concurrent replica push (handle kPut)
-		// swaps an origin entry's img/meta fields in place.
+		// swaps an entry's img/meta fields in place.
 		img, meta := e.img, e.meta
 		s.mu.Unlock()
 		return img, meta, nil
@@ -625,7 +699,7 @@ func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckp
 	s.mu.Unlock()
 
 	for _, peer := range candidates {
-		img, meta, err := s.fetchImage(peer, k)
+		img, meta, tag, err := s.fetchImage(peer, k)
 		if err != nil {
 			continue
 		}
@@ -633,9 +707,8 @@ func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckp
 		s.peerFetches++
 		e, ok := s.images[k]
 		if !ok {
-			s.setImageLocked(k, img, meta, false)
+			e = s.setImageLocked(k, img, meta, tag)
 			s.indexAddLocked(app, rank, n)
-			e = s.images[k]
 		}
 		img, meta = e.img, e.meta // snapshot under mu (see above)
 		s.mu.Unlock()
@@ -648,34 +721,27 @@ func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckp
 		ckpt.ErrNoCheckpoint, app, rank, n)
 }
 
-// fetchOrderLocked lists the peers to ask for (app, rank), holders first,
-// then the remaining members. Callers hold s.mu.
+// fetchOrderLocked lists the peers to ask for (app, rank): every other
+// member, in the key's holder order. Callers hold s.mu.
 func (s *Store) fetchOrderLocked(app wire.AppID, rank wire.Rank) []wire.NodeID {
-	holders := s.holdersLocked(app, rank)
-	inHolders := make(map[wire.NodeID]bool, len(holders))
-	out := make([]wire.NodeID, 0, len(s.members))
-	for _, h := range holders {
-		inHolders[h] = true
+	order := HolderOrder(app, rank, s.members)
+	out := order[:0]
+	for _, h := range order {
 		if h != s.cfg.Node {
 			out = append(out, h)
-		}
-	}
-	for _, m := range s.members {
-		if m != s.cfg.Node && !inHolders[m] {
-			out = append(out, m)
 		}
 	}
 	return out
 }
 
 // fetchImage asks one peer for one image. A hit comes back as two frames:
-// kGetOK carrying the metadata, then kGetData carrying the image in its own
-// exactly-sized pooled buffer, which this store retains by aliasing (pooled
-// buffers are simply never recycled — dropping without Release is safe).
-func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, error) {
+// kGetOK carrying the tag and metadata, then kGetData carrying the image,
+// which this store keeps as it arrived — fastnet's exact-size clone of the
+// peer's slice, or TCP's pooled receive buffer (capacity rounded up to the
+// pool's power-of-two class), which is simply never recycled.
+func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, uint64, error) {
 	m := &wire.Msg{Type: wire.TControl, Kind: kGet, App: k.app, Src: k.rank, Seq: k.n}
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		replies, err := s.exchange(peer, []*wire.Msg{m}, func(first *wire.Msg) int {
 			if first.Kind == kGetOK {
 				return 1 // the kGetData frame
@@ -683,39 +749,36 @@ func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, error) 
 			return 0
 		})
 		if err != nil {
-			lastErr = err
-			if s.isClosed() {
-				break
-			}
-			continue
+			return nil, nil, 0, err
 		}
-		if replies[0].Kind != kGetOK || len(replies) != 2 || replies[1].Kind != kGetData {
-			return nil, nil, ckpt.ErrNoCheckpoint
+		if len(replies) == 2 && replies[1].Kind == kGetData {
+			tag, meta, err := decodeTagMeta(replies[0].Payload)
+			return replies[1].Payload, meta, tag, err
 		}
-		meta, err := ckpt.DecodeMeta(replies[0].Payload)
-		if err != nil {
-			return nil, nil, err
+		// Only kGetMiss says the peer does not hold the image; anything
+		// else is half a reply pair (the other frame was lost or doubled),
+		// and asking again is the answer to that.
+		if replies[0].Kind == kGetMiss || attempt >= s.cfg.RequestRetries {
+			return nil, nil, 0, ckpt.ErrNoCheckpoint
 		}
-		return replies[1].Payload, meta, nil
 	}
-	return nil, nil, lastErr
 }
 
-// decodeMetaEnv splits a kPutRec payload into metadata and record envelope.
-// The envelope aliases the payload buffer, which the store retains.
-func decodeMetaEnv(p []byte) ([]byte, *ckpt.Meta, error) {
+// decodeMetaEnv splits a kPutRec payload into tag, metadata and record
+// envelope. The envelope aliases the payload buffer, which the store retains.
+func decodeMetaEnv(p []byte) ([]byte, *ckpt.Meta, uint64, error) {
 	if len(p) < 4 {
-		return nil, nil, ckpt.ErrBadImage
+		return nil, nil, 0, ckpt.ErrBadImage
 	}
 	ml := binary.BigEndian.Uint32(p)
 	if uint64(4+ml) > uint64(len(p)) {
-		return nil, nil, ckpt.ErrBadImage
+		return nil, nil, 0, ckpt.ErrBadImage
 	}
-	meta, err := ckpt.DecodeMeta(p[4 : 4+ml])
+	tag, meta, err := decodeTagMeta(p[4 : 4+ml])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return p[4+ml:], meta, nil
+	return p[4+ml:], meta, tag, nil
 }
 
 // List returns the checkpoint indices known cluster-wide for (app, rank).
@@ -902,14 +965,16 @@ func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
 // ---------------------------------------------------------------------------
 
 // reReplicate restores the replication target after a view change: it pushes
-// the full index and all commit lines to every member, then every locally
-// held image to holder peers that have not acknowledged a copy. The pass
+// the full index and all commit lines to every member, then, for every held
+// slot a restart can still need and whose first replica is here, asks each
+// unacknowledged target "have?" and sends the image only on a "no". The pass
 // aborts if a newer view arrives mid-way (a fresh pass covers it).
 func (s *Store) reReplicate(gen uint64) {
-	var pushed, failed int
+	var pushed, skipped, failed, bytes int
 	done := func(aborted bool) {
 		s.event(evstore.Ev("rereplicate",
 			evstore.F("gen", gen), evstore.F("pushed", pushed),
+			evstore.F("skipped", skipped), evstore.F("bytes", bytes),
 			evstore.F("failed", failed), evstore.F("aborted", aborted)))
 	}
 	s.mu.Lock()
@@ -971,41 +1036,29 @@ func (s *Store) reReplicate(gen uint64) {
 			return
 		}
 		e, held := s.images[k]
-		if !held {
+		var targets []wire.NodeID
+		if held {
+			targets = s.owedLocked(k, e)
+		}
+		if len(targets) == 0 {
 			s.mu.Unlock()
 			continue
 		}
-		holders := s.holdersLocked(k.app, k.rank)
-		inHolders := false
-		for _, h := range holders {
-			if h == s.cfg.Node {
-				inHolders = true
-			}
-		}
-		var targets []wire.NodeID
-		for _, h := range holders {
-			if h != s.cfg.Node && !s.acked[k][h] {
-				targets = append(targets, h)
-			}
-		}
-		// Only holders and origins re-push: a node that merely cached a
-		// fetched image must not take over placement.
-		if !e.origin && !inHolders {
-			targets = nil
-		}
-		var mb []byte
-		if len(targets) > 0 {
-			mb = e.meta.Encode()
-		}
-		img := e.img
+		img, meta, tag := e.img, e.meta, e.tag
 		s.mu.Unlock()
+		mb := encodeTagMeta(tag, meta)
 		for _, h := range targets {
+			var sent int
 			var err error
 			if ckpt.IsRecord(img) {
-				err = s.pushRecord(h, k, mb, img)
+				sent, err = s.pushRecord(h, k, mb, img)
+			} else if s.peerHas(h, k, tag) {
+				skipped++
+				continue
 			} else {
-				err = s.pushImage(h, k, mb, img)
+				sent, err = s.pushImage(h, k, mb, img)
 			}
+			bytes += sent
 			if err != nil {
 				failed++
 				s.logf("[rstore %d] re-replicate #%d of app %d rank %d to node %d: %v",
@@ -1036,8 +1089,8 @@ func (s *Store) request(peer wire.NodeID, m *wire.Msg) (wire.Msg, error) {
 // when non-nil, reports how many extra frames follow the first). Unpooled
 // exchanges are retried here (every peer operation is idempotent); an
 // exchange carrying a pooled frame gets exactly one attempt — a successful
-// Send moves the payload away, so those callers restage and retry
-// themselves (see pushImage).
+// Send moves the payload away, so that caller restages and retries itself
+// (pushRecord, around pushBlocks' gathered batches).
 func (s *Store) exchange(peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg) int) ([]wire.Msg, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -1195,8 +1248,8 @@ func (s *Store) serve() {
 
 // serveConn handles one peer connection: strict request/reply, one exchange
 // in flight. kPut requests arrive as two frames (metadata, then the image in
-// its own pooled frame); replies may likewise span multiple frames, all
-// echoing the request's tag.
+// its own frame); replies may likewise span multiple frames, all echoing the
+// request's tag.
 func (s *Store) serveConn(c vni.Conn) {
 	defer c.Close()
 	for {
@@ -1229,18 +1282,18 @@ func (s *Store) serveConn(c vni.Conn) {
 	}
 }
 
-// handlePut services a two-frame replica push: metadata in the kPut frame,
-// the image in the kPutData frame, retained by aliasing the pooled receive
-// buffer (it is never recycled, which is safe — the pool just misses a reuse).
+// handlePut services a two-frame replica push: tag and metadata in the kPut
+// frame, the image in the kPutData frame, kept as it arrived (see fetchImage).
+// The pushed bytes replace whatever the slot held, tag included.
 func (s *Store) handlePut(m, data *wire.Msg) []*wire.Msg {
-	meta, err := ckpt.DecodeMeta(m.Payload)
+	tag, meta, err := decodeTagMeta(m.Payload)
 	if err != nil {
 		data.Release()
 		return []*wire.Msg{{Type: wire.TControl, Kind: kGetMiss}}
 	}
 	k := key{m.App, m.Src, m.Seq}
 	s.mu.Lock()
-	s.setImageLocked(k, data.Payload, meta, false)
+	s.setImageLocked(k, data.Payload, meta, tag)
 	s.indexAddLocked(m.App, m.Src, m.Seq)
 	s.materializeLocked(k)
 	s.mu.Unlock()
@@ -1255,21 +1308,29 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 		k := key{m.App, m.Src, m.Seq}
 		s.mu.Lock()
 		e, ok := s.images[k]
-		var img []byte
-		var meta *ckpt.Meta
+		var snap entry
 		if ok {
-			img, meta = e.img, e.meta // snapshot under mu: kPut swaps origin entries in place
+			snap = *e // under mu: kPut swaps entries in place
 		}
 		s.mu.Unlock()
 		if !ok {
 			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
 		}
-		buf := wire.GetBuf(len(img))
-		copy(buf, img)
+		// The stored slice is the payload: the transport makes the one copy.
 		return []*wire.Msg{
-			{Type: wire.TControl, Kind: kGetOK, Payload: meta.Encode()},
-			{Type: wire.TControl, Kind: kGetData, Payload: buf, Pooled: true},
+			{Type: wire.TControl, Kind: kGetOK, Payload: encodeTagMeta(snap.tag, snap.meta)},
+			{Type: wire.TControl, Kind: kGetData, Payload: snap.img},
 		}
+
+	case kHas:
+		s.mu.Lock()
+		e, ok := s.images[key{m.App, m.Src, m.Seq}]
+		ok = ok && len(m.Payload) == 8 && e.tag == binary.BigEndian.Uint64(m.Payload)
+		s.mu.Unlock()
+		if !ok {
+			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
+		}
+		return one(&wire.Msg{Type: wire.TControl, Kind: kOK})
 
 	case kPutRec:
 		return one(s.handlePutRec(m))

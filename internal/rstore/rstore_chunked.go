@@ -65,19 +65,17 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, 
 			s.blocks[b.Ref.ID] = &blockEntry{data: append([]byte(nil), b.Data...)}
 		}
 	}
-	s.setImageLocked(k, env, meta, true)
+	tag := s.nextTagLocked()
+	targets := s.pushTargetsLocked(k, s.setImageLocked(k, env, meta, tag))
+	delete(s.acked, k) // acks were for the record this Put replaces
 	s.indexAddLocked(app, rank, n)
 	s.materializeLocked(k)
-	holders := s.holdersLocked(app, rank)
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
 
-	mb := meta.Encode()
-	for _, h := range holders {
-		if h == s.cfg.Node {
-			continue
-		}
-		if err := s.pushRecord(h, k, mb, env); err != nil {
+	mb := encodeTagMeta(tag, meta)
+	for _, h := range targets {
+		if _, err := s.pushRecord(h, k, mb, env); err != nil {
 			s.logf("[rstore %d] push record #%d of app %d rank %d to node %d: %v",
 				s.cfg.Node, n, app, rank, h, err)
 		}
@@ -103,7 +101,7 @@ func (s *Store) GetBlock(app wire.AppID, rank wire.Rank, ref ckpt.BlockRef) ([]b
 		if err != nil || reply.Kind != kBlockOK || uint32(len(reply.Payload)) != ref.Len {
 			continue
 		}
-		data := reply.Payload // pooled receive buffer, retained by aliasing
+		data := reply.Payload // the transport's copy, retained by aliasing
 		s.mu.Lock()
 		if _, ok := s.blocks[ref.ID]; !ok {
 			s.blocks[ref.ID] = &blockEntry{data: data}
@@ -165,21 +163,23 @@ func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *
 // Local bookkeeping (all *Locked: callers hold s.mu)
 // ---------------------------------------------------------------------------
 
-// setImageLocked installs img (raw image or record envelope) in slot k,
-// adjusting block reference counts: the new envelope's blocks are referenced
-// before the old one's are released, so blocks shared by both never dip to
-// zero. A replica push must not demote an origin entry's bookkeeping, and
-// any previously materialized image for the slot is stale.
-func (s *Store) setImageLocked(k key, img []byte, meta *ckpt.Meta, origin bool) {
+// setImageLocked installs img (raw image or record envelope) in slot k under
+// the tag of the Put that produced it, adjusting block reference counts: the
+// new envelope's blocks are referenced before the old one's are released, so
+// blocks shared by both never dip to zero. Any previously materialized image
+// for the slot is stale.
+func (s *Store) setImageLocked(k key, img []byte, meta *ckpt.Meta, tag uint64) *entry {
 	s.refEnvLocked(img, 1)
-	if e, ok := s.images[k]; ok {
+	e, ok := s.images[k]
+	if ok {
 		s.refEnvLocked(e.img, -1)
-		e.img, e.meta = img, meta
-		e.origin = e.origin || origin
+		e.img, e.meta, e.tag = img, meta, tag
 	} else {
-		s.images[k] = &entry{img: img, meta: meta, origin: origin}
+		e = &entry{img: img, meta: meta, tag: tag}
+		s.images[k] = e
 	}
 	delete(s.resolved, k)
+	return e
 }
 
 // deleteImageLocked removes slot k and every piece of state hanging off it
@@ -301,11 +301,10 @@ func (s *Store) materializeLocked(k key) {
 
 // pushRecord replicates one record epoch to a peer: need/have negotiation,
 // missing blocks, then the envelope, looping on the kRecOK still-missing
-// list until the peer holds the complete record.
-func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) error {
-	s.mu.Lock()
-	s.pushes++
-	s.mu.Unlock()
+// list until the peer holds the complete record. It returns the bytes that
+// crossed, whether or not the push completed.
+func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) (int, error) {
+	sent := 0
 	refs, err := ckpt.RecordRefs(env)
 	if err == nil {
 		err = fmt.Errorf("rstore: record push to node %d never completed", peer)
@@ -319,19 +318,20 @@ func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) error
 		}
 		for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
 			var missing []ckpt.BlockRef
-			missing, err = s.blockQuery(peer, need)
+			var n int
+			missing, n, err = s.blockQuery(peer, need)
+			sent += n
 			if err == nil {
-				err = s.pushBlocks(peer, missing)
+				n, err = s.pushBlocks(peer, missing)
+				sent += n
 			}
 			var still []ckpt.BlockID
 			if err == nil {
-				still, err = s.putRec(peer, k, metaBytes, env)
+				still, n, err = s.putRec(peer, k, metaBytes, env)
+				sent += n
 			}
 			if err == nil && len(still) == 0 {
-				s.mu.Lock()
-				s.ackLocked(k, peer)
-				s.mu.Unlock()
-				return nil
+				break
 			}
 			if err == nil {
 				// The peer GCed blocks between our pushes: push exactly
@@ -350,16 +350,22 @@ func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) error
 		}
 	}
 	s.mu.Lock()
-	s.pushFailures++
-	s.mu.Unlock()
-	return err
+	defer s.mu.Unlock()
+	s.pushes++
+	s.repBytes += uint64(sent)
+	if err != nil {
+		s.pushFailures++
+		return sent, err
+	}
+	s.ackLocked(k, peer)
+	return sent, nil
 }
 
 // blockQuery asks a peer which of the given blocks it already holds and
-// returns the ones it does not.
-func (s *Store) blockQuery(peer wire.NodeID, refs []ckpt.BlockRef) ([]ckpt.BlockRef, error) {
+// returns the ones it does not, with the bytes the query cost.
+func (s *Store) blockQuery(peer wire.NodeID, refs []ckpt.BlockRef) ([]ckpt.BlockRef, int, error) {
 	if len(refs) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	payload := make([]byte, 0, 4+32*len(refs))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(refs)))
@@ -369,26 +375,25 @@ func (s *Store) blockQuery(peer wire.NodeID, refs []ckpt.BlockRef) ([]ckpt.Block
 	m := &wire.Msg{Type: wire.TControl, Kind: kBlockHas, Payload: payload}
 	reply, err := s.request(peer, m)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if reply.Kind != kHasOK || len(reply.Payload) != len(refs) {
-		return nil, fmt.Errorf("rstore: bad kBlockHas reply from node %d", peer)
+		return nil, 0, fmt.Errorf("rstore: bad kBlockHas reply from node %d", peer)
 	}
-	s.mu.Lock()
-	s.repBytes += uint64(len(payload))
-	s.mu.Unlock()
 	var missing []ckpt.BlockRef
 	for i, held := range reply.Payload {
 		if held == 0 {
 			missing = append(missing, refs[i])
 		}
 	}
-	return missing, nil
+	return missing, len(payload), nil
 }
 
-// pushBlocks sends block contents to a peer in ~1 MiB batches, each staged
-// into an exactly-sized pooled buffer that moves to the peer copy-free.
-func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) error {
+// pushBlocks sends block contents to a peer in ~1 MiB batches, each gathered
+// into a pooled buffer (capacity rounded up to the pool's power-of-two class)
+// that moves to the peer copy-free. It returns the bytes sent.
+func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) (int, error) {
+	sent := 0
 	for i := 0; i < len(refs); {
 		// Snapshot the batch's data slice headers under mu; block data is
 		// immutable once stored, so building the frame outside mu is safe.
@@ -400,7 +405,7 @@ func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) error {
 			be := s.blocks[refs[j].ID]
 			if be == nil {
 				s.mu.Unlock()
-				return fmt.Errorf("rstore: local block %s vanished mid-push", refs[j].ID)
+				return sent, fmt.Errorf("rstore: local block %s vanished mid-push", refs[j].ID)
 			}
 			datas = append(datas, be.data)
 			size += 36 + len(be.data)
@@ -421,22 +426,20 @@ func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) error {
 		m := &wire.Msg{Type: wire.TControl, Kind: kBlockPut, Payload: buf, Pooled: true}
 		reply, err := s.request(peer, m)
 		if err != nil {
-			return err
+			return sent, err
 		}
 		if reply.Kind != kOK {
-			return fmt.Errorf("rstore: bad kBlockPut reply from node %d", peer)
+			return sent, fmt.Errorf("rstore: bad kBlockPut reply from node %d", peer)
 		}
-		s.mu.Lock()
-		s.repBytes += uint64(size)
-		s.mu.Unlock()
+		sent += size
 		i = j
 	}
-	return nil
+	return sent, nil
 }
 
 // putRec sends the record envelope; the reply lists blocks the peer is
 // (still) missing — empty means the record landed.
-func (s *Store) putRec(peer wire.NodeID, k key, metaBytes, env []byte) ([]ckpt.BlockID, error) {
+func (s *Store) putRec(peer wire.NodeID, k key, metaBytes, env []byte) ([]ckpt.BlockID, int, error) {
 	payload := make([]byte, 0, 4+len(metaBytes)+len(env))
 	payload = binary.BigEndian.AppendUint32(payload, uint32(len(metaBytes)))
 	payload = append(payload, metaBytes...)
@@ -448,23 +451,20 @@ func (s *Store) putRec(peer wire.NodeID, k key, metaBytes, env []byte) ([]ckpt.B
 	}
 	reply, err := s.request(peer, m)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if reply.Kind != kRecOK || len(reply.Payload) < 4 {
-		return nil, fmt.Errorf("rstore: bad kPutRec reply from node %d", peer)
+	count := uint32(0)
+	if len(reply.Payload) >= 4 {
+		count = binary.BigEndian.Uint32(reply.Payload)
 	}
-	s.mu.Lock()
-	s.repBytes += uint64(len(payload))
-	s.mu.Unlock()
-	count := binary.BigEndian.Uint32(reply.Payload)
-	if uint64(len(reply.Payload)) != 4+32*uint64(count) {
-		return nil, fmt.Errorf("rstore: bad kPutRec reply from node %d", peer)
+	if reply.Kind != kRecOK || uint64(len(reply.Payload)) != 4+32*uint64(count) {
+		return nil, 0, fmt.Errorf("rstore: bad kPutRec reply from node %d", peer)
 	}
 	still := make([]ckpt.BlockID, count)
 	for i := range still {
 		copy(still[i][:], reply.Payload[4+32*i:])
 	}
-	return still, nil
+	return still, len(payload), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +475,7 @@ func (s *Store) putRec(peer wire.NodeID, k key, metaBytes, env []byte) ([]ckpt.B
 // local, and otherwise replies with the missing ids so the pusher can try
 // again — the closing move of the push protocol's GC race.
 func (s *Store) handlePutRec(m *wire.Msg) *wire.Msg {
-	env, meta, err := decodeMetaEnv(m.Payload)
+	env, meta, tag, err := decodeMetaEnv(m.Payload)
 	if err != nil {
 		return &wire.Msg{Type: wire.TControl, Kind: kGetMiss}
 	}
@@ -494,7 +494,7 @@ func (s *Store) handlePutRec(m *wire.Msg) *wire.Msg {
 		}
 	}
 	if len(missing) == 0 {
-		s.setImageLocked(k, env, meta, false)
+		s.setImageLocked(k, env, meta, tag)
 		s.indexAddLocked(m.App, m.Src, m.Seq)
 		s.materializeLocked(k)
 	}
@@ -580,7 +580,5 @@ func (s *Store) handleBlockGet(m *wire.Msg) *wire.Msg {
 	if !ok {
 		return &wire.Msg{Type: wire.TControl, Kind: kBlockMiss}
 	}
-	buf := wire.GetBuf(len(data))
-	copy(buf, data)
-	return &wire.Msg{Type: wire.TControl, Kind: kBlockOK, Payload: buf, Pooled: true}
+	return &wire.Msg{Type: wire.TControl, Kind: kBlockOK, Payload: data}
 }

@@ -187,12 +187,12 @@ func TestPutRecMissingBlocks(t *testing.T) {
 		writer.mu.Unlock()
 	}
 	env := ckpt.EncodeFullRecord(len(img), refs)
-	mb := (&ckpt.Meta{Rank: 0, Index: 1}).Encode()
+	mb := encodeTagMeta(1<<32|1, &ckpt.Meta{Rank: 0, Index: 1})
 	k := key{1, 0, 1}
 
 	// The peer has none of the blocks: the envelope must be refused with the
 	// full missing list, and must not be installed.
-	still, err := writer.putRec(2, k, mb, env)
+	still, _, err := writer.putRec(2, k, mb, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +203,14 @@ func TestPutRecMissingBlocks(t *testing.T) {
 		t.Fatal("peer installed a record with missing blocks")
 	}
 	// The need/have query agrees, the blocks push, the record lands.
-	missing, err := writer.blockQuery(2, refs)
+	missing, _, err := writer.blockQuery(2, refs)
 	if err != nil || len(missing) != len(refs) {
 		t.Fatalf("blockQuery = %d missing, %v", len(missing), err)
 	}
-	if err := writer.pushBlocks(2, missing); err != nil {
+	if _, err := writer.pushBlocks(2, missing); err != nil {
 		t.Fatal(err)
 	}
-	still, err = writer.putRec(2, k, mb, env)
+	still, _, err = writer.putRec(2, k, mb, env)
 	if err != nil || len(still) != 0 {
 		t.Fatalf("putRec after block push: still %d missing, %v", len(still), err)
 	}

@@ -4,7 +4,9 @@
 #   vet + build + tests (-race on the fast-path and checkpoint-storage
 #   packages), the allocation benchmarks (folded into BENCH_fastpath.json),
 #   the recovery benchmarks (folded into BENCH_recovery.json, which
-#   enforces the >=5x replicated-memory-vs-disk restore bar at 8 MiB), the
+#   enforces the >=5x replicated-memory-vs-disk fetch bar at 8 MiB, a
+#   whole restore's copy budget, and re-replication pushes <= copies
+#   lost), the
 #   collective benchmarks (folded into BENCH_collectives.json, which
 #   enforces >=3x on the 8 MiB / 8-rank Allreduce versus the seed
 #   algorithm, with allocs/op no worse), and the checkpoint-pipeline
@@ -116,7 +118,7 @@ echo "== go test -race (fast-path packages) =="
 go test -race ./internal/wire/ ./internal/vni/ ./internal/mpi/
 
 echo "== go test -race (checkpoint-storage packages) =="
-go test -race ./internal/ckpt/ ./internal/rstore/ ./internal/daemon/ ./internal/cluster/
+go test -race ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
 
 echo "== go test -race (control-plane packages) =="
 go test -race ./internal/gcs/ ./internal/gossip/ ./internal/lwg/
@@ -187,8 +189,12 @@ go test -run XXX -bench 'BenchmarkRecovery/' -benchmem -benchtime 1s . | tee "$R
 
 echo "== BENCH_recovery.json =="
 # Fold the recovery benchmark lines into BENCH_recovery.json and enforce
-# the replicated-memory acceptance bar: restoring an 8 MiB checkpoint from
-# a surviving RAM replica must be >=5x faster than the disk restore.
+# the replicated-memory acceptance bars: fetching an 8 MiB checkpoint from
+# a surviving RAM replica must be >=5x faster than the disk fetch; a whole
+# restore (Get, Decode, state split, App.Restore) may allocate <=1.25x its
+# 8 MiB state from local RAM and <=2.25x from a peer's (the application's
+# copy, plus the transport's); and a death may make the survivors push no
+# more images than it took copies.
 python3 - "$RBENCH_OUT" <<'EOF'
 import json, re, sys
 
@@ -222,6 +228,24 @@ speedup = disk["ns_per_op"] / ram["ns_per_op"]
 ok = speedup >= 5.0
 print(f"rstore restore {ram['ns_per_op']:.0f} ns vs disk {disk['ns_per_op']:.0f} ns "
       f"= {speedup:.0f}x ({'ok' if ok else 'FAIL: need >=5x'})")
+state = 8 << 20
+for source, budget in (("local", 1.25), ("peer", 2.25)):
+    e2e = current.get(f"BenchmarkRecovery/restore-e2e/source={source}")
+    if e2e is None:
+        sys.exit(f"missing BenchmarkRecovery restore-e2e/source={source} result")
+    ratio = e2e["B_per_op"] / state
+    fits = ratio <= budget
+    ok = ok and fits
+    print(f"restore-e2e from {source} RAM: {e2e['B_per_op']:.0f} B/op = {ratio:.2f}x state "
+          f"({'ok' if fits else f'FAIL: need <={budget}x'})")
+rr = current.get("BenchmarkRecovery/rereplicate-after-death")
+if rr is None:
+    sys.exit("missing BenchmarkRecovery rereplicate-after-death result")
+fits = rr["pushed_images_per_op"] <= rr["lost_copies_per_op"]
+ok = ok and fits
+print(f"re-replication after a death: {rr['pushed_images_per_op']:.2f} images "
+      f"({rr['pushed_B_per_op']:.0f} B) pushed for {rr['lost_copies_per_op']:.2f} copies lost "
+      f"({'ok' if fits else 'FAIL: pushed more than was lost'})")
 if not ok:
     sys.exit(1)
 EOF
