@@ -30,7 +30,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/wire/ ./internal/vni/ ./internal/mpi/
-	$(GO) test -race ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
+	$(GO) test -race ./internal/svm/ ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
 	$(GO) test -race ./internal/gossip/ ./internal/lwg/ ./internal/gcs/ ./internal/evstore/
 
 bench:

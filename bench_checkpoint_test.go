@@ -6,11 +6,14 @@
 // cross the wire), across heap mutation rates, plus the restore side: a
 // delta-chain restore from a surviving RAM replica versus the disk
 // full-image read. scripts/check.sh records the results in
-// BENCH_checkpoint.json and enforces the >=5x replicated-bytes reduction at
-// 10% mutation and the >=5x chain-restore-vs-disk bar.
+// BENCH_checkpoint.json — together with internal/proc's mode=epoch, the C/R
+// module's whole epoch over a real VM application — and enforces the >=5x
+// replicated-bytes reduction at 10% mutation, the >=5x chain-restore-vs-disk
+// bar and the in-place epoch's bars.
 package starfish_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -64,8 +67,9 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 //   - mode=delta: the incremental pipeline — full record every 8th epoch,
 //     delta records between, content-addressed blocks deduplicated against
 //     the replica, superseded chains collected as full records commit. Each
-//     Put carries the dirty spans of the epoch's writes, as a VM
-//     application's does, so a delta epoch compares only hinted blocks.
+//     epoch hands PutHinted one of two alternating buffers with the dirty
+//     spans of its writes, as the C/R module does for a VM application, so a
+//     delta epoch compares only hinted blocks and copies no image.
 //   - restore=chain: a surviving replica restores the newest epoch of a
 //     full + 7-delta chain (the materialized cache: the replica applies
 //     deltas as they arrive, so the restore is a lookup).
@@ -113,20 +117,32 @@ func BenchmarkCheckpoint(b *testing.B) {
 			writer, _ := newRstorePair(b)
 			p := ckpt.NewPipeline(writer, 8)
 			rng := rand.New(rand.NewSource(1))
-			img := newEpochImage(rng)
-			if err := p.Put(1, 0, 0, img, nil); err != nil {
+			// PutHinted keeps the image it is handed as the diff base and
+			// hands the previous base back, so the epochs alternate between
+			// two buffers exactly as the C/R module's do: the one that comes
+			// back is an epoch behind, catches up on what the last epoch
+			// wrote, and takes this epoch's writes.
+			base := newEpochImage(rng)
+			if _, err := p.PutHinted(1, 0, 0, base, nil, 0, nil); err != nil {
 				b.Fatal(err)
 			}
+			img := append([]byte(nil), base...)
+			var stale []svm.Span
 			rep0 := writer.Stats().BytesReplicated
 			stored0 := p.Stats().StoredBytes
 			b.SetBytes(ckptImageSize)
 			b.ResetTimer()
 			n := uint64(1)
 			for i := 0; i < b.N; i++ {
+				for _, sp := range stale {
+					copy(img[sp.Off:sp.Off+sp.Len], base[sp.Off:])
+				}
 				dirty := mutateImage(img, pct, n, rng)
-				if err := p.PutHinted(1, 0, n, img, nil, n-1, dirty); err != nil {
+				prev, err := p.PutHinted(1, 0, n, img, nil, n-1, dirty)
+				if err != nil {
 					b.Fatal(err)
 				}
+				base, img, stale = img, prev, dirty
 				// A full record commits a new chain every 8th epoch; the GC
 				// there collects the superseded chain on both nodes, exactly
 				// as the C/R module does on a committed line.
@@ -232,6 +248,69 @@ func BenchmarkEncodeImage(b *testing.B) {
 				if img := m.EncodeImage(); len(img) != m.ImageSize() {
 					b.Fatalf("image of %d bytes, want %d", len(img), m.ImageSize())
 				}
+			}
+		})
+	}
+}
+
+// strideStore stores into one heap word per iteration, a stride apart, for
+// as many iterations as global 0 says: global 1 is the address, 2 the stride,
+// 3 the heap size.
+const strideStore = `
+loop:   loadg 0
+        jz done
+        loadg 1
+        loadg 0
+        storem          ; mem[addr] = remaining
+        loadg 1
+        loadg 2
+        add
+        loadg 3
+        mod
+        storeg 1        ; addr = (addr + stride) mod heap
+        loadg 0
+        push 1
+        sub
+        storeg 0        ; remaining--
+        jmp loop
+done:   halt
+`
+
+// BenchmarkEncodeDirty measures svm.EncodeDirty plus the ResetDirty behind
+// it — the Snapshot of a VM application whose image is built in place — on
+// the 8 MiB heap of BenchmarkEncodeImage, of which the program stored into
+// mut% of the 4 KiB chunks since the last snapshot. The sweep is the evidence
+// that a snapshot costs what changed: scripts/check.sh gates mut=10 against
+// BenchmarkEncodeImage.
+func BenchmarkEncodeDirty(b *testing.B) {
+	arch := svm.Machines[5]
+	const heapWords = ckptImageSize / 8
+	const chunkWords = ckpt.DeltaBlockSize / 8
+	for _, pct := range []int{1, 10, 50, 100} {
+		b.Run(fmt.Sprintf("arch=le64/mut=%d", pct), func(b *testing.B) {
+			m := svm.New(arch, svm.MustAssemble(strideStore), 4)
+			m.Grow(heapWords)
+			m.Globals[2], m.Globals[3] = chunkWords, heapWords
+			m.TrackDirty()
+			img := m.EncodeImage()
+			chunks := heapWords / chunkWords * pct / 100
+			b.SetBytes(int64(chunks * ckpt.DeltaBlockSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m.Globals[0], m.PC, m.Halted = int64(chunks), 0, false
+				if err := m.Run(1 << 30); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if !m.EncodeDirty(img) {
+					b.Fatal("EncodeDirty refused a heap of unchanged layout")
+				}
+				m.ResetDirty()
+			}
+			b.StopTimer()
+			if want := m.EncodeImage(); !bytes.Equal(img, want) {
+				b.Fatal("the patched image is not the VM's image")
 			}
 		})
 	}

@@ -236,8 +236,11 @@ func SplitBlocks(raw []byte) [][]byte {
 // targets: record envelopes travel through the ordinary (app, rank, n) image
 // slots, while block contents live in a shared content-addressed store.
 //
-// Block data passed to PutRecord is only guaranteed valid for the duration
-// of the call; implementations that retain blocks asynchronously must copy.
+// Block data passed to PutRecord is only valid for the duration of the call:
+// it points into the writer's image buffer, which Pipeline keeps by reference
+// and the writer rewrites in place two epochs later. An implementation that
+// retains a block — in a store, a cache, an asynchronous spill — must copy it
+// first (the disk Store writes it out, rstore.Store and Tiered copy).
 // GetBlock may return internal storage; callers treat blocks as read-only.
 type ChunkedBackend interface {
 	Backend

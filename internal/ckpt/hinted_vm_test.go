@@ -153,7 +153,7 @@ func FuzzHintedPipeline(f *testing.F) {
 			} else {
 				noSpans = []svm.Span{}
 			}
-			if err := ph.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
+			if _, err := ph.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
 				t.Fatal(err)
 			}
 			if err := pp.Put(1, 0, n, img, nil); err != nil {
@@ -161,7 +161,7 @@ func FuzzHintedPipeline(f *testing.F) {
 			}
 			// "Nothing changed" is as wrong as a hint gets; under a base
 			// that is not the previous epoch it must not be believed.
-			if err := ps.PutHinted(1, 0, n, img, nil, n+uint64(r.Intn(3)), noSpans); err != nil {
+			if _, err := ps.PutHinted(1, 0, n, img, nil, n+uint64(r.Intn(3)), noSpans); err != nil {
 				t.Fatal(err)
 			}
 			sameLastRecord(t, int(n), hinted, plain)
@@ -204,7 +204,7 @@ func TestHintIsUsed(t *testing.T) {
 	if err := p.Put(1, 0, 1, imgs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, []svm.Span{}); err != nil {
+	if _, err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, []svm.Span{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(rec.blocks[1]); n != 0 {
@@ -249,7 +249,7 @@ func TestHintedEpochsStayIncremental(t *testing.T) {
 		img := m.EncodeImage()
 		m.ResetDirty()
 		before := p.Stats().StoredBytes
-		if err := p.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
+		if _, err := p.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := p.Get(1, 0, n)
@@ -265,6 +265,63 @@ func TestHintedEpochsStayIncremental(t *testing.T) {
 		}
 		if halted {
 			break
+		}
+	}
+}
+
+// failOnce is a recorder whose next PutRecord fails.
+type failOnce struct {
+	*recorder
+	fail bool
+}
+
+func (f *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
+	if f.fail {
+		f.fail = false
+		return ErrNoCheckpoint
+	}
+	return f.recorder.PutRecord(app, rank, n, env, blocks, meta)
+}
+
+// TestPutHintedBorrows pins the ownership contract: PutHinted keeps the image
+// it is handed by reference and hands back the one it held — the very memory,
+// not a copy — while Put copies in and never writes a borrowed base.
+func TestPutHintedBorrows(t *testing.T) {
+	be := &failOnce{recorder: newRecorder()}
+	p := NewPipeline(be, 8)
+	imgs := epochImages(t, 5, 16)
+	same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+
+	if prev, err := p.PutHinted(1, 0, 1, imgs[0], nil, 0, nil); err != nil || prev != nil {
+		t.Fatalf("first put returned %d bytes, err %v; want nothing to hand back", len(prev), err)
+	}
+	if prev, err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, nil); err != nil || !same(prev, imgs[0]) {
+		t.Fatalf("second put did not hand the first image back (err %v)", err)
+	}
+	// A put that fails keeps nothing and changes nothing.
+	be.fail = true
+	if prev, err := p.PutHinted(1, 0, 3, imgs[2], nil, 2, nil); err == nil || prev != nil {
+		t.Fatalf("failed put returned %d bytes, err %v; want nil and an error", len(prev), err)
+	}
+	if prev, err := p.PutHinted(1, 0, 3, imgs[2], nil, 2, nil); err != nil || !same(prev, imgs[1]) {
+		t.Fatalf("a failed put changed the base (err %v)", err)
+	}
+
+	// A plain Put on the rank copies in and leaves the borrowed base alone.
+	borrowed := append([]byte(nil), imgs[2]...)
+	if err := p.Put(1, 0, 4, imgs[3], nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(imgs[2], borrowed) {
+		t.Fatal("Put wrote into the borrowed base")
+	}
+	prev, err := p.PutHinted(1, 0, 5, imgs[4], nil, 4, nil)
+	if err != nil || same(prev, imgs[2]) || same(prev, imgs[3]) || !bytes.Equal(prev, imgs[3]) {
+		t.Fatalf("after a Put the base should be the pipeline's own copy of it (err %v)", err)
+	}
+	for n := uint64(1); n <= 5; n++ {
+		if got, _, err := p.Get(1, 0, n); err != nil || !bytes.Equal(got, imgs[n-1]) {
+			t.Fatalf("checkpoint %d does not reconstruct (err %v)", n, err)
 		}
 	}
 }

@@ -21,9 +21,9 @@ const DefaultFullEvery = 8
 //   - The first checkpoint of a rank (and every FullEvery-th after it) is a
 //     full record: every 4 KiB block of the image, content-addressed.
 //   - Checkpoints in between are delta records: the writer diffs the image
-//     against its cached copy of the previous epoch (ComputeDelta's block
-//     rule) and stores only the changed blocks plus a ~40-byte-per-block
-//     envelope.
+//     against the previous epoch's (ComputeDelta's block rule) — the
+//     caller's own buffer, borrowed, after PutHinted; a copy after Put — and
+//     stores only the changed blocks plus a ~40-byte-per-block envelope.
 //   - Identical blocks are stored once: across epochs (unchanged blocks are
 //     not even re-sent), and across ranks (the backend deduplicates by
 //     content hash, so the code/globals segments every rank shares land in
@@ -75,7 +75,8 @@ type EpochEvent struct {
 
 // rankState is the writer-side capture cache of one rank.
 type rankState struct {
-	lastRaw   []byte     // our own copy of the previous epoch's image
+	lastRaw   []byte     // the previous epoch's image, the next one's diff base:
+	borrowed  bool       // the writer's buffer (never written here) or our copy
 	refs      []BlockRef // content addresses of lastRaw's blocks
 	lastIndex uint64     // checkpoint index of lastRaw
 	sinceFull int        // records since (and including) the chain's full base
@@ -109,19 +110,35 @@ func (p *Pipeline) Stats() PipelineStats {
 }
 
 // Put captures checkpoint n of (app, rank) as a full or delta record,
-// per the cadence policy.
+// per the cadence policy. img stays the caller's — one buffer may be mutated
+// and Put again — and the pipeline keeps a copy as the rank's next diff base.
 func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return p.PutHinted(app, rank, n, img, meta, 0, nil)
+	_, err := p.put(app, rank, n, img, meta, 0, nil, false)
+	return err
 }
 
-// PutHinted is Put with a dirty hint from a writer that tracks its own
-// writes: every byte of img outside the dirty spans equals the byte at the
+// PutHinted is Put for a writer that hands img over and may track its writes.
+//
+// Ownership: on success the pipeline keeps img by reference as the rank's
+// diff base until the rank's next successful put, and returns the previous
+// base (nil if none), which it no longer references. The caller must not
+// write img while it is the base and may write the returned one: two buffers
+// ping-pong, and nobody writes what another can read. On error img is not
+// kept and nil is returned.
+//
+// Hint: every byte of img outside the dirty spans equals the byte at the
 // same offset of the image of checkpoint hintBase. The hint is honoured only
-// when hintBase is the checkpoint the rank's cached copy holds — the image
-// img is compared against — and then only blocks overlapping a span are
-// looked at; a nil dirty, or any other hintBase, compares every block. The
-// records emitted are the same either way.
-func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta, hintBase uint64, dirty []svm.Span) error {
+// when hintBase is the checkpoint the rank's base holds — the image img is
+// compared against — and then only blocks overlapping a span are looked at;
+// a nil dirty, or any other hintBase, compares every block. The records
+// emitted are the same either way.
+func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta, hintBase uint64, dirty []svm.Span) ([]byte, error) {
+	return p.put(app, rank, n, img, meta, hintBase, dirty, true)
+}
+
+// put captures one record and makes img (borrow) or a copy of it the rank's
+// next diff base.
+func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta, hintBase uint64, dirty []svm.Span, borrow bool) ([]byte, error) {
 	p.mu.Lock()
 	st := p.ranks[rank]
 	if st == nil {
@@ -131,7 +148,8 @@ func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byt
 	// The cached copy is only a base for the immediately following index; a
 	// gap (restart, skipped epoch) starts over from nothing, which makes
 	// every block changed and the record a full one.
-	base, baseRaw, baseRefs := st.lastIndex, st.lastRaw, st.refs
+	last, lastBorrowed := st.lastRaw, st.borrowed
+	base, baseRaw, baseRefs := st.lastIndex, last, st.refs
 	if baseRaw == nil || base+1 != n {
 		baseRaw, baseRefs = nil, nil
 	}
@@ -143,10 +161,18 @@ func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byt
 		hinted = spanBlocks(dirty, len(img))
 	}
 	changed := diffBlocks(baseRaw, img, hinted)
-	refs := make([]BlockRef, (len(img)+DeltaBlockSize-1)/DeltaBlockSize)
-	copy(refs, baseRefs)
-	for _, d := range changed {
-		refs[d.Index] = d.Ref
+	// The rank's block list is patched in place once the record is stored; a
+	// full record, which lists it, and a resized image start from a copy.
+	refs := baseRefs
+	patch := func() {
+		for _, d := range changed {
+			refs[d.Index] = d.Ref
+		}
+	}
+	if nb := (len(img) + DeltaBlockSize - 1) / DeltaBlockSize; !asDelta || len(refs) != nb {
+		refs = make([]BlockRef, nb)
+		copy(refs, baseRefs)
+		patch()
 	}
 	// A delta record lists and carries the changed blocks. A full record
 	// lists every block and carries every block — it must stand on its own
@@ -154,8 +180,12 @@ func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byt
 	// cached copy it costs a delta's hashing: unchanged blocks keep their
 	// content addresses.
 	var env []byte
-	var blocks []RecBlock
-	seen := make(map[BlockID]bool)
+	carried := len(changed)
+	if !asDelta {
+		carried = len(refs)
+	}
+	blocks := make([]RecBlock, 0, carried)
+	seen := make(map[BlockID]bool, carried)
 	carry := func(i uint32, ref BlockRef) {
 		if !seen[ref.ID] {
 			seen[ref.ID] = true
@@ -175,29 +205,30 @@ func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byt
 		}
 	}
 	if err := p.inner.PutRecord(app, rank, n, env, blocks, meta); err != nil {
-		return err
+		return nil, err
 	}
+	patch()
 
-	// Cache our own copy: img belongs to the caller, and next epoch's diff
-	// must not race the application mutating its state. A copy that was the
-	// base already equals img outside the changed blocks.
-	raw := st.lastRaw
-	if baseRaw != nil && cap(raw) >= len(img) {
+	raw, prev := img, last
+	if !borrow {
+		// Copy in: next epoch's diff must not race the caller mutating img. Our
+		// own copy, if it was the base, equals img outside the changed blocks.
+		raw, prev = last, nil
+		if lastBorrowed || cap(raw) < len(img) {
+			raw, baseRaw = make([]byte, len(img)), nil
+		}
 		raw = raw[:len(img)]
+		if baseRaw == nil {
+			copy(raw, img)
+		}
 		for _, d := range changed {
 			lo := int(d.Index) * DeltaBlockSize
 			copy(raw[lo:], img[lo:min(lo+DeltaBlockSize, len(img))])
 		}
-	} else {
-		if cap(raw) < len(img) {
-			raw = make([]byte, len(img))
-		}
-		raw = raw[:len(img)]
-		copy(raw, img)
 	}
 
 	p.mu.Lock()
-	st.lastRaw, st.refs, st.lastIndex = raw, refs, n
+	st.lastRaw, st.borrowed, st.refs, st.lastIndex = raw, borrow, refs, n
 	if asDelta {
 		st.sinceFull++
 		p.stats.Deltas++
@@ -220,7 +251,7 @@ func (p *Pipeline) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byt
 			RawBytes: len(img), StoredBytes: stored,
 		})
 	}
-	return nil
+	return prev, nil
 }
 
 // spanBlocks marks the blocks of an n-byte image that overlap a dirty span.

@@ -42,7 +42,12 @@ type App interface {
 	// Step performs one unit of work and reports whether the application
 	// is finished.
 	Step(ctx *Ctx) (done bool, err error)
-	// Snapshot returns the application state at the current boundary.
+	// Snapshot returns the application state at the current boundary. The
+	// runtime only reads the bytes: it copies them into the checkpoint
+	// image when the round finalizes (steps later, if channel state is
+	// still arriving) or, in memory it lent (VMApp.LendSnapshot), keeps
+	// them as part of the image. Until it calls Snapshot again the
+	// application must leave them as returned.
 	Snapshot() ([]byte, error)
 }
 
@@ -167,7 +172,9 @@ type VMApp struct {
 	Globals   []int64 // initial values for the first NGlobals globals
 	HeapWords int     // pre-allocated heap (checkpoint-size experiments)
 
-	vm *svm.VM
+	vm         *svm.VM
+	lent, prev []byte     // the runtime's loan for the next Snapshot
+	stale      []svm.Span // (LendSnapshot)
 }
 
 // VMAppName is the registry name of the built-in VM application.
@@ -247,11 +254,30 @@ func (a *VMApp) Step(*Ctx) (bool, error) {
 	return a.vm.RunSteps(a.StepSlice)
 }
 
+// LendSnapshot is the optional App method behind in-place capture, found by
+// type assertion like DirtySpans. It lends dst for the next Snapshot call
+// only: memory the runtime owns, holding the snapshot before the last, with
+// prev the last one (read-only, of dst's length) and stale the DirtySpans
+// reported for it — where the two differ. Snapshot may return dst, brought up
+// to date, instead of a fresh image; anything else declines and dst is dropped.
+func (a *VMApp) LendSnapshot(dst, prev []byte, stale []svm.Span) {
+	a.lent, a.prev, a.stale = dst, prev, stale
+}
+
 // Snapshot implements App: the native-representation VM image. Each
 // snapshot re-baselines the VM's write tracking, so DirtySpans always
-// describes changes relative to the previous snapshot.
+// describes changes relative to the previous snapshot. A lent image costs
+// what changed: the last snapshot's spans are copied over from it and the
+// VM re-encodes the ones it wrote since.
 func (a *VMApp) Snapshot() ([]byte, error) {
-	img := a.vm.EncodeImage()
+	img, prev, stale := a.lent, a.prev, a.stale
+	a.lent, a.prev, a.stale = nil, nil, nil
+	for _, sp := range stale {
+		copy(img[sp.Off:sp.Off+sp.Len], prev[sp.Off:])
+	}
+	if img == nil || !a.vm.EncodeDirty(img) {
+		img = a.vm.EncodeImage()
+	}
 	a.vm.ResetDirty()
 	return img, nil
 }

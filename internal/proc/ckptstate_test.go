@@ -13,7 +13,9 @@ import (
 
 func encodeCkptState(appState []byte, pending, recorded []mpi.RecordedMsg) []byte {
 	w := wire.NewWriter(ckptStateSize(appState, pending, recorded))
-	writeCkptState(w, appState, pending, recorded)
+	w.Bytes32(appState)
+	writeMsgList(w, pending)
+	writeMsgList(w, recorded)
 	return w.Bytes()
 }
 

@@ -28,9 +28,15 @@ type crModule struct {
 	lastIndex uint64
 
 	// snapIndex is the checkpoint the application's latest Snapshot was
-	// taken for (0: none by this process) — what its next dirty hint is
-	// relative to. Main loop only.
-	snapIndex uint64
+	// taken for (0: none by this process), what its next dirty hint is
+	// relative to; snaps counts them, the serial of imageBuf. Main loop only.
+	snapIndex, snaps uint64
+
+	// In-place capture's alternating buffers (DESIGN, "Capture data flow"):
+	// base, the newest stored image, is the store's diff base and read-only
+	// here; spare, the one before, came back from the store and is ours to
+	// write. Under mu: Chandy–Lamport stores on the progress goroutine.
+	base, spare imageBuf
 
 	// Independent-protocol state: receipts recorded since the last
 	// checkpoint.
@@ -111,10 +117,10 @@ func decodeMsgList(b []byte) ([]mpi.RecordedMsg, error) {
 	return msgs, r.Err()
 }
 
-// A checkpoint's state bundles the application snapshot with the MPI
-// layer's pending (received-but-unconsumed) messages and, for Chandy–Lamport
-// and stop-and-sync, the recorded channel state. ckptStateSize is the
-// encoded size of what writeCkptState writes.
+// A checkpoint's state bundles the application snapshot (length-prefixed)
+// with the MPI layer's pending (received-but-unconsumed) messages and, for
+// Chandy–Lamport and stop-and-sync, the recorded channel state.
+// ckptStateSize is its encoded size.
 func ckptStateSize(appState []byte, pending, recorded []mpi.RecordedMsg) int {
 	n := 4 + len(appState)
 	for _, msgs := range [][]mpi.RecordedMsg{pending, recorded} {
@@ -126,13 +132,7 @@ func ckptStateSize(appState []byte, pending, recorded []mpi.RecordedMsg) int {
 	return n
 }
 
-func writeCkptState(w *wire.Writer, appState []byte, pending, recorded []mpi.RecordedMsg) {
-	w.Bytes32(appState)
-	writeMsgList(w, pending)
-	writeMsgList(w, recorded)
-}
-
-// decodeCkptState splits what writeCkptState wrote. appState is a view into
+// decodeCkptState splits the state capture wrote. appState is a view into
 // b (the application makes the one copy, in Restore); message payloads are
 // copied, because they are handed to the application to keep.
 func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.RecordedMsg, err error) {
@@ -146,10 +146,30 @@ func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.Recorde
 	return appState, pending, recorded, nil
 }
 
+// imageBuf is a whole checkpoint image kept between epochs: the application
+// state of snapshot number snap is img[off:off+n].
+type imageBuf struct {
+	img    []byte
+	off, n int
+	snap   uint64
+	dirty  []svm.Span // where it differs from snapshot snap-1's; nil: unknown
+}
+
+func (b imageBuf) state() []byte { return b.img[b.off : b.off+b.n] }
+
+// sameBytes reports whether a and b are the same non-empty memory.
+func sameBytes(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
 // cut is what a process captures at its snapshot point: the application
 // state and the MPI layer's pending messages and counters.
 type cut struct {
 	state []byte
+	// snap is the snapshot's serial; into, when set, the spare the
+	// application brought up to date: state is its state window.
+	snap uint64
+	into imageBuf
 	// dirty lists the byte ranges of state that may differ from the state
 	// snapshotted for checkpoint dirtyBase; nil when the application does
 	// not track its writes or this is its first snapshot.
@@ -166,69 +186,122 @@ type dirtyTracker interface {
 	DirtySpans() []svm.Span
 }
 
-// hintedStore is a checkpoint backend that takes dirty hints (ckpt.Pipeline).
+// snapshotLender is the App extension behind in-place capture (VMApp.LendSnapshot).
+type snapshotLender interface {
+	LendSnapshot(dst, prev []byte, stale []svm.Span)
+}
+
+// hintedStore keeps the image as its next diff base and returns the previous.
 type hintedStore interface {
-	PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta, hintBase uint64, dirty []svm.Span) error
+	PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta, hintBase uint64, dirty []svm.Span) ([]byte, error)
 }
 
 // snapshotApp takes the application's part of the cut for checkpoint idx.
 // Main loop, step boundary.
 func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
-	// Snapshot re-baselines the application's write tracking, so the hint
-	// has to be read first.
-	if t, ok := cr.p.app.(dirtyTracker); ok && cr.snapIndex != 0 {
+	app := cr.p.app
+	// Snapshot re-baselines the write tracking: the hint is read first.
+	if t, ok := app.(dirtyTracker); ok && cr.snapIndex != 0 {
 		c.dirty, c.dirtyBase = t.DirtySpans(), cr.snapIndex
 	}
-	state, err := cr.p.app.Snapshot()
+	cr.snaps++
+	c.snap = cr.snaps
+	if l, ok := app.(snapshotLender); ok {
+		// The spare becomes this snapshot's image when the buffers hold the
+		// last snapshot and the one before, of one layout, and the last
+		// one's changes are known; a round that never stored breaks that.
+		cr.mu.Lock()
+		base, spare := cr.base, cr.spare
+		if spare.img != nil && base.dirty != nil && base.snap == c.snap-1 && spare.snap == base.snap-1 &&
+			len(spare.img) == len(base.img) && spare.n == base.n {
+			c.into, cr.spare = spare, imageBuf{} // being rewritten: nobody's image until it is stored
+		}
+		cr.mu.Unlock()
+		if c.into.img != nil {
+			l.LendSnapshot(c.into.state(), base.state(), base.dirty)
+		}
+	}
+	state, err := app.Snapshot()
 	if err != nil {
 		return fmt.Errorf("proc: snapshot: %w", err)
+	}
+	if c.into.img != nil && !sameBytes(state, c.into.state()) {
+		c.into = imageBuf{} // declined: capture assembles
 	}
 	c.state = state
 	cr.snapIndex = idx
 	return nil
 }
 
-// capture writes checkpoint idx: it assembles the image — encoder header,
-// application state, the cut's pending messages and the channel state that
-// followed it (Chandy–Lamport, stop-and-sync) — in one exactly-sized buffer,
-// stores it with the cut's dirty hint shifted to image offsets and with meta
-// completed from the cut, and emits the checkpoint record under the given
-// protocol name.
+// capture writes checkpoint idx: the image — encoder header, application
+// state, the cut's pending messages and the channel state that followed it
+// (Chandy–Lamport, stop-and-sync) — in one exactly-sized buffer, stored with
+// the cut's dirty hint shifted to image offsets and with meta completed from
+// the cut, and the checkpoint record emitted under the given protocol name.
+// The buffer is the spare — only the lists are written — when the application
+// built its state there and the image kept its length, else a new one.
 func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
 	p := cr.p
 	meta.Rank, meta.Index, meta.SentCounts, meta.RecvCounts = p.rank, idx, c.sent, c.recv
 	stateLen := ckptStateSize(c.state, c.pending, channel)
-	img, window := p.encoder.NewImage(p.arch, stateLen)
-	w := wire.NewWriterOn(window)
-	writeCkptState(w, c.state, c.pending, channel)
-	if w.Len() != stateLen {
-		return fmt.Errorf("proc: checkpoint %d: state encodes to %d bytes, sized %d", idx, w.Len(), stateLen)
+	img := c.into.img
+	off := len(img) - stateLen + 4 // where an image of this size has the application state
+	if img == nil || off != c.into.off {
+		var window []byte
+		img, window = p.encoder.NewImage(p.arch, stateLen)
+		off = len(img) - stateLen + 4
+		wire.NewWriterOn(window).Bytes32(c.state)
 	}
-
-	var err error
-	if hs, ok := p.store.(hintedStore); ok && c.dirty != nil {
-		// Outside the application state everything but the encoder's
-		// constant runtime segment counts as dirty: the image header, the
-		// two length prefixes in front of the state, the message lists
-		// behind it.
-		off := len(img) - stateLen + 4
-		dirty := make([]svm.Span, 0, len(c.dirty)+3)
-		dirty = append(dirty, svm.Span{Off: 0, Len: 10}, svm.Span{Off: off - 8, Len: 8})
-		for _, sp := range c.dirty {
-			dirty = append(dirty, svm.Span{Off: off + sp.Off, Len: sp.Len})
-		}
-		dirty = append(dirty, svm.Span{Off: off + len(c.state), Len: len(img) - off - len(c.state)})
-		err = hs.PutHinted(p.spec.ID, p.rank, idx, img, meta, c.dirtyBase, dirty)
-	} else {
-		err = p.store.Put(p.spec.ID, p.rank, idx, img, meta)
+	// In place, the state is there and the rest depends only on lengths.
+	lists := img[off+len(c.state):]
+	w := wire.NewWriterOn(lists)
+	writeMsgList(w, c.pending)
+	writeMsgList(w, channel)
+	if w.Len() != len(lists) {
+		return fmt.Errorf("proc: checkpoint %d: message lists encode to %d bytes, sized %d", idx, w.Len(), len(lists))
 	}
-	if err != nil {
+	if err := cr.store(idx, c, img, off, meta); err != nil {
 		return fmt.Errorf("proc: store checkpoint %d: %w", idx, err)
 	}
 	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
 		evstore.F("index", idx), evstore.F("protocol", protocol),
 		evstore.F("bytes", len(img))))
 	return nil
+}
+
+// store puts the image, whose application state sits at off. A store that
+// takes hints keeps it and hands the previous one back: base and spare.
+func (cr *crModule) store(idx uint64, c *cut, img []byte, off int, meta *ckpt.Meta) error {
+	p := cr.p
+	hs, ok := p.store.(hintedStore)
+	if !ok {
+		return p.store.Put(p.spec.ID, p.rank, idx, img, meta)
+	}
+	var dirty []svm.Span
+	if c.dirty != nil {
+		// Outside the application state everything but the encoder's
+		// constant runtime segment counts as dirty: the image header, the
+		// two length prefixes in front of the state, the message lists
+		// behind it.
+		dirty = make([]svm.Span, 0, len(c.dirty)+3)
+		dirty = append(dirty, svm.Span{Off: 0, Len: 10}, svm.Span{Off: off - 8, Len: 8})
+		for _, sp := range c.dirty {
+			dirty = append(dirty, svm.Span{Off: off + sp.Off, Len: sp.Len})
+		}
+		dirty = append(dirty, svm.Span{Off: off + len(c.state), Len: len(img) - off - len(c.state)})
+	}
+	prev, err := hs.PutHinted(p.spec.ID, p.rank, idx, img, meta, c.dirtyBase, dirty)
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	last := cr.base
+	cr.base, cr.spare = imageBuf{}, imageBuf{}
+	if _, lends := p.app.(snapshotLender); err == nil && lends {
+		cr.base = imageBuf{img: img, off: off, n: len(c.state), snap: c.snap, dirty: c.dirty}
+		if sameBytes(prev, last.img) {
+			cr.spare = last
+		}
+	}
+	return err
 }
 
 // ---- callbacks from the MPI progress engine ----

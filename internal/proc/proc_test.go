@@ -759,11 +759,9 @@ func TestCkptStateRoundTrip(t *testing.T) {
 	}
 	// The size is computed up front so a checkpoint image can be sized
 	// exactly: the encoding must fill it and not a byte more.
-	b := make([]byte, ckptStateSize([]byte("app-state"), pending, recorded))
-	w := wire.NewWriterOn(b)
-	writeCkptState(w, []byte("app-state"), pending, recorded)
-	if w.Len() != len(b) || &w.Bytes()[0] != &b[0] {
-		t.Fatalf("state encoded to %d bytes, sized %d (in place: %v)", w.Len(), len(b), &w.Bytes()[0] == &b[0])
+	b := encodeCkptState([]byte("app-state"), pending, recorded)
+	if want := ckptStateSize([]byte("app-state"), pending, recorded); len(b) != want || cap(b) != want {
+		t.Fatalf("state encoded to %d bytes (capacity %d), sized %d", len(b), cap(b), want)
 	}
 	state, gp, gr, err := decodeCkptState(b)
 	if err != nil {

@@ -128,6 +128,9 @@ type key struct {
 type entry struct {
 	img  []byte
 	meta *ckpt.Meta
+	// rec is img decoded, when img is a record envelope: parsed once when
+	// the slot is set, read by refcounting, materialization and pushes.
+	rec *ckpt.Record
 	// tag names the Put that produced these bytes: the writer's node in the
 	// high half, the writer's put count in the low. It travels with every
 	// copy, so each holder knows whose copy is replica #1, and a holder asked
@@ -550,6 +553,16 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 		}
 	}
 	s.broadcastIndex(members, []key{k})
+	return s.closedUnderPut()
+}
+
+// closedUnderPut fails a put the store was closed under: its pushes may have
+// died with the store, and a node going down must not vouch for a checkpoint
+// that exists nowhere else — the rank would acknowledge it and the line commit.
+func (s *Store) closedUnderPut() error {
+	if s.isClosed() {
+		return fmt.Errorf("rstore: store closed")
+	}
 	return nil
 }
 
@@ -1044,14 +1057,14 @@ func (s *Store) reReplicate(gen uint64) {
 			s.mu.Unlock()
 			continue
 		}
-		img, meta, tag := e.img, e.meta, e.tag
+		img, meta, tag, rec := e.img, e.meta, e.tag, e.rec
 		s.mu.Unlock()
 		mb := encodeTagMeta(tag, meta)
 		for _, h := range targets {
 			var sent int
 			var err error
-			if ckpt.IsRecord(img) {
-				sent, err = s.pushRecord(h, k, mb, img)
+			if rec != nil {
+				sent, err = s.pushRecord(h, k, mb, img, rec)
 			} else if s.peerHas(h, k, tag) {
 				skipped++
 				continue

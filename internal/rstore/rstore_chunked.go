@@ -66,7 +66,8 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, 
 		}
 	}
 	tag := s.nextTagLocked()
-	targets := s.pushTargetsLocked(k, s.setImageLocked(k, env, meta, tag))
+	e := s.setImageLocked(k, env, meta, tag)
+	targets, rec := s.pushTargetsLocked(k, e), e.rec
 	delete(s.acked, k) // acks were for the record this Put replaces
 	s.indexAddLocked(app, rank, n)
 	s.materializeLocked(k)
@@ -75,13 +76,13 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, 
 
 	mb := encodeTagMeta(tag, meta)
 	for _, h := range targets {
-		if _, err := s.pushRecord(h, k, mb, env); err != nil {
+		if _, err := s.pushRecord(h, k, mb, env, rec); err != nil {
 			s.logf("[rstore %d] push record #%d of app %d rank %d to node %d: %v",
 				s.cfg.Node, n, app, rank, h, err)
 		}
 	}
 	s.broadcastIndex(members, []key{k})
-	return nil
+	return s.closedUnderPut()
 }
 
 // GetBlock serves a content-addressed block from the local shard, falling
@@ -169,13 +170,23 @@ func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *
 // blocks shared by both never dip to zero. Any previously materialized image
 // for the slot is stale.
 func (s *Store) setImageLocked(k key, img []byte, meta *ckpt.Meta, tag uint64) *entry {
-	s.refEnvLocked(img, 1)
+	rec, err := ckpt.DecodeRecord(img)
+	if err != nil {
+		rec = nil // a raw image (or an undecodable envelope): opaque bytes
+	}
+	return s.setRecLocked(k, img, rec, meta, tag)
+}
+
+// setRecLocked is setImageLocked for a caller that has img decoded already
+// (rec nil: a raw image).
+func (s *Store) setRecLocked(k key, img []byte, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
+	s.refRecLocked(rec, 1)
 	e, ok := s.images[k]
 	if ok {
-		s.refEnvLocked(e.img, -1)
-		e.img, e.meta, e.tag = img, meta, tag
+		s.refRecLocked(e.rec, -1)
+		e.img, e.meta, e.tag, e.rec = img, meta, tag, rec
 	} else {
-		e = &entry{img: img, meta: meta, tag: tag}
+		e = &entry{img: img, meta: meta, tag: tag, rec: rec}
 		s.images[k] = e
 	}
 	delete(s.resolved, k)
@@ -186,29 +197,36 @@ func (s *Store) setImageLocked(k key, img []byte, meta *ckpt.Meta, tag uint64) *
 // (block references, replica acks, the materialized image).
 func (s *Store) deleteImageLocked(k key) {
 	if e, ok := s.images[k]; ok {
-		s.refEnvLocked(e.img, -1)
+		s.refRecLocked(e.rec, -1)
 		delete(s.images, k)
 	}
 	delete(s.acked, k)
 	delete(s.resolved, k)
 }
 
-// refEnvLocked adjusts the reference counts of every block a record envelope
-// names (one count per occurrence). Raw images are a no-op. A block gaining
+// eachRef calls f with every block reference of a record, in order (one call
+// per occurrence): RecordRefs without the slice. A nil record has none.
+func eachRef(rec *ckpt.Record, f func(ckpt.BlockRef)) {
+	if rec == nil {
+		return
+	}
+	for _, r := range rec.Refs {
+		f(r)
+	}
+	for _, d := range rec.Deltas {
+		f(d.Ref)
+	}
+}
+
+// refRecLocked adjusts the reference counts of every block a record names
+// (one count per occurrence). Raw images (nil) are a no-op. A block gaining
 // its first reference no longer needs its pre-record pin; a block dropping
 // to zero unpinned references is garbage.
-func (s *Store) refEnvLocked(env []byte, d int) {
-	if !ckpt.IsRecord(env) {
-		return
-	}
-	refs, err := ckpt.RecordRefs(env)
-	if err != nil {
-		return
-	}
-	for _, r := range refs {
+func (s *Store) refRecLocked(rec *ckpt.Record, d int) {
+	eachRef(rec, func(r ckpt.BlockRef) {
 		be := s.blocks[r.ID]
 		if be == nil {
-			continue
+			return
 		}
 		be.refs += d
 		if d > 0 {
@@ -217,7 +235,7 @@ func (s *Store) refEnvLocked(env []byte, d int) {
 		if be.refs <= 0 && !be.pinned {
 			delete(s.blocks, r.ID)
 		}
-	}
+	})
 }
 
 // materializeLocked eagerly reconstructs the raw image behind the record in
@@ -231,13 +249,10 @@ func (s *Store) refEnvLocked(env []byte, d int) {
 // resolveEnv still works.
 func (s *Store) materializeLocked(k key) {
 	e := s.images[k]
-	if e == nil || !ckpt.IsRecord(e.img) {
+	if e == nil || e.rec == nil {
 		return
 	}
-	rec, err := ckpt.DecodeRecord(e.img)
-	if err != nil {
-		return
-	}
+	rec := e.rec
 	var prev *resolvedImage
 	for rk, r := range s.resolved {
 		if rk.app == k.app && rk.rank == k.rank && rk.n < k.n && (rec.Kind == ckpt.RecFull || rk.n == rec.Base) {
@@ -299,23 +314,23 @@ func (s *Store) materializeLocked(k key) {
 // Pusher side
 // ---------------------------------------------------------------------------
 
-// pushRecord replicates one record epoch to a peer: need/have negotiation,
-// missing blocks, then the envelope, looping on the kRecOK still-missing
-// list until the peer holds the complete record. It returns the bytes that
-// crossed, whether or not the push completed.
-func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) (int, error) {
+// pushRecord replicates one record epoch (env, which decodes to rec) to a
+// peer: need/have negotiation, missing blocks, then the envelope, looping on
+// the kRecOK still-missing list until the peer holds the complete record. It
+// returns the bytes that crossed, whether or not the push completed.
+func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte, rec *ckpt.Record) (int, error) {
 	sent := 0
-	refs, err := ckpt.RecordRefs(env)
-	if err == nil {
+	err := fmt.Errorf("rstore: checkpoint %d of app %d rank %d is not a record", k.n, k.app, k.rank)
+	if rec != nil {
 		err = fmt.Errorf("rstore: record push to node %d never completed", peer)
-		byID := make(map[ckpt.BlockID]ckpt.BlockRef, len(refs))
-		need := make([]ckpt.BlockRef, 0, len(refs))
-		for _, r := range refs {
-			if _, ok := byID[r.ID]; !ok {
-				byID[r.ID] = r
+		lens := make(map[ckpt.BlockID]uint32, len(rec.Refs)+len(rec.Deltas))
+		need := make([]ckpt.BlockRef, 0, len(rec.Refs)+len(rec.Deltas))
+		eachRef(rec, func(r ckpt.BlockRef) {
+			if _, ok := lens[r.ID]; !ok {
+				lens[r.ID] = r.Len
 				need = append(need, r)
 			}
-		}
+		})
 		for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
 			var missing []ckpt.BlockRef
 			var n int
@@ -338,8 +353,8 @@ func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte) (int,
 				// those again next round.
 				need = need[:0]
 				for _, id := range still {
-					if r, ok := byID[id]; ok {
-						need = append(need, r)
+					if n, ok := lens[id]; ok {
+						need = append(need, ckpt.BlockRef{ID: id, Len: n})
 					}
 				}
 				err = fmt.Errorf("rstore: node %d still missing %d blocks", peer, len(still))
@@ -479,22 +494,22 @@ func (s *Store) handlePutRec(m *wire.Msg) *wire.Msg {
 	if err != nil {
 		return &wire.Msg{Type: wire.TControl, Kind: kGetMiss}
 	}
-	refs, err := ckpt.RecordRefs(env)
+	rec, err := ckpt.DecodeRecord(env)
 	if err != nil {
 		return &wire.Msg{Type: wire.TControl, Kind: kGetMiss}
 	}
 	k := key{m.App, m.Src, m.Seq}
 	s.mu.Lock()
 	var missing []ckpt.BlockID
-	seen := make(map[ckpt.BlockID]bool, len(refs))
-	for _, r := range refs {
+	seen := map[ckpt.BlockID]bool{} // of the missing: empty but for the GC race
+	eachRef(rec, func(r ckpt.BlockRef) {
 		if _, ok := s.blocks[r.ID]; !ok && !seen[r.ID] {
 			seen[r.ID] = true
 			missing = append(missing, r.ID)
 		}
-	}
+	})
 	if len(missing) == 0 {
-		s.setImageLocked(k, env, meta, tag)
+		s.setRecLocked(k, env, rec, meta, tag)
 		s.indexAddLocked(m.App, m.Src, m.Seq)
 		s.materializeLocked(k)
 	}

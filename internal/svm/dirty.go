@@ -66,6 +66,10 @@ func (m *VM) ResetDirty() {
 	}
 	shift := uint(bits.TrailingZeros(uint(dirtyChunk / m.Arch.wordBytes())))
 	chunks := (len(m.Mem) + 1<<shift - 1) >> shift
+	mem := d.mem // at every checkpoint: cleared, not remade, while the heap keeps its size
+	if clear(mem); len(mem) != (chunks+63)/64 {
+		mem = make([]uint64, (chunks+63)/64)
+	}
 	*d = dirtyState{
 		codeLen:   len(m.Code),
 		stackLen:  len(m.Stack),
@@ -73,8 +77,33 @@ func (m *VM) ResetDirty() {
 		globalLen: len(m.Globals),
 		memLen:    len(m.Mem),
 		outLen:    len(m.Output),
-		mem:       make([]uint64, (chunks+63)/64),
+		mem:       mem,
 		memShift:  shift,
+	}
+}
+
+// resized reports whether a section changed length (and moved every later one).
+func (d *dirtyState) resized(m *VM) bool {
+	return len(m.Code) != d.codeLen || len(m.Stack) != d.stackLen || len(m.CallStack) != d.callLen ||
+		len(m.Globals) != d.globalLen || len(m.Mem) != d.memLen || len(m.Output) != d.outLen
+}
+
+// memRuns visits, in order, the word range of each run of written chunks (heap of baseline length).
+func (d *dirtyState) memRuns(visit func(lo, hi int)) {
+	chunks := (d.memLen + 1<<d.memShift - 1) >> d.memShift
+	for c := 0; c < chunks; c++ {
+		if d.mem[c>>6] == 0 {
+			c |= 63 // skip a clean bitmap word
+			continue
+		}
+		if d.mem[c>>6]&(1<<(c&63)) == 0 {
+			continue
+		}
+		lo := c
+		for c+1 < chunks && d.mem[(c+1)>>6]&(1<<((c+1)&63)) != 0 {
+			c++
+		}
+		visit(lo<<d.memShift, min((c+1)<<d.memShift, d.memLen))
 	}
 }
 
@@ -147,23 +176,9 @@ func (m *VM) DirtyByteSpans() []Span {
 	if len(m.Mem) != d.memLen {
 		return rest()
 	}
-	chunks := (len(m.Mem) + 1<<d.memShift - 1) >> d.memShift
-	for c := 0; c < chunks; c++ {
-		if d.mem[c>>6] == 0 {
-			c |= 63 // skip a clean bitmap word
-			continue
-		}
-		if d.mem[c>>6]&(1<<(c&63)) == 0 {
-			continue
-		}
-		lo := c
-		for c+1 < chunks && d.mem[(c+1)>>6]&(1<<((c+1)&63)) != 0 {
-			c++
-		}
-		hi := min((c+1)<<d.memShift, len(m.Mem))
-		first := lo << d.memShift
-		spans = append(spans, Span{off + 4 + first*wb, (hi - first) * wb})
-	}
+	d.memRuns(func(lo, hi int) {
+		spans = append(spans, Span{off + 4 + lo*wb, (hi - lo) * wb})
+	})
 	off += memSize
 
 	// Output: append-only; a length change is the only way it dirties, and

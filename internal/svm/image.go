@@ -30,14 +30,7 @@ func (m *VM) EncodeImage() []byte {
 	buf := make([]byte, m.ImageSize())
 	copy(buf, imageMagic[:])
 	buf[5], buf[6], buf[7] = byte(a.Order), byte(a.WordBits), 0
-
-	// Execution counters are metadata, not program values: they are stored
-	// as fixed 32-bit quantities (in native byte order) so a long-running
-	// computation's step count survives narrow-word machines.
-	a.setU32(buf[8:], uint32(m.PC))
-	a.setU32(buf[12:], uint32(m.Steps>>32))
-	a.setU32(buf[16:], uint32(m.Steps))
-	a.setU32(buf[20:], uint32(boolWord(m.Halted)))
+	m.putCounters(buf)
 
 	a.setU32(buf[24:], uint32(len(m.Code)))
 	off := 28
@@ -54,6 +47,45 @@ func (m *VM) EncodeImage() []byte {
 		off += 4 + len(sec)*wb
 	}
 	return buf
+}
+
+// putCounters writes PC, Steps and Halted: metadata, not program values,
+// stored as fixed 32-bit quantities (in native byte order) so a long-running
+// computation's step count survives narrow-word machines.
+func (m *VM) putCounters(img []byte) {
+	a := m.Arch
+	a.setU32(img[8:], uint32(m.PC))
+	a.setU32(img[12:], uint32(m.Steps>>32))
+	a.setU32(img[16:], uint32(m.Steps))
+	a.setU32(img[20:], uint32(boolWord(m.Halted)))
+}
+
+// EncodeDirty brings img, which must hold the image encoded at the tracking
+// baseline (the last TrackDirty or ResetDirty), up to date by re-encoding only
+// what DirtyByteSpans names: counters, both stacks, the globals if one was
+// stored to, the heap chunks written. It reports false, having written nothing,
+// when tracking is off, a section changed length or img has another size.
+func (m *VM) EncodeDirty(img []byte) bool {
+	d := m.dirty
+	if d == nil || d.resized(m) || len(img) != m.ImageSize() {
+		return false
+	}
+	a := m.Arch
+	wb := a.wordBytes()
+	m.putCounters(img)
+	off := 28 + len(m.Code)*(1+wb)
+	a.putWords(img[off+4:], m.Stack)
+	off += 4 + len(m.Stack)*wb
+	a.putWords(img[off+4:], m.CallStack)
+	off += 4 + len(m.CallStack)*wb
+	if d.globals {
+		a.putWords(img[off+4:], m.Globals)
+	}
+	off += 4 + len(m.Globals)*wb + 4
+	d.memRuns(func(lo, hi int) {
+		a.putWords(img[off+lo*wb:], m.Mem[lo:hi])
+	})
+	return true
 }
 
 // imageReader walks an image in its stored representation.
@@ -188,6 +220,9 @@ func DecodeImage(img []byte, target Arch) (*VM, error) {
 			return nil, err
 		}
 		sec := make([]int64, n)
+		if dst == &m.Stack || dst == &m.CallStack {
+			sec = alignedWords(n)
+		}
 		for i := range sec {
 			v, err := r.word()
 			if err != nil {

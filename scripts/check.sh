@@ -12,8 +12,10 @@
 #   algorithm, with allocs/op no worse), and the checkpoint-pipeline
 #   benchmarks (folded into BENCH_checkpoint.json, which enforces the >=5x
 #   replicated-bytes reduction at 10% heap mutation, the >=5x
-#   chain-restore-vs-disk bar, and a delta epoch that beats the full-image
-#   epoch in wall time while allocating <=1.25x the image size), and the
+#   chain-restore-vs-disk bar, a delta epoch that beats the full-image
+#   epoch in wall time while allocating <=1.25x the image size, and the
+#   in-place epoch's bars: encode-dirty <=0.2x EncodeImage, a whole epoch
+#   <=0.5x the full-image epoch and <=0.25x the image allocated), and the
 #   event-plane benchmarks (folded into
 #   BENCH_events.json, which enforces >=100k records/s ingest, >=2x
 #   indexed-query-vs-scan, and <=2% emitter overhead on the 64 KiB
@@ -118,7 +120,7 @@ echo "== go test -race (fast-path packages) =="
 go test -race ./internal/wire/ ./internal/vni/ ./internal/mpi/
 
 echo "== go test -race (checkpoint-storage packages) =="
-go test -race ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
+go test -race ./internal/svm/ ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
 
 echo "== go test -race (control-plane packages) =="
 go test -race ./internal/gcs/ ./internal/gossip/ ./internal/lwg/
@@ -314,7 +316,9 @@ KBENCH_OUT=$(mktemp)
 trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT" "$CBENCH_OUT" "$KBENCH_OUT"' EXIT
 # -count=3 with min folding, as for the event plane: the wall-time gate
 # below compares two benchmarks run minutes apart on a shared host.
-go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/' -benchmem -benchtime 1s -count=3 . | tee "$KBENCH_OUT"
+# The root package has the pipeline and encoder benchmarks; internal/proc has
+# BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself.
+go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ | tee "$KBENCH_OUT"
 
 echo "== BENCH_checkpoint.json =="
 # Fold the checkpoint benchmark lines into BENCH_checkpoint.json and
@@ -322,9 +326,13 @@ echo "== BENCH_checkpoint.json =="
 # mutation the delta pipeline must push >=5x fewer bytes to the replica
 # than the opaque-image path, and restoring the newest epoch of a
 # full+delta chain from a surviving replica must be >=5x faster than the
-# disk full-image restore. ROADMAP item 2: a delta epoch at 10% mutation
-# must also be cheaper than the full-image epoch in wall time (target
-# <=0.5x, reported) and allocate <=1.25x the image size per epoch.
+# disk full-image restore. A delta epoch at 10% mutation must also be cheaper
+# than the full-image epoch in wall time and allocate <=1.25x the image size
+# per epoch. The in-place epoch (ROADMAP item 1): re-encoding a tenth-dirty
+# heap into the image it already has must cost <=0.2x a full EncodeImage, and
+# a whole epoch of the C/R module over a write-tracking VM (mode=epoch:
+# snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
+# image and run in <=0.5x the opaque full-image epoch's time.
 python3 - "$KBENCH_OUT" <<'EOF'
 import json, re, sys
 
@@ -386,7 +394,33 @@ for name in ("BenchmarkEncodeImage/arch=le64/size=8MB", "BenchmarkEncodeImage/ar
     if name not in current:
         sys.exit(f"missing {name} results")
     print(f"{name}: {current[name]['ns_per_op'] / 1e6:.2f} ms")
-if not (red_ok and restore_ok and time_ok and alloc_ok):
+
+def need(name):
+    if name not in current:
+        sys.exit(f"missing {name} results")
+    return current[name]
+
+encode = current["BenchmarkEncodeImage/arch=le64/size=8MB"]
+for pct in (1, 10, 50, 100):
+    d = need(f"BenchmarkEncodeDirty/arch=le64/mut={pct}")
+    print(f"encode-dirty at {pct}% of the heap's chunks: {d['ns_per_op'] / 1e6:.3f} ms = "
+          f"{d['ns_per_op'] / encode['ns_per_op']:.3f}x EncodeImage")
+dirty = need("BenchmarkEncodeDirty/arch=le64/mut=10")
+dirty_ok = dirty["ns_per_op"] <= 0.2 * encode["ns_per_op"]
+print(f"encode-dirty/mut=10 vs EncodeImage: {'ok' if dirty_ok else 'FAIL: need <=0.2x'}")
+for pct in (1, 50):
+    e = need(f"BenchmarkCheckpoint/mode=epoch/mut={pct}")
+    print(f"in-place epoch at {pct}%: {e['ns_per_op'] / 1e6:.2f} ms, {e['B_per_op'] / 1e6:.2f} MB/op")
+epoch = need("BenchmarkCheckpoint/mode=epoch/mut=10")
+eratio = epoch["ns_per_op"] / full["ns_per_op"]
+etime_ok = eratio <= 0.5
+print(f"in-place epoch at 10%: {epoch['ns_per_op'] / 1e6:.2f} ms = {eratio:.2f}x the full-image epoch "
+      f"({'ok' if etime_ok else 'FAIL: need <=0.5x'})")
+aratio = epoch["B_per_op"] / image
+ealloc_ok = aratio <= 0.25
+print(f"in-place epoch at 10% allocates {epoch['B_per_op'] / 1e6:.2f} MB/op = {aratio:.3f}x the image "
+      f"({'ok' if ealloc_ok else 'FAIL: need <=0.25x'})")
+if not (red_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok):
     sys.exit(1)
 EOF
 
