@@ -520,50 +520,3 @@ func BenchmarkProtocolComparison(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkIncrementalCheckpoint contrasts full-state dumps with the
-// incremental (block-delta) extension for a sparsely mutating 16 MB state —
-// the optimization direction the paper cites from libckpt [33] and lists as
-// future work. delta-bytes reports the encoded delta size.
-func BenchmarkIncrementalCheckpoint(b *testing.B) {
-	const stateSize = 16 << 20
-	base := make([]byte, stateSize)
-	for i := range base {
-		base[i] = byte(i)
-	}
-	next := append([]byte(nil), base...)
-	// Mutate 16 scattered pages.
-	for i := 0; i < 16; i++ {
-		next[i*(stateSize/16)+i] ^= 0xFF
-	}
-
-	b.Run("full-encode", func(b *testing.B) {
-		enc := &ckpt.PortableEncoder{VMHeaderSize: 4096}
-		b.SetBytes(stateSize)
-		for i := 0; i < b.N; i++ {
-			img, err := enc.Encode(next, svm.Machines[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = img
-		}
-	})
-	b.Run("delta-encode", func(b *testing.B) {
-		b.SetBytes(stateSize)
-		var deltaBytes int
-		for i := 0; i < b.N; i++ {
-			d := ckpt.ComputeDelta(base, next)
-			deltaBytes = len(d.Encode())
-		}
-		b.ReportMetric(float64(deltaBytes), "delta-bytes")
-	})
-	b.Run("delta-apply", func(b *testing.B) {
-		d := ckpt.ComputeDelta(base, next)
-		b.SetBytes(stateSize)
-		for i := 0; i < b.N; i++ {
-			if _, err := d.Apply(base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -184,6 +184,37 @@ func (inc *incarnation) finish() {
 	}
 }
 
+// memStores builds n replicated-memory stores at two copies on a fastnet of
+// their own, all in one view.
+func memStores(t *testing.T, n int) []*rstore.Store {
+	t.Helper()
+	fn := vni.NewFastnet(0)
+	addr := func(id wire.NodeID) string { return fmt.Sprintf("borrow-rs%d", id) }
+	var stores []*rstore.Store
+	var members []wire.NodeID
+	for id := wire.NodeID(1); int(id) <= n; id++ {
+		s, err := rstore.New(rstore.Config{Node: id, Transport: fn, Addr: addr(id), PeerAddr: addr, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		stores, members = append(stores, s), append(members, id)
+	}
+	for _, s := range stores {
+		s.UpdateView(members)
+	}
+	return stores
+}
+
+func diskStore(t *testing.T) *ckpt.Store {
+	t.Helper()
+	s, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestRestoreBorrowsSafely(t *testing.T) {
 	// Each backend is the pair (store the job writes to, store the restarts
 	// read from); lost is called between the two with the committed line.
@@ -192,44 +223,19 @@ func TestRestoreBorrowsSafely(t *testing.T) {
 		lost        func(app wire.AppID, line ckpt.RecoveryLine)
 		check       func()
 	}
-	memory := func(t *testing.T, n int) []*rstore.Store {
-		fn := vni.NewFastnet(0)
-		addr := func(id wire.NodeID) string { return fmt.Sprintf("borrow-rs%d", id) }
-		var stores []*rstore.Store
-		var members []wire.NodeID
-		for id := wire.NodeID(1); int(id) <= n; id++ {
-			s, err := rstore.New(rstore.Config{Node: id, Transport: fn, Addr: addr(id), PeerAddr: addr, Replicas: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			stores, members = append(stores, s), append(members, id)
-		}
-		for _, s := range stores {
-			s.UpdateView(members)
-		}
-		return stores
-	}
-	disk := func(t *testing.T) *ckpt.Store {
-		s, err := ckpt.NewStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	backends := map[string]func(t *testing.T) backend{
 		"disk": func(t *testing.T) backend {
-			s := disk(t)
+			s := diskStore(t)
 			return backend{write: s, read: s}
 		},
 		"rstore-local": func(t *testing.T) backend {
-			s := memory(t, 2)[0]
+			s := memStores(t, 2)[0]
 			return backend{write: s, read: s}
 		},
 		"rstore-peer": func(t *testing.T) backend {
 			// The reader is a member that holds none of the line's images
 			// (whatever it was pushed is evicted), so every restore fetches.
-			stores := memory(t, 3)
+			stores := memStores(t, 3)
 			reader := stores[2]
 			return backend{
 				write: stores[0], read: reader,
@@ -246,7 +252,7 @@ func TestRestoreBorrowsSafely(t *testing.T) {
 			}
 		},
 		"tiered": func(t *testing.T) backend {
-			tiered := ckpt.NewTiered(memory(t, 2)[0], disk(t), t.Logf)
+			tiered := ckpt.NewTiered(memStores(t, 2)[0], diskStore(t), t.Logf)
 			t.Cleanup(tiered.Close)
 			return backend{write: tiered, read: tiered}
 		},

@@ -7,29 +7,54 @@ import (
 	"starfish/internal/wire"
 )
 
-// Backend is the checkpoint-repository abstraction the C/R stack writes to
-// and restarts from. The original system of the paper assumed one shared
-// file system (the disk Store); making the repository pluggable lets an
-// application choose, at submission time and next to its C/R protocol, where
-// its checkpoint images live:
+// Backend is the checkpoint repository the C/R stack writes to and restarts
+// from. The paper's system has one — a shared file system, here the disk
+// Store — whatever the C/R protocol or encoder; an application chooses at
+// submission time, next to its C/R protocol, which of three holds its
+// checkpoints:
 //
 //   - StoreDisk: the on-disk Store — durable, shared, slow.
 //   - StoreMemory: the replicated in-memory store (internal/rstore) — each
 //     daemon holds a RAM shard and pushes k replicas to peers, so recovery
 //     never touches a file system and survives node loss.
-//   - StoreTiered: memory-first with asynchronous disk spill — RAM-speed
-//     recovery with disk durability as the backstop.
+//   - StoreTiered: Tiered, memory first with asynchronous disk spill.
+//
+// What a backend stores is a slot per (app, rank, n) and the content-addressed
+// blocks the slot names. A slot's bytes are either a raw checkpoint image,
+// which names no blocks, or a record envelope (IsRecord, written by Pipeline)
+// listing the image's blocks or the ones changed since an earlier slot. All
+// three backends answer every method the same way; Pipeline is a Backend too,
+// adding the capture policy in front of one.
 //
 // Implementations must be safe for concurrent use: every local application
 // process of every application shares one backend instance per node.
 type Backend interface {
-	// Put stores checkpoint n of (app, rank): the encoded image and its
-	// interval metadata (nil meta stores an empty Meta{Rank, Index}).
+	// Put stores a raw image in slot n of (app, rank), with its interval
+	// metadata (nil meta stores an empty Meta{Rank, Index}). img stays the
+	// caller's: a backend that retains it copies it.
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error
-	// Get loads checkpoint n of (app, rank). Implementations may return an
-	// image that references internal storage; callers must treat it as
-	// read-only.
+	// PutRecord stores slot bytes — a record envelope — together with the
+	// blocks it names that the backend may not hold yet; a block already
+	// present under its content address may be skipped. The slot becomes
+	// visible only once every block it names is stored. slot is handed
+	// over: the caller must not write it again. Block data is valid only
+	// for the call — it points into the writer's image buffer, which
+	// Pipeline keeps by reference and the writer rewrites in place two
+	// epochs later — so copy it before retaining it in a store, a cache or
+	// an asynchronous spill.
+	PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []RecBlock, meta *Meta) error
+	// Get returns the checkpoint image of slot n: a raw slot verbatim, a
+	// record resolved through its chain (ErrBrokenChain, ErrMissingBlock
+	// when that cannot be done). The image may reference internal storage;
+	// callers must treat it as read-only.
 	Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
+	// GetEnvelope returns the stored bytes of slot n verbatim, which is
+	// what chain walkers — ResolveChain, Pipeline's GC clamp — need to see.
+	GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
+	// GetBlock fetches one content-addressed block, ErrMissingBlock if it
+	// is held nowhere. app and rank say where to look first, they are not
+	// part of the address. The block may reference internal storage.
+	GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error)
 	// List returns the checkpoint indices available for (app, rank),
 	// ascending.
 	List(app wire.AppID, rank wire.Rank) ([]uint64, error)
@@ -40,14 +65,12 @@ type Backend interface {
 	// CommittedLine reads back the last committed recovery line for app, or
 	// ErrNoCheckpoint if none was ever committed.
 	CommittedLine(app wire.AppID) (RecoveryLine, error)
-	// GC removes checkpoints of (app, rank) older than keepFrom.
+	// GC removes the slots of (app, rank) older than keepFrom and the
+	// blocks no remaining slot names.
 	GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error
 	// DropApp removes every stored checkpoint of app.
 	DropApp(app wire.AppID) error
 }
-
-// The disk store is the reference Backend implementation.
-var _ Backend = (*Store)(nil)
 
 // StoreKind selects a checkpoint storage backend for one application.
 type StoreKind uint8
@@ -96,6 +119,9 @@ func EncodeLine(line RecoveryLine) []byte {
 func DecodeLine(b []byte) (RecoveryLine, error) {
 	r := wire.NewReader(b)
 	n := r.U32()
+	if uint64(n)*12 > uint64(r.Remaining()) {
+		return nil, ErrBadImage // a peer's kCommit: no allocation from an unchecked count
+	}
 	line := make(RecoveryLine, n)
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
 		rank := wire.Rank(r.U32())

@@ -5,8 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"starfish/internal/wire"
+	"math"
 )
 
 // Content-addressed checkpoint records. Instead of storing an opaque image
@@ -18,8 +17,8 @@ import (
 // on. Identical blocks — across epochs, across ranks, across the zero-filled
 // heap — are stored once.
 //
-// Envelopes are self-describing (IsRecord), so backends and restore paths
-// that predate the pipeline keep working on raw images unchanged.
+// Envelopes are self-describing (IsRecord): a slot whose bytes are not one is
+// a raw image, which every path treats as a record that names no blocks.
 
 // BlockID is the content address of one block: its SHA-256 digest.
 type BlockID [32]byte
@@ -42,7 +41,7 @@ type DeltaRef struct {
 	Ref   BlockRef
 }
 
-// RecBlock pairs a block's address with its data for ChunkedBackend.Put.
+// RecBlock pairs a block's address with its data for Backend.PutRecord.
 type RecBlock struct {
 	Ref  BlockRef
 	Data []byte
@@ -169,13 +168,17 @@ func DecodeRecord(env []byte) (*Record, error) {
 	if kind == nil {
 		return nil, errBadRecord
 	}
-	rec := &Record{Kind: kind[0], RawLen: int(r.u64())}
+	// A length the record's own block list cannot cover is malformed: no
+	// reader sizes a buffer from a number the envelope does not back.
+	blocksOf := func(n uint64) uint64 { return (n + DeltaBlockSize - 1) / DeltaBlockSize }
+	rawLen := r.u64()
+	rec := &Record{Kind: kind[0], RawLen: int(rawLen)}
 	switch rec.Kind {
 	case RecFull:
 		n := r.u32()
 		// Each ref is 36 bytes; reject counts the envelope cannot hold
 		// before allocating.
-		if r.err != nil || uint64(n)*36 > uint64(len(r.buf)) {
+		if r.err != nil || uint64(n)*36 > uint64(len(r.buf)) || rawLen > uint64(n)*DeltaBlockSize {
 			return nil, errBadRecord
 		}
 		rec.Refs = make([]BlockRef, n)
@@ -184,9 +187,13 @@ func DecodeRecord(env []byte) (*Record, error) {
 		}
 	case RecDelta:
 		rec.Base = r.u64()
-		rec.BaseLen = int(r.u64())
+		baseLen := r.u64()
+		rec.BaseLen = int(baseLen)
 		n := r.u32()
-		if r.err != nil || uint64(n)*40 > uint64(len(r.buf)) {
+		// Growth past the base is changed blocks, which a delta lists.
+		if r.err != nil || uint64(n)*40 > uint64(len(r.buf)) ||
+			baseLen > math.MaxInt64-DeltaBlockSize || rawLen > math.MaxInt64-DeltaBlockSize ||
+			blocksOf(rawLen) > blocksOf(baseLen)+uint64(n) {
 			return nil, errBadRecord
 		}
 		rec.Deltas = make([]DeltaRef, n)
@@ -230,51 +237,4 @@ func SplitBlocks(raw []byte) [][]byte {
 		out = append(out, raw[lo:hi])
 	}
 	return out
-}
-
-// ChunkedBackend is the optional Backend extension the incremental pipeline
-// targets: record envelopes travel through the ordinary (app, rank, n) image
-// slots, while block contents live in a shared content-addressed store.
-//
-// Block data passed to PutRecord is only valid for the duration of the call:
-// it points into the writer's image buffer, which Pipeline keeps by reference
-// and the writer rewrites in place two epochs later. An implementation that
-// retains a block — in a store, a cache, an asynchronous spill — must copy it
-// first (the disk Store writes it out, rstore.Store and Tiered copy).
-// GetBlock may return internal storage; callers treat blocks as read-only.
-type ChunkedBackend interface {
-	Backend
-	// PutRecord stores checkpoint n of (app, rank) as a record envelope
-	// plus the (new) blocks it references. Blocks already present under
-	// their content address may be skipped by the implementation.
-	PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error
-	// GetBlock fetches one content-addressed block. app/rank are a
-	// locality hint (which replica set to ask), not part of the address.
-	GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error)
-}
-
-// RecordResolver is implemented by backends that can reconstruct the raw
-// image behind a record chain themselves (e.g. the replicated memory store,
-// which materializes chains eagerly as deltas arrive). Pipeline.Get prefers
-// it over the generic block-by-block walk.
-type RecordResolver interface {
-	ResolveRecord(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
-}
-
-// EnvelopeGetter is implemented by backends whose Get resolves record
-// envelopes into raw images (the replicated memory store). GetEnvelope
-// returns the stored slot bytes verbatim, which chain walkers — GC clamping,
-// ResolveChain's link walk — need: they must see the envelope links, not the
-// images behind them.
-type EnvelopeGetter interface {
-	GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
-}
-
-// envelopeGet reads slot n's stored bytes without record resolution,
-// whichever way the backend offers that.
-func envelopeGet(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	if eg, ok := be.(EnvelopeGetter); ok {
-		return eg.GetEnvelope(app, rank, n)
-	}
-	return be.Get(app, rank, n)
 }

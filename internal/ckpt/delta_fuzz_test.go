@@ -1,14 +1,11 @@
 package ckpt
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// FuzzDeltaRoundTrip drives the whole incremental encode path with arbitrary
-// state pairs: the delta from base to next, serialized and parsed back, must
-// reconstruct next exactly — including states that shrink, grow, or land off
-// block boundaries. Apply and ApplyInPlace must agree.
+// FuzzDeltaRoundTrip drives the block rule with arbitrary state pairs: what
+// ComputeDelta names is what the pipeline's diff names, and the record written
+// from it must reconstruct next exactly — including states that shrink, grow,
+// or land off block boundaries.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	block := func(fill byte, n int) []byte {
 		b := make([]byte, n)
@@ -30,32 +27,6 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{42}, []byte{})
 
 	f.Fuzz(func(t *testing.T, base, next []byte) {
-		d := ComputeDelta(base, next)
-		if d.BaseLen != len(base) || d.NewLen != len(next) {
-			t.Fatalf("delta lengths %d/%d, want %d/%d", d.BaseLen, d.NewLen, len(base), len(next))
-		}
-		dec, err := DecodeDelta(d.Encode())
-		if err != nil {
-			t.Fatalf("decode of own encoding: %v", err)
-		}
-		out, err := dec.Apply(base)
-		if err != nil {
-			t.Fatalf("apply: %v", err)
-		}
-		if !bytes.Equal(out, next) {
-			t.Fatalf("round trip mismatch: %d bytes -> %d bytes", len(base), len(next))
-		}
-		// ApplyInPlace consumes its base; feed it a private copy.
-		inPlace, err := dec.ApplyInPlace(append([]byte(nil), base...))
-		if err != nil {
-			t.Fatalf("apply in place: %v", err)
-		}
-		if !bytes.Equal(inPlace, next) {
-			t.Fatal("ApplyInPlace disagrees with Apply")
-		}
-		// A wrong-length base must be rejected, never silently applied.
-		if _, err := dec.Apply(append(base, 0)); err == nil {
-			t.Fatal("apply accepted a base of the wrong length")
-		}
+		checkDelta(t, base, next)
 	})
 }

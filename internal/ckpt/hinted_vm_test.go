@@ -11,9 +11,9 @@ import (
 	"starfish/internal/wire"
 )
 
-// recorder is an in-memory ChunkedBackend of one (app, rank) that keeps what
-// each PutRecord was handed. It has the methods a Pipeline's Put and Get use
-// and no others.
+// recorder is an in-memory Backend of one (app, rank) that keeps what each
+// PutRecord was handed. It has the methods a Pipeline's Put and Get use and no
+// others.
 type recorder struct {
 	Backend
 	envs   [][]byte
@@ -39,6 +39,10 @@ func (r *recorder) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byt
 }
 
 func (r *recorder) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
+	return ResolveChain(r, app, rank, n)
+}
+
+func (r *recorder) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
 	env, ok := r.slots[n]
 	if !ok {
 		return nil, nil, ErrNoCheckpoint

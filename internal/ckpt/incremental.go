@@ -1,27 +1,18 @@
 package ckpt
 
-import (
-	"bytes"
-	"fmt"
+import "bytes"
 
-	"starfish/internal/wire"
-)
-
-// Incremental checkpointing — the optimization family the paper points to
-// via libckpt [33] and its future-work direction ("developing newer and
-// faster C/R protocols"). Instead of dumping the full state every time, a
-// delta checkpoint stores only the blocks that changed since a base
-// checkpoint; restart reconstructs the state by applying the delta chain
-// to the last full dump.
-//
-// Deltas operate on fixed-size blocks (DeltaBlockSize) of the raw state
-// bytes; a block is included if any byte in it changed, or if the state
-// grew into it. State shrinkage is carried explicitly so chains are exact.
-
-// DeltaBlockSize is the granularity of change detection (4 KiB, a page).
+// DeltaBlockSize is the granularity of change detection and of content
+// addressing (4 KiB, a page).
 const DeltaBlockSize = 4096
 
-const deltaMagic = 0xD1FF0001
+// Delta and ComputeDelta are what is left of the standalone block-delta
+// format that preceded record envelopes: nothing in the system writes or
+// applies one any more. They stay because the frozen end-to-end benchmark
+// (bench/probes.go) times ComputeDelta as ckpt.delta_diff_ms_p50 and a change
+// to this module may not edit bench/; they go when that probe does. The
+// shipping diff is Pipeline's diffBlocks, which applies the same block rule
+// without the per-block copies.
 
 // Delta is the difference between two state snapshots.
 type Delta struct {
@@ -34,7 +25,9 @@ type Delta struct {
 	Blocks map[int][]byte
 }
 
-// ComputeDelta returns the block delta that turns base into next.
+// ComputeDelta returns the block delta that turns base into next: a block is
+// included if any byte in it changed, if the state grew into it, or if the
+// state's end moved within it.
 //
 //starfish:deterministic
 func ComputeDelta(base, next []byte) *Delta {
@@ -54,108 +47,4 @@ func ComputeDelta(base, next []byte) *Delta {
 		d.Blocks[b] = append([]byte(nil), newBlock...)
 	}
 	return d
-}
-
-// Apply reconstructs the target state from base.
-func (d *Delta) Apply(base []byte) ([]byte, error) {
-	if len(base) != d.BaseLen {
-		return nil, fmt.Errorf("ckpt: delta expects base of %d bytes, got %d", d.BaseLen, len(base))
-	}
-	out := make([]byte, d.NewLen)
-	copy(out, base[:min(len(base), d.NewLen)])
-	for b, block := range d.Blocks {
-		lo := b * DeltaBlockSize
-		if lo+len(block) > d.NewLen {
-			return nil, fmt.Errorf("ckpt: delta block %d overruns state", b)
-		}
-		copy(out[lo:], block)
-	}
-	return out, nil
-}
-
-// ApplyInPlace reconstructs the target state reusing base's storage when it
-// is large enough, avoiding the per-link allocation of Apply during chain
-// replay. The caller must own base exclusively — it is overwritten.
-func (d *Delta) ApplyInPlace(base []byte) ([]byte, error) {
-	if len(base) != d.BaseLen {
-		return nil, fmt.Errorf("ckpt: delta expects base of %d bytes, got %d", d.BaseLen, len(base))
-	}
-	out := base
-	if cap(out) < d.NewLen {
-		out = make([]byte, d.NewLen)
-		copy(out, base[:min(len(base), d.NewLen)])
-	} else {
-		grown := out[:d.NewLen]
-		// Bytes revealed by growth must be zeroed: they may hold stale
-		// content from an earlier, longer state.
-		for i := len(base); i < d.NewLen; i++ {
-			grown[i] = 0
-		}
-		out = grown
-	}
-	for b, block := range d.Blocks {
-		lo := b * DeltaBlockSize
-		if lo+len(block) > d.NewLen {
-			return nil, fmt.Errorf("ckpt: delta block %d overruns state", b)
-		}
-		copy(out[lo:], block)
-	}
-	return out, nil
-}
-
-// Size returns the encoded payload size of the delta (the savings metric).
-func (d *Delta) Size() int {
-	n := 16
-	for _, b := range d.Blocks {
-		n += 8 + len(b)
-	}
-	return n
-}
-
-// Encode serializes the delta.
-func (d *Delta) Encode() []byte {
-	w := wire.NewWriter(d.Size() + 16)
-	w.U32(deltaMagic)
-	w.U32(uint32(d.BaseLen)).U32(uint32(d.NewLen))
-	w.U32(uint32(len(d.Blocks)))
-	// Deterministic order.
-	maxB := (d.NewLen + DeltaBlockSize - 1) / DeltaBlockSize
-	for b := 0; b < maxB; b++ {
-		if block, ok := d.Blocks[b]; ok {
-			w.U32(uint32(b)).Bytes32(block)
-		}
-	}
-	return w.Bytes()
-}
-
-// DecodeDelta parses an encoded delta.
-func DecodeDelta(buf []byte) (*Delta, error) {
-	r := wire.NewReader(buf)
-	if r.U32() != deltaMagic {
-		return nil, ErrBadImage
-	}
-	d := &Delta{BaseLen: int(r.U32()), NewLen: int(r.U32()), Blocks: map[int][]byte{}}
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		b := int(r.U32())
-		d.Blocks[b] = append([]byte(nil), r.Bytes32()...)
-	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		return nil, ErrBadImage
-	}
-	return d, nil
-}
-
-// DeltaChain reconstructs a state from a full base snapshot and an ordered
-// sequence of deltas.
-func DeltaChain(base []byte, deltas ...*Delta) ([]byte, error) {
-	state := base
-	for i, d := range deltas {
-		next, err := d.Apply(state)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: delta %d: %w", i, err)
-		}
-		state = next
-	}
-	return state, nil
 }

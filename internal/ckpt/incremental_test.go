@@ -2,26 +2,55 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// checkDelta holds ComputeDelta to the shipping diff and the shipping format:
+// it names exactly the blocks diffBlocks does, with the same content, and next
+// written through a Pipeline on top of base resolves back to next.
+func checkDelta(t testing.TB, base, next []byte) *Delta {
+	t.Helper()
+	d := ComputeDelta(base, next)
+	if d.BaseLen != len(base) || d.NewLen != len(next) {
+		t.Fatalf("delta lengths %d/%d, want %d/%d", d.BaseLen, d.NewLen, len(base), len(next))
+	}
+	changed := diffBlocks(base, next, nil)
+	if len(changed) != len(d.Blocks) {
+		t.Fatalf("ComputeDelta names %d blocks, diffBlocks %d", len(d.Blocks), len(changed))
+	}
+	for _, c := range changed {
+		b, ok := d.Blocks[int(c.Index)]
+		if !ok || uint32(len(b)) != c.Ref.Len || HashBlock(b) != c.Ref.ID {
+			t.Fatalf("block %d: ComputeDelta and diffBlocks disagree", c.Index)
+		}
+	}
+	p := NewPipeline(newMemBackend(), 2)
+	if err := p.Put(1, 0, 1, base, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Put(1, 0, 2, next, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := p.Get(1, 0, 2)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	if !bytes.Equal(got, next) {
+		t.Fatalf("round trip mismatch: %d bytes -> %d bytes", len(base), len(next))
+	}
+	return d
+}
 
 func TestDeltaIdenticalStates(t *testing.T) {
 	state := make([]byte, 3*DeltaBlockSize+100)
 	for i := range state {
 		state[i] = byte(i)
 	}
-	d := ComputeDelta(state, state)
-	if len(d.Blocks) != 0 {
+	if d := checkDelta(t, state, state); len(d.Blocks) != 0 {
 		t.Errorf("identical states produced %d changed blocks", len(d.Blocks))
-	}
-	out, err := d.Apply(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, state) {
-		t.Error("apply of empty delta changed state")
 	}
 }
 
@@ -29,23 +58,12 @@ func TestDeltaSingleBlockChange(t *testing.T) {
 	base := make([]byte, 8*DeltaBlockSize)
 	next := append([]byte(nil), base...)
 	next[5*DeltaBlockSize+17] = 0xFF
-	d := ComputeDelta(base, next)
+	d := checkDelta(t, base, next)
 	if len(d.Blocks) != 1 {
 		t.Fatalf("changed blocks = %d, want 1", len(d.Blocks))
 	}
 	if _, ok := d.Blocks[5]; !ok {
 		t.Errorf("wrong block: %v", d.Blocks)
-	}
-	out, err := d.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, next) {
-		t.Error("apply mismatch")
-	}
-	// Savings: the delta is far smaller than the full state.
-	if d.Size() >= len(next)/2 {
-		t.Errorf("delta size %d not small vs %d", d.Size(), len(next))
 	}
 }
 
@@ -55,96 +73,31 @@ func TestDeltaGrowAndShrink(t *testing.T) {
 	for i := range grown {
 		grown[i] = byte(i * 3)
 	}
-	d := ComputeDelta(base, grown)
-	out, err := d.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, grown) {
-		t.Error("grow mismatch")
-	}
-	// Shrink back.
-	d2 := ComputeDelta(grown, base)
-	out, err = d2.Apply(grown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, base) {
-		t.Error("shrink mismatch")
-	}
+	checkDelta(t, base, grown)
+	checkDelta(t, grown, base)
 }
 
+// TestDeltaWrongBase: a delta record that expects a base of another length
+// than the one its chain resolves to is refused, never applied.
 func TestDeltaWrongBase(t *testing.T) {
-	d := ComputeDelta(make([]byte, 100), make([]byte, 100))
-	if _, err := d.Apply(make([]byte, 99)); err == nil {
-		t.Error("wrong-length base accepted")
-	}
-}
-
-func TestDeltaEncodeDecode(t *testing.T) {
-	base := make([]byte, 2*DeltaBlockSize)
-	next := append([]byte(nil), base...)
-	next[0] = 1
-	next[DeltaBlockSize] = 2
-	d := ComputeDelta(base, next)
-	got, err := DecodeDelta(d.Encode())
-	if err != nil {
+	be := newMemBackend()
+	base := make([]byte, 100)
+	ref := BlockRef{ID: HashBlock(base), Len: uint32(len(base))}
+	if err := be.PutRecord(1, 0, 1, EncodeFullRecord(len(base), []BlockRef{ref}), []RecBlock{{ref, base}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	out, err := got.Apply(base)
-	if err != nil {
+	if err := be.PutRecord(1, 0, 2, EncodeDeltaRecord(1, len(base)-1, len(base), nil), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out, next) {
-		t.Error("decoded delta apply mismatch")
-	}
-	if _, err := DecodeDelta([]byte{1, 2, 3}); err == nil {
-		t.Error("garbage delta decoded")
-	}
-}
-
-func TestDeltaChainReconstruction(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	state := make([]byte, 5*DeltaBlockSize)
-	r.Read(state)
-	base := append([]byte(nil), state...)
-
-	var deltas []*Delta
-	var states [][]byte
-	for i := 0; i < 6; i++ {
-		next := append([]byte(nil), state...)
-		// Mutate a few random spots; occasionally grow.
-		for j := 0; j < 3; j++ {
-			next[r.Intn(len(next))] ^= 0x5A
-		}
-		if i == 3 {
-			next = append(next, make([]byte, DeltaBlockSize/2)...)
-		}
-		deltas = append(deltas, ComputeDelta(state, next))
-		states = append(states, next)
-		state = next
-	}
-	got, err := DeltaChain(base, deltas...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, states[len(states)-1]) {
-		t.Error("chain reconstruction mismatch")
+	if _, _, err := be.Get(1, 0, 2); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("a delta on a wrong-length base resolved: %v", err)
 	}
 }
 
 func TestQuickDeltaRoundTrip(t *testing.T) {
 	prop := func(base, next []byte) bool {
-		d := ComputeDelta(base, next)
-		enc, err := DecodeDelta(d.Encode())
-		if err != nil {
-			return false
-		}
-		out, err := enc.Apply(base)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(out, next)
+		checkDelta(t, base, next)
+		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -152,8 +105,7 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 }
 
 func TestQuickDeltaSparseChangesAreSmall(t *testing.T) {
-	// Property: changing k bytes touches at most k blocks, so the delta
-	// payload is bounded by k*(blocksize+8)+16.
+	// Property: changing k bytes touches at most k blocks.
 	prop := func(seed int64, kRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := int(kRaw%8) + 1
@@ -163,8 +115,7 @@ func TestQuickDeltaSparseChangesAreSmall(t *testing.T) {
 		for i := 0; i < k; i++ {
 			next[r.Intn(len(next))]++
 		}
-		d := ComputeDelta(base, next)
-		return len(d.Blocks) <= k && d.Size() <= k*(DeltaBlockSize+8)+16
+		return len(ComputeDelta(base, next).Blocks) <= k
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -14,9 +14,8 @@ import (
 // (and makes the old one garbage).
 const DefaultFullEvery = 8
 
-// Pipeline is the incremental checkpoint capture path: a Backend wrapper
-// that turns per-epoch Put calls into content-addressed records over a
-// ChunkedBackend.
+// Pipeline is the incremental checkpoint capture path: a Backend that turns
+// per-epoch Put calls into content-addressed records in the Backend it wraps.
 //
 //   - The first checkpoint of a rank (and every FullEvery-th after it) is a
 //     full record: every 4 KiB block of the image, content-addressed.
@@ -32,14 +31,13 @@ const DefaultFullEvery = 8
 //     the record's full base so the chain stays reconstructable; once a new
 //     full record commits, the previous chain is collected whole.
 //
-// Get reconstructs base + delta chain; backends that materialize chains
-// themselves (RecordResolver, e.g. rstore's replica-side cache) are
-// preferred so a restore from replicated memory stays pointer-speed.
+// Everything else — Get included: every Backend resolves its own record
+// chains — is the wrapped backend's.
 //
 // One Pipeline serves one application on one node; ranks are tracked
 // independently. It is safe for concurrent use.
 type Pipeline struct {
-	inner ChunkedBackend
+	Backend
 	// FullEvery is the full-record cadence; <=1 disables deltas entirely
 	// (every epoch is a full record).
 	fullEvery int
@@ -93,13 +91,13 @@ type PipelineStats struct {
 
 var _ Backend = (*Pipeline)(nil)
 
-// NewPipeline wraps a chunked backend in the incremental capture path.
+// NewPipeline wraps a backend in the incremental capture path.
 // fullEvery <= 0 selects DefaultFullEvery.
-func NewPipeline(inner ChunkedBackend, fullEvery int) *Pipeline {
+func NewPipeline(inner Backend, fullEvery int) *Pipeline {
 	if fullEvery <= 0 {
 		fullEvery = DefaultFullEvery
 	}
-	return &Pipeline{inner: inner, fullEvery: fullEvery, ranks: make(map[wire.Rank]*rankState)}
+	return &Pipeline{Backend: inner, fullEvery: fullEvery, ranks: make(map[wire.Rank]*rankState)}
 }
 
 // Stats returns a snapshot of the capture counters.
@@ -204,7 +202,7 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 			carry(uint32(i), ref)
 		}
 	}
-	if err := p.inner.PutRecord(app, rank, n, env, blocks, meta); err != nil {
+	if err := p.Backend.PutRecord(app, rank, n, env, blocks, meta); err != nil {
 		return nil, err
 	}
 	patch()
@@ -294,32 +292,15 @@ func diffBlocks(base, next []byte, hinted []bool) []DeltaRef {
 	return changed
 }
 
-// Get reconstructs checkpoint n of (app, rank). Raw (pre-pipeline) images
-// pass through untouched; record chains are resolved by the backend when it
-// can (RecordResolver) and block-by-block otherwise.
-func (p *Pipeline) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	if rr, ok := p.inner.(RecordResolver); ok {
-		return rr.ResolveRecord(app, rank, n)
+// ResolveChain returns the checkpoint image of slot n of (app, rank), read
+// through be's envelopes and blocks: a raw slot verbatim, a record by walking
+// its delta chain back to the full base and replaying it forward. It is every
+// backend's cold path; one that keeps chains materialized looks there first.
+func ResolveChain(be Backend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
+	env, meta, err := be.GetEnvelope(app, rank, n)
+	if err != nil || !IsRecord(env) {
+		return env, meta, err
 	}
-	env, meta, err := envelopeGet(p.inner, app, rank, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !IsRecord(env) {
-		return env, meta, nil
-	}
-	raw, err := ResolveChain(p.inner, app, rank, n, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, meta, nil
-}
-
-// ResolveChain reconstructs the raw image behind record envelope env
-// (checkpoint n of (app, rank)) by walking its delta chain back to the full
-// base and replaying it forward. It is the generic, storage-agnostic
-// resolver; backends with their own materialized chains need not use it.
-func ResolveChain(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64, env []byte) ([]byte, error) {
 	// Walk back to the full base, collecting the chain (newest first).
 	type link struct {
 		n   uint64
@@ -329,7 +310,7 @@ func ResolveChain(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64, e
 	for {
 		rec, err := DecodeRecord(env)
 		if err != nil {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
+			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
 				ErrBrokenChain, n, app, rank, err)
 		}
 		chain = append(chain, link{n, rec})
@@ -337,18 +318,16 @@ func ResolveChain(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64, e
 			break
 		}
 		if rec.Base >= n {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d has non-descending base #%d",
+			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d has non-descending base #%d",
 				ErrBrokenChain, n, app, rank, rec.Base)
 		}
 		n = rec.Base
-		var err2 error
-		env, _, err2 = envelopeGet(be, app, rank, n)
-		if err2 != nil {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
-				ErrBrokenChain, n, app, rank, err2)
+		if env, _, err = be.GetEnvelope(app, rank, n); err != nil {
+			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
+				ErrBrokenChain, n, app, rank, err)
 		}
 		if !IsRecord(env) {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d is not a record envelope",
+			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d is not a record envelope",
 				ErrBrokenChain, n, app, rank)
 		}
 	}
@@ -359,21 +338,25 @@ func ResolveChain(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64, e
 	off := 0
 	for _, ref := range baseLink.rec.Refs {
 		if off+int(ref.Len) > len(raw) {
-			return nil, fmt.Errorf("%w: full record #%d overruns image", ErrMissingBlock, baseLink.n)
+			return nil, nil, fmt.Errorf("%w: full record #%d overruns image", ErrMissingBlock, baseLink.n)
 		}
 		b, err := fetchBlock(be, app, rank, ref)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		copy(raw[off:], b)
 		off += int(ref.Len)
 	}
 	if off != len(raw) {
-		return nil, fmt.Errorf("%w: full record #%d assembles %d of %d bytes",
+		return nil, nil, fmt.Errorf("%w: full record #%d assembles %d of %d bytes",
 			ErrMissingBlock, baseLink.n, off, len(raw))
 	}
 	for i := len(chain) - 2; i >= 0; i-- {
 		rec := chain[i].rec
+		if rec.BaseLen != len(raw) {
+			return nil, nil, fmt.Errorf("%w: delta record #%d expects a base of %d bytes, #%d has %d",
+				ErrBrokenChain, chain[i].n, rec.BaseLen, rec.Base, len(raw))
+		}
 		if rec.RawLen != len(raw) {
 			next := make([]byte, rec.RawLen)
 			copy(next, raw[:min(len(raw), rec.RawLen)])
@@ -382,23 +365,23 @@ func ResolveChain(be ChunkedBackend, app wire.AppID, rank wire.Rank, n uint64, e
 		for _, d := range rec.Deltas {
 			lo := int(d.Index) * DeltaBlockSize
 			if lo+int(d.Ref.Len) > len(raw) {
-				return nil, fmt.Errorf("%w: delta record #%d block %d overruns image",
+				return nil, nil, fmt.Errorf("%w: delta record #%d block %d overruns image",
 					ErrMissingBlock, chain[i].n, d.Index)
 			}
 			b, err := fetchBlock(be, app, rank, d.Ref)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			copy(raw[lo:], b)
 		}
 	}
-	return raw, nil
+	return raw, meta, nil
 }
 
 // fetchBlock gets one block and verifies its content address, so a corrupt
 // or substituted block surfaces as ErrMissingBlock instead of silently
 // restoring wrong state.
-func fetchBlock(be ChunkedBackend, app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
+func fetchBlock(be Backend, app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
 	b, err := be.GetBlock(app, rank, ref)
 	if err != nil {
 		return nil, fmt.Errorf("%w: block %s: %v", ErrMissingBlock, ref.ID, err)
@@ -420,14 +403,14 @@ func (p *Pipeline) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	if err == nil && base < keepFrom {
 		keepFrom = base
 	}
-	return p.inner.GC(app, rank, keepFrom)
+	return p.Backend.GC(app, rank, keepFrom)
 }
 
 // chainBase walks the delta chain of checkpoint n down to its full record's
 // index. Raw images and missing checkpoints are their own base.
 func (p *Pipeline) chainBase(app wire.AppID, rank wire.Rank, n uint64) (uint64, error) {
 	for {
-		env, _, err := envelopeGet(p.inner, app, rank, n)
+		env, _, err := p.GetEnvelope(app, rank, n)
 		if err != nil || !IsRecord(env) {
 			return n, err
 		}
@@ -442,26 +425,10 @@ func (p *Pipeline) chainBase(app wire.AppID, rank wire.Rank, n uint64) (uint64, 
 	}
 }
 
-// Put-through methods.
-
-func (p *Pipeline) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
-	return p.inner.List(app, rank)
-}
-
-func (p *Pipeline) Ranks(app wire.AppID) ([]wire.Rank, error) { return p.inner.Ranks(app) }
-
-func (p *Pipeline) CommitLine(app wire.AppID, line RecoveryLine) error {
-	return p.inner.CommitLine(app, line)
-}
-
-func (p *Pipeline) CommittedLine(app wire.AppID) (RecoveryLine, error) {
-	return p.inner.CommittedLine(app)
-}
-
 // DropApp drops the app's records and the writer-side capture caches.
 func (p *Pipeline) DropApp(app wire.AppID) error {
 	p.mu.Lock()
 	p.ranks = make(map[wire.Rank]*rankState)
 	p.mu.Unlock()
-	return p.inner.DropApp(app)
+	return p.Backend.DropApp(app)
 }

@@ -51,7 +51,7 @@ func TestPipelineRoundTripOverDisk(t *testing.T) {
 	}
 	// Every slot holds a record envelope, not a raw image.
 	for n := range imgs {
-		env, _, err := st.Get(1, 0, uint64(n))
+		env, _, err := st.GetEnvelope(1, 0, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPipelineMissingBlockTyped(t *testing.T) {
 		}
 	}
 	// Remove one content block referenced by the delta record.
-	env, _, err := st.Get(1, 0, 1)
+	env, _, err := st.GetEnvelope(1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPipelineCorruptBlockTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	env, _, err := st.Get(1, 0, 1)
+	env, _, err := st.GetEnvelope(1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,32 +255,6 @@ func countBlockFiles(t *testing.T, st *Store) int {
 		}
 	}
 	return n
-}
-
-func TestPipelineGCClampsToChainBase(t *testing.T) {
-	p, st := pipeStore(t, 8)
-	imgs := epochImages(t, 6, 8)
-	for n, img := range imgs {
-		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// keepFrom=3 is a delta record; GC must clamp down to the chain's full
-	// base (epoch 0) so the chain stays reconstructable.
-	if err := p.GC(1, 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	ns, err := st.List(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns) != 6 || ns[0] != 0 {
-		t.Fatalf("list after clamped GC = %v, want all six epochs kept", ns)
-	}
-	got, _, err := p.Get(1, 0, 5)
-	if err != nil || !bytes.Equal(got, imgs[5]) {
-		t.Fatalf("chain unreconstructable after clamped GC: %v", err)
-	}
 }
 
 func TestPipelineGCCollectsSupersededChain(t *testing.T) {
@@ -344,22 +318,6 @@ func TestPipelineCrossRankDedup(t *testing.T) {
 	got, _, err := p.Get(1, 1, 0)
 	if err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("rank 1 restore from deduplicated blocks: %v", err)
-	}
-}
-
-func TestPipelineRawImagePassThrough(t *testing.T) {
-	p, st := pipeStore(t, 8)
-	// A pre-pipeline raw image in the slot must come back verbatim.
-	raw := []byte("not a record envelope, just bytes")
-	if err := st.Put(1, 0, 0, raw, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := p.Get(1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Error("raw image did not pass through the pipeline untouched")
 	}
 }
 

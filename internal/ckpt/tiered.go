@@ -20,8 +20,8 @@ import (
 // remain recoverable from the fast tier's surviving replicas. Flush blocks
 // until the spill queue drains (tests, clean shutdown).
 type Tiered struct {
-	fast ChunkedBackend
-	slow ChunkedBackend
+	fast Backend
+	slow Backend
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -33,12 +33,12 @@ type Tiered struct {
 	logf      func(string, ...any)
 }
 
-var _ ChunkedBackend = (*Tiered)(nil)
+var _ Backend = (*Tiered)(nil)
 
 // NewTiered builds a tiered backend over a fast and a slow tier. logf, when
 // non-nil, receives spill diagnostics (spill errors are not surfaced to the
 // checkpointing process — the fast tier already accepted the data).
-func NewTiered(fast, slow ChunkedBackend, logf func(string, ...any)) *Tiered {
+func NewTiered(fast, slow Backend, logf func(string, ...any)) *Tiered {
 	t := &Tiered{fast: fast, slow: slow, logf: logf}
 	t.cond = sync.NewCond(&t.mu)
 	go t.spiller()
@@ -115,28 +115,22 @@ func (t *Tiered) SpillErrors() int {
 	return t.spillErrs
 }
 
-// Put writes to the fast tier synchronously and spills to disk in the
-// background. The image is referenced (not copied) by the queued spill;
-// checkpoint images are immutable once stored, so this is safe.
+// Put makes the one copy of the caller's image that both tiers then share: a
+// raw image is a slot that brings no blocks.
 func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	if err := t.fast.Put(app, rank, n, img, meta); err != nil {
-		return err
-	}
-	t.spill(func() error { return t.slow.Put(app, rank, n, img, meta) })
-	return nil
+	return t.PutRecord(app, rank, n, append([]byte(nil), img...), nil, meta)
 }
 
-// Get reads memory-first, falling back to disk for images whose memory
-// replicas did not survive.
+// Get reads the fast tier, which resolves its own chains, and falls back to
+// a chain walk over both tiers: after a memory wipe the whole chain comes off
+// disk, after a partial loss each envelope and block from the tier that still
+// has it.
 func (t *Tiered) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
 	img, meta, err := t.fast.Get(app, rank, n)
-	if err == nil {
-		return img, meta, nil
+	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
+		return img, meta, err
 	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		return nil, nil, err
-	}
-	return t.slow.Get(app, rank, n)
+	return ResolveChain(t, app, rank, n)
 }
 
 // List unions both tiers (an index may exist only on disk after a memory
@@ -189,11 +183,8 @@ func (t *Tiered) CommitLine(app wire.AppID, line RecoveryLine) error {
 // CommittedLine reads memory-first with disk fallback.
 func (t *Tiered) CommittedLine(app wire.AppID) (RecoveryLine, error) {
 	line, err := t.fast.CommittedLine(app)
-	if err == nil {
-		return line, nil
-	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		return nil, err
+	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
+		return line, err
 	}
 	return t.slow.CommittedLine(app)
 }
@@ -217,73 +208,38 @@ func (t *Tiered) DropApp(app wire.AppID) error {
 	return nil
 }
 
-// PutRecord forwards a chunked put to the fast tier synchronously and spills
-// it to the slow tier. The PutRecord contract only guarantees block data for
-// the duration of the call, so the spill captures its own copy.
-func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
-	if err := t.fast.PutRecord(app, rank, n, env, blocks, meta); err != nil {
+// PutRecord stores in the fast tier synchronously and spills to the slow
+// tier in the background. The slot was handed over and is never written again,
+// so the queued spill shares it; block data is the caller's again once the
+// call returns, so the spill captures its own copy.
+func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []RecBlock, meta *Meta) error {
+	if err := t.fast.PutRecord(app, rank, n, slot, blocks, meta); err != nil {
 		return err
 	}
 	cp := make([]RecBlock, len(blocks))
 	for i, b := range blocks {
 		cp[i] = RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
 	}
-	t.spill(func() error { return t.slow.PutRecord(app, rank, n, env, cp, meta) })
+	t.spill(func() error { return t.slow.PutRecord(app, rank, n, slot, cp, meta) })
 	return nil
 }
 
 // GetBlock reads a content-addressed block memory-first with disk fallback.
 func (t *Tiered) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
 	b, err := t.fast.GetBlock(app, rank, ref)
-	if err == nil {
-		return b, nil
-	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		return nil, err
+	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
+		return b, err
 	}
 	return t.slow.GetBlock(app, rank, ref)
 }
 
-// GetEnvelope reads slot n's stored bytes verbatim, memory-first with disk
-// fallback — the chain walker's view of the tiers (the fast tier's plain Get
-// resolves records, which would hide the links).
+// GetEnvelope reads slot n's stored bytes memory-first with disk fallback.
 func (t *Tiered) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	env, meta, err := envelopeGet(t.fast, app, rank, n)
-	if err == nil {
-		return env, meta, nil
+	env, meta, err := t.fast.GetEnvelope(app, rank, n)
+	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
+		return env, meta, err
 	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		return nil, nil, err
-	}
-	return t.slow.Get(app, rank, n)
-}
-
-// ResolveRecord reconstructs a record chain, delegating to the fast tier's
-// materialized resolver when it has one and walking blocks otherwise.
-func (t *Tiered) ResolveRecord(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	if rr, ok := t.fast.(RecordResolver); ok {
-		raw, meta, err := rr.ResolveRecord(app, rank, n)
-		if err == nil {
-			return raw, meta, nil
-		}
-		if !errors.Is(err, ErrNoCheckpoint) {
-			return nil, nil, err
-		}
-		// Fast tier lost the chain (e.g. memory wipe): fall through to the
-		// tiered walk, which can pull records and blocks back off disk.
-	}
-	env, meta, err := t.GetEnvelope(app, rank, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !IsRecord(env) {
-		return env, meta, nil
-	}
-	raw, err := ResolveChain(t, app, rank, n, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, meta, nil
+	return t.slow.GetEnvelope(app, rank, n)
 }
 
 func mergeSorted(a, b []uint64) []uint64 {

@@ -9,7 +9,7 @@ import (
 	"starfish/internal/wire"
 )
 
-// memBackend is a minimal in-memory ChunkedBackend for exercising Tiered
+// memBackend is a minimal in-memory Backend for exercising Tiered
 // without pulling in the replicated store (which lives downstream of this
 // package).
 type memBackend struct {
@@ -49,6 +49,10 @@ func (m *memBackend) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, m
 }
 
 func (m *memBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
+	return ResolveChain(m, app, rank, n)
+}
+
+func (m *memBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	img, ok := m.images[bkey(app, rank, n)]

@@ -136,7 +136,7 @@ func (d *Daemon) recoveryLine(app wire.AppID) (ckpt.RecoveryLine, error) {
 	for r := 0; r < st.spec.Ranks; r++ {
 		zero[wire.Rank(r)] = 0
 	}
-	be := d.backendFor(&st.spec)
+	be := d.tierFor(&st.spec)
 	if st.spec.Protocol.Coordinated() {
 		line, err := be.CommittedLine(app)
 		if err != nil {
@@ -261,14 +261,19 @@ func (d *Daemon) applySubmit(c *Cmd) {
 func (d *Daemon) applyDelete(c *Cmd) {
 	d.mu.Lock()
 	var be ckpt.Backend
-	if st, ok := d.apps[c.App]; ok {
-		be = d.backendFor(&st.spec)
+	st, known := d.apps[c.App]
+	if known {
+		be = d.tierFor(&st.spec)
 	}
-	_, known := d.apps[c.App]
 	delete(d.apps, c.App)
 	eps := d.localEndpointsLocked(c.App)
 	delete(d.local, c.App)
 	d.mu.Unlock()
+	// The capture pipeline goes on every node, with each local rank's borrowed
+	// diff base; the leader's DropApp below empties the storage tier itself.
+	d.pipeMu.Lock()
+	delete(d.pipelines, c.App)
+	d.pipeMu.Unlock()
 	if known {
 		d.ev.Emit(evstore.EvApp("delete", c.App))
 	}

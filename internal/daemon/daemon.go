@@ -267,23 +267,28 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// backendFor resolves the checkpoint backend an application's spec selects,
-// falling back to disk when the requested tier is not configured on this
-// node. Delta-enabled apps get the storage tier wrapped in their cached
-// incremental capture pipeline (one per app — its writer-side diff state
-// must see every epoch).
-func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
-	var be ckpt.ChunkedBackend = d.cfg.Store
+// tierFor resolves the storage tier an application's spec selects, falling
+// back to disk when the requested tier is not configured on this node.
+func (d *Daemon) tierFor(spec *proc.AppSpec) ckpt.Backend {
 	switch spec.Store {
 	case ckpt.StoreMemory:
 		if d.cfg.Memory != nil {
-			be = d.cfg.Memory
+			return d.cfg.Memory
 		}
 	case ckpt.StoreTiered:
 		if d.tiered != nil {
-			be = d.tiered
+			return d.tiered
 		}
 	}
+	return d.cfg.Store
+}
+
+// backendFor resolves the checkpoint backend an application's processes write
+// to: its storage tier, for a delta-enabled app wrapped in the app's cached
+// incremental capture pipeline (one per app — its writer-side diff state must
+// see every epoch; applyDelete drops it).
+func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
+	be := d.tierFor(spec)
 	if !spec.DeltaCkpt {
 		return be
 	}
@@ -341,7 +346,7 @@ func (d *Daemon) CommittedLine(app wire.AppID) (ckpt.RecoveryLine, error) {
 	if !ok {
 		return nil, fmt.Errorf("daemon: unknown app %d", app)
 	}
-	return d.backendFor(&st.spec).CommittedLine(app)
+	return d.tierFor(&st.spec).CommittedLine(app)
 }
 
 // StoreStats reports this node's replicated-memory store counters; ok is

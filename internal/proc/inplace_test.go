@@ -14,9 +14,9 @@ import (
 	"starfish/internal/wire"
 )
 
-// recBackend is an in-memory ckpt.ChunkedBackend of one (app, rank) that
-// keeps what each PutRecord was handed — copied, as the contract demands —
-// and can be told to fail the next one.
+// recBackend is an in-memory ckpt.Backend of one (app, rank) that keeps what
+// each PutRecord was handed — copied, as the contract demands — and can be
+// told to fail the next one.
 type recBackend struct {
 	ckpt.Backend
 	envs     [][]byte
@@ -49,6 +49,10 @@ func (r *recBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []b
 }
 
 func (r *recBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
+	return ckpt.ResolveChain(r, app, rank, n)
+}
+
+func (r *recBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
 	env, ok := r.slots[n]
 	if !ok {
 		return nil, nil, ckpt.ErrNoCheckpoint

@@ -88,34 +88,14 @@ func copiesOf(stores map[wire.NodeID]*Store, live []wire.NodeID, app wire.AppID,
 }
 
 // TestDeathMovesOnlyLostCopies removes one of four members and requires the
-// survivors to push exactly the copies it took — of the images a restart can
-// still need — and nothing else: no image that kept both copies moves, no
-// image older than the committed line moves, no two nodes push the same image.
+// survivors to push exactly the copies it took — of the slots a restart can
+// still need — and nothing else: no slot that kept its copies moves, no image
+// older than the committed line moves, no two nodes push the same slot.
 func TestDeathMovesOnlyLostCopies(t *testing.T) {
-	for victim := wire.NodeID(1); victim <= 4; victim++ {
-		fn := vni.NewFastnet(0)
-		stores := newCluster(t, fn, 4, 2)
-		// Three ranks written on three different nodes, two indices each, the
-		// line committed at the second.
-		const app = 11
-		img := bytes.Repeat([]byte{0xC3}, 32<<10)
-		for r := wire.Rank(0); r < 3; r++ {
-			for n := uint64(1); n <= 2; n++ {
-				if err := stores[wire.NodeID(r+1)].Put(app, r, n, img, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := stores[1].CommitLine(app, ckpt.RecoveryLine{0: 2, 1: 2, 2: 2}); err != nil {
-			t.Fatal(err)
-		}
-		lost := 0
-		for r := wire.Rank(0); r < 3; r++ {
-			if stores[victim].Holds(app, r, 2) {
-				lost++
-			}
-		}
-		var live []wire.NodeID
+	// death kills victim and returns, once the survivors' passes ran out, the
+	// slot pushes they made and the ones a "have" answer spared.
+	death := func(t *testing.T, fn *vni.Fastnet, stores map[wire.NodeID]*Store, victim wire.NodeID) (live []wire.NodeID, pushed, skipped uint64) {
+		t.Helper()
 		var before uint64
 		for id, s := range stores {
 			if id != victim {
@@ -131,8 +111,6 @@ func TestDeathMovesOnlyLostCopies(t *testing.T) {
 		for _, id := range live {
 			stores[id].bg.Wait()
 		}
-
-		var pushed, skipped uint64
 		for _, id := range live {
 			st := stores[id].Stats()
 			pushed += st.Pushes
@@ -141,45 +119,126 @@ func TestDeathMovesOnlyLostCopies(t *testing.T) {
 				t.Errorf("victim %d: node %d reports %d under-replicated, %d failed pushes", victim, id, st.UnderReplicated, st.PushFailures)
 			}
 		}
-		if pushed -= before; pushed != uint64(lost) {
-			t.Errorf("victim %d took %d needed copies, re-replication pushed %d (skipped %d)", victim, lost, pushed, skipped)
-		}
-		for r := wire.Rank(0); r < 3; r++ {
-			if c := copiesOf(stores, live, app, r, 2); c != 2 {
-				t.Errorf("victim %d: rank %d's committed image has %d live copies, want 2", victim, r, c)
+		return live, pushed - before, skipped
+	}
+
+	t.Run("images", func(t *testing.T) {
+		for victim := wire.NodeID(1); victim <= 4; victim++ {
+			fn := vni.NewFastnet(0)
+			stores := newCluster(t, fn, 4, 2)
+			// Three ranks written on three different nodes, two indices each,
+			// the line committed at the second.
+			const app = 11
+			img := bytes.Repeat([]byte{0xC3}, 32<<10)
+			for r := wire.Rank(0); r < 3; r++ {
+				for n := uint64(1); n <= 2; n++ {
+					if err := stores[wire.NodeID(r+1)].Put(app, r, n, img, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := stores[1].CommitLine(app, ckpt.RecoveryLine{0: 2, 1: 2, 2: 2}); err != nil {
+				t.Fatal(err)
+			}
+			lost := 0
+			for r := wire.Rank(0); r < 3; r++ {
+				if stores[victim].Holds(app, r, 2) {
+					lost++
+				}
+			}
+			live, pushed, skipped := death(t, fn, stores, victim)
+			if pushed != uint64(lost) {
+				t.Errorf("victim %d took %d needed copies, re-replication pushed %d (skipped %d)", victim, lost, pushed, skipped)
+			}
+			for r := wire.Rank(0); r < 3; r++ {
+				if c := copiesOf(stores, live, app, r, 2); c != 2 {
+					t.Errorf("victim %d: rank %d's committed image has %d live copies, want 2", victim, r, c)
+				}
 			}
 		}
-	}
+	})
+
+	// A delta chain at three copies loses its writer: the pusher role moves to
+	// a holder with no recorded acks, while the other holder already has every
+	// slot. Every record of the live chain stays owed below the committed line,
+	// so each of them lost one copy — and only that one moves.
+	t.Run("delta-chain", func(t *testing.T) {
+		fn := vni.NewFastnet(0)
+		stores := newCluster(t, fn, 4, 3)
+		const app, writer, chain = 12, wire.NodeID(1), 4
+		p := ckpt.NewPipeline(stores[writer], chain)
+		imgs := chunkEpochs(chain, 16)
+		for i, img := range imgs {
+			if err := p.Put(app, 0, uint64(i+1), img, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := stores[writer].CommitLine(app, ckpt.RecoveryLine{0: chain}); err != nil {
+			t.Fatal(err)
+		}
+		live, pushed, skipped := death(t, fn, stores, writer)
+		if pushed != chain || skipped == 0 {
+			t.Errorf("the writer took one copy of each of %d records, re-replication pushed %d (skipped %d)", chain, pushed, skipped)
+		}
+		for n := uint64(1); n <= chain; n++ {
+			if c := copiesOf(stores, live, app, 0, n); c != 3 {
+				t.Errorf("record #%d has %d live copies, want 3", n, c)
+			}
+		}
+		for _, id := range live {
+			if got, _, err := stores[id].Get(app, 0, chain); err != nil || !bytes.Equal(got, imgs[chain-1]) {
+				t.Errorf("node %d cannot restore the chain's newest epoch: %v", id, err)
+			}
+		}
+	})
 }
 
 // TestHaveAnswersForTheBytes pins what "have" means: a holder of an earlier
 // incarnation's checkpoint of the same index must be sent the new bytes.
 func TestHaveAnswersForTheBytes(t *testing.T) {
-	fn := vni.NewFastnet(0)
-	stores := newCluster(t, fn, 3, 2)
-	k := key{app: 12, rank: 0, n: 1}
-	if err := stores[1].Put(k.app, k.rank, k.n, []byte("first incarnation"), nil); err != nil {
-		t.Fatal(err)
-	}
-	var holder wire.NodeID
-	for _, id := range []wire.NodeID{2, 3} {
-		if stores[id].Holds(k.app, k.rank, k.n) {
-			holder = id
-		}
-	}
-	stores[1].mu.Lock()
-	tag := stores[1].images[k].tag
-	stores[1].mu.Unlock()
-	if !stores[1].peerHas(holder, k, tag) {
-		t.Fatal("the holder of a pushed image does not report having it")
-	}
-	if stores[1].peerHas(holder, k, tag+1) {
-		t.Fatal("a holder reports having bytes of a Put it never saw")
-	}
-	if stores[1].peerHas(5-holder, k, tag) {
-		t.Fatal("a node that holds nothing reports having the image")
-	}
-	if got := stores[1].Stats().PushesSkipped; got != 1 {
-		t.Fatalf("PushesSkipped = %d, want 1", got)
+	for slot, put := range slotKinds {
+		t.Run(slot, func(t *testing.T) {
+			fn := vni.NewFastnet(0)
+			stores := newCluster(t, fn, 3, 2)
+			k := key{app: 12, rank: 0, n: 1}
+			tagOf := func() uint64 {
+				stores[1].mu.Lock()
+				defer stores[1].mu.Unlock()
+				return stores[1].images[k].tag
+			}
+			if err := put(stores[1], k.app, k.n, bytes.Repeat([]byte("first incarnation"), 500)); err != nil {
+				t.Fatal(err)
+			}
+			var holder wire.NodeID
+			for _, id := range []wire.NodeID{2, 3} {
+				if stores[id].Holds(k.app, k.rank, k.n) {
+					holder = id
+				}
+			}
+			tag := tagOf()
+			if !stores[1].peerHas(holder, k, tag) {
+				t.Fatal("the holder of a pushed slot does not report having it")
+			}
+			if stores[1].peerHas(holder, k, tag+1) {
+				t.Fatal("a holder reports having bytes of a put it never saw")
+			}
+			if stores[1].peerHas(5-holder, k, tag) {
+				t.Fatal("a node that holds nothing reports having the slot")
+			}
+			if got := stores[1].Stats().PushesSkipped; got != 1 {
+				t.Fatalf("PushesSkipped = %d, want 1", got)
+			}
+			// A new incarnation puts the same index again: the holder now has
+			// those bytes, and no longer the first incarnation's.
+			if err := put(stores[1], k.app, k.n, bytes.Repeat([]byte("second incarnation"), 500)); err != nil {
+				t.Fatal(err)
+			}
+			if next := tagOf(); next == tag || !stores[1].peerHas(holder, k, next) {
+				t.Fatal("the holder does not report having the second incarnation's bytes")
+			}
+			if stores[1].peerHas(holder, k, tag) {
+				t.Fatal("a holder reports having the bytes a later put replaced")
+			}
+		})
 	}
 }

@@ -24,17 +24,40 @@
 //     replicated to every member, so List/Ranks/GatherLine work on any node,
 //     including nodes that never hosted the rank. Committed recovery lines
 //     are likewise broadcast.
+//   - A slot's bytes are a raw checkpoint image or a record envelope of the
+//     incremental pipeline (ckpt.Pipeline) naming content-addressed blocks,
+//     which live in a second, reference-counted map. A raw image is a record
+//     that names no blocks: one put, one push, one fetch and one
+//     re-replication walk move both.
 //   - On a view change the daemon calls UpdateView; a background pass then
 //     re-replicates what a restart can still need (each app's committed line
-//     and anything newer). Exactly one holder acts for an image — the writer
-//     while it is a member, else the first member of the order — and it asks
-//     each target "have?" before sending (kHas, as kBlockHas does for
-//     blocks), so a death moves the copies it took and nothing else.
-//   - The store sends what it stores: an image goes into the frame as the
+//     and anything newer, and every record of a live chain). Exactly one
+//     holder acts for a slot — the writer while it is a member, else the
+//     first member of the order — and it asks each target "have?" before
+//     sending (kHas), so a death moves the copies it took and nothing else.
+//   - The store sends what it stores: a slot goes into the frame as the
 //     stored slice itself (fastnet clones it once at exact size, TCP writev's
 //     it), and Get returns the store's internal buffer (callers treat images
 //     as read-only), so a restore from local RAM never copies the image and
 //     a restore from a peer's RAM copies it once, in the transport.
+//
+// Pushing a slot to a peer (pushSlot) is three idempotent steps, the first two
+// of which a slot that names no blocks skips:
+//
+//  1. kBlockHas asks which of the named blocks the peer lacks (cross-epoch
+//     and cross-rank dedup: a block it holds is never sent again).
+//  2. kBlockPut sends those, batched. The receiver pins them: a pinned block
+//     survives GC until a slot that names it lands.
+//  3. kPut + kPutData carry the slot: tag and metadata, then the stored bytes
+//     in a frame of their own. The receiver installs it only if every block
+//     it names is present and acknowledges with the ids of those that are
+//     not (a GC broadcast may race step 2); the pusher sends exactly those
+//     and the pair again until the list is empty. A peer that saw half of
+//     the pair says so, and the pair is sent again.
+//
+// Holders materialize the image behind the newest record of each (app, rank)
+// as records arrive (s.resolved), so a restore from a delta chain is a map
+// lookup, like a raw image's, not a block-by-block chain walk.
 //
 // The store speaks TControl messages on its own listener, daemon-to-daemon —
 // the one route Table 1 allows for system traffic.
@@ -56,15 +79,15 @@ import (
 
 // Protocol message kinds (wire.Msg.Kind on TControl messages).
 //
-// Whole images travel in their own frame (kPutData/kGetData, tag-paired with
-// the request) rather than being concatenated with the metadata, so the
-// frame's payload can be the stored slice itself. "meta" below is always the
-// slot's image tag followed by the encoded ckpt.Meta (encodeTagMeta).
+// Slots travel in their own frame (kPutData/kGetData, tag-paired with the
+// request) rather than being concatenated with the metadata, so the frame's
+// payload can be the stored slice itself. "meta" below is always the slot's
+// tag followed by the encoded ckpt.Meta (encodeTagMeta).
 const (
-	kPut       uint16 = 0x60 // header: App, Src=rank, Seq=n; payload: meta; followed by kPutData
+	kPut       uint16 = 0x60 // header: App, Src=rank, Seq=n; payload: meta; followed by kPutData; reply kOK
 	kGet       uint16 = 0x61 // header: App, Src=rank, Seq=n
 	kGetOK     uint16 = 0x62 // payload: meta; followed by kGetData
-	kGetMiss   uint16 = 0x63
+	kGetMiss   uint16 = 0x63 // "not held", and the answer to anything malformed or half-seen
 	kIndex     uint16 = 0x64 // payload: count, then (app, rank, n) entries
 	kCommit    uint16 = 0x65 // header: App; payload: encoded recovery line
 	kLineGet   uint16 = 0x66 // header: App
@@ -72,18 +95,16 @@ const (
 	kLineMiss  uint16 = 0x68
 	kGC        uint16 = 0x69 // header: App, Src=rank, Seq=keepFrom
 	kDrop      uint16 = 0x6A // header: App
-	kOK        uint16 = 0x6B // generic ack
-	kPutData   uint16 = 0x6C // second frame of kPut: the image bytes
-	kGetData   uint16 = 0x6D // second frame of kGetOK: the image bytes
-	kPutRec    uint16 = 0x6E // header: App, Src=rank, Seq=n; payload: meta|env; reply kRecOK
-	kRecOK     uint16 = 0x6F // payload: u32 count + still-missing block ids
+	kOK        uint16 = 0x6B // ack; to kPut, payload: ids of named blocks still missing (none: installed)
+	kPutData   uint16 = 0x6C // second frame of kPut: the slot bytes
+	kGetData   uint16 = 0x6D // second frame of kGetOK: the slot bytes
 	kBlockHas  uint16 = 0x70 // payload: u32 count + block ids; reply kHasOK
 	kHasOK     uint16 = 0x71 // payload: one byte per queried id (1 = held)
 	kBlockPut  uint16 = 0x72 // payload: u32 count + (id, u32 len, data) entries
 	kBlockGet  uint16 = 0x73 // payload: one block id
 	kBlockOK   uint16 = 0x74 // payload: the block bytes
 	kBlockMiss uint16 = 0x75
-	kHas       uint16 = 0x76 // header: App, Src=rank, Seq=n; payload: u64 image tag; reply kOK (held) or kGetMiss
+	kHas       uint16 = 0x76 // header: App, Src=rank, Seq=n; payload: u64 slot tag; reply kOK (held) or kGetMiss
 )
 
 // Config parameterizes a Store.
@@ -128,8 +149,9 @@ type key struct {
 type entry struct {
 	img  []byte
 	meta *ckpt.Meta
-	// rec is img decoded, when img is a record envelope: parsed once when
-	// the slot is set, read by refcounting, materialization and pushes.
+	// rec is img decoded, when img is a record envelope, and nil for a raw
+	// image: parsed once on the way in (slotRecord), read by refcounting,
+	// materialization, pushes and Get.
 	rec *ckpt.Record
 	// tag names the Put that produced these bytes: the writer's node in the
 	// high half, the writer's put count in the low. It travels with every
@@ -154,16 +176,15 @@ func decodeTagMeta(b []byte) (uint64, *ckpt.Meta, error) {
 	return binary.BigEndian.Uint64(b), meta, err
 }
 
-// blockEntry is one content-addressed block of the chunked checkpoint
-// pipeline (see rstore_chunked.go).
+// blockEntry is one content-addressed block (see rstore_chunked.go).
 type blockEntry struct {
 	data []byte
 	// refs counts references from locally held record envelopes (one per
 	// occurrence); a block at zero references is garbage unless pinned.
 	refs int
 	// pinned marks a block pushed ahead of its record (kBlockPut): it must
-	// survive until the kPutRec that references it lands, even across a
-	// concurrent GC broadcast.
+	// survive until the slot that names it lands, even across a concurrent
+	// GC broadcast.
 	pinned bool
 }
 
@@ -394,7 +415,7 @@ func (s *Store) pushTargetsLocked(k key, e *entry) []wire.NodeID {
 // committed line (everything, for an app that has none), and every record —
 // GC already clamps those to the live chain. Callers hold s.mu.
 func (s *Store) owedLocked(k key, e *entry) []wire.NodeID {
-	if line, committed := s.commits[k.app]; committed && k.n < line[k.rank] && !ckpt.IsRecord(e.img) {
+	if line, committed := s.commits[k.app]; committed && k.n < line[k.rank] && e.rec == nil {
 		return nil
 	}
 	return slices.DeleteFunc(s.pushTargetsLocked(k, e), func(h wire.NodeID) bool { return s.acked[k][h] })
@@ -518,34 +539,52 @@ func (s *Store) indexAddLocked(app wire.AppID, rank wire.Rank, n uint64) {
 // ckpt.Backend implementation
 // ---------------------------------------------------------------------------
 
-// Put stores checkpoint n of (app, rank) in local RAM — replica #1 — pushes
-// the other Replicas-1 to the first members of the key's order, and
-// replicates the index entry to every member. Replication failures do not
-// fail the Put — the local copy exists and the under-replication counter (and
-// the next view change's re-replication pass) pick up the slack.
+// Put stores a raw image: the one copy that makes the caller's buffer the
+// store's, then PutRecord of a slot that brings no blocks.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
+	return s.PutRecord(app, rank, n, append([]byte(nil), img...), nil, meta)
+}
+
+// PutRecord stores slot n of (app, rank) in local RAM — replica #1 — with
+// the blocks it brings, pushes the other Replicas-1 to the first members of
+// the key's order, and replicates the index entry to every member.
+// Replication failures do not fail the put — the local copy exists and the
+// under-replication counter (and the next view change's re-replication pass)
+// pick up the slack.
+func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []ckpt.RecBlock, meta *ckpt.Meta) error {
+	rec, err := slotRecord(slot)
+	if err != nil {
+		return fmt.Errorf("rstore: put #%d of app %d rank %d: %w", n, app, rank, err)
+	}
 	if meta == nil {
 		meta = &ckpt.Meta{Rank: rank, Index: n}
 	}
 	k := key{app, rank, n}
-	// Keep our own reference to the stored copy: once published in s.images,
-	// a concurrent replica push (handle kPut) may swap the entry's img.
-	stored := append([]byte(nil), img...)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return fmt.Errorf("rstore: store closed")
 	}
+	for _, b := range blocks {
+		if _, ok := s.blocks[b.Ref.ID]; !ok {
+			// Block data is only valid for the duration of the call
+			// (Backend contract): copy.
+			s.blocks[b.Ref.ID] = &blockEntry{data: append([]byte(nil), b.Data...)}
+		}
+	}
 	tag := s.nextTagLocked()
-	targets := s.pushTargetsLocked(k, s.setImageLocked(k, stored, meta, tag))
-	delete(s.acked, k) // acks were for the bytes this Put replaces
+	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, rec, meta, tag))
+	delete(s.acked, k) // acks were for the bytes this put replaces
 	s.indexAddLocked(app, rank, n)
+	s.materializeLocked(k)
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
 
+	// Push the caller's slot, not the entry's: once published in s.images, a
+	// concurrent replica push (handlePut) may swap the entry's fields.
 	mb := encodeTagMeta(tag, meta)
 	for _, h := range targets {
-		if _, err := s.pushImage(h, k, mb, stored); err != nil {
+		if _, err := s.pushSlot(h, k, mb, slot, rec); err != nil {
 			s.logf("[rstore %d] push #%d of app %d rank %d to node %d: %v",
 				s.cfg.Node, n, app, rank, h, err)
 			s.event(evstore.EvRank("push-failure", app, rank,
@@ -572,14 +611,43 @@ func (s *Store) nextTagLocked() uint64 {
 	return uint64(s.cfg.Node)<<32 | uint64(s.puts)
 }
 
-// pushImage sends one image to a peer and records the ack, returning the
-// bytes that crossed. The metadata rides in the request frame and the stored
-// image itself is the payload of a second one: nothing is staged, so the only
-// copy is the transport's own (fastnet's exact-size clone, TCP's writev) and
-// the same two frames are simply sent again — by exchange after a timeout or
-// a dropped reply, here when the peer answers that it saw only half the pair
-// (puts are idempotent overwrites).
-func (s *Store) pushImage(peer wire.NodeID, k key, metaBytes, img []byte) (int, error) {
+// slotRecord decodes slot bytes that are a record envelope. A raw image is a
+// record that names no blocks: nil. A malformed envelope is an error, and no
+// way into the store lets one in.
+func slotRecord(slot []byte) (*ckpt.Record, error) {
+	if !ckpt.IsRecord(slot) {
+		return nil, nil
+	}
+	return ckpt.DecodeRecord(slot)
+}
+
+// pushSlot replicates one slot (slot, which decodes to rec) to a peer and
+// records the ack: the blocks it names that the peer lacks, then the slot
+// itself, until the peer acknowledges it whole. It returns the bytes that
+// crossed, whether or not the push completed.
+//
+// The metadata rides in the kPut frame and the stored bytes themselves are
+// the payload of the kPutData frame: nothing is staged, so the only copy is
+// the transport's own (fastnet's exact-size clone, TCP's writev). Transport
+// failures are retried below this loop (exchange; pushBlocks for its pooled
+// frames); the loop is for a peer that answers "not yet": it lost blocks to a
+// GC between our pushes, and exactly those are sent again, or it saw half of
+// the pair, and the pair is (puts are idempotent overwrites).
+func (s *Store) pushSlot(peer wire.NodeID, k key, metaBytes, slot []byte, rec *ckpt.Record) (int, error) {
+	// The distinct blocks the slot names: none, and nothing allocated, for a
+	// raw image.
+	var lens map[ckpt.BlockID]uint32
+	var need []ckpt.BlockRef
+	if rec != nil {
+		named := len(rec.Refs) + len(rec.Deltas)
+		lens, need = make(map[ckpt.BlockID]uint32, named), make([]ckpt.BlockRef, 0, named)
+		eachRef(rec, func(r ckpt.BlockRef) {
+			if _, ok := lens[r.ID]; !ok {
+				lens[r.ID] = r.Len
+				need = append(need, r)
+			}
+		})
+	}
 	hdr := &wire.Msg{
 		Type: wire.TControl, Kind: kPut,
 		App: k.app, Src: k.rank, Seq: k.n,
@@ -588,33 +656,61 @@ func (s *Store) pushImage(peer wire.NodeID, k key, metaBytes, img []byte) (int, 
 	data := &wire.Msg{
 		Type: wire.TControl, Kind: kPutData,
 		App: k.app, Src: k.rank, Seq: k.n,
-		Payload: img,
+		Payload: slot,
 	}
+	sent := 0
 	var err error
-	for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
-		var replies []wire.Msg
-		if replies, err = s.exchange(peer, []*wire.Msg{hdr, data}, nil); err != nil || replies[0].Kind == kOK {
+	for attempt := 0; ; attempt++ {
+		var missing []ckpt.BlockRef
+		var n int
+		if missing, n, err = s.blockQuery(peer, need); err != nil {
 			break
 		}
-		err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
+		sent += n
+		n, err = s.pushBlocks(peer, missing)
+		sent += n
+		if err != nil {
+			break
+		}
+		var replies []wire.Msg
+		if replies, err = s.exchange(peer, []*wire.Msg{hdr, data}, nil); err != nil {
+			break
+		}
+		sent += len(metaBytes) + len(slot)
+		still := replies[0].Payload
+		if replies[0].Kind != kOK || len(still)%len(ckpt.BlockID{}) != 0 {
+			err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
+		} else if len(still) == 0 {
+			break
+		} else {
+			err = fmt.Errorf("rstore: node %d still missing %d blocks", peer, len(still)/len(ckpt.BlockID{}))
+			need = need[:0]
+			for ; len(still) > 0; still = still[len(ckpt.BlockID{}):] {
+				id := ckpt.BlockID(still)
+				if n, ok := lens[id]; ok {
+					need = append(need, ckpt.BlockRef{ID: id, Len: n})
+				}
+			}
+		}
+		if attempt >= s.cfg.RequestRetries || s.isClosed() {
+			break
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pushes++
+	s.repBytes += uint64(sent)
 	if err != nil {
 		s.pushFailures++
-		return 0, err
+		return sent, err
 	}
-	sent := len(metaBytes) + len(img)
-	s.repBytes += uint64(sent)
 	s.ackLocked(k, peer)
 	return sent, nil
 }
 
 // peerHas asks a peer whether slot k there already holds the bytes tag names:
-// the image path's need/have, as kBlockHas is the block path's. A "have"
-// counts as the peer's ack. Any failure reads as "no" — pushing is always
-// safe.
+// need/have for slots, as kBlockHas is for blocks. A "have" counts as the
+// peer's ack. Any failure reads as "no" — pushing is always safe.
 func (s *Store) peerHas(peer wire.NodeID, k key, tag uint64) bool {
 	m := &wire.Msg{
 		Type: wire.TControl, Kind: kHas,
@@ -663,50 +759,73 @@ func (s *Store) broadcastIndex(members []wire.NodeID, keys []key) {
 	for _, k := range keys {
 		w.U32(uint32(k.app)).U32(uint32(k.rank)).U64(k.n)
 	}
-	payload := w.Bytes()
+	s.broadcast(members, "index", wire.Msg{Type: wire.TControl, Kind: kIndex, Payload: w.Bytes()})
+}
+
+// broadcast sends one advisory single-frame request (index, commit, GC, drop)
+// to every member except ourselves: a failure is logged, not returned — the
+// next view change's re-replication pass repeats the index and the lines.
+func (s *Store) broadcast(members []wire.NodeID, what string, m wire.Msg) {
 	for _, peer := range members {
 		if peer == s.cfg.Node {
 			continue
 		}
-		m := wire.Msg{Type: wire.TControl, Kind: kIndex, Payload: payload}
-		if reply, err := s.request(peer, &m); err != nil || reply.Kind != kOK {
-			s.logf("[rstore %d] index broadcast to node %d failed: %v",
-				s.cfg.Node, peer, err)
+		req := m // request stamps its tag into the message it is handed
+		if reply, err := s.request(peer, &req); err != nil || reply.Kind != kOK {
+			s.logf("[rstore %d] %s broadcast to node %d failed: %v", s.cfg.Node, what, peer, err)
 		}
 	}
 }
 
-// Get loads checkpoint n of (app, rank) and always returns a raw image: a
-// slot holding a record envelope of the incremental pipeline is resolved to
-// the state it encodes (materialized cache first, chain walk otherwise). The
-// returned image references store-internal memory; treat it as read-only.
+// Get returns the image of checkpoint n of (app, rank): a raw slot verbatim,
+// a record as the state it encodes (materialized cache first, chain walk
+// otherwise). The returned image references store-internal memory; treat it
+// as read-only.
 func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	img, meta, err := s.getImage(app, rank, n)
+	e, err := s.getSlot(app, rank, n)
+	if err != nil || e.rec == nil {
+		return e.img, e.meta, err
+	}
+	k := key{app, rank, n}
+	s.mu.Lock()
+	r, ok := s.resolved[k]
+	if ok {
+		r.published = true
+	}
+	s.mu.Unlock()
+	if ok {
+		return r.raw, e.meta, nil
+	}
+	// Cold path: the walk reads every link through GetEnvelope and GetBlock,
+	// from peers where this node lacks one.
+	raw, _, err := ckpt.ResolveChain(s, app, rank, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ckpt.IsRecord(img) {
-		return img, meta, nil
-	}
-	raw, err := s.resolveEnv(app, rank, n, img)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, meta, nil
+	s.mu.Lock()
+	s.resolved[k] = &resolvedImage{raw: raw, published: true}
+	s.mu.Unlock()
+	return raw, e.meta, nil
 }
 
-// getImage loads the slot contents of checkpoint n of (app, rank) verbatim
-// (a raw image or a record envelope): from local RAM when present, else by
-// fetching from a peer (in the key's holder order) and caching the result.
-func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
+// GetEnvelope returns slot n's stored bytes verbatim.
+func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
+	e, err := s.getSlot(app, rank, n)
+	return e.img, e.meta, err
+}
+
+// getSlot returns a snapshot of slot n of (app, rank): from local RAM when
+// present, else by fetching from a peer (in the key's holder order) and
+// caching the result.
+func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error) {
 	k := key{app, rank, n}
 	s.mu.Lock()
 	if e, ok := s.images[k]; ok {
-		// Snapshot under mu: a concurrent replica push (handle kPut)
-		// swaps an entry's img/meta fields in place.
-		img, meta := e.img, e.meta
+		// Snapshot under mu: a concurrent replica push (handlePut) swaps
+		// an entry's fields in place.
+		snap := *e
 		s.mu.Unlock()
-		return img, meta, nil
+		return snap, nil
 	}
 	candidates := s.fetchOrderLocked(app, rank)
 	s.mu.Unlock()
@@ -716,21 +835,25 @@ func (s *Store) getImage(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckp
 		if err != nil {
 			continue
 		}
+		rec, err := slotRecord(img)
+		if err != nil {
+			continue
+		}
 		s.mu.Lock()
 		s.peerFetches++
 		e, ok := s.images[k]
 		if !ok {
-			e = s.setImageLocked(k, img, meta, tag)
+			e = s.setSlotLocked(k, img, rec, meta, tag)
 			s.indexAddLocked(app, rank, n)
 		}
-		img, meta = e.img, e.meta // snapshot under mu (see above)
+		snap := *e
 		s.mu.Unlock()
-		return img, meta, nil
+		return snap, nil
 	}
 	s.mu.Lock()
 	s.peerFetchMisses++
 	s.mu.Unlock()
-	return nil, nil, fmt.Errorf("%w: app %d rank %d #%d (no in-memory replica)",
+	return entry{}, fmt.Errorf("%w: app %d rank %d #%d (no in-memory replica)",
 		ckpt.ErrNoCheckpoint, app, rank, n)
 }
 
@@ -747,8 +870,8 @@ func (s *Store) fetchOrderLocked(app wire.AppID, rank wire.Rank) []wire.NodeID {
 	return out
 }
 
-// fetchImage asks one peer for one image. A hit comes back as two frames:
-// kGetOK carrying the tag and metadata, then kGetData carrying the image,
+// fetchImage asks one peer for one slot. A hit comes back as two frames:
+// kGetOK carrying the tag and metadata, then kGetData carrying the bytes,
 // which this store keeps as it arrived — fastnet's exact-size clone of the
 // peer's slice, or TCP's pooled receive buffer (capacity rounded up to the
 // pool's power-of-two class), which is simply never recycled.
@@ -775,23 +898,6 @@ func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, uint64,
 			return nil, nil, 0, ckpt.ErrNoCheckpoint
 		}
 	}
-}
-
-// decodeMetaEnv splits a kPutRec payload into tag, metadata and record
-// envelope. The envelope aliases the payload buffer, which the store retains.
-func decodeMetaEnv(p []byte) ([]byte, *ckpt.Meta, uint64, error) {
-	if len(p) < 4 {
-		return nil, nil, 0, ckpt.ErrBadImage
-	}
-	ml := binary.BigEndian.Uint32(p)
-	if uint64(4+ml) > uint64(len(p)) {
-		return nil, nil, 0, ckpt.ErrBadImage
-	}
-	tag, meta, err := decodeTagMeta(p[4 : 4+ml])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return p[4+ml:], meta, tag, nil
 }
 
 // List returns the checkpoint indices known cluster-wide for (app, rank).
@@ -843,17 +949,7 @@ func (s *Store) CommitLine(app wire.AppID, line ckpt.RecoveryLine) error {
 	s.commits[app] = cp
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
-	payload := ckpt.EncodeLine(cp)
-	for _, peer := range members {
-		if peer == s.cfg.Node {
-			continue
-		}
-		m := wire.Msg{Type: wire.TControl, Kind: kCommit, App: app, Payload: payload}
-		if reply, err := s.request(peer, &m); err != nil || reply.Kind != kOK {
-			s.logf("[rstore %d] commit broadcast to node %d failed: %v",
-				s.cfg.Node, peer, err)
-		}
-	}
+	s.broadcast(members, "commit", wire.Msg{Type: wire.TControl, Kind: kCommit, App: app, Payload: ckpt.EncodeLine(cp)})
 	return nil
 }
 
@@ -896,16 +992,7 @@ func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	s.gcLocked(app, rank, keepFrom)
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
-	for _, peer := range members {
-		if peer == s.cfg.Node {
-			continue
-		}
-		m := wire.Msg{Type: wire.TControl, Kind: kGC, App: app, Src: rank, Seq: keepFrom}
-		if reply, err := s.request(peer, &m); err != nil || reply.Kind != kOK {
-			s.logf("[rstore %d] GC broadcast to node %d failed: %v",
-				s.cfg.Node, peer, err)
-		}
-	}
+	s.broadcast(members, "GC", wire.Msg{Type: wire.TControl, Kind: kGC, App: app, Src: rank, Seq: keepFrom})
 	return nil
 }
 
@@ -933,16 +1020,7 @@ func (s *Store) DropApp(app wire.AppID) error {
 	if closed {
 		return nil
 	}
-	for _, peer := range members {
-		if peer == s.cfg.Node {
-			continue
-		}
-		m := wire.Msg{Type: wire.TControl, Kind: kDrop, App: app}
-		if reply, err := s.request(peer, &m); err != nil || reply.Kind != kOK {
-			s.logf("[rstore %d] drop broadcast to node %d failed: %v",
-				s.cfg.Node, peer, err)
-		}
-	}
+	s.broadcast(members, "drop", wire.Msg{Type: wire.TControl, Kind: kDrop, App: app})
 	return nil
 }
 
@@ -980,7 +1058,7 @@ func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
 // reReplicate restores the replication target after a view change: it pushes
 // the full index and all commit lines to every member, then, for every held
 // slot a restart can still need and whose first replica is here, asks each
-// unacknowledged target "have?" and sends the image only on a "no". The pass
+// unacknowledged target "have?" and pushes the slot only on a "no". The pass
 // aborts if a newer view arrives mid-way (a fresh pass covers it).
 func (s *Store) reReplicate(gen uint64) {
 	var pushed, skipped, failed, bytes int
@@ -1028,17 +1106,7 @@ func (s *Store) reReplicate(gen uint64) {
 	})
 	s.broadcastIndex(members, allKeys)
 	for app, line := range commits {
-		payload := ckpt.EncodeLine(line)
-		for _, peer := range members {
-			if peer == s.cfg.Node {
-				continue
-			}
-			m := wire.Msg{Type: wire.TControl, Kind: kCommit, App: app, Payload: payload}
-			if reply, err := s.request(peer, &m); err != nil || reply.Kind != kOK {
-				s.logf("[rstore %d] commit re-broadcast to node %d failed: %v",
-					s.cfg.Node, peer, err)
-			}
-		}
+		s.broadcast(members, "commit", wire.Msg{Type: wire.TControl, Kind: kCommit, App: app, Payload: ckpt.EncodeLine(line)})
 	}
 
 	for _, k := range allKeys {
@@ -1061,16 +1129,11 @@ func (s *Store) reReplicate(gen uint64) {
 		s.mu.Unlock()
 		mb := encodeTagMeta(tag, meta)
 		for _, h := range targets {
-			var sent int
-			var err error
-			if rec != nil {
-				sent, err = s.pushRecord(h, k, mb, img, rec)
-			} else if s.peerHas(h, k, tag) {
+			if s.peerHas(h, k, tag) {
 				skipped++
 				continue
-			} else {
-				sent, err = s.pushImage(h, k, mb, img)
 			}
+			sent, err := s.pushSlot(h, k, mb, img, rec)
 			bytes += sent
 			if err != nil {
 				failed++
@@ -1103,7 +1166,7 @@ func (s *Store) request(peer wire.NodeID, m *wire.Msg) (wire.Msg, error) {
 // exchanges are retried here (every peer operation is idempotent); an
 // exchange carrying a pooled frame gets exactly one attempt — a successful
 // Send moves the payload away, so that caller restages and retries itself
-// (pushRecord, around pushBlocks' gathered batches).
+// (pushBlocks, around each gathered batch).
 func (s *Store) exchange(peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg) int) ([]wire.Msg, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -1260,7 +1323,7 @@ func (s *Store) serve() {
 }
 
 // serveConn handles one peer connection: strict request/reply, one exchange
-// in flight. kPut requests arrive as two frames (metadata, then the image in
+// in flight. kPut requests arrive as two frames (metadata, then the slot in
 // its own frame); replies may likewise span multiple frames, all echoing the
 // request's tag.
 func (s *Store) serveConn(c vni.Conn) {
@@ -1296,21 +1359,43 @@ func (s *Store) serveConn(c vni.Conn) {
 }
 
 // handlePut services a two-frame replica push: tag and metadata in the kPut
-// frame, the image in the kPutData frame, kept as it arrived (see fetchImage).
-// The pushed bytes replace whatever the slot held, tag included.
+// frame, the slot in the kPutData frame, kept as it arrived (see fetchImage).
+// The pushed bytes replace whatever the slot held, tag included — but only if
+// every block they name is here: otherwise nothing is installed and the ack
+// lists the missing ids, the closing move of the push's race with GC.
 func (s *Store) handlePut(m, data *wire.Msg) []*wire.Msg {
 	tag, meta, err := decodeTagMeta(m.Payload)
+	var rec *ckpt.Record
+	if err == nil {
+		rec, err = slotRecord(data.Payload)
+	}
 	if err != nil {
 		data.Release()
 		return []*wire.Msg{{Type: wire.TControl, Kind: kGetMiss}}
 	}
 	k := key{m.App, m.Src, m.Seq}
+	var missing []byte
+	var seen map[ckpt.BlockID]bool // of the missing: empty but for the GC race
 	s.mu.Lock()
-	s.setImageLocked(k, data.Payload, meta, tag)
-	s.indexAddLocked(m.App, m.Src, m.Seq)
-	s.materializeLocked(k)
+	eachRef(rec, func(r ckpt.BlockRef) {
+		if _, ok := s.blocks[r.ID]; !ok && !seen[r.ID] {
+			if seen == nil {
+				seen = make(map[ckpt.BlockID]bool)
+			}
+			seen[r.ID] = true
+			missing = append(missing, r.ID[:]...)
+		}
+	})
+	if len(missing) == 0 {
+		s.setSlotLocked(k, data.Payload, rec, meta, tag)
+		s.indexAddLocked(m.App, m.Src, m.Seq)
+		s.materializeLocked(k)
+	}
 	s.mu.Unlock()
-	return []*wire.Msg{{Type: wire.TControl, Kind: kOK}}
+	if len(missing) > 0 {
+		data.Release()
+	}
+	return []*wire.Msg{{Type: wire.TControl, Kind: kOK, Payload: missing}}
 }
 
 // handle services one single-frame peer request, returning the reply frames.
@@ -1323,7 +1408,7 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 		e, ok := s.images[k]
 		var snap entry
 		if ok {
-			snap = *e // under mu: kPut swaps entries in place
+			snap = *e // under mu: handlePut swaps entries in place
 		}
 		s.mu.Unlock()
 		if !ok {
@@ -1344,9 +1429,6 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
 		}
 		return one(&wire.Msg{Type: wire.TControl, Kind: kOK})
-
-	case kPutRec:
-		return one(s.handlePutRec(m))
 
 	case kBlockHas:
 		return one(s.handleBlockHas(m))

@@ -8,29 +8,9 @@ import (
 	"starfish/internal/wire"
 )
 
-// Chunked (content-addressed) replication — the rstore half of the
-// incremental checkpoint pipeline (see ckpt.Pipeline).
-//
-// A record epoch replicates in three steps, all idempotent:
-//
-//  1. kBlockHas asks the holder which of the record's blocks it already has
-//     (cross-epoch and cross-rank dedup: unchanged blocks and blocks shared
-//     with other ranks are never sent again).
-//  2. kBlockPut pushes the missing blocks, batched. The receiver pins them:
-//     a pinned block survives GC until the record referencing it lands.
-//  3. kPutRec pushes the record envelope. The receiver accepts it only if
-//     every referenced block is present, replying with the still-missing ids
-//     otherwise (a GC broadcast may race step 2), and the pusher re-pushes
-//     and retries until the reply is empty.
-//
-// Holders materialize the raw image behind the newest record of each
-// (app, rank) eagerly as records arrive (s.resolved), so a restore from a
-// delta chain is a map lookup — pointer-speed, like raw-image restores —
-// instead of a block-by-block chain walk.
-
-var _ ckpt.ChunkedBackend = (*Store)(nil)
-var _ ckpt.RecordResolver = (*Store)(nil)
-var _ ckpt.EnvelopeGetter = (*Store)(nil)
+// The block half of the store: the content-addressed shard the slots' records
+// name, its reference counts, the materialized images, and the block messages
+// of the push (rstore.go's package comment has the protocol).
 
 // resolvedImage is the materialized raw image behind one record, with the
 // content address of each of its blocks (nil for a chain-walked image). Once
@@ -44,46 +24,6 @@ type resolvedImage struct {
 
 // blockBatchTarget bounds one kBlockPut frame (plus one block of slack).
 const blockBatchTarget = 1 << 20
-
-// PutRecord stores a record epoch locally and replicates it to the holder
-// peers: new blocks into the content-addressed shard, the envelope into the
-// ordinary (app, rank, n) image slot.
-func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []ckpt.RecBlock, meta *ckpt.Meta) error {
-	if meta == nil {
-		meta = &ckpt.Meta{Rank: rank, Index: n}
-	}
-	k := key{app, rank, n}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("rstore: store closed")
-	}
-	for _, b := range blocks {
-		if _, ok := s.blocks[b.Ref.ID]; !ok {
-			// Block data is only valid for the duration of the call
-			// (ChunkedBackend contract): copy.
-			s.blocks[b.Ref.ID] = &blockEntry{data: append([]byte(nil), b.Data...)}
-		}
-	}
-	tag := s.nextTagLocked()
-	e := s.setImageLocked(k, env, meta, tag)
-	targets, rec := s.pushTargetsLocked(k, e), e.rec
-	delete(s.acked, k) // acks were for the record this Put replaces
-	s.indexAddLocked(app, rank, n)
-	s.materializeLocked(k)
-	members := append([]wire.NodeID(nil), s.members...)
-	s.mu.Unlock()
-
-	mb := encodeTagMeta(tag, meta)
-	for _, h := range targets {
-		if _, err := s.pushRecord(h, k, mb, env, rec); err != nil {
-			s.logf("[rstore %d] push record #%d of app %d rank %d to node %d: %v",
-				s.cfg.Node, n, app, rank, h, err)
-		}
-	}
-	s.broadcastIndex(members, []key{k})
-	return s.closedUnderPut()
-}
 
 // GetBlock serves a content-addressed block from the local shard, falling
 // back to peers (holders of (app, rank) first) and caching the result.
@@ -113,73 +53,16 @@ func (s *Store) GetBlock(app wire.AppID, rank wire.Rank, ref ckpt.BlockRef) ([]b
 	return nil, fmt.Errorf("%w: block %s (no in-memory replica)", ckpt.ErrMissingBlock, ref.ID)
 }
 
-// ResolveRecord returns the raw image behind checkpoint n of (app, rank):
-// raw images pass through, record chains come from the materialized cache
-// when the newest epoch is asked for, and are chain-walked otherwise.
-func (s *Store) ResolveRecord(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	img, meta, err := s.getImage(app, rank, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ckpt.IsRecord(img) {
-		return img, meta, nil
-	}
-	raw, err := s.resolveEnv(app, rank, n, img)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, meta, nil
-}
-
-// resolveEnv reconstructs the raw image behind record envelope env.
-func (s *Store) resolveEnv(app wire.AppID, rank wire.Rank, n uint64, env []byte) ([]byte, error) {
-	k := key{app, rank, n}
-	s.mu.Lock()
-	if r, ok := s.resolved[k]; ok {
-		r.published = true
-		s.mu.Unlock()
-		return r.raw, nil
-	}
-	s.mu.Unlock()
-	// Cold path: the chain walk reads earlier links through GetEnvelope, so
-	// it sees envelopes, never recursively resolved images.
-	raw, err := ckpt.ResolveChain(s, app, rank, n, env)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.resolved[k] = &resolvedImage{raw: raw, published: true}
-	s.mu.Unlock()
-	return raw, nil
-}
-
-// GetEnvelope returns slot n's stored bytes verbatim — the record envelope
-// for chunked epochs — unlike Get, which resolves records into raw images.
-// Chain walkers (GC clamping, ckpt.ResolveChain) depend on seeing the links.
-func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	return s.getImage(app, rank, n)
-}
-
 // ---------------------------------------------------------------------------
 // Local bookkeeping (all *Locked: callers hold s.mu)
 // ---------------------------------------------------------------------------
 
-// setImageLocked installs img (raw image or record envelope) in slot k under
-// the tag of the Put that produced it, adjusting block reference counts: the
-// new envelope's blocks are referenced before the old one's are released, so
-// blocks shared by both never dip to zero. Any previously materialized image
-// for the slot is stale.
-func (s *Store) setImageLocked(k key, img []byte, meta *ckpt.Meta, tag uint64) *entry {
-	rec, err := ckpt.DecodeRecord(img)
-	if err != nil {
-		rec = nil // a raw image (or an undecodable envelope): opaque bytes
-	}
-	return s.setRecLocked(k, img, rec, meta, tag)
-}
-
-// setRecLocked is setImageLocked for a caller that has img decoded already
-// (rec nil: a raw image).
-func (s *Store) setRecLocked(k key, img []byte, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
+// setSlotLocked installs img, which decodes to rec (nil: a raw image), in
+// slot k under the tag of the put that produced it, adjusting block reference
+// counts: the new record's blocks are referenced before the old one's are
+// released, so blocks shared by both never dip to zero. Any previously
+// materialized image for the slot is stale.
+func (s *Store) setSlotLocked(k key, img []byte, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
 	s.refRecLocked(rec, 1)
 	e, ok := s.images[k]
 	if ok {
@@ -246,7 +129,7 @@ func (s *Store) refRecLocked(rec *ckpt.Record, d int) {
 // there (all of them when there is no such image). While no reader was handed
 // the previous image the patches go onto it in place, so an epoch costs what
 // changed, not the image. Failure is silent: the cold chain walk in
-// resolveEnv still works.
+// Get still works.
 func (s *Store) materializeLocked(k key) {
 	e := s.images[k]
 	if e == nil || e.rec == nil {
@@ -314,68 +197,6 @@ func (s *Store) materializeLocked(k key) {
 // Pusher side
 // ---------------------------------------------------------------------------
 
-// pushRecord replicates one record epoch (env, which decodes to rec) to a
-// peer: need/have negotiation, missing blocks, then the envelope, looping on
-// the kRecOK still-missing list until the peer holds the complete record. It
-// returns the bytes that crossed, whether or not the push completed.
-func (s *Store) pushRecord(peer wire.NodeID, k key, metaBytes, env []byte, rec *ckpt.Record) (int, error) {
-	sent := 0
-	err := fmt.Errorf("rstore: checkpoint %d of app %d rank %d is not a record", k.n, k.app, k.rank)
-	if rec != nil {
-		err = fmt.Errorf("rstore: record push to node %d never completed", peer)
-		lens := make(map[ckpt.BlockID]uint32, len(rec.Refs)+len(rec.Deltas))
-		need := make([]ckpt.BlockRef, 0, len(rec.Refs)+len(rec.Deltas))
-		eachRef(rec, func(r ckpt.BlockRef) {
-			if _, ok := lens[r.ID]; !ok {
-				lens[r.ID] = r.Len
-				need = append(need, r)
-			}
-		})
-		for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
-			var missing []ckpt.BlockRef
-			var n int
-			missing, n, err = s.blockQuery(peer, need)
-			sent += n
-			if err == nil {
-				n, err = s.pushBlocks(peer, missing)
-				sent += n
-			}
-			var still []ckpt.BlockID
-			if err == nil {
-				still, n, err = s.putRec(peer, k, metaBytes, env)
-				sent += n
-			}
-			if err == nil && len(still) == 0 {
-				break
-			}
-			if err == nil {
-				// The peer GCed blocks between our pushes: push exactly
-				// those again next round.
-				need = need[:0]
-				for _, id := range still {
-					if n, ok := lens[id]; ok {
-						need = append(need, ckpt.BlockRef{ID: id, Len: n})
-					}
-				}
-				err = fmt.Errorf("rstore: node %d still missing %d blocks", peer, len(still))
-			}
-			if s.isClosed() {
-				break
-			}
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pushes++
-	s.repBytes += uint64(sent)
-	if err != nil {
-		s.pushFailures++
-		return sent, err
-	}
-	s.ackLocked(k, peer)
-	return sent, nil
-}
-
 // blockQuery asks a peer which of the given blocks it already holds and
 // returns the ones it does not, with the bytes the query cost.
 func (s *Store) blockQuery(peer wire.NodeID, refs []ckpt.BlockRef) ([]ckpt.BlockRef, int, error) {
@@ -406,7 +227,8 @@ func (s *Store) blockQuery(peer wire.NodeID, refs []ckpt.BlockRef) ([]ckpt.Block
 
 // pushBlocks sends block contents to a peer in ~1 MiB batches, each gathered
 // into a pooled buffer (capacity rounded up to the pool's power-of-two class)
-// that moves to the peer copy-free. It returns the bytes sent.
+// that moves to the peer copy-free — so a batch whose exchange failed is
+// gathered again, here, for each retry. It returns the bytes sent.
 func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) (int, error) {
 	sent := 0
 	for i := 0; i < len(refs); {
@@ -428,23 +250,29 @@ func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) (int, error) 
 		}
 		s.mu.Unlock()
 
-		buf := wire.GetBuf(size)
-		binary.BigEndian.PutUint32(buf, uint32(j-i))
-		off := 4
-		for bi, data := range datas {
-			id := refs[i+bi].ID
-			copy(buf[off:], id[:])
-			binary.BigEndian.PutUint32(buf[off+32:], uint32(len(data)))
-			copy(buf[off+36:], data)
-			off += 36 + len(data)
+		var err error
+		for attempt := 0; attempt <= s.cfg.RequestRetries; attempt++ {
+			buf := wire.GetBuf(size)
+			binary.BigEndian.PutUint32(buf, uint32(j-i))
+			off := 4
+			for bi, data := range datas {
+				id := refs[i+bi].ID
+				copy(buf[off:], id[:])
+				binary.BigEndian.PutUint32(buf[off+32:], uint32(len(data)))
+				copy(buf[off+36:], data)
+				off += 36 + len(data)
+			}
+			m := &wire.Msg{Type: wire.TControl, Kind: kBlockPut, Payload: buf, Pooled: true}
+			var reply wire.Msg
+			if reply, err = s.request(peer, m); err == nil && reply.Kind != kOK {
+				err = fmt.Errorf("rstore: bad kBlockPut reply from node %d", peer)
+			}
+			if err == nil || s.isClosed() {
+				break
+			}
 		}
-		m := &wire.Msg{Type: wire.TControl, Kind: kBlockPut, Payload: buf, Pooled: true}
-		reply, err := s.request(peer, m)
 		if err != nil {
 			return sent, err
-		}
-		if reply.Kind != kOK {
-			return sent, fmt.Errorf("rstore: bad kBlockPut reply from node %d", peer)
 		}
 		sent += size
 		i = j
@@ -452,75 +280,9 @@ func (s *Store) pushBlocks(peer wire.NodeID, refs []ckpt.BlockRef) (int, error) 
 	return sent, nil
 }
 
-// putRec sends the record envelope; the reply lists blocks the peer is
-// (still) missing — empty means the record landed.
-func (s *Store) putRec(peer wire.NodeID, k key, metaBytes, env []byte) ([]ckpt.BlockID, int, error) {
-	payload := make([]byte, 0, 4+len(metaBytes)+len(env))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(metaBytes)))
-	payload = append(payload, metaBytes...)
-	payload = append(payload, env...)
-	m := &wire.Msg{
-		Type: wire.TControl, Kind: kPutRec,
-		App: k.app, Src: k.rank, Seq: k.n,
-		Payload: payload,
-	}
-	reply, err := s.request(peer, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	count := uint32(0)
-	if len(reply.Payload) >= 4 {
-		count = binary.BigEndian.Uint32(reply.Payload)
-	}
-	if reply.Kind != kRecOK || uint64(len(reply.Payload)) != 4+32*uint64(count) {
-		return nil, 0, fmt.Errorf("rstore: bad kPutRec reply from node %d", peer)
-	}
-	still := make([]ckpt.BlockID, count)
-	for i := range still {
-		copy(still[i][:], reply.Payload[4+32*i:])
-	}
-	return still, len(payload), nil
-}
-
 // ---------------------------------------------------------------------------
 // Receiver side (called from handle; single-frame requests)
 // ---------------------------------------------------------------------------
-
-// handlePutRec installs a record envelope if every block it references is
-// local, and otherwise replies with the missing ids so the pusher can try
-// again — the closing move of the push protocol's GC race.
-func (s *Store) handlePutRec(m *wire.Msg) *wire.Msg {
-	env, meta, tag, err := decodeMetaEnv(m.Payload)
-	if err != nil {
-		return &wire.Msg{Type: wire.TControl, Kind: kGetMiss}
-	}
-	rec, err := ckpt.DecodeRecord(env)
-	if err != nil {
-		return &wire.Msg{Type: wire.TControl, Kind: kGetMiss}
-	}
-	k := key{m.App, m.Src, m.Seq}
-	s.mu.Lock()
-	var missing []ckpt.BlockID
-	seen := map[ckpt.BlockID]bool{} // of the missing: empty but for the GC race
-	eachRef(rec, func(r ckpt.BlockRef) {
-		if _, ok := s.blocks[r.ID]; !ok && !seen[r.ID] {
-			seen[r.ID] = true
-			missing = append(missing, r.ID)
-		}
-	})
-	if len(missing) == 0 {
-		s.setRecLocked(k, env, rec, meta, tag)
-		s.indexAddLocked(m.App, m.Src, m.Seq)
-		s.materializeLocked(k)
-	}
-	s.mu.Unlock()
-	payload := make([]byte, 0, 4+32*len(missing))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(missing)))
-	for _, id := range missing {
-		payload = append(payload, id[:]...)
-	}
-	return &wire.Msg{Type: wire.TControl, Kind: kRecOK, Payload: payload}
-}
 
 // handleBlockHas answers a need/have query: one byte per queried id.
 func (s *Store) handleBlockHas(m *wire.Msg) *wire.Msg {
@@ -545,8 +307,8 @@ func (s *Store) handleBlockHas(m *wire.Msg) *wire.Msg {
 	return &wire.Msg{Type: wire.TControl, Kind: kHasOK, Payload: held}
 }
 
-// handleBlockPut stores a batch of blocks, pinned until a record references
-// them. Block data aliases the pooled receive frame, which is retained.
+// handleBlockPut stores a batch of blocks, pinned until a slot names them.
+// Block data aliases the pooled receive frame, which is retained.
 func (s *Store) handleBlockPut(m *wire.Msg) *wire.Msg {
 	p := m.Payload
 	if len(p) < 4 {

@@ -128,54 +128,20 @@ func TestRecordReplicationDeduplicates(t *testing.T) {
 	}
 }
 
-func TestRecordGCDropsBlocks(t *testing.T) {
+// TestPutAckListsMissingBlocks exercises the push's closing move: an envelope
+// arriving before its blocks is refused — the kPut ack lists the missing ids
+// and nothing is installed — and accepted once they land; and a whole pushSlot
+// whose peer loses the blocks between the need/have answer and the slot (a GC
+// broadcast collecting the record that referenced them) still converges, as
+// one push.
+func TestPutAckListsMissingBlocks(t *testing.T) {
 	fn := vni.NewFastnet(0)
-	stores := newCluster(t, fn, 2, 2)
-	writer := stores[1]
-	p := ckpt.NewPipeline(writer, 2)
-
-	imgs := chunkEpochs(4, 32)
-	for n, img := range imgs {
-		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wBefore := writer.Stats().Blocks
-	rBefore := stores[2].Stats().Blocks
-	if wBefore == 0 || rBefore == 0 {
-		t.Fatalf("no resident blocks before GC (writer %d, replica %d)", wBefore, rBefore)
-	}
-	// Epoch 2 is a full record (cadence 2): collecting there drops the first
-	// chain's records and, via refcounts, the block versions only it used —
-	// on the writer and, through the GC broadcast, on the replica.
-	if err := p.GC(1, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if wAfter := writer.Stats().Blocks; wAfter >= wBefore {
-		t.Errorf("writer blocks %d -> %d after chain GC", wBefore, wAfter)
-	}
-	waitFor(t, "replica block GC", func() bool {
-		return stores[2].Stats().Blocks < rBefore
-	})
-	// The live chain is untouched on both nodes.
-	for _, st := range stores {
-		got, _, err := st.Get(1, 0, 3)
-		if err != nil || !bytes.Equal(got, imgs[3]) {
-			t.Fatalf("node %d restore after GC: %v", st.cfg.Node, err)
-		}
-	}
-	if ns, err := writer.List(1, 0); err != nil || len(ns) != 2 || ns[0] != 2 {
-		t.Fatalf("List after GC = %v, %v", ns, err)
-	}
-}
-
-// TestPutRecMissingBlocks exercises the push protocol's GC race closing move:
-// a record envelope arriving before its blocks is refused with the missing
-// ids, accepted once they land.
-func TestPutRecMissingBlocks(t *testing.T) {
-	fn := vni.NewFastnet(0)
-	stores := newCluster(t, fn, 2, 2)
-	writer := stores[1]
+	// The first kPut frame of the test's pushSlot is held while the peer
+	// collects slot 1, and with it every block slot 2 shares with it.
+	racing := &tamper{Transport: fn, kind: kPut}
+	racing.done.Store(true) // armed below
+	stores := newCluster(t, racing, 2, 2)
+	writer, peer := stores[1], stores[2]
 
 	img := chunkEpochs(1, 8)[0]
 	raw := ckpt.SplitBlocks(img)
@@ -187,19 +153,29 @@ func TestPutRecMissingBlocks(t *testing.T) {
 		writer.mu.Unlock()
 	}
 	env := ckpt.EncodeFullRecord(len(img), refs)
-	mb := encodeTagMeta(1<<32|1, &ckpt.Meta{Rank: 0, Index: 1})
-	k := key{1, 0, 1}
-
-	// The peer has none of the blocks: the envelope must be refused with the
-	// full missing list, and must not be installed.
-	still, _, err := writer.putRec(2, k, mb, env)
+	rec, err := slotRecord(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(still) != len(refs) {
-		t.Fatalf("peer reported %d missing blocks, want %d", len(still), len(refs))
+	mb := encodeTagMeta(1<<32|1, &ckpt.Meta{Rank: 0, Index: 1})
+	k := key{1, 0, 1}
+	putPair := func() []byte {
+		t.Helper()
+		hdr := &wire.Msg{Type: wire.TControl, Kind: kPut, App: k.app, Src: k.rank, Seq: k.n, Payload: mb}
+		data := &wire.Msg{Type: wire.TControl, Kind: kPutData, App: k.app, Src: k.rank, Seq: k.n, Payload: env}
+		replies, err := writer.exchange(2, []*wire.Msg{hdr, data}, nil)
+		if err != nil || replies[0].Kind != kOK {
+			t.Fatalf("kPut pair: %v, reply %+v", err, replies)
+		}
+		return replies[0].Payload
 	}
-	if stores[2].Holds(1, 0, 1) {
+
+	// The peer has none of the blocks: the envelope must be refused with the
+	// full missing list, and must not be installed.
+	if still := putPair(); len(still) != len(refs)*len(ckpt.BlockID{}) {
+		t.Fatalf("peer reported %d bytes of missing ids, want %d blocks", len(still), len(refs))
+	}
+	if peer.Holds(1, 0, 1) {
 		t.Fatal("peer installed a record with missing blocks")
 	}
 	// The need/have query agrees, the blocks push, the record lands.
@@ -210,13 +186,40 @@ func TestPutRecMissingBlocks(t *testing.T) {
 	if _, err := writer.pushBlocks(2, missing); err != nil {
 		t.Fatal(err)
 	}
-	still, _, err = writer.putRec(2, k, mb, env)
-	if err != nil || len(still) != 0 {
-		t.Fatalf("putRec after block push: still %d missing, %v", len(still), err)
+	if still := putPair(); len(still) != 0 {
+		t.Fatalf("kPut after block push: still %d bytes of missing ids", len(still))
 	}
-	got, _, err := stores[2].Get(1, 0, 1)
+	got, _, err := peer.Get(1, 0, 1)
 	if err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("peer restore: %v", err)
+	}
+
+	// Slot 2 names the same blocks, so the peer answers "have" to all of them
+	// — and then loses them to a GC before the slot arrives.
+	racing.act = func(send func() error) error {
+		peer.mu.Lock()
+		peer.gcLocked(1, 0, 2)
+		peer.mu.Unlock()
+		return send()
+	}
+	racing.done.Store(false)
+	before := writer.Stats()
+	k.n = 2
+	if _, err := writer.pushSlot(2, k, mb, env, rec); err != nil {
+		t.Fatalf("push racing a GC: %v", err)
+	}
+	if !racing.done.Load() {
+		t.Fatal("no GC was raced; the test exercised nothing")
+	}
+	after := writer.Stats()
+	if after.Pushes != before.Pushes+1 || after.PushFailures != before.PushFailures {
+		t.Errorf("one slot push counted as %d pushes, %d failures", after.Pushes-before.Pushes, after.PushFailures-before.PushFailures)
+	}
+	if after.BytesReplicated-before.BytesReplicated < uint64(len(img)) {
+		t.Errorf("the raced push replicated %d bytes: the collected blocks were not sent again", after.BytesReplicated-before.BytesReplicated)
+	}
+	if got, _, err := peer.Get(1, 0, 2); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("peer restore of the raced slot: %v", err)
 	}
 }
 

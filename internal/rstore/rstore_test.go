@@ -17,9 +17,9 @@ import (
 
 func addr(id wire.NodeID) string { return fmt.Sprintf("rs-n%d", id) }
 
-// newCluster builds n stores on one shared fastnet and installs the full
+// newCluster builds n stores on one shared transport and installs the full
 // membership on each.
-func newCluster(t *testing.T, fn *vni.Fastnet, n int, replicas int) map[wire.NodeID]*Store {
+func newCluster(t *testing.T, fn vni.Transport, n int, replicas int) map[wire.NodeID]*Store {
 	t.Helper()
 	stores := make(map[wire.NodeID]*Store, n)
 	members := make([]wire.NodeID, 0, n)
@@ -465,86 +465,99 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// halfPair is a transport that loses the first frame of one kind sent
-// through it and delivers the frame behind it, so the receiver sees half of
-// a two-frame pair.
-type halfPair struct {
+// tamper is a transport that hands the first frame of one kind sent through
+// it to act, with the send that would deliver it: dropping or doubling the
+// frame shows the receiver half of a two-frame pair.
+type tamper struct {
 	vni.Transport
-	kind    uint16
-	dropped atomic.Bool
+	kind uint16
+	act  func(send func() error) error
+	done atomic.Bool
 }
 
-type halfPairConn struct {
+type tamperConn struct {
 	vni.Conn
-	t *halfPair
+	t *tamper
 }
 
-type halfPairListener struct {
+type tamperListener struct {
 	vni.Listener
-	t *halfPair
+	t *tamper
 }
 
-func (t *halfPair) Dial(addr string) (vni.Conn, error) {
+func (t *tamper) Dial(addr string) (vni.Conn, error) {
 	c, err := t.Transport.Dial(addr)
-	return halfPairConn{c, t}, err
+	return tamperConn{c, t}, err
 }
 
-func (t *halfPair) Listen(addr string) (vni.Listener, error) {
+func (t *tamper) Listen(addr string) (vni.Listener, error) {
 	l, err := t.Transport.Listen(addr)
-	return halfPairListener{l, t}, err
+	return tamperListener{l, t}, err
 }
 
-func (l halfPairListener) Accept() (vni.Conn, error) {
+func (l tamperListener) Accept() (vni.Conn, error) {
 	c, err := l.Listener.Accept()
-	return halfPairConn{c, l.t}, err
+	return tamperConn{c, l.t}, err
 }
 
-func (c halfPairConn) Send(m *wire.Msg) error {
-	if m.Kind == c.t.kind && c.t.dropped.CompareAndSwap(false, true) {
-		return nil
+func (c tamperConn) Send(m *wire.Msg) error {
+	if m.Kind == c.t.kind && c.t.done.CompareAndSwap(false, true) {
+		return c.t.act(func() error { return c.Conn.Send(m) })
 	}
 	return c.Conn.Send(m)
 }
 
-// TestHalfSeenPairsAreSentAgain: a peer that saw half of a two-frame pair
-// answers — "I did not get that" to a push, an orphan image frame to a fetch
-// — and an answer is not a transport error, so exchange's retries do not
-// cover it. The push must go again or the image silently stays at one copy;
-// the fetch must go again or a restart reads "no replica" off the only one.
+// slotKinds are the two shapes of slot every push and fetch guard must hold
+// for: put writes img into slot n of (app, rank 0) of s as that shape.
+var slotKinds = map[string]func(s *Store, app wire.AppID, n uint64, img []byte) error{
+	"image": func(s *Store, app wire.AppID, n uint64, img []byte) error {
+		return s.Put(app, 0, n, img, nil)
+	},
+	"record": func(s *Store, app wire.AppID, n uint64, img []byte) error {
+		return ckpt.NewPipeline(s, 4).Put(app, 0, n, img, nil)
+	},
+}
+
+// TestHalfSeenPairsAreSentAgain: a peer that saw half of a two-frame pair —
+// one frame lost, or one doubled — answers: "I did not get that" to a push, an
+// orphan frame to a fetch. An answer is not a transport error, so exchange's
+// retries do not cover it. The push must go again or the slot silently stays
+// at one copy; the fetch must go again or a restart reads "no replica" off the
+// only one.
 func TestHalfSeenPairsAreSentAgain(t *testing.T) {
-	for name, kind := range map[string]uint16{"push": kPut, "fetch": kGetOK} {
-		t.Run(name, func(t *testing.T) {
-			lossy := &halfPair{Transport: vni.NewFastnet(0), kind: kind}
-			stores := make(map[wire.NodeID]*Store, 3)
-			members := []wire.NodeID{1, 2, 3}
-			for _, id := range members {
-				s, err := New(Config{Node: id, Transport: lossy, Addr: addr(id), PeerAddr: addr, Replicas: 2, Logf: t.Logf})
-				if err != nil {
-					t.Fatal(err)
+	faults := map[string]func(send func() error) error{
+		"dropped": func(func() error) error { return nil },
+		"doubled": func(send func() error) error {
+			if err := send(); err != nil {
+				return err
+			}
+			return send()
+		},
+	}
+	for pair, kind := range map[string]uint16{"push": kPut, "fetch": kGetOK} {
+		t.Run(pair, func(t *testing.T) {
+			for slot, put := range slotKinds {
+				for fault, act := range faults {
+					t.Run(slot+"/"+fault, func(t *testing.T) {
+						lossy := &tamper{Transport: vni.NewFastnet(0), kind: kind, act: act}
+						stores := newCluster(t, lossy, 3, 2)
+						img := bytes.Repeat([]byte{0x42}, 3*ckpt.DeltaBlockSize)
+						if err := put(stores[1], 13, 1, img); err != nil {
+							t.Fatal(err)
+						}
+						if st := stores[1].Stats(); st.PushFailures != 0 || st.UnderReplicated != 0 {
+							t.Errorf("writer reports %d failed pushes, %d under-replicated", st.PushFailures, st.UnderReplicated)
+						}
+						// The writer loses its copy and reads the one replica back.
+						stores[1].Evict(13, 0, 1)
+						if got, _, err := stores[1].Get(13, 0, 1); err != nil || !bytes.Equal(got, img) {
+							t.Fatalf("the only replica could not be fetched: %v", err)
+						}
+						if !lossy.done.Load() {
+							t.Fatal("no frame was tampered with; the test exercised nothing")
+						}
+					})
 				}
-				t.Cleanup(func() { s.Close() })
-				stores[id] = s
-			}
-			for _, s := range stores {
-				s.UpdateView(members)
-			}
-			for _, s := range stores {
-				s.bg.Wait()
-			}
-			img := bytes.Repeat([]byte{0x42}, 4096)
-			if err := stores[1].Put(13, 0, 1, img, nil); err != nil {
-				t.Fatal(err)
-			}
-			if st := stores[1].Stats(); st.PushFailures != 0 || st.UnderReplicated != 0 {
-				t.Errorf("writer reports %d failed pushes, %d under-replicated", st.PushFailures, st.UnderReplicated)
-			}
-			// The writer loses its copy and reads the one replica back.
-			stores[1].Evict(13, 0, 1)
-			if got, _, err := stores[1].Get(13, 0, 1); err != nil || !bytes.Equal(got, img) {
-				t.Fatalf("the only replica could not be fetched: %v", err)
-			}
-			if !lossy.dropped.Load() {
-				t.Fatal("no frame was dropped; the test exercised nothing")
 			}
 		})
 	}

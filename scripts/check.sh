@@ -28,51 +28,104 @@
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   skip -race and the benchmarks (vet/build/test only)
+#
+# Every stage runs to the end whatever the stages before it did: a bar that is
+# known to be red (ROADMAP item 1) must not hide the gates behind it, nor leave
+# their BENCH_*.json stale. The names of the stages that failed are the last
+# lines printed, and the exit status is non-zero if there are any.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
 [[ "${1:-}" == "--quick" ]] && QUICK=1
 
-echo "== gofmt =="
-FMT_OUT=$(gofmt -l .)
-if [[ -n "$FMT_OUT" ]]; then
-    echo "gofmt -l reports unformatted files:"
-    echo "$FMT_OUT"
+# Benchmark output handed from a benchmark stage to the stage that folds it.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+VET_STATS=$TMP/vet_stats.json
+BENCH_OUT=$TMP/fastpath.txt
+RBENCH_OUT=$TMP/recovery.txt
+CBENCH_OUT=$TMP/collectives.txt
+KBENCH_OUT=$TMP/checkpoint.txt
+EBENCH_OUT=$TMP/events.txt
+PBENCH_OUT=$TMP/controlplane.txt
+
+FAILED=()
+
+# stage <name> runs the body defined just above it, under set -e in a subshell,
+# and records the name if it failed. (Not `( … ) || …`: bash ignores set -e in
+# a list whose status is tested.)
+stage() {
+    echo "== $1 =="
+    set +e
+    ( set -euo pipefail; body )
+    local rc=$?
+    set -e
+    if [[ $rc -ne 0 ]]; then
+        echo "== $1: FAILED =="
+        FAILED+=("$1")
+    fi
+}
+
+# verdict prints the failed stages, if any, as the last lines and exits.
+verdict() {
+    if [[ ${#FAILED[@]} -eq 0 ]]; then
+        echo "check: all green"
+        exit 0
+    fi
+    echo "check: ${#FAILED[@]} stage(s) failed:"
+    printf '  %s\n' "${FAILED[@]}"
     exit 1
-fi
+}
 
-echo "== go vet =="
-go vet ./...
+body() {
+    FMT_OUT=$(gofmt -l .)
+    if [[ -n "$FMT_OUT" ]]; then
+        echo "gofmt -l reports unformatted files:"
+        echo "$FMT_OUT"
+        exit 1
+    fi
+}
+stage "gofmt"
 
-echo "== go build =="
-go build ./...
+body() {
+    go vet ./...
+}
+stage "go vet"
 
-echo "== bench-module =="
-# bench/ is a Go module of its own (the end-to-end benchmark the driver
-# builds from source), so the root ./... neither compiles nor tests it: an
-# API change that breaks it must fail here, not at the next benchmark run.
-if [[ $QUICK -eq 1 ]]; then
-    (cd bench && GOWORK=off go build -o /dev/null ./...)
-else
-    (cd bench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
-fi
+body() {
+    go build ./...
+}
+stage "go build"
 
-echo "== starfish-vet =="
-# The repo's own analyzers over one interprocedural program: pooled-buffer
-# ownership (poolcheck), lock discipline (lockcheck), goroutine lifecycle
-# (goleak), discarded errors (errdrop), the //starfish:deterministic
-# contract (detcheck), global lock-acquisition order (lockorder), and the
-# event-kind registry (evcheck). See DESIGN.md "Static invariants".
-# -stats folds the run profile into BENCH_vet.json below.
-VET_STATS=$(mktemp)
-go run ./cmd/starfish-vet -stats "$VET_STATS" ./...
+body() {
+    # bench/ is a Go module of its own (the end-to-end benchmark the driver
+    # builds from source), so the root ./... neither compiles nor tests it: an
+    # API change that breaks it must fail here, not at the next benchmark run.
+    if [[ $QUICK -eq 1 ]]; then
+        (cd bench && GOWORK=off go build -o /dev/null ./...)
+    else
+        (cd bench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+    fi
+}
+stage "bench-module"
 
-echo "== BENCH_vet.json =="
-# Fold the analyzer run profile (packages analyzed, functions summarized,
-# findings by check, wall time) into the "current" section of
-# BENCH_vet.json, keeping the checked-in reference run intact.
-python3 - "$VET_STATS" <<'EOF'
+body() {
+    # The repo's own analyzers over one interprocedural program: pooled-buffer
+    # ownership (poolcheck), lock discipline (lockcheck), goroutine lifecycle
+    # (goleak), discarded errors (errdrop), the //starfish:deterministic
+    # contract (detcheck), global lock-acquisition order (lockorder), and the
+    # event-kind registry (evcheck). See DESIGN.md "Static invariants".
+    # -stats folds the run profile into BENCH_vet.json below.
+    go run ./cmd/starfish-vet -stats "$VET_STATS" ./...
+}
+stage "starfish-vet"
+
+body() {
+    # Fold the analyzer run profile (packages analyzed, functions summarized,
+    # findings by check, wall time) into the "current" section of
+    # BENCH_vet.json, keeping the checked-in reference run intact.
+    python3 - "$VET_STATS" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -89,59 +142,72 @@ print(f"updated {path}: {current['packages_analyzed']} packages, "
       f"{current['functions_summarized']} functions summarized, "
       f"{current['findings_total']} findings, {current['wall_ms']} ms")
 EOF
-rm -f "$VET_STATS"
+}
+stage "BENCH_vet.json"
 
-echo "== starfish-vet smoke (seeded violations must still fire) =="
-set +e
-SMOKE_OUT=$(go run ./cmd/starfish-vet -dir cmd/starfish-vet/testdata/smoke 2>&1)
-SMOKE_RC=$?
-set -e
-echo "$SMOKE_OUT"
-if [[ $SMOKE_RC -eq 0 ]]; then
-    echo "smoke FAIL: starfish-vet exited 0 on seeded violations"
-    exit 1
-fi
-for check in poolcheck lockcheck goleak errdrop detcheck lockorder evcheck; do
-    if ! grep -q "\[$check\]" <<<"$SMOKE_OUT"; then
-        echo "smoke FAIL: $check did not fire on its seeded violation"
+body() {
+    set +e
+    SMOKE_OUT=$(go run ./cmd/starfish-vet -dir cmd/starfish-vet/testdata/smoke 2>&1)
+    SMOKE_RC=$?
+    set -e
+    echo "$SMOKE_OUT"
+    if [[ $SMOKE_RC -eq 0 ]]; then
+        echo "smoke FAIL: starfish-vet exited 0 on seeded violations"
         exit 1
     fi
-done
+    for check in poolcheck lockcheck goleak errdrop detcheck lockorder evcheck; do
+        if ! grep -q "\[$check\]" <<<"$SMOKE_OUT"; then
+            echo "smoke FAIL: $check did not fire on its seeded violation"
+            exit 1
+        fi
+    done
+}
+stage "starfish-vet smoke (seeded violations must still fire)"
 
-echo "== go test =="
-go test ./...
+body() {
+    go test ./...
+}
+stage "go test"
 
 if [[ $QUICK -eq 1 ]]; then
     echo "quick mode: skipping -race and benchmarks"
-    exit 0
+    verdict
 fi
 
-echo "== go test -race (fast-path packages) =="
-go test -race ./internal/wire/ ./internal/vni/ ./internal/mpi/
+body() {
+    go test -race ./internal/wire/ ./internal/vni/ ./internal/mpi/
+}
+stage "go test -race (fast-path packages)"
 
-echo "== go test -race (checkpoint-storage packages) =="
-go test -race ./internal/svm/ ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
+body() {
+    go test -race ./internal/svm/ ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
+}
+stage "go test -race (checkpoint-storage packages)"
 
-echo "== go test -race (control-plane packages) =="
-go test -race ./internal/gcs/ ./internal/gossip/ ./internal/lwg/
+body() {
+    go test -race ./internal/gcs/ ./internal/gossip/ ./internal/lwg/
+}
+stage "go test -race (control-plane packages)"
 
-echo "== chaos soak (short, fixed seeds: kill + 5% loss) =="
-# Two seeds of the fault matrix under -race with reduced round counts
-# (-short): a rank-hosting node killed mid-run, then the same kill under 5%
-# control-plane loss. The full matrix (partitions, delay spikes) runs via
-# `make chaos`. The soak tests carry the shared goroutine-leak check.
-go test -race -short -count 1 -run 'TestChaosSoak/(kill|loss5pct)' ./internal/cluster/
+body() {
+    # Two seeds of the fault matrix under -race with reduced round counts
+    # (-short): a rank-hosting node killed mid-run, then the same kill under 5%
+    # control-plane loss. The full matrix (partitions, delay spikes) runs via
+    # `make chaos`. The soak tests carry the shared goroutine-leak check.
+    go test -race -short -count 1 -run 'TestChaosSoak/(kill|loss5pct)' ./internal/cluster/
+}
+stage "chaos soak (short, fixed seeds: kill + 5% loss)"
 
-echo "== allocation benchmarks =="
-BENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT"' EXIT
-go test -run XXX -bench 'BenchmarkWireCodec|BenchmarkFastPathRoundTrip' \
-    -benchmem -benchtime 2s . | tee "$BENCH_OUT"
+body() {
+    go test -run XXX -bench 'BenchmarkWireCodec|BenchmarkFastPathRoundTrip' \
+        -benchmem -benchtime 2s . | tee "$BENCH_OUT"
+}
+stage "allocation benchmarks"
 
-echo "== BENCH_fastpath.json =="
-# Fold the benchmark lines into the "current" section of the JSON record,
-# keeping the checked-in pre-optimization baseline intact.
-python3 - "$BENCH_OUT" <<'EOF'
+body() {
+    # Fold the benchmark lines into the "current" section of the JSON record,
+    # keeping the checked-in pre-optimization baseline intact.
+    python3 - "$BENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -183,21 +249,23 @@ print(f"copied-B/op {cur['copied_B_per_op']:.0f} vs baseline {base['copied_B_per
 if not (allocs_ok and copies_ok):
     sys.exit(1)
 EOF
+}
+stage "BENCH_fastpath.json"
 
-echo "== recovery benchmarks =="
-RBENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT"' EXIT
-go test -run XXX -bench 'BenchmarkRecovery/' -benchmem -benchtime 1s . | tee "$RBENCH_OUT"
+body() {
+    go test -run XXX -bench 'BenchmarkRecovery/' -benchmem -benchtime 1s . | tee "$RBENCH_OUT"
+}
+stage "recovery benchmarks"
 
-echo "== BENCH_recovery.json =="
-# Fold the recovery benchmark lines into BENCH_recovery.json and enforce
-# the replicated-memory acceptance bars: fetching an 8 MiB checkpoint from
-# a surviving RAM replica must be >=5x faster than the disk fetch; a whole
-# restore (Get, Decode, state split, App.Restore) may allocate <=1.25x its
-# 8 MiB state from local RAM and <=2.25x from a peer's (the application's
-# copy, plus the transport's); and a death may make the survivors push no
-# more images than it took copies.
-python3 - "$RBENCH_OUT" <<'EOF'
+body() {
+    # Fold the recovery benchmark lines into BENCH_recovery.json and enforce
+    # the replicated-memory acceptance bars: fetching an 8 MiB checkpoint from
+    # a surviving RAM replica must be >=5x faster than the disk fetch; a whole
+    # restore (Get, Decode, state split, App.Restore) may allocate <=1.25x its
+    # 8 MiB state from local RAM and <=2.25x from a peer's (the application's
+    # copy, plus the transport's); and a death may make the survivors push no
+    # more images than it took copies.
+    python3 - "$RBENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -251,18 +319,20 @@ print(f"re-replication after a death: {rr['pushed_images_per_op']:.2f} images "
 if not ok:
     sys.exit(1)
 EOF
+}
+stage "BENCH_recovery.json"
 
-echo "== collective benchmarks =="
-CBENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT" "$CBENCH_OUT"' EXIT
-go test -run XXX -bench 'BenchmarkCollectives/' -benchmem -benchtime 1s . | tee "$CBENCH_OUT"
+body() {
+    go test -run XXX -bench 'BenchmarkCollectives/' -benchmem -benchtime 1s . | tee "$CBENCH_OUT"
+}
+stage "collective benchmarks"
 
-echo "== BENCH_collectives.json =="
-# Fold the collective benchmark lines into BENCH_collectives.json and
-# enforce the size-adaptive engine's acceptance bar: the 8 MiB Allreduce
-# at 8 ranks must run >=3x faster than the seed reduce-to-0-plus-bcast
-# algorithm without allocating more per operation.
-python3 - "$CBENCH_OUT" <<'EOF'
+body() {
+    # Fold the collective benchmark lines into BENCH_collectives.json and
+    # enforce the size-adaptive engine's acceptance bar: the 8 MiB Allreduce
+    # at 8 ranks must run >=3x faster than the seed reduce-to-0-plus-bcast
+    # algorithm without allocating more per operation.
+    python3 - "$CBENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -303,37 +373,41 @@ print(f"allocs/op: opt {opt['allocs_per_op']:.0f} vs seed "
 if not (speed_ok and allocs_ok):
     sys.exit(1)
 EOF
+}
+stage "BENCH_collectives.json"
 
-echo "== starfish-vet (checkpoint pipeline focus) =="
-# Re-run the analyzers scoped to the checkpoint-pipeline packages before
-# trusting their benchmark gate: the delta/dedup code paths hand pooled
-# frames across goroutines (poolcheck) and must not drop storage errors on
-# the replication path (errdrop).
-go run ./cmd/starfish-vet ./internal/ckpt/ ./internal/rstore/
+body() {
+    # Re-run the analyzers scoped to the checkpoint-pipeline packages before
+    # trusting their benchmark gate: the delta/dedup code paths hand pooled
+    # frames across goroutines (poolcheck) and must not drop storage errors on
+    # the replication path (errdrop).
+    go run ./cmd/starfish-vet ./internal/ckpt/ ./internal/rstore/
+}
+stage "starfish-vet (checkpoint pipeline focus)"
 
-echo "== checkpoint benchmarks =="
-KBENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT" "$CBENCH_OUT" "$KBENCH_OUT"' EXIT
-# -count=3 with min folding, as for the event plane: the wall-time gate
-# below compares two benchmarks run minutes apart on a shared host.
-# The root package has the pipeline and encoder benchmarks; internal/proc has
-# BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself.
-go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ | tee "$KBENCH_OUT"
+body() {
+    # -count=3 with min folding, as for the event plane: the wall-time gate
+    # below compares two benchmarks run minutes apart on a shared host.
+    # The root package has the pipeline and encoder benchmarks; internal/proc has
+    # BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself.
+    go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ | tee "$KBENCH_OUT"
+}
+stage "checkpoint benchmarks"
 
-echo "== BENCH_checkpoint.json =="
-# Fold the checkpoint benchmark lines into BENCH_checkpoint.json and
-# enforce the incremental pipeline's acceptance bars: at 10% per-epoch heap
-# mutation the delta pipeline must push >=5x fewer bytes to the replica
-# than the opaque-image path, and restoring the newest epoch of a
-# full+delta chain from a surviving replica must be >=5x faster than the
-# disk full-image restore. A delta epoch at 10% mutation must also be cheaper
-# than the full-image epoch in wall time and allocate <=1.25x the image size
-# per epoch. The in-place epoch (ROADMAP item 1): re-encoding a tenth-dirty
-# heap into the image it already has must cost <=0.2x a full EncodeImage, and
-# a whole epoch of the C/R module over a write-tracking VM (mode=epoch:
-# snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
-# image and run in <=0.5x the opaque full-image epoch's time.
-python3 - "$KBENCH_OUT" <<'EOF'
+body() {
+    # Fold the checkpoint benchmark lines into BENCH_checkpoint.json and
+    # enforce the incremental pipeline's acceptance bars: at 10% per-epoch heap
+    # mutation the delta pipeline must push >=5x fewer bytes to the replica
+    # than the opaque-image path, and restoring the newest epoch of a
+    # full+delta chain from a surviving replica must be >=5x faster than the
+    # disk full-image restore. A delta epoch at 10% mutation must also be cheaper
+    # than the full-image epoch in wall time and allocate <=1.25x the image size
+    # per epoch. The in-place epoch (ROADMAP item 1): re-encoding a tenth-dirty
+    # heap into the image it already has must cost <=0.2x a full EncodeImage, and
+    # a whole epoch of the C/R module over a write-tracking VM (mode=epoch:
+    # snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
+    # image and run in <=0.5x the opaque full-image epoch's time.
+    python3 - "$KBENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -423,33 +497,37 @@ print(f"in-place epoch at 10% allocates {epoch['B_per_op'] / 1e6:.2f} MB/op = {a
 if not (red_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok):
     sys.exit(1)
 EOF
+}
+stage "BENCH_checkpoint.json"
 
-echo "== starfish-vet (event plane focus) =="
-# Re-run the analyzers scoped to the event-plane packages before trusting
-# their benchmark gate: the store runs a standby drain goroutine and the
-# mgmt server spawns one tail streamer per client (goleak), and the Emit
-# fast path manipulates the store mutex by hand via TryLock (lockcheck).
-go run ./cmd/starfish-vet ./internal/evstore/ ./internal/mgmt/
+body() {
+    # Re-run the analyzers scoped to the event-plane packages before trusting
+    # their benchmark gate: the store runs a standby drain goroutine and the
+    # mgmt server spawns one tail streamer per client (goleak), and the Emit
+    # fast path manipulates the store mutex by hand via TryLock (lockcheck).
+    go run ./cmd/starfish-vet ./internal/evstore/ ./internal/mgmt/
+}
+stage "starfish-vet (event plane focus)"
 
-echo "== event-plane benchmarks =="
-EBENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT" "$CBENCH_OUT" "$KBENCH_OUT" "$EBENCH_OUT"' EXIT
-# -count=3: the gates below fold the min per sub-benchmark, because
-# run-to-run scheduler noise on a single-core box exceeds the margins
-# being enforced.
-go test -run XXX -bench 'BenchmarkEvents/' -benchmem -benchtime 1s -count=3 . | tee "$EBENCH_OUT"
+body() {
+    # -count=3: the gates below fold the min per sub-benchmark, because
+    # run-to-run scheduler noise on a single-core box exceeds the margins
+    # being enforced.
+    go test -run XXX -bench 'BenchmarkEvents/' -benchmem -benchtime 1s -count=3 . | tee "$EBENCH_OUT"
+}
+stage "event-plane benchmarks"
 
-echo "== BENCH_events.json =="
-# Fold the event-plane benchmark lines (min over the 3 runs of each
-# sub-benchmark) into BENCH_events.json and enforce the event-plane
-# acceptance bars: ingest sustains >=100k records/s, sealed-chunk index
-# pruning beats a forced full scan >=2x on a sparse query, and the emitter
-# costs the 64 KiB fast path <=2% at one record per 64 round trips —
-# gated as emit/64 against the plain round trip (a direct measurement;
-# differencing two ~4us round-trip timings is noisier than the 2% budget),
-# with the measured A/B pair as a coarse <=10% tripwire that would catch
-# an emit path that blocks or fires per message.
-python3 - "$EBENCH_OUT" <<'EOF'
+body() {
+    # Fold the event-plane benchmark lines (min over the 3 runs of each
+    # sub-benchmark) into BENCH_events.json and enforce the event-plane
+    # acceptance bars: ingest sustains >=100k records/s, sealed-chunk index
+    # pruning beats a forced full scan >=2x on a sparse query, and the emitter
+    # costs the 64 KiB fast path <=2% at one record per 64 round trips —
+    # gated as emit/64 against the plain round trip (a direct measurement;
+    # differencing two ~4us round-trip timings is noisier than the 2% budget),
+    # with the measured A/B pair as a coarse <=10% tripwire that would catch
+    # an emit path that blocks or fires per message.
+    python3 - "$EBENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -512,34 +590,38 @@ print(f"fastpath A/B tripwire: events {events['ns_per_op']:.0f} ns vs plain "
 if not (ingest_ok and query_ok and emit_ok and ab_ok):
     sys.exit(1)
 EOF
+}
+stage "BENCH_events.json"
 
-echo "== starfish-vet (control plane focus) =="
-# Re-run the analyzers scoped to the sharded control plane before trusting
-# its benchmark gate: the per-group engines multiplex gossip payloads over
-# pooled wire buffers (poolcheck), the router spawns one lifecycle
-# goroutine per group stream (goleak), and the engine tick paths take the
-# endpoint mutex by hand (lockcheck).
-go run ./cmd/starfish-vet ./internal/gossip/ ./internal/gcs/ ./internal/lwg/
+body() {
+    # Re-run the analyzers scoped to the sharded control plane before trusting
+    # its benchmark gate: the per-group engines multiplex gossip payloads over
+    # pooled wire buffers (poolcheck), the router spawns one lifecycle
+    # goroutine per group stream (goleak), and the engine tick paths take the
+    # endpoint mutex by hand (lockcheck).
+    go run ./cmd/starfish-vet ./internal/gossip/ ./internal/gcs/ ./internal/lwg/
+}
+stage "starfish-vet (control plane focus)"
 
-echo "== control-plane benchmarks =="
-PBENCH_OUT=$(mktemp)
-trap 'rm -f "$BENCH_OUT" "$RBENCH_OUT" "$CBENCH_OUT" "$KBENCH_OUT" "$EBENCH_OUT" "$PBENCH_OUT"' EXIT
-# Fixed iteration counts: the cast pair re-forms a 32-endpoint group per
-# invocation (adaptive b.N ramping would re-pay that setup several times),
-# and the gossip sims are deterministic so one virtual-time run per count
-# is exact. -count=3 with min folding, as for the event plane.
-go test -run XXX -bench 'BenchmarkControlPlane/casts=' -benchtime 100x -count=3 . | tee "$PBENCH_OUT"
-go test -run XXX -bench 'BenchmarkControlPlane/gossip/' -benchtime 1x -count=3 . | tee -a "$PBENCH_OUT"
+body() {
+    # Fixed iteration counts: the cast pair re-forms a 32-endpoint group per
+    # invocation (adaptive b.N ramping would re-pay that setup several times),
+    # and the gossip sims are deterministic so one virtual-time run per count
+    # is exact. -count=3 with min folding, as for the event plane.
+    go test -run XXX -bench 'BenchmarkControlPlane/casts=' -benchtime 100x -count=3 . | tee "$PBENCH_OUT"
+    go test -run XXX -bench 'BenchmarkControlPlane/gossip/' -benchtime 1x -count=3 . | tee -a "$PBENCH_OUT"
+}
+stage "control-plane benchmarks"
 
-echo "== BENCH_controlplane.json =="
-# Fold the control-plane benchmark lines (min over the 3 runs of each
-# sub-benchmark) into BENCH_controlplane.json and enforce the sharding
-# acceptance bars: per-group sequencers beat the single shared sequencer
-# >=4x on 8-app scoped-cast throughput; gossip failure-detection load is
-# O(1) per node per round out to 1024 simulated nodes, steady and during a
-# kill; and confirmed-dead latency stays <=0.6x the old fixed-timer figures,
-# with 1024 nodes within the rumor-spread log factor of 64.
-python3 - "$PBENCH_OUT" <<'EOF'
+body() {
+    # Fold the control-plane benchmark lines (min over the 3 runs of each
+    # sub-benchmark) into BENCH_controlplane.json and enforce the sharding
+    # acceptance bars: per-group sequencers beat the single shared sequencer
+    # >=4x on 8-app scoped-cast throughput; gossip failure-detection load is
+    # O(1) per node per round out to 1024 simulated nodes, steady and during a
+    # kill; and confirmed-dead latency stays <=0.6x the old fixed-timer figures,
+    # with 1024 nodes within the rumor-spread log factor of 64.
+    python3 - "$PBENCH_OUT" <<'EOF'
 import json, re, sys
 
 lines = open(sys.argv[1]).read().splitlines()
@@ -605,5 +687,7 @@ print(f"confirmed-dead latency: {g64['detect_ms']:.0f} / {g256['detect_ms']:.0f}
 if not (speed_ok and load_ok and detect_ok):
     sys.exit(1)
 EOF
+}
+stage "BENCH_controlplane.json"
 
-echo "check: all green"
+verdict
