@@ -349,7 +349,7 @@ func BenchmarkGCSCast(b *testing.B) {
 }
 
 // BenchmarkCollectivesLatency measures small-message Barrier and Allreduce
-// on 4 ranks (the large-message sweep lives in bench_collectives_test.go).
+// on 4 ranks (the large-message sweep is internal/mpi's BenchmarkCollectives).
 func BenchmarkCollectivesLatency(b *testing.B) {
 	world := func(b *testing.B) []*mpi.Comm {
 		fn := vni.NewFastnet(0)

@@ -5,15 +5,14 @@
 // size-independent layer overheads — are the reproduction targets.
 //
 //	starfish-bench             # everything
-//	starfish-bench -fig 3      # one figure (3, 4, 4i, 4r, 5, 6, 6c, 7f)
+//	starfish-bench -fig 3      # one figure (3, 4, 4i, 4r, 5, 6, 7f)
 //	starfish-bench -table 2    # one table (1, 2)
 //
-// Figures "4i", "4r" and "6c" are reproduction extensions, not paper
-// figures: "4i" tables the incremental (delta + dedup) checkpoint pipeline
-// against the opaque-image path across heap mutation rates; "4r" is the
+// Figures "4i" and "4r" are reproduction extensions, not paper figures:
+// "4i" tables the incremental (delta + dedup) checkpoint pipeline against
+// the opaque-image path across heap mutation rates; "4r" is the
 // recovery-time table of the replicated in-memory checkpoint store (disk
-// restore vs RAM-replica restore); "6c" tables the size-adaptive
-// collective engine against the seed algorithms.
+// restore vs RAM-replica restore).
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"starfish/internal/apps"
@@ -43,7 +41,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "regenerate one figure (3, 4, 4i, 4r, 5, 6, 6c, 7f); empty = all")
+	fig := flag.String("fig", "", "regenerate one figure (3, 4, 4i, 4r, 5, 6, 7f); empty = all")
 	table := flag.Int("table", 0, "regenerate one table (1..2); 0 = all")
 	reps := flag.Int("reps", 100, "round-trip repetitions per point (figure 5/6)")
 	rounds := flag.Int("rounds", 3, "checkpoint rounds per point (figures 3/4)")
@@ -67,9 +65,6 @@ func main() {
 	}
 	if all || *fig == "6" {
 		figure6(*reps)
-	}
-	if all || *fig == "6c" {
-		figure6c(*reps)
 	}
 	if all || *fig == "7f" {
 		figure7f()
@@ -524,117 +519,6 @@ func figure6(reps int) {
 	fmt.Println(" between layers; mpi(send) includes the single API-boundary staging")
 	fmt.Println(" copy, the one place bytes move, so it scales with size; the pooled")
 	fmt.Println(" payload then travels vni -> receiver without copying)")
-}
-
-// ---- figure 6c (reproduction extension) ----
-
-// figure6c tables the size-adaptive collective engine against the seed
-// algorithms on an 8-rank fastnet world: broadcast and allreduce at the
-// sizes spanning the tuning table's crossover points.
-func figure6c(reps int) {
-	header("Figure 6c: collectives — seed algorithms vs size-adaptive engine (8 ranks)")
-	const n = 8
-	world := func(coll *mpi.CollTuning, tag string) ([]*mpi.Comm, func()) {
-		fn := vni.NewFastnet(0)
-		nics := make([]*vni.NIC, n)
-		addrs := make(map[wire.Rank]string, n)
-		for i := 0; i < n; i++ {
-			nic, err := vni.NewNIC(fn, fmt.Sprintf("f6c-%s-%d", tag, i), 0)
-			if err != nil {
-				log.Fatal(err)
-			}
-			nics[i] = nic
-			addrs[wire.Rank(i)] = nic.Addr()
-		}
-		comms := make([]*mpi.Comm, n)
-		for i := 0; i < n; i++ {
-			c, err := mpi.New(mpi.Config{App: 1, Rank: wire.Rank(i), Size: n,
-				NIC: nics[i], Addrs: addrs, Coll: coll})
-			if err != nil {
-				log.Fatal(err)
-			}
-			comms[i] = c
-		}
-		return comms, func() {
-			for _, c := range comms {
-				c.Close()
-			}
-			for _, nic := range nics {
-				nic.Close()
-			}
-		}
-	}
-	runAll := func(comms []*mpi.Comm, f func(c *mpi.Comm) error) {
-		var wg sync.WaitGroup
-		for _, c := range comms {
-			wg.Add(1)
-			go func(c *mpi.Comm) {
-				defer wg.Done()
-				if err := f(c); err != nil {
-					log.Fatal(err)
-				}
-			}(c)
-		}
-		wg.Wait()
-	}
-	measure := func(coll *mpi.CollTuning, tag string, size, iters int, f func(c *mpi.Comm, payload []byte) error) time.Duration {
-		comms, cleanup := world(coll, tag)
-		defer cleanup()
-		payload := make([]byte, size)
-		runAll(comms, func(c *mpi.Comm) error { return f(c, payload) }) // warm up
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			runAll(comms, func(c *mpi.Comm) error { return f(c, payload) })
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	bcast := func(c *mpi.Comm, payload []byte) error {
-		var buf []byte
-		if c.Rank() == 0 {
-			buf = payload
-		}
-		res, err := c.Bcast(0, buf)
-		if err == nil && c.Rank() != 0 {
-			wire.PutBuf(res) // recycle pooled results; no-op otherwise
-		}
-		return err
-	}
-	allreduce := func(c *mpi.Comm, payload []byte) error {
-		res, err := c.Allreduce(payload, mpi.SumInt64)
-		if err == nil {
-			wire.PutBuf(res)
-		}
-		return err
-	}
-	seed := &mpi.CollTuning{ForceNaive: true}
-
-	fmt.Printf("%-11s %-10s %14s %14s %10s\n", "collective", "size", "seed", "adaptive", "speedup")
-	for _, op := range []struct {
-		name string
-		f    func(c *mpi.Comm, payload []byte) error
-	}{{"bcast", bcast}, {"allreduce", allreduce}} {
-		for _, size := range []int{64 << 10, 1 << 20, 8 << 20} {
-			iters := reps
-			if size >= 1<<20 {
-				iters = reps / 10
-			}
-			if size >= 8<<20 {
-				iters = reps / 25
-			}
-			if iters < 3 {
-				iters = 3
-			}
-			tag := fmt.Sprintf("%s-%d", op.name, size)
-			dSeed := measure(seed, tag+"-s", size, iters, op.f)
-			dOpt := measure(nil, tag+"-o", size, iters, op.f)
-			fmt.Printf("%-11s %-10s %14v %14v %9.1fx\n", op.name, sizeLabel(size),
-				dSeed.Round(10*time.Nanosecond), dOpt.Round(10*time.Nanosecond),
-				float64(dSeed)/float64(dOpt))
-		}
-	}
-	fmt.Println("\n(seed = whole-message binomial trees and reduce-to-0-plus-bcast;")
-	fmt.Println(" adaptive = pipelined/van-de-Geijn broadcast and Rabenseifner")
-	fmt.Println(" allreduce chosen per message size by the per-communicator table)")
 }
 
 // ---- table 1 ----

@@ -1,59 +1,42 @@
 // Collective-operation benchmarks. scripts/check.sh runs these with
 // -benchmem and folds the results into BENCH_collectives.json, enforcing
 // the size-adaptive collective engine's acceptance bar: >=3x on the 8 MiB
-// Allreduce at 8 ranks versus the seed reduce-to-0-plus-bcast algorithm
-// (algo=seed pins ForceNaive tuning; algo=opt is the shipping table).
-package starfish_test
+// Allreduce at 8 ranks versus the seed reduce-to-0-plus-bcast algorithm.
+package mpi
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
-	"starfish/internal/mpi"
-	"starfish/internal/vni"
 	"starfish/internal/wire"
 )
 
-// collWorld builds an n-rank world over a private fastnet.
-func collWorld(b *testing.B, n int, coll *mpi.CollTuning) ([]*mpi.Comm, func()) {
-	b.Helper()
-	fn := vni.NewFastnet(0)
-	nics := make([]*vni.NIC, n)
-	addrs := make(map[wire.Rank]string, n)
-	for i := 0; i < n; i++ {
-		nic, err := vni.NewNIC(fn, fmt.Sprintf("coll-%d", i), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nics[i] = nic
-		addrs[wire.Rank(i)] = nic.Addr()
+// The algo=seed rows are what the library did before it chose by size, built
+// from shipping entry points forced directly: the whole message down the
+// binomial tree, and for Allreduce a reduce to rank 0 whose operator has no
+// word kernel (every merge allocates) followed by that broadcast.
+func seedBcast(c *Comm, buf []byte) ([]byte, error) {
+	return bcastWith(c, 0, buf, collAlgNaive, 0)
+}
+
+func seedSum(a, b []byte) ([]byte, error) { return SumInt64(a, b) }
+
+func seedAllreduce(c *Comm, contrib []byte, _ ReduceFunc) ([]byte, error) {
+	acc, err := c.Reduce(0, contrib, seedSum)
+	if err != nil {
+		return nil, err
 	}
-	comms := make([]*mpi.Comm, n)
-	for i := 0; i < n; i++ {
-		c, err := mpi.New(mpi.Config{App: 1, Rank: wire.Rank(i), Size: n, NIC: nics[i], Addrs: addrs, Coll: coll})
-		if err != nil {
-			b.Fatal(err)
-		}
-		comms[i] = c
-	}
-	return comms, func() {
-		for _, c := range comms {
-			c.Close()
-		}
-		for _, nic := range nics {
-			nic.Close()
-		}
-	}
+	return seedBcast(c, acc)
 }
 
 // runAllRanks executes one collective on every rank concurrently.
-func runAllRanks(b *testing.B, comms []*mpi.Comm, fn func(c *mpi.Comm) error) {
+func runAllRanks(b *testing.B, comms []*Comm, fn func(c *Comm) error) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(comms))
 	for r, c := range comms {
 		wg.Add(1)
-		go func(r int, c *mpi.Comm) {
+		go func(r int, c *Comm) {
 			defer wg.Done()
 			errs[r] = fn(c)
 		}(r, c)
@@ -78,20 +61,21 @@ func sizeName(size int) string {
 }
 
 // BenchmarkCollectives sweeps Bcast, Allreduce, and Alltoall over 1 KiB..
-// 8 MiB at 4 and 8 ranks. algo=seed runs the pre-tuning algorithms
-// (ForceNaive); algo=opt the size-adaptive engine. segs/op reports how
-// many internal segments/chunks the tuned algorithms put on the wire.
+// 8 MiB at 4 and 8 ranks. algo=seed runs the stand-ins above; algo=opt the
+// size-adaptive engine. segs/op reports how many internal segments/chunks
+// the chosen algorithms put on the wire.
 func BenchmarkCollectives(b *testing.B) {
 	prev := wire.SetPoolGuard(false)
 	defer wire.SetPoolGuard(prev)
 	sizes := []int{1 << 10, 64 << 10, 1 << 20, 8 << 20}
 	ranks := []int{4, 8}
 	algos := []struct {
-		name string
-		coll *mpi.CollTuning
+		name      string
+		bcast     func(c *Comm, buf []byte) ([]byte, error)
+		allreduce func(c *Comm, contrib []byte, fn ReduceFunc) ([]byte, error)
 	}{
-		{"seed", &mpi.CollTuning{ForceNaive: true}},
-		{"opt", nil},
+		{"seed", seedBcast, seedAllreduce},
+		{"opt", func(c *Comm, buf []byte) ([]byte, error) { return c.Bcast(0, buf) }, (*Comm).Allreduce},
 	}
 
 	for _, n := range ranks {
@@ -99,19 +83,18 @@ func BenchmarkCollectives(b *testing.B) {
 			for _, size := range sizes {
 				name := fmt.Sprintf("op=bcast/algo=%s/ranks=%d/size=%s", algo.name, n, sizeName(size))
 				b.Run(name, func(b *testing.B) {
-					comms, cleanup := collWorld(b, n, algo.coll)
-					defer cleanup()
+					comms := world(b, n)
 					payload := make([]byte, size)
 					b.SetBytes(int64(size))
 					segs0, _ := wire.CollSegStats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						runAllRanks(b, comms, func(c *mpi.Comm) error {
+						runAllRanks(b, comms, func(c *Comm) error {
 							var buf []byte
 							if c.Rank() == 0 {
 								buf = payload
 							}
-							res, err := c.Bcast(0, buf)
+							res, err := algo.bcast(c, buf)
 							if err == nil && c.Rank() != 0 {
 								// Steady state recycles pooled results; PutBuf
 								// ignores non-pooled ones. The root's result is
@@ -134,8 +117,7 @@ func BenchmarkCollectives(b *testing.B) {
 			for _, size := range sizes {
 				name := fmt.Sprintf("op=allreduce/algo=%s/ranks=%d/size=%s", algo.name, n, sizeName(size))
 				b.Run(name, func(b *testing.B) {
-					comms, cleanup := collWorld(b, n, algo.coll)
-					defer cleanup()
+					comms := world(b, n)
 					contribs := make([][]byte, n)
 					for r := range contribs {
 						contribs[r] = make([]byte, size)
@@ -144,8 +126,8 @@ func BenchmarkCollectives(b *testing.B) {
 					segs0, _ := wire.CollSegStats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						runAllRanks(b, comms, func(c *mpi.Comm) error {
-							res, err := c.Allreduce(contribs[c.Rank()], mpi.SumInt64)
+						runAllRanks(b, comms, func(c *Comm) error {
+							res, err := algo.allreduce(c, contribs[c.Rank()], SumInt64)
 							if err == nil {
 								wire.PutBuf(res) // recycle pooled results
 							}
@@ -160,14 +142,13 @@ func BenchmarkCollectives(b *testing.B) {
 		}
 	}
 
-	// Alltoall is unchanged by the tuning table (pairwise exchange with
+	// Alltoall has one algorithm at every size (pairwise exchange with
 	// receives posted up front); one variant suffices.
 	for _, n := range ranks {
 		for _, size := range sizes {
 			name := fmt.Sprintf("op=alltoall/algo=opt/ranks=%d/size=%s", n, sizeName(size))
 			b.Run(name, func(b *testing.B) {
-				comms, cleanup := collWorld(b, n, nil)
-				defer cleanup()
+				comms := world(b, n)
 				parts := make([][][]byte, n)
 				for r := range parts {
 					parts[r] = make([][]byte, n)
@@ -178,7 +159,7 @@ func BenchmarkCollectives(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runAllRanks(b, comms, func(c *mpi.Comm) error {
+					runAllRanks(b, comms, func(c *Comm) error {
 						_, err := c.Alltoall(parts[c.Rank()])
 						return err
 					})

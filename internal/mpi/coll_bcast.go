@@ -15,7 +15,7 @@ import (
 //
 //   - naive: the whole message down the binomial tree; latency-optimal for
 //     small buffers.
-//   - seg: the binomial tree pipelined in BcastSegSize segments, so a rank
+//   - seg: the binomial tree pipelined in bcastSegSize segments, so a rank
 //     forwards segment k while segment k+1 is still in flight.
 //   - vdG (van de Geijn): binomial scatter of 1/n-size chunks followed by
 //     an allgather; bandwidth-optimal (each rank moves ~2x the buffer
@@ -51,7 +51,7 @@ func parseCollHdr(b []byte) (algo byte, total int, aux uint32, err error) {
 
 // Bcast broadcasts buf from root to all ranks and returns the received
 // buffer (root returns buf unchanged). The algorithm is chosen at the root
-// from the tuning table by message size.
+// from the message size and rank count (bcastAlgo).
 func (c *Comm) Bcast(root wire.Rank, buf []byte) ([]byte, error) {
 	n := c.cfg.Size
 	if int(root) < 0 || int(root) >= n {
@@ -63,27 +63,11 @@ func (c *Comm) Bcast(root wire.Rank, buf []byte) ([]byte, error) {
 	if c.collVrank(root) != 0 {
 		return c.bcastRecv(root)
 	}
-	algo, seg := bcastAlgo(c.CollTuning(), len(buf), n)
+	algo, seg := bcastAlgo(len(buf), n)
 	if err := c.bcastRoot(root, buf, algo, seg); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// bcastAlgo picks the broadcast algorithm and segment size for a message of
-// size bytes on n ranks: a pure function of the tuning table, so replicas
-// replaying the same broadcast schedule the same messages.
-//
-//starfish:deterministic
-func bcastAlgo(t CollTuning, size, n int) (algo byte, seg int) {
-	switch {
-	case t.ForceNaive:
-	case size >= t.BcastVdGMin && size >= n:
-		return collAlgVdG, 0
-	case size >= t.BcastSegMin && size > t.BcastSegSize:
-		return collAlgSeg, t.BcastSegSize
-	}
-	return collAlgNaive, 0
 }
 
 // bcastRoot runs the root side of the chosen algorithm (split out so tests

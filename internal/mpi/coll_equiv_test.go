@@ -10,12 +10,14 @@ import (
 	"starfish/internal/wire"
 )
 
-// Randomized equivalence tests: every tuned collective algorithm must
-// produce results bit-identical to the seed (naive) reference across rank
-// counts 2..9 — powers of two and not — odd message sizes, and odd segment
-// boundaries. The reduction tests use int64 operators, whose folds are
-// exactly associative, so any combine order must match the sequential one
-// bit for bit.
+// Randomized equivalence tests: every collective algorithm must produce
+// results bit-identical to the sequential spec (the payload itself, foldSeq)
+// across rank counts 2..9 — powers of two and not — odd message sizes, and
+// odd segment boundaries. Algorithms that production selects only above a
+// size crossover are forced at small sizes through their unexported entry
+// points. The reduction tests use int64 operators, whose folds are exactly
+// associative, so any combine order must match the sequential one bit for
+// bit.
 
 func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
@@ -44,8 +46,8 @@ func foldSeq(t *testing.T, contribs [][]byte, fn ReduceFunc) []byte {
 	return acc
 }
 
-// byteMaxFn is a test-only operator with no registered in-place variant
-// (exercising combineInto's allocating fallback) that accepts any length.
+// byteMaxFn is a test-only operator with no word kernel (exercising
+// combineInto's allocating fallback) that accepts any length.
 func byteMaxFn(a, b []byte) ([]byte, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrBadLength, len(a), len(b))
@@ -55,6 +57,15 @@ func byteMaxFn(a, b []byte) ([]byte, error) {
 		out[i] = max(a[i], b[i])
 	}
 	return out, nil
+}
+
+// bcastWith is Bcast with the root's algorithm forced; the other ranks
+// follow the header, as they do in production.
+func bcastWith(c *Comm, root wire.Rank, buf []byte, algo byte, seg int) ([]byte, error) {
+	if c.Rank() != root {
+		return c.Bcast(root, nil)
+	}
+	return buf, c.bcastRoot(root, buf, algo, seg)
 }
 
 func TestBcastAlgorithmsEquivalence(t *testing.T) {
@@ -79,11 +90,7 @@ func TestBcastAlgorithmsEquivalence(t *testing.T) {
 				payload := randBytes(rng, size)
 				results := make([][]byte, n)
 				runRanks(t, comms, func(c *Comm) error {
-					if c.Rank() == root {
-						results[c.Rank()] = payload
-						return c.bcastRoot(root, payload, tc.algo, tc.seg)
-					}
-					got, err := c.Bcast(root, nil)
+					got, err := bcastWith(c, root, payload, tc.algo, tc.seg)
 					results[c.Rank()] = got
 					return err
 				})
@@ -145,53 +152,49 @@ func TestBcastBackToBackDifferentRoots(t *testing.T) {
 func TestReduceScatterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for n := 2; n <= 9; n++ {
-		for _, tuned := range []bool{false, true} {
-			comms := worldCfg(t, n, func(cfg *Config) {
-				cfg.Coll = &CollTuning{ForceNaive: !tuned}
-			})
-			for trial := 0; trial < 3; trial++ {
-				elems := n + rng.Intn(40)
-				contribs := make([][]byte, n)
-				for r := range contribs {
-					contribs[r] = randInt64Buf(rng, elems)
+		comms := world(t, n)
+		for trial := 0; trial < 3; trial++ {
+			elems := n + rng.Intn(40)
+			contribs := make([][]byte, n)
+			for r := range contribs {
+				contribs[r] = randInt64Buf(rng, elems)
+			}
+			// nil counts (even split) and a random aligned split with
+			// zero-length chunks mixed in.
+			countSets := [][]int{nil}
+			counts := make([]int, n)
+			left := elems
+			for r := 0; r < n-1; r++ {
+				c := rng.Intn(left + 1)
+				if rng.Intn(4) == 0 {
+					c = 0
 				}
-				// nil counts (even split) and a random aligned split with
-				// zero-length chunks mixed in.
-				countSets := [][]int{nil}
-				counts := make([]int, n)
-				left := elems
-				for r := 0; r < n-1; r++ {
-					c := rng.Intn(left + 1)
-					if rng.Intn(4) == 0 {
-						c = 0
+				counts[r] = 8 * c
+				left -= c
+			}
+			counts[n-1] = 8 * left
+			countSets = append(countSets, counts)
+			for _, cs := range countSets {
+				full := foldSeq(t, contribs, SumInt64)
+				results := make([][]byte, n)
+				runRanks(t, comms, func(c *Comm) error {
+					got, err := c.ReduceScatter(contribs[c.Rank()], cs, SumInt64)
+					results[c.Rank()] = got
+					return err
+				})
+				offs := 0
+				for r := 0; r < n; r++ {
+					var want []byte
+					if cs == nil {
+						per, _ := evenByteCounts(8*elems, n, 8)
+						want = full[offs : offs+per[r]]
+						offs += per[r]
+					} else {
+						want = full[offs : offs+cs[r]]
+						offs += cs[r]
 					}
-					counts[r] = 8 * c
-					left -= c
-				}
-				counts[n-1] = 8 * left
-				countSets = append(countSets, counts)
-				for _, cs := range countSets {
-					full := foldSeq(t, contribs, SumInt64)
-					results := make([][]byte, n)
-					runRanks(t, comms, func(c *Comm) error {
-						got, err := c.ReduceScatter(contribs[c.Rank()], cs, SumInt64)
-						results[c.Rank()] = got
-						return err
-					})
-					offs := 0
-					for r := 0; r < n; r++ {
-						var want []byte
-						if cs == nil {
-							per, _ := evenByteCounts(8*elems, n, 8)
-							want = full[offs : offs+per[r]]
-							offs += per[r]
-						} else {
-							want = full[offs : offs+cs[r]]
-							offs += cs[r]
-						}
-						if !bytes.Equal(results[r], want) {
-							t.Fatalf("n=%d tuned=%v trial=%d: rank %d chunk mismatch", n, tuned, trial, r)
-						}
+					if !bytes.Equal(results[r], want) {
+						t.Fatalf("n=%d trial=%d: rank %d chunk mismatch", n, trial, r)
 					}
 				}
 			}
@@ -206,13 +209,12 @@ func TestAllreduceEquivalence(t *testing.T) {
 		fn   ReduceFunc
 	}{{"sum", SumInt64}, {"min", MinInt64}, {"max", MaxInt64}}
 	for n := 2; n <= 9; n++ {
-		// AllreduceRabMin=1 forces Rabenseifner for every aligned size.
-		comms := worldCfg(t, n, func(cfg *Config) {
-			cfg.Coll = &CollTuning{AllreduceRabMin: 1}
-		})
-		naive := worldCfg(t, n, func(cfg *Config) {
-			cfg.Coll = &CollTuning{ForceNaive: true}
-		})
+		comms := world(t, n)
+		// Both allreduce algorithms at sizes where Allreduce itself picks the
+		// tree: Rabenseifner forced through its entry point.
+		algos := []func(c *Comm, contrib []byte, fn ReduceFunc) ([]byte, error){
+			(*Comm).allreduceRab, (*Comm).Allreduce,
+		}
 		for _, op := range ops {
 			for _, elems := range []int{n, n + 13, 257} {
 				contribs := make([][]byte, n)
@@ -220,10 +222,10 @@ func TestAllreduceEquivalence(t *testing.T) {
 					contribs[r] = randInt64Buf(rng, elems)
 				}
 				want := foldSeq(t, contribs, op.fn)
-				for _, w := range [][]*Comm{comms, naive} {
+				for _, allreduce := range algos {
 					results := make([][]byte, n)
-					runRanks(t, w, func(c *Comm) error {
-						got, err := c.Allreduce(contribs[c.Rank()], op.fn)
+					runRanks(t, comms, func(c *Comm) error {
+						got, err := allreduce(c, contribs[c.Rank()], op.fn)
 						results[c.Rank()] = got
 						return err
 					})
@@ -235,8 +237,8 @@ func TestAllreduceEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Unaligned length: falls back to tree reduce + bcast, with an
-		// operator that has no in-place variant.
+		// Unaligned length: tree reduce + bcast, with an operator that has
+		// no word kernel.
 		size := 8*n + 3
 		contribs := make([][]byte, n)
 		for r := range contribs {
@@ -332,72 +334,62 @@ func TestCollectivesPooledGuardLarge(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{4, 5} { // power of two and not
-		for _, tune := range []struct {
+		comms := world(t, n)
+		size := 1<<20 + 7
+		payload := randBytes(rng, size)
+		for _, tc := range []struct {
 			name string
-			coll CollTuning
-		}{
-			{"seg8191", CollTuning{BcastSegMin: 1, BcastSegSize: 8191, BcastVdGMin: 1 << 30}},
-			{"vdg", CollTuning{BcastVdGMin: 1}},
-		} {
-			comms := worldCfg(t, n, func(cfg *Config) {
-				coll := tune.coll
-				cfg.Coll = &coll
-			})
-			size := 1<<20 + 7
-			payload := randBytes(rng, size)
+			algo byte
+			seg  int
+		}{{"seg8191", collAlgSeg, 8191}, {"vdg", collAlgVdG, 0}} {
 			results := make([][]byte, n)
 			runRanks(t, comms, func(c *Comm) error {
-				var buf []byte
-				if c.Rank() == 1 {
-					buf = payload
-				}
-				got, err := c.Bcast(1, buf)
+				got, err := bcastWith(c, 1, payload, tc.algo, tc.seg)
 				results[c.Rank()] = got
 				return err
 			})
 			for r := range results {
 				if !bytes.Equal(results[r], payload) {
-					t.Fatalf("n=%d %s: rank %d bcast corrupted", n, tune.name, r)
+					t.Fatalf("n=%d %s: rank %d bcast corrupted", n, tc.name, r)
 				}
 			}
+		}
+		elems := 1 << 17 // 1 MiB of int64s
+		contribs := make([][]byte, n)
+		for r := range contribs {
+			contribs[r] = randInt64Buf(rng, elems)
+		}
+		want := foldSeq(t, contribs, SumInt64)
+		allres := make([][]byte, n)
+		runRanks(t, comms, func(c *Comm) error {
+			got, err := c.Allreduce(contribs[c.Rank()], SumInt64)
+			allres[c.Rank()] = got
+			return err
+		})
+		for r := range allres {
+			if !bytes.Equal(allres[r], want) {
+				t.Fatalf("n=%d: rank %d allreduce corrupted", n, r)
+			}
+		}
 
-			elems := 1 << 17 // 1 MiB of int64s
-			contribs := make([][]byte, n)
-			for r := range contribs {
-				contribs[r] = randInt64Buf(rng, elems)
+		blocks := make([][]byte, n)
+		for r := range blocks {
+			blocks[r] = randBytes(rng, 64<<10)
+		}
+		var gathered [][]byte
+		var mu sync.Mutex
+		runRanks(t, comms, func(c *Comm) error {
+			got, err := c.Gather(0, blocks[c.Rank()])
+			if c.Rank() == 0 {
+				mu.Lock()
+				gathered = got
+				mu.Unlock()
 			}
-			want := foldSeq(t, contribs, SumInt64)
-			allres := make([][]byte, n)
-			runRanks(t, comms, func(c *Comm) error {
-				got, err := c.Allreduce(contribs[c.Rank()], SumInt64)
-				allres[c.Rank()] = got
-				return err
-			})
-			for r := range allres {
-				if !bytes.Equal(allres[r], want) {
-					t.Fatalf("n=%d %s: rank %d allreduce corrupted", n, tune.name, r)
-				}
-			}
-
-			blocks := make([][]byte, n)
-			for r := range blocks {
-				blocks[r] = randBytes(rng, 64<<10)
-			}
-			var gathered [][]byte
-			var mu sync.Mutex
-			runRanks(t, comms, func(c *Comm) error {
-				got, err := c.Gather(0, blocks[c.Rank()])
-				if c.Rank() == 0 {
-					mu.Lock()
-					gathered = got
-					mu.Unlock()
-				}
-				return err
-			})
-			for r := range blocks {
-				if !bytes.Equal(gathered[r], blocks[r]) {
-					t.Fatalf("n=%d %s: rank %d gather corrupted", n, tune.name, r)
-				}
+			return err
+		})
+		for r := range blocks {
+			if !bytes.Equal(gathered[r], blocks[r]) {
+				t.Fatalf("n=%d: rank %d gather corrupted", n, r)
 			}
 		}
 	}

@@ -72,43 +72,13 @@ func parseGatherBlock(b []byte, want int) ([][]byte, error) {
 }
 
 // Gather collects every rank's contribution at root; root receives a slice
-// indexed by rank. Non-root ranks return nil.
+// indexed by rank. Non-root ranks return nil. Subtree blocks merge up the
+// binomial tree, with every child's receive posted before any arrives.
 func (c *Comm) Gather(root wire.Rank, contrib []byte) ([][]byte, error) {
 	n := c.cfg.Size
 	if n == 1 {
 		return [][]byte{contrib}, nil
 	}
-	if c.CollTuning().ForceNaive {
-		return c.naiveGather(root, contrib)
-	}
-	return c.treeGather(root, contrib)
-}
-
-// naiveGather is the seed algorithm (reference oracle): non-roots send
-// directly to the root, which drains them one at a time.
-func (c *Comm) naiveGather(root wire.Rank, contrib []byte) ([][]byte, error) {
-	if c.cfg.Rank != root {
-		if err := c.Send(root, tagGather, contrib); err != nil {
-			return nil, fmt.Errorf("gather: %w", err)
-		}
-		return nil, nil
-	}
-	out := make([][]byte, c.cfg.Size)
-	out[root] = contrib
-	for i := 0; i < c.cfg.Size-1; i++ {
-		data, st, err := c.Recv(wire.AnyRank, tagGather)
-		if err != nil {
-			return nil, fmt.Errorf("gather: %w", err)
-		}
-		out[st.Source] = data
-	}
-	return out, nil
-}
-
-// treeGather merges subtree blocks up the binomial tree, with every
-// child's receive posted before any arrives.
-func (c *Comm) treeGather(root wire.Rank, contrib []byte) ([][]byte, error) {
-	n := c.cfg.Size
 	v := c.collVrank(root)
 	children := binomialChildren(v, n)
 	reqs := make([]*Request, len(children))
@@ -162,7 +132,9 @@ func (c *Comm) treeGather(root wire.Rank, contrib []byte) ([][]byte, error) {
 }
 
 // Scatter distributes parts (indexed by rank, only meaningful at root) so
-// each rank receives parts[rank].
+// each rank receives parts[rank]. Each child gets its subtree's parts as one
+// packed block, fanned out with non-blocking owned sends (largest subtree
+// first).
 func (c *Comm) Scatter(root wire.Rank, parts [][]byte) ([]byte, error) {
 	n := c.cfg.Size
 	if c.cfg.Rank == root && len(parts) != n {
@@ -171,37 +143,6 @@ func (c *Comm) Scatter(root wire.Rank, parts [][]byte) ([]byte, error) {
 	if n == 1 {
 		return parts[root], nil
 	}
-	if c.CollTuning().ForceNaive {
-		return c.naiveScatter(root, parts)
-	}
-	return c.treeScatter(root, parts)
-}
-
-// naiveScatter is the seed algorithm (reference oracle): the root sends
-// each part directly, one blocking send per rank.
-func (c *Comm) naiveScatter(root wire.Rank, parts [][]byte) ([]byte, error) {
-	if c.cfg.Rank == root {
-		for r := 0; r < c.cfg.Size; r++ {
-			if wire.Rank(r) == root {
-				continue
-			}
-			if err := c.Send(wire.Rank(r), tagScatter, parts[r]); err != nil {
-				return nil, fmt.Errorf("scatter: %w", err)
-			}
-		}
-		return parts[root], nil
-	}
-	data, _, err := c.Recv(root, tagScatter)
-	if err != nil {
-		return nil, fmt.Errorf("scatter: %w", err)
-	}
-	return data, nil
-}
-
-// treeScatter sends each child its subtree's parts as one packed block,
-// fanning out with non-blocking owned sends (largest subtree first).
-func (c *Comm) treeScatter(root wire.Rank, parts [][]byte) ([]byte, error) {
-	n := c.cfg.Size
 	v := c.collVrank(root)
 	children := binomialChildren(v, n)
 

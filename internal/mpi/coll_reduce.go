@@ -8,10 +8,10 @@ import (
 
 // Reduction algorithms. Unlike broadcast, every rank knows the buffer size
 // (all contributions are equally shaped), so algorithm selection is a pure
-// local decision from the tuning table — no header needed.
+// local decision (allreduceUseRab) — no header needed.
 //
 //   - Reduce: binomial tree combining into a pooled accumulator (in-place
-//     for registered operators), the accumulator itself moving up the tree
+//     for the builtin operators), the accumulator itself moving up the tree
 //     via SendOwned.
 //   - ReduceScatter: recursive halving for power-of-two sizes (each round
 //     halves the data in flight), pairwise exchange otherwise.
@@ -22,53 +22,14 @@ import (
 
 // Reduce combines every rank's contribution with fn and delivers the
 // result to root (binomial-tree reduction). fn must be associative and
-// commutative. Non-root ranks return nil. contrib is never modified.
+// commutative. Non-root ranks return nil. contrib is never modified: the
+// first merge copies it into a pooled accumulator, later merges combine in
+// place, and interior ranks move the accumulator itself to their parent.
 func (c *Comm) Reduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte, error) {
 	n := c.cfg.Size
 	if n == 1 {
 		return contrib, nil
 	}
-	if c.CollTuning().ForceNaive {
-		return c.naiveReduce(root, contrib, fn)
-	}
-	return c.treeReduce(root, contrib, fn)
-}
-
-// naiveReduce is the seed algorithm, kept as the reference oracle: the
-// allocating fn runs at every merge.
-func (c *Comm) naiveReduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte, error) {
-	n := c.cfg.Size
-	vrank := c.collVrank(root)
-	acc := contrib
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			parent := vrank &^ mask
-			if err := c.Send(collReal(parent, root, n), tagReduce, acc); err != nil {
-				return nil, fmt.Errorf("reduce: %w", err)
-			}
-			return nil, nil
-		}
-		child := vrank | mask
-		if child < n {
-			data, _, err := c.Recv(collReal(child, root, n), tagReduce)
-			if err != nil {
-				return nil, fmt.Errorf("reduce: %w", err)
-			}
-			if acc, err = fn(acc, data); err != nil {
-				return nil, fmt.Errorf("reduce: %w", err)
-			}
-		}
-		mask <<= 1
-	}
-	return acc, nil
-}
-
-// treeReduce is the tuned binomial reduction: the first merge copies
-// contrib into a pooled accumulator, later merges combine in place, and
-// interior ranks move the accumulator itself to their parent.
-func (c *Comm) treeReduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte, error) {
-	n := c.cfg.Size
 	vrank := c.collVrank(root)
 	var acc []byte // pooled; nil until the first merge
 	fail := func(err error) ([]byte, error) {
@@ -124,15 +85,14 @@ func (c *Comm) treeReduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte
 // rank r with the counts[r]-byte slice of the result starting at
 // offset counts[0]+...+counts[r-1] (MPI_Reduce_scatter). counts must sum
 // to len(contrib) and be identical on every rank; a nil counts splits the
-// buffer evenly on ElemAlign boundaries. contrib is never modified.
+// buffer evenly on 8-byte element boundaries. contrib is never modified.
 func (c *Comm) ReduceScatter(contrib []byte, counts []int, fn ReduceFunc) ([]byte, error) {
 	n := c.cfg.Size
-	t := c.CollTuning()
 	if counts == nil {
-		if len(contrib)%t.ElemAlign != 0 {
-			return nil, fmt.Errorf("reduce-scatter: %w: %d bytes not a multiple of the %d-byte element", ErrBadLength, len(contrib), t.ElemAlign)
+		if len(contrib)%collElemAlign != 0 {
+			return nil, fmt.Errorf("reduce-scatter: %w: %d bytes not a multiple of the %d-byte element", ErrBadLength, len(contrib), collElemAlign)
 		}
-		counts, _ = evenByteCounts(len(contrib), n, t.ElemAlign)
+		counts, _ = evenByteCounts(len(contrib), n, collElemAlign)
 	}
 	if len(counts) != n {
 		return nil, fmt.Errorf("reduce-scatter: %w: %d counts for %d ranks", ErrBadLength, len(counts), n)
@@ -156,64 +116,10 @@ func (c *Comm) ReduceScatter(contrib []byte, counts []int, fn ReduceFunc) ([]byt
 	}
 	me := int(c.cfg.Rank)
 	out := make([]byte, counts[me])
-	if t.ForceNaive {
-		if err := c.naiveReduceScatter(contrib, counts, offs, fn, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	if err := c.reduceScatterTo(contrib, counts, offs, fn, out, tagReduceScatter); err != nil {
 		return nil, fmt.Errorf("reduce-scatter: %w", err)
 	}
 	return out, nil
-}
-
-// naiveReduceScatter is the reference oracle: seed-style binomial reduce
-// to rank 0, then a flat scatter of the chunks.
-func (c *Comm) naiveReduceScatter(contrib []byte, counts, offs []int, fn ReduceFunc, dst []byte) error {
-	n := c.cfg.Size
-	me := int(c.cfg.Rank)
-	acc := contrib
-	atRoot := true
-	mask := 1
-	for mask < n {
-		if me&mask != 0 {
-			if err := c.Send(wire.Rank(me&^mask), tagReduceScatter, acc); err != nil {
-				return fmt.Errorf("reduce-scatter: %w", err)
-			}
-			atRoot = false
-			break
-		}
-		child := me | mask
-		if child < n {
-			data, _, err := c.Recv(wire.Rank(child), tagReduceScatter)
-			if err != nil {
-				return fmt.Errorf("reduce-scatter: %w", err)
-			}
-			if acc, err = fn(acc, data); err != nil {
-				return fmt.Errorf("reduce-scatter: %w", err)
-			}
-		}
-		mask <<= 1
-	}
-	if atRoot {
-		for r := 1; r < n; r++ {
-			if err := c.Send(wire.Rank(r), tagReduceScatter, acc[offs[r]:offs[r+1]]); err != nil {
-				return fmt.Errorf("reduce-scatter: %w", err)
-			}
-		}
-		copy(dst, acc[:counts[0]])
-		return nil
-	}
-	data, _, err := c.Recv(0, tagReduceScatter)
-	if err != nil {
-		return fmt.Errorf("reduce-scatter: %w", err)
-	}
-	if len(data) != len(dst) {
-		return fmt.Errorf("reduce-scatter: %w: chunk %d bytes, want %d", ErrBadLength, len(data), len(dst))
-	}
-	copy(dst, data)
-	return nil
 }
 
 // reduceScatterTo writes this rank's combined chunk into dst. Power-of-two
@@ -320,9 +226,8 @@ func (c *Comm) Allreduce(contrib []byte, fn ReduceFunc) ([]byte, error) {
 	if n == 1 {
 		return contrib, nil
 	}
-	t := c.CollTuning()
-	if allreduceUseRab(t, len(contrib), n) {
-		return c.allreduceRab(contrib, fn, t)
+	if allreduceUseRab(len(contrib), n) {
+		return c.allreduceRab(contrib, fn)
 	}
 	acc, err := c.Reduce(0, contrib, fn)
 	if err != nil {
@@ -331,19 +236,9 @@ func (c *Comm) Allreduce(contrib []byte, fn ReduceFunc) ([]byte, error) {
 	return c.Bcast(0, acc)
 }
 
-// allreduceUseRab decides whether a size-byte allreduce on n ranks takes
-// the Rabenseifner path: a pure function of the tuning table, identical on
-// every rank (ranks disagreeing would deadlock in mismatched schedules).
-//
-//starfish:deterministic
-func allreduceUseRab(t CollTuning, size, n int) bool {
-	return !t.ForceNaive && size >= t.AllreduceRabMin &&
-		size%t.ElemAlign == 0 && size/t.ElemAlign >= n
-}
-
-func (c *Comm) allreduceRab(contrib []byte, fn ReduceFunc, t CollTuning) ([]byte, error) {
+func (c *Comm) allreduceRab(contrib []byte, fn ReduceFunc) ([]byte, error) {
 	me := int(c.cfg.Rank)
-	counts, offs := c.evenGeom(len(contrib), t.ElemAlign)
+	counts, offs := c.evenGeom(len(contrib), collElemAlign)
 	// Pooled result (every byte is overwritten below): the caller owns it
 	// and may PutBuf it back, or simply drop it.
 	result := wire.GetBuf(len(contrib))

@@ -12,8 +12,8 @@ import (
 // collectives of different kinds but, as in MPI, collectives of the same
 // kind must be issued in the same order everywhere.
 //
-// Each collective picks its algorithm from the communicator's CollTuning
-// table (see coll_tuning.go): latency-optimal trees for small messages,
+// Bcast and Allreduce pick their algorithm from the message size and rank
+// count (see coll_select.go): latency-optimal trees for small messages,
 // segmented/pipelined or bandwidth-optimal algorithms for large ones. The
 // individual algorithms live in coll_bcast.go (broadcast), coll_reduce.go
 // (reductions), and coll_fanout.go (rooted scatter/gather trees).

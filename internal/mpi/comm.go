@@ -4,9 +4,10 @@
 // It implements blocking and non-blocking point-to-point operations with
 // MPI matching semantics (source/tag wildcards, per-pair FIFO), the
 // standard collectives, and the Starfish-specific hooks the paper adds on
-// top of MPI: checkpoint-interval tagging for uncoordinated C/R, send
-// pausing and channel draining for stop-and-sync, and in-band markers with
-// channel recording for Chandy–Lamport snapshots.
+// top of MPI: checkpoint-interval tagging and sender-side logging for
+// uncoordinated C/R, the atomic queue cut with per-pair message counts that
+// every protocol snapshots at, and in-band markers with channel recording
+// for the coordinated ones.
 //
 // Data messages travel on the fast path — directly from this module to the
 // VNI — and never touch the object bus or the daemons, which is the
@@ -81,9 +82,6 @@ type Config struct {
 	// with each checkpoint and replays it at restart so that messages a
 	// rolled-back receiver forgot are not lost.
 	LogSends bool
-	// Coll, when non-nil, overrides the collective algorithm tuning table
-	// (crossover thresholds, segment sizes). Nil means DefaultCollTuning.
-	Coll *CollTuning
 	// SentCounts/RecvCounts seed the per-pair sequence counters before the
 	// progress engine starts. A restarted rank MUST seed its restored counts
 	// here rather than install them afterwards: peers that finished their own
@@ -136,24 +134,17 @@ type Comm struct {
 	unexpected []envelope
 	closed     bool
 	dead       map[wire.Rank]bool
-	paused     bool
 
 	sentCount map[wire.Rank]uint64
 	recvCount map[wire.Rank]uint64
 
 	interval uint64
 
-	recording    bool
-	recordFrom   map[wire.Rank]bool
-	recorded     []RecordedMsg
-	recordCkptID uint64
-
-	heldFrom map[wire.Rank]bool
-	held     []envelope
+	recording  bool
+	recordFrom map[wire.Rank]bool
+	recorded   []RecordedMsg
 
 	sentLog []RecordedMsg
-
-	coll CollTuning
 
 	// One-entry cache of the even chunk geometry (guarded by mu): the
 	// chunked collectives recompute the same counts/offs every call, and a
@@ -196,12 +187,6 @@ func New(cfg Config) (*Comm, error) {
 		c.unexpected = append(c.unexpected, envelope{src: m.Src, tag: m.Tag, data: m.Data, interval: m.Interval, seq: m.Seq})
 		c.bumpRecvLocked(m.Src, m.Seq)
 	}
-	if cfg.Coll != nil {
-		c.coll = *cfg.Coll
-	} else {
-		c.coll = DefaultCollTuning()
-	}
-	c.coll.normalize()
 	c.cond = sync.NewCond(&c.mu)
 	c.wg.Add(1)
 	go c.progress()
@@ -262,14 +247,6 @@ func (c *Comm) handle(m wire.Msg) {
 			c.cfg.OnReceive(m.Src, interval)
 		}
 		c.mu.Lock()
-		if c.heldFrom[m.Src] {
-			// Channel is cut (its marker arrived before the local
-			// snapshot): divert post-marker messages until the snapshot
-			// is taken, so the state capture cannot include them.
-			c.held = append(c.held, env)
-			c.mu.Unlock()
-			return
-		}
 		if c.recording && c.recordFrom[m.Src] {
 			wire.CountCopy(wire.CopyCR, len(m.Payload))
 			c.recorded = append(c.recorded, RecordedMsg{
@@ -317,8 +294,7 @@ func (c *Comm) bumpRecvLocked(src wire.Rank, seq uint64) {
 
 // Send transmits buf to dst with the given tag. It blocks until the
 // message is handed to the transport (eager/buffered semantics: the caller
-// may immediately reuse buf). Sends block while the communicator is paused
-// by a stop-and-sync checkpoint.
+// may immediately reuse buf).
 //
 // This is the MPI API boundary, and the one place on the fast path where a
 // payload copy is mandatory: MPI semantics return buf to the caller, so
@@ -359,9 +335,6 @@ func (c *Comm) send(dst wire.Rank, tag int32, buf []byte, owned bool) error {
 	}
 
 	c.mu.Lock()
-	for c.paused && !c.closed {
-		c.cond.Wait()
-	}
 	if c.closed {
 		c.mu.Unlock()
 		releaseOnErr()
@@ -567,9 +540,9 @@ func (r *Request) Test() bool {
 func (c *Comm) Isend(dst wire.Rank, tag int32, buf []byte) *Request {
 	r := &Request{done: make(chan struct{})}
 	// Eager sends complete as soon as the transport takes the bytes, but
-	// a paused communicator may block, so complete asynchronously. The
-	// async-safety copy goes straight into a pooled buffer and moves from
-	// there (one copy total, not copy-then-stage).
+	// a send to an unreachable peer may block (sendRetry), so complete
+	// asynchronously. The async-safety copy goes straight into a pooled
+	// buffer and moves from there (one copy total, not copy-then-stage).
 	data := wire.GetBuf(len(buf))
 	copy(data, buf)
 	if len(buf) > 0 {
@@ -626,40 +599,6 @@ func (c *Comm) SetInterval(n uint64) {
 	c.mu.Unlock()
 }
 
-// Interval returns the current checkpoint-interval index.
-func (c *Comm) Interval() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.interval
-}
-
-// PauseSends blocks all subsequent Send calls until ResumeSends — the
-// "stop" phase of stop-and-sync.
-func (c *Comm) PauseSends() {
-	c.mu.Lock()
-	c.paused = true
-	c.mu.Unlock()
-}
-
-// ResumeSends releases senders blocked by PauseSends.
-func (c *Comm) ResumeSends() {
-	c.mu.Lock()
-	c.paused = false
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// SentCounts returns a snapshot of cumulative data messages sent per peer.
-func (c *Comm) SentCounts() map[wire.Rank]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[wire.Rank]uint64, len(c.sentCount))
-	for r, n := range c.sentCount {
-		out[r] = n
-	}
-	return out
-}
-
 // RecvCounts returns a snapshot of cumulative data messages received per
 // peer.
 func (c *Comm) RecvCounts() map[wire.Rank]uint64 {
@@ -670,30 +609,6 @@ func (c *Comm) RecvCounts() map[wire.Rank]uint64 {
 		out[r] = n
 	}
 	return out
-}
-
-// WaitDrained blocks until, for every peer in targets, this communicator
-// has received at least the given number of data messages — the "sync"
-// phase of stop-and-sync (targets are the peers' announced sent counts).
-func (c *Comm) WaitDrained(targets map[wire.Rank]uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		drained := true
-		for r, want := range targets {
-			if c.recvCount[r] < want {
-				drained = false
-				break
-			}
-		}
-		if drained {
-			return nil
-		}
-		if c.closed {
-			return ErrClosed
-		}
-		c.cond.Wait()
-	}
 }
 
 // SendMarker sends a Chandy–Lamport marker for checkpoint id on the data
@@ -717,21 +632,6 @@ func (c *Comm) SendMarker(dst wire.Rank, ckptID uint64) error {
 	return err
 }
 
-// StartRecording begins capturing incoming data messages from every peer
-// in from (typically all peers except self) as channel state for
-// checkpoint ckptID. Recorded messages are still delivered normally.
-func (c *Comm) StartRecording(ckptID uint64, from []wire.Rank) {
-	c.mu.Lock()
-	c.recording = true
-	c.recordCkptID = ckptID
-	c.recordFrom = make(map[wire.Rank]bool, len(from))
-	for _, r := range from {
-		c.recordFrom[r] = true
-	}
-	c.recorded = nil
-	c.mu.Unlock()
-}
-
 // StopRecordingFrom stops recording the channel from src (its marker
 // arrived) and reports whether any channels are still being recorded.
 func (c *Comm) StopRecordingFrom(src wire.Rank) bool {
@@ -744,45 +644,15 @@ func (c *Comm) StopRecordingFrom(src wire.Rank) bool {
 	return c.recording
 }
 
-// Recorded returns the channel-state messages captured since
-// StartRecording.
-func (c *Comm) Recorded() []RecordedMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]RecordedMsg(nil), c.recorded...)
-}
-
 // TakeRecorded ends channel recording and returns what it captured since
-// the Cut (or StartRecording) that began it. A C/R round calls it when it
-// finalizes, so traffic between rounds is not copied.
+// the Cut that began it. A C/R round calls it when it finalizes, so traffic
+// between rounds is not copied.
 func (c *Comm) TakeRecorded() []RecordedMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.recorded
 	c.recording, c.recordFrom, c.recorded = false, nil, nil
 	return rec
-}
-
-// SetCounts restores the per-peer cumulative send/receive counters from a
-// checkpoint, re-establishing per-pair sequence continuity across the
-// restart.
-//
-// Deprecated for the restart path: installing counts after New leaves a
-// window in which the already-running progress engine accepts (and fails to
-// suppress) stale duplicates from peers that restored faster. Restarted
-// ranks must seed Config.SentCounts/RecvCounts instead; SetCounts remains
-// for tests and for callers that can guarantee no in-flight traffic.
-func (c *Comm) SetCounts(sent, recv map[wire.Rank]uint64) {
-	c.mu.Lock()
-	c.sentCount = make(map[wire.Rank]uint64, len(sent))
-	for r, n := range sent {
-		c.sentCount[r] = n
-	}
-	c.recvCount = make(map[wire.Rank]uint64, len(recv))
-	for r, n := range recv {
-		c.recvCount[r] = n
-	}
-	c.mu.Unlock()
 }
 
 // TakeSentLog returns and clears the sender-side message log (the sends of
@@ -811,26 +681,13 @@ func (c *Comm) Replay(m RecordedMsg) error {
 	return c.cfg.NIC.Send(addr, &out)
 }
 
-// HoldFrom diverts subsequent incoming data messages from src into a side
-// buffer until the next Cut. Chandy–Lamport calls this when a marker
-// arrives before the local snapshot: messages behind the marker are
-// post-snapshot and must not enter the capturable queue.
-func (c *Comm) HoldFrom(src wire.Rank) {
-	c.mu.Lock()
-	if c.heldFrom == nil {
-		c.heldFrom = make(map[wire.Rank]bool)
-	}
-	c.heldFrom[src] = true
-	c.mu.Unlock()
-}
-
 // Cut is the snapshot point of the MPI layer: atomically it (1) captures
 // the current pending (received-but-unconsumed) messages — they are part
-// of the process checkpoint, (2) starts channel recording from the ranks
-// in recordFrom, and (3) releases every held channel, delivering the
-// diverted post-marker messages normally. It returns the captured pending
-// messages together with the send/receive counters as of the cut.
-func (c *Comm) Cut(ckptID uint64, recordFrom []wire.Rank) (pendingMsgs []RecordedMsg, sent, recv map[wire.Rank]uint64) {
+// of the process checkpoint, and (2) starts recording, as channel state,
+// the data messages that arrive from the ranks in recordFrom (they are
+// still delivered normally). It returns the captured pending messages
+// together with the send/receive counters as of the cut.
+func (c *Comm) Cut(recordFrom []wire.Rank) (pendingMsgs []RecordedMsg, sent, recv map[wire.Rank]uint64) {
 	c.mu.Lock()
 	pending := make([]RecordedMsg, 0, len(c.unexpected))
 	for _, env := range c.unexpected {
@@ -842,22 +699,11 @@ func (c *Comm) Cut(ckptID uint64, recordFrom []wire.Rank) (pendingMsgs []Recorde
 		})
 	}
 	c.recording = len(recordFrom) > 0
-	c.recordCkptID = ckptID
 	c.recordFrom = make(map[wire.Rank]bool, len(recordFrom))
 	for _, r := range recordFrom {
 		c.recordFrom[r] = true
 	}
 	c.recorded = nil
-	// Release held channels: their messages are post-snapshot.
-	if len(c.held) > 0 {
-		c.unexpected = append(c.unexpected, c.held...)
-		for _, env := range c.held {
-			c.bumpRecvLocked(env.src, env.seq)
-		}
-		c.held = nil
-		c.cond.Broadcast()
-	}
-	c.heldFrom = nil
 	sent = make(map[wire.Rank]uint64, len(c.sentCount))
 	for r, n := range c.sentCount {
 		sent[r] = n

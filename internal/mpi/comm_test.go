@@ -13,12 +13,12 @@ import (
 )
 
 // world builds n communicators for app 1 over a private fastnet.
-func world(t *testing.T, n int) []*Comm {
+func world(t testing.TB, n int) []*Comm {
 	t.Helper()
 	return worldCfg(t, n, func(*Config) {})
 }
 
-func worldCfg(t *testing.T, n int, mod func(*Config)) []*Comm {
+func worldCfg(t testing.TB, n int, mod func(*Config)) []*Comm {
 	t.Helper()
 	fn := vni.NewFastnet(0)
 	nics := make([]*vni.NIC, n)
@@ -69,6 +69,26 @@ func runRanks(t *testing.T, comms []*Comm, fn func(c *Comm) error) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", i, err)
 		}
+	}
+}
+
+// waitDrained polls until c has received at least targets[r] data messages
+// from every rank r, without consuming them.
+func waitDrained(t *testing.T, c *Comm, targets map[wire.Rank]uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		recv, drained := c.RecvCounts(), true
+		for r, want := range targets {
+			drained = drained && recv[r] >= want
+		}
+		if drained {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("received %v, want at least %v", recv, targets)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -252,42 +272,17 @@ func TestDeadPeer(t *testing.T) {
 	}
 }
 
-func TestPauseSendsBlocksUntilResume(t *testing.T) {
-	comms := world(t, 2)
-	comms[0].PauseSends()
-	var sent atomic.Bool
-	go func() {
-		comms[0].Send(1, 0, []byte("x"))
-		sent.Store(true)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if sent.Load() {
-		t.Fatal("Send completed while paused")
-	}
-	comms[0].ResumeSends()
-	if _, _, err := comms[1].Recv(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !sent.Load() {
-		t.Error("Send still blocked after resume")
-	}
-}
-
 func TestCountsAndWaitDrained(t *testing.T) {
 	comms := world(t, 2)
 	for i := 0; i < 5; i++ {
 		comms[0].Send(1, 0, []byte{byte(i)})
 	}
-	sc := comms[0].SentCounts()
-	if sc[1] != 5 {
+	if _, sc, _ := comms[0].Cut(nil); sc[1] != 5 {
 		t.Errorf("sent counts = %v", sc)
 	}
-	// WaitDrained completes once all 5 arrive, without consuming them.
-	if err := comms[1].WaitDrained(map[wire.Rank]uint64{0: 5}); err != nil {
-		t.Fatal(err)
-	}
-	rc := comms[1].RecvCounts()
-	if rc[0] != 5 {
+	// All 5 are counted on arrival, before any is consumed.
+	waitDrained(t, comms[1], map[wire.Rank]uint64{0: 5})
+	if rc := comms[1].RecvCounts(); rc[0] != 5 {
 		t.Errorf("recv counts = %v", rc)
 	}
 	for i := 0; i < 5; i++ {
@@ -310,9 +305,6 @@ func TestIntervalStamping(t *testing.T) {
 		}
 	})
 	comms[0].SetInterval(3)
-	if comms[0].Interval() != 3 {
-		t.Error("Interval roundtrip")
-	}
 	comms[0].Send(1, 0, []byte("x"))
 	_, st, err := comms[1].Recv(0, 0)
 	if err != nil {
@@ -340,7 +332,7 @@ func TestMarkersAndRecording(t *testing.T) {
 	// Rank 1 snapshots and starts recording channel 0->1, then rank 0
 	// sends two data messages followed by its marker: both messages are
 	// pre-marker channel state.
-	comms[1].StartRecording(9, []wire.Rank{0})
+	comms[1].Cut([]wire.Rank{0})
 	comms[0].Send(1, 0, []byte("in-flight-1"))
 	comms[0].Send(1, 0, []byte("in-flight-2"))
 	comms[0].SendMarker(1, 9)
@@ -356,7 +348,7 @@ func TestMarkersAndRecording(t *testing.T) {
 	if still := comms[1].StopRecordingFrom(0); still {
 		t.Error("recording should be finished")
 	}
-	rec := comms[1].Recorded()
+	rec := comms[1].TakeRecorded()
 	if len(rec) != 2 || string(rec[0].Data) != "in-flight-1" || string(rec[1].Data) != "in-flight-2" {
 		t.Fatalf("recorded = %+v", rec)
 	}
@@ -414,7 +406,7 @@ func TestMarkerIsFIFOWithData(t *testing.T) {
 			}
 		}
 	})
-	comms[1].StartRecording(1, []wire.Rank{0})
+	comms[1].Cut([]wire.Rank{0})
 	comms[0].Send(1, 0, []byte("pre"))
 	comms[0].SendMarker(1, 1)
 	comms[0].Send(1, 0, []byte("post"))
@@ -471,61 +463,38 @@ func TestStaleAppTrafficIgnored(t *testing.T) {
 	}
 }
 
-func TestHoldAndCut(t *testing.T) {
+// TestCutCapturesPendingAndRecords: a Cut captures the queued messages as
+// pending state without consuming them, and from then on records what
+// arrives on the named channels, and only those, until the recording is
+// taken.
+func TestCutCapturesPendingAndRecords(t *testing.T) {
 	comms := world(t, 3)
 	// Two messages arrive and sit in the queue (pre-snapshot state).
 	comms[1].Send(0, 0, []byte("pre-a"))
 	comms[2].Send(0, 0, []byte("pre-b"))
-	if err := comms[0].WaitDrained(map[wire.Rank]uint64{1: 1, 2: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Rank 1's marker arrived: hold its channel, then more data arrives
-	// from rank 1 (post-marker) and rank 2 (pre-marker).
-	comms[0].HoldFrom(1)
-	comms[1].Send(0, 0, []byte("post-1"))
-	comms[2].Send(0, 0, []byte("inflight-2"))
-	if err := comms[0].WaitDrained(map[wire.Rank]uint64{2: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// Give the held message time to arrive at the NIC and be diverted.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		comms[0].mu.Lock()
-		n := len(comms[0].held)
-		comms[0].mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("held message never diverted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDrained(t, comms[0], map[wire.Rank]uint64{1: 1, 2: 1})
 
-	// Snapshot: capture pending, record rank 2's channel, release rank 1.
-	pending, _, _ := comms[0].Cut(1, []wire.Rank{2})
-	if len(pending) != 3 { // pre-a, pre-b, inflight-2
-		t.Fatalf("pending = %d messages: %+v", len(pending), pending)
+	// Snapshot: capture pending, record rank 2's channel but not rank 1's.
+	pending, _, recv := comms[0].Cut([]wire.Rank{2})
+	if len(pending) != 2 || recv[1] != 1 || recv[2] != 1 {
+		t.Fatalf("pending = %+v, recv = %v", pending, recv)
 	}
-	// Post-snapshot: rank 2 sends channel-state message then (in the real
-	// protocol) its marker.
+	comms[1].Send(0, 0, []byte("post-1"))
 	comms[2].Send(0, 0, []byte("channel-state"))
-	// Consume everything; the released post-1 plus 4 others.
 	got := map[string]bool{}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		data, _, err := comms[0].Recv(wire.AnyRank, wire.AnyTag)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got[string(data)] = true
 	}
-	for _, want := range []string{"pre-a", "pre-b", "post-1", "inflight-2", "channel-state"} {
+	for _, want := range []string{"pre-a", "pre-b", "post-1", "channel-state"} {
 		if !got[want] {
 			t.Errorf("missing %q in %v", want, got)
 		}
 	}
-	comms[0].StopRecordingFrom(2)
-	rec := comms[0].Recorded()
+	rec := comms[0].TakeRecorded()
 	if len(rec) != 1 || string(rec[0].Data) != "channel-state" {
 		t.Errorf("recorded = %+v", rec)
 	}

@@ -188,10 +188,13 @@ func TestWaitAllAggregatesErrors(t *testing.T) {
 }
 
 func TestSetCountsAndDuplicateSuppression(t *testing.T) {
-	comms := world(t, 2)
-	// Simulate a restored receiver that already consumed 2 messages from
-	// rank 0.
-	comms[1].SetCounts(nil, map[wire.Rank]uint64{0: 2})
+	// A restored receiver that already consumed 2 messages from rank 0 seeds
+	// its counts through Config, before the progress engine starts.
+	comms := worldCfg(t, 2, func(cfg *Config) {
+		if cfg.Rank == 1 {
+			cfg.RecvCounts = map[wire.Rank]uint64{0: 2}
+		}
+	})
 	// Sender replays its log: seqs 1..3; the first two must be dropped.
 	for seq := uint64(1); seq <= 3; seq++ {
 		if err := comms[0].Replay(RecordedMsg{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"unsafe"
 )
 
@@ -13,11 +12,6 @@ import (
 // operations; here buffers are raw bytes and these helpers provide the
 // common numeric datatypes (64-bit integers and IEEE floats) plus the
 // standard operators over them.
-//
-// Every builtin operator also carries an allocation-free in-place variant
-// (see InPlaceFunc): the tree- and reduce-scatter-based collectives combine
-// into a reusable accumulator instead of allocating three full-size slices
-// per merge, which is what makes large reductions run at copy speed.
 
 // Int64Bytes encodes vs little-endian for transport.
 func Int64Bytes(vs []int64) []byte {
@@ -61,63 +55,69 @@ func BytesFloat64(b []byte) ([]float64, error) {
 	return out, nil
 }
 
-func int64Reduce(name string, op func(a, b int64) int64, ab, bb []byte) ([]byte, error) {
-	as, err := BytesInt64(ab)
-	if err != nil {
-		return nil, err
+// Each builtin operator has one body: a word kernel that folds sw into dw
+// (dw[i] = op(dw[i], sw[i])) over the little-endian 64-bit words of two
+// equally long buffers. Its loop is a direct machine operation per word — a
+// call through an operator value per element would dominate large
+// reductions (a 1 MiB SumInt64 is 131072 words per merge). The collectives
+// run the kernel in place on an accumulator they own (combineInto), which is
+// what makes large reductions run at copy speed; the exported allocating
+// ReduceFunc is the same kernel run on a clone of its first argument.
+type wordKernel func(dw, sw []uint64)
+
+func sumInt64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] += sw[i]
 	}
-	bs, err := BytesInt64(bb)
-	if err != nil {
-		return nil, err
-	}
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("%s: %w: %d vs %d elements", name, ErrBadLength, len(as), len(bs))
-	}
-	for i := range as {
-		as[i] = op(as[i], bs[i])
-	}
-	return Int64Bytes(as), nil
 }
 
-func float64Reduce(name string, op func(a, b float64) float64, ab, bb []byte) ([]byte, error) {
-	as, err := BytesFloat64(ab)
-	if err != nil {
-		return nil, err
+func minInt64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = uint64(min(int64(dw[i]), int64(sw[i])))
 	}
-	bs, err := BytesFloat64(bb)
-	if err != nil {
-		return nil, err
+}
+
+func maxInt64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = uint64(max(int64(dw[i]), int64(sw[i])))
 	}
-	if len(as) != len(bs) {
-		return nil, fmt.Errorf("%s: %w: %d vs %d elements", name, ErrBadLength, len(as), len(bs))
+}
+
+func prodInt64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = uint64(int64(dw[i]) * int64(sw[i]))
 	}
-	for i := range as {
-		as[i] = op(as[i], bs[i])
+}
+
+func sumFloat64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = math.Float64bits(math.Float64frombits(dw[i]) + math.Float64frombits(sw[i]))
 	}
-	return Float64Bytes(as), nil
+}
+
+func minFloat64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = math.Float64bits(math.Min(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
+	}
+}
+
+func maxFloat64Words(dw, sw []uint64) {
+	for i := range dw {
+		dw[i] = math.Float64bits(math.Max(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
+	}
 }
 
 // The builtin operators are named top-level functions (not closures from a
 // shared factory) so each ReduceFunc value has a distinct code pointer —
-// that pointer is the key under which its in-place variant is registered.
+// that pointer is the key under which combineInto finds its kernel.
 
-func sumInt64Fn(a, b []byte) ([]byte, error) {
-	return int64Reduce("sum", func(a, b int64) int64 { return a + b }, a, b)
-}
-func minInt64Fn(a, b []byte) ([]byte, error) {
-	return int64Reduce("min", func(a, b int64) int64 { return min(a, b) }, a, b)
-}
-func maxInt64Fn(a, b []byte) ([]byte, error) {
-	return int64Reduce("max", func(a, b int64) int64 { return max(a, b) }, a, b)
-}
-func prodInt64Fn(a, b []byte) ([]byte, error) {
-	return int64Reduce("prod", func(a, b int64) int64 { return a * b }, a, b)
-}
-func sumFloat64Fn(a, b []byte) ([]byte, error) {
-	return float64Reduce("sum", func(a, b float64) float64 { return a + b }, a, b)
-}
-func minFloat64Fn(a, b []byte) ([]byte, error) { return float64Reduce("min", math.Min, a, b) }
-func maxFloat64Fn(a, b []byte) ([]byte, error) { return float64Reduce("max", math.Max, a, b) }
+func sumInt64Fn(a, b []byte) ([]byte, error)   { return reduceClone(a, b, sumInt64Words) }
+func minInt64Fn(a, b []byte) ([]byte, error)   { return reduceClone(a, b, minInt64Words) }
+func maxInt64Fn(a, b []byte) ([]byte, error)   { return reduceClone(a, b, maxInt64Words) }
+func prodInt64Fn(a, b []byte) ([]byte, error)  { return reduceClone(a, b, prodInt64Words) }
+func sumFloat64Fn(a, b []byte) ([]byte, error) { return reduceClone(a, b, sumFloat64Words) }
+func minFloat64Fn(a, b []byte) ([]byte, error) { return reduceClone(a, b, minFloat64Words) }
+func maxFloat64Fn(a, b []byte) ([]byte, error) { return reduceClone(a, b, maxFloat64Words) }
 
 // Elementwise reduction operators (MPI_SUM, MPI_MIN, MPI_MAX, MPI_PROD).
 var (
@@ -131,36 +131,30 @@ var (
 	MaxFloat64 ReduceFunc = maxFloat64Fn
 )
 
-// InPlaceFunc is the allocation-free form of a reduction: it combines src
-// into dst elementwise (dst = op(dst, src)), mutating dst and leaving src
-// untouched. len(dst) must equal len(src).
-type InPlaceFunc func(dst, src []byte) error
-
-var inPlaceOps struct {
-	mu  sync.RWMutex
-	fns map[uintptr]InPlaceFunc
+// builtinKernels finds a builtin operator's kernel from its ReduceFunc. An
+// operator that is not in it (any the application defines) still works
+// everywhere: combineInto falls back to calling it and copying the result.
+var builtinKernels = map[uintptr]wordKernel{
+	codePtr(sumInt64Fn):   sumInt64Words,
+	codePtr(minInt64Fn):   minInt64Words,
+	codePtr(maxInt64Fn):   maxInt64Words,
+	codePtr(prodInt64Fn):  prodInt64Words,
+	codePtr(sumFloat64Fn): sumFloat64Words,
+	codePtr(minFloat64Fn): minFloat64Words,
+	codePtr(maxFloat64Fn): maxFloat64Words,
 }
 
-// RegisterInPlace associates an in-place variant with fn, so collectives
-// called with fn reuse their accumulator instead of allocating on every
-// combine. fn must be a declared function (closures produced by a shared
-// factory share one code pointer and would collide); both variants must
-// compute the same elementwise operation.
-func RegisterInPlace(fn ReduceFunc, ip InPlaceFunc) {
-	inPlaceOps.mu.Lock()
-	defer inPlaceOps.mu.Unlock()
-	if inPlaceOps.fns == nil {
-		inPlaceOps.fns = make(map[uintptr]InPlaceFunc)
+func codePtr(fn ReduceFunc) uintptr { return reflect.ValueOf(fn).Pointer() }
+
+// reduceClone is the allocating form of a builtin: k folds b into a copy
+// of a.
+func reduceClone(a, b []byte, k wordKernel) ([]byte, error) {
+	out := make([]byte, len(a))
+	copy(out, a)
+	if err := reduceWords(out, b, k); err != nil {
+		return nil, err
 	}
-	inPlaceOps.fns[reflect.ValueOf(fn).Pointer()] = ip
-}
-
-// inPlaceOf returns the registered in-place variant of fn, if any.
-func inPlaceOf(fn ReduceFunc) (InPlaceFunc, bool) {
-	inPlaceOps.mu.RLock()
-	defer inPlaceOps.mu.RUnlock()
-	ip, ok := inPlaceOps.fns[reflect.ValueOf(fn).Pointer()]
-	return ip, ok
+	return out, nil
 }
 
 // nativeLE reports whether the machine is little-endian, i.e. whether a
@@ -170,12 +164,11 @@ var nativeLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// wordViews checks the in-place contract and, on little-endian machines
-// with word-aligned buffers (pool and heap allocations always are; only
-// odd sub-slicing breaks it), returns []uint64 views so the operator loop
-// runs one machine op per element — an indirect call or byte-decode per
-// word would dominate large reductions. ok=false means use the
-// encoding/binary fallback.
+// wordViews checks the kernels' contract (equal lengths, whole words) and,
+// on little-endian machines with word-aligned buffers (pool and heap
+// allocations always are; only odd sub-slicing breaks it), returns []uint64
+// views over the buffers themselves. ok=false means decode the words with
+// encoding/binary instead.
 func wordViews(dst, src []byte) (dw, sw []uint64, ok bool, err error) {
 	if len(dst) != len(src) {
 		return nil, nil, false, fmt.Errorf("%w: %d vs %d bytes", ErrBadLength, len(dst), len(src))
@@ -195,134 +188,37 @@ func wordViews(dst, src []byte) (dw, sw []uint64, ok bool, err error) {
 	return dw, sw, true, nil
 }
 
-// ipWordSlow is the portable in-place loop used when wordViews declines.
-func ipWordSlow(dst, src []byte, op func(a, b uint64) uint64) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			op(binary.LittleEndian.Uint64(dst[i:]), binary.LittleEndian.Uint64(src[i:])))
-	}
-}
-
-// The builtin in-place variants are hand-specialized so the hot loop is a
-// direct machine operation per word, not a call through an operator value.
-
-func ipSumInt64(dst, src []byte) error {
+// reduceWords folds src into dst (dst = op(dst, src)) with k: directly on
+// the buffers when wordViews allows, otherwise through a pair of small word
+// arrays decoded from, and encoded back to, the little-endian bytes.
+func reduceWords(dst, src []byte, k wordKernel) error {
 	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 { return a + b })
-		}
+	if err != nil {
 		return err
 	}
-	for i := range dw {
-		dw[i] += sw[i]
+	if ok {
+		k(dw, sw)
+		return nil
+	}
+	var db, sb [64]uint64
+	for len(dst) > 0 {
+		n := min(len(db), len(dst)/8)
+		for i := 0; i < n; i++ {
+			db[i] = binary.LittleEndian.Uint64(dst[8*i:])
+			sb[i] = binary.LittleEndian.Uint64(src[8*i:])
+		}
+		k(db[:n], sb[:n])
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(dst[8*i:], db[i])
+		}
+		dst, src = dst[8*n:], src[8*n:]
 	}
 	return nil
 }
 
-func ipMinInt64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 { return uint64(min(int64(a), int64(b))) })
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = uint64(min(int64(dw[i]), int64(sw[i])))
-	}
-	return nil
-}
-
-func ipMaxInt64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 { return uint64(max(int64(a), int64(b))) })
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = uint64(max(int64(dw[i]), int64(sw[i])))
-	}
-	return nil
-}
-
-func ipProdInt64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 { return uint64(int64(a) * int64(b)) })
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = uint64(int64(dw[i]) * int64(sw[i]))
-	}
-	return nil
-}
-
-func ipSumFloat64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 {
-				return math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-			})
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = math.Float64bits(math.Float64frombits(dw[i]) + math.Float64frombits(sw[i]))
-	}
-	return nil
-}
-
-func ipMinFloat64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 {
-				return math.Float64bits(math.Min(math.Float64frombits(a), math.Float64frombits(b)))
-			})
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = math.Float64bits(math.Min(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
-	}
-	return nil
-}
-
-func ipMaxFloat64(dst, src []byte) error {
-	dw, sw, ok, err := wordViews(dst, src)
-	if err != nil || !ok {
-		if err == nil {
-			ipWordSlow(dst, src, func(a, b uint64) uint64 {
-				return math.Float64bits(math.Max(math.Float64frombits(a), math.Float64frombits(b)))
-			})
-		}
-		return err
-	}
-	for i := range dw {
-		dw[i] = math.Float64bits(math.Max(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
-	}
-	return nil
-}
-
-func init() {
-	RegisterInPlace(SumInt64, ipSumInt64)
-	RegisterInPlace(MinInt64, ipMinInt64)
-	RegisterInPlace(MaxInt64, ipMaxInt64)
-	RegisterInPlace(ProdInt64, ipProdInt64)
-	RegisterInPlace(SumFloat64, ipSumFloat64)
-	RegisterInPlace(MinFloat64, ipMinFloat64)
-	RegisterInPlace(MaxFloat64, ipMaxFloat64)
-}
-
-// combineInto folds src into dst (dst = fn(dst, src)) using the registered
-// in-place variant when one exists, falling back to the allocating fn and a
-// copy-back otherwise. dst must be an accumulator the collective owns —
+// combineInto folds src into dst (dst = fn(dst, src)) with fn's word kernel
+// when it is a builtin, falling back to the allocating fn and a copy-back
+// otherwise. dst must be an accumulator the collective owns —
 // never a caller's contribution buffer.
 func combineInto(dst, src []byte, fn ReduceFunc) error {
 	if len(dst) != len(src) {
@@ -331,8 +227,8 @@ func combineInto(dst, src []byte, fn ReduceFunc) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	if ip, ok := inPlaceOf(fn); ok {
-		return ip(dst, src)
+	if k, ok := builtinKernels[codePtr(fn)]; ok {
+		return reduceWords(dst, src, k)
 	}
 	out, err := fn(dst, src)
 	if err != nil {

@@ -319,7 +319,8 @@ func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
 
 // onMarker handles a Chandy–Lamport marker. Runs on the progress goroutine
 // of the channel it arrived on, synchronously before any later message of
-// that channel is processed — which is what makes HoldFrom sound.
+// that channel is processed — which is what makes StopRecordingFrom cut
+// the channel's recorded state exactly at the marker.
 func (cr *crModule) onMarker(src wire.Rank, id uint64) {
 	cr.mu.Lock()
 	if !cr.clActive {
@@ -396,7 +397,7 @@ func (cr *crModule) clBegin(id uint64) error {
 		}
 	}
 	c := &cut{}
-	c.pending, c.sent, c.recv = cr.p.comm.Cut(id, recordFrom)
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(recordFrom)
 	cr.mu.Unlock()
 
 	if err := cr.snapshotApp(id, c); err != nil {
@@ -504,7 +505,7 @@ func (cr *crModule) takeLocal() error {
 	cr.mu.Unlock()
 
 	c := &cut{}
-	c.pending, c.sent, c.recv = cr.p.comm.Cut(idx, nil)
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(nil)
 	if err := cr.snapshotApp(idx, c); err != nil {
 		return err
 	}
@@ -562,7 +563,7 @@ func (cr *crModule) sfsBegin(idx uint64) error {
 		}
 	}
 	c := &cut{}
-	c.pending, c.sent, c.recv = cr.p.comm.Cut(idx, allPeers)
+	c.pending, c.sent, c.recv = cr.p.comm.Cut(allPeers)
 	if err := cr.snapshotApp(idx, c); err != nil {
 		return err
 	}

@@ -78,13 +78,3 @@ func (l *ChanLink) Close() {
 		close(l.closed)
 	}
 }
-
-// Closed reports whether the link has been closed.
-func (l *ChanLink) Closed() bool {
-	select {
-	case <-l.closed:
-		return true
-	default:
-		return false
-	}
-}

@@ -72,9 +72,11 @@ func (a *pendingApp) Step(ctx *Ctx) (bool, error) {
 		return true, nil
 	default:
 		if a.phase == 0 {
-			// Let all three messages arrive without consuming them.
-			if err := ctx.Comm.WaitDrained(map[wire.Rank]uint64{0: 3}); err != nil {
-				return false, err
+			// Let all three messages arrive without consuming them; poll so
+			// this rank keeps reaching step boundaries.
+			if ctx.Comm.RecvCounts()[0] < 3 {
+				time.Sleep(time.Millisecond)
+				return false, nil
 			}
 			ctx.RequestCheckpoint()
 			a.phase = 1

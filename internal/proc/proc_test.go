@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"starfish/internal/ckpt"
+	"starfish/internal/evstore"
 	"starfish/internal/mpi"
 	"starfish/internal/svm"
 	"starfish/internal/vni"
@@ -100,6 +102,8 @@ type harness struct {
 	store *ckpt.Store
 	spec  AppSpec
 	gen   uint32
+	// events, when set before launch, receives every process's records.
+	events evstore.Sink
 
 	mu     sync.Mutex
 	procs  []*Process
@@ -214,6 +218,7 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 			Arch:       svm.Machines[i%len(svm.Machines)],
 			Store:      h.store,
 			Link:       pside,
+			Events:     h.events,
 			Transport:  h.fn,
 			ListenAddr: fmt.Sprintf("app%d-g%d-r%d", h.spec.ID, gen, i),
 		})
@@ -461,7 +466,7 @@ func TestRecordingStopsWhenRoundFinalizes(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		if rec := comm.Recorded(); len(rec) != 0 {
+		if rec := comm.TakeRecorded(); len(rec) != 0 {
 			t.Errorf("rank %d: %d messages recorded after the round finalized", p.rank, len(rec))
 		}
 	}
@@ -513,8 +518,9 @@ func TestIndependentRestartFromScratchLine(t *testing.T) {
 	h.waitAll()
 }
 
-// ckptOnceApp requests a user-initiated checkpoint at step 3 and finishes
-// at step 10.
+// ckptOnceApp finishes at step 10; its rank 0 requests a user-initiated
+// checkpoint at step 3. (The ranks exchange no messages, so a request from
+// rank 1 as well could land on either side of round 1's commit.)
 type ckptOnceApp struct{ step int }
 
 func init() {
@@ -534,7 +540,7 @@ func (a *ckptOnceApp) Snapshot() ([]byte, error) {
 }
 func (a *ckptOnceApp) Step(ctx *Ctx) (bool, error) {
 	a.step++
-	if a.step == 3 {
+	if a.step == 3 && ctx.Rank == 0 {
 		ctx.RequestCheckpoint()
 	}
 	return a.step >= 10, nil
@@ -554,6 +560,93 @@ func TestUserInitiatedCheckpoint(t *testing.T) {
 	}
 	if line[0] != 1 || line[1] != 1 {
 		t.Errorf("line = %v", line)
+	}
+}
+
+// ckptGates pace ckptGatedApp from the test: rank 0 requests a checkpoint at
+// step 3, rank 1 once afterCommit is closed, and both idle at step boundaries
+// until finish is closed.
+var ckptGates struct{ afterCommit, finish chan struct{} }
+
+type ckptGatedApp struct {
+	step      int
+	requested bool
+}
+
+func init() {
+	Register("test-ckpt-gated", func([]byte) (App, error) { return &ckptGatedApp{}, nil })
+}
+
+func (a *ckptGatedApp) Init(*Ctx) error            { return nil }
+func (a *ckptGatedApp) Restore(*Ctx, []byte) error { return nil }
+func (a *ckptGatedApp) Snapshot() ([]byte, error)  { return nil, nil }
+func (a *ckptGatedApp) Step(ctx *Ctx) (bool, error) {
+	a.step++
+	if ctx.Rank == 0 && a.step == 3 {
+		ctx.RequestCheckpoint()
+	}
+	if ctx.Rank == 1 && !a.requested {
+		select {
+		case <-ckptGates.afterCommit:
+			ctx.RequestCheckpoint()
+			a.requested = true
+		default:
+		}
+	}
+	select {
+	case <-ckptGates.finish:
+		return true, nil
+	default:
+		time.Sleep(time.Millisecond)
+		return false, nil
+	}
+}
+
+// commitCounter counts the "commit" records the processes emit.
+type commitCounter struct{ n atomic.Int32 }
+
+func (c *commitCounter) Emit(r evstore.Record) {
+	if r.Kind == "commit" {
+		c.n.Add(1)
+	}
+}
+
+// TestRequestAfterCommitOpensNextRound: a checkpoint request made after a
+// round committed is not folded into that round — it opens the next one, and
+// nothing opens a third.
+func TestRequestAfterCommitOpensNextRound(t *testing.T) {
+	ckptGates.afterCommit, ckptGates.finish = make(chan struct{}), make(chan struct{})
+	spec := AppSpec{
+		ID: 10, Name: "test-ckpt-gated", Ranks: 2,
+		Protocol: ckpt.StopAndSync, Encoder: ckpt.Native, Policy: PolicyRestart,
+	}
+	h := newHarness(t, spec)
+	commits := &commitCounter{}
+	h.events = commits
+	h.launch(nil)
+	if line := h.waitForCommittedLine(); line[0] != 1 || line[1] != 1 {
+		t.Fatalf("first line = %v, want {1,1}", line)
+	}
+	close(ckptGates.afterCommit)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		line, err := h.store.CommittedLine(spec.ID)
+		if err == nil && line[0] == 2 && line[1] == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("round 2 never committed: line = %v, err = %v", line, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(ckptGates.finish)
+	h.waitAll()
+	line, err := h.store.CommittedLine(spec.ID)
+	if err != nil || line[0] != 2 || line[1] != 2 {
+		t.Errorf("final line = %v, err = %v, want {2,2}", line, err)
+	}
+	if n := commits.n.Load(); n != 2 {
+		t.Errorf("%d commit events, want 2", n)
 	}
 }
 

@@ -42,6 +42,8 @@ QUICK=0
 # Benchmark output handed from a benchmark stage to the stage that folds it.
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+# The fold stages' python imports scripts/benchfold.py.
+export PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}" PYTHONDONTWRITEBYTECODE=1
 VET_STATS=$TMP/vet_stats.json
 BENCH_OUT=$TMP/fastpath.txt
 RBENCH_OUT=$TMP/recovery.txt
@@ -208,32 +210,14 @@ body() {
     # Fold the benchmark lines into the "current" section of the JSON record,
     # keeping the checked-in pre-optimization baseline intact.
     python3 - "$BENCH_OUT" <<'EOF'
-import json, re, sys
+import json, sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    current[name] = entry
-
-path = "BENCH_fastpath.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_fastpath.json")
 
 # Enforce the copy-budget acceptance bar against the recorded baseline.
-base = doc["baseline"]["BenchmarkFastPathRoundTrip/size=64KB"]
+with open("BENCH_fastpath.json") as f:
+    base = json.load(f)["baseline"]["BenchmarkFastPathRoundTrip/size=64KB"]
 cur = None
 for k, v in current.items():
     if k.startswith("BenchmarkFastPathRoundTrip/size=64KB") and "naive" not in k:
@@ -266,29 +250,10 @@ body() {
     # copy, plus the transport's); and a death may make the survivors push no
     # more images than it took copies.
     python3 - "$RBENCH_OUT" <<'EOF'
-import json, re, sys
+import sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    current[name] = entry
-
-path = "BENCH_recovery.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_recovery.json")
 
 disk = current.get("BenchmarkRecovery/backend=disk/size=8MB")
 ram = current.get("BenchmarkRecovery/backend=rstore/size=8MB")
@@ -323,7 +288,7 @@ EOF
 stage "BENCH_recovery.json"
 
 body() {
-    go test -run XXX -bench 'BenchmarkCollectives/' -benchmem -benchtime 1s . | tee "$CBENCH_OUT"
+    go test -run XXX -bench 'BenchmarkCollectives/' -benchmem -benchtime 1s ./internal/mpi/ | tee "$CBENCH_OUT"
 }
 stage "collective benchmarks"
 
@@ -333,29 +298,10 @@ body() {
     # at 8 ranks must run >=3x faster than the seed reduce-to-0-plus-bcast
     # algorithm without allocating more per operation.
     python3 - "$CBENCH_OUT" <<'EOF'
-import json, re, sys
+import sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    current[name] = entry
-
-path = "BENCH_collectives.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_collectives.json")
 
 seed = current.get("BenchmarkCollectives/op=allreduce/algo=seed/ranks=8/size=8MB")
 opt = current.get("BenchmarkCollectives/op=allreduce/algo=opt/ranks=8/size=8MB")
@@ -408,30 +354,10 @@ body() {
     # snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
     # image and run in <=0.5x the opaque full-image epoch's time.
     python3 - "$KBENCH_OUT" <<'EOF'
-import json, re, sys
+import sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    if name not in current or entry["ns_per_op"] < current[name]["ns_per_op"]:
-        current[name] = entry
-
-path = "BENCH_checkpoint.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_checkpoint.json", best_of_count=True)
 
 full = current.get("BenchmarkCheckpoint/mode=full/mut=10")
 delta = current.get("BenchmarkCheckpoint/mode=delta/mut=10")
@@ -528,30 +454,10 @@ body() {
     # with the measured A/B pair as a coarse <=10% tripwire that would catch
     # an emit path that blocks or fires per message.
     python3 - "$EBENCH_OUT" <<'EOF'
-import json, re, sys
+import sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    if name not in current or entry["ns_per_op"] < current[name]["ns_per_op"]:
-        current[name] = entry
-
-path = "BENCH_events.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_events.json", best_of_count=True)
 
 def need(name):
     entry = current.get(name)
@@ -622,30 +528,10 @@ body() {
     # kill; and confirmed-dead latency stays <=0.6x the old fixed-timer figures,
     # with 1024 nodes within the rumor-spread log factor of 64.
     python3 - "$PBENCH_OUT" <<'EOF'
-import json, re, sys
+import sys
+from benchfold import fold
 
-lines = open(sys.argv[1]).read().splitlines()
-current = {}
-for ln in lines:
-    m = re.match(r'^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$', ln)
-    if not m:
-        continue
-    name, _, ns, rest = m.groups()
-    entry = {"ns_per_op": float(ns)}
-    for val, unit in re.findall(r'([\d.]+) (\S+)', rest):
-        key = unit.replace('/op', '_per_op').replace('-', '_').replace('/', '_')
-        entry[key] = float(val)
-    if name not in current or entry["ns_per_op"] < current[name]["ns_per_op"]:
-        current[name] = entry
-
-path = "BENCH_controlplane.json"
-with open(path) as f:
-    doc = json.load(f)
-doc["current"] = current
-with open(path, "w") as f:
-    json.dump(doc, f, indent=2)
-    f.write("\n")
-print(f"updated {path}: {len(current)} benchmark entries")
+current = fold(sys.argv[1], "BENCH_controlplane.json", best_of_count=True)
 
 def need(name):
     entry = current.get(name)
