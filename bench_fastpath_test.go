@@ -52,9 +52,30 @@ func BenchmarkWireCodec(b *testing.B) {
 // SendOwned, the origin releases the reply): one API-boundary copy per round
 // trip and zero steady-state allocations. The naive variant ignores pooling
 // entirely, as pre-copy-budget code did.
+//
+// The 8-byte variant is the shape of a halo exchange: a message too small to
+// be worth owning, received with RecvInto into the buffer it was sent from.
+// That is a second 8-byte copy per round trip and still no allocation.
 func BenchmarkFastPathRoundTrip(b *testing.B) {
 	prev := wire.SetPoolGuard(false)
 	defer wire.SetPoolGuard(prev)
+	b.Run("size=8B", func(b *testing.B) {
+		c0, cleanup := fastPathWorld(b, vni.NewFastnet(0), true)
+		defer cleanup()
+		var buf [8]byte
+		b.SetBytes(2 * int64(len(buf)))
+		copied0 := wire.CopiedBytes()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c0.Send(1, 0, buf[:]); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := c0.RecvInto(1, 0, buf[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(wire.CopiedBytes()-copied0)/float64(b.N), "copied-B/op")
+	})
 	const size = 64 << 10
 	b.Run("size=64KB", func(b *testing.B) {
 		c0, cleanup := fastPathWorld(b, vni.NewFastnet(0), true)

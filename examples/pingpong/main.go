@@ -88,11 +88,15 @@ func rawRun(name string, tr vni.Transport, addr func(int) string) {
 	go func() {
 		defer close(done)
 		for {
-			data, _, err := c1.Recv(0, 0)
+			data, st, err := c1.Recv(0, 0)
 			if err != nil {
 				return
 			}
-			if err := c1.Send(0, 0, data); err != nil {
+			err = c1.Send(0, 0, data)
+			if st.Pooled {
+				wire.PutBuf(data)
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -106,7 +110,7 @@ func rawRun(name string, tr vni.Transport, addr func(int) string) {
 			if err := c0.Send(1, 0, buf); err != nil {
 				log.Fatal(err)
 			}
-			if _, _, err := c0.Recv(1, 0); err != nil {
+			if _, _, err := c0.RecvInto(1, 0, buf); err != nil {
 				log.Fatal(err)
 			}
 		}

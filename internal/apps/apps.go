@@ -143,11 +143,12 @@ func (a *Ring) Step(ctx *proc.Ctx) (bool, error) {
 	if err := ctx.Comm.Send(right, ringTag, w.Bytes()); err != nil {
 		return false, err
 	}
-	data, _, err := ctx.Comm.Recv(left, ringTag)
+	var token [8]byte
+	got, _, err := ctx.Comm.RecvInto(left, ringTag, token[:])
 	if err != nil {
 		return false, err
 	}
-	r := wire.NewReader(data)
+	r := wire.NewReader(token[:got])
 	a.val = r.I64() + 1
 	if r.Err() != nil {
 		return false, r.Err()

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -17,6 +18,10 @@ import (
 // recomputes the whole run sequentially and fails if the distributed
 // result deviates — making every cluster run self-verifying, including
 // runs that crashed and restarted from a checkpoint.
+//
+// A steady-state step allocates nothing: the sweep writes the other of two
+// alternating grids, a halo value travels through eight bytes of the struct,
+// and RecvInto hands the transport buffer back to the pool.
 type Jacobi struct {
 	N     int   // interior grid points
 	Iters int64 // relaxation sweeps
@@ -25,6 +30,8 @@ type Jacobi struct {
 
 	iter int64
 	u    []float64 // local block, including two halo cells
+	next []float64 // the sweep's target: swapped with u every step, not state
+	halo [8]byte   // one halo value on its way out or in (mpi.Float64Bytes' encoding)
 	lo   int       // global index of first owned point
 	size int       // owned points
 }
@@ -71,6 +78,7 @@ func blockBounds(n, ranks int, rank wire.Rank) (lo, size int) {
 func (a *Jacobi) Init(ctx *proc.Ctx) error {
 	a.lo, a.size = blockBounds(a.N, ctx.Size, ctx.Rank)
 	a.u = make([]float64, a.size+2)
+	a.next = make([]float64, a.size+2)
 	// Initial interior value 0; boundary conditions via halos of the edge
 	// ranks.
 	a.u[0] = a.Left
@@ -95,7 +103,10 @@ func (a *Jacobi) Restore(_ *proc.Ctx, state []byte) error {
 	if err != nil {
 		return err
 	}
-	a.u = u
+	if len(u) != a.size+2 {
+		return fmt.Errorf("jacobi: snapshot holds %d cells for %d owned points", len(u), a.size)
+	}
+	a.u, a.next = u, make([]float64, len(u))
 	return nil
 }
 
@@ -117,54 +128,61 @@ func (a *Jacobi) Step(ctx *proc.Ctx) (bool, error) {
 	if err := a.exchangeHalos(ctx); err != nil {
 		return false, err
 	}
-	next := make([]float64, len(a.u))
-	copy(next, a.u)
-	for i := 1; i <= a.size; i++ {
-		next[i] = (a.u[i-1] + a.u[i+1]) / 2
+	// l, r and out are the cells left of, right of and at each owned point;
+	// cut to one length, the loop indexes them without bounds checks.
+	size := a.size
+	u, next := a.u[:size+2], a.next[:size+2]
+	out := next[1 : size+1]
+	l, r := u[:len(out)], u[2:][:len(out)]
+	for i := range out {
+		out[i] = (l[i] + r[i]) / 2
 	}
-	next[0], next[a.size+1] = a.u[0], a.u[a.size+1]
-	a.u = next
+	next[0], next[size+1] = u[0], u[size+1]
+	a.u, a.next = next, u
 	a.iter++
 	return false, nil
 }
 
 func (a *Jacobi) exchangeHalos(ctx *proc.Ctx) error {
-	rank, size := int(ctx.Rank), ctx.Size
-	// Exchange with the left neighbour.
-	if rank > 0 {
-		if err := ctx.Comm.Send(wire.Rank(rank-1), jacobiTagHalo,
-			mpi.Float64Bytes(a.u[1:2])); err != nil {
+	left, right := ctx.Rank-1, ctx.Rank+1
+	hasLeft, hasRight := ctx.Rank > 0, int(ctx.Rank) < ctx.Size-1
+	if hasLeft {
+		if err := a.sendHalo(ctx, left, a.u[1]); err != nil {
 			return err
 		}
 	}
-	if rank < size-1 {
-		if err := ctx.Comm.Send(wire.Rank(rank+1), jacobiTagHalo,
-			mpi.Float64Bytes(a.u[a.size:a.size+1])); err != nil {
+	if hasRight {
+		if err := a.sendHalo(ctx, right, a.u[a.size]); err != nil {
 			return err
 		}
 	}
-	if rank > 0 {
-		data, _, err := ctx.Comm.Recv(wire.Rank(rank-1), jacobiTagHalo)
-		if err != nil {
+	if hasLeft {
+		if err := a.recvHalo(ctx, left, &a.u[0]); err != nil {
 			return err
 		}
-		v, err := mpi.BytesFloat64(data)
-		if err != nil {
-			return err
-		}
-		a.u[0] = v[0]
 	}
-	if rank < size-1 {
-		data, _, err := ctx.Comm.Recv(wire.Rank(rank+1), jacobiTagHalo)
-		if err != nil {
+	if hasRight {
+		if err := a.recvHalo(ctx, right, &a.u[a.size+1]); err != nil {
 			return err
 		}
-		v, err := mpi.BytesFloat64(data)
-		if err != nil {
-			return err
-		}
-		a.u[a.size+1] = v[0]
 	}
+	return nil
+}
+
+func (a *Jacobi) sendHalo(ctx *proc.Ctx, to wire.Rank, v float64) error {
+	binary.LittleEndian.PutUint64(a.halo[:], math.Float64bits(v))
+	return ctx.Comm.Send(to, jacobiTagHalo, a.halo[:])
+}
+
+func (a *Jacobi) recvHalo(ctx *proc.Ctx, from wire.Rank, v *float64) error {
+	n, _, err := ctx.Comm.RecvInto(from, jacobiTagHalo, a.halo[:])
+	if err != nil {
+		return err
+	}
+	if n != len(a.halo) {
+		return fmt.Errorf("jacobi: rank %d sent a %d-byte halo", from, n)
+	}
+	*v = math.Float64frombits(binary.LittleEndian.Uint64(a.halo[:]))
 	return nil
 }
 
@@ -179,12 +197,13 @@ func (a *Jacobi) verify(ctx *proc.Ctx) error {
 	}
 	full := make([]float64, a.N)
 	copy(full, a.u[1:a.size+1])
+	buf := make([]byte, 8*a.size) // rank 0 owns a largest block
 	for r := 1; r < ctx.Size; r++ {
-		data, _, err := ctx.Comm.Recv(wire.Rank(r), jacobiTagGather)
+		n, _, err := ctx.Comm.RecvInto(wire.Rank(r), jacobiTagGather, buf)
 		if err != nil {
 			return err
 		}
-		seg, err := mpi.BytesFloat64(data)
+		seg, err := mpi.BytesFloat64(buf[:n])
 		if err != nil {
 			return err
 		}

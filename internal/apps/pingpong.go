@@ -105,7 +105,8 @@ func (a *PingPong) Step(ctx *proc.Ctx) (bool, error) {
 			if err := ctx.Comm.Send(1, pingTag, buf); err != nil {
 				return false, err
 			}
-			if _, _, err := ctx.Comm.Recv(1, pingTag); err != nil {
+			// The echo is as long as buf and lands in it.
+			if _, _, err := ctx.Comm.RecvInto(1, pingTag, buf); err != nil {
 				return false, err
 			}
 		}
@@ -117,11 +118,15 @@ func (a *PingPong) Step(ctx *proc.Ctx) (bool, error) {
 		}
 	case 1:
 		for i := 0; i < a.Reps; i++ {
-			data, _, err := ctx.Comm.Recv(0, pingTag)
+			data, st, err := ctx.Comm.Recv(0, pingTag)
 			if err != nil {
 				return false, err
 			}
-			if err := ctx.Comm.Send(0, pingTag, data); err != nil {
+			err = ctx.Comm.Send(0, pingTag, data)
+			if st.Pooled {
+				wire.PutBuf(data)
+			}
+			if err != nil {
 				return false, err
 			}
 		}

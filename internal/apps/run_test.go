@@ -11,10 +11,9 @@ import (
 	"starfish/internal/wire"
 )
 
-// driveApps runs one instance of an application per rank to completion,
-// directly on MPI communicators (no daemon/runtime), and returns the app
-// instances for inspection.
-func driveApps(t *testing.T, size int, mk func(rank wire.Rank) proc.App) []proc.App {
+// worldCtxs builds one application context per rank, directly on MPI
+// communicators over a private fastnet (no daemon/runtime).
+func worldCtxs(t testing.TB, size int) []*proc.Ctx {
 	t.Helper()
 	fn := vni.NewFastnet(0)
 	addrs := make(map[wire.Rank]string, size)
@@ -28,18 +27,28 @@ func driveApps(t *testing.T, size int, mk func(rank wire.Rank) proc.App) []proc.
 		addrs[wire.Rank(i)] = nic.Addr()
 		t.Cleanup(func() { nic.Close() })
 	}
-	instances := make([]proc.App, size)
-	errs := make([]error, size)
-	var wg sync.WaitGroup
+	ctxs := make([]*proc.Ctx, size)
 	for i := 0; i < size; i++ {
 		comm, err := mpi.New(mpi.Config{App: 1, Rank: wire.Rank(i), Size: size, NIC: nics[i], Addrs: addrs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(comm.Close)
+		ctxs[i] = &proc.Ctx{Comm: comm, Rank: wire.Rank(i), Size: size}
+	}
+	return ctxs
+}
+
+// driveApps runs one instance of an application per rank to completion and
+// returns the app instances for inspection.
+func driveApps(t *testing.T, size int, mk func(rank wire.Rank) proc.App) []proc.App {
+	t.Helper()
+	instances := make([]proc.App, size)
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for i, ctx := range worldCtxs(t, size) {
 		app := mk(wire.Rank(i))
 		instances[i] = app
-		ctx := &proc.Ctx{Comm: comm, Rank: wire.Rank(i), Size: size}
 		wg.Add(1)
 		go func(i int, app proc.App, ctx *proc.Ctx) {
 			defer wg.Done()

@@ -11,9 +11,12 @@
 //
 // Data messages travel on the fast path — directly from this module to the
 // VNI — and never touch the object bus or the daemons, which is the
-// paper's key performance decision. Receives are serviced from a queue
-// filled by the VNI's polling goroutines (§2.2.1), so a blocking receive
-// whose message already arrived is a queue pop, not a kernel interaction.
+// paper's key performance decision. Receives are serviced from one queue of
+// received messages, which the VNI's polling goroutines fill themselves
+// (§2.2.1): the goroutine that took a message off its connection runs the
+// matcher's intake on it, so a blocking receive whose message already
+// arrived is a queue pop, not a kernel interaction, and one that waits is
+// woken by the goroutine that read the message.
 package mpi
 
 import (
@@ -55,7 +58,11 @@ type Status struct {
 	// by the receiver via the wire.BufPool discipline: the receiver may
 	// hand it back with wire.PutBuf (or resend it with SendOwned) once
 	// done, closing the zero-copy recycling loop. Ignoring it is safe —
-	// the buffer is then simply garbage-collected.
+	// the buffer is then simply garbage-collected — but every message so
+	// ignored is a pool miss at its sender. A receiver that forwards the
+	// payload, or reads it in place and is too large to copy, wants Recv
+	// and this flag; one that has a place for the bytes wants RecvInto,
+	// which returns the buffer itself and leaves Pooled false.
 	Pooled bool
 }
 
@@ -70,12 +77,14 @@ type Config struct {
 	Addrs map[wire.Rank]string
 	// Timer, when non-nil, records per-layer times (Figure 6).
 	Timer *vni.StageTimer
-	// OnMarker is invoked from the progress goroutine when a
-	// Chandy–Lamport marker arrives on the data path.
+	// OnMarker is invoked when a Chandy–Lamport marker arrives on the data
+	// path. Like OnReceive it is called on the polling goroutine of the
+	// connection the message arrived on: concurrently across connections,
+	// in arrival order within one, and before that connection's next
+	// message is looked at.
 	OnMarker func(src wire.Rank, ckptID uint64)
-	// OnReceive is invoked (from the progress goroutine) for every data
-	// message, with the sender's interval — the C/R module records the
-	// dependency.
+	// OnReceive is invoked for every data message, with the sender's
+	// interval — the C/R module records the dependency.
 	OnReceive func(src wire.Rank, srcInterval uint64)
 	// LogSends keeps a copy of every outgoing data message (sender-based
 	// message logging). The uncoordinated C/R protocol persists the log
@@ -83,7 +92,7 @@ type Config struct {
 	// rolled-back receiver forgot are not lost.
 	LogSends bool
 	// SentCounts/RecvCounts seed the per-pair sequence counters before the
-	// progress engine starts. A restarted rank MUST seed its restored counts
+	// first message is taken in. A restarted rank MUST seed its restored counts
 	// here rather than install them afterwards: peers that finished their own
 	// restore earlier are already re-sending, and any message accepted while
 	// the counters still read zero would bypass duplicate suppression and
@@ -91,8 +100,8 @@ type Config struct {
 	SentCounts map[wire.Rank]uint64
 	RecvCounts map[wire.Rank]uint64
 	// Pending and ChannelState seed the receive queue of a restarted rank
-	// from its checkpoint, in that order, before the progress engine
-	// starts — for the same reason as the counts: a peer that restored
+	// from its checkpoint, in that order, before the first message is
+	// taken in — for the same reason as the counts: a peer that restored
 	// faster is already sending, and a new message accepted first would be
 	// matched ahead of the older restored ones. Pending messages were
 	// counted before the snapshot (RecvCounts covers them); channel-state
@@ -154,15 +163,14 @@ type Comm struct {
 	collGeomCnts  []int
 	collGeomOffs  []int
 
-	done chan struct{}
-	wg   sync.WaitGroup
-
-	// onClose, if set, runs after the progress engine stops (used by
-	// owners that want the NIC torn down with the communicator).
+	// onClose, if set, runs at the end of Close (used by owners that want
+	// the NIC torn down with the communicator).
 	onClose func()
 }
 
-// New creates a communicator and starts its progress engine.
+// New creates a communicator and takes over the NIC's received messages:
+// whatever the NIC queued so far, then each message as its polling goroutine
+// reads it (vni.NIC.Deliver).
 func New(cfg Config) (*Comm, error) {
 	if cfg.Size <= 0 || int(cfg.Rank) < 0 || int(cfg.Rank) >= cfg.Size {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrBadRank, cfg.Rank, cfg.Size)
@@ -172,7 +180,6 @@ func New(cfg Config) (*Comm, error) {
 		dead:      make(map[wire.Rank]bool),
 		sentCount: make(map[wire.Rank]uint64),
 		recvCount: make(map[wire.Rank]uint64),
-		done:      make(chan struct{}),
 	}
 	for r, n := range cfg.SentCounts {
 		c.sentCount[r] = n
@@ -188,8 +195,7 @@ func New(cfg Config) (*Comm, error) {
 		c.bumpRecvLocked(m.Src, m.Seq)
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.wg.Add(1)
-	go c.progress()
+	cfg.NIC.Deliver(c.handle)
 	return c, nil
 }
 
@@ -202,20 +208,10 @@ func (c *Comm) Size() int { return c.cfg.Size }
 // App returns the application id.
 func (c *Comm) App() wire.AppID { return c.cfg.App }
 
-// progress drains the NIC queue into the matching engine. This is the
-// consumer side of the paper's polling-thread design.
-func (c *Comm) progress() {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		case m := <-c.cfg.NIC.Queue():
-			c.handle(m)
-		}
-	}
-}
-
+// handle is the matcher's intake, the consumer side of the paper's
+// polling-thread design: it runs on the polling goroutine of the connection m
+// arrived on, so messages of one connection are handled in order and
+// connections do not wait for each other outside c.mu.
 func (c *Comm) handle(m wire.Msg) {
 	if m.App != c.cfg.App {
 		m.Release() // stale traffic from a previous incarnation
@@ -236,17 +232,19 @@ func (c *Comm) handle(m wire.Msg) {
 		// Duplicate suppression: after a restart, the sender-side log is
 		// replayed and may include messages this rank's restored state
 		// already consumed; their per-pair sequence numbers are not
-		// beyond our receive count.
-		if env.seq != 0 && env.seq <= c.recvCount[m.Src] {
+		// beyond our receive count. And a closed communicator has no
+		// receiver left to match anything.
+		if c.closed || env.seq != 0 && env.seq <= c.recvCount[m.Src] {
 			c.mu.Unlock()
 			m.Release()
 			return
 		}
-		c.mu.Unlock()
 		if c.cfg.OnReceive != nil {
+			// The C/R module locks itself and calls back into c.
+			c.mu.Unlock()
 			c.cfg.OnReceive(m.Src, interval)
+			c.mu.Lock()
 		}
-		c.mu.Lock()
 		if c.recording && c.recordFrom[m.Src] {
 			wire.CountCopy(wire.CopyCR, len(m.Payload))
 			c.recorded = append(c.recorded, RecordedMsg{
@@ -264,7 +262,10 @@ func (c *Comm) handle(m wire.Msg) {
 		}
 	case wire.TCheckpoint:
 		// Only markers travel in-band on the data path.
-		if c.cfg.OnMarker != nil {
+		c.mu.Lock()
+		closed := c.closed
+		c.mu.Unlock()
+		if c.cfg.OnMarker != nil && !closed {
 			r := wire.NewReader(m.Payload)
 			id := r.U64()
 			if r.Err() == nil {
@@ -452,24 +453,62 @@ func matches(env *envelope, src wire.Rank, tag int32) bool {
 // with wire.PutBuf (or forwarding it with SendOwned) closes the fast
 // path's zero-allocation recycling loop.
 func (c *Comm) Recv(src wire.Rank, tag int32) ([]byte, Status, error) {
+	env, err := c.take(src, tag, wire.MaxPayload)
+	if err != nil {
+		return nil, Status{}, err
+	}
+	return env.data, Status{Source: env.src, Tag: env.tag, Interval: env.interval, Pooled: env.pooled}, nil
+}
+
+// RecvInto is Recv with MPI_Recv's own signature: the matched payload is
+// copied to the front of dst and its length returned. A payload longer than
+// dst is ErrBadLength, and the message stays queued for a receive with room
+// for it. The copy is the receive side's API-boundary copy, the mirror of
+// Send's; in exchange the transport buffer goes back to the pool here, so
+// the caller has nothing to release and a small message cannot leak one.
+func (c *Comm) RecvInto(src wire.Rank, tag int32, dst []byte) (int, Status, error) {
+	env, err := c.take(src, tag, len(dst))
+	if err != nil {
+		return 0, Status{}, err
+	}
+	n := copy(dst, env.data)
+	if n > 0 {
+		wire.CountCopy(wire.CopyBoundary, n)
+		if c.cfg.Timer != nil {
+			c.cfg.Timer.AddCopy(vni.StageMPIRecv, n)
+		}
+	}
+	if env.pooled {
+		wire.PutBuf(env.data)
+	}
+	return n, Status{Source: env.src, Tag: env.tag, Interval: env.interval}, nil
+}
+
+// take blocks until a message matching (src, tag) is queued and removes it.
+// A first match longer than room bytes is left where it is and reported as
+// ErrBadLength.
+func (c *Comm) take(src wire.Rank, tag int32, room int) (envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		for i := range c.unexpected {
 			if matches(&c.unexpected[i], src, tag) {
 				env := c.unexpected[i]
+				if len(env.data) > room {
+					return envelope{}, fmt.Errorf("%w: %d-byte message from rank %d, room for %d", ErrBadLength, len(env.data), env.src, room)
+				}
 				c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
 				if c.cfg.Timer != nil && !env.arrived.IsZero() {
 					c.cfg.Timer.Add(vni.StageMPIRecv, time.Since(env.arrived))
 				}
-				return env.data, Status{Source: env.src, Tag: env.tag, Interval: env.interval, Pooled: env.pooled}, nil
+				return env, nil
 			}
 		}
 		if c.closed {
-			return nil, Status{}, ErrClosed
+			return envelope{}, ErrClosed
 		}
 		if src != wire.AnyRank && c.dead[src] {
-			return nil, Status{}, fmt.Errorf("%w: rank %d", ErrPeerDead, src)
+			return envelope{}, fmt.Errorf("%w: rank %d", ErrPeerDead, src)
 		}
 		c.cond.Wait()
 	}
@@ -750,8 +789,6 @@ func (c *Comm) Close() {
 	c.closed = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	close(c.done)
-	c.wg.Wait()
 	if c.onClose != nil {
 		c.onClose()
 	}

@@ -35,7 +35,7 @@ type crModule struct {
 	// In-place capture's alternating buffers (DESIGN, "Capture data flow"):
 	// base, the newest stored image, is the store's diff base and read-only
 	// here; spare, the one before, came back from the store and is ours to
-	// write. Under mu: Chandy–Lamport stores on the progress goroutine.
+	// write. Under mu: Chandy–Lamport stores on a polling goroutine.
 	base, spare imageBuf
 
 	// Independent-protocol state: receipts recorded since the last
@@ -304,10 +304,12 @@ func (cr *crModule) store(idx uint64, c *cut, img []byte, off int, meta *ckpt.Me
 	return err
 }
 
-// ---- callbacks from the MPI progress engine ----
+// ---- callbacks from the MPI matcher's intake ----
+//
+// Both are called on the polling goroutine of the connection the message
+// arrived on: concurrently across connections, in order within one.
 
-// onReceive records a dependency for uncoordinated checkpointing. Runs on
-// the progress goroutine.
+// onReceive records a dependency for uncoordinated checkpointing.
 func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
 	cr.mu.Lock()
 	cr.deps = append(cr.deps, ckpt.Dep{
@@ -317,7 +319,7 @@ func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
 	cr.mu.Unlock()
 }
 
-// onMarker handles a Chandy–Lamport marker. Runs on the progress goroutine
+// onMarker handles a Chandy–Lamport marker. Runs on the polling goroutine
 // of the channel it arrived on, synchronously before any later message of
 // that channel is processed — which is what makes StopRecordingFrom cut
 // the channel's recorded state exactly at the marker.

@@ -472,9 +472,9 @@ func (p *Process) initialize(si StartInfo) error {
 	// the restored sequence counts must be live from the communicator's
 	// first instant. Ranks restore at different speeds, and a peer that
 	// finished earlier is already re-sending messages our restored state
-	// has consumed; if the progress engine ran with zeroed counts even
-	// briefly, those duplicates would be accepted instead of suppressed
-	// and would desynchronize the application permanently.
+	// has consumed; if the communicator took messages in with zeroed counts
+	// even briefly, those duplicates would be accepted instead of
+	// suppressed and would desynchronize the application permanently.
 	restore := si.Restore && si.RestoreIndex > 0
 	var state []byte
 	if restore {

@@ -16,9 +16,10 @@ import (
 // arrived messages into a queue of received messages, so that (a) an eager
 // sender never blocks on an unprepared receiver, and (b) the receive-side
 // kernel interaction is overlapped with application work. Here one polling
-// goroutine per connection performs the blocking Recv and feeds the shared
-// received-message queue; the application-visible Recv is a plain queue
-// pop, which is what makes receive operations fast.
+// goroutine per connection performs the blocking Recv and hands each message
+// to the NIC's sink. Until Deliver installs a consumer's own, the sink is the
+// shared received-message queue (Queue); either way the application-visible
+// Recv is a plain queue pop, which is what makes receive operations fast.
 type NIC struct {
 	tr    Transport
 	local string
@@ -43,6 +44,16 @@ type NIC struct {
 	dialCooldown time.Duration
 
 	inq chan wire.Msg
+	// sink takes one arrived message from a polling goroutine; false means
+	// it is being replaced, and the poller hands the message to the new one.
+	// Pollers call it under sinkMu.RLock, Deliver replaces it under
+	// sinkMu.Lock, so a switch sees no hand-off half done.
+	sinkMu sync.RWMutex
+	sink   func(wire.Msg) bool
+	// switched is closed when Deliver begins — it wakes the pollers blocked
+	// on a full inq while holding sinkMu — and installed when the new sink
+	// is in, which is what those pollers then wait for.
+	switched, installed chan struct{}
 	// down carries the address of each dialed peer whose connection was
 	// seen closing from the remote side, see PeerDown.
 	down chan string
@@ -94,20 +105,23 @@ func NewNIC(tr Transport, addr string, queueLen int) (*NIC, error) {
 		return nil, err
 	}
 	n := &NIC{
-		tr:       tr,
-		local:    ln.Addr(),
-		ln:       ln,
-		conns:    make(map[string]Conn),
-		dialing:  make(map[string]*dialCall),
-		dialCool: make(map[string]dialCool),
-		inq:      make(chan wire.Msg, queueLen),
-		down:     make(chan string, peerDownBacklog),
-		done:     make(chan struct{}),
+		tr:        tr,
+		local:     ln.Addr(),
+		ln:        ln,
+		conns:     make(map[string]Conn),
+		dialing:   make(map[string]*dialCall),
+		dialCool:  make(map[string]dialCool),
+		inq:       make(chan wire.Msg, queueLen),
+		switched:  make(chan struct{}),
+		installed: make(chan struct{}),
+		down:      make(chan string, peerDownBacklog),
+		done:      make(chan struct{}),
 
 		dialAttempts: 4,
 		dialBackoff:  time.Millisecond,
 		dialCooldown: 250 * time.Millisecond,
 	}
+	n.sink = n.enqueue
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -138,10 +152,10 @@ func (n *NIC) acceptLoop() {
 	}
 }
 
-// startPoller launches the polling goroutine for one connection: it moves
-// every arrived message into the received-message queue. dialed is the
-// address the connection is registered under in conns ("" for an accepted
-// one): when Recv fails the poller retires that registration.
+// startPoller launches the polling goroutine for one connection: it hands
+// every arrived message to the sink, in arrival order. dialed is the address
+// the connection is registered under in conns ("" for an accepted one): when
+// Recv fails the poller retires that registration.
 func (n *NIC) startPoller(c Conn, dialed string) {
 	n.wg.Add(1)
 	go func() {
@@ -155,14 +169,57 @@ func (n *NIC) startPoller(c Conn, dialed string) {
 				return
 			}
 			n.stats.countRecv(&m)
-			select {
-			case n.inq <- m:
-			case <-n.done:
-				m.Release() // dropped on shutdown: recycle the pooled payload
-				return
+			for !n.handOff(m) {
+				<-n.installed
 			}
 		}
 	}()
+}
+
+func (n *NIC) handOff(m wire.Msg) bool {
+	n.sinkMu.RLock()
+	defer n.sinkMu.RUnlock()
+	return n.sink(m)
+}
+
+// enqueue is the sink a NIC starts with: the received-message queue.
+func (n *NIC) enqueue(m wire.Msg) bool {
+	select {
+	case n.inq <- m:
+	case <-n.switched:
+		// Deliver wants sinkMu. A poller that picks the queue instead when
+		// both are ready is as good: Deliver drains the queue once it has
+		// the lock, and this sink is not called again after that.
+		return false
+	case <-n.done:
+		m.Release() // dropped on shutdown: recycle the pooled payload
+	}
+	return true
+}
+
+// Deliver replaces the received-message queue with fn: from here on every
+// polling goroutine calls fn itself with each message of its connection, so
+// fn runs concurrently across connections and in arrival order within one,
+// and a message reaches its consumer with no queue and no goroutine between.
+// Messages already queued are passed to fn first, on the caller's goroutine,
+// in queue order — ahead of anything that arrives later on their connection
+// — and Queue stays empty afterwards. fn owns the message (wire.Msg's
+// ownership discipline) and must not call Close. A NIC changes consumer
+// once: a second Deliver panics.
+func (n *NIC) Deliver(fn func(wire.Msg)) {
+	close(n.switched)
+	defer close(n.installed)
+	n.sinkMu.Lock()
+	defer n.sinkMu.Unlock()
+	for queued := true; queued; {
+		select {
+		case m := <-n.inq:
+			fn(m)
+		default:
+			queued = false
+		}
+	}
+	n.sink = func(m wire.Msg) bool { fn(m); return true }
 }
 
 // peerDownBacklog is how many peer-down notices wait for a reader: one per
@@ -368,7 +425,8 @@ func (n *NIC) Disconnect(addr string) {
 }
 
 // Queue exposes the received-message queue fed by the polling goroutines.
-// Consumers (the MPI progress engine, the daemon router) drain it.
+// Consumers (the group-communication engine, tests) drain it; after Deliver
+// it stays empty.
 func (n *NIC) Queue() <-chan wire.Msg { return n.inq }
 
 // Close shuts the NIC down: stops accepting, closes all connections, and

@@ -230,7 +230,14 @@ print(f"allocs/op {cur['allocs_per_op']:.0f} vs baseline {base['allocs_per_op']:
       f"({'ok' if allocs_ok else 'FAIL: need >=30% reduction'})")
 print(f"copied-B/op {cur['copied_B_per_op']:.0f} vs baseline {base['copied_B_per_op']:.0f} "
       f"({'ok' if copies_ok else 'FAIL: need >=2x reduction'})")
-if not (allocs_ok and copies_ok):
+# A halo-sized round trip is gated on the count that repeats exactly.
+small = current.get("BenchmarkFastPathRoundTrip/size=8B")
+if small is None:
+    sys.exit("missing BenchmarkFastPathRoundTrip/size=8B result")
+small_ok = small["allocs_per_op"] == 0
+print(f"8 B round trip: {small['allocs_per_op']:.0f} allocs/op, {small['copied_B_per_op']:.0f} copied-B/op, "
+      f"{small['ns_per_op']:.0f} ns ({'ok' if small_ok else 'FAIL: need 0 allocs/op'})")
+if not (allocs_ok and copies_ok and small_ok):
     sys.exit(1)
 EOF
 }
