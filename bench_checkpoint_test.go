@@ -2,7 +2,7 @@
 // pays the capture-and-replicate cost of its checkpoint; these benchmarks
 // measure that cost per epoch for the opaque-image path (the seed behavior:
 // the full 8 MiB image crosses the wire every time) against the incremental
-// pipeline (content-addressed full + delta records, only changed blocks
+// pipeline (position-addressed full + delta records, only changed blocks
 // cross the wire), across heap mutation rates, plus the restore side: a
 // delta-chain restore from a surviving RAM replica versus the disk
 // full-image read. scripts/check.sh records the results in
@@ -65,11 +65,12 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 //   - mode=full: the opaque-image path — rstore.Put of the whole 8 MiB
 //     image every epoch, whatever changed.
 //   - mode=delta: the incremental pipeline — full record every 8th epoch,
-//     delta records between, content-addressed blocks deduplicated against
-//     the replica, superseded chains collected as full records commit. Each
-//     epoch hands PutHinted one of two alternating buffers with the dirty
-//     spans of its writes, as the C/R module does for a VM application, so a
-//     delta epoch compares only hinted blocks and copies no image.
+//     delta records between, each carrying only the blocks that changed (a
+//     full record names the slots that carry the rest), superseded chains
+//     collected as full records commit. Each epoch hands PutHinted one of
+//     two alternating buffers with the dirty spans of its writes, as the C/R
+//     module does for a VM application, so a delta epoch compares only
+//     hinted blocks and copies no image.
 //   - restore=chain: a surviving replica restores the newest epoch of a
 //     full + 7-delta chain (the materialized cache: the replica applies
 //     deltas as they arrive, so the restore is a lookup).
@@ -78,8 +79,8 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 //     restore is gated against.
 //
 // replicated_B/op counts the payload bytes actually pushed to the peer
-// (need/have queries and envelopes included); stored_B/op the bytes handed
-// to the backend.
+// (headers and envelopes included); stored_B/op the bytes handed to the
+// backend.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, pct := range []int{10} {
 		b.Run(fmt.Sprintf("mode=full/mut=%d", pct), func(b *testing.B) {

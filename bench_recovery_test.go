@@ -63,7 +63,7 @@ func restoreOnce(b *testing.B, be ckpt.Backend, n uint64) {
 
 // newRstorePair builds a two-node replicated memory store (k=2) on a
 // fastnet, so node 1's images are replicated into node 2's RAM.
-func newRstorePair(b *testing.B) (*rstore.Store, *rstore.Store) {
+func newRstorePair(b testing.TB) (*rstore.Store, *rstore.Store) {
 	b.Helper()
 	fn := vni.NewFastnet(0)
 	addr := func(id wire.NodeID) string { return fmt.Sprintf("bench-rs-n%d", id) }

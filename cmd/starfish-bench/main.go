@@ -191,7 +191,7 @@ func measureCheckpoint(nodes, stateBytes int, kind ckpt.Kind, rounds int) (float
 // figure4i tables the per-epoch cost of checkpointing an 8 MiB image into
 // the replicated memory store (k=2, so every epoch crosses the wire to one
 // peer): the opaque-image path the paper measures — the whole image every
-// epoch — against the incremental pipeline (content-addressed full + delta
+// epoch — against the incremental pipeline (position-addressed full + delta
 // records, full every 8th epoch), across block-aligned heap mutation rates.
 func figure4i(rounds int) {
 	header("Figure 4i: per-epoch checkpoint cost — opaque images vs incremental pipeline")
@@ -304,9 +304,9 @@ func figure4i(rounds int) {
 			float64(full.replicated)/float64(r.replicated))
 	}
 	fmt.Println("\n(the opaque path ships the whole image every epoch; the pipeline")
-	fmt.Println(" ships a delta record of changed blocks, deduplicated against the")
-	fmt.Println(" replica's content-addressed block store, and re-bases on a full")
-	fmt.Println(" record every 8th epoch so recovery chains stay short)")
+	fmt.Println(" ships a record of the changed blocks only, and re-bases on a full")
+	fmt.Println(" record every 8th epoch — a carry list naming the slots that hold")
+	fmt.Println(" the rest — so recovery chains stay short)")
 }
 
 // ---- figure 4r (reproduction extension) ----

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,29 +17,79 @@ import (
 )
 
 // One contract, three backends. Every ckpt.Backend answers every method the
-// same way for both shapes a slot comes in — a raw image, a record envelope
-// naming blocks — so the table below runs the same rows over the disk store,
-// the replicated memory store and Tiered, and whatever a caller learns about
-// one backend holds for the others.
+// same way for both shapes a slot comes in — a raw image, a record — so the
+// table below runs the same rows over the disk store, the replicated memory
+// store and Tiered, and whatever a caller learns about one backend holds for
+// the others.
 
-// conformant is one backend under test with the two things the contract does
-// not cover: how a test makes a slot vanish behind the backend's back, and how
-// it waits for work the backend does in the background.
+// conformant is one backend under test with the three things the contract
+// does not cover: how a test makes a slot vanish behind the backend's back,
+// how it corrupts a stored record's last byte where a restore reads it from (a
+// peer's RAM, a file), and how it waits for work the backend does in the
+// background.
 type conformant struct {
 	ckpt.Backend
-	remove func(app wire.AppID, rank wire.Rank, n uint64)
-	settle func()
+	remove  func(app wire.AppID, rank wire.Rank, n uint64)
+	corrupt func(app wire.AppID, rank wire.Rank, n uint64)
+	settle  func()
 }
 
-// removeFiles deletes slot n's two files from a disk store's layout.
+// slotFiles lists the files slot n may have in a disk store's layout.
+func slotFiles(s *ckpt.Store, app wire.AppID, rank wire.Rank, n uint64) []string {
+	dir := filepath.Join(s.Dir(), fmt.Sprintf("app-%d", app), fmt.Sprintf("rank-%d", rank))
+	var out []string
+	for _, ext := range []string{"img", "rec", "meta"} {
+		out = append(out, filepath.Join(dir, fmt.Sprintf("ckpt-%d.%s", n, ext)))
+	}
+	return out
+}
+
+// removeFiles deletes slot n's files from a disk store's layout.
 func removeFiles(t *testing.T, s *ckpt.Store, app wire.AppID, rank wire.Rank, n uint64) {
 	t.Helper()
-	dir := filepath.Join(s.Dir(), fmt.Sprintf("app-%d", app), fmt.Sprintf("rank-%d", rank))
-	for _, ext := range []string{"img", "meta"} {
-		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("ckpt-%d.%s", n, ext))); err != nil {
+	removed := 0
+	for _, f := range slotFiles(s, app, rank, n) {
+		if err := os.Remove(f); err == nil {
+			removed++
+		} else if !errors.Is(err, os.ErrNotExist) {
 			t.Fatal(err)
 		}
 	}
+	if removed == 0 {
+		t.Fatalf("slot #%d has no files to remove", n)
+	}
+}
+
+// corruptFile flips the last byte of slot n's record file.
+func corruptFile(t *testing.T, s *ckpt.Store, app wire.AppID, rank wire.Rank, n uint64) {
+	t.Helper()
+	f := slotFiles(s, app, rank, n)[1]
+	b, err := os.ReadFile(f)
+	if err == nil {
+		b[len(b)-1] ^= 0xFF
+		err = os.WriteFile(f, b, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptPeers flips the last byte of the record every store but the first
+// holds for slot n, in place, and drops the first store's copy, so its next
+// read of the slot comes from a peer.
+func corruptPeers(t *testing.T, stores []*rstore.Store, app wire.AppID, rank wire.Rank, n uint64) {
+	t.Helper()
+	for _, s := range stores[1:] {
+		if !s.Holds(app, rank, n) {
+			t.Fatalf("no peer copy of slot #%d to corrupt", n)
+		}
+		rec, err := s.GetEnvelope(app, rank, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec[len(rec)-1] ^= 0xFF // the store's own memory: what a bad DIMM does
+	}
+	stores[0].Evict(app, rank, n)
 }
 
 // evictAll drops slot n from every store's RAM (the index keeps listing it).
@@ -51,26 +102,40 @@ func evictAll(stores []*rstore.Store, app wire.AppID, rank wire.Rank, n uint64) 
 var conformants = map[string]func(t *testing.T) conformant{
 	"disk": func(t *testing.T) conformant {
 		s := diskStore(t)
-		return conformant{s, func(app wire.AppID, rank wire.Rank, n uint64) { removeFiles(t, s, app, rank, n) }, func() {}}
+		return conformant{s,
+			func(app wire.AppID, rank wire.Rank, n uint64) { removeFiles(t, s, app, rank, n) },
+			func(app wire.AppID, rank wire.Rank, n uint64) { corruptFile(t, s, app, rank, n) },
+			func() {}}
 	},
 	"memory": func(t *testing.T) conformant {
 		stores := memStores(t, 2)
-		return conformant{stores[0], func(app wire.AppID, rank wire.Rank, n uint64) { evictAll(stores, app, rank, n) }, func() {}}
+		return conformant{stores[0],
+			func(app wire.AppID, rank wire.Rank, n uint64) { evictAll(stores, app, rank, n) },
+			func(app wire.AppID, rank wire.Rank, n uint64) { corruptPeers(t, stores, app, rank, n) },
+			func() {}}
 	},
 	"tiered": func(t *testing.T) conformant {
 		stores, disk := memStores(t, 2), diskStore(t)
 		tiered := ckpt.NewTiered(stores[0], disk, t.Logf)
 		t.Cleanup(tiered.Close)
-		return conformant{tiered, func(app wire.AppID, rank wire.Rank, n uint64) {
-			tiered.Flush()
-			evictAll(stores, app, rank, n)
-			removeFiles(t, disk, app, rank, n)
-		}, tiered.Flush}
+		return conformant{tiered,
+			func(app wire.AppID, rank wire.Rank, n uint64) {
+				tiered.Flush()
+				evictAll(stores, app, rank, n)
+				removeFiles(t, disk, app, rank, n)
+			},
+			func(app wire.AppID, rank wire.Rank, n uint64) {
+				tiered.Flush()
+				corruptPeers(t, stores, app, rank, n)
+				corruptFile(t, disk, app, rank, n)
+			},
+			tiered.Flush}
 	},
 }
 
 // epochs builds n checkpoint images of 16 blocks: a random first one, each
-// later one its predecessor with two blocks rewritten.
+// later one its predecessor with its first two blocks rewritten — so a delta
+// is wholly superseded by the next, and the first record carries the rest.
 func epochs(n int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	imgs := make([][]byte, n)
@@ -78,10 +143,7 @@ func epochs(n int, seed int64) [][]byte {
 	rng.Read(imgs[0])
 	for e := 1; e < n; e++ {
 		imgs[e] = bytes.Clone(imgs[e-1])
-		for i := 0; i < 2; i++ {
-			b := rng.Intn(16)
-			rng.Read(imgs[e][b*ckpt.DeltaBlockSize : (b+1)*ckpt.DeltaBlockSize])
-		}
+		rng.Read(imgs[e][:2*ckpt.DeltaBlockSize])
 	}
 	return imgs
 }
@@ -127,25 +189,26 @@ func TestBackendConformance(t *testing.T) {
 					want = append(want, n)
 				}
 
-				// Get is the image, GetEnvelope the stored bytes, whichever
-				// shape the slot has.
-				envs := make(map[uint64][]byte)
+				// Get is the image whichever shape the slot has; GetEnvelope
+				// the record, of a record slot only.
+				recs := make(map[uint64]*ckpt.Record)
 				for n := uint64(1); n <= last; n++ {
 					img, meta, err := be.Get(app, rank, n)
 					if err != nil || !bytes.Equal(img, image(n)) || meta.Index != n {
 						t.Fatalf("Get #%d: not the image put (err %v)", n, err)
 					}
-					env, meta, err := be.GetEnvelope(app, rank, n)
-					if err != nil || meta.Index != n {
-						t.Fatalf("GetEnvelope #%d: %v", n, err)
+					env, err := be.GetEnvelope(app, rank, n)
+					if !row.records {
+						if !errors.Is(err, ckpt.ErrNoCheckpoint) {
+							t.Fatalf("GetEnvelope of raw slot #%d = %v, want ErrNoCheckpoint", n, err)
+						}
+						continue
 					}
-					if ckpt.IsRecord(env) != row.records {
-						t.Fatalf("GetEnvelope #%d: IsRecord = %v, want %v", n, !row.records, row.records)
+					rec, derr := ckpt.DecodeRecord(env)
+					if err != nil || derr != nil || rec.Slot != n {
+						t.Fatalf("GetEnvelope #%d: not slot #%d's record: %v, %v", n, n, err, derr)
 					}
-					if !row.records && !bytes.Equal(env, image(n)) {
-						t.Fatalf("GetEnvelope #%d: a raw slot's stored bytes are not its image", n)
-					}
-					envs[n] = env
+					recs[n] = rec
 				}
 				if _, _, err := be.Get(app, rank, last+1); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 					t.Fatalf("Get of a slot never put = %v, want ErrNoCheckpoint", err)
@@ -170,8 +233,8 @@ func TestBackendConformance(t *testing.T) {
 					t.Fatalf("CommittedLine = %v, %v", line, err)
 				}
 
-				// GC at the newest slot keeps its chain and sweeps what only
-				// the collected slots named.
+				// GC at the newest slot keeps its chain, and of the older
+				// records exactly those a surviving one names.
 				if err := p.GC(app, rank, last); err != nil {
 					t.Fatal(err)
 				}
@@ -190,31 +253,28 @@ func TestBackendConformance(t *testing.T) {
 						t.Fatalf("Get of a collected slot = %v, want ErrNoCheckpoint", err)
 					}
 				}
-				live := make(map[ckpt.BlockID]bool)
+				named := make(map[uint64]bool)
 				for _, n := range want {
-					refs, _ := ckpt.RecordRefs(envs[n])
-					for _, r := range refs {
-						live[r.ID] = true
+					if rec := recs[n]; rec != nil {
+						for _, m := range rec.Names {
+							named[m] = true
+						}
 					}
 				}
-				swept := 0
+				var kept, swept int
 				for n := uint64(1); row.records && n < row.kept; n++ {
-					refs, err := ckpt.RecordRefs(envs[n])
-					if err != nil {
-						t.Fatal(err)
+					_, err := be.GetEnvelope(app, rank, n)
+					if named[n] != (err == nil) {
+						t.Fatalf("record #%d named by a survivor: %v, still stored: %v", n, named[n], err)
 					}
-					for _, r := range refs {
-						if live[r.ID] {
-							continue
-						}
+					if named[n] {
+						kept++
+					} else {
 						swept++
-						if _, err := be.GetBlock(app, rank, r); !errors.Is(err, ckpt.ErrMissingBlock) {
-							t.Fatalf("GetBlock of a block only collected slot #%d named = %v, want ErrMissingBlock", n, err)
-						}
 					}
 				}
-				if row.name == "rebased" && swept == 0 {
-					t.Fatal("the collected chain named no block of its own; the sweep was not exercised")
+				if row.name == "rebased" && (kept == 0 || swept == 0) {
+					t.Fatalf("of the collected chain %d records were kept and %d swept; GC was not exercised both ways", kept, swept)
 				}
 				if !row.records {
 					return
@@ -235,11 +295,80 @@ func TestBackendConformance(t *testing.T) {
 			})
 		}
 	}
+
+	for bname, mk := range conformants {
+		// Raw or record is how a slot was stored, not what its bytes say:
+		// an image that begins like a record is a raw image all the same.
+		t.Run(bname+"/raw-lookalike", func(t *testing.T) {
+			be := mk(t)
+			img := append(binary.BigEndian.AppendUint32(nil, 0xC1A1D001), epochs(1, 26)[0]...)
+			if err := be.Put(app, rank, 1, img, nil); err != nil {
+				t.Fatal(err)
+			}
+			be.settle()
+			if got, _, err := be.Get(app, rank, 1); err != nil || !bytes.Equal(got, img) {
+				t.Fatalf("Get of a raw image that looks like a record: %v", err)
+			}
+			if _, err := be.GetEnvelope(app, rank, 1); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+				t.Fatalf("GetEnvelope of a raw image = %v, want ErrNoCheckpoint", err)
+			}
+		})
+
+		// Every way a record can fail to resolve is an error a restart
+		// understands, and never an image.
+		t.Run(bname+"/errors", func(t *testing.T) {
+			be := mk(t)
+			p := ckpt.NewPipeline(be.Backend, fullEvery)
+			imgs := epochs(6, 25) // full, 3 deltas, a carry list, a delta
+			for r := wire.Rank(0); r < 3; r++ {
+				for n, img := range imgs {
+					if err := p.Put(app, r, uint64(n+1), img, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			be.settle()
+			refused := func(r wire.Rank, n uint64, want error) {
+				t.Helper()
+				if img, _, err := be.Get(app, r, n); img != nil || !errors.Is(err, want) || !errors.Is(err, ckpt.ErrNoCheckpoint) {
+					t.Fatalf("Get #%d of rank %d = %d bytes, %v; want %v", n, r, len(img), err, want)
+				}
+			}
+
+			// A carry list naming a slot no holder has.
+			env, err := be.GetEnvelope(app, 0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			carry, err := ckpt.DecodeRecord(env)
+			if err != nil || carry.Kind != ckpt.RecFull || len(carry.Names) == 0 {
+				t.Fatalf("slot #5 is no carry list naming earlier slots: %v", err)
+			}
+			be.remove(app, 0, carry.Names[0])
+			refused(0, 5, ckpt.ErrMissingBlock)
+
+			// A block failing its crc32c where the restore reads it.
+			be.corrupt(app, 1, 6)
+			refused(1, 6, ckpt.ErrMissingBlock)
+
+			// GC keeps a live chain's base, collected; a base that is
+			// gone anyway breaks the chain.
+			if err := be.GC(app, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			be.settle()
+			refused(2, 2, ckpt.ErrNoCheckpoint)
+			if _, err := be.GetEnvelope(app, 2, 2); err != nil {
+				t.Fatalf("the base of a surviving delta was not kept: %v", err)
+			}
+			be.remove(app, 2, 2)
+			refused(2, 3, ckpt.ErrBrokenChain)
+		})
+	}
 }
 
 // TestTieredRestoresFromEitherTier: what the fast tier lost comes off disk,
-// whole — a memory wipe — or piecemeal — one slot evicted, so the chain walk
-// takes each envelope and block from the tier that still has it.
+// whether it lost everything — a memory wipe — or only the newest slot.
 func TestTieredRestoresFromEitherTier(t *testing.T) {
 	const app, rank, newest = wire.AppID(6), wire.Rank(0), 3 // full + 2 deltas
 	imgs := epochs(newest, 24)
@@ -259,7 +388,7 @@ func TestTieredRestoresFromEitherTier(t *testing.T) {
 	restore := func(t *testing.T, fast *rstore.Store, disk *ckpt.Store) {
 		tiered := ckpt.NewTiered(fast, disk, t.Logf)
 		defer tiered.Close()
-		env, _, err := tiered.GetEnvelope(app, rank, newest)
+		env, err := tiered.GetEnvelope(app, rank, newest)
 		if rec, derr := ckpt.DecodeRecord(env); err != nil || derr != nil || rec.Kind != ckpt.RecDelta {
 			t.Fatalf("the newest slot is not a delta record: %v, %v", err, derr)
 		}

@@ -19,12 +19,13 @@ import (
 //     never touches a file system and survives node loss.
 //   - StoreTiered: Tiered, memory first with asynchronous disk spill.
 //
-// What a backend stores is a slot per (app, rank, n) and the content-addressed
-// blocks the slot names. A slot's bytes are either a raw checkpoint image,
-// which names no blocks, or a record envelope (IsRecord, written by Pipeline)
-// listing the image's blocks or the ones changed since an earlier slot. All
-// three backends answer every method the same way; Pipeline is a Backend too,
-// adding the capture policy in front of one.
+// What a backend stores is a slot per (app, rank, n), holding either a raw
+// checkpoint image (Put) or a record (PutRecord, written by Pipeline): an
+// envelope and the blocks that changed since the previous slot, naming the
+// slots it needs for the rest (chunk.go). Which of the two a slot holds is
+// part of how it was stored, never read off its bytes. All three backends
+// answer every method the same way; Pipeline is a Backend too, adding the
+// capture policy in front of one.
 //
 // Implementations must be safe for concurrent use: every local application
 // process of every application shares one backend instance per node.
@@ -33,28 +34,21 @@ type Backend interface {
 	// metadata (nil meta stores an empty Meta{Rank, Index}). img stays the
 	// caller's: a backend that retains it copies it.
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error
-	// PutRecord stores slot bytes — a record envelope — together with the
-	// blocks it names that the backend may not hold yet; a block already
-	// present under its content address may be skipped. The slot becomes
-	// visible only once every block it names is stored. slot is handed
-	// over: the caller must not write it again. Block data is valid only
-	// for the call — it points into the writer's image buffer, which
-	// Pipeline keeps by reference and the writer rewrites in place two
-	// epochs later — so copy it before retaining it in a store, a cache or
-	// an asynchronous spill.
-	PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []RecBlock, meta *Meta) error
+	// PutRecord stores a record in slot n of (app, rank). rec is handed
+	// over: the caller never writes it again, so the backend keeps, pushes
+	// and spills it as it is.
+	PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error
 	// Get returns the checkpoint image of slot n: a raw slot verbatim, a
 	// record resolved through its chain (ErrBrokenChain, ErrMissingBlock
 	// when that cannot be done). The image may reference internal storage;
 	// callers must treat it as read-only.
 	Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
-	// GetEnvelope returns the stored bytes of slot n verbatim, which is
-	// what chain walkers — ResolveChain, Pipeline's GC clamp — need to see.
-	GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
-	// GetBlock fetches one content-addressed block, ErrMissingBlock if it
-	// is held nowhere. app and rank say where to look first, they are not
-	// part of the address. The block may reference internal storage.
-	GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error)
+	// GetEnvelope returns the record stored in slot n — ErrNoCheckpoint for a
+	// raw slot or none — which is what chain walkers (ResolveChain,
+	// Pipeline's GC clamp) read: its envelope, then the blocks it carries. A
+	// record GC kept only because a surviving one names it is served here
+	// and by nothing else. It may reference internal storage.
+	GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error)
 	// List returns the checkpoint indices available for (app, rank),
 	// ascending.
 	List(app wire.AppID, rank wire.Rank) ([]uint64, error)
@@ -65,8 +59,10 @@ type Backend interface {
 	// CommittedLine reads back the last committed recovery line for app, or
 	// ErrNoCheckpoint if none was ever committed.
 	CommittedLine(app wire.AppID) (RecoveryLine, error)
-	// GC removes the slots of (app, rank) older than keepFrom and the
-	// blocks no remaining slot names.
+	// GC removes the checkpoints of (app, rank) older than keepFrom: List no
+	// longer reports them and Get answers ErrNoCheckpoint. The record of one
+	// that a surviving record names stays stored, for GetEnvelope, until the
+	// last such record goes.
 	GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error
 	// DropApp removes every stored checkpoint of app.
 	DropApp(app wire.AppID) error

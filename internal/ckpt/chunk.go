@@ -1,72 +1,67 @@
 package ckpt
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"slices"
+	"sort"
 )
 
-// Content-addressed checkpoint records. Instead of storing an opaque image
-// per epoch, the incremental pipeline (see Pipeline) stores a small *record
-// envelope* in the (app, rank, n) slot of a Backend, plus the image's 4 KiB
-// blocks in a content-addressed block store (hash -> block). A full record
-// lists every block of the image; a delta record lists only the blocks that
-// changed since the previous epoch, plus the index of the record it builds
-// on. Identical blocks — across epochs, across ranks, across the zero-filled
-// heap — are stored once.
+// Position-addressed checkpoint records. The incremental pipeline (see
+// Pipeline) stores one record per (app, rank, n) slot of a Backend: a small
+// envelope followed by the 4 KiB blocks the record carries. A block is named
+// by where it sits — the slot that wrote it and its index in the image — so
+// nothing is hashed and nothing is looked up by content:
 //
-// Envelopes are self-describing (IsRecord): a slot whose bytes are not one is
-// a raw image, which every path treats as a record that names no blocks.
-
-// BlockID is the content address of one block: its SHA-256 digest.
-type BlockID [32]byte
-
-// HashBlock returns the content address of a block.
-func HashBlock(b []byte) BlockID { return sha256.Sum256(b) }
-
-func (id BlockID) String() string { return fmt.Sprintf("%x", id[:8]) }
-
-// BlockRef names one stored block and its (uncompressed) length.
-type BlockRef struct {
-	ID  BlockID
-	Len uint32
-}
-
-// DeltaRef is one changed block of a delta record: the block's position in
-// the image and its content address.
-type DeltaRef struct {
-	Index uint32 // block index (offset Index*DeltaBlockSize)
-	Ref   BlockRef
-}
-
-// RecBlock pairs a block's address with its data for Backend.PutRecord.
-type RecBlock struct {
-	Ref  BlockRef
-	Data []byte
-}
+//   - A delta record carries the blocks that changed since the record it
+//     builds on (its base, always the previous slot).
+//   - A full record carries the blocks that changed since the previous slot
+//     too (all of them when there is none) and, for every block of the image,
+//     the slot whose record carries its current version: its carry list. It
+//     carries no unchanged bytes; the slots it names do.
+//   - An all-zero block is a sentinel in the envelope, never bytes.
+//   - Every carried block has its crc32c (Castagnoli) in the envelope, checked
+//     whenever the block is read back from a peer or from disk, and the
+//     envelope has its own, checked whenever it is decoded.
+//
+// Layout, big-endian; the envelope is a prefix, so a chain walker reads only
+// it:
+//
+//	u32 magic, u32 crc32c of the rest of the envelope
+//	u8 kind, u64 slot, u64 rawLen, u64 base, u64 baseLen
+//	u32 blocks, u32 carried       counts of the two lists below
+//	blocks  × (u32 index | zeroBit, u32 crc32c)    ascending index
+//	carried × u64 slot (zeroSlot: all-zero)        full records: one per block
+//	the non-zero blocks' bytes, in list order
+//
+// Whether a slot holds a record or a raw image is how it was stored (PutRecord
+// or Put), never what its bytes look like.
 
 // Record kinds.
 const (
-	RecFull  = 1 // the envelope lists every block of the image
-	RecDelta = 2 // the envelope lists only blocks changed since Base
+	RecFull  = 1 // a carry list: every block's slot, and this slot's changes
+	RecDelta = 2 // this slot's changes on top of Base
+	// RecKept is a collected record cut down to the blocks that surviving
+	// carry lists still name from it (Keep). It carries; it resolves to
+	// nothing.
+	RecKept = 3
 )
 
-const recMagic = 0xC1A1D001
+const (
+	recMagic  = 0xC1A1D001
+	headerLen = 4 + 4 + 1 + 8 + 8 + 8 + 8 + 4 + 4
+	zeroBit   = 1 << 31
+	zeroSlot  = math.MaxUint64
+)
 
-// Record is a decoded checkpoint record envelope.
-type Record struct {
-	Kind   uint8
-	RawLen int // byte length of the reconstructed image
-	// Full records: the blocks of the image, in order.
-	Refs []BlockRef
-	// Delta records: the checkpoint index this delta builds on, the byte
-	// length of that base image, and the changed blocks.
-	Base    uint64
-	BaseLen int
-	Deltas  []DeltaRef
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroBlock is the sentinel's content.
+var zeroBlock [DeltaBlockSize]byte
 
 // Typed reconstruction failures. Both wrap ErrNoCheckpoint so existing
 // restart paths treat an unreconstructable chain like a missing checkpoint.
@@ -74,157 +69,287 @@ var (
 	// ErrBrokenChain reports a delta chain whose base record is missing or
 	// unreadable.
 	ErrBrokenChain = fmt.Errorf("%w: delta chain link missing", ErrNoCheckpoint)
-	// ErrMissingBlock reports a record referencing a block the store no
-	// longer holds (or holds with the wrong content).
-	ErrMissingBlock = fmt.Errorf("%w: content block missing or corrupt", ErrNoCheckpoint)
+	// ErrMissingBlock reports a record whose blocks cannot be read back
+	// whole: a carried slot held nowhere, or a block failing its crc32c.
+	ErrMissingBlock = fmt.Errorf("%w: checkpoint block missing or corrupt", ErrNoCheckpoint)
 )
 
-// IsRecord reports whether an image slot holds a record envelope rather than
-// a raw checkpoint image.
-func IsRecord(img []byte) bool {
-	return len(img) >= 4 && binary.BigEndian.Uint32(img) == recMagic
+var errBadRecord = errors.New("ckpt: malformed record")
+
+// Record is a decoded checkpoint record. It aliases the bytes it was decoded
+// from.
+type Record struct {
+	Kind   uint8
+	Slot   uint64 // the slot the record was written for
+	RawLen int    // byte length of the image it resolves to
+	// Delta records: the slot this one builds on and its image's length.
+	Base    uint64
+	BaseLen int
+	// Names lists, ascending, the other slots the record needs: a delta's
+	// base, a full record's carried slots.
+	Names []uint64
+
+	list    []byte // the block list
+	offs    []int  // each listed block's offset in data, -1 for a zero block
+	carried []byte // full records: the carry list
+	data    []byte
 }
 
-// EncodeFullRecord serializes a full record over the given ordered blocks.
-func EncodeFullRecord(rawLen int, refs []BlockRef) []byte {
-	buf := make([]byte, 0, 4+1+8+4+len(refs)*36)
-	buf = binary.BigEndian.AppendUint32(buf, recMagic)
-	buf = append(buf, RecFull)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(rawLen))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(refs)))
-	for _, r := range refs {
-		buf = append(buf, r.ID[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, r.Len)
+func blocksOf(n uint64) uint64 { return (n + DeltaBlockSize - 1) / DeltaBlockSize }
+
+// blockLen is the length of block i of an image of rawLen bytes.
+func blockLen(rawLen int, i uint32) int { return min(DeltaBlockSize, rawLen-int(i)*DeltaBlockSize) }
+
+func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
+
+// encodeRecord writes the record of slot n of img: the blocks changed lists
+// (ascending) and, for a full record, the carry list where patched with them.
+// Deltas build on slot base of baseLen bytes. zero marks the changed blocks
+// that are all-zero.
+func encodeRecord(kind uint8, n uint64, img []byte, changed []uint32, base uint64, baseLen int, where []uint64) (rec []byte, zero []bool) {
+	zero = make([]bool, len(changed))
+	dataLen := 0
+	for k, i := range changed {
+		lo := int(i) * DeltaBlockSize
+		if zero[k] = isZero(img[lo : lo+blockLen(len(img), i)]); !zero[k] {
+			dataLen += blockLen(len(img), i)
+		}
 	}
+	var nCarried int
+	if kind == RecFull {
+		nCarried = len(where)
+	}
+	env := headerLen + 8*len(changed) + 8*nCarried
+	buf := make([]byte, env+dataLen)
+	h := buf[:8] // magic and crc: sealEnvelope
+	h = append(h, kind)
+	h = binary.BigEndian.AppendUint64(h, n)
+	h = binary.BigEndian.AppendUint64(h, uint64(len(img)))
+	h = binary.BigEndian.AppendUint64(h, base)
+	h = binary.BigEndian.AppendUint64(h, uint64(baseLen))
+	h = binary.BigEndian.AppendUint32(h, uint32(len(changed)))
+	h = binary.BigEndian.AppendUint32(h, uint32(nCarried))
+	data := buf[env:]
+	for k, i := range changed {
+		lo := int(i) * DeltaBlockSize
+		var crc uint32
+		if zero[k] {
+			i |= zeroBit
+		} else {
+			b := data[:copy(data, img[lo:lo+blockLen(len(img), i)])]
+			crc, data = crc32.Checksum(b, castagnoli), data[len(b):]
+		}
+		h = binary.BigEndian.AppendUint32(h, i)
+		h = binary.BigEndian.AppendUint32(h, crc)
+	}
+	for i, k := 0, 0; i < nCarried; i++ {
+		s := where[i]
+		if k < len(changed) && changed[k] == uint32(i) {
+			if s = n; zero[k] {
+				s = zeroSlot
+			}
+			k++
+		}
+		h = binary.BigEndian.AppendUint64(h, s)
+	}
+	return sealEnvelope(buf, env), zero
+}
+
+// sealEnvelope stamps the magic and the envelope's crc32c on a record whose
+// envelope is its first env bytes.
+func sealEnvelope(buf []byte, env int) []byte {
+	binary.BigEndian.PutUint32(buf, recMagic)
+	binary.BigEndian.PutUint32(buf[4:], crc32.Checksum(buf[8:env], castagnoli))
 	return buf
 }
 
-// EncodeDeltaRecord serializes a delta record building on checkpoint base.
-func EncodeDeltaRecord(base uint64, baseLen, rawLen int, deltas []DeltaRef) []byte {
-	buf := make([]byte, 0, 4+1+8+8+8+4+len(deltas)*40)
-	buf = binary.BigEndian.AppendUint32(buf, recMagic)
-	buf = append(buf, RecDelta)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(rawLen))
-	buf = binary.BigEndian.AppendUint64(buf, base)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(baseLen))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(deltas)))
-	for _, d := range deltas {
-		buf = binary.BigEndian.AppendUint32(buf, d.Index)
-		buf = append(buf, d.Ref.ID[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, d.Ref.Len)
+// DecodeRecord parses a record, checking that everything it declares is
+// backed by its bytes: no reader sizes anything from a count the record does
+// not carry. Block contents are not checked here (Verify).
+func DecodeRecord(b []byte) (*Record, error) {
+	rec, err := decodeEnvelope(b)
+	if err != nil {
+		return nil, err
 	}
-	return buf
-}
-
-var errBadRecord = errors.New("ckpt: malformed record envelope")
-
-type recReader struct {
-	buf []byte
-	err error
-}
-
-func (r *recReader) take(n int) []byte {
-	if r.err != nil || len(r.buf) < n {
-		r.err = errBadRecord
-		return nil
+	rec.offs = make([]int, len(rec.list)/8)
+	off, rest := 0, b[envelopeLen(b):]
+	for k := range rec.offs {
+		i, zero := rec.entry(k)
+		if zero {
+			rec.offs[k] = -1
+			continue
+		}
+		rec.offs[k] = off
+		off += blockLen(rec.RawLen, i)
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *recReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *recReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *recReader) ref() (ref BlockRef) {
-	b := r.take(32)
-	if b != nil {
-		copy(ref.ID[:], b)
-	}
-	ref.Len = r.u32()
-	return ref
-}
-
-// DecodeRecord parses a record envelope.
-func DecodeRecord(env []byte) (*Record, error) {
-	r := &recReader{buf: env}
-	if r.u32() != recMagic || r.err != nil {
+	if off != len(rest) {
 		return nil, errBadRecord
 	}
-	kind := r.take(1)
-	if kind == nil {
+	rec.data = rest
+	return rec, nil
+}
+
+// decodeEnvelope parses and checks a record's envelope, which b need only
+// begin with.
+func decodeEnvelope(b []byte) (*Record, error) {
+	if len(b) < headerLen || binary.BigEndian.Uint32(b) != recMagic ||
+		envelopeLen(b) > uint64(len(b)) ||
+		binary.BigEndian.Uint32(b[4:]) != crc32.Checksum(b[8:envelopeLen(b)], castagnoli) {
 		return nil, errBadRecord
 	}
-	// A length the record's own block list cannot cover is malformed: no
-	// reader sizes a buffer from a number the envelope does not back.
-	blocksOf := func(n uint64) uint64 { return (n + DeltaBlockSize - 1) / DeltaBlockSize }
-	rawLen := r.u64()
-	rec := &Record{Kind: kind[0], RawLen: int(rawLen)}
+	h := b[8:headerLen]
+	rec := &Record{Kind: h[0], Slot: binary.BigEndian.Uint64(h[1:])}
+	rawLen, baseLen := binary.BigEndian.Uint64(h[9:]), binary.BigEndian.Uint64(h[25:])
+	nList, nCarried := uint64(binary.BigEndian.Uint32(h[33:])), uint64(binary.BigEndian.Uint32(h[37:]))
+	if rec.Slot == zeroSlot || rawLen > math.MaxInt64-DeltaBlockSize || baseLen > math.MaxInt64-DeltaBlockSize {
+		return nil, errBadRecord
+	}
+	rec.RawLen = int(rawLen)
+	rec.list = b[headerLen : headerLen+8*nList]
+	rec.carried = b[headerLen+8*nList : headerLen+8*(nList+nCarried)]
+	nb := blocksOf(rawLen)
+	// The list is ascending and inside the image.
+	for k := range int(nList) {
+		i, _ := rec.entry(k)
+		if p, _ := rec.entry(max(k-1, 0)); uint64(i) >= nb || k > 0 && p >= i {
+			return nil, errBadRecord
+		}
+	}
 	switch rec.Kind {
-	case RecFull:
-		n := r.u32()
-		// Each ref is 36 bytes; reject counts the envelope cannot hold
-		// before allocating.
-		if r.err != nil || uint64(n)*36 > uint64(len(r.buf)) || rawLen > uint64(n)*DeltaBlockSize {
-			return nil, errBadRecord
-		}
-		rec.Refs = make([]BlockRef, n)
-		for i := range rec.Refs {
-			rec.Refs[i] = r.ref()
-		}
 	case RecDelta:
-		rec.Base = r.u64()
-		baseLen := r.u64()
-		rec.BaseLen = int(baseLen)
-		n := r.u32()
-		// Growth past the base is changed blocks, which a delta lists.
-		if r.err != nil || uint64(n)*40 > uint64(len(r.buf)) ||
-			baseLen > math.MaxInt64-DeltaBlockSize || rawLen > math.MaxInt64-DeltaBlockSize ||
-			blocksOf(rawLen) > blocksOf(baseLen)+uint64(n) {
+		rec.Base, rec.BaseLen = binary.BigEndian.Uint64(h[17:]), int(baseLen)
+		// Growth past the base is changed blocks, which the list names.
+		if nCarried != 0 || rec.Base >= rec.Slot || nb > blocksOf(baseLen)+nList {
 			return nil, errBadRecord
 		}
-		rec.Deltas = make([]DeltaRef, n)
-		for i := range rec.Deltas {
-			rec.Deltas[i].Index = r.u32()
-			rec.Deltas[i].Ref = r.ref()
+		rec.Names = []uint64{rec.Base}
+	case RecFull:
+		if nCarried != nb {
+			return nil, errBadRecord
+		}
+		for i := range int(nb) {
+			if s, ok := rec.Carrier(uint32(i)); ok {
+				if s > rec.Slot {
+					return nil, errBadRecord
+				}
+				if len(rec.Names) == 0 || rec.Names[len(rec.Names)-1] != s {
+					rec.Names = append(rec.Names, s)
+				}
+			}
+		}
+		slices.Sort(rec.Names)
+		rec.Names = slices.Compact(rec.Names)
+	case RecKept:
+		if nCarried != 0 {
+			return nil, errBadRecord
 		}
 	default:
-		return nil, errBadRecord
-	}
-	if r.err != nil || len(r.buf) != 0 {
 		return nil, errBadRecord
 	}
 	return rec, nil
 }
 
-// RecordRefs returns every block reference of a record envelope (for
-// refcounting and mark-sweep GC) without the caller caring about its kind.
-func RecordRefs(env []byte) ([]BlockRef, error) {
-	rec, err := DecodeRecord(env)
-	if err != nil {
-		return nil, err
+// envelopeLen is the length of the envelope a record header begins.
+func envelopeLen(header []byte) uint64 {
+	return headerLen + 8*(uint64(binary.BigEndian.Uint32(header[41:]))+uint64(binary.BigEndian.Uint32(header[45:])))
+}
+
+// entry returns the k-th listed block's index and whether it is all-zero.
+func (r *Record) entry(k int) (uint32, bool) {
+	v := binary.BigEndian.Uint32(r.list[8*k:])
+	return v &^ zeroBit, v&zeroBit != 0
+}
+
+// carrier returns the slot carrying block i of a full record's image.
+func (r *Record) carrier(i int) uint64 { return binary.BigEndian.Uint64(r.carried[8*i:]) }
+
+// Carrier returns the other slot that carries block i of a full record's
+// image; false when this record carries it or it is all-zero.
+func (r *Record) Carrier(i uint32) (uint64, bool) {
+	s := r.carrier(int(i))
+	return s, s != r.Slot && s != zeroSlot
+}
+
+// block returns the bytes of the k-th listed block, nil for a zero block.
+func (r *Record) block(k int) []byte {
+	if r.offs[k] < 0 {
+		return nil
 	}
-	if rec.Kind == RecFull {
-		return rec.Refs, nil
+	i, _ := r.entry(k)
+	return r.data[r.offs[k] : r.offs[k]+blockLen(r.RawLen, i)]
+}
+
+// Verify checks every block the record carries against its crc32c.
+func (r *Record) Verify() error {
+	for k := range r.offs {
+		if b := r.block(k); b != nil && crc32.Checksum(b, castagnoli) != binary.BigEndian.Uint32(r.list[8*k+4:]) {
+			i, _ := r.entry(k)
+			return fmt.Errorf("%w: block %d of record #%d fails its crc32c", ErrMissingBlock, i, r.Slot)
+		}
 	}
-	refs := make([]BlockRef, len(rec.Deltas))
-	for i, d := range rec.Deltas {
-		refs[i] = d.Ref
+	return nil
+}
+
+// Apply writes the blocks the record carries — zero blocks included — into
+// img, an image of RawLen bytes.
+func (r *Record) Apply(img []byte) {
+	for k := range r.offs {
+		i, _ := r.entry(k)
+		lo := int(i) * DeltaBlockSize
+		dst := img[lo : lo+blockLen(r.RawLen, i)]
+		if b := r.block(k); b != nil {
+			copy(dst, b)
+		} else {
+			clear(dst)
+		}
 	}
-	return refs, nil
+}
+
+// BlockAt returns the non-zero block i the record carries, if it carries one.
+func (r *Record) BlockAt(i uint32) ([]byte, bool) {
+	k := sort.Search(len(r.offs), func(k int) bool { j, _ := r.entry(k); return j >= i })
+	if k == len(r.offs) {
+		return nil, false
+	}
+	if j, _ := r.entry(k); j != i {
+		return nil, false
+	}
+	b := r.block(k)
+	return b, b != nil
+}
+
+// Keep returns the record cut down to the blocks it carries whose indices keep
+// lists (ascending, no repeats) — a RecKept record — or nil when that would
+// not halve what it carries.
+func (r *Record) Keep(keep []uint32) []byte {
+	var ks []int
+	size, total := 0, 0
+	for k, j := 0, 0; k < len(r.offs); k++ {
+		b := r.block(k)
+		total += len(b)
+		i, _ := r.entry(k)
+		for j < len(keep) && keep[j] < i {
+			j++
+		}
+		if b != nil && j < len(keep) && keep[j] == i {
+			ks, size = append(ks, k), size+len(b)
+		}
+	}
+	if 2*size > total {
+		return nil
+	}
+	env := headerLen + 8*len(ks)
+	buf := make([]byte, env+size)
+	buf[8] = RecKept
+	binary.BigEndian.PutUint64(buf[9:], r.Slot)
+	binary.BigEndian.PutUint64(buf[17:], uint64(r.RawLen))
+	binary.BigEndian.PutUint32(buf[41:], uint32(len(ks)))
+	list, data := buf[headerLen:], buf[env:]
+	for _, k := range ks {
+		list = list[copy(list, r.list[8*k:8*k+8]):]
+		data = data[copy(data, r.block(k)):]
+	}
+	return sealEnvelope(buf, env)
 }
 
 // SplitBlocks cuts a raw image into DeltaBlockSize blocks (the last one may

@@ -3,6 +3,9 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -125,5 +128,78 @@ func TestQuickMetaRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzDecodeRecord exercises the record decoder with hostile input: records
+// come back from peers and from disk, so a corrupt or truncated one must be an
+// error, never a panic — a corrupt envelope is refused by its crc32c — and
+// decoding must not allocate from a count the bytes do not back. What does decode must hold together: every block it lists is
+// where BlockAt finds it, it verifies or fails with ErrMissingBlock, and a
+// record cut down to some of its blocks still carries exactly those.
+func FuzzDecodeRecord(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	img := make([]byte, DeltaBlockSize+200) // a block and a short tail
+	rng.Read(img)
+	next := bytes.Clone(img)
+	clear(next[DeltaBlockSize:]) // the tail becomes a zero sentinel
+	rec := newRecorder()
+	p := NewPipeline(rec, 3)
+	for n, im := range [][]byte{img, next, img} {
+		if err := p.Put(1, 0, uint64(n+1), im, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(rec.slots[1])                          // a full record carrying every block
+	f.Add(rec.slots[2])                          // a delta with a zero sentinel
+	f.Add(rec.slots[3])                          // a carry list
+	f.Add(rec.slots[1][:len(rec.slots[1])-1000]) // truncated inside a block
+	f.Add(rec.slots[3][:headerLen+3])            // truncated inside the envelope
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkRecordDecode(t, b)
+		// The same bytes with the envelope's crc32c made to match, so that
+		// what lies behind the check is explored too.
+		if len(b) >= headerLen && envelopeLen(b) <= uint64(len(b)) {
+			checkRecordDecode(t, sealEnvelope(bytes.Clone(b), int(envelopeLen(b))))
+		}
+	})
+}
+
+func checkRecordDecode(t *testing.T, b []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := DecodeRecord(b)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16+8*uint64(len(b)) {
+		t.Fatalf("%d bytes of record made the decoder allocate %d", len(b), got)
+	}
+	if err != nil {
+		return
+	}
+	if err := r.Verify(); err != nil && !errors.Is(err, ErrMissingBlock) {
+		t.Fatalf("Verify = %v, want nil or ErrMissingBlock", err)
+	}
+	var keep []uint32
+	for k := range r.offs {
+		i, zero := r.entry(k)
+		blk, ok := r.BlockAt(i)
+		if ok == zero || ok && !bytes.Equal(blk, r.block(k)) {
+			t.Fatalf("BlockAt(%d) does not find listed block %d", i, k)
+		}
+		if k%3 == 0 {
+			keep = append(keep, i)
+		}
+	}
+	if cut := r.Keep(keep); cut != nil {
+		kept, err := DecodeRecord(cut)
+		if err != nil || kept.Kind != RecKept || kept.Slot != r.Slot {
+			t.Fatalf("a record cut down does not decode: %v", err)
+		}
+		for _, i := range keep {
+			want, ok := r.BlockAt(i)
+			if got, kok := kept.BlockAt(i); ok != kok || !bytes.Equal(got, want) {
+				t.Fatalf("the cut record lost block %d", i)
+			}
+		}
 	}
 }

@@ -11,72 +11,45 @@ import (
 	"starfish/internal/wire"
 )
 
-// recorder is an in-memory Backend of one (app, rank) that keeps what each
-// PutRecord was handed. It has the methods a Pipeline's Put and Get use and no
-// others.
+// recorder is an in-memory Backend of one (app, rank) that keeps every
+// record a PutRecord was handed. It has the methods a Pipeline's Put and Get
+// use and no others.
 type recorder struct {
 	Backend
-	envs   [][]byte
-	blocks [][]RecBlock
-	slots  map[uint64][]byte
-	byID   map[BlockID][]byte
+	recs  [][]byte
+	slots map[uint64][]byte
 }
 
-func newRecorder() *recorder {
-	return &recorder{slots: map[uint64][]byte{}, byID: map[BlockID][]byte{}}
-}
+func newRecorder() *recorder { return &recorder{slots: map[uint64][]byte{}} }
 
-func (r *recorder) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
-	env = append([]byte(nil), env...)
-	kept := make([]RecBlock, len(blocks))
-	for i, b := range blocks {
-		kept[i] = RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
-		r.byID[b.Ref.ID] = kept[i].Data
-	}
-	r.envs, r.blocks = append(r.envs, env), append(r.blocks, kept)
-	r.slots[n] = env
+func (r *recorder) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	r.recs = append(r.recs, rec)
+	r.slots[n] = rec
 	return nil
 }
 
 func (r *recorder) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	return ResolveChain(r, app, rank, n)
+	img, err := ResolveChain(r, app, rank, n)
+	return img, &Meta{Rank: rank, Index: n}, err
 }
 
-func (r *recorder) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	env, ok := r.slots[n]
+func (r *recorder) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	rec, ok := r.slots[n]
 	if !ok {
-		return nil, nil, ErrNoCheckpoint
+		return nil, ErrNoCheckpoint
 	}
-	return env, &Meta{Rank: rank, Index: n}, nil
+	return rec, nil
 }
 
-func (r *recorder) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
-	b, ok := r.byID[ref.ID]
-	if !ok {
-		return nil, ErrMissingBlock
-	}
-	return b, nil
-}
-
-// sameLastRecord fails unless the newest records of a and b are byte-identical:
-// envelope, block set, block contents.
+// sameLastRecord fails unless the newest records of a and b are byte-identical.
 func sameLastRecord(t *testing.T, epoch int, a, b *recorder) {
 	t.Helper()
-	i := len(a.envs) - 1
-	if len(b.envs)-1 != i {
-		t.Fatalf("epoch %d: %d vs %d records", epoch, len(a.envs), len(b.envs))
+	i := len(a.recs) - 1
+	if len(b.recs)-1 != i {
+		t.Fatalf("epoch %d: %d vs %d records", epoch, len(a.recs), len(b.recs))
 	}
-	if !bytes.Equal(a.envs[i], b.envs[i]) {
-		t.Fatalf("epoch %d: hinted envelope differs from the unhinted one", epoch)
-	}
-	if len(a.blocks[i]) != len(b.blocks[i]) {
-		t.Fatalf("epoch %d: %d vs %d blocks", epoch, len(a.blocks[i]), len(b.blocks[i]))
-	}
-	for j := range a.blocks[i] {
-		x, y := a.blocks[i][j], b.blocks[i][j]
-		if x.Ref != y.Ref || !bytes.Equal(x.Data, y.Data) {
-			t.Fatalf("epoch %d: block %d differs", epoch, j)
-		}
+	if !bytes.Equal(a.recs[i], b.recs[i]) {
+		t.Fatalf("epoch %d: hinted record differs from the unhinted one", epoch)
 	}
 }
 
@@ -170,14 +143,26 @@ func FuzzHintedPipeline(f *testing.F) {
 			}
 			sameLastRecord(t, int(n), hinted, plain)
 			sameLastRecord(t, int(n), stale, plain)
-			// A full record that continues the cached copy reuses the
-			// addresses of unchanged blocks; they must be the blocks' own.
-			if rec, err := DecodeRecord(hinted.envs[len(hinted.envs)-1]); err != nil {
+			// A full record that continues the chain carries only what
+			// changed; every other block it names must be carried, as it is
+			// now, by the slot named.
+			if rec, err := DecodeRecord(hinted.recs[len(hinted.recs)-1]); err != nil {
 				t.Fatal(err)
 			} else if rec.Kind == RecFull {
 				for i, b := range SplitBlocks(img) {
-					if rec.Refs[i] != (BlockRef{ID: HashBlock(b), Len: uint32(len(b))}) {
-						t.Fatalf("epoch %d: full record block %d carries a stale address", n, i)
+					s := rec.carrier(i)
+					if s == zeroSlot {
+						if !isZero(b) {
+							t.Fatalf("epoch %d: full record names block %d zero", n, i)
+						}
+						continue
+					}
+					src, err := DecodeRecord(hinted.slots[s])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, ok := src.BlockAt(uint32(i)); !ok || !bytes.Equal(got, b) {
+						t.Fatalf("epoch %d: full record names slot %d for block %d, which does not carry it", n, s, i)
 					}
 				}
 			}
@@ -211,8 +196,10 @@ func TestHintIsUsed(t *testing.T) {
 	if _, err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, []svm.Span{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(rec.blocks[1]); n != 0 {
-		t.Fatalf("delta under an empty hint carries %d blocks, want 0", n)
+	if r, err := DecodeRecord(rec.recs[1]); err != nil {
+		t.Fatal(err)
+	} else if len(r.list) != 0 {
+		t.Fatalf("delta under an empty hint lists %d blocks, want 0", len(r.list)/8)
 	}
 }
 
@@ -279,12 +266,12 @@ type failOnce struct {
 	fail bool
 }
 
-func (f *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
+func (f *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
 	if f.fail {
 		f.fail = false
 		return ErrNoCheckpoint
 	}
-	return f.recorder.PutRecord(app, rank, n, env, blocks, meta)
+	return f.recorder.PutRecord(app, rank, n, rec, meta)
 }
 
 // TestPutHintedBorrows pins the ownership contract: PutHinted keeps the image

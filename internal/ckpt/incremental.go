@@ -1,18 +1,28 @@
 package ckpt
 
-import "bytes"
+import (
+	"bytes"
+	"crypto/sha256"
+)
 
-// DeltaBlockSize is the granularity of change detection and of content
-// addressing (4 KiB, a page).
+// DeltaBlockSize is the granularity of change detection and of record blocks
+// (4 KiB, a page).
 const DeltaBlockSize = 4096
 
-// Delta and ComputeDelta are what is left of the standalone block-delta
-// format that preceded record envelopes: nothing in the system writes or
-// applies one any more. They stay because the frozen end-to-end benchmark
-// (bench/probes.go) times ComputeDelta as ckpt.delta_diff_ms_p50 and a change
-// to this module may not edit bench/; they go when that probe does. The
-// shipping diff is Pipeline's diffBlocks, which applies the same block rule
-// without the per-block copies.
+// Delta, ComputeDelta, BlockID and HashBlock are what is left of the
+// standalone block-delta format and of content addressing: nothing in the
+// system writes, applies or hashes with them any more. They stay because the
+// frozen end-to-end benchmark (bench/probes.go) times ComputeDelta as
+// ckpt.delta_diff_ms_p50 and HashBlock as part of ckpt.hash_seal_ms_p50, and a
+// change to this module may not edit bench/; they go when those probes do.
+// The shipping diff is Pipeline's diffBlocks, which applies the same block
+// rule without the per-block copies.
+
+// BlockID is a block's SHA-256 digest.
+type BlockID [32]byte
+
+// HashBlock returns a block's SHA-256 digest.
+func HashBlock(b []byte) BlockID { return sha256.Sum256(b) }
 
 // Delta is the difference between two state snapshots.
 type Delta struct {

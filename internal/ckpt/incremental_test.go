@@ -21,10 +21,10 @@ func checkDelta(t testing.TB, base, next []byte) *Delta {
 	if len(changed) != len(d.Blocks) {
 		t.Fatalf("ComputeDelta names %d blocks, diffBlocks %d", len(d.Blocks), len(changed))
 	}
-	for _, c := range changed {
-		b, ok := d.Blocks[int(c.Index)]
-		if !ok || uint32(len(b)) != c.Ref.Len || HashBlock(b) != c.Ref.ID {
-			t.Fatalf("block %d: ComputeDelta and diffBlocks disagree", c.Index)
+	for _, i := range changed {
+		lo := int(i) * DeltaBlockSize
+		if b, ok := d.Blocks[int(i)]; !ok || !bytes.Equal(b, next[lo:lo+blockLen(len(next), i)]) {
+			t.Fatalf("block %d: ComputeDelta and diffBlocks disagree", i)
 		}
 	}
 	p := NewPipeline(newMemBackend(), 2)
@@ -81,12 +81,13 @@ func TestDeltaGrowAndShrink(t *testing.T) {
 // than the one its chain resolves to is refused, never applied.
 func TestDeltaWrongBase(t *testing.T) {
 	be := newMemBackend()
-	base := make([]byte, 100)
-	ref := BlockRef{ID: HashBlock(base), Len: uint32(len(base))}
-	if err := be.PutRecord(1, 0, 1, EncodeFullRecord(len(base), []BlockRef{ref}), []RecBlock{{ref, base}}, nil); err != nil {
+	base := bytes.Repeat([]byte{9}, 100)
+	full, _ := encodeRecord(RecFull, 1, base, []uint32{0}, 0, 0, make([]uint64, 1))
+	if err := be.PutRecord(1, 0, 1, full, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := be.PutRecord(1, 0, 2, EncodeDeltaRecord(1, len(base)-1, len(base), nil), nil, nil); err != nil {
+	delta, _ := encodeRecord(RecDelta, 2, base, nil, 1, len(base)-1, nil)
+	if err := be.PutRecord(1, 0, 2, delta, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := be.Get(1, 0, 2); !errors.Is(err, ErrBrokenChain) {

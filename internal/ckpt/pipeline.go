@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,21 +16,24 @@ import (
 const DefaultFullEvery = 8
 
 // Pipeline is the incremental checkpoint capture path: a Backend that turns
-// per-epoch Put calls into content-addressed records in the Backend it wraps.
+// per-epoch Put calls into position-addressed records (chunk.go) in the
+// Backend it wraps.
 //
-//   - The first checkpoint of a rank (and every FullEvery-th after it) is a
-//     full record: every 4 KiB block of the image, content-addressed.
-//   - Checkpoints in between are delta records: the writer diffs the image
-//     against the previous epoch's (ComputeDelta's block rule) — the
-//     caller's own buffer, borrowed, after PutHinted; a copy after Put — and
-//     stores only the changed blocks plus a ~40-byte-per-block envelope.
-//   - Identical blocks are stored once: across epochs (unchanged blocks are
-//     not even re-sent), and across ranks (the backend deduplicates by
-//     content hash, so the code/globals segments every rank shares land in
-//     the store a single time).
+//   - Every record carries the blocks that changed since the rank's previous
+//     epoch: the writer compares the image with that epoch's (ComputeDelta's
+//     block rule, nothing hashed) — the caller's own buffer, borrowed, after
+//     PutHinted; a copy after Put. The first record of a rank, and the first
+//     after a gap in its indices, carries every block.
+//   - Every FullEvery-th record (and the first, and the first after a gap) is
+//     a full record: a carry list naming, for every block, the slot whose
+//     record carries its current version. It starts a new chain and makes the
+//     old one garbage, but re-sends no unchanged byte.
+//   - The records in between are deltas on the previous slot: the changed
+//     blocks plus an 8-byte-per-block envelope.
 //   - GC is chain-aware: collecting up to a delta record is clamped down to
 //     the record's full base so the chain stays reconstructable; once a new
-//     full record commits, the previous chain is collected whole.
+//     full record commits, the previous chain is collected whole, but for the
+//     records the new carry list still names (the backend keeps those).
 //
 // Everything else — Get included: every Backend resolves its own record
 // chains — is the wrapped backend's.
@@ -66,26 +70,26 @@ type EpochEvent struct {
 	Base  uint64
 	// ChainLen counts records since and including the chain's full base.
 	ChainLen int
-	// RawBytes is the image size; StoredBytes the envelope plus block
-	// bytes actually written.
+	// RawBytes is the image size; StoredBytes the record's, its envelope
+	// and the blocks it carries.
 	RawBytes, StoredBytes int
 }
 
 // rankState is the writer-side capture cache of one rank.
 type rankState struct {
-	lastRaw   []byte     // the previous epoch's image, the next one's diff base:
-	borrowed  bool       // the writer's buffer (never written here) or our copy
-	refs      []BlockRef // content addresses of lastRaw's blocks
-	lastIndex uint64     // checkpoint index of lastRaw
-	sinceFull int        // records since (and including) the chain's full base
+	lastRaw   []byte   // the previous epoch's image, the next one's diff base:
+	borrowed  bool     // the writer's buffer (never written here) or our copy
+	where     []uint64 // the slot carrying each block of lastRaw (zeroSlot: all-zero)
+	lastIndex uint64   // checkpoint index of lastRaw
+	sinceFull int      // records since (and including) the chain's full base
 }
 
 // PipelineStats counts capture-side work, the savings metric of the
 // incremental pipeline.
 type PipelineStats struct {
 	Fulls, Deltas uint64
-	// RawBytes is the total image bytes handed to Put; StoredBytes is the
-	// envelope plus block bytes actually handed to the backend.
+	// RawBytes is the total image bytes handed to Put; StoredBytes the
+	// record bytes handed to the backend.
 	RawBytes, StoredBytes uint64
 }
 
@@ -147,9 +151,9 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	// gap (restart, skipped epoch) starts over from nothing, which makes
 	// every block changed and the record a full one.
 	last, lastBorrowed := st.lastRaw, st.borrowed
-	base, baseRaw, baseRefs := st.lastIndex, last, st.refs
+	base, baseRaw, where := st.lastIndex, last, st.where
 	if baseRaw == nil || base+1 != n {
-		baseRaw, baseRefs = nil, nil
+		baseRaw, where = nil, nil
 	}
 	asDelta := p.fullEvery > 1 && baseRaw != nil && st.sinceFull < p.fullEvery
 	p.mu.Unlock()
@@ -159,53 +163,24 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 		hinted = spanBlocks(dirty, len(img))
 	}
 	changed := diffBlocks(baseRaw, img, hinted)
-	// The rank's block list is patched in place once the record is stored; a
-	// full record, which lists it, and a resized image start from a copy.
-	refs := baseRefs
-	patch := func() {
-		for _, d := range changed {
-			refs[d.Index] = d.Ref
-		}
+	// The rank's carry list is patched in place once the record is stored;
+	// a resized image starts from a copy.
+	if nb := int(blocksOf(uint64(len(img)))); len(where) != nb {
+		where = append(make([]uint64, 0, nb), where[:min(len(where), nb)]...)[:nb]
 	}
-	if nb := (len(img) + DeltaBlockSize - 1) / DeltaBlockSize; !asDelta || len(refs) != nb {
-		refs = make([]BlockRef, nb)
-		copy(refs, baseRefs)
-		patch()
-	}
-	// A delta record lists and carries the changed blocks. A full record
-	// lists every block and carries every block — it must stand on its own
-	// in a store that lost the chain before it — but when it continues the
-	// cached copy it costs a delta's hashing: unchanged blocks keep their
-	// content addresses.
-	var env []byte
-	carried := len(changed)
-	if !asDelta {
-		carried = len(refs)
-	}
-	blocks := make([]RecBlock, 0, carried)
-	seen := make(map[BlockID]bool, carried)
-	carry := func(i uint32, ref BlockRef) {
-		if !seen[ref.ID] {
-			seen[ref.ID] = true
-			lo := int(i) * DeltaBlockSize
-			blocks = append(blocks, RecBlock{Ref: ref, Data: img[lo:min(lo+DeltaBlockSize, len(img))]})
-		}
-	}
+	kind := uint8(RecFull)
 	if asDelta {
-		env = EncodeDeltaRecord(base, len(baseRaw), len(img), changed)
-		for _, d := range changed {
-			carry(d.Index, d.Ref)
-		}
-	} else {
-		env = EncodeFullRecord(len(img), refs)
-		for i, ref := range refs {
-			carry(uint32(i), ref)
-		}
+		kind = RecDelta
 	}
-	if err := p.Backend.PutRecord(app, rank, n, env, blocks, meta); err != nil {
+	rec, zero := encodeRecord(kind, n, img, changed, base, len(baseRaw), where)
+	if err := p.Backend.PutRecord(app, rank, n, rec, meta); err != nil {
 		return nil, err
 	}
-	patch()
+	for k, i := range changed {
+		if where[i] = n; zero[k] {
+			where[i] = zeroSlot
+		}
+	}
 
 	raw, prev := img, last
 	if !borrow {
@@ -219,14 +194,14 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 		if baseRaw == nil {
 			copy(raw, img)
 		}
-		for _, d := range changed {
-			lo := int(d.Index) * DeltaBlockSize
-			copy(raw[lo:], img[lo:min(lo+DeltaBlockSize, len(img))])
+		for _, i := range changed {
+			lo := int(i) * DeltaBlockSize
+			copy(raw[lo:], img[lo:lo+blockLen(len(img), i)])
 		}
 	}
 
 	p.mu.Lock()
-	st.lastRaw, st.borrowed, st.refs, st.lastIndex = raw, borrow, refs, n
+	st.lastRaw, st.borrowed, st.where, st.lastIndex = raw, borrow, where, n
 	if asDelta {
 		st.sinceFull++
 		p.stats.Deltas++
@@ -235,10 +210,7 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 		p.stats.Fulls++
 	}
 	p.stats.RawBytes += uint64(len(img))
-	stored := len(env)
-	for _, b := range blocks {
-		stored += len(b.Data)
-	}
+	stored := len(rec)
 	p.stats.StoredBytes += uint64(stored)
 	chainLen := st.sinceFull
 	p.mu.Unlock()
@@ -269,16 +241,15 @@ func spanBlocks(spans []svm.Span, n int) []bool {
 	return dirty
 }
 
-// diffBlocks returns the content addresses of the blocks of next that differ
-// from base (ComputeDelta's block rule, without its per-block copies); a nil
-// base makes every block differ. With a non-nil hinted, a block it does not
-// mark is taken as unchanged without looking, provided base has a block of
-// the same length there; growth past the base and a resized tail block are
-// always compared.
+// diffBlocks returns the indices of the blocks of next that differ from base
+// (ComputeDelta's block rule, without its per-block copies); a nil base makes
+// every block differ. With a non-nil hinted, a block it does not mark is taken
+// as unchanged without looking, provided base has a block of the same length
+// there; growth past the base and a resized tail block are always compared.
 //
 //starfish:deterministic
-func diffBlocks(base, next []byte, hinted []bool) []DeltaRef {
-	var changed []DeltaRef
+func diffBlocks(base, next []byte, hinted []bool) []uint32 {
+	var changed []uint32
 	for i, lo := 0, 0; lo < len(next); i, lo = i+1, lo+DeltaBlockSize {
 		nb := next[lo:min(lo+DeltaBlockSize, len(next))]
 		if lo < len(base) {
@@ -287,117 +258,98 @@ func diffBlocks(base, next []byte, hinted []bool) []DeltaRef {
 				continue
 			}
 		}
-		changed = append(changed, DeltaRef{Index: uint32(i), Ref: BlockRef{ID: HashBlock(nb), Len: uint32(len(nb))}})
+		changed = append(changed, uint32(i))
 	}
 	return changed
 }
 
-// ResolveChain returns the checkpoint image of slot n of (app, rank), read
-// through be's envelopes and blocks: a raw slot verbatim, a record by walking
-// its delta chain back to the full base and replaying it forward. It is every
-// backend's cold path; one that keeps chains materialized looks there first.
-func ResolveChain(be Backend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	env, meta, err := be.GetEnvelope(app, rank, n)
-	if err != nil || !IsRecord(env) {
-		return env, meta, err
-	}
-	// Walk back to the full base, collecting the chain (newest first).
-	type link struct {
-		n   uint64
-		rec *Record
-	}
-	var chain []link
-	for {
-		rec, err := DecodeRecord(env)
+// ResolveChain returns the image of record slot n of (app, rank), read
+// through be's records: the full record at the root of n's delta chain, with
+// the blocks it names taken from the slots that carry them, then the chain's
+// deltas applied forward. Every block is checked against its crc32c. It is
+// every backend's cold path; one that keeps chains materialized looks there
+// first.
+func ResolveChain(be Backend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	read := func(n uint64) (*Record, error) {
+		b, err := be.GetEnvelope(app, rank, n)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
-				ErrBrokenChain, n, app, rank, err)
+			return nil, err
 		}
-		chain = append(chain, link{n, rec})
+		rec, err := DecodeRecord(b)
+		if err != nil {
+			return nil, err
+		}
+		if rec.Slot != n {
+			return nil, errBadRecord
+		}
+		return rec, rec.Verify()
+	}
+	var chain []*Record
+	for {
+		rec, err := read(n)
+		if errors.Is(err, ErrMissingBlock) {
+			return nil, err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v", ErrBrokenChain, n, app, rank, err)
+		}
+		chain = append(chain, rec)
 		if rec.Kind == RecFull {
 			break
 		}
-		if rec.Base >= n {
-			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d has non-descending base #%d",
-				ErrBrokenChain, n, app, rank, rec.Base)
+		if rec.Kind != RecDelta {
+			return nil, fmt.Errorf("%w: record #%d of app %d rank %d resolves to nothing", ErrBrokenChain, n, app, rank)
 		}
 		n = rec.Base
-		if env, _, err = be.GetEnvelope(app, rank, n); err != nil {
-			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v",
-				ErrBrokenChain, n, app, rank, err)
-		}
-		if !IsRecord(env) {
-			return nil, nil, fmt.Errorf("%w: record #%d of app %d rank %d is not a record envelope",
-				ErrBrokenChain, n, app, rank)
-		}
 	}
 
-	// Assemble the full base, then replay the deltas forward.
-	baseLink := chain[len(chain)-1]
-	raw := make([]byte, baseLink.rec.RawLen)
-	off := 0
-	for _, ref := range baseLink.rec.Refs {
-		if off+int(ref.Len) > len(raw) {
-			return nil, nil, fmt.Errorf("%w: full record #%d overruns image", ErrMissingBlock, baseLink.n)
+	// Assemble the root, then replay the deltas forward.
+	root := chain[len(chain)-1]
+	img := make([]byte, root.RawLen)
+	root.Apply(img)
+	carriers := make(map[uint64]*Record)
+	for i := range uint32(len(root.carried) / 8) {
+		s, ok := root.Carrier(i)
+		if !ok {
+			continue
 		}
-		b, err := fetchBlock(be, app, rank, ref)
-		if err != nil {
-			return nil, nil, err
+		src := carriers[s]
+		if src == nil {
+			var err error
+			if src, err = read(s); err != nil {
+				return nil, fmt.Errorf("%w: slot #%d, carried by record #%d of app %d rank %d: %v",
+					ErrMissingBlock, s, root.Slot, app, rank, err)
+			}
+			carriers[s] = src
 		}
-		copy(raw[off:], b)
-		off += int(ref.Len)
+		b, ok := src.BlockAt(i)
+		if !ok || len(b) != blockLen(root.RawLen, i) {
+			return nil, fmt.Errorf("%w: slot #%d does not carry block %d of record #%d",
+				ErrMissingBlock, s, i, root.Slot)
+		}
+		copy(img[int(i)*DeltaBlockSize:], b)
 	}
-	if off != len(raw) {
-		return nil, nil, fmt.Errorf("%w: full record #%d assembles %d of %d bytes",
-			ErrMissingBlock, baseLink.n, off, len(raw))
-	}
-	for i := len(chain) - 2; i >= 0; i-- {
-		rec := chain[i].rec
-		if rec.BaseLen != len(raw) {
-			return nil, nil, fmt.Errorf("%w: delta record #%d expects a base of %d bytes, #%d has %d",
-				ErrBrokenChain, chain[i].n, rec.BaseLen, rec.Base, len(raw))
+	for k := len(chain) - 2; k >= 0; k-- {
+		rec := chain[k]
+		if rec.BaseLen != len(img) {
+			return nil, fmt.Errorf("%w: delta record #%d expects a base of %d bytes, #%d has %d",
+				ErrBrokenChain, rec.Slot, rec.BaseLen, rec.Base, len(img))
 		}
-		if rec.RawLen != len(raw) {
+		if rec.RawLen != len(img) {
 			next := make([]byte, rec.RawLen)
-			copy(next, raw[:min(len(raw), rec.RawLen)])
-			raw = next
+			copy(next, img)
+			img = next
 		}
-		for _, d := range rec.Deltas {
-			lo := int(d.Index) * DeltaBlockSize
-			if lo+int(d.Ref.Len) > len(raw) {
-				return nil, nil, fmt.Errorf("%w: delta record #%d block %d overruns image",
-					ErrMissingBlock, chain[i].n, d.Index)
-			}
-			b, err := fetchBlock(be, app, rank, d.Ref)
-			if err != nil {
-				return nil, nil, err
-			}
-			copy(raw[lo:], b)
-		}
+		rec.Apply(img)
 	}
-	return raw, meta, nil
-}
-
-// fetchBlock gets one block and verifies its content address, so a corrupt
-// or substituted block surfaces as ErrMissingBlock instead of silently
-// restoring wrong state.
-func fetchBlock(be Backend, app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
-	b, err := be.GetBlock(app, rank, ref)
-	if err != nil {
-		return nil, fmt.Errorf("%w: block %s: %v", ErrMissingBlock, ref.ID, err)
-	}
-	if uint32(len(b)) != ref.Len || HashBlock(b) != ref.ID {
-		return nil, fmt.Errorf("%w: block %s fails verification", ErrMissingBlock, ref.ID)
-	}
-	return b, nil
+	return img, nil
 }
 
 // GC collects checkpoints of (app, rank) below keepFrom, clamped down so a
 // surviving delta chain keeps its full base: if checkpoint keepFrom is a
 // delta record, collection stops at its chain's base instead. When keepFrom
-// is a full record (a new chain just committed), the previous chain —
-// records and, in the backend, its now-unreferenced blocks — goes away
-// whole.
+// is a full record (a new chain just committed), the previous chain goes away
+// whole, but for the records the new carry list names.
 func (p *Pipeline) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	base, err := p.chainBase(app, rank, keepFrom)
 	if err == nil && base < keepFrom {
@@ -410,15 +362,15 @@ func (p *Pipeline) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 // index. Raw images and missing checkpoints are their own base.
 func (p *Pipeline) chainBase(app wire.AppID, rank wire.Rank, n uint64) (uint64, error) {
 	for {
-		env, _, err := p.GetEnvelope(app, rank, n)
-		if err != nil || !IsRecord(env) {
-			return n, err
-		}
-		rec, err := DecodeRecord(env)
+		b, err := p.GetEnvelope(app, rank, n)
 		if err != nil {
 			return n, err
 		}
-		if rec.Kind == RecFull || rec.Base >= n {
+		rec, err := decodeEnvelope(b)
+		if err != nil {
+			return n, err
+		}
+		if rec.Kind != RecDelta || rec.Base >= n {
 			return n, nil
 		}
 		n = rec.Base

@@ -5,8 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"starfish/internal/wire"
@@ -49,14 +48,14 @@ func TestPipelineRoundTripOverDisk(t *testing.T) {
 			t.Fatalf("put #%d: %v", n, err)
 		}
 	}
-	// Every slot holds a record envelope, not a raw image.
+	// Every slot holds a record, not a raw image.
 	for n := range imgs {
-		env, _, err := st.GetEnvelope(1, 0, uint64(n))
+		rec, err := st.GetEnvelope(1, 0, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !IsRecord(env) {
-			t.Fatalf("slot #%d is not a record envelope", n)
+		if _, err := DecodeRecord(rec); err != nil {
+			t.Fatalf("slot #%d is not a record: %v", n, err)
 		}
 	}
 	// Cadence 4: fulls at 0, 4, 8 — the rest are deltas.
@@ -143,14 +142,14 @@ func TestPipelineIndexGapForcesFull(t *testing.T) {
 	}
 }
 
-// removeSlot deletes the stored envelope of checkpoint n directly from the
+// removeSlot deletes the stored record of checkpoint n directly from the
 // disk store, simulating a lost chain link.
 func removeSlot(t *testing.T, st *Store, app wire.AppID, rank wire.Rank, n uint64) {
 	t.Helper()
-	if err := os.Remove(st.imgPath(app, rank, n)); err != nil {
+	if err := os.Remove(st.slotPath(app, rank, n, "rec")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(st.metaPath(app, rank, n)); err != nil {
+	if err := os.Remove(st.slotPath(app, rank, n, "meta")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,27 +177,26 @@ func TestPipelineBrokenChainTyped(t *testing.T) {
 	}
 }
 
+// TestPipelineMissingBlockTyped: a full record whose carry list names a slot
+// that is gone cannot be assembled, and says so the way a restart understands.
 func TestPipelineMissingBlockTyped(t *testing.T) {
-	p, st := pipeStore(t, 8)
-	imgs := epochImages(t, 2, 8)
+	p, st := pipeStore(t, 4)
+	imgs := epochImages(t, 5, 8)
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Remove one content block referenced by the delta record.
-	env, _, err := st.GetEnvelope(1, 0, 1)
+	rec, err := st.GetEnvelope(1, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := RecordRefs(env)
-	if err != nil || len(refs) == 0 {
-		t.Fatalf("delta record has no refs: %v", err)
+	r, err := DecodeRecord(rec)
+	if err != nil || r.Kind != RecFull || len(r.Names) == 0 {
+		t.Fatalf("slot #4 is no carry list naming earlier slots: %v", err)
 	}
-	if err := os.Remove(st.blockPath(refs[0].ID)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = p.Get(1, 0, 1)
+	removeSlot(t, st, 1, 0, r.Names[0])
+	_, _, err = p.Get(1, 0, 4)
 	if !errors.Is(err, ErrMissingBlock) {
 		t.Fatalf("err = %v, want ErrMissingBlock", err)
 	}
@@ -207,6 +205,9 @@ func TestPipelineMissingBlockTyped(t *testing.T) {
 	}
 }
 
+// TestPipelineCorruptBlockTyped: a block read back from disk that fails its
+// crc32c is ErrMissingBlock, never restored, and so is nothing else a corrupt
+// record file holds.
 func TestPipelineCorruptBlockTyped(t *testing.T) {
 	p, st := pipeStore(t, 8)
 	imgs := epochImages(t, 2, 8)
@@ -215,62 +216,56 @@ func TestPipelineCorruptBlockTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	env, _, err := st.GetEnvelope(1, 0, 1)
+	rec, err := os.ReadFile(st.slotPath(1, 0, 1, "rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := RecordRefs(env)
-	if err != nil || len(refs) == 0 {
-		t.Fatalf("delta record has no refs: %v", err)
-	}
-	// Substitute different content of the right length: unsealing succeeds,
-	// the content-address check must catch it.
-	bogus := make([]byte, refs[0].Len)
-	for i := range bogus {
-		bogus[i] = 0xEE
-	}
-	if err := os.WriteFile(st.blockPath(refs[0].ID), SealBlock(bogus), 0o644); err != nil {
+	rec[len(rec)-1] ^= 0xEE // inside the record's last block
+	if err := os.WriteFile(st.slotPath(1, 0, 1, "rec"), rec, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = p.Get(1, 0, 1)
 	if !errors.Is(err, ErrMissingBlock) {
-		t.Fatalf("err = %v, want ErrMissingBlock for substituted block", err)
+		t.Fatalf("err = %v, want ErrMissingBlock for a corrupt block", err)
+	}
+	// A corrupt envelope — here the index of the first block it lists —
+	// fails the envelope's own crc32c.
+	rec[len(rec)-1] ^= 0xEE
+	rec[headerLen+3] ^= 1
+	if err := os.WriteFile(st.slotPath(1, 0, 1, "rec"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if img, _, err := p.Get(1, 0, 1); img != nil || !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("Get with a corrupt envelope = %d bytes, %v; want ErrNoCheckpoint", len(img), err)
 	}
 }
 
-// countBlockFiles counts sealed blocks in the store's shared block dir.
-func countBlockFiles(t *testing.T, st *Store) int {
+// recordFiles lists the rank's record files by slot.
+func recordFiles(t *testing.T, st *Store) map[uint64]bool {
 	t.Helper()
-	ents, err := os.ReadDir(filepath.Join(st.Dir(), "blocks"))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0
-	}
+	ents, err := os.ReadDir(st.rankDir(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	out := make(map[uint64]bool)
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".blk") {
-			n++
+		if n, ext, ok := slotFile(e.Name()); ok && ext == "rec" {
+			out[n] = true
 		}
 	}
-	return n
+	return out
 }
 
 func TestPipelineGCCollectsSupersededChain(t *testing.T) {
 	p, st := pipeStore(t, 4)
-	imgs := epochImages(t, 8, 8)
+	imgs := epochImages(t, 8, 2) // few blocks: some old record is wholly rewritten
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := countBlockFiles(t, st)
-	if before == 0 {
-		t.Fatal("no sealed blocks before GC")
-	}
 	// Epoch 4 is a full record (cadence 4): GC there drops the whole first
-	// chain — records 0..3 and every block only they referenced.
+	// chain — records 0..3, but for those its carry list names.
 	if err := p.GC(1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +276,25 @@ func TestPipelineGCCollectsSupersededChain(t *testing.T) {
 	if len(ns) != 4 || ns[0] != 4 {
 		t.Fatalf("list after GC = %v, want epochs 4..7", ns)
 	}
-	after := countBlockFiles(t, st)
-	if after >= before {
-		t.Errorf("block files %d -> %d: superseded chain's blocks not swept", before, after)
+	env, err := st.GetEnvelope(1, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carry, err := DecodeRecord(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := recordFiles(t, st)
+	for n := uint64(0); n < 4; n++ {
+		if named := slices.Contains(carry.Names, n); files[n] != named {
+			t.Errorf("record #%d kept %v, named by the carry list %v", n, files[n], named)
+		}
+		if _, _, err := p.Get(1, 0, n); !errors.Is(err, ErrNoCheckpoint) {
+			t.Errorf("Get of collected #%d = %v, want ErrNoCheckpoint", n, err)
+		}
+	}
+	if len(carry.Names) == 4 {
+		t.Fatal("the carry list names the whole old chain; nothing was collected")
 	}
 	// No orphan links: every survivor must reconstruct from what remains.
 	for n := 4; n < 8; n++ {
@@ -292,32 +303,12 @@ func TestPipelineGCCollectsSupersededChain(t *testing.T) {
 			t.Fatalf("epoch #%d broken after GC: %v", n, err)
 		}
 	}
-	// A fresh sweep finds nothing more: the live chain keeps all its blocks.
-	if err := st.sweepBlocks(); err != nil {
+	// GC again finds nothing more: what is named stays.
+	if err := p.GC(1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if again := countBlockFiles(t, st); again != after {
-		t.Errorf("idempotent sweep removed %d more blocks", after-again)
-	}
-}
-
-func TestPipelineCrossRankDedup(t *testing.T) {
-	p, st := pipeStore(t, 8)
-	img := epochImages(t, 1, 16)[0]
-	if err := p.Put(1, 0, 0, img, nil); err != nil {
-		t.Fatal(err)
-	}
-	blocksAfterRank0 := countBlockFiles(t, st)
-	// Rank 1 checkpoints the identical image: zero new blocks hit the disk.
-	if err := p.Put(1, 1, 0, img, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := countBlockFiles(t, st); n != blocksAfterRank0 {
-		t.Errorf("identical second rank added %d blocks", n-blocksAfterRank0)
-	}
-	got, _, err := p.Get(1, 1, 0)
-	if err != nil || !bytes.Equal(got, img) {
-		t.Fatalf("rank 1 restore from deduplicated blocks: %v", err)
+	if again := recordFiles(t, st); len(again) != len(files) {
+		t.Errorf("idempotent GC removed %d more records", len(files)-len(again))
 	}
 }
 

@@ -3,16 +3,14 @@ package ckpt
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"starfish/internal/wire"
 )
@@ -23,28 +21,22 @@ import (
 //
 // Layout:
 //
-//	<dir>/app-<id>/rank-<r>/ckpt-<n>.img    slot: raw image or record envelope
+//	<dir>/app-<id>/rank-<r>/ckpt-<n>.img    slot: a raw image
+//	<dir>/app-<id>/rank-<r>/ckpt-<n>.rec    slot: a record (envelope, then its blocks)
 //	<dir>/app-<id>/rank-<r>/ckpt-<n>.meta   interval metadata (deps)
 //	<dir>/app-<id>/COMMIT                   last committed recovery line
-//	<dir>/blocks/<hex sha256>.blk           content-addressed block, sealed
 //
 // Writes are atomic (temp file + rename), so a crash mid-checkpoint never
-// corrupts a previous checkpoint. Blocks are shared by every app and rank and
-// sealed compressed (DEFLATE): disk is the cold tier, a full image of a
-// mostly-zero heap costs almost nothing at rest, and the restore that matters
-// for the paper's recovery numbers — replicated memory — never reads these
-// files. The directory is the block index: GC is a mark-sweep over the
-// envelopes that survived, so a superseded chain's blocks cannot outlive
-// their last referencing record even across daemon restarts.
+// corrupts a previous checkpoint; a checkpoint exists once its slot file and
+// its metadata both do. Every file belongs to one rank and GC deletes whole
+// files: a collected checkpoint loses its metadata and its slot file, except
+// a record that a surviving record names, which stays until the last one that
+// does goes.
 type Store struct {
 	dir string
 }
 
 var _ Backend = (*Store)(nil)
-
-// chunkMu serializes block writes and sweeps. Several Store handles may share
-// one directory (the simulated shared file system), so it is not per handle.
-var chunkMu sync.Mutex
 
 // ErrNoCheckpoint is returned when a requested checkpoint does not exist.
 var ErrNoCheckpoint = errors.New("ckpt: no such checkpoint")
@@ -64,18 +56,18 @@ func (s *Store) rankDir(app wire.AppID, rank wire.Rank) string {
 	return filepath.Join(s.dir, fmt.Sprintf("app-%d", app), fmt.Sprintf("rank-%d", rank))
 }
 
-func (s *Store) imgPath(app wire.AppID, rank wire.Rank, n uint64) string {
-	return filepath.Join(s.rankDir(app, rank), fmt.Sprintf("ckpt-%d.img", n))
+func (s *Store) slotPath(app wire.AppID, rank wire.Rank, n uint64, ext string) string {
+	return filepath.Join(s.rankDir(app, rank), "ckpt-"+strconv.FormatUint(n, 10)+"."+ext)
 }
 
-func (s *Store) metaPath(app wire.AppID, rank wire.Rank, n uint64) string {
-	return filepath.Join(s.rankDir(app, rank), fmt.Sprintf("ckpt-%d.meta", n))
-}
-
-func (s *Store) blocksDir() string { return filepath.Join(s.dir, "blocks") }
-
-func (s *Store) blockPath(id BlockID) string {
-	return filepath.Join(s.blocksDir(), hex.EncodeToString(id[:])+".blk")
+// slotFile parses the name of one of a rank's checkpoint files.
+func slotFile(name string) (n uint64, ext string, ok bool) {
+	stem, ext, found := strings.Cut(name, ".")
+	if !found || !strings.HasPrefix(stem, "ckpt-") || ext != "img" && ext != "rec" && ext != "meta" {
+		return 0, "", false
+	}
+	n, err := strconv.ParseUint(stem[len("ckpt-"):], 10, 64)
+	return n, ext, err == nil
 }
 
 // atomicWrite writes data to path via a uniquely named temporary file and
@@ -103,70 +95,47 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// Put stores a raw image: a slot that brings no blocks.
+// Put stores a raw image.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return s.PutRecord(app, rank, n, img, nil, meta)
+	return s.putSlot(app, rank, n, "img", "rec", img, meta)
 }
 
-// PutRecord seals the blocks not yet on disk — skipping the ones that are is
-// the cross-epoch and cross-rank deduplication — and then writes the slot,
-// image file before metadata file.
-func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []RecBlock, meta *Meta) error {
-	if len(blocks) > 0 {
-		// Held until the slot is in place, so no sweep runs between a block
-		// found present and the envelope that keeps it.
-		chunkMu.Lock()
-		defer chunkMu.Unlock()
-		if err := os.MkdirAll(s.blocksDir(), 0o755); err != nil {
-			return err
-		}
-		for _, b := range blocks {
-			path := s.blockPath(b.Ref.ID)
-			if _, err := os.Stat(path); err == nil {
-				continue // already sealed: deduplicated
-			}
-			if err := atomicWrite(path, SealBlock(b.Data)); err != nil {
-				return err
-			}
-		}
-	}
-	// The envelope lands last, so a crash mid-PutRecord leaves sealed
-	// blocks without a referencing record — invisible garbage the next
-	// sweep collects — never a record with missing blocks.
+// PutRecord stores a record.
+func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	return s.putSlot(app, rank, n, "rec", "img", rec, meta)
+}
+
+// putSlot writes slot n as a file of the given kind, dropping one of the other
+// kind an earlier incarnation left, then its metadata.
+func (s *Store) putSlot(app wire.AppID, rank wire.Rank, n uint64, ext, other string, data []byte, meta *Meta) error {
 	if err := os.MkdirAll(s.rankDir(app, rank), 0o755); err != nil {
 		return err
 	}
-	if err := atomicWrite(s.imgPath(app, rank, n), slot); err != nil {
+	if err := os.Remove(s.slotPath(app, rank, n, other)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if err := atomicWrite(s.slotPath(app, rank, n, ext), data); err != nil {
 		return err
 	}
 	if meta == nil {
 		meta = &Meta{Rank: rank, Index: n}
 	}
-	return atomicWrite(s.metaPath(app, rank, n), meta.Encode())
+	return atomicWrite(s.slotPath(app, rank, n, "meta"), meta.Encode())
 }
 
-// Get returns the image of checkpoint n: the slot's bytes, or what the record
-// chain they head reconstructs to.
+// Get returns the image of checkpoint n: a raw slot's file, or what the record
+// chain it heads resolves to. A checkpoint exists only once its metadata is in
+// place too: a slot file without it (a crash between the renames, or a record
+// GC kept for the blocks it carries) reads as ErrNoCheckpoint.
 func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	return ResolveChain(s, app, rank, n)
-}
-
-// GetEnvelope loads slot n of (app, rank). A checkpoint exists only once both
-// its image and its metadata are in place: PutRecord renames the image first,
-// so a crash between the two renames leaves an orphan image, which reads as
-// ErrNoCheckpoint rather than a raw read error.
-func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	img, err := os.ReadFile(s.imgPath(app, rank, n))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d", ErrNoCheckpoint, app, rank, n)
-	}
-	if err != nil {
+	img, err := os.ReadFile(s.slotPath(app, rank, n, "img"))
+	raw := err == nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
-	mb, err := os.ReadFile(s.metaPath(app, rank, n))
+	mb, err := os.ReadFile(s.slotPath(app, rank, n, "meta"))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d (image without metadata)",
-			ErrNoCheckpoint, app, rank, n)
+		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d", ErrNoCheckpoint, app, rank, n)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -175,23 +144,38 @@ func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *
 	if err != nil {
 		return nil, nil, err
 	}
+	if !raw {
+		if img, err = ResolveChain(s, app, rank, n); err != nil {
+			return nil, nil, err
+		}
+	}
 	return img, meta, nil
 }
 
-// GetBlock reads and unseals one content-addressed block.
-func (s *Store) GetBlock(_ wire.AppID, _ wire.Rank, ref BlockRef) ([]byte, error) {
-	sealed, err := os.ReadFile(s.blockPath(ref.ID))
+// GetEnvelope loads the record file of slot n.
+func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	rec, err := os.ReadFile(s.slotPath(app, rank, n, "rec"))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: block %s", ErrMissingBlock, ref.ID)
+		return nil, fmt.Errorf("%w: app %d rank %d #%d holds no record", ErrNoCheckpoint, app, rank, n)
 	}
+	return rec, err
+}
+
+// readEnvelope reads the envelope at the front of a record file, not the
+// blocks behind it.
+func readEnvelope(path string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	data, err := UnsealBlock(sealed, int(ref.Len))
-	if err != nil {
-		return nil, fmt.Errorf("%w: block %s: %v", ErrMissingBlock, ref.ID, err)
+	defer f.Close()
+	env := make([]byte, headerLen)
+	if _, err := io.ReadFull(f, env); err != nil {
+		return nil, err
 	}
-	return data, nil
+	// Read as far as the header says, without sizing anything from it.
+	rest, err := io.ReadAll(io.LimitReader(f, int64(envelopeLen(env)-headerLen)))
+	return append(env, rest...), err
 }
 
 // List returns the checkpoint indices available for (app, rank), ascending.
@@ -205,33 +189,23 @@ func (s *Store) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := make(map[uint64]bool)
-	var imgs []uint64
+	meta, slot := make(map[uint64]bool), make(map[uint64]bool)
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "ckpt-") {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(name, ".img"):
-			n, err := strconv.ParseUint(name[len("ckpt-"):len(name)-len(".img")], 10, 64)
-			if err == nil {
-				imgs = append(imgs, n)
-			}
-		case strings.HasSuffix(name, ".meta"):
-			n, err := strconv.ParseUint(name[len("ckpt-"):len(name)-len(".meta")], 10, 64)
-			if err == nil {
+		if n, ext, ok := slotFile(e.Name()); ok {
+			if ext == "meta" {
 				meta[n] = true
+			} else {
+				slot[n] = true
 			}
 		}
 	}
 	var out []uint64
-	for _, n := range imgs {
+	for n := range slot {
 		if meta[n] {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -255,7 +229,7 @@ func (s *Store) Ranks(app wire.AppID) ([]wire.Rank, error) {
 			out = append(out, wire.Rank(r))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -283,125 +257,56 @@ func (s *Store) CommittedLine(app wire.AppID) (RecoveryLine, error) {
 	return DecodeLine(b)
 }
 
-// GC removes the slots of (app, rank) older than keepFrom, then the blocks no
-// remaining slot — of any app or rank in this store — names. Committed
-// recovery lines make earlier checkpoints garbage (coordinated protocols);
-// uncoordinated protocols may only collect below the computed line. Orphan
-// images without metadata (a crash mid-Put) are collected too — they are
-// invisible to List but still occupy space.
+// GC removes the files of (app, rank)'s checkpoints older than keepFrom but
+// the record files a surviving record names (it reads only the surviving
+// records' envelopes, so a rank of raw images costs one directory read).
+// Committed recovery lines make earlier checkpoints garbage (coordinated
+// protocols); uncoordinated protocols may only collect below the computed
+// line. Orphan files (a crash mid-Put) are collected too — they are invisible
+// to List but still occupy space.
 func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
-	entries, err := os.ReadDir(s.rankDir(app, rank))
+	dir := s.rankDir(app, rank)
+	entries, err := os.ReadDir(dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
+	named := make(map[uint64]bool)
+	keepRecords := false // a surviving envelope that cannot be read may name any
 	for _, e := range entries {
-		name := e.Name()
-		var numPart string
-		switch {
-		case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".img"):
-			numPart = name[len("ckpt-") : len(name)-len(".img")]
-		case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".meta"):
-			numPart = name[len("ckpt-") : len(name)-len(".meta")]
-		default:
-			continue // foreign file: not ours to delete
-		}
-		n, err := strconv.ParseUint(numPart, 10, 64)
-		if err != nil || n >= keepFrom {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.rankDir(app, rank), name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	return s.sweepBlocks()
-}
-
-// DropApp removes the app's records and sweeps newly unreferenced blocks.
-func (s *Store) DropApp(app wire.AppID) error {
-	if err := os.RemoveAll(filepath.Join(s.dir, fmt.Sprintf("app-%d", app))); err != nil {
-		return err
-	}
-	return s.sweepBlocks()
-}
-
-// sweepBlocks is the mark phase (every block referenced by any surviving
-// record envelope) followed by the sweep (unlink the rest). The walk reads
-// only envelopes — raw images are recognized and skipped by magic.
-func (s *Store) sweepBlocks() error {
-	chunkMu.Lock()
-	defer chunkMu.Unlock()
-	blocks, err := os.ReadDir(s.blocksDir())
-	if errors.Is(err, os.ErrNotExist) || len(blocks) == 0 {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	marked := make(map[BlockID]bool)
-	apps, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, appEnt := range apps {
-		if !appEnt.IsDir() || !strings.HasPrefix(appEnt.Name(), "app-") {
-			continue
-		}
-		appDir := filepath.Join(s.dir, appEnt.Name())
-		rankEnts, err := os.ReadDir(appDir)
-		if err != nil {
-			return err
-		}
-		for _, rankEnt := range rankEnts {
-			if !rankEnt.IsDir() || !strings.HasPrefix(rankEnt.Name(), "rank-") {
+		if n, ext, ok := slotFile(e.Name()); ok && n >= keepFrom && ext == "rec" {
+			env, err := readEnvelope(filepath.Join(dir, e.Name()))
+			var rec *Record
+			if err == nil {
+				rec, err = decodeEnvelope(env)
+			}
+			if err != nil {
+				keepRecords = true
 				continue
 			}
-			rankDir := filepath.Join(appDir, rankEnt.Name())
-			files, err := os.ReadDir(rankDir)
-			if err != nil {
-				return err
-			}
-			for _, f := range files {
-				if !strings.HasPrefix(f.Name(), "ckpt-") || !strings.HasSuffix(f.Name(), ".img") {
-					continue
-				}
-				env, err := os.ReadFile(filepath.Join(rankDir, f.Name()))
-				if err != nil || !IsRecord(env) {
-					continue
-				}
-				refs, err := RecordRefs(env)
-				if err != nil {
-					continue // unreadable envelope: keep its blocks unmarked
-				}
-				for _, r := range refs {
-					marked[r.ID] = true
-				}
+			for _, s := range rec.Names {
+				named[s] = true
 			}
 		}
 	}
-	for _, b := range blocks {
-		name := b.Name()
-		if !strings.HasSuffix(name, ".blk") {
-			continue
+	for _, e := range entries {
+		n, ext, ok := slotFile(e.Name())
+		if !ok || n >= keepFrom || ext == "rec" && (keepRecords || named[n]) {
+			continue // a foreign file is not ours to delete
 		}
-		raw, err := hex.DecodeString(strings.TrimSuffix(name, ".blk"))
-		if err != nil || len(raw) != len(BlockID{}) {
-			continue // foreign file: not ours to delete
-		}
-		var id BlockID
-		copy(id[:], raw)
-		if marked[id] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.blocksDir(), name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
 	}
 	return nil
 }
 
-// SealBlock compresses a byte block with DEFLATE (BestSpeed). It is the
-// shared cold-tier sealing primitive: the disk store seals checkpoint blocks
-// with it, and evstore seals event chunks with it.
+// DropApp removes the app's checkpoints.
+func (s *Store) DropApp(app wire.AppID) error {
+	return os.RemoveAll(filepath.Join(s.dir, fmt.Sprintf("app-%d", app)))
+}
+
+// SealBlock compresses a byte block with DEFLATE (BestSpeed): the cold-tier
+// sealing primitive evstore seals its event chunks with.
 func SealBlock(data []byte) []byte {
 	var buf bytes.Buffer
 	zw, err := flate.NewWriter(&buf, flate.BestSpeed)

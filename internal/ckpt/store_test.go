@@ -35,7 +35,7 @@ func orphanImage(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, n uint6
 	if err := os.MkdirAll(s.rankDir(app, rank), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.imgPath(app, rank, n), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(s.slotPath(app, rank, n, "img"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestGCLeavesForeignFiles(t *testing.T) {
 			t.Errorf("foreign file %s was deleted: %v", name, err)
 		}
 	}
-	if _, err := os.Stat(s.imgPath(1, 0, 0)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(s.slotPath(1, 0, 0, "img")); !errors.Is(err, os.ErrNotExist) {
 		t.Error("orphan image below keepFrom survived GC")
 	}
 	ns, err := s.List(1, 0)

@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 
 	"starfish/internal/wire"
@@ -115,60 +117,68 @@ func (t *Tiered) SpillErrors() int {
 	return t.spillErrs
 }
 
-// Put makes the one copy of the caller's image that both tiers then share: a
-// raw image is a slot that brings no blocks.
+// Put stores in the fast tier synchronously and spills a copy of the
+// caller's image to the slow tier in the background.
 func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return t.PutRecord(app, rank, n, append([]byte(nil), img...), nil, meta)
+	if err := t.fast.Put(app, rank, n, img, meta); err != nil {
+		return err
+	}
+	cp := append([]byte(nil), img...)
+	t.spill(func() error { return t.slow.Put(app, rank, n, cp, meta) })
+	return nil
+}
+
+// PutRecord stores in the fast tier synchronously and spills to the slow
+// tier in the background. The record was handed over and is never written
+// again, so both tiers share it: nothing is copied.
+func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	if err := t.fast.PutRecord(app, rank, n, rec, meta); err != nil {
+		return err
+	}
+	t.spill(func() error { return t.slow.PutRecord(app, rank, n, rec, meta) })
+	return nil
 }
 
 // Get reads the fast tier, which resolves its own chains, and falls back to
-// a chain walk over both tiers: after a memory wipe the whole chain comes off
-// disk, after a partial loss each envelope and block from the tier that still
-// has it.
+// the slow tier: after a memory wipe, or a loss the fast tier cannot repair,
+// the whole checkpoint comes off disk.
 func (t *Tiered) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
 	img, meta, err := t.fast.Get(app, rank, n)
 	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
 		return img, meta, err
 	}
-	return ResolveChain(t, app, rank, n)
+	return t.slow.Get(app, rank, n)
+}
+
+// GetEnvelope reads slot n's record memory-first with disk fallback.
+func (t *Tiered) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	rec, err := t.fast.GetEnvelope(app, rank, n)
+	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
+		return rec, err
+	}
+	return t.slow.GetEnvelope(app, rank, n)
 }
 
 // List unions both tiers (an index may exist only on disk after a memory
 // wipe, or only in memory before its spill lands).
 func (t *Tiered) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
-	a, err := t.fast.List(app, rank)
-	if err != nil {
-		return nil, err
-	}
-	b, err := t.slow.List(app, rank)
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(a, b), nil
+	a, errA := t.fast.List(app, rank)
+	b, errB := t.slow.List(app, rank)
+	return union(a, b), errors.Join(errA, errB)
 }
 
 // Ranks unions both tiers.
 func (t *Tiered) Ranks(app wire.AppID) ([]wire.Rank, error) {
-	a, err := t.fast.Ranks(app)
-	if err != nil {
-		return nil, err
-	}
-	b, err := t.slow.Ranks(app)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[wire.Rank]bool, len(a))
-	out := make([]wire.Rank, 0, len(a)+len(b))
-	for _, lst := range [][]wire.Rank{a, b} {
-		for _, r := range lst {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	}
-	sortRanks(out)
-	return out, nil
+	a, errA := t.fast.Ranks(app)
+	b, errB := t.slow.Ranks(app)
+	return union(a, b), errors.Join(errA, errB)
+}
+
+// union is the sorted union of two lists.
+func union[T cmp.Ordered](a, b []T) []T {
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CommitLine commits to the fast tier synchronously and spills the record.
@@ -206,66 +216,4 @@ func (t *Tiered) DropApp(app wire.AppID) error {
 	}
 	t.spill(func() error { return t.slow.DropApp(app) })
 	return nil
-}
-
-// PutRecord stores in the fast tier synchronously and spills to the slow
-// tier in the background. The slot was handed over and is never written again,
-// so the queued spill shares it; block data is the caller's again once the
-// call returns, so the spill captures its own copy.
-func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []RecBlock, meta *Meta) error {
-	if err := t.fast.PutRecord(app, rank, n, slot, blocks, meta); err != nil {
-		return err
-	}
-	cp := make([]RecBlock, len(blocks))
-	for i, b := range blocks {
-		cp[i] = RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
-	}
-	t.spill(func() error { return t.slow.PutRecord(app, rank, n, slot, cp, meta) })
-	return nil
-}
-
-// GetBlock reads a content-addressed block memory-first with disk fallback.
-func (t *Tiered) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
-	b, err := t.fast.GetBlock(app, rank, ref)
-	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
-		return b, err
-	}
-	return t.slow.GetBlock(app, rank, ref)
-}
-
-// GetEnvelope reads slot n's stored bytes memory-first with disk fallback.
-func (t *Tiered) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	env, meta, err := t.fast.GetEnvelope(app, rank, n)
-	if err == nil || !errors.Is(err, ErrNoCheckpoint) {
-		return env, meta, err
-	}
-	return t.slow.GetEnvelope(app, rank, n)
-}
-
-func mergeSorted(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default: // equal
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func sortRanks(rs []wire.Rank) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

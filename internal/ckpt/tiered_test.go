@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 type memBackend struct {
 	mu      sync.Mutex
 	images  map[[3]uint64][]byte
-	blocks  map[BlockID][]byte
+	records map[[3]uint64]bool // which slots hold records
 	metas   map[[3]uint64]*Meta
 	commits map[wire.AppID]RecoveryLine
 	fail    bool
@@ -24,7 +25,7 @@ type memBackend struct {
 func newMemBackend() *memBackend {
 	return &memBackend{
 		images:  make(map[[3]uint64][]byte),
-		blocks:  make(map[BlockID][]byte),
+		records: make(map[[3]uint64]bool),
 		metas:   make(map[[3]uint64]*Meta),
 		commits: make(map[wire.AppID]RecoveryLine),
 	}
@@ -41,6 +42,7 @@ func (m *memBackend) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, m
 		return errors.New("memBackend: injected failure")
 	}
 	m.images[bkey(app, rank, n)] = append([]byte(nil), img...)
+	delete(m.records, bkey(app, rank, n))
 	if meta == nil {
 		meta = &Meta{Rank: rank, Index: n}
 	}
@@ -49,39 +51,39 @@ func (m *memBackend) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, m
 }
 
 func (m *memBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	return ResolveChain(m, app, rank, n)
-}
-
-func (m *memBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	img, ok := m.images[bkey(app, rank, n)]
+	meta, rec := m.metas[bkey(app, rank, n)], m.records[bkey(app, rank, n)]
+	m.mu.Unlock()
 	if !ok {
 		return nil, nil, ErrNoCheckpoint
 	}
-	return img, m.metas[bkey(app, rank, n)], nil
+	if rec {
+		var err error
+		if img, err = ResolveChain(m, app, rank, n); err != nil {
+			return nil, nil, err
+		}
+	}
+	return img, meta, nil
 }
 
-func (m *memBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []RecBlock, meta *Meta) error {
-	if err := m.Put(app, rank, n, env, meta); err != nil {
+func (m *memBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.records[bkey(app, rank, n)] {
+		return nil, ErrNoCheckpoint
+	}
+	return m.images[bkey(app, rank, n)], nil
+}
+
+func (m *memBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	if err := m.Put(app, rank, n, rec, meta); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, b := range blocks {
-		m.blocks[b.Ref.ID] = append([]byte(nil), b.Data...)
-	}
+	m.records[bkey(app, rank, n)] = true
 	return nil
-}
-
-func (m *memBackend) GetBlock(app wire.AppID, rank wire.Rank, ref BlockRef) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blocks[ref.ID]
-	if !ok {
-		return nil, ErrNoCheckpoint
-	}
-	return b, nil
 }
 
 func (m *memBackend) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
@@ -109,7 +111,7 @@ func (m *memBackend) Ranks(app wire.AppID) ([]wire.Rank, error) {
 			out = append(out, r)
 		}
 	}
-	sortRanks(out)
+	slices.Sort(out)
 	return out, nil
 }
 

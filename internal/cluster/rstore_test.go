@@ -133,18 +133,18 @@ func TestDeltaChainRecoveryMidChain(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The delta path is actually in use: content-addressed blocks are
-	// resident in daemon RAM, not opaque images alone.
-	blocks := 0
+	// The delta path is actually in use: records are resident in daemon
+	// RAM, not opaque images alone.
+	records := 0
 	for _, id := range c.Nodes() {
 		mem, err := c.MemStore(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks += mem.Stats().Blocks
+		records += mem.Stats().Records
 	}
-	if blocks == 0 {
-		t.Fatal("delta-enabled app stored no content-addressed blocks")
+	if records == 0 {
+		t.Fatal("delta-enabled app stored no records")
 	}
 
 	// Kill a node hosting a rank mid-chain.

@@ -14,58 +14,40 @@ import (
 	"starfish/internal/wire"
 )
 
-// recBackend is an in-memory ckpt.Backend of one (app, rank) that keeps what
-// each PutRecord was handed — copied, as the contract demands — and can be
-// told to fail the next one.
+// recBackend is an in-memory ckpt.Backend of one (app, rank) that keeps every
+// record a PutRecord was handed and can be told to fail the next one.
 type recBackend struct {
 	ckpt.Backend
-	envs     [][]byte
-	blocks   [][]ckpt.RecBlock
+	recs     [][]byte
 	slots    map[uint64][]byte
-	byID     map[ckpt.BlockID][]byte
 	failNext bool
 }
 
 var errPlanted = errors.New("planted store failure")
 
-func newRecBackend() *recBackend {
-	return &recBackend{slots: map[uint64][]byte{}, byID: map[ckpt.BlockID][]byte{}}
-}
+func newRecBackend() *recBackend { return &recBackend{slots: map[uint64][]byte{}} }
 
-func (r *recBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, env []byte, blocks []ckpt.RecBlock, meta *ckpt.Meta) error {
+func (r *recBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
 	if r.failNext {
 		r.failNext = false
 		return errPlanted
 	}
-	env = append([]byte(nil), env...)
-	kept := make([]ckpt.RecBlock, len(blocks))
-	for i, b := range blocks {
-		kept[i] = ckpt.RecBlock{Ref: b.Ref, Data: append([]byte(nil), b.Data...)}
-		r.byID[b.Ref.ID] = kept[i].Data
-	}
-	r.envs, r.blocks = append(r.envs, env), append(r.blocks, kept)
-	r.slots[n] = env
+	r.recs = append(r.recs, rec)
+	r.slots[n] = rec
 	return nil
 }
 
 func (r *recBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	return ckpt.ResolveChain(r, app, rank, n)
+	img, err := ckpt.ResolveChain(r, app, rank, n)
+	return img, &ckpt.Meta{Rank: rank, Index: n}, err
 }
 
-func (r *recBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	env, ok := r.slots[n]
+func (r *recBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	rec, ok := r.slots[n]
 	if !ok {
-		return nil, nil, ckpt.ErrNoCheckpoint
+		return nil, ckpt.ErrNoCheckpoint
 	}
-	return env, &ckpt.Meta{Rank: rank, Index: n}, nil
-}
-
-func (r *recBackend) GetBlock(app wire.AppID, rank wire.Rank, ref ckpt.BlockRef) ([]byte, error) {
-	b, ok := r.byID[ref.ID]
-	if !ok {
-		return nil, ckpt.ErrMissingBlock
-	}
-	return b, nil
+	return rec, nil
 }
 
 // imageTap is the Pipeline with a copy taken of every image the C/R module
@@ -157,21 +139,12 @@ func (w *writer) run(t *testing.T, n int) (halted bool) {
 
 func sameLastRecord(t *testing.T, idx uint64, a, b *recBackend) {
 	t.Helper()
-	i := len(a.envs) - 1
-	if len(b.envs)-1 != i {
-		t.Fatalf("checkpoint %d: %d vs %d records", idx, len(a.envs), len(b.envs))
+	i := len(a.recs) - 1
+	if len(b.recs)-1 != i {
+		t.Fatalf("checkpoint %d: %d vs %d records", idx, len(a.recs), len(b.recs))
 	}
-	if !bytes.Equal(a.envs[i], b.envs[i]) {
-		t.Fatalf("checkpoint %d: the in-place envelope differs from the assembled one", idx)
-	}
-	if len(a.blocks[i]) != len(b.blocks[i]) {
-		t.Fatalf("checkpoint %d: %d vs %d blocks", idx, len(a.blocks[i]), len(b.blocks[i]))
-	}
-	for j := range a.blocks[i] {
-		x, y := a.blocks[i][j], b.blocks[i][j]
-		if x.Ref != y.Ref || !bytes.Equal(x.Data, y.Data) {
-			t.Fatalf("checkpoint %d: block %d differs", idx, j)
-		}
+	if !bytes.Equal(a.recs[i], b.recs[i]) {
+		t.Fatalf("checkpoint %d: the in-place record differs from the assembled one", idx)
 	}
 }
 

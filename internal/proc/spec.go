@@ -68,7 +68,7 @@ type AppSpec struct {
 	// the field existed keep their behavior.
 	Store ckpt.StoreKind
 	// DeltaCkpt enables the incremental checkpoint pipeline: epochs are
-	// captured as content-addressed full/delta records instead of opaque
+	// captured as position-addressed full/delta records instead of opaque
 	// images. FullEvery is the full-record cadence (0 selects
 	// ckpt.DefaultFullEvery).
 	DeltaCkpt bool

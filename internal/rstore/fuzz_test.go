@@ -1,6 +1,7 @@
 package rstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -10,35 +11,63 @@ import (
 	"starfish/internal/wire"
 )
 
+// capture is a ckpt.Backend that keeps the records a Pipeline hands it, by
+// slot, and does nothing else.
+type capture struct {
+	ckpt.Backend
+	recs map[uint64][]byte
+}
+
+func (c *capture) PutRecord(_ wire.AppID, _ wire.Rank, n uint64, rec []byte, _ *ckpt.Meta) error {
+	c.recs[n] = rec
+	return nil
+}
+
+// records writes imgs as slots 1, 2, ... of one rank through a Pipeline of
+// the given cadence and returns the records it made.
+func records(fullEvery int, imgs ...[]byte) map[uint64][]byte {
+	c := &capture{recs: map[uint64][]byte{}}
+	p := ckpt.NewPipeline(c, fullEvery)
+	for n, img := range imgs {
+		if err := p.Put(1, 0, uint64(n+1), img, nil); err != nil {
+			panic(err)
+		}
+	}
+	return c.recs
+}
+
 // FuzzPeerFrames feeds a store what a peer connection can deliver: two
-// requests in a row, each an arbitrary (Kind, Payload) single frame or, for
-// kPut, the pair with an arbitrary second frame. Whatever arrives, the store
-// must not panic, must not size an allocation from a count the frame does not
-// back, and must never hold a slot naming a block it does not hold.
+// requests in a row, for slots 1 and 2, each an arbitrary (Kind, Payload)
+// single frame or, for kPut, the pair with an arbitrary second frame. Whatever
+// arrives, the store must not panic, must not size an allocation from a count
+// the frame does not back, and must never hold a record naming a slot it does
+// not hold.
 func FuzzPeerFrames(f *testing.F) {
 	img := chunkEpochs(1, 2)[0]
-	var refs []ckpt.BlockRef
-	blockPut := binary.BigEndian.AppendUint32(nil, 2)
-	for _, b := range ckpt.SplitBlocks(img) {
-		ref := ckpt.BlockRef{ID: ckpt.HashBlock(b), Len: uint32(len(b))}
-		refs = append(refs, ref)
-		blockPut = append(blockPut, ref.ID[:]...)
-		blockPut = binary.BigEndian.AppendUint32(blockPut, ref.Len)
-		blockPut = append(blockPut, b...)
+	zeroed := bytes.Clone(img)
+	clear(zeroed[ckpt.DeltaBlockSize:])
+	full := records(1, img, zeroed)     // slot 1 carries both blocks, slot 2 is a carry list
+	delta := records(8, img, zeroed)[2] // a delta on slot 1 whose block is a zero sentinel
+	corrupt := bytes.Clone(full[1])     // a block that fails its crc32c
+	corrupt[len(corrupt)-1] ^= 1
+	r, err := ckpt.DecodeRecord(full[1])
+	if err != nil {
+		f.Fatal(err)
 	}
-	full := ckpt.EncodeFullRecord(len(img), refs)
-	delta := ckpt.EncodeDeltaRecord(1, len(img), len(img), []ckpt.DeltaRef{{Index: 1, Ref: refs[0]}})
-	meta := encodeTagMeta(7<<32|1, &ckpt.Meta{Rank: 0, Index: 1})
+	kept := r.Keep([]uint32{0}) // a cut-down record, which resolves to nothing
+	hdr := encodeSlotHeader(7<<32|1, slotRecord, &ckpt.Meta{Rank: 0, Index: 1})
+	raw := encodeSlotHeader(7<<32|2, slotRaw, &ckpt.Meta{Rank: 0, Index: 1})
 	huge := binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF)
 
-	f.Add(kBlockPut, blockPut, []byte(nil), kPut, meta, full)             // blocks, then their record: installed
-	f.Add(kPut, meta, full, kPut, meta, delta)                            // a record ahead of its blocks: refused
-	f.Add(kPut, meta, []byte("a raw image"), kHas, meta[:8], []byte(nil)) // names no blocks: installed, had
-	f.Add(kPut, meta[:5], full, kPut, meta, full[:len(full)-3])           // truncated metadata, truncated envelope
-	f.Add(kBlockHas, huge, []byte(nil), kBlockPut, huge, []byte(nil))     // counts no payload backs
-	f.Add(kCommit, huge, []byte(nil), kIndex, huge, []byte(nil))
-	f.Add(kBlockGet, refs[0].ID[:], []byte(nil), kGet, []byte(nil), []byte(nil))
+	f.Add(kPut, hdr, full[1], kPut, hdr, full[2])                       // a record, then the carry list naming it: installed
+	f.Add(kPut, hdr, delta, kPut, hdr, delta)                           // slot 2's record as slot 1: refused; a delta ahead of its base: refused
+	f.Add(kPut, raw, []byte("a raw image"), kHas, raw[:8], []byte(nil)) // names nothing: installed, had
+	f.Add(kPut, hdr[:5], full[1], kPut, hdr, full[2][:len(full[2])-3])  // truncated header, record truncated inside a block
+	f.Add(kCommit, huge, []byte(nil), kIndex, huge, []byte(nil))        // counts no payload backs
+	f.Add(kPut, hdr, corrupt, kPut, hdr, delta)                         // a block failing its crc32c: refused
+	f.Add(kGet, []byte(nil), []byte(nil), kGet, []byte(nil), []byte(nil))
 	f.Add(kGC, []byte(nil), []byte(nil), kDrop, []byte(nil), []byte(nil))
+	f.Add(kPut, hdr, kept, kPut, hdr, full[2]) // a cut-down record as a checkpoint: refused
 
 	f.Fuzz(func(t *testing.T, k1 uint16, p1, d1 []byte, k2 uint16, p2, d2 []byte) {
 		s, err := New(Config{Node: 1, Transport: vni.NewFastnet(0), Addr: addr(1), PeerAddr: addr})
@@ -48,12 +77,12 @@ func FuzzPeerFrames(f *testing.F) {
 		defer s.Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, fr := range []struct {
+		for n, fr := range []struct {
 			kind    uint16
 			payload []byte
 			data    []byte
 		}{{k1, p1, d1}, {k2, p2, d2}} {
-			m := &wire.Msg{Type: wire.TControl, Kind: fr.kind, App: 1, Src: 0, Seq: uint64(fr.kind), Payload: fr.payload}
+			m := &wire.Msg{Type: wire.TControl, Kind: fr.kind, App: 1, Src: 0, Seq: uint64(n + 1), Payload: fr.payload}
 			if fr.kind == kPut {
 				s.handlePut(m, &wire.Msg{Type: wire.TControl, Kind: kPutData, Payload: fr.data})
 			} else {
@@ -67,11 +96,14 @@ func FuzzPeerFrames(f *testing.F) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for k, e := range s.images {
-			eachRef(e.rec, func(r ckpt.BlockRef) {
-				if _, ok := s.blocks[r.ID]; !ok {
-					t.Fatalf("slot %+v installed without block %s", k, r.ID)
+			if e.kind != slotRecord {
+				continue
+			}
+			for _, n := range e.rec.Names {
+				if _, ok := s.images[key{k.app, k.rank, n}]; !ok {
+					t.Fatalf("slot %+v installed without slot #%d it names", k, n)
 				}
-			})
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package rstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -240,5 +241,83 @@ func TestHaveAnswersForTheBytes(t *testing.T) {
 				t.Fatal("a holder reports having the bytes a later put replaced")
 			}
 		})
+	}
+}
+
+// TestReReplicateChainToFreshMember: the holder of a collected chain's copies
+// dies and the new holder has none of it. Re-replication must leave it the
+// live chain and every collected record the chain's carry list names — the
+// carry list installs only once those are there — so that it restores the
+// newest epoch alone.
+func TestReReplicateChainToFreshMember(t *testing.T) {
+	fn := vni.NewFastnet(0)
+	stores := newCluster(t, fn, 3, 2)
+	const app, writer = 14, wire.NodeID(1)
+	var holder, fresh wire.NodeID
+	for _, id := range HolderOrder(app, 0, []wire.NodeID{1, 2, 3}) {
+		switch {
+		case id == writer:
+		case holder == 0:
+			holder = id
+		default:
+			fresh = id
+		}
+	}
+	p := ckpt.NewPipeline(stores[writer], 4)
+	imgs := chunkEpochs(6, 16) // full, 3 deltas, a carry list, a delta
+	for n, img := range imgs {
+		if err := p.Put(app, 0, uint64(n+1), img, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := stores[writer].CommitLine(app, ckpt.RecoveryLine{0: 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.GC(app, 0, 6); err != nil {
+		t.Fatal(err)
+	}
+	env, err := stores[writer].GetEnvelope(app, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carry, err := ckpt.DecodeRecord(env)
+	if err != nil || carry.Kind != ckpt.RecFull || len(carry.Names) == 0 {
+		t.Fatalf("slot #5 is no carry list naming earlier slots: %v", err)
+	}
+	if stores[fresh].Holds(app, 0, 5) {
+		t.Fatal("the fresh member already holds the chain")
+	}
+
+	fn.Crash(addr(holder))
+	stores[holder].Close()
+	live := []wire.NodeID{writer, fresh}
+	for _, id := range live {
+		stores[id].UpdateView(live)
+	}
+	for _, id := range live {
+		stores[id].bg.Wait()
+	}
+	for _, n := range append([]uint64{5, 6}, carry.Names...) {
+		if !stores[fresh].Holds(app, 0, n) {
+			t.Errorf("after re-replication the fresh member lacks slot #%d", n)
+		}
+	}
+	if st := stores[writer].Stats(); st.UnderReplicated != 0 || st.PushFailures != 0 {
+		t.Errorf("writer reports %d under-replicated, %d failed pushes", st.UnderReplicated, st.PushFailures)
+	}
+	for _, id := range live {
+		if ns, _ := stores[id].List(app, 0); !slices.Equal(ns, []uint64{5, 6}) {
+			t.Errorf("node %d lists %v after re-replication, want the live chain [5 6]", id, ns)
+		}
+	}
+	// The fresh member alone restores the newest epoch.
+	fn.Crash(addr(writer))
+	stores[writer].Close()
+	stores[fresh].UpdateView([]wire.NodeID{fresh})
+	if got, _, err := stores[fresh].Get(app, 0, 6); err != nil || !bytes.Equal(got, imgs[5]) {
+		t.Fatalf("the fresh member cannot restore the newest epoch: %v", err)
+	}
+	if _, _, err := stores[fresh].Get(app, 0, carry.Names[0]); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("a collected record restores: %v", err)
 	}
 }

@@ -24,50 +24,52 @@
 //     replicated to every member, so List/Ranks/GatherLine work on any node,
 //     including nodes that never hosted the rank. Committed recovery lines
 //     are likewise broadcast.
-//   - A slot's bytes are a raw checkpoint image or a record envelope of the
-//     incremental pipeline (ckpt.Pipeline) naming content-addressed blocks,
-//     which live in a second, reference-counted map. A raw image is a record
-//     that names no blocks: one put, one push, one fetch and one
+//   - A slot holds a raw checkpoint image (Put) or a record of the
+//     incremental pipeline (PutRecord, ckpt.Pipeline): the blocks that
+//     changed since the previous slot, each named by its position — this
+//     slot, its index — and checked by its crc32c, plus, in a full record,
+//     the slot that carries every other block. Which of the two a slot holds
+//     travels with it in every frame. One put, one push, one fetch and one
 //     re-replication walk move both.
 //   - On a view change the daemon calls UpdateView; a background pass then
 //     re-replicates what a restart can still need (each app's committed line
-//     and anything newer, and every record of a live chain). Exactly one
-//     holder acts for a slot — the writer while it is a member, else the
-//     first member of the order — and it asks each target "have?" before
-//     sending (kHas), so a death moves the copies it took and nothing else.
+//     and anything newer, every record of a live chain and every record a
+//     surviving carry list names). Exactly one holder acts for a slot — the
+//     writer while it is a member, else the first member of the order — and
+//     it asks each target "have?" before sending (kHas), so a death moves the
+//     copies it took and nothing else.
+//   - GC deletes whole records: those no surviving record names. One that a
+//     surviving carry list still names stays, collected — neither listed nor
+//     restorable — until the last record naming it goes.
 //   - The store sends what it stores: a slot goes into the frame as the
 //     stored slice itself (fastnet clones it once at exact size, TCP writev's
 //     it), and Get returns the store's internal buffer (callers treat images
 //     as read-only), so a restore from local RAM never copies the image and
 //     a restore from a peer's RAM copies it once, in the transport.
 //
-// Pushing a slot to a peer (pushSlot) is three idempotent steps, the first two
-// of which a slot that names no blocks skips:
-//
-//  1. kBlockHas asks which of the named blocks the peer lacks (cross-epoch
-//     and cross-rank dedup: a block it holds is never sent again).
-//  2. kBlockPut sends those, batched. The receiver pins them: a pinned block
-//     survives GC until a slot that names it lands.
-//  3. kPut + kPutData carry the slot: tag and metadata, then the stored bytes
-//     in a frame of their own. The receiver installs it only if every block
-//     it names is present and acknowledges with the ids of those that are
-//     not (a GC broadcast may race step 2); the pusher sends exactly those
-//     and the pair again until the list is empty. A peer that saw half of
-//     the pair says so, and the pair is sent again.
+// Pushing a slot to a peer (pushSlot) is one exchange, kPut + kPutData: the
+// slot's tag, kind and metadata, then the stored bytes in a frame of their
+// own. The receiver checks a record's blocks against their crc32c and
+// installs it only if it holds every slot the record names (a delta's base, a
+// carry list's slots); otherwise its kOK lists the slot numbers it lacks, and
+// the pusher sends those first and the pair again — the closing move of a push
+// racing a GC, or re-replicating a chain to a member that holds none of it. A
+// peer that saw half of the pair says so, and the pair is sent again.
 //
 // Holders materialize the image behind the newest record of each (app, rank)
-// as records arrive (s.resolved), so a restore from a delta chain is a map
-// lookup, like a raw image's, not a block-by-block chain walk.
+// as records arrive (s.resolved), patching the previous one with the blocks
+// the record carries, so a restore from a delta chain is a map lookup, like a
+// raw image's, not a record-by-record chain walk.
 //
 // The store speaks TControl messages on its own listener, daemon-to-daemon —
 // the one route Table 1 allows for system traffic.
 package rstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -81,30 +83,31 @@ import (
 //
 // Slots travel in their own frame (kPutData/kGetData, tag-paired with the
 // request) rather than being concatenated with the metadata, so the frame's
-// payload can be the stored slice itself. "meta" below is always the slot's
-// tag followed by the encoded ckpt.Meta (encodeTagMeta).
+// payload can be the stored slice itself. "header" below is always the slot's
+// tag, kind and encoded ckpt.Meta (encodeSlotHeader).
 const (
-	kPut       uint16 = 0x60 // header: App, Src=rank, Seq=n; payload: meta; followed by kPutData; reply kOK
-	kGet       uint16 = 0x61 // header: App, Src=rank, Seq=n
-	kGetOK     uint16 = 0x62 // payload: meta; followed by kGetData
-	kGetMiss   uint16 = 0x63 // "not held", and the answer to anything malformed or half-seen
-	kIndex     uint16 = 0x64 // payload: count, then (app, rank, n) entries
-	kCommit    uint16 = 0x65 // header: App; payload: encoded recovery line
-	kLineGet   uint16 = 0x66 // header: App
-	kLineOK    uint16 = 0x67 // payload: encoded recovery line
-	kLineMiss  uint16 = 0x68
-	kGC        uint16 = 0x69 // header: App, Src=rank, Seq=keepFrom
-	kDrop      uint16 = 0x6A // header: App
-	kOK        uint16 = 0x6B // ack; to kPut, payload: ids of named blocks still missing (none: installed)
-	kPutData   uint16 = 0x6C // second frame of kPut: the slot bytes
-	kGetData   uint16 = 0x6D // second frame of kGetOK: the slot bytes
-	kBlockHas  uint16 = 0x70 // payload: u32 count + block ids; reply kHasOK
-	kHasOK     uint16 = 0x71 // payload: one byte per queried id (1 = held)
-	kBlockPut  uint16 = 0x72 // payload: u32 count + (id, u32 len, data) entries
-	kBlockGet  uint16 = 0x73 // payload: one block id
-	kBlockOK   uint16 = 0x74 // payload: the block bytes
-	kBlockMiss uint16 = 0x75
-	kHas       uint16 = 0x76 // header: App, Src=rank, Seq=n; payload: u64 slot tag; reply kOK (held) or kGetMiss
+	kPut      uint16 = 0x60 // header: App, Src=rank, Seq=n; payload: header; followed by kPutData; reply kOK
+	kGet      uint16 = 0x61 // header: App, Src=rank, Seq=n
+	kGetOK    uint16 = 0x62 // payload: header; followed by kGetData
+	kGetMiss  uint16 = 0x63 // "not held", and the answer to anything malformed or half-seen
+	kIndex    uint16 = 0x64 // payload: count, then (app, rank, n) entries
+	kCommit   uint16 = 0x65 // header: App; payload: encoded recovery line
+	kLineGet  uint16 = 0x66 // header: App
+	kLineOK   uint16 = 0x67 // payload: encoded recovery line
+	kLineMiss uint16 = 0x68
+	kGC       uint16 = 0x69 // header: App, Src=rank, Seq=keepFrom
+	kDrop     uint16 = 0x6A // header: App
+	kOK       uint16 = 0x6B // ack; to kPut, payload: the u64 slots the record names that are missing (none: installed)
+	kPutData  uint16 = 0x6C // second frame of kPut: the slot bytes
+	kGetData  uint16 = 0x6D // second frame of kGetOK: the slot bytes
+	kHas      uint16 = 0x76 // header: App, Src=rank, Seq=n; payload: u64 slot tag; reply kOK (held) or kGetMiss
+)
+
+// Slot kinds, carried in the header of every frame that moves a slot.
+const (
+	slotRaw      uint8 = iota // a raw image
+	slotRecord                // a record, listed and restorable
+	slotRetained              // a collected record a surviving record still names
 )
 
 // Config parameterizes a Store.
@@ -149,9 +152,9 @@ type key struct {
 type entry struct {
 	img  []byte
 	meta *ckpt.Meta
-	// rec is img decoded, when img is a record envelope, and nil for a raw
-	// image: parsed once on the way in (slotRecord), read by refcounting,
-	// materialization, pushes and Get.
+	kind uint8
+	// rec is img decoded, for a record, and nil for a raw image: parsed once
+	// on the way in, read by GC, materialization, pushes and Get.
 	rec *ckpt.Record
 	// tag names the Put that produced these bytes: the writer's node in the
 	// high half, the writer's put count in the low. It travels with every
@@ -163,29 +166,54 @@ type entry struct {
 
 func (e *entry) writer() wire.NodeID { return wire.NodeID(e.tag >> 32) }
 
-// encodeTagMeta is the metadata half of every frame that moves a slot.
-func encodeTagMeta(tag uint64, meta *ckpt.Meta) []byte {
-	return append(binary.BigEndian.AppendUint64(nil, tag), meta.Encode()...)
+// encodeSlotHeader is the first half of every frame pair that moves a slot.
+func encodeSlotHeader(tag uint64, kind uint8, meta *ckpt.Meta) []byte {
+	return append(append(binary.BigEndian.AppendUint64(nil, tag), kind), meta.Encode()...)
 }
 
-func decodeTagMeta(b []byte) (uint64, *ckpt.Meta, error) {
-	if len(b) < 8 {
-		return 0, nil, ckpt.ErrBadImage
+func decodeSlotHeader(b []byte) (uint64, uint8, *ckpt.Meta, error) {
+	if len(b) < 9 || b[8] > slotRetained {
+		return 0, 0, nil, ckpt.ErrBadImage
 	}
-	meta, err := ckpt.DecodeMeta(b[8:])
-	return binary.BigEndian.Uint64(b), meta, err
+	meta, err := ckpt.DecodeMeta(b[9:])
+	return binary.BigEndian.Uint64(b), b[8], meta, err
 }
 
-// blockEntry is one content-addressed block (see rstore_chunked.go).
-type blockEntry struct {
-	data []byte
-	// refs counts references from locally held record envelopes (one per
-	// occurrence); a block at zero references is garbage unless pinned.
-	refs int
-	// pinned marks a block pushed ahead of its record (kBlockPut): it must
-	// survive until the slot that names it lands, even across a concurrent
-	// GC broadcast.
-	pinned bool
+// decodeSlot parses the bytes of slot k stored as kind, checking a record's
+// blocks against their crc32c: a record from a peer is installed whole or not
+// at all.
+func decodeSlot(k key, kind uint8, b []byte) (*ckpt.Record, error) {
+	if kind == slotRaw {
+		return nil, nil
+	}
+	rec, err := ckpt.DecodeRecord(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkRecord(k.n, kind, rec); err != nil {
+		return nil, err
+	}
+	return rec, rec.Verify()
+}
+
+// checkRecord refuses a record stored in a slot it was not written for, and
+// a cut-down record anywhere but a collected slot: it resolves to nothing.
+func checkRecord(n uint64, kind uint8, rec *ckpt.Record) error {
+	if rec.Slot != n {
+		return fmt.Errorf("rstore: record of slot #%d stored as #%d", rec.Slot, n)
+	}
+	if rec.Kind == ckpt.RecKept && kind != slotRetained {
+		return fmt.Errorf("rstore: a cut-down record stored as a checkpoint")
+	}
+	return nil
+}
+
+// resolvedImage is the materialized raw image behind one record. Once a
+// reader was handed raw (published) it is immutable; until then the rank's
+// next record is applied onto it in place.
+type resolvedImage struct {
+	raw       []byte
+	published bool
 }
 
 // Stats is a snapshot of one store's replica health and size counters.
@@ -213,24 +241,23 @@ type Stats struct {
 	PushesSkipped   uint64
 	PeerFetches     uint64
 	PeerFetchMisses uint64
-	// Blocks and BlockBytes count locally resident content-addressed
-	// blocks of the chunked checkpoint pipeline.
-	Blocks     int
-	BlockBytes int64
+	// Records counts the resident slots that hold records (of the
+	// incremental pipeline), collected ones a carry list still names
+	// included.
+	Records int
 	// BytesReplicated is the total payload bytes this node actually pushed
-	// to peers (images, record envelopes, and block data) — the savings
-	// metric of delta replication.
+	// to peers (headers, images and records) — the savings metric of delta
+	// replication.
 	BytesReplicated uint64
 }
 
 // String formats the snapshot as a single management-protocol-friendly line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d pushes-skipped %d peer-fetches %d peer-fetch-misses %d blocks %d block-bytes %d replicated-bytes %d",
+		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d pushes-skipped %d peer-fetches %d peer-fetch-misses %d records %d replicated-bytes %d",
 		st.Node, st.Members, st.Replicas, st.Images, st.Bytes, st.IndexEntries,
 		st.Commits, st.UnderReplicated, st.Pushes, st.PushFailures, st.PushesSkipped,
-		st.PeerFetches, st.PeerFetchMisses, st.Blocks, st.BlockBytes,
-		st.BytesReplicated)
+		st.PeerFetches, st.PeerFetchMisses, st.Records, st.BytesReplicated)
 }
 
 // peerConn is one lazily dialed, lockstep request/response connection to a
@@ -265,10 +292,8 @@ type Store struct {
 	// acked records which peers acknowledged holding a replica of a key.
 	acked map[key]map[wire.NodeID]bool
 	peers map[wire.NodeID]*peerConn
-	// blocks is the content-addressed block shard; resolved caches the
-	// raw image behind a record chain, materialized eagerly as records
-	// arrive so a restore from a chain is pointer-speed (rstore_chunked.go).
-	blocks   map[ckpt.BlockID]*blockEntry
+	// resolved caches the raw image behind a record chain, materialized
+	// eagerly as records arrive so a restore from a chain is pointer-speed.
 	resolved map[key]*resolvedImage
 
 	// puts numbers this node's Puts (the low half of an image tag).
@@ -306,7 +331,6 @@ func New(cfg Config) (*Store, error) {
 		commits:  make(map[wire.AppID]ckpt.RecoveryLine),
 		acked:    make(map[key]map[wire.NodeID]bool),
 		peers:    make(map[wire.NodeID]*peerConn),
-		blocks:   make(map[ckpt.BlockID]*blockEntry),
 		resolved: make(map[key]*resolvedImage),
 	}
 	//starfish:allow goleak accept loop returns when Close closes s.ln
@@ -343,9 +367,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Addr returns the store's bound listen address.
-func (s *Store) Addr() string { return s.ln.Addr() }
-
 func (s *Store) event(r evstore.Record) {
 	if s.cfg.Events != nil {
 		s.cfg.Events.Emit(r)
@@ -377,11 +398,8 @@ func HolderOrder(app wire.AppID, rank wire.Rank, members []wire.NodeID) []wire.N
 	keyHash := mix64(uint64(app)<<32 | uint64(uint32(rank)))
 	weight := func(n wire.NodeID) uint64 { return mix64(keyHash + uint64(n)*0x9e3779b97f4a7c15) }
 	out := append([]wire.NodeID(nil), members...)
-	sort.Slice(out, func(i, j int) bool {
-		if wi, wj := weight(out[i]), weight(out[j]); wi != wj {
-			return wi > wj
-		}
-		return out[i] < out[j]
+	slices.SortFunc(out, func(a, b wire.NodeID) int {
+		return cmp.Or(cmp.Compare(weight(b), weight(a)), cmp.Compare(a, b))
 	})
 	return out
 }
@@ -427,7 +445,7 @@ func (s *Store) owedLocked(k key, e *entry) []wire.NodeID {
 // the under-replication counter reflects live copies only.
 func (s *Store) UpdateView(members []wire.NodeID) {
 	ms := append([]wire.NodeID(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	slices.Sort(ms)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -436,13 +454,9 @@ func (s *Store) UpdateView(members []wire.NodeID) {
 	s.members = ms
 	s.viewGen++
 	gen := s.viewGen
-	live := make(map[wire.NodeID]bool, len(ms))
-	for _, m := range ms {
-		live[m] = true
-	}
 	for k, acks := range s.acked {
 		for n := range acks {
-			if !live[n] {
+			if !slices.Contains(ms, n) {
 				delete(acks, n)
 			}
 		}
@@ -451,7 +465,7 @@ func (s *Store) UpdateView(members []wire.NodeID) {
 		}
 	}
 	for n, pc := range s.peers {
-		if !live[n] {
+		if !slices.Contains(ms, n) {
 			delete(s.peers, n)
 			s.bg.Add(1)
 			go func(pc *peerConn) {
@@ -475,13 +489,6 @@ func (s *Store) UpdateView(members []wire.NodeID) {
 	}()
 }
 
-// Members returns the current sorted membership (copy).
-func (s *Store) Members() []wire.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]wire.NodeID(nil), s.members...)
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -497,23 +504,20 @@ func (s *Store) Stats() Stats {
 		PushesSkipped:   s.pushesSkipped,
 		PeerFetches:     s.peerFetches,
 		PeerFetchMisses: s.peerFetchMisses,
-		Blocks:          len(s.blocks),
 		BytesReplicated: s.repBytes,
 	}
-	for _, e := range s.images {
+	for k, e := range s.images {
 		st.Bytes += int64(len(e.img))
-	}
-	for _, b := range s.blocks {
-		st.BlockBytes += int64(len(b.data))
+		if e.rec != nil {
+			st.Records++
+		}
+		if len(s.owedLocked(k, e)) > 0 {
+			st.UnderReplicated++
+		}
 	}
 	for _, ranks := range s.index {
 		for _, ns := range ranks {
 			st.IndexEntries += len(ns)
-		}
-	}
-	for k, e := range s.images {
-		if len(s.owedLocked(k, e)) > 0 {
-			st.UnderReplicated++
 		}
 	}
 	return st
@@ -540,155 +544,112 @@ func (s *Store) indexAddLocked(app wire.AppID, rank wire.Rank, n uint64) {
 // ---------------------------------------------------------------------------
 
 // Put stores a raw image: the one copy that makes the caller's buffer the
-// store's, then PutRecord of a slot that brings no blocks.
+// store's.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
-	return s.PutRecord(app, rank, n, append([]byte(nil), img...), nil, meta)
+	return s.putSlot(key{app, rank, n}, append([]byte(nil), img...), slotRaw, nil, meta)
 }
 
-// PutRecord stores slot n of (app, rank) in local RAM — replica #1 — with
-// the blocks it brings, pushes the other Replicas-1 to the first members of
-// the key's order, and replicates the index entry to every member.
-// Replication failures do not fail the put — the local copy exists and the
-// under-replication counter (and the next view change's re-replication pass)
-// pick up the slack.
-func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, blocks []ckpt.RecBlock, meta *ckpt.Meta) error {
-	rec, err := slotRecord(slot)
+// PutRecord stores a record, handed over: the store keeps and pushes rec
+// itself.
+func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	r, err := ckpt.DecodeRecord(rec)
+	if err == nil {
+		err = checkRecord(n, slotRecord, r)
+	}
 	if err != nil {
 		return fmt.Errorf("rstore: put #%d of app %d rank %d: %w", n, app, rank, err)
 	}
+	return s.putSlot(key{app, rank, n}, rec, slotRecord, r, meta)
+}
+
+// putSlot stores slot k in local RAM — replica #1 — pushes the other
+// Replicas-1 copies to the first members of the key's order, and replicates
+// the index entry to every member. Replication failures do not fail the put —
+// the local copy exists and the under-replication counter (and the next view
+// change's re-replication pass) pick up the slack.
+func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta) error {
 	if meta == nil {
-		meta = &ckpt.Meta{Rank: rank, Index: n}
+		meta = &ckpt.Meta{Rank: k.rank, Index: k.n}
 	}
-	k := key{app, rank, n}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return fmt.Errorf("rstore: store closed")
 	}
-	for _, b := range blocks {
-		if _, ok := s.blocks[b.Ref.ID]; !ok {
-			// Block data is only valid for the duration of the call
-			// (Backend contract): copy.
-			s.blocks[b.Ref.ID] = &blockEntry{data: append([]byte(nil), b.Data...)}
-		}
-	}
-	tag := s.nextTagLocked()
-	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, rec, meta, tag))
+	s.puts++ // the tag names this put: this node, its put count
+	tag := uint64(s.cfg.Node)<<32 | uint64(s.puts)
+	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, kind, rec, meta, tag))
 	delete(s.acked, k) // acks were for the bytes this put replaces
-	s.indexAddLocked(app, rank, n)
+	s.indexAddLocked(k.app, k.rank, k.n)
 	s.materializeLocked(k)
 	members := append([]wire.NodeID(nil), s.members...)
 	s.mu.Unlock()
 
 	// Push the caller's slot, not the entry's: once published in s.images, a
 	// concurrent replica push (handlePut) may swap the entry's fields.
-	mb := encodeTagMeta(tag, meta)
+	e := entry{img: slot, kind: kind, rec: rec, meta: meta, tag: tag}
 	for _, h := range targets {
-		if _, err := s.pushSlot(h, k, mb, slot, rec); err != nil {
+		if _, err := s.pushSlot(h, k, e); err != nil {
 			s.logf("[rstore %d] push #%d of app %d rank %d to node %d: %v",
-				s.cfg.Node, n, app, rank, h, err)
-			s.event(evstore.EvRank("push-failure", app, rank,
-				evstore.F("n", n), evstore.F("peer", h)))
+				s.cfg.Node, k.n, k.app, k.rank, h, err)
+			s.event(evstore.EvRank("push-failure", k.app, k.rank,
+				evstore.F("n", k.n), evstore.F("peer", h)))
 		}
 	}
 	s.broadcastIndex(members, []key{k})
-	return s.closedUnderPut()
-}
-
-// closedUnderPut fails a put the store was closed under: its pushes may have
-// died with the store, and a node going down must not vouch for a checkpoint
-// that exists nowhere else — the rank would acknowledge it and the line commit.
-func (s *Store) closedUnderPut() error {
+	// A put the store was closed under fails: its pushes
+	// may have died with the store, and a node going down must not vouch for
+	// a checkpoint that exists nowhere else — the rank would acknowledge it
+	// and the line commit.
 	if s.isClosed() {
 		return fmt.Errorf("rstore: store closed")
 	}
 	return nil
 }
 
-// nextTagLocked names this node's next Put. Callers hold s.mu.
-func (s *Store) nextTagLocked() uint64 {
-	s.puts++
-	return uint64(s.cfg.Node)<<32 | uint64(s.puts)
-}
-
-// slotRecord decodes slot bytes that are a record envelope. A raw image is a
-// record that names no blocks: nil. A malformed envelope is an error, and no
-// way into the store lets one in.
-func slotRecord(slot []byte) (*ckpt.Record, error) {
-	if !ckpt.IsRecord(slot) {
-		return nil, nil
-	}
-	return ckpt.DecodeRecord(slot)
-}
-
-// pushSlot replicates one slot (slot, which decodes to rec) to a peer and
-// records the ack: the blocks it names that the peer lacks, then the slot
-// itself, until the peer acknowledges it whole. It returns the bytes that
-// crossed, whether or not the push completed.
+// pushSlot replicates slot k, held as e, to a peer in one kPut + kPutData
+// exchange and records the ack. It returns the bytes that crossed, whether or
+// not the push completed.
 //
-// The metadata rides in the kPut frame and the stored bytes themselves are
-// the payload of the kPutData frame: nothing is staged, so the only copy is
-// the transport's own (fastnet's exact-size clone, TCP's writev). Transport
-// failures are retried below this loop (exchange; pushBlocks for its pooled
-// frames); the loop is for a peer that answers "not yet": it lost blocks to a
-// GC between our pushes, and exactly those are sent again, or it saw half of
-// the pair, and the pair is (puts are idempotent overwrites).
-func (s *Store) pushSlot(peer wire.NodeID, k key, metaBytes, slot []byte, rec *ckpt.Record) (int, error) {
-	// The distinct blocks the slot names: none, and nothing allocated, for a
-	// raw image.
-	var lens map[ckpt.BlockID]uint32
-	var need []ckpt.BlockRef
-	if rec != nil {
-		named := len(rec.Refs) + len(rec.Deltas)
-		lens, need = make(map[ckpt.BlockID]uint32, named), make([]ckpt.BlockRef, 0, named)
-		eachRef(rec, func(r ckpt.BlockRef) {
-			if _, ok := lens[r.ID]; !ok {
-				lens[r.ID] = r.Len
-				need = append(need, r)
-			}
-		})
-	}
-	hdr := &wire.Msg{
-		Type: wire.TControl, Kind: kPut,
-		App: k.app, Src: k.rank, Seq: k.n,
-		Payload: metaBytes,
-	}
-	data := &wire.Msg{
-		Type: wire.TControl, Kind: kPutData,
-		App: k.app, Src: k.rank, Seq: k.n,
-		Payload: slot,
-	}
+// The header rides in the kPut frame and the stored bytes themselves are the
+// payload of the kPutData frame: nothing is staged, so the only copy is the
+// transport's own (fastnet's exact-size clone, TCP's writev). Transport
+// failures are retried below this loop (exchange); the loop is for a peer
+// that answers "not yet": it lacks slots the record names — it never had the
+// chain, or a GC took them between our pushes — and exactly those are pushed
+// first, or it saw half of the pair, and the pair is sent again (puts are
+// idempotent overwrites).
+func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
+	hdr := encodeSlotHeader(e.tag, e.kind, e.meta)
+	put := &wire.Msg{Type: wire.TControl, Kind: kPut, App: k.app, Src: k.rank, Seq: k.n, Payload: hdr}
+	data := &wire.Msg{Type: wire.TControl, Kind: kPutData, App: k.app, Src: k.rank, Seq: k.n, Payload: e.img}
 	sent := 0
 	var err error
 	for attempt := 0; ; attempt++ {
-		var missing []ckpt.BlockRef
-		var n int
-		if missing, n, err = s.blockQuery(peer, need); err != nil {
-			break
-		}
-		sent += n
-		n, err = s.pushBlocks(peer, missing)
-		sent += n
-		if err != nil {
-			break
-		}
 		var replies []wire.Msg
-		if replies, err = s.exchange(peer, []*wire.Msg{hdr, data}, nil); err != nil {
+		if replies, err = s.exchange(peer, []*wire.Msg{put, data}, nil); err != nil {
 			break
 		}
-		sent += len(metaBytes) + len(slot)
-		still := replies[0].Payload
-		if replies[0].Kind != kOK || len(still)%len(ckpt.BlockID{}) != 0 {
+		sent += len(hdr) + len(e.img)
+		missing := replies[0].Payload
+		if replies[0].Kind != kOK || len(missing)%8 != 0 {
 			err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
-		} else if len(still) == 0 {
+		} else if len(missing) == 0 {
 			break
 		} else {
-			err = fmt.Errorf("rstore: node %d still missing %d blocks", peer, len(still)/len(ckpt.BlockID{}))
-			need = need[:0]
-			for ; len(still) > 0; still = still[len(ckpt.BlockID{}):] {
-				id := ckpt.BlockID(still)
-				if n, ok := lens[id]; ok {
-					need = append(need, ckpt.BlockRef{ID: id, Len: n})
+			// Push what it lacks — only slots the record names and this
+			// node holds — and the pair again.
+			err = fmt.Errorf("rstore: node %d lacked slots record #%d names", peer, k.n)
+			for ; len(missing) > 0; missing = missing[8:] {
+				n := key{k.app, k.rank, binary.BigEndian.Uint64(missing)}
+				named, held := s.held(n)
+				if !held || e.rec == nil || !slices.Contains(e.rec.Names, n.n) {
+					break
+				}
+				nested, perr := s.pushSlot(peer, n, named)
+				if sent += nested; perr != nil {
+					err = perr
+					break
 				}
 			}
 		}
@@ -708,9 +669,21 @@ func (s *Store) pushSlot(peer wire.NodeID, k key, metaBytes, slot []byte, rec *c
 	return sent, nil
 }
 
-// peerHas asks a peer whether slot k there already holds the bytes tag names:
-// need/have for slots, as kBlockHas is for blocks. A "have" counts as the
-// peer's ack. Any failure reads as "no" — pushing is always safe.
+// held snapshots slot k's entry, under mu: a concurrent replica push
+// (handlePut) swaps an entry's fields in place.
+func (s *Store) held(k key) (entry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.images[k]
+	if !ok {
+		return entry{}, false
+	}
+	return *e, true
+}
+
+// peerHas asks a peer whether slot k there already holds the bytes tag names.
+// A "have" counts as the peer's ack. Any failure reads as "no" — pushing is
+// always safe.
 func (s *Store) peerHas(peer wire.NodeID, k key, tag uint64) bool {
 	m := &wire.Msg{
 		Type: wire.TControl, Kind: kHas,
@@ -783,8 +756,14 @@ func (s *Store) broadcast(members []wire.NodeID, what string, m wire.Msg) {
 // as read-only.
 func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
 	e, err := s.getSlot(app, rank, n)
-	if err != nil || e.rec == nil {
-		return e.img, e.meta, err
+	if err != nil {
+		return nil, nil, err
+	}
+	switch e.kind {
+	case slotRaw:
+		return e.img, e.meta, nil
+	case slotRetained:
+		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d was collected", ckpt.ErrNoCheckpoint, app, rank, n)
 	}
 	k := key{app, rank, n}
 	s.mu.Lock()
@@ -796,9 +775,9 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Met
 	if ok {
 		return r.raw, e.meta, nil
 	}
-	// Cold path: the walk reads every link through GetEnvelope and GetBlock,
+	// Cold path: the walk reads every record it needs through GetEnvelope,
 	// from peers where this node lacks one.
-	raw, _, err := ckpt.ResolveChain(s, app, rank, n)
+	raw, err := ckpt.ResolveChain(s, app, rank, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -808,43 +787,47 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Met
 	return raw, e.meta, nil
 }
 
-// GetEnvelope returns slot n's stored bytes verbatim.
-func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
+// GetEnvelope returns the record stored in slot n.
+func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
 	e, err := s.getSlot(app, rank, n)
-	return e.img, e.meta, err
+	if err == nil && e.kind == slotRaw {
+		err = fmt.Errorf("%w: app %d rank %d #%d holds no record", ckpt.ErrNoCheckpoint, app, rank, n)
+	}
+	return e.img, err
 }
 
 // getSlot returns a snapshot of slot n of (app, rank): from local RAM when
 // present, else by fetching from a peer (in the key's holder order) and
-// caching the result.
+// caching the result. A record whose blocks fail their crc32c is refused, and
+// if that is all the peers have, the answer is ErrMissingBlock.
 func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error) {
 	k := key{app, rank, n}
 	s.mu.Lock()
 	if e, ok := s.images[k]; ok {
-		// Snapshot under mu: a concurrent replica push (handlePut) swaps
-		// an entry's fields in place.
-		snap := *e
+		snap := *e // under mu: a concurrent replica push swaps an entry's fields
 		s.mu.Unlock()
 		return snap, nil
 	}
-	candidates := s.fetchOrderLocked(app, rank)
+	// Every other member, in the key's holder order.
+	candidates := slices.DeleteFunc(HolderOrder(app, rank, s.members), func(h wire.NodeID) bool { return h == s.cfg.Node })
 	s.mu.Unlock()
 
+	var corrupt error
 	for _, peer := range candidates {
-		img, meta, tag, err := s.fetchImage(peer, k)
+		img, kind, meta, tag, err := s.fetchSlot(peer, k)
 		if err != nil {
 			continue
 		}
-		rec, err := slotRecord(img)
+		rec, err := decodeSlot(k, kind, img)
 		if err != nil {
+			corrupt = fmt.Errorf("%w: slot #%d of app %d rank %d from node %d: %v", ckpt.ErrMissingBlock, n, app, rank, peer, err)
 			continue
 		}
 		s.mu.Lock()
 		s.peerFetches++
 		e, ok := s.images[k]
 		if !ok {
-			e = s.setSlotLocked(k, img, rec, meta, tag)
-			s.indexAddLocked(app, rank, n)
+			e = s.setSlotLocked(k, img, kind, rec, meta, tag)
 		}
 		snap := *e
 		s.mu.Unlock()
@@ -853,29 +836,19 @@ func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error)
 	s.mu.Lock()
 	s.peerFetchMisses++
 	s.mu.Unlock()
+	if corrupt != nil {
+		return entry{}, corrupt
+	}
 	return entry{}, fmt.Errorf("%w: app %d rank %d #%d (no in-memory replica)",
 		ckpt.ErrNoCheckpoint, app, rank, n)
 }
 
-// fetchOrderLocked lists the peers to ask for (app, rank): every other
-// member, in the key's holder order. Callers hold s.mu.
-func (s *Store) fetchOrderLocked(app wire.AppID, rank wire.Rank) []wire.NodeID {
-	order := HolderOrder(app, rank, s.members)
-	out := order[:0]
-	for _, h := range order {
-		if h != s.cfg.Node {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// fetchImage asks one peer for one slot. A hit comes back as two frames:
-// kGetOK carrying the tag and metadata, then kGetData carrying the bytes,
-// which this store keeps as it arrived — fastnet's exact-size clone of the
-// peer's slice, or TCP's pooled receive buffer (capacity rounded up to the
-// pool's power-of-two class), which is simply never recycled.
-func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, uint64, error) {
+// fetchSlot asks one peer for one slot. A hit comes back as two frames:
+// kGetOK carrying the header, then kGetData carrying the bytes, which this
+// store keeps as they arrived — fastnet's exact-size clone of the peer's
+// slice, or TCP's pooled receive buffer (capacity rounded up to the pool's
+// power-of-two class), which is simply never recycled.
+func (s *Store) fetchSlot(peer wire.NodeID, k key) ([]byte, uint8, *ckpt.Meta, uint64, error) {
 	m := &wire.Msg{Type: wire.TControl, Kind: kGet, App: k.app, Src: k.rank, Seq: k.n}
 	for attempt := 0; ; attempt++ {
 		replies, err := s.exchange(peer, []*wire.Msg{m}, func(first *wire.Msg) int {
@@ -885,17 +858,17 @@ func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, uint64,
 			return 0
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, nil, 0, err
 		}
 		if len(replies) == 2 && replies[1].Kind == kGetData {
-			tag, meta, err := decodeTagMeta(replies[0].Payload)
-			return replies[1].Payload, meta, tag, err
+			tag, kind, meta, err := decodeSlotHeader(replies[0].Payload)
+			return replies[1].Payload, kind, meta, tag, err
 		}
-		// Only kGetMiss says the peer does not hold the image; anything
+		// Only kGetMiss says the peer does not hold the slot; anything
 		// else is half a reply pair (the other frame was lost or doubled),
 		// and asking again is the answer to that.
 		if replies[0].Kind == kGetMiss || attempt >= s.cfg.RequestRetries {
-			return nil, nil, 0, ckpt.ErrNoCheckpoint
+			return nil, 0, nil, 0, ckpt.ErrNoCheckpoint
 		}
 	}
 }
@@ -904,15 +877,11 @@ func (s *Store) fetchImage(peer wire.NodeID, k key) ([]byte, *ckpt.Meta, uint64,
 func (s *Store) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := s.index[app][rank]
-	if len(ns) == 0 {
-		return nil, nil
-	}
-	out := make([]uint64, 0, len(ns))
-	for n := range ns {
+	var out []uint64
+	for n := range s.index[app][rank] {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -920,17 +889,13 @@ func (s *Store) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
 func (s *Store) Ranks(app wire.AppID) ([]wire.Rank, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ranks := s.index[app]
-	if len(ranks) == 0 {
-		return nil, nil
-	}
-	out := make([]wire.Rank, 0, len(ranks))
-	for r, ns := range ranks {
+	var out []wire.Rank
+	for r, ns := range s.index[app] {
 		if len(ns) > 0 {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -984,8 +949,9 @@ func (s *Store) CommittedLine(app wire.AppID) (ckpt.RecoveryLine, error) {
 	return nil, fmt.Errorf("%w: app %d has no committed line", ckpt.ErrNoCheckpoint, app)
 }
 
-// GC drops local images of (app, rank) older than keepFrom, updates the
-// index, and broadcasts the collection to every member.
+// GC collects the checkpoints of (app, rank) older than keepFrom, locally and
+// on every member: their index entries go, and so do their slots, but for the
+// records a surviving record names.
 func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	s.event(evstore.EvRank("gc", app, rank, evstore.F("keep-from", keepFrom)))
 	s.mu.Lock()
@@ -996,15 +962,59 @@ func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	return nil
 }
 
+// gcLocked collects below keepFrom. A record a surviving record names — a
+// delta its base, a carry list the slots carrying its blocks — stays, as a
+// collected slot, until the last record naming it goes; one kept only for
+// blocks a carry list names is cut down to those once that halves it, so a
+// block nobody rewrites does not pin its whole record. Callers hold s.mu.
 func (s *Store) gcLocked(app wire.AppID, rank wire.Rank, keepFrom uint64) {
-	for k := range s.images {
-		if k.app == app && k.rank == rank && k.n < keepFrom {
-			s.deleteImageLocked(k)
-		}
-	}
 	for n := range s.index[app][rank] {
 		if n < keepFrom {
 			delete(s.index[app][rank], n)
+		}
+	}
+	collecting := false
+	for k, e := range s.images {
+		collecting = collecting || k.app == app && k.rank == rank && k.n < keepFrom && e.kind != slotRetained
+	}
+	if !collecting {
+		return // what was kept below keepFrom is named as it was
+	}
+	bases := make(map[uint64]bool)
+	carried := make(map[uint64][]uint32)
+	for k, e := range s.images {
+		if k.app != app || k.rank != rank || k.n < keepFrom || e.kind != slotRecord {
+			continue
+		}
+		if e.rec.Kind == ckpt.RecDelta {
+			bases[e.rec.Base] = true
+			continue
+		}
+		for i := range uint32((e.rec.RawLen + ckpt.DeltaBlockSize - 1) / ckpt.DeltaBlockSize) {
+			if n, ok := e.rec.Carrier(i); ok && n < keepFrom {
+				carried[n] = append(carried[n], i)
+			}
+		}
+	}
+	for k, e := range s.images {
+		if k.app != app || k.rank != rank || k.n >= keepFrom {
+			continue
+		}
+		keep := carried[k.n]
+		if e.rec == nil || !bases[k.n] && len(keep) == 0 {
+			s.deleteImageLocked(k)
+			continue
+		}
+		e.kind = slotRetained
+		delete(s.resolved, k)
+		if bases[k.n] {
+			continue
+		}
+		slices.Sort(keep)
+		if cut := e.rec.Keep(slices.Compact(keep)); cut != nil {
+			if rec, err := ckpt.DecodeRecord(cut); err == nil {
+				e.img, e.rec = cut, rec
+			}
 		}
 	}
 }
@@ -1045,10 +1055,78 @@ func (s *Store) Evict(app wire.AppID, rank wire.Rank, n uint64) {
 
 // Holds reports whether this node's RAM currently contains the image.
 func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.images[key{app, rank, n}]
+	_, ok := s.held(key{app, rank, n})
 	return ok
+}
+
+// ---------------------------------------------------------------------------
+// Local bookkeeping (all *Locked: callers hold s.mu)
+// ---------------------------------------------------------------------------
+
+// setSlotLocked installs img, stored as kind and decoding to rec (nil: a raw
+// image), in slot k under the tag of the put that produced it. Any previously
+// materialized image for the slot is stale.
+func (s *Store) setSlotLocked(k key, img []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
+	e, ok := s.images[k]
+	if !ok {
+		e = &entry{}
+		s.images[k] = e
+	}
+	e.img, e.kind, e.rec, e.meta, e.tag = img, kind, rec, meta, tag
+	delete(s.resolved, k)
+	return e
+}
+
+// deleteImageLocked removes slot k and every piece of state hanging off it
+// (replica acks, the materialized image).
+func (s *Store) deleteImageLocked(k key) {
+	delete(s.images, k)
+	delete(s.acked, k)
+	delete(s.resolved, k)
+}
+
+// materializeLocked eagerly reconstructs the raw image behind the record in
+// slot k as patches onto the rank's previous materialization — one resident
+// raw image per rank bounds the cache, and restores overwhelmingly want the
+// newest epoch. A record carries the blocks that changed since the slot it
+// was diffed against (a delta's base, a full record's predecessor), so on the
+// image of that slot, resized, it patches exactly those; a full record with no
+// such image is materialized only if it carries every block itself. While no
+// reader was handed the previous image the patches go onto it in place, so an
+// epoch costs what changed, not the image. Failure is silent: the cold chain
+// walk in Get still works.
+func (s *Store) materializeLocked(k key) {
+	e := s.images[k]
+	if e == nil || e.kind != slotRecord {
+		return
+	}
+	rec := e.rec
+	base := k.n - 1
+	if rec.Kind == ckpt.RecDelta {
+		base = rec.Base
+	}
+	prev := s.resolved[key{k.app, k.rank, base}]
+	switch {
+	case prev == nil && len(rec.Names) > 0:
+		return // it needs what other records carry: Get's cold path assembles it
+	case rec.Kind == ckpt.RecDelta && len(prev.raw) != rec.BaseLen:
+		return
+	}
+	img := prev
+	if prev == nil || prev.published || len(prev.raw) != rec.RawLen {
+		// A published image is immutable (Get returned pointers to it).
+		img = &resolvedImage{raw: make([]byte, rec.RawLen)}
+		if prev != nil {
+			copy(img.raw, prev.raw)
+		}
+	}
+	rec.Apply(img.raw)
+	for rk := range s.resolved {
+		if rk.app == k.app && rk.rank == k.rank && rk.n < k.n {
+			delete(s.resolved, rk)
+		}
+	}
+	s.resolved[k] = img
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,19 +1152,16 @@ func (s *Store) reReplicate(gen uint64) {
 		return
 	}
 	members := append([]wire.NodeID(nil), s.members...)
-	allKeys := make([]key, 0, len(s.images))
-	for k := range s.images {
-		allKeys = append(allKeys, k)
-	}
+	var listed, held []key
 	for app, ranks := range s.index {
 		for rank, ns := range ranks {
 			for n := range ns {
-				k := key{app, rank, n}
-				if _, held := s.images[k]; !held {
-					allKeys = append(allKeys, k)
-				}
+				listed = append(listed, key{app, rank, n})
 			}
 		}
+	}
+	for k := range s.images {
+		held = append(held, k)
 	}
 	commits := make(map[wire.AppID]ckpt.RecoveryLine, len(s.commits))
 	for app, line := range s.commits {
@@ -1094,46 +1169,38 @@ func (s *Store) reReplicate(gen uint64) {
 	}
 	s.mu.Unlock()
 
-	sort.Slice(allKeys, func(i, j int) bool {
-		a, b := allKeys[i], allKeys[j]
-		if a.app != b.app {
-			return a.app < b.app
-		}
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.n < b.n
-	})
-	s.broadcastIndex(members, allKeys)
+	s.broadcastIndex(members, listed)
 	for app, line := range commits {
 		s.broadcast(members, "commit", wire.Msg{Type: wire.TControl, Kind: kCommit, App: app, Payload: ckpt.EncodeLine(line)})
 	}
-
-	for _, k := range allKeys {
+	// Ascending, so that a record's base and carried slots go before it.
+	slices.SortFunc(held, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.app, b.app), cmp.Compare(a.rank, b.rank), cmp.Compare(a.n, b.n))
+	})
+	for _, k := range held {
 		s.mu.Lock()
 		if s.closed || gen != s.viewGen {
 			s.mu.Unlock()
 			done(true)
 			return
 		}
-		e, held := s.images[k]
+		e, ok := s.images[k]
 		var targets []wire.NodeID
-		if held {
+		if ok {
 			targets = s.owedLocked(k, e)
 		}
 		if len(targets) == 0 {
 			s.mu.Unlock()
 			continue
 		}
-		img, meta, tag, rec := e.img, e.meta, e.tag, e.rec
+		snap := *e
 		s.mu.Unlock()
-		mb := encodeTagMeta(tag, meta)
 		for _, h := range targets {
-			if s.peerHas(h, k, tag) {
+			if s.peerHas(h, k, snap.tag) {
 				skipped++
 				continue
 			}
-			sent, err := s.pushSlot(h, k, mb, img, rec)
+			sent, err := s.pushSlot(h, k, snap)
 			bytes += sent
 			if err != nil {
 				failed++
@@ -1162,16 +1229,13 @@ func (s *Store) request(peer wire.NodeID, m *wire.Msg) (wire.Msg, error) {
 
 // exchange performs one logical request/reply exchange with a peer. All
 // request frames share one tag; the reply may span multiple frames (more,
-// when non-nil, reports how many extra frames follow the first). Unpooled
-// exchanges are retried here (every peer operation is idempotent); an
-// exchange carrying a pooled frame gets exactly one attempt — a successful
-// Send moves the payload away, so that caller restages and retries itself
-// (pushBlocks, around each gathered batch).
+// when non-nil, reports how many extra frames follow the first). Failed
+// exchanges are retried here: every peer operation is idempotent, and no
+// request frame is pooled, so a send never moves a payload away.
 func (s *Store) exchange(peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg) int) ([]wire.Msg, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		releaseUnsent(msgs)
 		return nil, fmt.Errorf("rstore: store closed")
 	}
 	pc := s.peers[peer]
@@ -1181,16 +1245,8 @@ func (s *Store) exchange(peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg
 	}
 	s.mu.Unlock()
 
-	attempts := 1
-	pooled := false
-	for _, m := range msgs {
-		pooled = pooled || m.Pooled
-	}
-	if !pooled {
-		attempts += s.cfg.RequestRetries
-	}
 	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i <= s.cfg.RequestRetries; i++ {
 		replies, err := s.roundTrip(pc, peer, msgs, more)
 		if err == nil {
 			return replies, nil
@@ -1206,27 +1262,23 @@ func (s *Store) exchange(peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg
 // roundTrip performs one tagged multi-frame request/reply exchange with a
 // timeout. Connections are dialed lazily, serialized per peer, and dropped
 // on any error or timeout so the next attempt starts on a clean stream.
-// Pooled payloads of frames that never moved are released before returning
-// an error, so callers uniformly own nothing afterwards.
 func (s *Store) roundTrip(pc *peerConn, peer wire.NodeID, msgs []*wire.Msg, more func(*wire.Msg) int) ([]wire.Msg, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.conn == nil {
 		conn, err := s.cfg.Transport.Dial(s.cfg.PeerAddr(peer))
 		if err != nil {
-			releaseUnsent(msgs)
 			return nil, err
 		}
 		pc.conn = conn
 	}
 	pc.tag++
 	tag := pc.tag
-	for i, m := range msgs {
+	for _, m := range msgs {
 		m.Tag = tag
 		if err := pc.conn.Send(m); err != nil {
 			pc.conn.Close()
 			pc.conn = nil
-			releaseUnsent(msgs[i:])
 			return nil, err
 		}
 	}
@@ -1300,16 +1352,6 @@ func (s *Store) roundTrip(pc *peerConn, peer wire.NodeID, msgs []*wire.Msg, more
 	}
 }
 
-// releaseUnsent returns the pooled payloads of frames that never moved to
-// the transport.
-func releaseUnsent(msgs []*wire.Msg) {
-	for _, m := range msgs {
-		if m.Pooled && m.Payload != nil {
-			m.Release()
-		}
-	}
-}
-
 // serve accepts peer connections for the life of the store.
 func (s *Store) serve() {
 	for {
@@ -1348,48 +1390,54 @@ func (s *Store) serveConn(c vni.Conn) {
 		} else {
 			replies = s.handle(&m)
 		}
-		for i, r := range replies {
+		for _, r := range replies {
 			r.Tag = m.Tag // pair the reply with its request
 			if err := c.Send(r); err != nil {
-				releaseUnsent(replies[i:])
 				return
 			}
+		}
+		if m.Kind == kPut && replies[0].Kind == kOK && len(replies[0].Payload) == 0 {
+			// The pusher is acked as soon as the slot is in: the image
+			// behind it is patched while the pusher moves on.
+			s.mu.Lock()
+			s.materializeLocked(key{m.App, m.Src, m.Seq})
+			s.mu.Unlock()
 		}
 	}
 }
 
-// handlePut services a two-frame replica push: tag and metadata in the kPut
-// frame, the slot in the kPutData frame, kept as it arrived (see fetchImage).
-// The pushed bytes replace whatever the slot held, tag included — but only if
-// every block they name is here: otherwise nothing is installed and the ack
-// lists the missing ids, the closing move of the push's race with GC.
+// handlePut services a two-frame replica push: tag, kind and metadata in the
+// kPut frame, the slot in the kPutData frame, kept as it arrived (see
+// fetchSlot). The pushed bytes replace whatever the slot held, tag included —
+// but a record only if its blocks pass their crc32c and every slot it names is
+// here: otherwise nothing is installed and the ack lists the missing slots,
+// the closing move of the push. serveConn materializes an installed record
+// once the ack is out.
 func (s *Store) handlePut(m, data *wire.Msg) []*wire.Msg {
-	tag, meta, err := decodeTagMeta(m.Payload)
+	k := key{m.App, m.Src, m.Seq}
+	tag, kind, meta, err := decodeSlotHeader(m.Payload)
 	var rec *ckpt.Record
 	if err == nil {
-		rec, err = slotRecord(data.Payload)
+		rec, err = decodeSlot(k, kind, data.Payload)
 	}
 	if err != nil {
 		data.Release()
 		return []*wire.Msg{{Type: wire.TControl, Kind: kGetMiss}}
 	}
-	k := key{m.App, m.Src, m.Seq}
 	var missing []byte
-	var seen map[ckpt.BlockID]bool // of the missing: empty but for the GC race
 	s.mu.Lock()
-	eachRef(rec, func(r ckpt.BlockRef) {
-		if _, ok := s.blocks[r.ID]; !ok && !seen[r.ID] {
-			if seen == nil {
-				seen = make(map[ckpt.BlockID]bool)
+	if kind == slotRecord {
+		for _, n := range rec.Names {
+			if _, ok := s.images[key{k.app, k.rank, n}]; !ok {
+				missing = binary.BigEndian.AppendUint64(missing, n)
 			}
-			seen[r.ID] = true
-			missing = append(missing, r.ID[:]...)
 		}
-	})
+	}
 	if len(missing) == 0 {
-		s.setSlotLocked(k, data.Payload, rec, meta, tag)
-		s.indexAddLocked(m.App, m.Src, m.Seq)
-		s.materializeLocked(k)
+		s.setSlotLocked(k, data.Payload, kind, rec, meta, tag)
+		if kind != slotRetained {
+			s.indexAddLocked(k.app, k.rank, k.n)
+		}
 	}
 	s.mu.Unlock()
 	if len(missing) > 0 {
@@ -1403,20 +1451,13 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 	one := func(r *wire.Msg) []*wire.Msg { return []*wire.Msg{r} }
 	switch m.Kind {
 	case kGet:
-		k := key{m.App, m.Src, m.Seq}
-		s.mu.Lock()
-		e, ok := s.images[k]
-		var snap entry
-		if ok {
-			snap = *e // under mu: handlePut swaps entries in place
-		}
-		s.mu.Unlock()
+		snap, ok := s.held(key{m.App, m.Src, m.Seq})
 		if !ok {
 			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
 		}
 		// The stored slice is the payload: the transport makes the one copy.
 		return []*wire.Msg{
-			{Type: wire.TControl, Kind: kGetOK, Payload: encodeTagMeta(snap.tag, snap.meta)},
+			{Type: wire.TControl, Kind: kGetOK, Payload: encodeSlotHeader(snap.tag, snap.kind, snap.meta)},
 			{Type: wire.TControl, Kind: kGetData, Payload: snap.img},
 		}
 
@@ -1429,15 +1470,6 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
 		}
 		return one(&wire.Msg{Type: wire.TControl, Kind: kOK})
-
-	case kBlockHas:
-		return one(s.handleBlockHas(m))
-
-	case kBlockPut:
-		return one(s.handleBlockPut(m))
-
-	case kBlockGet:
-		return one(s.handleBlockGet(m))
 
 	case kIndex:
 		r := wire.NewReader(m.Payload)

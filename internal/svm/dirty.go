@@ -192,8 +192,7 @@ func (m *VM) DirtyByteSpans() []Span {
 // SegmentSpans maps an encoded image into its named sections without
 // decoding any words: where the code, stack, globals and heap bytes live.
 // This is the differ's view of segment boundaries — e.g. the code and
-// globals segments every rank of an SPMD app shares, which content-addressed
-// block storage then stores once cluster-wide.
+// globals segments every rank of an SPMD app shares.
 func SegmentSpans(img []byte) ([]Segment, error) {
 	arch, err := ImageArch(img)
 	if err != nil {

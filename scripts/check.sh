@@ -15,7 +15,8 @@
 #   chain-restore-vs-disk bar, a delta epoch that beats the full-image
 #   epoch in wall time while allocating <=1.25x the image size, and the
 #   in-place epoch's bars: encode-dirty <=0.2x EncodeImage, a whole epoch
-#   <=0.5x the full-image epoch and <=0.25x the image allocated), and the
+#   <=0.5x the full-image epoch and <=0.25x the image allocated, and delta
+#   replication <=0.105x the full-image path's bytes), and the
 #   event-plane benchmarks (folded into
 #   BENCH_events.json, which enforces >=100k records/s ingest, >=2x
 #   indexed-query-vs-scan, and <=2% emitter overhead on the 64 KiB
@@ -29,9 +30,8 @@
 # Usage: scripts/check.sh [--quick]
 #   --quick   skip -race and the benchmarks (vet/build/test only)
 #
-# Every stage runs to the end whatever the stages before it did: a bar that is
-# known to be red (ROADMAP item 1) must not hide the gates behind it, nor leave
-# their BENCH_*.json stale. The names of the stages that failed are the last
+# Every stage runs to the end whatever the stages before it did: a failing bar
+# must not hide the gates behind it, nor leave their BENCH_*.json stale. The names of the stages that failed are the last
 # lines printed, and the exit status is non-zero if there are any.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -359,7 +359,10 @@ body() {
     # heap into the image it already has must cost <=0.2x a full EncodeImage, and
     # a whole epoch of the C/R module over a write-tracking VM (mode=epoch:
     # snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
-    # image and run in <=0.5x the opaque full-image epoch's time.
+    # image and run in <=0.5x the opaque full-image epoch's time. And the delta
+    # pipeline's replicated bytes at 10% must stay <=0.105x the full-image
+    # path's — a tenth of the blocks and their envelopes — so a format that
+    # re-sends unchanged blocks on its full epochs fails here.
     python3 - "$KBENCH_OUT" <<'EOF'
 import sys
 from benchfold import fold
@@ -376,6 +379,9 @@ print(f"replicated bytes/epoch at 10% mutation: delta "
       f"{delta['replicated_B_per_op']:.0f} B vs full "
       f"{full['replicated_B_per_op']:.0f} B = {reduction:.1f}x reduction "
       f"({'ok' if red_ok else 'FAIL: need >=5x'})")
+resend_ok = delta["replicated_B_per_op"] <= 0.105 * full["replicated_B_per_op"]
+print(f"delta replicates {1 / reduction:.3f}x the full-image path's bytes "
+      f"({'ok' if resend_ok else 'FAIL: need <=0.105x'})")
 
 chain = current.get("BenchmarkCheckpoint/restore=chain/size=8MB")
 disk = current.get("BenchmarkCheckpoint/restore=disk/size=8MB")
@@ -427,7 +433,7 @@ aratio = epoch["B_per_op"] / image
 ealloc_ok = aratio <= 0.25
 print(f"in-place epoch at 10% allocates {epoch['B_per_op'] / 1e6:.2f} MB/op = {aratio:.3f}x the image "
       f"({'ok' if ealloc_ok else 'FAIL: need <=0.25x'})")
-if not (red_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok):
+if not (red_ok and resend_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok):
     sys.exit(1)
 EOF
 }
