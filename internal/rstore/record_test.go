@@ -3,6 +3,7 @@ package rstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -199,6 +200,68 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 	}
 	if got, _, err := peer.Get(app, 0, 3); err != nil || !bytes.Equal(got, imgs[2]) {
 		t.Fatalf("peer restore of the raced slot: %v", err)
+	}
+}
+
+// TestRecordNeverInstallsOverAnotherIncarnation: a restart rolls the rank back
+// to slot 1, the new incarnation rewrites slot 2 and its push to the holder —
+// which still has the dead incarnation's slot 2 — fails. Slot 3 is a delta on
+// slot 2. The holder must not patch it onto the dead incarnation's bytes: its
+// restore of slot 3 is the new incarnation's image.
+func TestRecordNeverInstallsOverAnotherIncarnation(t *testing.T) {
+	// Armed, every kPut frame fails to send, so every attempt of a push
+	// fails: the action re-arms the tamper each time it fires.
+	link := &tamper{Transport: vni.NewFastnet(0), kind: kPut}
+	link.done.Store(true)
+	link.act = func(func() error) error {
+		link.done.Store(false)
+		return errors.New("refused")
+	}
+	stores := newCluster(t, link, 2, 2)
+	writer, holder := stores[1], stores[2]
+	const app = 9
+
+	base := chunkEpochs(1, 8)[0]
+	rewrite := func(img []byte, block int) []byte {
+		img = bytes.Clone(img)
+		img[block*ckpt.DeltaBlockSize]++
+		return img
+	}
+	dead1 := rewrite(base, 0)
+	live1 := rewrite(base, 1)
+	live2 := rewrite(live1, 2)
+	dead := records(8, base, dead1)        // slots 1 and 2 of the dead incarnation
+	live := records(8, base, live1, live2) // slot 3 is a delta on slot 2
+	if !bytes.Equal(dead[1], live[1]) {
+		t.Fatal("the two incarnations do not share slot 1")
+	}
+
+	for n := uint64(1); n <= 2; n++ {
+		if err := writer.PutRecord(app, 0, n, dead[n], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Rolled back to slot 1: the rewrite of slot 2 stays on the writer.
+	link.done.Store(false)
+	if err := writer.PutRecord(app, 0, 2, live[2], nil); err != nil {
+		t.Fatal(err)
+	}
+	link.done.Store(true)
+	if got, _, err := holder.Get(app, 0, 2); err != nil || !bytes.Equal(got, dead1) {
+		t.Fatalf("the holder's slot 2 is not the dead incarnation's: %v", err)
+	}
+	before := writer.Stats()
+	if err := writer.PutRecord(app, 0, 3, live[3], nil); err != nil {
+		t.Fatal(err)
+	}
+	for n, want := range map[uint64][]byte{2: live1, 3: live2} {
+		if got, _, err := holder.Get(app, 0, n); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("the holder restores slot %d as another incarnation's image (err %v)", n, err)
+		}
+	}
+	// Slot 3, and slot 2 ahead of it: two pushes, none failed.
+	if after := writer.Stats(); after.Pushes != before.Pushes+2 || after.PushFailures != before.PushFailures {
+		t.Errorf("slot 3 took %d pushes, %d failed; want 2, 0", after.Pushes-before.Pushes, after.PushFailures-before.PushFailures)
 	}
 }
 

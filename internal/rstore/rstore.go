@@ -618,43 +618,45 @@ func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *
 // that answers "not yet": it lacks slots the record names — it never had the
 // chain, or a GC took them between our pushes — and exactly those are pushed
 // first, or it saw half of the pair, and the pair is sent again (puts are
-// idempotent overwrites).
+// idempotent overwrites). A record goes only after the slots it names that
+// the peer may hold another incarnation's bytes of (pushOwedNames).
 func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
 	hdr := encodeSlotHeader(e.tag, e.kind, e.meta)
 	put := &wire.Msg{Type: wire.TControl, Kind: kPut, App: k.app, Src: k.rank, Seq: k.n, Payload: hdr}
 	data := &wire.Msg{Type: wire.TControl, Kind: kPutData, App: k.app, Src: k.rank, Seq: k.n, Payload: e.img}
-	sent := 0
-	var err error
-	for attempt := 0; ; attempt++ {
-		var replies []wire.Msg
-		if replies, err = s.exchange(peer, []*wire.Msg{put, data}, nil); err != nil {
-			break
-		}
-		sent += len(hdr) + len(e.img)
-		missing := replies[0].Payload
-		if replies[0].Kind != kOK || len(missing)%8 != 0 {
-			err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
-		} else if len(missing) == 0 {
-			break
-		} else {
-			// Push what it lacks — only slots the record names and this
-			// node holds — and the pair again.
-			err = fmt.Errorf("rstore: node %d lacked slots record #%d names", peer, k.n)
-			for ; len(missing) > 0; missing = missing[8:] {
-				n := key{k.app, k.rank, binary.BigEndian.Uint64(missing)}
-				named, held := s.held(n)
-				if !held || e.rec == nil || !slices.Contains(e.rec.Names, n.n) {
-					break
-				}
-				nested, perr := s.pushSlot(peer, n, named)
-				if sent += nested; perr != nil {
-					err = perr
-					break
+	sent, err := s.pushOwedNames(peer, k, e)
+	if err == nil {
+		for attempt := 0; ; attempt++ {
+			var replies []wire.Msg
+			if replies, err = s.exchange(peer, []*wire.Msg{put, data}, nil); err != nil {
+				break
+			}
+			sent += len(hdr) + len(e.img)
+			missing := replies[0].Payload
+			if replies[0].Kind != kOK || len(missing)%8 != 0 {
+				err = fmt.Errorf("rstore: unexpected reply kind %#x", replies[0].Kind)
+			} else if len(missing) == 0 {
+				break
+			} else {
+				// Push what it lacks — only slots the record names and this
+				// node holds — and the pair again.
+				err = fmt.Errorf("rstore: node %d lacked slots record #%d names", peer, k.n)
+				for ; len(missing) > 0; missing = missing[8:] {
+					n := key{k.app, k.rank, binary.BigEndian.Uint64(missing)}
+					named, held := s.held(n)
+					if !held || e.rec == nil || !slices.Contains(e.rec.Names, n.n) {
+						break
+					}
+					nested, perr := s.pushSlot(peer, n, named)
+					if sent += nested; perr != nil {
+						err = perr
+						break
+					}
 				}
 			}
-		}
-		if attempt >= s.cfg.RequestRetries || s.isClosed() {
-			break
+			if attempt >= s.cfg.RequestRetries || s.isClosed() {
+				break
+			}
 		}
 	}
 	s.mu.Lock()
@@ -666,6 +668,40 @@ func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
 		return sent, err
 	}
 	s.ackLocked(k, peer)
+	return sent, nil
+}
+
+// pushOwedNames brings the slots a record names up to date on peer before
+// the record goes. A peer installs a record once every slot it names is
+// present, whoever's bytes those are: after a rollback it may still hold the
+// dead incarnation's slot of an index this one rewrote, if the push of the
+// rewrite failed. So each named slot the peer has not acknowledged since it
+// was last written here is pushed, unless the peer answers that it holds the
+// slot's tag. When no push failed every named slot is acknowledged and this
+// sends nothing. It returns the bytes that crossed.
+func (s *Store) pushOwedNames(peer wire.NodeID, k key, e entry) (int, error) {
+	if e.rec == nil {
+		return 0, nil
+	}
+	sent := 0
+	for _, n := range e.rec.Names {
+		nk := key{k.app, k.rank, n}
+		s.mu.Lock()
+		named, owed := s.images[nk]
+		owed = owed && !s.acked[nk][peer]
+		var snap entry
+		if owed {
+			snap = *named
+		}
+		s.mu.Unlock()
+		if !owed || s.peerHas(peer, nk, snap.tag) {
+			continue
+		}
+		nested, err := s.pushSlot(peer, nk, snap)
+		if sent += nested; err != nil {
+			return sent, err
+		}
+	}
 	return sent, nil
 }
 

@@ -71,15 +71,6 @@ var ErrWordOverflow = errors.New("svm: value does not fit target word length")
 // wordBytes returns the byte width of the architecture's word.
 func (a Arch) wordBytes() int { return a.WordBits / 8 }
 
-// wrap truncates v to the architecture's word length (two's complement),
-// modelling native word arithmetic.
-func (a Arch) wrap(v int64) int64 {
-	if a.WordBits == 32 {
-		return int64(int32(v))
-	}
-	return v
-}
-
 // fits reports whether v is representable in the architecture's word.
 func (a Arch) fits(v int64) bool {
 	if a.WordBits == 32 {

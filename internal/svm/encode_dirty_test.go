@@ -119,9 +119,10 @@ func TestResetDirtyReusesBitmap(t *testing.T) {
 }
 
 // TestVMsDoNotShareCacheLines: two ranks' interpreters run side by side, one
-// goroutine each, and write their VM's counters and stacks on every
-// instruction. A VM that is not a whole number of lines, or stacks that are
-// 8-byte objects, let two of them share a line and run at a quarter speed.
+// goroutine each. Nearly every instruction writes a stack's backing array,
+// and every slice the VM's counters: stacks that are 8-byte objects, or a VM
+// that is not a whole number of lines, let two of them share a line and run
+// at a quarter speed.
 func TestVMsDoNotShareCacheLines(t *testing.T) {
 	const cacheLine = 64
 	if sz := unsafe.Sizeof(VM{}); sz%cacheLine != 0 {

@@ -213,6 +213,7 @@ func DecodeImage(img []byte, target Arch) (*VM, error) {
 		}
 		m.Code[i] = Instr{Op: Op(op), Arg: arg}
 	}
+	m.prog = decode(m.Code)
 
 	for _, dst := range []*[]int64{&m.Stack, &m.CallStack, &m.Globals, &m.Mem, &m.Output} {
 		n, err := r.count()

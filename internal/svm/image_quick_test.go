@@ -107,18 +107,20 @@ func TestQuickWordCodec(t *testing.T) {
 func TestQuickExecutionDeterminismAcrossCheckpoint(t *testing.T) {
 	// Property: for a random cut point, running to completion directly and
 	// running via checkpoint+convert+restore at the cut yields identical
-	// final state.
+	// final state. The cut is reached in slices of a random length, so it
+	// and the slices before it end anywhere in a fused group.
 	cfg := &quick.Config{
 		MaxCount: 100,
 		Values: func(vals []reflect.Value, r *rand.Rand) {
 			vals[0] = reflect.ValueOf(int64(r.Intn(150) + 1)) // n
 			vals[1] = reflect.ValueOf(uint64(r.Intn(2000)))   // cut
-			vals[2] = reflect.ValueOf(Machines[r.Intn(len(Machines))])
+			vals[2] = reflect.ValueOf(1 + r.Intn(12))         // slice
 			vals[3] = reflect.ValueOf(Machines[r.Intn(len(Machines))])
+			vals[4] = reflect.ValueOf(Machines[r.Intn(len(Machines))])
 		},
 	}
 	prog := MustAssemble(sumProgram)
-	prop := func(n int64, cut uint64, src, dst Arch) bool {
+	prop := func(n int64, cut uint64, slice int, src, dst Arch) bool {
 		direct := New(src, prog, 2)
 		direct.Globals[1] = n
 		if err := direct.Run(1 << 20); err != nil {
@@ -127,8 +129,8 @@ func TestQuickExecutionDeterminismAcrossCheckpoint(t *testing.T) {
 
 		m := New(src, prog, 2)
 		m.Globals[1] = n
-		for i := uint64(0); i < cut && !m.Halted; i++ {
-			if err := m.Step(); err != nil {
+		for left := int(cut); left > 0 && !m.Halted; left -= slice {
+			if _, err := m.RunSteps(min(left, slice)); err != nil {
 				return false
 			}
 		}

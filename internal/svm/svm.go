@@ -116,6 +116,9 @@ const maxCallDepth = 1 << 16
 type VM struct {
 	Arch Arch
 
+	// Code is the program. It is immutable once the VM is built: the
+	// interpreter runs a table decoded from it (exec.go), and re-decodes
+	// only when Code is replaced by another slice.
 	Code      []Instr
 	PC        int
 	Stack     []int64
@@ -130,10 +133,15 @@ type VM struct {
 	// incremental checkpointing (see dirty.go). Deliberately unexported and
 	// outside the image: a restored VM starts untracked.
 	dirty *dirtyState
+	// prog is Code decoded for the interpreter, outside the image like dirty.
+	prog *program
 
-	// Pads the struct to whole cache lines: Steps is written every instruction
-	// and Arch read on every push, so two VMs on one line run at quarter speed.
-	_ [32]byte
+	// Pads the struct to whole cache lines, so that no two VMs share one: the
+	// interpreter writes PC, Steps and the stack header back once per
+	// RunSteps slice, and the call stack, heap and output headers on every
+	// call, ret, alloc and out. The stacks' backing arrays, which nearly every
+	// instruction writes, have lines of their own (alignedWords).
+	_ [24]byte
 }
 
 // alignedWords returns n words in a backing array of at least 64 that starts
@@ -148,13 +156,15 @@ func alignedWords(n int) []int64 {
 
 // New creates a VM for prog with nglobals global slots, running on arch.
 func New(arch Arch, prog []Instr, nglobals int) *VM {
-	return &VM{
+	m := &VM{
 		Arch:      arch,
 		Code:      append([]Instr(nil), prog...),
 		Stack:     alignedWords(0),
 		CallStack: alignedWords(0),
 		Globals:   make([]int64, nglobals),
 	}
+	m.prog = decode(m.Code)
+	return m
 }
 
 // Grow pre-allocates n words of heap (equivalent to executing ALLOC n and
@@ -163,210 +173,23 @@ func (m *VM) Grow(n int) {
 	m.Mem = append(m.Mem, make([]int64, n)...)
 }
 
-func (m *VM) push(v int64) { m.Stack = append(m.Stack, m.Arch.wrap(v)) }
-
-func (m *VM) pop() (int64, error) {
-	if len(m.Stack) == 0 {
-		return 0, ErrStackEmpty
-	}
-	v := m.Stack[len(m.Stack)-1]
-	m.Stack = m.Stack[:len(m.Stack)-1]
-	return v, nil
-}
-
-func (m *VM) pop2() (a, b int64, err error) {
-	if b, err = m.pop(); err != nil {
-		return
-	}
-	a, err = m.pop()
-	return
-}
-
 // Step executes one instruction.
 func (m *VM) Step() error {
 	if m.Halted {
 		return ErrHalted
 	}
-	if m.PC < 0 || m.PC >= len(m.Code) {
-		return fmt.Errorf("%w: pc=%d len=%d", ErrBadPC, m.PC, len(m.Code))
-	}
-	in := m.Code[m.PC]
-	next := m.PC + 1
-	m.Steps++
-
-	switch in.Op {
-	case NOP:
-	case PUSH:
-		m.push(in.Arg)
-	case POP:
-		if _, err := m.pop(); err != nil {
-			return err
-		}
-	case DUP:
-		if len(m.Stack) == 0 {
-			return ErrStackEmpty
-		}
-		m.push(m.Stack[len(m.Stack)-1])
-	case SWAP:
-		a, b, err := m.pop2()
-		if err != nil {
-			return err
-		}
-		m.push(b)
-		m.push(a)
-	case ADD, SUB, MUL, DIV, MOD, EQ, LT, GT, AND, OR, XOR, SHL, SHR:
-		a, b, err := m.pop2()
-		if err != nil {
-			return err
-		}
-		var v int64
-		switch in.Op {
-		case ADD:
-			v = a + b
-		case SUB:
-			v = a - b
-		case MUL:
-			v = a * b
-		case DIV:
-			if b == 0 {
-				return ErrDivByZero
-			}
-			v = a / b
-		case MOD:
-			if b == 0 {
-				return ErrDivByZero
-			}
-			v = a % b
-		case EQ:
-			v = boolWord(a == b)
-		case LT:
-			v = boolWord(a < b)
-		case GT:
-			v = boolWord(a > b)
-		case AND:
-			v = a & b
-		case OR:
-			v = a | b
-		case XOR:
-			v = a ^ b
-		case SHL:
-			v = a << (uint64(b) % uint64(m.Arch.WordBits))
-		case SHR:
-			v = a >> (uint64(b) % uint64(m.Arch.WordBits))
-		}
-		m.push(v)
-	case NEG:
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		m.push(-v)
-	case NOT:
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		m.push(boolWord(v == 0))
-	case JMP:
-		next = int(in.Arg)
-	case JZ, JNZ:
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		if (in.Op == JZ) == (v == 0) {
-			next = int(in.Arg)
-		}
-	case LOADG:
-		if in.Arg < 0 || in.Arg >= int64(len(m.Globals)) {
-			return fmt.Errorf("%w: %d", ErrBadGlobal, in.Arg)
-		}
-		m.push(m.Globals[in.Arg])
-	case STOREG:
-		if in.Arg < 0 || in.Arg >= int64(len(m.Globals)) {
-			return fmt.Errorf("%w: %d", ErrBadGlobal, in.Arg)
-		}
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		m.Globals[in.Arg] = v
-		if m.dirty != nil {
-			m.dirty.globals = true
-		}
-	case LOADM:
-		addr, err := m.pop()
-		if err != nil {
-			return err
-		}
-		if addr < 0 || addr >= int64(len(m.Mem)) {
-			return fmt.Errorf("%w: %d", ErrBadAddress, addr)
-		}
-		m.push(m.Mem[addr])
-	case STOREM:
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		addr, err := m.pop()
-		if err != nil {
-			return err
-		}
-		if addr < 0 || addr >= int64(len(m.Mem)) {
-			return fmt.Errorf("%w: %d", ErrBadAddress, addr)
-		}
-		m.Mem[addr] = v
-		if m.dirty != nil {
-			m.dirty.markMem(int(addr))
-		}
-	case ALLOC:
-		n, err := m.pop()
-		if err != nil {
-			return err
-		}
-		if n < 0 {
-			return fmt.Errorf("%w: alloc %d", ErrBadAddress, n)
-		}
-		base := int64(len(m.Mem))
-		m.Mem = append(m.Mem, make([]int64, n)...)
-		m.push(base)
-	case CALL:
-		if len(m.CallStack) >= maxCallDepth {
-			return ErrCallDepth
-		}
-		m.CallStack = append(m.CallStack, int64(m.PC+1))
-		next = int(in.Arg)
-	case RET:
-		if len(m.CallStack) == 0 {
-			return ErrRetEmpty
-		}
-		next = int(m.CallStack[len(m.CallStack)-1])
-		m.CallStack = m.CallStack[:len(m.CallStack)-1]
-	case OUT:
-		v, err := m.pop()
-		if err != nil {
-			return err
-		}
-		m.Output = append(m.Output, v)
-	case HALT:
-		m.Halted = true
-		return nil
-	default:
-		return fmt.Errorf("svm: unknown opcode %d at pc=%d", in.Op, m.PC)
-	}
-	m.PC = next
-	return nil
+	_, err := m.RunSteps(1)
+	return err
 }
 
 // Run executes until HALT or maxSteps instructions, whichever first.
 func (m *VM) Run(maxSteps uint64) error {
-	for i := uint64(0); i < maxSteps; i++ {
-		if m.Halted {
-			return nil
-		}
-		if err := m.Step(); err != nil {
+	for maxSteps > 0 {
+		n := min(maxSteps, 1<<30)
+		if halted, err := m.RunSteps(int(n)); halted || err != nil {
 			return err
 		}
+		maxSteps -= n
 	}
 	if m.Halted {
 		return nil
@@ -378,10 +201,16 @@ func (m *VM) Run(maxSteps uint64) error {
 // halted. It is the unit of interleaving between computation and the
 // Starfish runtime (checkpoints are taken between RunSteps slices).
 func (m *VM) RunSteps(n int) (halted bool, err error) {
-	for i := 0; i < n && !m.Halted; i++ {
-		if err := m.Step(); err != nil {
-			return false, err
-		}
+	if m.Halted || n <= 0 {
+		return m.Halted, nil
+	}
+	if m.Arch.WordBits == 32 {
+		err = run[int32](m, m.program(), n)
+	} else {
+		err = run[int64](m, m.program(), n)
+	}
+	if err != nil {
+		return false, err
 	}
 	return m.Halted, nil
 }

@@ -15,8 +15,9 @@
 #   chain-restore-vs-disk bar, a delta epoch that beats the full-image
 #   epoch in wall time while allocating <=1.25x the image size, and the
 #   in-place epoch's bars: encode-dirty <=0.2x EncodeImage, a whole epoch
-#   <=0.5x the full-image epoch and <=0.25x the image allocated, and delta
-#   replication <=0.105x the full-image path's bytes), and the
+#   <=0.5x the full-image epoch and <=0.25x the image allocated, delta
+#   replication <=0.105x the full-image path's bytes, and the SVM's decoded
+#   interpreter >=1.8x the per-instruction reference on a 64-bit machine), and the
 #   event-plane benchmarks (folded into
 #   BENCH_events.json, which enforces >=100k records/s ingest, >=2x
 #   indexed-query-vs-scan, and <=2% emitter overhead on the 64 KiB
@@ -342,8 +343,9 @@ body() {
     # -count=3 with min folding, as for the event plane: the wall-time gate
     # below compares two benchmarks run minutes apart on a shared host.
     # The root package has the pipeline and encoder benchmarks; internal/proc has
-    # BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself.
-    go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ | tee "$KBENCH_OUT"
+    # BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself;
+    # internal/svm has BenchmarkRunSteps, the interpreter a VM rank steps.
+    go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/|BenchmarkRunSteps/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ ./internal/svm/ | tee "$KBENCH_OUT"
 }
 stage "checkpoint benchmarks"
 
@@ -362,7 +364,10 @@ body() {
     # image and run in <=0.5x the opaque full-image epoch's time. And the delta
     # pipeline's replicated bytes at 10% must stay <=0.105x the full-image
     # path's — a tenth of the blocks and their envelopes — so a format that
-    # re-sends unchanged blocks on its full epochs fails here.
+    # re-sends unchanged blocks on its full epochs fails here. And the SVM's
+    # decoded interpreter must run the vmheap program >=1.8x as many
+    # instructions per second as the per-instruction reference interpreter on a
+    # 64-bit machine, both measured in this run.
     python3 - "$KBENCH_OUT" <<'EOF'
 import sys
 from benchfold import fold
@@ -433,7 +438,14 @@ aratio = epoch["B_per_op"] / image
 ealloc_ok = aratio <= 0.25
 print(f"in-place epoch at 10% allocates {epoch['B_per_op'] / 1e6:.2f} MB/op = {aratio:.3f}x the image "
       f"({'ok' if ealloc_ok else 'FAIL: need <=0.25x'})")
-if not (red_ok and resend_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok):
+for arch in ("le64", "le32"):
+    ref = need(f"BenchmarkRunSteps/interp=ref/arch={arch}")["Minstr_s"]
+    fast = need(f"BenchmarkRunSteps/interp=fast/arch={arch}")["Minstr_s"]
+    print(f"svm interpreter on {arch}: {fast:.0f} vs reference {ref:.0f} Minstr/s = {fast / ref:.2f}x")
+    if arch == "le64":
+        interp_ok = fast >= 1.8 * ref
+        print(f"decoded interpreter vs reference on le64: {'ok' if interp_ok else 'FAIL: need >=1.8x'}")
+if not (red_ok and resend_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok and interp_ok):
     sys.exit(1)
 EOF
 }
