@@ -12,11 +12,12 @@
 // Data messages travel on the fast path — directly from this module to the
 // VNI — and never touch the object bus or the daemons, which is the
 // paper's key performance decision. Receives are serviced from one queue of
-// received messages, which the VNI's polling goroutines fill themselves
-// (§2.2.1): the goroutine that took a message off its connection runs the
-// matcher's intake on it, so a blocking receive whose message already
-// arrived is a queue pop, not a kernel interaction, and one that waits is
-// woken by the goroutine that read the message.
+// received messages, which the VNI's intake fills itself (§2.2.1): the
+// goroutine that delivers a message — on fastnet the sender's own, inside
+// its Send; on TCP the connection's polling goroutine — runs the matcher's
+// intake on it, so a blocking receive whose message already arrived is a
+// queue pop, not a kernel interaction, and one that waits is woken by the
+// goroutine that delivered the message.
 package mpi
 
 import (
@@ -41,7 +42,7 @@ var (
 
 // msgPool recycles the Msg header structs built once per send. Both
 // transports consume the Msg before Send returns — fastnet copies it by
-// value into the queue, TCP serializes it onto the socket — so the struct
+// value to the receiver, TCP serializes it onto the socket — so the struct
 // is dead the moment NIC.Send comes back and can be reused. At the
 // chunked collectives' message rates this is the send path's only
 // steady-state allocation.
@@ -78,10 +79,11 @@ type Config struct {
 	// Timer, when non-nil, records per-layer times (Figure 6).
 	Timer *vni.StageTimer
 	// OnMarker is invoked when a Chandy–Lamport marker arrives on the data
-	// path. Like OnReceive it is called on the polling goroutine of the
-	// connection the message arrived on: concurrently across connections,
-	// in arrival order within one, and before that connection's next
-	// message is looked at.
+	// path. Like OnReceive it is called on the goroutine delivering the
+	// connection the message arrived on (vni.NIC.Deliver; on fastnet the
+	// sender's): concurrently across connections, in arrival order within
+	// one, and before that connection's next message is looked at. Neither
+	// may send on the data path.
 	OnMarker func(src wire.Rank, ckptID uint64)
 	// OnReceive is invoked for every data message, with the sender's
 	// interval — the C/R module records the dependency.
@@ -169,8 +171,8 @@ type Comm struct {
 }
 
 // New creates a communicator and takes over the NIC's received messages:
-// whatever the NIC queued so far, then each message as its polling goroutine
-// reads it (vni.NIC.Deliver).
+// whatever the NIC queued so far, then each message as it is delivered
+// (vni.NIC.Deliver).
 func New(cfg Config) (*Comm, error) {
 	if cfg.Size <= 0 || int(cfg.Rank) < 0 || int(cfg.Rank) >= cfg.Size {
 		return nil, fmt.Errorf("%w: rank %d of %d", ErrBadRank, cfg.Rank, cfg.Size)
@@ -209,9 +211,10 @@ func (c *Comm) Size() int { return c.cfg.Size }
 func (c *Comm) App() wire.AppID { return c.cfg.App }
 
 // handle is the matcher's intake, the consumer side of the paper's
-// polling-thread design: it runs on the polling goroutine of the connection m
-// arrived on, so messages of one connection are handled in order and
-// connections do not wait for each other outside c.mu.
+// polling-thread design: it runs on the goroutine delivering the connection
+// m arrived on — on fastnet the sender's, inside its Send — so messages of
+// one connection are handled in order and connections do not wait for each
+// other outside c.mu.
 func (c *Comm) handle(m wire.Msg) {
 	if m.App != c.cfg.App {
 		m.Release() // stale traffic from a previous incarnation

@@ -146,7 +146,7 @@ func (c *Ctx) Coordinate(payload []byte) error {
 	if c.p == nil {
 		return fmt.Errorf("proc: no runtime")
 	}
-	return c.p.sendToDaemon(wire.Msg{
+	return c.p.link.Send(wire.Msg{
 		Type: wire.TCoordination, App: c.p.spec.ID, Src: c.Rank, Payload: payload,
 	})
 }

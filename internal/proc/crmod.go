@@ -35,7 +35,7 @@ type crModule struct {
 	// In-place capture's alternating buffers (DESIGN, "Capture data flow"):
 	// base, the newest stored image, is the store's diff base and read-only
 	// here; spare, the one before, came back from the store and is ours to
-	// write. Under mu: Chandy–Lamport stores on a polling goroutine.
+	// write. Under mu: Chandy–Lamport stores on a delivering goroutine.
 	base, spare imageBuf
 
 	// Independent-protocol state: receipts recorded since the last
@@ -306,8 +306,10 @@ func (cr *crModule) store(idx uint64, c *cut, img []byte, off int, meta *ckpt.Me
 
 // ---- callbacks from the MPI matcher's intake ----
 //
-// Both are called on the polling goroutine of the connection the message
-// arrived on: concurrently across connections, in order within one.
+// Both are called on the goroutine delivering the connection the message
+// arrived on — on fastnet the sender's, inside its Send: concurrently across
+// connections, in order within one. Neither sends on the data path: the
+// sender may be holding that connection.
 
 // onReceive records a dependency for uncoordinated checkpointing.
 func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
@@ -319,10 +321,12 @@ func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
 	cr.mu.Unlock()
 }
 
-// onMarker handles a Chandy–Lamport marker. Runs on the polling goroutine
-// of the channel it arrived on, synchronously before any later message of
-// that channel is processed — which is what makes StopRecordingFrom cut
-// the channel's recorded state exactly at the marker.
+// onMarker handles a Chandy–Lamport marker. Runs on the goroutine
+// delivering the channel it arrived on, synchronously before any later
+// message of that channel is processed — which is what makes
+// StopRecordingFrom cut the channel's recorded state exactly at the marker.
+// The marker that completes a round finalizes it here: on fastnet, on the
+// goroutine of the rank that sent it, inside its clBegin marker loop.
 func (cr *crModule) onMarker(src wire.Rank, id uint64) {
 	cr.mu.Lock()
 	if !cr.clActive {
@@ -453,7 +457,7 @@ func (cr *crModule) finalizeCL() {
 func (cr *crModule) sendAck(id uint64) {
 	w := wire.NewWriter(12)
 	w.U64(id)
-	cr.p.sendToDaemon(wire.Msg{
+	cr.p.link.Send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KAck, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})
@@ -490,7 +494,7 @@ func (cr *crModule) onAck(from wire.Rank, id uint64) {
 	cr.p.event(evstore.EvApp("commit", cr.p.spec.ID, evstore.F("line", id)))
 	w := wire.NewWriter(8)
 	w.U64(id)
-	cr.p.sendToDaemon(wire.Msg{
+	cr.p.link.Send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KCommit, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})
@@ -585,7 +589,7 @@ func (cr *crModule) sfsBegin(idx uint64) error {
 			fw.U32(uint32(r)).U64(n)
 		}
 	}
-	cr.p.sendToDaemon(wire.Msg{
+	cr.p.link.Send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KFlush, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: fw.Bytes(),
 	})
@@ -718,7 +722,7 @@ func (cr *crModule) initiate() error {
 			w := wire.NewWriter(12)
 			w.U64(0)
 			w.U8(uint8(cr.p.spec.Protocol))
-			return cr.p.sendToDaemon(wire.Msg{
+			return cr.p.link.Send(wire.Msg{
 				Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
 				Src: cr.p.rank, Payload: w.Bytes(),
 			})
@@ -736,7 +740,7 @@ func (cr *crModule) initiate() error {
 		w := wire.NewWriter(12)
 		w.U64(idx)
 		w.U8(uint8(cr.p.spec.Protocol))
-		return cr.p.sendToDaemon(wire.Msg{
+		return cr.p.link.Send(wire.Msg{
 			Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
 			Src: cr.p.rank, Payload: w.Bytes(),
 		})

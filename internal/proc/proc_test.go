@@ -97,8 +97,10 @@ func (a *ringApp) Step(ctx *Ctx) (bool, error) {
 // and coordination messages to every process (the lightweight-group cast)
 // in a single total order, and collects completion reports.
 type harness struct {
-	t     testing.TB
-	fn    *vni.Fastnet
+	t testing.TB
+	// tr is what the processes' NICs run on: a fastnet, unless a test
+	// wraps it before launch.
+	tr    vni.Transport
 	store *ckpt.Store
 	spec  AppSpec
 	gen   uint32
@@ -128,7 +130,7 @@ func newHarness(t testing.TB, spec AppSpec) *harness {
 	}
 	h := &harness{
 		t:      t,
-		fn:     vni.NewFastnet(0),
+		tr:     vni.NewFastnet(0),
 		store:  store,
 		spec:   spec,
 		doneCh: make(chan doneEvent, 64),
@@ -219,7 +221,7 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 			Store:      h.store,
 			Link:       pside,
 			Events:     h.events,
-			Transport:  h.fn,
+			Transport:  h.tr,
 			ListenAddr: fmt.Sprintf("app%d-g%d-r%d", h.spec.ID, gen, i),
 		})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"starfish/internal/bus"
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
 	"starfish/internal/mpi"
@@ -61,14 +60,16 @@ type Process struct {
 	cr      *crModule
 	events  evstore.Sink
 	encoder ckpt.Encoder
-	objBus  *bus.Bus
 	timer   *vni.StageTimer
 	logf    func(string, ...any)
 
 	ctx *Ctx
 
 	// ctl carries daemon messages into the main loop (fed by the group
-	// handler goroutine).
+	// handler goroutine). It is the paper's object bus (§2.2): the one
+	// route by which configuration, lightweight-membership, coordination
+	// and C/R messages reach the process's modules; the scheduler hands
+	// each to its module at a step boundary.
 	ctl      chan wire.Msg
 	deferred []wire.Msg
 
@@ -116,7 +117,6 @@ func New(cfg Config) (*Process, error) {
 		app:     app,
 		events:  cfg.Events,
 		encoder: cfg.Spec.NewEncoder(),
-		objBus:  bus.New(0),
 		timer:   cfg.Timer,
 		logf:    cfg.Logf,
 		ctl:     make(chan wire.Msg, 1024),
@@ -140,14 +140,12 @@ func (p *Process) Err() error { return p.err }
 
 // Start launches the group handler and main loop.
 func (p *Process) Start() {
-	p.objBus.Start()
 	go p.groupHandler()
 	go p.run()
 }
 
 // groupHandler is the module connecting the process to its daemon: it
-// translates daemon messages into object-bus events and forwards them to
-// the main loop's control queue.
+// forwards daemon messages to the main loop's control queue.
 func (p *Process) groupHandler() {
 	for {
 		select {
@@ -159,18 +157,6 @@ func (p *Process) groupHandler() {
 			if m.Type == wire.TConfiguration && m.Kind == CfgAbort {
 				p.interrupt()
 			}
-			// Post on the bus for any subscribed module (observability,
-			// extensions), and queue for the scheduler.
-			topic := bus.TopicConfig
-			switch m.Type {
-			case wire.TCheckpoint:
-				topic = bus.TopicCheckpoint
-			case wire.TCoordination:
-				topic = bus.TopicCoordination
-			case wire.TLWMembership:
-				topic = bus.TopicLWView
-			}
-			p.objBus.Post(bus.Event{Topic: topic, Msg: m})
 			select {
 			case p.ctl <- m:
 			case <-p.done:
@@ -202,13 +188,6 @@ func (p *Process) interrupt() {
 	p.cmu.Unlock()
 }
 
-// sendToDaemon forwards a message to the daemon over the group-handler
-// connection.
-func (p *Process) sendToDaemon(m wire.Msg) error {
-	p.objBus.Post(bus.Event{Topic: bus.TopicOutbound, Msg: m})
-	return p.link.Send(m)
-}
-
 // event forwards a structured record to the configured sink.
 func (p *Process) event(r evstore.Record) {
 	if p.events != nil {
@@ -224,9 +203,6 @@ func (p *Process) logff(format string, args ...any) {
 
 func (p *Process) requestCheckpoint() { p.ckptRequested = true }
 
-// Bus exposes the process's object bus (module extensions, tests).
-func (p *Process) Bus() *bus.Bus { return p.objBus }
-
 // run is the scheduler: it waits for the daemon's start message, builds
 // the MPI module, restores state if this is a restart, and then alternates
 // application steps with control-message handling.
@@ -236,7 +212,6 @@ func (p *Process) run() {
 			p.comm.Close()
 		}
 		p.nic.Close()
-		p.objBus.Stop()
 		close(p.done)
 	}()
 

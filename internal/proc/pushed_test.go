@@ -1,0 +1,260 @@
+package proc
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"starfish/internal/ckpt"
+	"starfish/internal/evstore"
+	"starfish/internal/vni"
+	"starfish/internal/wire"
+)
+
+// TestRankGoroutines: a running rank costs three goroutines — its group
+// handler, its scheduler and its NIC's accept loop — however many
+// connections it has. Its fastnet connections are pushed (no polling
+// goroutine at either end), and daemon messages go straight to the
+// scheduler's ctl queue (no object-bus goroutine).
+func TestRankGoroutines(t *testing.T) {
+	spec := ringSpec(12, 4, 1<<40) // runs until aborted
+	h := newHarness(t, spec)
+	base := runtime.NumGoroutine()
+	h.launch(nil)
+	defer h.abortAll()
+
+	// Once every rank has heard from its left neighbour, every connection
+	// of the ring is up.
+	h.mu.Lock()
+	procs := append([]*Process(nil), h.procs...)
+	h.mu.Unlock()
+	deadline := time.Now().Add(20 * time.Second)
+	for _, p := range procs {
+		left := wire.Rank((int(p.rank) + spec.Ranks - 1) % spec.Ranks)
+		for {
+			p.cmu.Lock()
+			comm := p.comm
+			p.cmu.Unlock()
+			if comm != nil && comm.RecvCounts()[left] > 10 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d never heard from rank %d", p.rank, left)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Per rank: the three above plus the harness's pump of its daemon link.
+	want := base + spec.Ranks*(3+1)
+	var now int
+	for deadline = time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if now = runtime.NumGoroutine(); now <= want {
+			return
+		}
+	}
+	t.Fatalf("%d ranks run %d goroutines, want %d", spec.Ranks, now-base, want-base)
+}
+
+// streamApp sends every other rank the numbers 1..rounds, one per step, and
+// takes whatever has arrived without ever blocking. It finishes once it has
+// sent all and received rounds messages from each peer, checking that they
+// sum to (size-1)·(1+…+rounds), so a restart that lost or repeated a message
+// fails. Rank 0 requests a checkpoint after its fiftieth send.
+type streamApp struct {
+	rank                   wire.Rank
+	rounds, sent, got, sum int64
+}
+
+const streamTag int32 = 9
+
+// streamSnaps keeps each rank's last snapshot, which its Restore must be
+// handed back exactly.
+var streamSnaps struct {
+	sync.Mutex
+	state map[wire.Rank][]byte
+}
+
+func init() {
+	Register("test-stream", func(args []byte) (App, error) {
+		r := wire.NewReader(args)
+		a := &streamApp{rounds: r.I64()}
+		return a, r.Err()
+	})
+}
+
+func (a *streamApp) Init(ctx *Ctx) error {
+	a.rank = ctx.Rank
+	return nil
+}
+
+func (a *streamApp) Restore(ctx *Ctx, state []byte) error {
+	a.rank = ctx.Rank
+	streamSnaps.Lock()
+	want := streamSnaps.state[a.rank]
+	streamSnaps.Unlock()
+	if string(state) != string(want) {
+		return fmt.Errorf("rank %d restored %x, snapshot was %x", a.rank, state, want)
+	}
+	r := wire.NewReader(state)
+	a.rounds, a.sent, a.got, a.sum = r.I64(), r.I64(), r.I64(), r.I64()
+	return r.Err()
+}
+
+func (a *streamApp) Snapshot() ([]byte, error) {
+	w := wire.NewWriter(32)
+	w.I64(a.rounds).I64(a.sent).I64(a.got).I64(a.sum)
+	streamSnaps.Lock()
+	streamSnaps.state[a.rank] = append([]byte(nil), w.Bytes()...)
+	streamSnaps.Unlock()
+	return w.Bytes(), nil
+}
+
+func (a *streamApp) Step(ctx *Ctx) (bool, error) {
+	peers := int64(ctx.Size - 1)
+	if a.sent < a.rounds {
+		w := wire.NewWriter(8)
+		w.I64(a.sent + 1)
+		for r := 0; r < ctx.Size; r++ {
+			if dst := wire.Rank(r); dst != ctx.Rank {
+				if err := ctx.Comm.Send(dst, streamTag, w.Bytes()); err != nil {
+					return false, err
+				}
+			}
+		}
+		if a.sent++; ctx.Rank == 0 && a.sent == 50 {
+			ctx.RequestCheckpoint()
+		}
+	}
+	for {
+		if _, ok := ctx.Comm.Iprobe(wire.AnyRank, streamTag); !ok {
+			break
+		}
+		var b [8]byte
+		if _, _, err := ctx.Comm.RecvInto(wire.AnyRank, streamTag, b[:]); err != nil {
+			return false, err
+		}
+		a.got++
+		a.sum += wire.NewReader(b[:]).I64()
+	}
+	if a.sent == a.rounds && a.got == peers*a.rounds {
+		if want := peers * a.rounds * (a.rounds + 1) / 2; a.sum != want {
+			return true, fmt.Errorf("rank %d: received sum %d, want %d", ctx.Rank, a.sum, want)
+		}
+		return true, nil
+	}
+	time.Sleep(100 * time.Microsecond)
+	return false, nil
+}
+
+// markerGate wraps the harness's transport. A rank's first marker waits
+// until every rank has sent one: every rank then has its cut staged before
+// any marker arrives, so each rank's round finalizes in onMarker, on the
+// goroutine delivering its last marker. sending counts, per destination
+// rank, the marker sends under way. Accepted connections are not wrapped,
+// so every message is still delivered by the send that carries it; the
+// application's first step connected every pair, long before the round, so
+// no marker waits for a connection to be accepted either.
+type markerGate struct {
+	vni.Transport
+	ranks   int
+	mu      sync.Mutex
+	arrived map[wire.Rank]bool
+	all     chan struct{}
+	sending [4]atomic.Int32
+}
+
+func (g *markerGate) Dial(addr string) (vni.Conn, error) {
+	c, err := g.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+type gatedConn struct {
+	vni.Conn
+	g *markerGate
+}
+
+func (c *gatedConn) Send(m *wire.Msg) error {
+	if m.Type != wire.TCheckpoint {
+		return c.Conn.Send(m)
+	}
+	g := c.g
+	g.mu.Lock()
+	if !g.arrived[m.Src] {
+		if g.arrived[m.Src] = true; len(g.arrived) == g.ranks {
+			close(g.all)
+		}
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.all:
+	case <-time.After(20 * time.Second): // the test fails on the missing ride below
+	}
+	g.sending[m.Dst].Add(1)
+	defer g.sending[m.Dst].Add(-1)
+	return c.Conn.Send(m)
+}
+
+// riddenCheckpoints records, for each checkpoint a rank writes, whether a
+// marker send toward that rank was under way at the time.
+type riddenCheckpoints struct {
+	g      *markerGate
+	mu     sync.Mutex
+	ridden map[int32]bool
+}
+
+func (r *riddenCheckpoints) Emit(rec evstore.Record) {
+	if rec.Kind != "checkpoint" {
+		return
+	}
+	r.mu.Lock()
+	r.ridden[rec.Rank] = r.g.sending[rec.Rank].Load() > 0
+	r.mu.Unlock()
+}
+
+// TestChandyLamportFinalizesOnMarkerSender: on fastnet the matcher's intake
+// runs inside the Send that carries a message, so a Chandy–Lamport round
+// whose last marker arrives after the cut finalizes — capture, store, ack —
+// on the goroutine of the rank sending that marker, inside its clBegin
+// marker loop. With four ranks all in that loop at once, every round rides
+// a sender; the line must still commit, and a restart from it must hand
+// each rank back exactly its snapshot and lose or repeat no message.
+func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
+	const ranks = 4
+	streamSnaps.Lock()
+	streamSnaps.state = make(map[wire.Rank][]byte)
+	streamSnaps.Unlock()
+	w := wire.NewWriter(8)
+	w.I64(500)
+	spec := AppSpec{
+		ID: 13, Name: "test-stream", Args: w.Bytes(), Ranks: ranks,
+		Protocol: ckpt.ChandyLamport, Encoder: ckpt.Portable, Policy: PolicyRestart,
+	}
+	h := newHarness(t, spec)
+	gate := &markerGate{Transport: h.tr, ranks: ranks, arrived: map[wire.Rank]bool{}, all: make(chan struct{})}
+	rides := &riddenCheckpoints{g: gate, ridden: map[int32]bool{}}
+	h.tr, h.events = gate, rides
+	h.launch(nil)
+	line := h.waitForCommittedLine()
+	h.abortAll()
+	for r := 0; r < ranks; r++ {
+		if line[wire.Rank(r)] != 1 {
+			t.Fatalf("committed line %v, want checkpoint 1 at every rank", line)
+		}
+	}
+	rides.mu.Lock()
+	for r := int32(0); r < ranks; r++ {
+		if ridden, ok := rides.ridden[r]; !ok || !ridden {
+			t.Errorf("rank %d: checkpoint written %v, riding a marker send %v", r, ok, ridden)
+		}
+	}
+	rides.mu.Unlock()
+
+	h.launch(line)
+	h.waitAll()
+}

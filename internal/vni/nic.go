@@ -10,16 +10,21 @@ import (
 )
 
 // NIC is the per-process network endpoint: it listens on one address,
-// maintains connections to peers, and runs the polling thread of §2.2.1.
+// maintains connections to peers, and takes in what arrives on them — the
+// polling thread of §2.2.1.
 //
 // The paper's polling thread continuously polls the network and moves
 // arrived messages into a queue of received messages, so that (a) an eager
 // sender never blocks on an unprepared receiver, and (b) the receive-side
-// kernel interaction is overlapped with application work. Here one polling
-// goroutine per connection performs the blocking Recv and hands each message
-// to the NIC's sink. Until Deliver installs a consumer's own, the sink is the
-// shared received-message queue (Queue); either way the application-visible
-// Recv is a plain queue pop, which is what makes receive operations fast.
+// kernel interaction is overlapped with application work. Here every arrived
+// message goes through one intake (take) to the NIC's sink. A connection
+// that can push (fastnet, which has no kernel to block in) calls the intake
+// from the Send that carries the message, on the sender's goroutine; one
+// whose read must block (a TCP socket, chaosnet's fault-injecting wrapper)
+// gets a polling goroutine that performs the Recv. Until Deliver installs a
+// consumer's own, the sink is the shared received-message queue (Queue);
+// either way the application-visible Recv is a plain queue pop, which is
+// what makes receive operations fast.
 type NIC struct {
 	tr    Transport
 	local string
@@ -44,18 +49,19 @@ type NIC struct {
 	dialCooldown time.Duration
 
 	inq chan wire.Msg
-	// sink takes one arrived message from a polling goroutine; false means
-	// it is being replaced, and the poller hands the message to the new one.
-	// Pollers call it under sinkMu.RLock, Deliver replaces it under
-	// sinkMu.Lock, so a switch sees no hand-off half done.
+	// sink takes one arrived message, see take; false means it did not:
+	// the queue is full and wait is false, or (wait true) the sink is being
+	// replaced and the message goes to the new one. take calls it under
+	// sinkMu.RLock, Deliver replaces it under sinkMu.Lock, so a switch sees
+	// no hand-off half done.
 	sinkMu sync.RWMutex
-	sink   func(wire.Msg) bool
-	// switched is closed when Deliver begins — it wakes the pollers blocked
+	sink   func(m wire.Msg, wait bool) bool
+	// switched is closed when Deliver begins — it wakes the intakes blocked
 	// on a full inq while holding sinkMu — and installed when the new sink
-	// is in, which is what those pollers then wait for.
+	// is in, which is what those intakes then wait for.
 	switched, installed chan struct{}
-	// down carries the address of each dialed peer whose connection was
-	// seen closing from the remote side, see PeerDown.
+	// down carries the address of each dialed peer whose connection closed
+	// from the remote side, see PeerDown.
 	down chan string
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -80,10 +86,12 @@ func (s *Stats) countSend(t wire.Type, payloadLen int) {
 	s.mu.Unlock()
 }
 
-func (s *Stats) countRecv(m *wire.Msg) {
+// countRecv adds m to the receive counters d times; d = -1 takes back a
+// count.
+func (s *Stats) countRecv(m *wire.Msg, d int) {
 	s.mu.Lock()
-	s.RecvMsgs[m.Type]++
-	s.RecvBytes[m.Type] += uint64(len(m.Payload))
+	s.RecvMsgs[m.Type] += uint64(d)
+	s.RecvBytes[m.Type] += uint64(d * len(m.Payload))
 	s.mu.Unlock()
 }
 
@@ -148,48 +156,88 @@ func (n *NIC) acceptLoop() {
 		}
 		n.accepted = append(n.accepted, c)
 		n.mu.Unlock()
-		n.startPoller(c, "")
+		n.attach(c, "")
 	}
 }
 
-// startPoller launches the polling goroutine for one connection: it hands
-// every arrived message to the sink, in arrival order. dialed is the address
-// the connection is registered under in conns ("" for an accepted one): when
-// Recv fails the poller retires that registration.
-func (n *NIC) startPoller(c Conn, dialed string) {
+// pusher is a Conn that delivers without being polled (fastnet). push hands
+// what arrived at this end so far to take, in order, and makes every later
+// message go to take on the goroutine that sent it, in send order; it runs
+// closed (unless nil) once, when the connection goes down. take(m, false)
+// may turn m away rather than block: the connection then keeps m and what
+// follows and hands them over in order with take(m, true) from a goroutine
+// of its own. After push the end is not Recv'd.
+type pusher interface {
+	push(take func(m wire.Msg, wait bool) bool, closed func())
+}
+
+// attach makes c's arrivals reach take: pushed if c can push, else read by a
+// polling goroutine. dialed is the address c is registered under in conns
+// ("" for an accepted connection): when c goes down, that registration is
+// retired (peerClosed).
+func (n *NIC) attach(c Conn, dialed string) {
+	var closed func()
+	if dialed != "" {
+		closed = func() { n.peerClosed(dialed, c) }
+	}
+	if p, ok := c.(pusher); ok {
+		p.push(n.take, closed)
+		return
+	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		for {
 			m, err := c.Recv()
 			if err != nil {
-				if dialed != "" {
-					n.peerClosed(dialed, c)
+				if closed != nil {
+					closed()
 				}
 				return
 			}
-			n.stats.countRecv(&m)
-			for !n.handOff(m) {
-				<-n.installed
-			}
+			n.take(m, true)
 		}
 	}()
 }
 
-func (n *NIC) handOff(m wire.Msg) bool {
-	n.sinkMu.RLock()
-	defer n.sinkMu.RUnlock()
-	return n.sink(m)
+// take is the NIC's one intake: it counts an arrived message and hands it
+// to the sink. Unless wait, it takes m only if that needs no waiting — the
+// queue has room — and reports whether it did; with wait it returns once m
+// is taken, or recycled on shutdown.
+func (n *NIC) take(m wire.Msg, wait bool) bool {
+	// Counted first: a consumer that has the message sees it counted.
+	n.stats.countRecv(&m, 1)
+	for {
+		n.sinkMu.RLock()
+		ok := n.sink(m, wait)
+		n.sinkMu.RUnlock()
+		switch {
+		case ok:
+			return true
+		case !wait:
+			n.stats.countRecv(&m, -1) // the connection keeps m and offers it again
+			return false
+		}
+		<-n.installed
+	}
 }
 
 // enqueue is the sink a NIC starts with: the received-message queue.
-func (n *NIC) enqueue(m wire.Msg) bool {
+func (n *NIC) enqueue(m wire.Msg, wait bool) bool {
+	if !wait {
+		select {
+		case n.inq <- m:
+			return true
+		default:
+			return false
+		}
+	}
 	select {
 	case n.inq <- m:
 	case <-n.switched:
-		// Deliver wants sinkMu. A poller that picks the queue instead when
-		// both are ready is as good: Deliver drains the queue once it has
-		// the lock, and this sink is not called again after that.
+		// Deliver wants sinkMu. An intake that picks the queue instead
+		// when both are ready is as good: Deliver drains the queue once it
+		// has the lock, and this sink is not called again after that.
 		return false
 	case <-n.done:
 		m.Release() // dropped on shutdown: recycle the pooled payload
@@ -197,15 +245,17 @@ func (n *NIC) enqueue(m wire.Msg) bool {
 	return true
 }
 
-// Deliver replaces the received-message queue with fn: from here on every
-// polling goroutine calls fn itself with each message of its connection, so
-// fn runs concurrently across connections and in arrival order within one,
-// and a message reaches its consumer with no queue and no goroutine between.
+// Deliver replaces the received-message queue with fn: from here on the
+// intake calls fn itself with each message — on the sender's goroutine for
+// a pushed connection, on its polling goroutine otherwise — so fn runs
+// concurrently across connections and in arrival order within one, and a
+// message reaches its consumer with no queue and no goroutine between.
 // Messages already queued are passed to fn first, on the caller's goroutine,
 // in queue order — ahead of anything that arrives later on their connection
 // — and Queue stays empty afterwards. fn owns the message (wire.Msg's
-// ownership discipline) and must not call Close. A NIC changes consumer
-// once: a second Deliver panics.
+// ownership discipline), must not call Close, and must not send on the data
+// path: on a pushed connection it runs inside a sender's Send, which holds
+// that connection. A NIC changes consumer once: a second Deliver panics.
 func (n *NIC) Deliver(fn func(wire.Msg)) {
 	close(n.switched)
 	defer close(n.installed)
@@ -219,18 +269,18 @@ func (n *NIC) Deliver(fn func(wire.Msg)) {
 			queued = false
 		}
 	}
-	n.sink = func(m wire.Msg) bool { fn(m); return true }
+	n.sink = func(m wire.Msg, _ bool) bool { fn(m); return true }
 }
 
 // peerDownBacklog is how many peer-down notices wait for a reader: one per
 // peer of a mid-sized group. The notices are hints, so overflow is dropped.
 const peerDownBacklog = 64
 
-// peerClosed retires a dialed connection whose Recv failed. If c is still
-// the one registered for addr, the remote side closed it (a local
-// Disconnect or Close unregisters first): the registration goes, so the
-// next Send redials instead of failing on the corpse forever, and the
-// address is reported on PeerDown.
+// peerClosed retires a dialed connection that went down. If c is still the
+// one registered for addr, the remote side closed it (a local Disconnect or
+// Close unregisters first): the registration goes, so the next Send redials
+// instead of failing on the corpse forever, and the address is reported on
+// PeerDown.
 func (n *NIC) peerClosed(addr string, c Conn) {
 	n.mu.Lock()
 	remote := !n.closed && n.conns[addr] == c
@@ -249,10 +299,10 @@ func (n *NIC) peerClosed(addr string, c Conn) {
 }
 
 // PeerDown reports the listen address of each dialed peer whose connection
-// the polling thread saw close from the remote side (a fastnet Crash, a TCP
-// EOF or reset). It is evidence for a failure detector, not a verdict — the
-// link may merely have flapped, and the next Send redials — and it is
-// best-effort: notices nobody reads are dropped.
+// closed from the remote side (a fastnet Crash, a TCP EOF or reset). It is
+// evidence for a failure detector, not a verdict — the link may merely have
+// flapped, and the next Send redials — and it is best-effort: notices nobody
+// reads are dropped.
 func (n *NIC) PeerDown() <-chan string { return n.down }
 
 // dialCall single-flights a dial: the owner closes done after setting err.
@@ -347,7 +397,7 @@ func (n *NIC) Connect(addr string) error {
 		n.conns[addr] = c
 		n.mu.Unlock()
 		close(dc.done)
-		n.startPoller(c, addr)
+		n.attach(c, addr)
 		return nil
 	}
 }
@@ -424,13 +474,13 @@ func (n *NIC) Disconnect(addr string) {
 	}
 }
 
-// Queue exposes the received-message queue fed by the polling goroutines.
+// Queue exposes the received-message queue fed by the intake.
 // Consumers (the group-communication engine, tests) drain it; after Deliver
 // it stays empty.
 func (n *NIC) Queue() <-chan wire.Msg { return n.inq }
 
 // Close shuts the NIC down: stops accepting, closes all connections, and
-// unblocks the polling goroutines.
+// unblocks the polling goroutines and every intake waiting on a full queue.
 func (n *NIC) Close() error {
 	n.mu.Lock()
 	if n.closed {

@@ -22,8 +22,10 @@ const (
 	// StageVNISend: inside the VNI until the message is on the network
 	// (transport Send returns).
 	StageVNISend
-	// StageVNIRecv: from network arrival until the polling thread has
-	// queued the message.
+	// StageVNIRecv: from the matcher's intake taking the message until it
+	// is in the matcher's queue. On fastnet the intake runs inside the
+	// sender's Conn.Send, so this is stamped on the sender's goroutine, and
+	// StageVNISend includes it.
 	StageVNIRecv
 	// StageMPIRecv: matching an arrived message against a posted receive.
 	StageMPIRecv

@@ -7,8 +7,9 @@
 // network only requires a thin transport layer. This package provides the
 // same split: a real TCP transport (kernel socket path) and an in-process
 // "fastnet" transport that stands in for BIP/Myrinet by avoiding the kernel
-// entirely. The polling thread of §2.2.1 is realized by per-connection
-// receive goroutines feeding a single received-message queue.
+// entirely. The polling thread of §2.2.1 is the NIC's one intake feeding a
+// single received-message queue: a fastnet Send calls it on the sending
+// goroutine, and a TCP connection has a receive goroutine that does.
 package vni
 
 import (
