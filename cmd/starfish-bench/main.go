@@ -418,36 +418,57 @@ func figure5(reps int) {
 func measureRTT(tr vni.Transport, addr func(int) string, size, reps int) time.Duration {
 	c0, c1, cleanup := mpiPair(tr, addr)
 	defer cleanup()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			data, _, err := c1.Recv(0, 0)
-			if err != nil {
-				return
-			}
-			if err := c1.Send(0, 0, data); err != nil {
-				return
-			}
-		}
-	}()
+	done := echo(c1)
 	buf := make([]byte, size)
 	// Warm up connections.
-	c0.Send(1, 0, buf)
-	c0.Recv(1, 0)
+	ping(c0, buf)
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if err := c0.Send(1, 0, buf); err != nil {
-			log.Fatal(err)
-		}
-		if _, _, err := c0.Recv(1, 0); err != nil {
-			log.Fatal(err)
-		}
+		ping(c0, buf)
 	}
 	rtt := time.Since(start) / time.Duration(reps)
 	c1.Close()
 	<-done
 	return rtt
+}
+
+// echo returns every message rank 0 sends c back to it, forwarding a pooled
+// payload as it is (SendOwned), until c closes; the returned channel closes
+// when it has stopped.
+func echo(c *mpi.Comm) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			data, st, err := c.Recv(0, 0)
+			if err != nil {
+				return
+			}
+			if st.Pooled {
+				err = c.SendOwned(0, 0, data)
+			} else {
+				err = c.Send(0, 0, data)
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return done
+}
+
+// ping sends buf to rank 1 and waits for the reply, releasing it to the pool.
+func ping(c *mpi.Comm, buf []byte) {
+	if err := c.Send(1, 0, buf); err != nil {
+		log.Fatal(err)
+	}
+	data, st, err := c.Recv(1, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st.Pooled {
+		wire.PutBuf(data)
+	}
 }
 
 func mpiPair(tr vni.Transport, addr func(int) string) (*mpi.Comm, *mpi.Comm, func()) {
@@ -490,23 +511,10 @@ func figure6(reps int) {
 		timer := vni.NewStageTimer()
 		c0, c1, cleanup := mpiPairTimer(vni.NewFastnet(0),
 			func(i int) string { return fmt.Sprintf("f6-%d-%d", size, i) }, timer)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				data, _, err := c1.Recv(0, 0)
-				if err != nil {
-					return
-				}
-				if err := c1.Send(0, 0, data); err != nil {
-					return
-				}
-			}
-		}()
+		done := echo(c1)
 		buf := make([]byte, size)
 		for i := 0; i < reps; i++ {
-			c0.Send(1, 0, buf)
-			c0.Recv(1, 0)
+			ping(c0, buf)
 		}
 		fmt.Printf("%-10s %12v %12v %12v %12v\n", sizeLabel(size),
 			timer.Mean(vni.StageMPISend), timer.Mean(vni.StageVNISend),

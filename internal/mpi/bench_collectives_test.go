@@ -1,7 +1,9 @@
 // Collective-operation benchmarks. scripts/check.sh runs these with
 // -benchmem and folds the results into BENCH_collectives.json, enforcing
-// the size-adaptive collective engine's acceptance bar: >=3x on the 8 MiB
-// Allreduce at 8 ranks versus the seed reduce-to-0-plus-bcast algorithm.
+// the size-adaptive collective engine's acceptance bar — >=3x on the 8 MiB
+// Allreduce at 8 ranks versus the seed reduce-to-0-plus-bcast algorithm —
+// and the reduction copy budget: the 1 MiB Allreduce at 4 ranks copies
+// exactly 1.5x its size per rank (copy_B/op, summed over the ranks).
 package mpi
 
 import (
@@ -63,7 +65,8 @@ func sizeName(size int) string {
 // BenchmarkCollectives sweeps Bcast, Allreduce, and Alltoall over 1 KiB..
 // 8 MiB at 4 and 8 ranks. algo=seed runs the stand-ins above; algo=opt the
 // size-adaptive engine. segs/op reports how many internal segments/chunks
-// the chosen algorithms put on the wire.
+// the chosen algorithms put on the wire, copy_B/op how many payload bytes
+// all ranks together copied (wire.CopiedBytes).
 func BenchmarkCollectives(b *testing.B) {
 	prev := wire.SetPoolGuard(false)
 	defer wire.SetPoolGuard(prev)
@@ -87,6 +90,7 @@ func BenchmarkCollectives(b *testing.B) {
 					payload := make([]byte, size)
 					b.SetBytes(int64(size))
 					segs0, _ := wire.CollSegStats()
+					copied0 := wire.CopiedBytes()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						runAllRanks(b, comms, func(c *Comm) error {
@@ -107,6 +111,7 @@ func BenchmarkCollectives(b *testing.B) {
 					b.StopTimer()
 					segs1, _ := wire.CollSegStats()
 					b.ReportMetric(float64(segs1-segs0)/float64(b.N), "segs/op")
+					b.ReportMetric(float64(wire.CopiedBytes()-copied0)/float64(b.N), "copy_B/op")
 				})
 			}
 		}
@@ -124,6 +129,7 @@ func BenchmarkCollectives(b *testing.B) {
 					}
 					b.SetBytes(int64(size))
 					segs0, _ := wire.CollSegStats()
+					copied0 := wire.CopiedBytes()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						runAllRanks(b, comms, func(c *Comm) error {
@@ -137,6 +143,7 @@ func BenchmarkCollectives(b *testing.B) {
 					b.StopTimer()
 					segs1, _ := wire.CollSegStats()
 					b.ReportMetric(float64(segs1-segs0)/float64(b.N), "segs/op")
+					b.ReportMetric(float64(wire.CopiedBytes()-copied0)/float64(b.N), "copy_B/op")
 				})
 			}
 		}

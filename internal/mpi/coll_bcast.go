@@ -361,6 +361,9 @@ func (c *Comm) collAllgatherChunks(root wire.Rank, v int, data []byte, offs []in
 			return err
 		}
 		if len(got) != offs[recvIdx+1]-offs[recvIdx] {
+			if st.Pooled {
+				wire.PutBuf(got)
+			}
 			return fmt.Errorf("%w: allgather chunk %d bytes, want %d", ErrBadLength, len(got), offs[recvIdx+1]-offs[recvIdx])
 		}
 		if !haveAll {

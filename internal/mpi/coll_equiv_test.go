@@ -47,7 +47,7 @@ func foldSeq(t *testing.T, contribs [][]byte, fn ReduceFunc) []byte {
 }
 
 // byteMaxFn is a test-only operator with no word kernel (exercising
-// combineInto's allocating fallback) that accepts any length.
+// combineTo's allocating fallback) that accepts any length.
 func byteMaxFn(a, b []byte) ([]byte, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("%w: %d vs %d", ErrBadLength, len(a), len(b))

@@ -10,21 +10,29 @@ import (
 // (all contributions are equally shaped), so algorithm selection is a pure
 // local decision (allreduceUseRab) — no header needed.
 //
-//   - Reduce: binomial tree combining into a pooled accumulator (in-place
-//     for the builtin operators), the accumulator itself moving up the tree
-//     via SendOwned.
+//   - Reduce: binomial tree; the first merge combines contrib and the child's
+//     block into a pooled accumulator, later merges fold into it, and the
+//     accumulator itself moves up the tree via SendOwned.
 //   - ReduceScatter: recursive halving for power-of-two sizes (each round
 //     halves the data in flight), pairwise exchange otherwise.
 //   - Allreduce: Rabenseifner's algorithm for large aligned buffers —
 //     reduce-scatter then allgather, moving ~2/n of the buffer per rank
 //     per phase instead of log2(n) full copies — and tree reduce + bcast
 //     below the crossover.
+//
+// Every combine writes its result where the next step reads it (combineTo):
+// into the buffer the next round sends, the buffer it keeps, or the result.
+// So a reduction copies only at the API boundary — a first send out of
+// contrib — and a power-of-two Allreduce of S bytes copies 1.5·S per rank:
+// S/2 + S/n at the boundary and (n-1)·S/n into the result in the allgather
+// (TestReductionCopyBudget).
 
 // Reduce combines every rank's contribution with fn and delivers the
 // result to root (binomial-tree reduction). fn must be associative and
 // commutative. Non-root ranks return nil. contrib is never modified: the
-// first merge copies it into a pooled accumulator, later merges combine in
-// place, and interior ranks move the accumulator itself to their parent.
+// first merge combines it with the child's block into a pooled accumulator,
+// later merges fold into that, and interior ranks move the accumulator
+// itself to their parent.
 func (c *Comm) Reduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte, error) {
 	n := c.cfg.Size
 	if n == 1 {
@@ -60,12 +68,11 @@ func (c *Comm) Reduce(root wire.Rank, contrib []byte, fn ReduceFunc) ([]byte, er
 			if err != nil {
 				return fail(err)
 			}
+			own := acc
 			if acc == nil {
-				acc = wire.GetBuf(len(contrib))
-				copy(acc, contrib)
-				wire.CountCopy(wire.CopyColl, len(contrib))
+				own, acc = contrib, wire.GetBuf(len(contrib))
 			}
-			err = combineInto(acc, data, fn)
+			err = combineTo(acc, own, data, fn)
 			if st.Pooled {
 				wire.PutBuf(data)
 			}
@@ -130,67 +137,80 @@ func (c *Comm) reduceScatterTo(contrib []byte, counts, offs []int, fn ReduceFunc
 	n := c.cfg.Size
 	me := int(c.cfg.Rank)
 	if n&(n-1) == 0 {
-		// The first round sends straight out of contrib, so the pooled
-		// accumulator is allocated at half size only once the live range has
-		// already halved — the classic full-buffer staging copy never happens.
-		var acc []byte // holds chunks [lo,hi) at acc[offs[i]-base:]
-		base := 0
+		// Round 1 sends straight out of contrib. Every round then combines
+		// this rank's partial with the partner's half into fresh pooled
+		// buffers, split the way the next round splits them: next, which
+		// that round moves with SendOwned, and kept, which it combines
+		// again. The last round combines into dst.
+		var next, kept []byte // pooled; nil until round 1 has combined
 		fail := func(err error) error {
-			if acc != nil {
-				wire.PutBuf(acc)
+			if next != nil {
+				wire.PutBuf(next)
+			}
+			if kept != nil {
+				wire.PutBuf(kept)
 			}
 			return err
 		}
-		lo, hi := 0, n // chunk range this rank still owns
+		keepLo, keepHi, sendLo, sendHi := halve(0, n, me, n/2) // chunk ranges
 		for d := n / 2; d >= 1; d /= 2 {
-			partner := me ^ d
-			mid := (lo + hi) / 2
-			keepLo, keepHi, sendLo, sendHi := lo, mid, mid, hi
-			if me&d != 0 {
-				keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
+			partner := wire.Rank(me ^ d)
+			own := kept // this rank's partial over [keepLo,keepHi)
+			var err error
+			if d == n/2 {
+				own = contrib[offs[keepLo]:offs[keepHi]]
+				seg := contrib[offs[sendLo]:offs[sendHi]]
+				wire.CountCollSeg(len(seg))
+				err = c.Send(partner, tag, seg)
+			} else {
+				wire.CountCollSeg(len(next))
+				err = c.SendOwned(partner, tag, next)
+				next = nil
 			}
-			src, sb := acc, base
-			if acc == nil {
-				src, sb = contrib, 0
-			}
-			seg := src[offs[sendLo]-sb : offs[sendHi]-sb]
-			if err := c.Send(wire.Rank(partner), tag, seg); err != nil {
-				return fail(err)
-			}
-			wire.CountCollSeg(len(seg))
-			// Blocking Recv suffices: the transport queues the partner's
-			// half regardless of whether a receive is posted.
-			got, st, err := c.Recv(wire.Rank(partner), tag)
 			if err != nil {
 				return fail(err)
 			}
-			if len(got) != offs[keepHi]-offs[keepLo] {
-				return fail(fmt.Errorf("%w: halving block %d bytes, want %d", ErrBadLength, len(got), offs[keepHi]-offs[keepLo]))
+			// Blocking Recv suffices: the transport queues the partner's
+			// half regardless of whether a receive is posted.
+			got, st, err := c.Recv(partner, tag)
+			if err != nil {
+				return fail(err)
 			}
-			if acc == nil {
-				acc = wire.GetBuf(offs[keepHi] - offs[keepLo])
-				base = offs[keepLo]
-				copy(acc, contrib[offs[keepLo]:offs[keepHi]])
-				wire.CountCopy(wire.CopyColl, len(acc))
+			if len(got) != len(own) {
+				err = fmt.Errorf("%w: halving block %d bytes, want %d", ErrBadLength, len(got), len(own))
+			} else if d == 1 {
+				err = combineTo(dst, own, got, fn)
+			} else {
+				base := offs[keepLo]
+				keepLo, keepHi, sendLo, sendHi = halve(keepLo, keepHi, me, d/2)
+				sLo, sHi, kLo, kHi := offs[sendLo]-base, offs[sendHi]-base, offs[keepLo]-base, offs[keepHi]-base
+				next = wire.GetBuf(sHi - sLo)
+				fresh := wire.GetBuf(kHi - kLo)
+				err = combineTo(next, own[sLo:sHi], got[sLo:sHi], fn)
+				if err == nil {
+					err = combineTo(fresh, own[kLo:kHi], got[kLo:kHi], fn)
+				}
+				if kept != nil {
+					wire.PutBuf(kept) // own, now combined
+				}
+				kept = fresh
 			}
-			err = combineInto(acc[offs[keepLo]-base:offs[keepHi]-base], got, fn)
 			if st.Pooled {
 				wire.PutBuf(got)
 			}
 			if err != nil {
 				return fail(err)
 			}
-			lo, hi = keepLo, keepHi
 		}
-		copy(dst, acc[offs[lo]-base:offs[hi]-base]) // lo == me, hi == me+1
-		wire.CountCopy(wire.CopyColl, len(dst))
-		wire.PutBuf(acc)
+		if kept != nil {
+			wire.PutBuf(kept) // the last round's partial
+		}
 		return nil
 	}
 	// Pairwise exchange: every rank sends rank (me+s) its chunk straight
-	// out of contrib and folds what arrives into dst.
-	copy(dst, contrib[offs[me]:offs[me+1]])
-	wire.CountCopy(wire.CopyColl, len(dst))
+	// out of contrib; the first arrival combines with this rank's own chunk
+	// into dst, later ones fold into dst.
+	own := contrib[offs[me]:offs[me+1]]
 	for s := 1; s < n; s++ {
 		to := (me + s) % n
 		from := (me - s + n) % n
@@ -204,17 +224,29 @@ func (c *Comm) reduceScatterTo(contrib []byte, counts, offs []int, fn ReduceFunc
 			return err
 		}
 		if len(got) != counts[me] {
-			return fmt.Errorf("%w: pairwise chunk %d bytes, want %d", ErrBadLength, len(got), counts[me])
+			err = fmt.Errorf("%w: pairwise chunk %d bytes, want %d", ErrBadLength, len(got), counts[me])
+		} else {
+			err = combineTo(dst, own, got, fn)
 		}
-		err = combineInto(dst, got, fn)
 		if st.Pooled {
 			wire.PutBuf(got)
 		}
 		if err != nil {
 			return err
 		}
+		own = dst
 	}
 	return nil
+}
+
+// halve splits the chunk range [lo,hi) for the halving round of distance
+// d: the half this rank keeps and the half it sends to its partner me^d.
+func halve(lo, hi, me, d int) (keepLo, keepHi, sendLo, sendHi int) {
+	mid := (lo + hi) / 2
+	if me&d != 0 {
+		return mid, hi, lo, mid
+	}
+	return lo, mid, mid, hi
 }
 
 // Allreduce combines every rank's contribution and returns the result at
@@ -242,10 +274,12 @@ func (c *Comm) allreduceRab(contrib []byte, fn ReduceFunc) ([]byte, error) {
 	// Pooled result (every byte is overwritten below): the caller owns it
 	// and may PutBuf it back, or simply drop it.
 	result := wire.GetBuf(len(contrib))
-	if err := c.reduceScatterTo(contrib, counts, offs, fn, result[offs[me]:offs[me+1]], tagAllreduceRS); err != nil {
-		return nil, fmt.Errorf("allreduce: %w", err)
+	err := c.reduceScatterTo(contrib, counts, offs, fn, result[offs[me]:offs[me+1]], tagAllreduceRS)
+	if err == nil {
+		err = c.collAllgatherChunks(0, me, result, offs, false, tagAllreduceAG)
 	}
-	if err := c.collAllgatherChunks(0, me, result, offs, false, tagAllreduceAG); err != nil {
+	if err != nil {
+		wire.PutBuf(result)
 		return nil, fmt.Errorf("allreduce: %w", err)
 	}
 	return result, nil

@@ -55,61 +55,70 @@ func BytesFloat64(b []byte) ([]float64, error) {
 	return out, nil
 }
 
-// Each builtin operator has one body: a word kernel that folds sw into dw
-// (dw[i] = op(dw[i], sw[i])) over the little-endian 64-bit words of two
-// equally long buffers. Its loop is a direct machine operation per word — a
-// call through an operator value per element would dominate large
-// reductions (a 1 MiB SumInt64 is 131072 words per merge). The collectives
-// run the kernel in place on an accumulator they own (combineInto), which is
-// what makes large reductions run at copy speed; the exported allocating
-// ReduceFunc is the same kernel run on a clone of its first argument.
-type wordKernel func(dw, sw []uint64)
+// Each builtin operator has one body: a word kernel that combines aw and bw
+// into dw (dw[i] = op(aw[i], bw[i])) over the little-endian 64-bit words of
+// equally long buffers; dw may be aw itself. Its loop is a direct machine
+// operation per word — a call through an operator value per element would
+// dominate large reductions (a 1 MiB SumInt64 is 131072 words per merge).
+// The collectives run the kernel straight into the buffer the next step
+// reads (combineTo), so a combined byte is written once and never copied
+// first; the exported allocating ReduceFunc is the same kernel run into a
+// fresh buffer. Each kernel first reslices aw and bw to len(dw), which lets
+// the compiler drop the loop's bounds checks.
+type wordKernel func(dw, aw, bw []uint64)
 
-func sumInt64Words(dw, sw []uint64) {
+func sumInt64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] += sw[i]
+		dw[i] = aw[i] + bw[i]
 	}
 }
 
-func minInt64Words(dw, sw []uint64) {
+func minInt64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = uint64(min(int64(dw[i]), int64(sw[i])))
+		dw[i] = uint64(min(int64(aw[i]), int64(bw[i])))
 	}
 }
 
-func maxInt64Words(dw, sw []uint64) {
+func maxInt64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = uint64(max(int64(dw[i]), int64(sw[i])))
+		dw[i] = uint64(max(int64(aw[i]), int64(bw[i])))
 	}
 }
 
-func prodInt64Words(dw, sw []uint64) {
+func prodInt64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = uint64(int64(dw[i]) * int64(sw[i]))
+		dw[i] = uint64(int64(aw[i]) * int64(bw[i]))
 	}
 }
 
-func sumFloat64Words(dw, sw []uint64) {
+func sumFloat64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = math.Float64bits(math.Float64frombits(dw[i]) + math.Float64frombits(sw[i]))
+		dw[i] = math.Float64bits(math.Float64frombits(aw[i]) + math.Float64frombits(bw[i]))
 	}
 }
 
-func minFloat64Words(dw, sw []uint64) {
+func minFloat64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = math.Float64bits(math.Min(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
+		dw[i] = math.Float64bits(math.Min(math.Float64frombits(aw[i]), math.Float64frombits(bw[i])))
 	}
 }
 
-func maxFloat64Words(dw, sw []uint64) {
+func maxFloat64Words(dw, aw, bw []uint64) {
+	aw, bw = aw[:len(dw)], bw[:len(dw)]
 	for i := range dw {
-		dw[i] = math.Float64bits(math.Max(math.Float64frombits(dw[i]), math.Float64frombits(sw[i])))
+		dw[i] = math.Float64bits(math.Max(math.Float64frombits(aw[i]), math.Float64frombits(bw[i])))
 	}
 }
 
 // The builtin operators are named top-level functions (not closures from a
 // shared factory) so each ReduceFunc value has a distinct code pointer —
-// that pointer is the key under which combineInto finds its kernel.
+// that pointer is the key under which combineTo finds its kernel.
 
 func sumInt64Fn(a, b []byte) ([]byte, error)   { return reduceClone(a, b, sumInt64Words) }
 func minInt64Fn(a, b []byte) ([]byte, error)   { return reduceClone(a, b, minInt64Words) }
@@ -133,7 +142,7 @@ var (
 
 // builtinKernels finds a builtin operator's kernel from its ReduceFunc. An
 // operator that is not in it (any the application defines) still works
-// everywhere: combineInto falls back to calling it and copying the result.
+// everywhere: combineTo falls back to calling it and copying the result.
 var builtinKernels = map[uintptr]wordKernel{
 	codePtr(sumInt64Fn):   sumInt64Words,
 	codePtr(minInt64Fn):   minInt64Words,
@@ -146,12 +155,11 @@ var builtinKernels = map[uintptr]wordKernel{
 
 func codePtr(fn ReduceFunc) uintptr { return reflect.ValueOf(fn).Pointer() }
 
-// reduceClone is the allocating form of a builtin: k folds b into a copy
-// of a.
+// reduceClone is the allocating form of a builtin: k combines a and b
+// into a new buffer.
 func reduceClone(a, b []byte, k wordKernel) ([]byte, error) {
 	out := make([]byte, len(a))
-	copy(out, a)
-	if err := reduceWords(out, b, k); err != nil {
+	if err := reduceWords(out, a, b, k); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -169,68 +177,68 @@ var nativeLE = func() bool {
 // allocations always are; only odd sub-slicing breaks it), returns []uint64
 // views over the buffers themselves. ok=false means decode the words with
 // encoding/binary instead.
-func wordViews(dst, src []byte) (dw, sw []uint64, ok bool, err error) {
-	if len(dst) != len(src) {
-		return nil, nil, false, fmt.Errorf("%w: %d vs %d bytes", ErrBadLength, len(dst), len(src))
+func wordViews(dst, a, b []byte) (dw, aw, bw []uint64, ok bool, err error) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		return nil, nil, nil, false, fmt.Errorf("%w: %d, %d and %d bytes", ErrBadLength, len(dst), len(a), len(b))
 	}
 	if len(dst)%8 != 0 {
-		return nil, nil, false, fmt.Errorf("%w: %d bytes", ErrBadLength, len(dst))
+		return nil, nil, nil, false, fmt.Errorf("%w: %d bytes", ErrBadLength, len(dst))
 	}
-	if len(dst) == 0 {
-		return nil, nil, false, nil
+	if len(dst) == 0 || !nativeLE || !wordAligned(dst) || !wordAligned(a) || !wordAligned(b) {
+		return nil, nil, nil, false, nil
 	}
-	if !nativeLE ||
-		uintptr(unsafe.Pointer(&dst[0]))%8 != 0 || uintptr(unsafe.Pointer(&src[0]))%8 != 0 {
-		return nil, nil, false, nil
-	}
-	dw = unsafe.Slice((*uint64)(unsafe.Pointer(&dst[0])), len(dst)/8)
-	sw = unsafe.Slice((*uint64)(unsafe.Pointer(&src[0])), len(src)/8)
-	return dw, sw, true, nil
+	return words(dst), words(a), words(b), true, nil
 }
 
-// reduceWords folds src into dst (dst = op(dst, src)) with k: directly on
-// the buffers when wordViews allows, otherwise through a pair of small word
-// arrays decoded from, and encoded back to, the little-endian bytes.
-func reduceWords(dst, src []byte, k wordKernel) error {
-	dw, sw, ok, err := wordViews(dst, src)
+func wordAligned(b []byte) bool { return uintptr(unsafe.Pointer(&b[0]))%8 == 0 }
+
+func words(b []byte) []uint64 { return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8) }
+
+// reduceWords writes op(a, b) into dst with k: directly on the buffers when
+// wordViews allows, otherwise through two small word arrays decoded from a
+// and b and encoded into dst. dst may be a itself.
+func reduceWords(dst, a, b []byte, k wordKernel) error {
+	dw, aw, bw, ok, err := wordViews(dst, a, b)
 	if err != nil {
 		return err
 	}
 	if ok {
-		k(dw, sw)
+		k(dw, aw, bw)
 		return nil
 	}
-	var db, sb [64]uint64
+	var ab, bb [64]uint64
 	for len(dst) > 0 {
-		n := min(len(db), len(dst)/8)
+		n := min(len(ab), len(dst)/8)
 		for i := 0; i < n; i++ {
-			db[i] = binary.LittleEndian.Uint64(dst[8*i:])
-			sb[i] = binary.LittleEndian.Uint64(src[8*i:])
+			ab[i] = binary.LittleEndian.Uint64(a[8*i:])
+			bb[i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
-		k(db[:n], sb[:n])
+		k(ab[:n], ab[:n], bb[:n])
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(dst[8*i:], db[i])
+			binary.LittleEndian.PutUint64(dst[8*i:], ab[i])
 		}
-		dst, src = dst[8*n:], src[8*n:]
+		dst, a, b = dst[8*n:], a[8*n:], b[8*n:]
 	}
 	return nil
 }
 
-// combineInto folds src into dst (dst = fn(dst, src)) with fn's word kernel
-// when it is a builtin, falling back to the allocating fn and a copy-back
-// otherwise. dst must be an accumulator the collective owns —
-// never a caller's contribution buffer.
-func combineInto(dst, src []byte, fn ReduceFunc) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: %d vs %d bytes", ErrBadLength, len(dst), len(src))
+// combineTo writes fn(a, b) into dst: with fn's word kernel when it is a
+// builtin, otherwise by calling fn(a, b) — the collectives pass their own
+// partial as a and the peer's as b, in that order — and copying its result
+// in. dst may be a itself (an in-place fold) but must not otherwise overlap
+// a or b, and must be a buffer the collective owns — never a caller's
+// contribution.
+func combineTo(dst, a, b []byte, fn ReduceFunc) error {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		return fmt.Errorf("%w: %d, %d and %d bytes", ErrBadLength, len(dst), len(a), len(b))
 	}
 	if len(dst) == 0 {
 		return nil
 	}
 	if k, ok := builtinKernels[codePtr(fn)]; ok {
-		return reduceWords(dst, src, k)
+		return reduceWords(dst, a, b, k)
 	}
-	out, err := fn(dst, src)
+	out, err := fn(a, b)
 	if err != nil {
 		return err
 	}

@@ -3,18 +3,23 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestBuiltinKernels: for every builtin operator, the derived allocating form
-// and the kernel run in place — on word-aligned buffers and on buffers
-// sub-sliced off alignment, which take the byte-decoding loop — agree bit for
-// bit with the scalar definition and leave their second argument alone.
+// and combineTo — into a distinct dst and in place (dst is a), on
+// word-aligned buffers and on buffers sub-sliced 1–7 bytes off alignment,
+// each operand at its own offset so the byte-decoding loop runs with dst
+// aligned differently from a and b — agree bit for bit with the scalar
+// definition and leave their inputs alone.
 func TestBuiltinKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f, fb := math.Float64frombits, math.Float64bits
+	// at copies b to a fresh buffer starting off bytes past word alignment.
+	at := func(b []byte, off int) []byte { return append(make([]byte, off, off+len(b)), b...)[off:] }
 	for _, op := range []struct {
 		name string
 		fn   ReduceFunc
@@ -42,13 +47,50 @@ func TestBuiltinKernels(t *testing.T) {
 			if got, err := op.fn(a, b); err != nil || !bytes.Equal(got, want) {
 				t.Errorf("%s elems=%d: allocating form differs from the spec (err %v)", op.name, elems, err)
 			}
-			for shift := 0; shift <= 1; shift++ {
-				dst := append(make([]byte, shift), a...)[shift:]
-				src := append(make([]byte, shift), b...)[shift:]
-				if err := combineInto(dst, src, op.fn); err != nil || !bytes.Equal(dst, want) || !bytes.Equal(src, b) {
-					t.Errorf("%s elems=%d shift=%d: in-place kernel differs from the spec (err %v)", op.name, elems, shift, err)
+			// All aligned (the word views), then a at off, b at off+3 and
+			// dst at off+5 (mod 8): every operand takes every offset, never
+			// the same one as another.
+			offsets := [][3]int{{0, 0, 0}}
+			for off := 0; off < 8; off++ {
+				offsets = append(offsets, [3]int{off, (off + 3) % 8, (off + 5) % 8})
+			}
+			for _, o := range offsets {
+				ao, bo, do := at(a, o[0]), at(b, o[1]), at(make([]byte, len(a)), o[2])
+				if err := combineTo(do, ao, bo, op.fn); err != nil || !bytes.Equal(do, want) || !bytes.Equal(ao, a) || !bytes.Equal(bo, b) {
+					t.Errorf("%s elems=%d offsets a/b/dst=%v: combineTo differs from the spec (err %v)", op.name, elems, o, err)
+				}
+				if err := combineTo(ao, ao, bo, op.fn); err != nil || !bytes.Equal(ao, want) || !bytes.Equal(bo, b) {
+					t.Errorf("%s elems=%d offsets a/b=%v: in-place combineTo differs from the spec (err %v)", op.name, elems, o[:2], err)
 				}
 			}
 		}
+	}
+}
+
+// TestCombineToUserOperator: an operator without a word kernel is called as
+// fn(own, peer) — a non-commutative one pins the order — and its result
+// lands in dst, distinct or in place; a result of the wrong length is
+// ErrBadLength.
+func TestCombineToUserOperator(t *testing.T) {
+	sub := func(a, b []byte) ([]byte, error) {
+		as, _ := BytesInt64(a)
+		bs, _ := BytesInt64(b)
+		for i := range as {
+			as[i] -= bs[i]
+		}
+		return Int64Bytes(as), nil
+	}
+	own, peer := Int64Bytes([]int64{10, 20, -3}), Int64Bytes([]int64{1, 2, 3})
+	want := Int64Bytes([]int64{9, 18, -6})
+	dst := make([]byte, len(own))
+	if err := combineTo(dst, own, peer, sub); err != nil || !bytes.Equal(dst, want) {
+		t.Fatalf("combineTo(dst, own, peer) = %v (err %v), want own-peer %v", dst, err, want)
+	}
+	if err := combineTo(own, own, peer, sub); err != nil || !bytes.Equal(own, want) {
+		t.Fatalf("in-place combineTo = %v (err %v), want %v", own, err, want)
+	}
+	short := func(a, _ []byte) ([]byte, error) { return a[:8], nil }
+	if err := combineTo(dst, own, peer, short); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("short operator result: err = %v, want ErrBadLength", err)
 	}
 }

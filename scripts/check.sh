@@ -9,7 +9,8 @@
 #   lost), the
 #   collective benchmarks (folded into BENCH_collectives.json, which
 #   enforces >=3x on the 8 MiB / 8-rank Allreduce versus the seed
-#   algorithm, with allocs/op no worse), and the checkpoint-pipeline
+#   algorithm, with allocs/op no worse, and the 1 MiB / 4-rank Allreduce's
+#   copy budget of exactly 1.5x its size per rank), and the checkpoint-pipeline
 #   benchmarks (folded into BENCH_checkpoint.json, which enforces the >=5x
 #   replicated-bytes reduction at 10% heap mutation, the >=5x
 #   chain-restore-vs-disk bar, a delta epoch that beats the full-image
@@ -307,7 +308,9 @@ body() {
     # Fold the collective benchmark lines into BENCH_collectives.json and
     # enforce the size-adaptive engine's acceptance bar: the 8 MiB Allreduce
     # at 8 ranks must run >=3x faster than the seed reduce-to-0-plus-bcast
-    # algorithm without allocating more per operation.
+    # algorithm without allocating more per operation. And the reduction
+    # copy budget, a count that noise cannot move: the 1 MiB Allreduce at 4
+    # ranks copies exactly 1.5x its size per rank.
     python3 - "$CBENCH_OUT" <<'EOF'
 import sys
 from benchfold import fold
@@ -327,7 +330,14 @@ print(f"allreduce 8MB/8r: opt {opt['ns_per_op'] / 1e6:.1f} ms vs seed "
 print(f"allocs/op: opt {opt['allocs_per_op']:.0f} vs seed "
       f"{seed['allocs_per_op']:.0f} "
       f"({'ok' if allocs_ok else 'FAIL: must not regress'})")
-if not (speed_ok and allocs_ok):
+budget = current.get("BenchmarkCollectives/op=allreduce/algo=opt/ranks=4/size=1MB")
+if budget is None or "copy_B_per_op" not in budget:
+    sys.exit("missing BenchmarkCollectives 1MB/4-rank allreduce copy_B/op")
+want = 1.5 * (1 << 20) * 4
+copy_ok = budget["copy_B_per_op"] == want
+print(f"allreduce 1MB/4r copies: {budget['copy_B_per_op']:.0f} B/op, want "
+      f"{want:.0f} = 1.5 x size x ranks ({'ok' if copy_ok else 'FAIL'})")
+if not (speed_ok and allocs_ok and copy_ok):
     sys.exit(1)
 EOF
 }
