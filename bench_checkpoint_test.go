@@ -1,10 +1,10 @@
 // Checkpoint-pipeline benchmarks. Every epoch of a long-running application
 // pays the capture-and-replicate cost of its checkpoint; these benchmarks
-// measure that cost per epoch for the opaque-image path (the seed behavior:
+// measure that cost per epoch for the whole-image path (the seed behavior:
 // the full 8 MiB image crosses the wire every time) against the incremental
-// pipeline (position-addressed full + delta records, only changed blocks
-// cross the wire), across heap mutation rates, plus the restore side: a
-// delta-chain restore from a surviving RAM replica versus the disk
+// pipeline (position-addressed records: only changed blocks and a carry list
+// cross the wire), across heap mutation rates, plus the restore side: the
+// newest pipeline epoch restored from a surviving RAM replica versus the disk
 // full-image read. scripts/check.sh records the results in
 // BENCH_checkpoint.json — together with internal/proc's mode=epoch, the C/R
 // module's whole epoch over a real VM application — and enforces the >=5x
@@ -62,20 +62,20 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 // BenchmarkCheckpoint measures one rank's per-epoch checkpoint cost into
 // replicated memory (k=2, so every epoch crosses the wire to one peer):
 //
-//   - mode=full: the opaque-image path — rstore.Put of the whole 8 MiB
+//   - mode=full: the whole-image path — rstore.Put of the whole 8 MiB
 //     image every epoch, whatever changed.
-//   - mode=delta: the incremental pipeline — full record every 8th epoch,
-//     delta records between, each carrying only the blocks that changed (a
-//     full record names the slots that carry the rest), superseded chains
-//     collected as full records commit. Each epoch hands PutHinted one of
-//     two alternating buffers with the dirty spans of its writes, as the C/R
-//     module does for a VM application, so a delta epoch compares only
+//   - mode=delta: the incremental pipeline — every epoch a record carrying
+//     only the blocks that changed and a carry list naming the slots that
+//     carry the rest, collected every 8th epoch. Each epoch hands PutHinted
+//     one of two alternating buffers with the dirty spans of its writes, as
+//     the C/R module does for a VM application, so an epoch compares only
 //     hinted blocks and copies no image.
-//   - restore=chain: a surviving replica restores the newest epoch of a
-//     full + 7-delta chain (the materialized cache: the replica applies
-//     deltas as they arrive, so the restore is a lookup).
+//   - restore=chain: a surviving replica restores the newest of eight
+//     epochs written through the pipeline (the materialized cache: the
+//     replica applies each record as it arrives, so the restore is a
+//     lookup).
 //   - restore=disk: the same image read back from the shared disk store —
-//     the recovery path the paper measures, and the baseline the chain
+//     the recovery path the paper measures, and the baseline the replica
 //     restore is gated against.
 //
 // replicated_B/op counts the payload bytes actually pushed to the peer
@@ -116,7 +116,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for _, pct := range []int{1, 5, 10, 20} {
 		b.Run(fmt.Sprintf("mode=delta/mut=%d", pct), func(b *testing.B) {
 			writer, _ := newRstorePair(b)
-			p := ckpt.NewPipeline(writer, 8)
+			p := ckpt.NewPipeline(writer, 0)
 			rng := rand.New(rand.NewSource(1))
 			// PutHinted keeps the image it is handed as the diff base and
 			// hands the previous base back, so the epochs alternate between
@@ -144,9 +144,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 				base, img, stale = img, prev, dirty
-				// A full record commits a new chain every 8th epoch; the GC
-				// there collects the superseded chain on both nodes, exactly
-				// as the C/R module does on a committed line.
+				// GC every 8th epoch collects, on both nodes, every older
+				// record but the ones the newest names, as the C/R module
+				// does on a committed line.
 				if n%8 == 0 {
 					if err := p.GC(1, 0, n); err != nil {
 						b.Fatal(err)
@@ -164,7 +164,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 	b.Run("restore=chain/size=8MB", func(b *testing.B) {
 		writer, survivor := newRstorePair(b)
-		p := ckpt.NewPipeline(writer, 8)
+		p := ckpt.NewPipeline(writer, 0)
 		rng := rand.New(rand.NewSource(1))
 		img := newEpochImage(rng)
 		var last uint64

@@ -9,8 +9,8 @@
 //	starfish-bench -table 2    # one table (1, 2)
 //
 // Figures "4i" and "4r" are reproduction extensions, not paper figures:
-// "4i" tables the incremental (delta + dedup) checkpoint pipeline against
-// the opaque-image path across heap mutation rates; "4r" is the
+// "4i" tables the incremental checkpoint pipeline against the whole-image
+// path across heap mutation rates; "4r" is the
 // recovery-time table of the replicated in-memory checkpoint store (disk
 // restore vs RAM-replica restore).
 package main
@@ -190,11 +190,11 @@ func measureCheckpoint(nodes, stateBytes int, kind ckpt.Kind, rounds int) (float
 
 // figure4i tables the per-epoch cost of checkpointing an 8 MiB image into
 // the replicated memory store (k=2, so every epoch crosses the wire to one
-// peer): the opaque-image path the paper measures — the whole image every
-// epoch — against the incremental pipeline (position-addressed full + delta
-// records, full every 8th epoch), across block-aligned heap mutation rates.
+// peer): the whole image every epoch, as the paper stores it, against the
+// incremental pipeline (a position-addressed record of the changed blocks and
+// a carry list every epoch), across block-aligned heap mutation rates.
 func figure4i(rounds int) {
-	header("Figure 4i: per-epoch checkpoint cost — opaque images vs incremental pipeline")
+	header("Figure 4i: per-epoch checkpoint cost — whole images vs incremental pipeline")
 	epochs := 8 * rounds
 	if epochs < 8 {
 		epochs = 8
@@ -249,7 +249,7 @@ func figure4i(rounds int) {
 		var backend ckpt.Backend = writer
 		var pipe *ckpt.Pipeline
 		if usePipe {
-			pipe = ckpt.NewPipeline(writer, ckpt.DefaultFullEvery)
+			pipe = ckpt.NewPipeline(writer, 0)
 			backend = pipe
 		}
 		rng := rand.New(rand.NewSource(1))
@@ -269,10 +269,8 @@ func figure4i(rounds int) {
 			if err := backend.Put(1, 0, n, img, nil); err != nil {
 				log.Fatal(err)
 			}
-			if n%8 == 0 {
-				if err := backend.GC(1, 0, n); err != nil {
-					log.Fatal(err)
-				}
+			if err := backend.GC(1, 0, n); err != nil {
+				log.Fatal(err)
 			}
 		}
 		elapsed := time.Since(start)
@@ -287,8 +285,8 @@ func figure4i(rounds int) {
 		return r
 	}
 
-	fmt.Printf("image: %s, %d epochs, full record every %d epochs\n\n",
-		sizeLabel(imgSize), epochs, ckpt.DefaultFullEvery)
+	fmt.Printf("image: %s, %d epochs, collected up to the newest every epoch\n\n",
+		sizeLabel(imgSize), epochs)
 	fmt.Printf("%-10s %-10s %14s %14s %12s %10s\n",
 		"mutation", "mode", "replicated/ep", "stored/ep", "time/epoch", "reduction")
 	full := run("full", 10, false)
@@ -303,10 +301,9 @@ func figure4i(rounds int) {
 			r.perEpoch.Round(10*time.Microsecond),
 			float64(full.replicated)/float64(r.replicated))
 	}
-	fmt.Println("\n(the opaque path ships the whole image every epoch; the pipeline")
-	fmt.Println(" ships a record of the changed blocks only, and re-bases on a full")
-	fmt.Println(" record every 8th epoch — a carry list naming the slots that hold")
-	fmt.Println(" the rest — so recovery chains stay short)")
+	fmt.Println("\n(the full path ships the whole image every epoch; the pipeline ships")
+	fmt.Println(" the changed blocks and a carry list naming the slots that hold the")
+	fmt.Println(" rest, so a restore reads one record and the slots it names)")
 }
 
 // ---- figure 4r (reproduction extension) ----

@@ -11,8 +11,9 @@
 //	starfishctl -addr 127.0.0.1:7100 -admin starfish TAIL component=gcs kind=view-change
 //	starfishctl -addr 127.0.0.1:7100 -admin starfish      # interactive session
 //
-// SUBMIT's optional trailing field selects the checkpoint storage backend
-// (disk, memory, or tiered); RSTORE reports the local replicated
+// SUBMIT's optional trailing fields select the checkpoint storage backend
+// (disk, memory, or tiered) and the capture (full: every epoch's whole image,
+// delta: only the blocks that changed); RSTORE reports the local replicated
 // memory-store shard: size, replica health, and push/fetch counters.
 //
 // TAIL streams structured event records live (admin only) and keeps

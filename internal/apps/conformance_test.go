@@ -2,7 +2,6 @@ package apps
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,10 +16,10 @@ import (
 )
 
 // One contract, three backends. Every ckpt.Backend answers every method the
-// same way for both shapes a slot comes in — a raw image, a record — so the
-// table below runs the same rows over the disk store, the replicated memory
-// store and Tiered, and whatever a caller learns about one backend holds for
-// the others.
+// same way for both writers of a slot — Put of a raw image, a Pipeline's
+// record — so the table below runs the same rows over the disk store, the
+// replicated memory store and Tiered, and whatever a caller learns about one
+// backend holds for the others.
 
 // conformant is one backend under test with the three things the contract
 // does not cover: how a test makes a slot vanish behind the backend's back,
@@ -38,7 +37,7 @@ type conformant struct {
 func slotFiles(s *ckpt.Store, app wire.AppID, rank wire.Rank, n uint64) []string {
 	dir := filepath.Join(s.Dir(), fmt.Sprintf("app-%d", app), fmt.Sprintf("rank-%d", rank))
 	var out []string
-	for _, ext := range []string{"img", "rec", "meta"} {
+	for _, ext := range []string{"rec", "meta"} {
 		out = append(out, filepath.Join(dir, fmt.Sprintf("ckpt-%d.%s", n, ext)))
 	}
 	return out
@@ -63,7 +62,7 @@ func removeFiles(t *testing.T, s *ckpt.Store, app wire.AppID, rank wire.Rank, n 
 // corruptFile flips the last byte of slot n's record file.
 func corruptFile(t *testing.T, s *ckpt.Store, app wire.AppID, rank wire.Rank, n uint64) {
 	t.Helper()
-	f := slotFiles(s, app, rank, n)[1]
+	f := slotFiles(s, app, rank, n)[0]
 	b, err := os.ReadFile(f)
 	if err == nil {
 		b[len(b)-1] ^= 0xFF
@@ -134,7 +133,7 @@ var conformants = map[string]func(t *testing.T) conformant{
 }
 
 // epochs builds n checkpoint images of 16 blocks: a random first one, each
-// later one its predecessor with its first two blocks rewritten — so a delta
+// later one its predecessor with its first two blocks rewritten — so a record
 // is wholly superseded by the next, and the first record carries the rest.
 func epochs(n int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -150,34 +149,35 @@ func epochs(n int, seed int64) [][]byte {
 
 func TestBackendConformance(t *testing.T) {
 	// twin is a second rank written like the first and then left alone: the
-	// memory store keeps an image it once resolved, so only a chain nobody
-	// has read yet shows what a lost link does to a read.
-	const app, rank, twin, fullEvery = wire.AppID(5), wire.Rank(0), wire.Rank(1), 4
+	// memory store keeps an image it once resolved, so only a record nobody
+	// has read yet shows what a lost carrier does to a read.
+	const app, rank, twin = wire.AppID(5), wire.Rank(0), wire.Rank(1)
 	rows := []struct {
 		name    string
-		slots   int  // written as slots 1..slots
-		records bool // through a Pipeline, else raw images through Put
-		// What GC at the newest slot, through the Pipeline, must leave: a
-		// delta clamps the collection to its chain's full base.
-		kept uint64
+		slots   []uint64 // written in this order
+		records bool     // through a Pipeline, else raw images through Put
+		// What GC at the newest slot must leave of the older records: those
+		// the newest one names.
+		named []uint64
 	}{
-		{name: "raw", slots: 2, kept: 2},
-		{name: "chain", slots: 4, records: true, kept: 1},   // full + 3 deltas
-		{name: "rebased", slots: 7, records: true, kept: 5}, // full + 3, full + 2
+		{name: "raw", slots: []uint64{1, 2}},
+		{name: "chain", slots: []uint64{1, 2, 3, 4}, records: true, named: []uint64{1}},
+		// The record after the gap carries every block again.
+		{name: "rebased", slots: []uint64{1, 2, 3, 5, 6, 7}, records: true, named: []uint64{5}},
 	}
 	for bname, mk := range conformants {
 		for _, row := range rows {
 			t.Run(bname+"/"+row.name, func(t *testing.T) {
 				be := mk(t)
-				p := ckpt.NewPipeline(be.Backend, fullEvery)
-				imgs, twinImgs := epochs(row.slots, 22), epochs(row.slots, 23)
-				image := func(n uint64) []byte { return imgs[n-1] }
-				last := uint64(row.slots)
-				var want []uint64
-				for n := uint64(1); n <= last; n++ {
+				p := ckpt.NewPipeline(be.Backend, 0)
+				imgs, twinImgs := epochs(len(row.slots), 22), epochs(len(row.slots), 23)
+				image := func(n uint64) []byte { return imgs[slices.Index(row.slots, n)] }
+				twinImage := func(n uint64) []byte { return twinImgs[slices.Index(row.slots, n)] }
+				last := row.slots[len(row.slots)-1]
+				for _, n := range row.slots {
 					var err error
 					if row.records {
-						if err = p.Put(app, twin, n, twinImgs[n-1], nil); err == nil {
+						if err = p.Put(app, twin, n, twinImage(n), nil); err == nil {
 							err = p.Put(app, rank, n, image(n), nil)
 						}
 					} else {
@@ -186,35 +186,31 @@ func TestBackendConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("put #%d: %v", n, err)
 					}
-					want = append(want, n)
 				}
 
-				// Get is the image whichever shape the slot has; GetEnvelope
-				// the record, of a record slot only.
+				// Get is the image whoever wrote the slot; GetEnvelope its
+				// record, which carries the whole image when Put wrote it.
 				recs := make(map[uint64]*ckpt.Record)
-				for n := uint64(1); n <= last; n++ {
+				for _, n := range row.slots {
 					img, meta, err := be.Get(app, rank, n)
 					if err != nil || !bytes.Equal(img, image(n)) || meta.Index != n {
 						t.Fatalf("Get #%d: not the image put (err %v)", n, err)
 					}
 					env, err := be.GetEnvelope(app, rank, n)
-					if !row.records {
-						if !errors.Is(err, ckpt.ErrNoCheckpoint) {
-							t.Fatalf("GetEnvelope of raw slot #%d = %v, want ErrNoCheckpoint", n, err)
-						}
-						continue
-					}
 					rec, derr := ckpt.DecodeRecord(env)
 					if err != nil || derr != nil || rec.Slot != n {
 						t.Fatalf("GetEnvelope #%d: not slot #%d's record: %v, %v", n, n, err, derr)
+					}
+					if whole, ok := rec.Image(); !row.records && (!ok || !bytes.Equal(whole, image(n))) {
+						t.Fatalf("the record Put stored in slot #%d does not carry the image", n)
 					}
 					recs[n] = rec
 				}
 				if _, _, err := be.Get(app, rank, last+1); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 					t.Fatalf("Get of a slot never put = %v, want ErrNoCheckpoint", err)
 				}
-				if got, err := be.List(app, rank); err != nil || !slices.Equal(got, want) {
-					t.Fatalf("List = %v, %v; want %v", got, err, want)
+				if got, err := be.List(app, rank); err != nil || !slices.Equal(got, row.slots) {
+					t.Fatalf("List = %v, %v; want %v", got, err, row.slots)
 				}
 				ranks := []wire.Rank{rank}
 				if row.records {
@@ -233,63 +229,57 @@ func TestBackendConformance(t *testing.T) {
 					t.Fatalf("CommittedLine = %v, %v", line, err)
 				}
 
-				// GC at the newest slot keeps its chain, and of the older
-				// records exactly those a surviving one names.
+				// GC at the newest slot lists only it, and keeps of the older
+				// records exactly those it names.
 				if err := p.GC(app, rank, last); err != nil {
 					t.Fatal(err)
 				}
 				be.settle()
-				want = want[row.kept-1:]
-				if got, err := be.List(app, rank); err != nil || !slices.Equal(got, want) {
-					t.Fatalf("List after GC at #%d = %v, %v; want %v", last, got, err, want)
+				if got, err := be.List(app, rank); err != nil || !slices.Equal(got, []uint64{last}) {
+					t.Fatalf("List after GC at #%d = %v, %v; want [%d]", last, got, err, last)
 				}
-				for _, n := range want {
-					if img, _, err := be.Get(app, rank, n); err != nil || !bytes.Equal(img, image(n)) {
-						t.Fatalf("Get #%d after GC: %v", n, err)
-					}
+				if img, _, err := be.Get(app, rank, last); err != nil || !bytes.Equal(img, image(last)) {
+					t.Fatalf("Get #%d after GC: %v", last, err)
 				}
-				if row.kept > 1 {
-					if _, _, err := be.Get(app, rank, row.kept-1); !errors.Is(err, ckpt.ErrNoCheckpoint) {
-						t.Fatalf("Get of a collected slot = %v, want ErrNoCheckpoint", err)
-					}
+				if !slices.Equal(recs[last].Names, row.named) {
+					t.Fatalf("the newest record names %v, want %v", recs[last].Names, row.named)
 				}
-				named := make(map[uint64]bool)
-				for _, n := range want {
-					if rec := recs[n]; rec != nil {
-						for _, m := range rec.Names {
-							named[m] = true
-						}
+				for _, n := range row.slots[:len(row.slots)-1] {
+					if _, _, err := be.Get(app, rank, n); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+						t.Fatalf("Get of collected slot #%d = %v, want ErrNoCheckpoint", n, err)
 					}
-				}
-				var kept, swept int
-				for n := uint64(1); row.records && n < row.kept; n++ {
-					_, err := be.GetEnvelope(app, rank, n)
-					if named[n] != (err == nil) {
-						t.Fatalf("record #%d named by a survivor: %v, still stored: %v", n, named[n], err)
+					named := slices.Contains(row.named, n)
+					if _, err := be.GetEnvelope(app, rank, n); named != (err == nil) {
+						t.Fatalf("record #%d named by the survivor: %v, still stored: %v", n, named, err)
 					}
-					if named[n] {
-						kept++
-					} else {
-						swept++
-					}
-				}
-				if row.name == "rebased" && (kept == 0 || swept == 0) {
-					t.Fatalf("of the collected chain %d records were kept and %d swept; GC was not exercised both ways", kept, swept)
 				}
 				if !row.records {
 					return
 				}
 
-				// A chain that lost its base slot says so, and says it the
-				// way a restart understands.
-				be.remove(app, twin, row.kept)
-				_, _, err := be.Get(app, twin, last-1)
-				if !errors.Is(err, ckpt.ErrBrokenChain) || !errors.Is(err, ckpt.ErrNoCheckpoint) {
-					t.Fatalf("Get #%d with base #%d removed = %v, want ErrBrokenChain", last-1, row.kept, err)
+				// A record whose carrier is gone says so, and says it the way
+				// a restart understands; what does not need the carrier still
+				// restores.
+				env, err := be.GetEnvelope(app, twin, last-1)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if row.kept > 1 {
-					if img, _, err := be.Get(app, twin, row.kept-1); err != nil || !bytes.Equal(img, twinImgs[row.kept-2]) {
-						t.Fatalf("Get #%d, of the chain before the broken one: %v", row.kept-1, err)
+				rec, err := ckpt.DecodeRecord(env)
+				if err != nil || len(rec.Names) == 0 {
+					t.Fatalf("twin slot #%d names no carrier: %v", last-1, err)
+				}
+				gone := rec.Names[0]
+				be.remove(app, twin, gone)
+				_, _, err = be.Get(app, twin, last-1)
+				if !errors.Is(err, ckpt.ErrMissingBlock) || !errors.Is(err, ckpt.ErrNoCheckpoint) {
+					t.Fatalf("Get #%d with carrier #%d removed = %v, want ErrMissingBlock", last-1, gone, err)
+				}
+				for _, n := range row.slots {
+					if n >= gone {
+						break
+					}
+					if img, _, err := be.Get(app, twin, n); err != nil || !bytes.Equal(img, twinImage(n)) {
+						t.Fatalf("Get #%d, older than the removed carrier: %v", n, err)
 					}
 				}
 			})
@@ -297,29 +287,12 @@ func TestBackendConformance(t *testing.T) {
 	}
 
 	for bname, mk := range conformants {
-		// Raw or record is how a slot was stored, not what its bytes say:
-		// an image that begins like a record is a raw image all the same.
-		t.Run(bname+"/raw-lookalike", func(t *testing.T) {
-			be := mk(t)
-			img := append(binary.BigEndian.AppendUint32(nil, 0xC1A1D001), epochs(1, 26)[0]...)
-			if err := be.Put(app, rank, 1, img, nil); err != nil {
-				t.Fatal(err)
-			}
-			be.settle()
-			if got, _, err := be.Get(app, rank, 1); err != nil || !bytes.Equal(got, img) {
-				t.Fatalf("Get of a raw image that looks like a record: %v", err)
-			}
-			if _, err := be.GetEnvelope(app, rank, 1); !errors.Is(err, ckpt.ErrNoCheckpoint) {
-				t.Fatalf("GetEnvelope of a raw image = %v, want ErrNoCheckpoint", err)
-			}
-		})
-
 		// Every way a record can fail to resolve is an error a restart
 		// understands, and never an image.
 		t.Run(bname+"/errors", func(t *testing.T) {
 			be := mk(t)
-			p := ckpt.NewPipeline(be.Backend, fullEvery)
-			imgs := epochs(6, 25) // full, 3 deltas, a carry list, a delta
+			p := ckpt.NewPipeline(be.Backend, 0)
+			imgs := epochs(6, 25) // an image's record, then five carry lists
 			for r := wire.Rank(0); r < 3; r++ {
 				for n, img := range imgs {
 					if err := p.Put(app, r, uint64(n+1), img, nil); err != nil {
@@ -351,18 +324,21 @@ func TestBackendConformance(t *testing.T) {
 			be.corrupt(app, 1, 6)
 			refused(1, 6, ckpt.ErrMissingBlock)
 
-			// GC keeps a live chain's base, collected; a base that is
-			// gone anyway breaks the chain.
+			// GC keeps a record a survivor names, collected; one that is
+			// gone anyway leaves the survivor unresolvable.
 			if err := be.GC(app, 2, 3); err != nil {
 				t.Fatal(err)
 			}
 			be.settle()
-			refused(2, 2, ckpt.ErrNoCheckpoint)
-			if _, err := be.GetEnvelope(app, 2, 2); err != nil {
-				t.Fatalf("the base of a surviving delta was not kept: %v", err)
+			refused(2, 1, ckpt.ErrNoCheckpoint)
+			if _, err := be.GetEnvelope(app, 2, 1); err != nil {
+				t.Fatalf("a record a survivor names was not kept: %v", err)
 			}
-			be.remove(app, 2, 2)
-			refused(2, 3, ckpt.ErrBrokenChain)
+			if _, err := be.GetEnvelope(app, 2, 2); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+				t.Fatalf("a record no survivor names was kept: %v", err)
+			}
+			be.remove(app, 2, 1)
+			refused(2, 3, ckpt.ErrMissingBlock)
 		})
 	}
 }
@@ -370,13 +346,13 @@ func TestBackendConformance(t *testing.T) {
 // TestTieredRestoresFromEitherTier: what the fast tier lost comes off disk,
 // whether it lost everything — a memory wipe — or only the newest slot.
 func TestTieredRestoresFromEitherTier(t *testing.T) {
-	const app, rank, newest = wire.AppID(6), wire.Rank(0), 3 // full + 2 deltas
+	const app, rank, newest = wire.AppID(6), wire.Rank(0), 3 // an image's record + 2 carry lists
 	imgs := epochs(newest, 24)
 	write := func(t *testing.T) ([]*rstore.Store, *ckpt.Store) {
 		stores, disk := memStores(t, 2), diskStore(t)
 		tiered := ckpt.NewTiered(stores[0], disk, t.Logf)
 		defer tiered.Close()
-		p := ckpt.NewPipeline(tiered, 4)
+		p := ckpt.NewPipeline(tiered, 0)
 		for n, img := range imgs {
 			if err := p.Put(app, rank, uint64(n+1), img, nil); err != nil {
 				t.Fatal(err)
@@ -389,12 +365,12 @@ func TestTieredRestoresFromEitherTier(t *testing.T) {
 		tiered := ckpt.NewTiered(fast, disk, t.Logf)
 		defer tiered.Close()
 		env, err := tiered.GetEnvelope(app, rank, newest)
-		if rec, derr := ckpt.DecodeRecord(env); err != nil || derr != nil || rec.Kind != ckpt.RecDelta {
-			t.Fatalf("the newest slot is not a delta record: %v, %v", err, derr)
+		if rec, derr := ckpt.DecodeRecord(env); err != nil || derr != nil || len(rec.Names) == 0 {
+			t.Fatalf("the newest slot is not a carry list naming earlier slots: %v, %v", err, derr)
 		}
 		img, meta, err := tiered.Get(app, rank, newest)
 		if err != nil || !bytes.Equal(img, imgs[newest-1]) || meta.Index != newest {
-			t.Fatalf("restore of the newest delta epoch: %v", err)
+			t.Fatalf("restore of the newest epoch: %v", err)
 		}
 	}
 	t.Run("fast tier wiped", func(t *testing.T) {
@@ -405,7 +381,7 @@ func TestTieredRestoresFromEitherTier(t *testing.T) {
 		stores, disk := write(t)
 		evictAll(stores, app, rank, newest)
 		if stores[0].Holds(app, rank, newest) || !stores[0].Holds(app, rank, 1) {
-			t.Fatal("the fast tier should hold the chain's base and not its newest slot")
+			t.Fatal("the fast tier should hold the slot the newest names and not the newest")
 		}
 		restore(t, stores[0], disk)
 	})

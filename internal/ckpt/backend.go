@@ -19,35 +19,34 @@ import (
 //     never touches a file system and survives node loss.
 //   - StoreTiered: Tiered, memory first with asynchronous disk spill.
 //
-// What a backend stores is a slot per (app, rank, n), holding either a raw
-// checkpoint image (Put) or a record (PutRecord, written by Pipeline): an
-// envelope and the blocks that changed since the previous slot, naming the
-// slots it needs for the rest (chunk.go). Which of the two a slot holds is
-// part of how it was stored, never read off its bytes. All three backends
-// answer every method the same way; Pipeline is a Backend too, adding the
-// capture policy in front of one.
+// What a backend stores is a slot per (app, rank, n), holding one record
+// (chunk.go): an envelope and the blocks the slot carries, naming the slots
+// that carry the rest. Put stores the record that carries a whole image
+// (ImageRecord); PutRecord stores one Pipeline wrote, carrying the blocks that
+// changed since the previous slot. All three backends answer every method the
+// same way; Pipeline is a Backend too, adding the capture policy in front of
+// one.
 //
 // Implementations must be safe for concurrent use: every local application
 // process of every application shares one backend instance per node.
 type Backend interface {
-	// Put stores a raw image in slot n of (app, rank), with its interval
-	// metadata (nil meta stores an empty Meta{Rank, Index}). img stays the
-	// caller's: a backend that retains it copies it.
+	// Put stores ImageRecord(n, img) in slot n of (app, rank), with its
+	// interval metadata (nil meta stores an empty Meta{Rank, Index}). img
+	// stays the caller's: the record is a copy of it.
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error
 	// PutRecord stores a record in slot n of (app, rank). rec is handed
 	// over: the caller never writes it again, so the backend keeps, pushes
 	// and spills it as it is.
 	PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error
-	// Get returns the checkpoint image of slot n: a raw slot verbatim, a
-	// record resolved through its chain (ErrBrokenChain, ErrMissingBlock
-	// when that cannot be done). The image may reference internal storage;
-	// callers must treat it as read-only.
+	// Get returns the checkpoint image of slot n: its record resolved with
+	// the blocks the slots it names carry (ErrMissingBlock when that cannot
+	// be done). The image may reference internal storage; callers must
+	// treat it as read-only.
 	Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error)
-	// GetEnvelope returns the record stored in slot n — ErrNoCheckpoint for a
-	// raw slot or none — which is what chain walkers (ResolveChain,
-	// Pipeline's GC clamp) read: its envelope, then the blocks it carries. A
-	// record GC kept only because a surviving one names it is served here
-	// and by nothing else. It may reference internal storage.
+	// GetEnvelope returns the record stored in slot n (ErrNoCheckpoint for
+	// none), which is what Resolve reads: its envelope, then the blocks it
+	// carries. A record GC kept only because a surviving one names it is
+	// served here and by nothing else. It may reference internal storage.
 	GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error)
 	// List returns the checkpoint indices available for (app, rank),
 	// ascending.

@@ -11,40 +11,37 @@ import (
 	"sort"
 )
 
-// Position-addressed checkpoint records. The incremental pipeline (see
-// Pipeline) stores one record per (app, rank, n) slot of a Backend: a small
-// envelope followed by the 4 KiB blocks the record carries. A block is named
-// by where it sits — the slot that wrote it and its index in the image — so
-// nothing is hashed and nothing is looked up by content:
+// Position-addressed checkpoint records. Every slot of every Backend — one
+// per (app, rank, n) — holds one record: a small envelope followed by the
+// 4 KiB blocks the record carries. A block is named by where it sits — the
+// slot that wrote it and its index in the image — so nothing is hashed and
+// nothing is looked up by content:
 //
-//   - A delta record carries the blocks that changed since the record it
-//     builds on (its base, always the previous slot).
-//   - A full record carries the blocks that changed since the previous slot
-//     too (all of them when there is none) and, for every block of the image,
-//     the slot whose record carries its current version: its carry list. It
-//     carries no unchanged bytes; the slots it names do.
+//   - A record carries the blocks that changed since the slot before it
+//     (every block when there is none: ImageRecord, a rank's first epoch, the
+//     first after a gap) and, for every block of the image, the slot whose
+//     record carries its current version: its carry list. It carries no
+//     unchanged bytes; the slots it names do.
 //   - An all-zero block is a sentinel in the envelope, never bytes.
 //   - Every carried block has its crc32c (Castagnoli) in the envelope, checked
 //     whenever the block is read back from a peer or from disk, and the
 //     envelope has its own, checked whenever it is decoded.
 //
-// Layout, big-endian; the envelope is a prefix, so a chain walker reads only
-// it:
+// Layout, big-endian; the envelope is a prefix, so GC reads only it:
 //
 //	u32 magic, u32 crc32c of the rest of the envelope
-//	u8 kind, u64 slot, u64 rawLen, u64 base, u64 baseLen
+//	u8 kind, u64 slot, u64 rawLen
 //	u32 blocks, u32 carried       counts of the two lists below
 //	blocks  × (u32 index | zeroBit, u32 crc32c)    ascending index
-//	carried × u64 slot (zeroSlot: all-zero)        full records: one per block
+//	carried × u64 slot (zeroSlot: all-zero)        one per block of the image
 //	the non-zero blocks' bytes, in list order
 //
-// Whether a slot holds a record or a raw image is how it was stored (PutRecord
-// or Put), never what its bytes look like.
+// A record that carries every block of its image, none of them all-zero, has
+// data that is the image itself: resolving it copies nothing (Image).
 
 // Record kinds.
 const (
-	RecFull  = 1 // a carry list: every block's slot, and this slot's changes
-	RecDelta = 2 // this slot's changes on top of Base
+	RecFull = 1 // a carry list: every block's slot, and this slot's changes
 	// RecKept is a collected record cut down to the blocks that surviving
 	// carry lists still name from it (Keep). It carries; it resolves to
 	// nothing.
@@ -53,7 +50,7 @@ const (
 
 const (
 	recMagic  = 0xC1A1D001
-	headerLen = 4 + 4 + 1 + 8 + 8 + 8 + 8 + 4 + 4
+	headerLen = 4 + 4 + 1 + 8 + 8 + 4 + 4
 	zeroBit   = 1 << 31
 	zeroSlot  = math.MaxUint64
 )
@@ -63,16 +60,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // zeroBlock is the sentinel's content.
 var zeroBlock [DeltaBlockSize]byte
 
-// Typed reconstruction failures. Both wrap ErrNoCheckpoint so existing
-// restart paths treat an unreconstructable chain like a missing checkpoint.
-var (
-	// ErrBrokenChain reports a delta chain whose base record is missing or
-	// unreadable.
-	ErrBrokenChain = fmt.Errorf("%w: delta chain link missing", ErrNoCheckpoint)
-	// ErrMissingBlock reports a record whose blocks cannot be read back
-	// whole: a carried slot held nowhere, or a block failing its crc32c.
-	ErrMissingBlock = fmt.Errorf("%w: checkpoint block missing or corrupt", ErrNoCheckpoint)
-)
+// ErrMissingBlock reports a record whose blocks cannot be read back whole: a
+// carried slot held nowhere, a record that does not decode, or a block failing
+// its crc32c. It wraps ErrNoCheckpoint, so restart paths treat an
+// unreconstructable checkpoint like a missing one.
+var ErrMissingBlock = fmt.Errorf("%w: checkpoint block missing or corrupt", ErrNoCheckpoint)
 
 var errBadRecord = errors.New("ckpt: malformed record")
 
@@ -82,16 +74,13 @@ type Record struct {
 	Kind   uint8
 	Slot   uint64 // the slot the record was written for
 	RawLen int    // byte length of the image it resolves to
-	// Delta records: the slot this one builds on and its image's length.
-	Base    uint64
-	BaseLen int
-	// Names lists, ascending, the other slots the record needs: a delta's
-	// base, a full record's carried slots.
+	// Names lists, ascending, the other slots the record needs: those its
+	// carry list names.
 	Names []uint64
 
 	list    []byte // the block list
 	offs    []int  // each listed block's offset in data, -1 for a zero block
-	carried []byte // full records: the carry list
+	carried []byte // the carry list (none in a RecKept record)
 	data    []byte
 }
 
@@ -102,11 +91,22 @@ func blockLen(rawLen int, i uint32) int { return min(DeltaBlockSize, rawLen-int(
 
 func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 
+// ImageRecord returns the record of slot n that carries every block of img —
+// what Backend.Put stores, and what Pipeline writes for a rank's first epoch.
+func ImageRecord(n uint64, img []byte) []byte {
+	nb := blocksOf(uint64(len(img)))
+	every := make([]uint32, nb)
+	for i := range every {
+		every[i] = uint32(i)
+	}
+	rec, _ := encodeRecord(n, img, every, make([]uint64, nb))
+	return rec
+}
+
 // encodeRecord writes the record of slot n of img: the blocks changed lists
-// (ascending) and, for a full record, the carry list where patched with them.
-// Deltas build on slot base of baseLen bytes. zero marks the changed blocks
-// that are all-zero.
-func encodeRecord(kind uint8, n uint64, img []byte, changed []uint32, base uint64, baseLen int, where []uint64) (rec []byte, zero []bool) {
+// (ascending) and the carry list, where patched with them. zero marks the
+// changed blocks that are all-zero.
+func encodeRecord(n uint64, img []byte, changed []uint32, where []uint64) (rec []byte, zero []bool) {
 	zero = make([]bool, len(changed))
 	dataLen := 0
 	for k, i := range changed {
@@ -115,20 +115,14 @@ func encodeRecord(kind uint8, n uint64, img []byte, changed []uint32, base uint6
 			dataLen += blockLen(len(img), i)
 		}
 	}
-	var nCarried int
-	if kind == RecFull {
-		nCarried = len(where)
-	}
-	env := headerLen + 8*len(changed) + 8*nCarried
+	env := headerLen + 8*len(changed) + 8*len(where)
 	buf := make([]byte, env+dataLen)
 	h := buf[:8] // magic and crc: sealEnvelope
-	h = append(h, kind)
+	h = append(h, RecFull)
 	h = binary.BigEndian.AppendUint64(h, n)
 	h = binary.BigEndian.AppendUint64(h, uint64(len(img)))
-	h = binary.BigEndian.AppendUint64(h, base)
-	h = binary.BigEndian.AppendUint64(h, uint64(baseLen))
 	h = binary.BigEndian.AppendUint32(h, uint32(len(changed)))
-	h = binary.BigEndian.AppendUint32(h, uint32(nCarried))
+	h = binary.BigEndian.AppendUint32(h, uint32(len(where)))
 	data := buf[env:]
 	for k, i := range changed {
 		lo := int(i) * DeltaBlockSize
@@ -142,7 +136,7 @@ func encodeRecord(kind uint8, n uint64, img []byte, changed []uint32, base uint6
 		h = binary.BigEndian.AppendUint32(h, i)
 		h = binary.BigEndian.AppendUint32(h, crc)
 	}
-	for i, k := 0, 0; i < nCarried; i++ {
+	for i, k := 0, 0; i < len(where); i++ {
 		s := where[i]
 		if k < len(changed) && changed[k] == uint32(i) {
 			if s = n; zero[k] {
@@ -199,9 +193,9 @@ func decodeEnvelope(b []byte) (*Record, error) {
 	}
 	h := b[8:headerLen]
 	rec := &Record{Kind: h[0], Slot: binary.BigEndian.Uint64(h[1:])}
-	rawLen, baseLen := binary.BigEndian.Uint64(h[9:]), binary.BigEndian.Uint64(h[25:])
-	nList, nCarried := uint64(binary.BigEndian.Uint32(h[33:])), uint64(binary.BigEndian.Uint32(h[37:]))
-	if rec.Slot == zeroSlot || rawLen > math.MaxInt64-DeltaBlockSize || baseLen > math.MaxInt64-DeltaBlockSize {
+	rawLen := binary.BigEndian.Uint64(h[9:])
+	nList, nCarried := uint64(binary.BigEndian.Uint32(h[17:])), uint64(binary.BigEndian.Uint32(h[21:]))
+	if rec.Slot == zeroSlot || rawLen > math.MaxInt64-DeltaBlockSize {
 		return nil, errBadRecord
 	}
 	rec.RawLen = int(rawLen)
@@ -216,13 +210,6 @@ func decodeEnvelope(b []byte) (*Record, error) {
 		}
 	}
 	switch rec.Kind {
-	case RecDelta:
-		rec.Base, rec.BaseLen = binary.BigEndian.Uint64(h[17:]), int(baseLen)
-		// Growth past the base is changed blocks, which the list names.
-		if nCarried != 0 || rec.Base >= rec.Slot || nb > blocksOf(baseLen)+nList {
-			return nil, errBadRecord
-		}
-		rec.Names = []uint64{rec.Base}
 	case RecFull:
 		if nCarried != nb {
 			return nil, errBadRecord
@@ -251,7 +238,7 @@ func decodeEnvelope(b []byte) (*Record, error) {
 
 // envelopeLen is the length of the envelope a record header begins.
 func envelopeLen(header []byte) uint64 {
-	return headerLen + 8*(uint64(binary.BigEndian.Uint32(header[41:]))+uint64(binary.BigEndian.Uint32(header[45:])))
+	return headerLen + 8*(uint64(binary.BigEndian.Uint32(header[25:]))+uint64(binary.BigEndian.Uint32(header[29:])))
 }
 
 // entry returns the k-th listed block's index and whether it is all-zero.
@@ -260,14 +247,21 @@ func (r *Record) entry(k int) (uint32, bool) {
 	return v &^ zeroBit, v&zeroBit != 0
 }
 
-// carrier returns the slot carrying block i of a full record's image.
+// carrier returns the slot carrying block i of the record's image.
 func (r *Record) carrier(i int) uint64 { return binary.BigEndian.Uint64(r.carried[8*i:]) }
 
-// Carrier returns the other slot that carries block i of a full record's
-// image; false when this record carries it or it is all-zero.
+// Carrier returns the other slot that carries block i of the record's image;
+// false when this record carries it or it is all-zero.
 func (r *Record) Carrier(i uint32) (uint64, bool) {
 	s := r.carrier(int(i))
 	return s, s != r.Slot && s != zeroSlot
+}
+
+// Image returns the record's image when the record carries every block of it,
+// none all-zero, and names no other slot: then its data is the image, aliased,
+// not copied.
+func (r *Record) Image() ([]byte, bool) {
+	return r.data, r.Kind == RecFull && len(r.data) == r.RawLen && len(r.Names) == 0
 }
 
 // block returns the bytes of the k-th listed block, nil for a zero block.
@@ -343,7 +337,7 @@ func (r *Record) Keep(keep []uint32) []byte {
 	buf[8] = RecKept
 	binary.BigEndian.PutUint64(buf[9:], r.Slot)
 	binary.BigEndian.PutUint64(buf[17:], uint64(r.RawLen))
-	binary.BigEndian.PutUint32(buf[41:], uint32(len(ks)))
+	binary.BigEndian.PutUint32(buf[25:], uint32(len(ks)))
 	list, data := buf[headerLen:], buf[env:]
 	for _, k := range ks {
 		list = list[copy(list, r.list[8*k:8*k+8]):]

@@ -144,15 +144,26 @@ func FuzzDecodeRecord(f *testing.F) {
 	next := bytes.Clone(img)
 	clear(next[DeltaBlockSize:]) // the tail becomes a zero sentinel
 	rec := newRecorder()
-	p := NewPipeline(rec, 3)
+	p := NewPipeline(rec, 0)
 	for n, im := range [][]byte{img, next, img} {
 		if err := p.Put(1, 0, uint64(n+1), im, nil); err != nil {
 			f.Fatal(err)
 		}
 	}
-	f.Add(rec.slots[1])                          // a full record carrying every block
-	f.Add(rec.slots[2])                          // a delta with a zero sentinel
-	f.Add(rec.slots[3])                          // a carry list
+	whole := ImageRecord(1, img)
+	if !bytes.Equal(whole, rec.slots[1]) {
+		f.Fatal("a rank's first record is not the image's record")
+	}
+	// Record kind 2 — the retired delta record — must be refused.
+	retired := bytes.Clone(whole)
+	retired[8] = 2
+	if _, err := DecodeRecord(sealEnvelope(retired, int(envelopeLen(retired)))); err == nil {
+		f.Fatal("a record of retired kind 2 decodes")
+	}
+	f.Add(whole)                                 // a record carrying every block: its data is the image
+	f.Add(retired)                               // a record of a retired kind
+	f.Add(rec.slots[2])                          // a carry list with a zero sentinel
+	f.Add(rec.slots[3])                          // a carry list naming the other two
 	f.Add(rec.slots[1][:len(rec.slots[1])-1000]) // truncated inside a block
 	f.Add(rec.slots[3][:headerLen+3])            // truncated inside the envelope
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -175,6 +186,12 @@ func checkRecordDecode(t *testing.T, b []byte) {
 	}
 	if err != nil {
 		return
+	}
+	if r.Kind != RecFull && r.Kind != RecKept {
+		t.Fatalf("a record of kind %d decodes", r.Kind)
+	}
+	if whole, ok := r.Image(); ok && (len(whole) != r.RawLen || len(r.offs) != int(blocksOf(uint64(r.RawLen)))) {
+		t.Fatalf("Image of a record listing %d of %d bytes' blocks", len(r.offs), r.RawLen)
 	}
 	if err := r.Verify(); err != nil && !errors.Is(err, ErrMissingBlock) {
 		t.Fatalf("Verify = %v, want nil or ErrMissingBlock", err)

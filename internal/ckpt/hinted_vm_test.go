@@ -29,7 +29,7 @@ func (r *recorder) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byt
 }
 
 func (r *recorder) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	img, err := ResolveChain(r, app, rank, n)
+	img, err := Resolve(r, app, rank, n)
 	return img, &Meta{Rank: rank, Index: n}, err
 }
 
@@ -94,7 +94,7 @@ func randomWriter(r *rand.Rand, heap, globals int) string {
 
 // FuzzHintedPipeline: over random VM programs on every machine, a Put that
 // carries the VM's dirty spans emits byte-for-byte the records an unhinted
-// Put emits — full and delta, across epochs that grow and shrink the image —
+// Put emits — across epochs that grow and shrink the image —
 // while comparing only hinted blocks; a hint tagged with any other base than
 // the previous epoch is ignored, however wrong its spans.
 func FuzzHintedPipeline(f *testing.F) {
@@ -110,7 +110,7 @@ func FuzzHintedPipeline(f *testing.F) {
 		m.TrackDirty()
 
 		hinted, plain, stale := newRecorder(), newRecorder(), newRecorder()
-		ph, pp, ps := NewPipeline(hinted, 5), NewPipeline(plain, 5), NewPipeline(stale, 5)
+		ph, pp, ps := NewPipeline(hinted, 0), NewPipeline(plain, 0), NewPipeline(stale, 0)
 		// The VM image sits at an odd offset inside the stored image, as the
 		// application state does behind a checkpoint header.
 		prefix := make([]byte, 1+r.Intn(2*DeltaBlockSize))
@@ -143,17 +143,16 @@ func FuzzHintedPipeline(f *testing.F) {
 			}
 			sameLastRecord(t, int(n), hinted, plain)
 			sameLastRecord(t, int(n), stale, plain)
-			// A full record that continues the chain carries only what
-			// changed; every other block it names must be carried, as it is
-			// now, by the slot named.
+			// A record carries only what changed; every other block it
+			// names must be carried, as it is now, by the slot named.
 			if rec, err := DecodeRecord(hinted.recs[len(hinted.recs)-1]); err != nil {
 				t.Fatal(err)
-			} else if rec.Kind == RecFull {
+			} else {
 				for i, b := range SplitBlocks(img) {
 					s := rec.carrier(i)
 					if s == zeroSlot {
 						if !isZero(b) {
-							t.Fatalf("epoch %d: full record names block %d zero", n, i)
+							t.Fatalf("epoch %d: record names block %d zero", n, i)
 						}
 						continue
 					}
@@ -162,13 +161,13 @@ func FuzzHintedPipeline(f *testing.F) {
 						t.Fatal(err)
 					}
 					if got, ok := src.BlockAt(uint32(i)); !ok || !bytes.Equal(got, b) {
-						t.Fatalf("epoch %d: full record names slot %d for block %d, which does not carry it", n, s, i)
+						t.Fatalf("epoch %d: record names slot %d for block %d, which does not carry it", n, s, i)
 					}
 				}
 			}
 			got, _, err := ph.Get(1, 0, n)
 			if err != nil || !bytes.Equal(got, img) {
-				t.Fatalf("epoch %d: hinted chain does not reconstruct the image (err %v)", n, err)
+				t.Fatalf("epoch %d: hinted records do not reconstruct the image (err %v)", n, err)
 			}
 			if halted, err := m.RunSteps(1 + r.Intn(120)); err != nil {
 				t.Fatal(err)
@@ -188,7 +187,7 @@ func FuzzHintedPipeline(f *testing.F) {
 // that is never taken.
 func TestHintIsUsed(t *testing.T) {
 	rec := newRecorder()
-	p := NewPipeline(rec, 8)
+	p := NewPipeline(rec, 0)
 	imgs := epochImages(t, 2, 16)
 	if err := p.Put(1, 0, 1, imgs[0], nil); err != nil {
 		t.Fatal(err)
@@ -199,7 +198,7 @@ func TestHintIsUsed(t *testing.T) {
 	if r, err := DecodeRecord(rec.recs[1]); err != nil {
 		t.Fatal(err)
 	} else if len(r.list) != 0 {
-		t.Fatalf("delta under an empty hint lists %d blocks, want 0", len(r.list)/8)
+		t.Fatalf("a record under an empty hint lists %d blocks, want 0", len(r.list)/8)
 	}
 }
 
@@ -225,13 +224,13 @@ done:   halt
 
 // TestHintedEpochsStayIncremental runs a VM across several checkpoint epochs
 // through the hinted pipeline path: every epoch restores exactly, and each
-// delta is a sliver of the image.
+// record is a sliver of the image.
 func TestHintedEpochsStayIncremental(t *testing.T) {
 	m := svm.New(svm.Machines[0], svm.MustAssemble(memWriter), 2)
 	m.Globals[1] = 2000 // iterations
 	m.Grow(64 * 1024)   // 64K-word heap, mostly untouched
 	m.TrackDirty()
-	p, _ := pipeStore(t, 8)
+	p, _ := pipeStore(t)
 	for n := uint64(1); n <= 6; n++ {
 		spans := m.DirtyByteSpans()
 		if n == 1 {
@@ -279,7 +278,7 @@ func (f *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byt
 // not a copy — while Put copies in and never writes a borrowed base.
 func TestPutHintedBorrows(t *testing.T) {
 	be := &failOnce{recorder: newRecorder()}
-	p := NewPipeline(be, 8)
+	p := NewPipeline(be, 0)
 	imgs := epochImages(t, 5, 16)
 	same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
 

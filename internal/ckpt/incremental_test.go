@@ -27,7 +27,7 @@ func checkDelta(t testing.TB, base, next []byte) *Delta {
 			t.Fatalf("block %d: ComputeDelta and diffBlocks disagree", i)
 		}
 	}
-	p := NewPipeline(newMemBackend(), 2)
+	p := NewPipeline(newMemBackend(), 0)
 	if err := p.Put(1, 0, 1, base, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +77,21 @@ func TestDeltaGrowAndShrink(t *testing.T) {
 	checkDelta(t, grown, base)
 }
 
-// TestDeltaWrongBase: a delta record that expects a base of another length
-// than the one its chain resolves to is refused, never applied.
+// TestDeltaWrongBase: a record that takes a block from a slot whose image had
+// another length — the slot carries that block at another length — is
+// refused, never applied.
 func TestDeltaWrongBase(t *testing.T) {
 	be := newMemBackend()
 	base := bytes.Repeat([]byte{9}, 100)
-	full, _ := encodeRecord(RecFull, 1, base, []uint32{0}, 0, 0, make([]uint64, 1))
-	if err := be.PutRecord(1, 0, 1, full, nil); err != nil {
+	if err := be.PutRecord(1, 0, 1, ImageRecord(1, base[:99]), nil); err != nil {
 		t.Fatal(err)
 	}
-	delta, _ := encodeRecord(RecDelta, 2, base, nil, 1, len(base)-1, nil)
-	if err := be.PutRecord(1, 0, 2, delta, nil); err != nil {
+	next, _ := encodeRecord(2, base, nil, []uint64{1})
+	if err := be.PutRecord(1, 0, 2, next, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := be.Get(1, 0, 2); !errors.Is(err, ErrBrokenChain) {
-		t.Errorf("a delta on a wrong-length base resolved: %v", err)
+	if _, _, err := be.Get(1, 0, 2); !errors.Is(err, ErrMissingBlock) {
+		t.Errorf("a block of a wrong-length base resolved: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,9 +9,8 @@ import (
 	"starfish/internal/wire"
 )
 
-// DefaultFullEvery is the full-image cadence: one full record, then
-// FullEvery-1 delta records, then the next full record starts a new chain
-// (and makes the old one garbage).
+// DefaultFullEvery is not read by this package; it is kept, with
+// NewPipeline's ignored argument, for the frozen benchmark module's callers.
 const DefaultFullEvery = 8
 
 // Pipeline is the incremental checkpoint capture path: a Backend that turns
@@ -23,28 +21,19 @@ const DefaultFullEvery = 8
 //     epoch: the writer compares the image with that epoch's (ComputeDelta's
 //     block rule, nothing hashed) — the caller's own buffer, borrowed, after
 //     PutHinted; a copy after Put. The first record of a rank, and the first
-//     after a gap in its indices, carries every block.
-//   - Every FullEvery-th record (and the first, and the first after a gap) is
-//     a full record: a carry list naming, for every block, the slot whose
-//     record carries its current version. It starts a new chain and makes the
-//     old one garbage, but re-sends no unchanged byte.
-//   - The records in between are deltas on the previous slot: the changed
-//     blocks plus an 8-byte-per-block envelope.
-//   - GC is chain-aware: collecting up to a delta record is clamped down to
-//     the record's full base so the chain stays reconstructable; once a new
-//     full record commits, the previous chain is collected whole, but for the
-//     records the new carry list still names (the backend keeps those).
+//     after a gap in its indices, carries every block (ImageRecord's).
+//   - Every record's carry list names, for every block, the slot whose record
+//     carries its current version, so a checkpoint resolves from its own
+//     record and the slots that one names — no chain to replay.
 //
-// Everything else — Get included: every Backend resolves its own record
-// chains — is the wrapped backend's.
+// Everything else — Get and GC included: every Backend resolves its own
+// records, and collects none that a surviving record names — is the wrapped
+// backend's.
 //
 // One Pipeline serves one application on one node; ranks are tracked
 // independently. It is safe for concurrent use.
 type Pipeline struct {
 	Backend
-	// FullEvery is the full-record cadence; <=1 disables deltas entirely
-	// (every epoch is a full record).
-	fullEvery int
 
 	// Observer, when non-nil, receives one EpochEvent per captured record.
 	// It must be set before the first Put and must not block (the event
@@ -64,12 +53,6 @@ type EpochEvent struct {
 	App   wire.AppID
 	Rank  wire.Rank
 	Index uint64
-	// Delta marks an incremental record; Base is the index it diffs
-	// against (deltas only).
-	Delta bool
-	Base  uint64
-	// ChainLen counts records since and including the chain's full base.
-	ChainLen int
 	// RawBytes is the image size; StoredBytes the record's, its envelope
 	// and the blocks it carries.
 	RawBytes, StoredBytes int
@@ -81,13 +64,11 @@ type rankState struct {
 	borrowed  bool     // the writer's buffer (never written here) or our copy
 	where     []uint64 // the slot carrying each block of lastRaw (zeroSlot: all-zero)
 	lastIndex uint64   // checkpoint index of lastRaw
-	sinceFull int      // records since (and including) the chain's full base
 }
 
 // PipelineStats counts capture-side work, the savings metric of the
 // incremental pipeline.
 type PipelineStats struct {
-	Fulls, Deltas uint64
 	// RawBytes is the total image bytes handed to Put; StoredBytes the
 	// record bytes handed to the backend.
 	RawBytes, StoredBytes uint64
@@ -95,13 +76,10 @@ type PipelineStats struct {
 
 var _ Backend = (*Pipeline)(nil)
 
-// NewPipeline wraps a backend in the incremental capture path.
-// fullEvery <= 0 selects DefaultFullEvery.
-func NewPipeline(inner Backend, fullEvery int) *Pipeline {
-	if fullEvery <= 0 {
-		fullEvery = DefaultFullEvery
-	}
-	return &Pipeline{Backend: inner, fullEvery: fullEvery, ranks: make(map[wire.Rank]*rankState)}
+// NewPipeline wraps a backend in the incremental capture path. The int is
+// ignored (see DefaultFullEvery).
+func NewPipeline(inner Backend, _ int) *Pipeline {
+	return &Pipeline{Backend: inner, ranks: make(map[wire.Rank]*rankState)}
 }
 
 // Stats returns a snapshot of the capture counters.
@@ -111,9 +89,9 @@ func (p *Pipeline) Stats() PipelineStats {
 	return p.stats
 }
 
-// Put captures checkpoint n of (app, rank) as a full or delta record,
-// per the cadence policy. img stays the caller's — one buffer may be mutated
-// and Put again — and the pipeline keeps a copy as the rank's next diff base.
+// Put captures checkpoint n of (app, rank) as a record. img stays the
+// caller's — one buffer may be mutated and Put again — and the pipeline keeps
+// a copy as the rank's next diff base.
 func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
 	_, err := p.put(app, rank, n, img, meta, 0, nil, false)
 	return err
@@ -149,13 +127,12 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	}
 	// The cached copy is only a base for the immediately following index; a
 	// gap (restart, skipped epoch) starts over from nothing, which makes
-	// every block changed and the record a full one.
+	// every block changed.
 	last, lastBorrowed := st.lastRaw, st.borrowed
 	base, baseRaw, where := st.lastIndex, last, st.where
 	if baseRaw == nil || base+1 != n {
 		baseRaw, where = nil, nil
 	}
-	asDelta := p.fullEvery > 1 && baseRaw != nil && st.sinceFull < p.fullEvery
 	p.mu.Unlock()
 
 	var hinted []bool
@@ -168,11 +145,7 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	if nb := int(blocksOf(uint64(len(img)))); len(where) != nb {
 		where = append(make([]uint64, 0, nb), where[:min(len(where), nb)]...)[:nb]
 	}
-	kind := uint8(RecFull)
-	if asDelta {
-		kind = RecDelta
-	}
-	rec, zero := encodeRecord(kind, n, img, changed, base, len(baseRaw), where)
+	rec, zero := encodeRecord(n, img, changed, where)
 	if err := p.Backend.PutRecord(app, rank, n, rec, meta); err != nil {
 		return nil, err
 	}
@@ -202,24 +175,11 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 
 	p.mu.Lock()
 	st.lastRaw, st.borrowed, st.where, st.lastIndex = raw, borrow, where, n
-	if asDelta {
-		st.sinceFull++
-		p.stats.Deltas++
-	} else {
-		st.sinceFull = 1
-		p.stats.Fulls++
-	}
 	p.stats.RawBytes += uint64(len(img))
-	stored := len(rec)
-	p.stats.StoredBytes += uint64(stored)
-	chainLen := st.sinceFull
+	p.stats.StoredBytes += uint64(len(rec))
 	p.mu.Unlock()
 	if p.Observer != nil {
-		p.Observer(EpochEvent{
-			App: app, Rank: rank, Index: n,
-			Delta: asDelta, Base: base, ChainLen: chainLen,
-			RawBytes: len(img), StoredBytes: stored,
-		})
+		p.Observer(EpochEvent{App: app, Rank: rank, Index: n, RawBytes: len(img), StoredBytes: len(rec)})
 	}
 	return prev, nil
 }
@@ -263,118 +223,61 @@ func diffBlocks(base, next []byte, hinted []bool) []uint32 {
 	return changed
 }
 
-// ResolveChain returns the image of record slot n of (app, rank), read
-// through be's records: the full record at the root of n's delta chain, with
-// the blocks it names taken from the slots that carry them, then the chain's
-// deltas applied forward. Every block is checked against its crc32c. It is
-// every backend's cold path; one that keeps chains materialized looks there
-// first.
-func ResolveChain(be Backend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
-	read := func(n uint64) (*Record, error) {
-		b, err := be.GetEnvelope(app, rank, n)
+// Resolve returns the image of slot n of (app, rank), read through be's
+// records: slot n's record, with the blocks its carry list names taken from
+// the slots that carry them, every block checked against its crc32c. A record
+// that carries its whole image is returned as it is (Record.Image), aliasing
+// what be returned. It is every backend's cold path; one that keeps images
+// materialized looks there first.
+func Resolve(be Backend, app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
+	read := func(s uint64) (*Record, error) {
+		b, err := be.GetEnvelope(app, rank, s)
 		if err != nil {
 			return nil, err
 		}
 		rec, err := DecodeRecord(b)
-		if err != nil {
-			return nil, err
+		if err == nil && rec.Slot != s {
+			err = errBadRecord
 		}
-		if rec.Slot != n {
-			return nil, errBadRecord
+		if err != nil {
+			return nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v", ErrMissingBlock, s, app, rank, err)
 		}
 		return rec, rec.Verify()
 	}
-	var chain []*Record
-	for {
-		rec, err := read(n)
-		if errors.Is(err, ErrMissingBlock) {
-			return nil, err
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d: %v", ErrBrokenChain, n, app, rank, err)
-		}
-		chain = append(chain, rec)
-		if rec.Kind == RecFull {
-			break
-		}
-		if rec.Kind != RecDelta {
-			return nil, fmt.Errorf("%w: record #%d of app %d rank %d resolves to nothing", ErrBrokenChain, n, app, rank)
-		}
-		n = rec.Base
+	rec, err := read(n)
+	if err != nil {
+		return nil, err
 	}
-
-	// Assemble the root, then replay the deltas forward.
-	root := chain[len(chain)-1]
-	img := make([]byte, root.RawLen)
-	root.Apply(img)
+	if rec.Kind != RecFull {
+		return nil, fmt.Errorf("%w: record #%d of app %d rank %d was collected", ErrNoCheckpoint, n, app, rank)
+	}
+	if img, ok := rec.Image(); ok {
+		return img, nil
+	}
+	img := make([]byte, rec.RawLen)
+	rec.Apply(img)
 	carriers := make(map[uint64]*Record)
-	for i := range uint32(len(root.carried) / 8) {
-		s, ok := root.Carrier(i)
+	for i := range uint32(len(rec.carried) / 8) {
+		s, ok := rec.Carrier(i)
 		if !ok {
 			continue
 		}
 		src := carriers[s]
 		if src == nil {
-			var err error
 			if src, err = read(s); err != nil {
 				return nil, fmt.Errorf("%w: slot #%d, carried by record #%d of app %d rank %d: %v",
-					ErrMissingBlock, s, root.Slot, app, rank, err)
+					ErrMissingBlock, s, n, app, rank, err)
 			}
 			carriers[s] = src
 		}
 		b, ok := src.BlockAt(i)
-		if !ok || len(b) != blockLen(root.RawLen, i) {
+		if !ok || len(b) != blockLen(rec.RawLen, i) {
 			return nil, fmt.Errorf("%w: slot #%d does not carry block %d of record #%d",
-				ErrMissingBlock, s, i, root.Slot)
+				ErrMissingBlock, s, i, n)
 		}
 		copy(img[int(i)*DeltaBlockSize:], b)
 	}
-	for k := len(chain) - 2; k >= 0; k-- {
-		rec := chain[k]
-		if rec.BaseLen != len(img) {
-			return nil, fmt.Errorf("%w: delta record #%d expects a base of %d bytes, #%d has %d",
-				ErrBrokenChain, rec.Slot, rec.BaseLen, rec.Base, len(img))
-		}
-		if rec.RawLen != len(img) {
-			next := make([]byte, rec.RawLen)
-			copy(next, img)
-			img = next
-		}
-		rec.Apply(img)
-	}
 	return img, nil
-}
-
-// GC collects checkpoints of (app, rank) below keepFrom, clamped down so a
-// surviving delta chain keeps its full base: if checkpoint keepFrom is a
-// delta record, collection stops at its chain's base instead. When keepFrom
-// is a full record (a new chain just committed), the previous chain goes away
-// whole, but for the records the new carry list names.
-func (p *Pipeline) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
-	base, err := p.chainBase(app, rank, keepFrom)
-	if err == nil && base < keepFrom {
-		keepFrom = base
-	}
-	return p.Backend.GC(app, rank, keepFrom)
-}
-
-// chainBase walks the delta chain of checkpoint n down to its full record's
-// index. Raw images and missing checkpoints are their own base.
-func (p *Pipeline) chainBase(app wire.AppID, rank wire.Rank, n uint64) (uint64, error) {
-	for {
-		b, err := p.GetEnvelope(app, rank, n)
-		if err != nil {
-			return n, err
-		}
-		rec, err := decodeEnvelope(b)
-		if err != nil {
-			return n, err
-		}
-		if rec.Kind != RecDelta || rec.Base >= n {
-			return n, nil
-		}
-		n = rec.Base
-	}
 }
 
 // DropApp drops the app's records and the writer-side capture caches.

@@ -12,13 +12,13 @@ import (
 )
 
 // pipeStore builds a Pipeline over a fresh disk Store.
-func pipeStore(t *testing.T, fullEvery int) (*Pipeline, *Store) {
+func pipeStore(t *testing.T) (*Pipeline, *Store) {
 	t.Helper()
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPipeline(st, fullEvery), st
+	return NewPipeline(st, 0), st
 }
 
 // epochImages builds a deterministic sequence of images: epoch 0 is random,
@@ -41,32 +41,33 @@ func epochImages(t *testing.T, epochs, blocks int) [][]byte {
 }
 
 func TestPipelineRoundTripOverDisk(t *testing.T) {
-	p, st := pipeStore(t, 4)
+	p, st := pipeStore(t)
 	imgs := epochImages(t, 10, 16)
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
 			t.Fatalf("put #%d: %v", n, err)
 		}
 	}
-	// Every slot holds a record, not a raw image.
+	// The first record carries its whole image; every later one names the
+	// slots that carry what it does not.
 	for n := range imgs {
 		rec, err := st.GetEnvelope(1, 0, uint64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeRecord(rec); err != nil {
+		r, err := DecodeRecord(rec)
+		if err != nil {
 			t.Fatalf("slot #%d is not a record: %v", n, err)
 		}
+		if _, whole := r.Image(); whole != (n == 0) {
+			t.Errorf("record #%d carries its whole image: %v", n, whole)
+		}
 	}
-	// Cadence 4: fulls at 0, 4, 8 — the rest are deltas.
 	stats := p.Stats()
-	if stats.Fulls != 3 || stats.Deltas != 7 {
-		t.Errorf("fulls/deltas = %d/%d, want 3/7", stats.Fulls, stats.Deltas)
-	}
 	if stats.StoredBytes >= stats.RawBytes/2 {
 		t.Errorf("stored %d bytes of %d raw: no incremental savings", stats.StoredBytes, stats.RawBytes)
 	}
-	// Every epoch reconstructs exactly, full or mid-chain.
+	// Every epoch reconstructs exactly.
 	for n, want := range imgs {
 		got, meta, err := p.Get(1, 0, uint64(n))
 		if err != nil {
@@ -82,7 +83,7 @@ func TestPipelineRoundTripOverDisk(t *testing.T) {
 }
 
 func TestPipelineShrinkAndGrow(t *testing.T) {
-	p, _ := pipeStore(t, 8)
+	p, _ := pipeStore(t)
 	sizes := []int{
 		5*DeltaBlockSize + 123, // base
 		3 * DeltaBlockSize,     // shrink to block boundary
@@ -106,8 +107,12 @@ func TestPipelineShrinkAndGrow(t *testing.T) {
 			t.Fatalf("put #%d: %v", n, err)
 		}
 	}
-	if st := p.Stats(); st.Deltas != 3 {
-		t.Errorf("deltas = %d, want 3 (resizes must stay on the chain)", st.Deltas)
+	for n := 1; n < len(imgs); n++ {
+		if env, err := p.GetEnvelope(9, 2, uint64(n)); err != nil {
+			t.Fatal(err)
+		} else if r, err := DecodeRecord(env); err != nil || len(r.Names) == 0 {
+			t.Errorf("resized record #%d names no earlier slot: %v", n, err)
+		}
 	}
 	for n, want := range imgs {
 		got, _, err := p.Get(9, 2, uint64(n))
@@ -121,29 +126,31 @@ func TestPipelineShrinkAndGrow(t *testing.T) {
 }
 
 func TestPipelineIndexGapForcesFull(t *testing.T) {
-	p, _ := pipeStore(t, 8)
+	p, _ := pipeStore(t)
 	imgs := epochImages(t, 3, 8)
 	if err := p.Put(2, 0, 0, imgs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	// Index 2 does not follow 0: the delta chain cannot span the gap.
+	// Index 2 does not follow 0: the record after the gap carries every block.
 	if err := p.Put(2, 0, 2, imgs[1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Fulls != 2 || st.Deltas != 0 {
-		t.Errorf("fulls/deltas = %d/%d, want 2/0 after an index gap", st.Fulls, st.Deltas)
+	if env, err := p.GetEnvelope(2, 0, 2); err != nil {
+		t.Fatal(err)
+	} else if r, err := DecodeRecord(env); err != nil || len(r.Names) != 0 {
+		t.Errorf("the record after an index gap names %v: %v", r.Names, err)
 	}
 	got, _, err := p.Get(2, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, imgs[1]) {
-		t.Error("post-gap full record reconstructed wrong image")
+		t.Error("the record after the gap reconstructed the wrong image")
 	}
 }
 
 // removeSlot deletes the stored record of checkpoint n directly from the
-// disk store, simulating a lost chain link.
+// disk store, simulating a lost carrier.
 func removeSlot(t *testing.T, st *Store, app wire.AppID, rank wire.Rank, n uint64) {
 	t.Helper()
 	if err := os.Remove(st.slotPath(app, rank, n, "rec")); err != nil {
@@ -154,33 +161,10 @@ func removeSlot(t *testing.T, st *Store, app wire.AppID, rank wire.Rank, n uint6
 	}
 }
 
-func TestPipelineBrokenChainTyped(t *testing.T) {
-	p, st := pipeStore(t, 8)
-	imgs := epochImages(t, 4, 8)
-	for n, img := range imgs {
-		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Remove a mid-chain delta record: epoch 3 builds on 2 builds on 1.
-	removeSlot(t, st, 1, 0, 2)
-	_, _, err := p.Get(1, 0, 3)
-	if !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("err = %v, want ErrBrokenChain", err)
-	}
-	if !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("err = %v, must wrap ErrNoCheckpoint for the restart path", err)
-	}
-	// Epoch 1 is still intact below the break.
-	if got, _, err := p.Get(1, 0, 1); err != nil || !bytes.Equal(got, imgs[1]) {
-		t.Fatalf("epoch below the break must survive: %v", err)
-	}
-}
-
-// TestPipelineMissingBlockTyped: a full record whose carry list names a slot
+// TestPipelineMissingBlockTyped: a record whose carry list names a slot
 // that is gone cannot be assembled, and says so the way a restart understands.
 func TestPipelineMissingBlockTyped(t *testing.T) {
-	p, st := pipeStore(t, 4)
+	p, st := pipeStore(t)
 	imgs := epochImages(t, 5, 8)
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
@@ -209,7 +193,7 @@ func TestPipelineMissingBlockTyped(t *testing.T) {
 // crc32c is ErrMissingBlock, never restored, and so is nothing else a corrupt
 // record file holds.
 func TestPipelineCorruptBlockTyped(t *testing.T) {
-	p, st := pipeStore(t, 8)
+	p, st := pipeStore(t)
 	imgs := epochImages(t, 2, 8)
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
@@ -257,15 +241,15 @@ func recordFiles(t *testing.T, st *Store) map[uint64]bool {
 }
 
 func TestPipelineGCCollectsSupersededChain(t *testing.T) {
-	p, st := pipeStore(t, 4)
+	p, st := pipeStore(t)
 	imgs := epochImages(t, 8, 2) // few blocks: some old record is wholly rewritten
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n), img, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Epoch 4 is a full record (cadence 4): GC there drops the whole first
-	// chain — records 0..3, but for those its carry list names.
+	// GC at epoch 4 drops records 0..3, but for those its carry list names:
+	// no later record names an earlier slot that record 4 does not.
 	if err := p.GC(1, 0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +278,9 @@ func TestPipelineGCCollectsSupersededChain(t *testing.T) {
 		}
 	}
 	if len(carry.Names) == 4 {
-		t.Fatal("the carry list names the whole old chain; nothing was collected")
+		t.Fatal("the carry list names every old record; nothing was collected")
 	}
-	// No orphan links: every survivor must reconstruct from what remains.
+	// No orphans: every survivor must reconstruct from what remains.
 	for n := 4; n < 8; n++ {
 		got, _, err := p.Get(1, 0, uint64(n))
 		if err != nil || !bytes.Equal(got, imgs[n]) {

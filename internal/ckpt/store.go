@@ -21,17 +21,16 @@ import (
 //
 // Layout:
 //
-//	<dir>/app-<id>/rank-<r>/ckpt-<n>.img    slot: a raw image
-//	<dir>/app-<id>/rank-<r>/ckpt-<n>.rec    slot: a record (envelope, then its blocks)
+//	<dir>/app-<id>/rank-<r>/ckpt-<n>.rec    slot: its record (envelope, then its blocks)
 //	<dir>/app-<id>/rank-<r>/ckpt-<n>.meta   interval metadata (deps)
 //	<dir>/app-<id>/COMMIT                   last committed recovery line
 //
-// Writes are atomic (temp file + rename), so a crash mid-checkpoint never
-// corrupts a previous checkpoint; a checkpoint exists once its slot file and
-// its metadata both do. Every file belongs to one rank and GC deletes whole
-// files: a collected checkpoint loses its metadata and its slot file, except
-// a record that a surviving record names, which stays until the last one that
-// does goes.
+// Writes are atomic (a ckpt-<n>.<ext>.tmp-* staging file, then a rename), so a
+// crash mid-checkpoint never corrupts a previous checkpoint; a checkpoint
+// exists once its record and its metadata both do. Every file belongs to one
+// rank and GC deletes whole files: a collected checkpoint loses its metadata
+// and its record, except a record that a surviving record names, which stays
+// until the last one that does goes.
 type Store struct {
 	dir string
 }
@@ -60,10 +59,14 @@ func (s *Store) slotPath(app wire.AppID, rank wire.Rank, n uint64, ext string) s
 	return filepath.Join(s.rankDir(app, rank), "ckpt-"+strconv.FormatUint(n, 10)+"."+ext)
 }
 
-// slotFile parses the name of one of a rank's checkpoint files.
+// slotFile parses the name of one of a rank's checkpoint files: ext is "rec",
+// "meta", or "tmp" for a staging file atomicWrite left behind.
 func slotFile(name string) (n uint64, ext string, ok bool) {
 	stem, ext, found := strings.Cut(name, ".")
-	if !found || !strings.HasPrefix(stem, "ckpt-") || ext != "img" && ext != "rec" && ext != "meta" {
+	if kind, _, staged := strings.Cut(ext, ".tmp-"); staged && (kind == "rec" || kind == "meta") {
+		ext = "tmp"
+	}
+	if !found || !strings.HasPrefix(stem, "ckpt-") || ext != "rec" && ext != "meta" && ext != "tmp" {
 		return 0, "", false
 	}
 	n, err := strconv.ParseUint(stem[len("ckpt-"):], 10, 64)
@@ -95,44 +98,40 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// Put stores a raw image.
+// Put stores img as the record that carries all of it.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return s.putSlot(app, rank, n, "img", "rec", img, meta)
+	return s.PutRecord(app, rank, n, ImageRecord(n, img), meta)
 }
 
-// PutRecord stores a record.
+// PutRecord writes slot n's record file, then its metadata. A GC collecting
+// below a keepFrom past n may remove a staging file before its rename: the
+// slot was garbage already, as if that GC had run just after the put, so that
+// is no error. A put whose rank directory is gone (DropApp) fails.
 func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
-	return s.putSlot(app, rank, n, "rec", "img", rec, meta)
-}
-
-// putSlot writes slot n as a file of the given kind, dropping one of the other
-// kind an earlier incarnation left, then its metadata.
-func (s *Store) putSlot(app wire.AppID, rank wire.Rank, n uint64, ext, other string, data []byte, meta *Meta) error {
-	if err := os.MkdirAll(s.rankDir(app, rank), 0o755); err != nil {
-		return err
-	}
-	if err := os.Remove(s.slotPath(app, rank, n, other)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if err := atomicWrite(s.slotPath(app, rank, n, ext), data); err != nil {
+	dir := s.rankDir(app, rank)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	if meta == nil {
 		meta = &Meta{Rank: rank, Index: n}
 	}
-	return atomicWrite(s.slotPath(app, rank, n, "meta"), meta.Encode())
+	err := atomicWrite(s.slotPath(app, rank, n, "rec"), rec)
+	if err == nil {
+		err = atomicWrite(s.slotPath(app, rank, n, "meta"), meta.Encode())
+	}
+	if errors.Is(err, os.ErrNotExist) {
+		if _, serr := os.Stat(dir); serr == nil {
+			return nil
+		}
+	}
+	return err
 }
 
-// Get returns the image of checkpoint n: a raw slot's file, or what the record
-// chain it heads resolves to. A checkpoint exists only once its metadata is in
-// place too: a slot file without it (a crash between the renames, or a record
-// GC kept for the blocks it carries) reads as ErrNoCheckpoint.
+// Get returns the image checkpoint n's record resolves to. A checkpoint exists
+// only once its metadata is in place too: a record without it (a crash between
+// the renames, or a record GC kept for the blocks it carries) reads as
+// ErrNoCheckpoint.
 func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {
-	img, err := os.ReadFile(s.slotPath(app, rank, n, "img"))
-	raw := err == nil
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
-	}
 	mb, err := os.ReadFile(s.slotPath(app, rank, n, "meta"))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d", ErrNoCheckpoint, app, rank, n)
@@ -144,10 +143,9 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, er
 	if err != nil {
 		return nil, nil, err
 	}
-	if !raw {
-		if img, err = ResolveChain(s, app, rank, n); err != nil {
-			return nil, nil, err
-		}
+	img, err := Resolve(s, app, rank, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	return img, meta, nil
 }
@@ -179,8 +177,8 @@ func readEnvelope(path string) ([]byte, error) {
 }
 
 // List returns the checkpoint indices available for (app, rank), ascending.
-// Only complete checkpoints count: an image whose metadata never landed (a
-// crash between Put's two renames) is invisible, matching Get.
+// Only complete checkpoints count: a record whose metadata never landed (a
+// crash between PutRecord's two renames) is invisible, matching Get.
 func (s *Store) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
 	entries, err := os.ReadDir(s.rankDir(app, rank))
 	if errors.Is(err, os.ErrNotExist) {
@@ -192,11 +190,8 @@ func (s *Store) List(app wire.AppID, rank wire.Rank) ([]uint64, error) {
 	meta, slot := make(map[uint64]bool), make(map[uint64]bool)
 	for _, e := range entries {
 		if n, ext, ok := slotFile(e.Name()); ok {
-			if ext == "meta" {
-				meta[n] = true
-			} else {
-				slot[n] = true
-			}
+			meta[n] = meta[n] || ext == "meta"
+			slot[n] = slot[n] || ext == "rec"
 		}
 	}
 	var out []uint64
@@ -259,11 +254,12 @@ func (s *Store) CommittedLine(app wire.AppID) (RecoveryLine, error) {
 
 // GC removes the files of (app, rank)'s checkpoints older than keepFrom but
 // the record files a surviving record names (it reads only the surviving
-// records' envelopes, so a rank of raw images costs one directory read).
-// Committed recovery lines make earlier checkpoints garbage (coordinated
-// protocols); uncoordinated protocols may only collect below the computed
-// line. Orphan files (a crash mid-Put) are collected too — they are invisible
-// to List but still occupy space.
+// records' envelopes). Committed recovery lines make earlier checkpoints
+// garbage (coordinated protocols); uncoordinated protocols may only collect
+// below the computed line. Orphan files (a crash mid-Put: a record without
+// its metadata, or a staging file) are collected too — they are invisible to
+// List but still occupy space; a staging file at or above keepFrom may be a
+// write in flight and stays.
 func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	dir := s.rankDir(app, rank)
 	entries, err := os.ReadDir(dir)

@@ -1,10 +1,12 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,14 +30,19 @@ func put(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, n uint64) {
 	}
 }
 
-// orphanImage simulates the crash window inside Put: the image rename
+// orphanImage simulates the crash window inside Put: the record rename
 // happened, the metadata rename did not.
 func orphanImage(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, n uint64) {
+	t.Helper()
+	writeRankFile(t, s, app, rank, fmt.Sprintf("ckpt-%d.rec", n), ImageRecord(n, []byte("partial")))
+}
+
+func writeRankFile(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, name string, data []byte) {
 	t.Helper()
 	if err := os.MkdirAll(s.rankDir(app, rank), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.slotPath(app, rank, n, "img"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.rankDir(app, rank), name), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +100,7 @@ func TestGCLeavesForeignFiles(t *testing.T) {
 	put(t, s, 1, 0, 1)
 	put(t, s, 1, 0, 2)
 	orphanImage(t, s, 1, 0, 0) // orphan below keepFrom: collected
-	foreign := []string{"README", "ckpt-notanumber.img", "other-3.img"}
+	foreign := []string{"README", "ckpt-notanumber.rec", "other-3.rec", "ckpt-1.img", "ckpt-1.rec.tmp"}
 	for _, name := range foreign {
 		if err := os.WriteFile(filepath.Join(s.rankDir(1, 0), name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
@@ -107,8 +114,8 @@ func TestGCLeavesForeignFiles(t *testing.T) {
 			t.Errorf("foreign file %s was deleted: %v", name, err)
 		}
 	}
-	if _, err := os.Stat(s.slotPath(1, 0, 0, "img")); !errors.Is(err, os.ErrNotExist) {
-		t.Error("orphan image below keepFrom survived GC")
+	if _, err := os.Stat(s.slotPath(1, 0, 0, "rec")); !errors.Is(err, os.ErrNotExist) {
+		t.Error("orphan record below keepFrom survived GC")
 	}
 	ns, err := s.List(1, 0)
 	if err != nil {
@@ -116,6 +123,40 @@ func TestGCLeavesForeignFiles(t *testing.T) {
 	}
 	if len(ns) != 1 || ns[0] != 2 {
 		t.Fatalf("List after GC = %v, want [2]", ns)
+	}
+}
+
+// TestGCCollectsStagingFiles: a staging file a crash left between atomicWrite's
+// CreateTemp and its rename is the rank's own: GC removes one below keepFrom
+// and leaves one at or above it, which may be a write in flight. List never
+// counts one.
+func TestGCCollectsStagingFiles(t *testing.T) {
+	s := newTestStore(t)
+	put(t, s, 1, 0, 1)
+	put(t, s, 1, 0, 2)
+	below := []string{"ckpt-0.rec.tmp-17", "ckpt-1.meta.tmp-3"}
+	above := []string{"ckpt-2.rec.tmp-5", "ckpt-3.rec.tmp-8", "ckpt-3.meta.tmp-9"}
+	for _, name := range append(below, above...) {
+		writeRankFile(t, s, 1, 0, name, []byte("staged"))
+	}
+	if ns, err := s.List(1, 0); err != nil || len(ns) != 2 {
+		t.Fatalf("List = %v, %v; want the two checkpoints", ns, err)
+	}
+	if err := s.GC(1, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range below {
+		if _, err := os.Stat(filepath.Join(s.rankDir(1, 0), name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("staging file %s below keepFrom survived GC: %v", name, err)
+		}
+	}
+	for _, name := range above {
+		if _, err := os.Stat(filepath.Join(s.rankDir(1, 0), name)); err != nil {
+			t.Errorf("staging file %s at or above keepFrom was deleted: %v", name, err)
+		}
+	}
+	if ns, err := s.List(1, 0); err != nil || len(ns) != 1 || ns[0] != 2 {
+		t.Fatalf("List after GC = %v, %v; want [2]", ns, err)
 	}
 }
 
@@ -224,5 +265,37 @@ func TestGCRacesPutOfSameIndex(t *testing.T) {
 			}
 		}
 		s.GC(1, 0, n+1) // reset for the next round
+	}
+}
+
+// TestCorruptImageFileIsRefused: a byte of a stored image flips in its slot
+// file. Get refuses the checkpoint with ErrMissingBlock and never returns the
+// flipped image.
+func TestCorruptImageFileIsRefused(t *testing.T) {
+	s := newTestStore(t)
+	img := bytes.Repeat([]byte("starfish"), 2*DeltaBlockSize/8)
+	if err := s.Put(1, 0, 1, img, nil); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(s.rankDir(1, 0), "ckpt-1.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot string
+	for _, f := range files {
+		if !strings.HasSuffix(f, ".meta") {
+			slot = f
+		}
+	}
+	b, err := os.ReadFile(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-DeltaBlockSize/2] ^= 0x10 // inside the image's last block
+	if err := os.WriteFile(slot, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := s.Get(1, 0, 1); !errors.Is(err, ErrMissingBlock) {
+		t.Fatalf("Get of a flipped image = %d bytes, %v; want ErrMissingBlock", len(got), err)
 	}
 }

@@ -117,15 +117,9 @@ func (t *Tiered) SpillErrors() int {
 	return t.spillErrs
 }
 
-// Put stores in the fast tier synchronously and spills a copy of the
-// caller's image to the slow tier in the background.
+// Put stores img as the record that carries all of it.
 func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	if err := t.fast.Put(app, rank, n, img, meta); err != nil {
-		return err
-	}
-	cp := append([]byte(nil), img...)
-	t.spill(func() error { return t.slow.Put(app, rank, n, cp, meta) })
-	return nil
+	return t.PutRecord(app, rank, n, ImageRecord(n, img), meta)
 }
 
 // PutRecord stores in the fast tier synchronously and spills to the slow
@@ -139,7 +133,7 @@ func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte,
 	return nil
 }
 
-// Get reads the fast tier, which resolves its own chains, and falls back to
+// Get reads the fast tier, which resolves its own records, and falls back to
 // the slow tier: after a memory wipe, or a loss the fast tier cannot repair,
 // the whole checkpoint comes off disk.
 func (t *Tiered) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Meta, error) {

@@ -60,7 +60,7 @@ func (m *memBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *Met
 	}
 	if rec {
 		var err error
-		if img, err = ResolveChain(m, app, rank, n); err != nil {
+		if img, err = Resolve(m, app, rank, n); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -120,14 +120,15 @@ func TestHeapCountVerifies(t *testing.T) {
 
 // TestInPlaceEpochsRecover: a write-tracking VM job checkpoints deltas into
 // replicated memory, building every image from the third on in place in its
-// two alternating buffers. After enough epochs that the newest chain — full
-// record and deltas — was written that way throughout, a node hosting a rank
+// two alternating buffers. After enough epochs that the newest records and
+// the slots they name were written that way throughout, a node hosting a rank
 // is killed, and the restarted job must end with every rank's counter,
 // instruction count and heap exact. Once per protocol: stop-and-sync and
 // independent capture on the rank's main loop, Chandy–Lamport on the MPI
 // progress goroutine.
 func TestInPlaceEpochsRecover(t *testing.T) {
-	const fullEvery = 3
+	// stored epochs before the kill: the first two images are built fresh.
+	const epochs = 6
 	for i, protocol := range []ckpt.Protocol{ckpt.StopAndSync, ckpt.ChandyLamport, ckpt.Independent} {
 		t.Run(protocol.String(), func(t *testing.T) {
 			heapCountStop.Store(false)
@@ -141,7 +142,7 @@ func TestInPlaceEpochsRecover(t *testing.T) {
 					Globals: []int64{0, 1 << 30, 0, heapCountWords}, HeapWords: heapCountWords,
 				}),
 				Protocol: protocol, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
-				Store: ckpt.StoreMemory, DeltaCkpt: true, FullEvery: fullEvery, CkptEverySteps: 20,
+				Store: ckpt.StoreMemory, DeltaCkpt: true, CkptEverySteps: 20,
 			}
 			if err := c.Submit(spec); err != nil {
 				t.Fatal(err)
@@ -171,7 +172,7 @@ func TestInPlaceEpochsRecover(t *testing.T) {
 				return newest
 			}
 			deadline := time.Now().Add(60 * time.Second)
-			for stored() < fullEvery+3 {
+			for stored() < epochs {
 				if time.Now().After(deadline) {
 					t.Fatalf("only %d epochs stored", stored())
 				}

@@ -7,6 +7,7 @@ import (
 
 	"starfish/internal/ckpt"
 	"starfish/internal/daemon"
+	"starfish/internal/evstore"
 	"starfish/internal/wire"
 )
 
@@ -93,12 +94,13 @@ func TestMemoryStoreRecoveryWithoutDisk(t *testing.T) {
 	}
 }
 
-// TestDeltaChainRecoveryMidChain is the acceptance test of the incremental
-// checkpoint pipeline under churn: an application checkpointing full + delta
-// records to replicated RAM is killed while its committed line points at a
-// delta record several links past the full base, and the restart must
-// reconstruct base + chain from surviving replicas.
-func TestDeltaChainRecoveryMidChain(t *testing.T) {
+// TestDeltaRecoveryMidRun is the acceptance test of the incremental
+// checkpoint pipeline under churn: an application checkpointing records to
+// replicated RAM is killed while its committed line points at a carry list
+// several epochs past the record that carries the whole first image, and the
+// restart must assemble the image from the slots it names on surviving
+// replicas.
+func TestDeltaRecoveryMidRun(t *testing.T) {
 	c := newCluster(t, 3)
 	waitMainView(t, c, 3)
 
@@ -106,13 +108,12 @@ func TestDeltaChainRecoveryMidChain(t *testing.T) {
 	spec.Store = ckpt.StoreMemory
 	spec.CkptEverySteps = 2000
 	spec.DeltaCkpt = true
-	spec.FullEvery = 1000 // one full base, then every epoch rides the chain
 	if err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 
-	// Wait until the committed line is genuinely mid-chain: at least two
-	// delta records past the full base on some rank.
+	// Wait until the committed line is genuinely mid-run: at least two
+	// records past the first on some rank.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		line, err := c.WaitCommittedLine(42, 20*time.Second)
@@ -129,25 +130,29 @@ func TestDeltaChainRecoveryMidChain(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("committed line %v never advanced past the chain base", line)
+			t.Fatalf("committed line %v never advanced past the first records", line)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The delta path is actually in use: records are resident in daemon
-	// RAM, not opaque images alone.
-	records := 0
+	// The delta path is actually in use: the capture pipeline reported the
+	// epochs it wrote.
+	captured := 0
 	for _, id := range c.Nodes() {
-		mem, err := c.MemStore(id)
+		ev, err := c.Events(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		records += mem.Stats().Records
+		q, err := evstore.ParseQuery("component=ckpt kind=epoch app=42")
+		if err != nil {
+			t.Fatal(err)
+		}
+		captured += len(ev.Query(q))
 	}
-	if records == 0 {
-		t.Fatal("delta-enabled app stored no records")
+	if captured == 0 {
+		t.Fatal("delta-enabled app captured no epoch through the pipeline")
 	}
 
-	// Kill a node hosting a rank mid-chain.
+	// Kill a node hosting a rank mid-run.
 	info, ok := c.AnyDaemon().AppInfo(42)
 	if !ok {
 		t.Fatal("app vanished")

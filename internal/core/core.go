@@ -106,10 +106,9 @@ type Job struct {
 	// Store selects the checkpoint storage backend (StoreDisk,
 	// StoreMemory, or StoreTiered); the zero value is StoreDisk.
 	Store ckpt.StoreKind
-	// Delta enables incremental (full + delta record) checkpoint capture;
-	// FullEvery is the full-record cadence (0 = ckpt.DefaultFullEvery).
-	Delta     bool
-	FullEvery uint32
+	// Delta enables incremental checkpoint capture: an epoch stores only
+	// the blocks that changed since the previous one.
+	Delta bool
 }
 
 func (j Job) spec() proc.AppSpec {
@@ -117,7 +116,7 @@ func (j Job) spec() proc.AppSpec {
 		ID: j.ID, Name: j.Name, Args: j.Args, Ranks: j.Ranks,
 		Protocol: j.Protocol, Encoder: j.Encoder, Policy: j.Policy,
 		CkptEverySteps: j.CheckpointEverySteps, Owner: j.Owner,
-		Store: j.Store, DeltaCkpt: j.Delta, FullEvery: j.FullEvery,
+		Store: j.Store, DeltaCkpt: j.Delta,
 	}
 	if s.Protocol == 0 {
 		s.Protocol = ckpt.StopAndSync

@@ -296,7 +296,7 @@ func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
 	defer d.pipeMu.Unlock()
 	p := d.pipelines[spec.ID]
 	if p == nil {
-		p = ckpt.NewPipeline(be, int(spec.FullEvery))
+		p = ckpt.NewPipeline(be, 0)
 		// Adapt the pipeline's observer callback onto the event plane
 		// (ckpt sits below evstore in the import graph, so it cannot
 		// emit records itself).
@@ -304,9 +304,6 @@ func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
 			p.Observer = func(e ckpt.EpochEvent) {
 				em.Emit(evstore.EvRank("epoch", e.App, e.Rank,
 					evstore.F("index", e.Index),
-					evstore.F("delta", e.Delta),
-					evstore.F("base", e.Base),
-					evstore.F("chain", e.ChainLen),
 					evstore.F("raw", e.RawBytes),
 					evstore.F("stored", e.StoredBytes)))
 			}

@@ -515,7 +515,7 @@ func TestDeleteDropsCapturePipeline(t *testing.T) {
 	}
 
 	// Two ranks, one per node, spinning until deleted and checkpointing as
-	// delta records all the while.
+	// incremental records all the while.
 	vm := &proc.VMApp{StepSlice: 50, NGlobals: 1, HeapWords: 4 << 10, Source: `
 loop:   loadg 0
         push 1
@@ -525,7 +525,7 @@ loop:   loadg 0
 	spec := proc.AppSpec{
 		ID: 7, Name: proc.VMAppName, Args: proc.EncodeVMApp(vm), Ranks: 2,
 		Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
-		CkptEverySteps: 3, DeltaCkpt: true, FullEvery: 4,
+		CkptEverySteps: 3, DeltaCkpt: true,
 	}
 	if err := d1.Submit(spec); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@
 //	NODES                       ENABLE NODE <id> | DISABLE NODE <id>
 //	SET <key> <value>           GET <key>
 //	APPS                        STATUS <app>
-//	SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [delta[:N]]
+//	SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [full|delta]
 //	SUSPEND <app>  RESUME <app>  DELETE <app>  CHECKPOINT <app>  MIGRATE <app>
 //	RSTORE                      (replicated-memory store health counters)
 //	EVENTS <query>              (structured event records matching the
@@ -409,7 +409,7 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 
 	case "SUBMIT":
 		if len(fields) < 9 || len(fields) > 11 {
-			return nil, fmt.Errorf("usage: SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [delta[:N]]")
+			return nil, fmt.Errorf("usage: SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [full|delta]")
 		}
 		id, err := parseAppID(fields[1])
 		if err != nil {
@@ -450,9 +450,8 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 			}
 		}
 		var delta bool
-		var fullEvery uint32
 		if len(fields) == 11 {
-			delta, fullEvery, err = ParseDeltaOption(fields[10])
+			delta, err = ParseDeltaOption(fields[10])
 			if err != nil {
 				return nil, err
 			}
@@ -461,7 +460,7 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 			ID: id, Name: fields[2], Args: args, Ranks: ranks,
 			Protocol: protocol, Encoder: encoder, Policy: policy,
 			CkptEverySteps: every, Owner: user, Store: store,
-			DeltaCkpt: delta, FullEvery: fullEvery,
+			DeltaCkpt: delta,
 		})
 
 	case "EVENTS":
@@ -553,24 +552,16 @@ func ParseStoreKind(s string) (ckpt.StoreKind, error) {
 	}
 }
 
-// ParseDeltaOption parses the optional SUBMIT delta flag: "full" disables
-// the incremental pipeline, "delta" enables it at the default full-record
-// cadence, "delta:N" enables it with a full record every N epochs.
-func ParseDeltaOption(s string) (delta bool, fullEvery uint32, err error) {
-	low := strings.ToLower(s)
-	switch {
-	case low == "full":
-		return false, 0, nil
-	case low == "delta":
-		return true, 0, nil
-	case strings.HasPrefix(low, "delta:"):
-		n, err := strconv.ParseUint(low[len("delta:"):], 10, 32)
-		if err != nil || n == 0 {
-			return false, 0, fmt.Errorf("bad delta cadence %q", s)
-		}
-		return true, uint32(n), nil
+// ParseDeltaOption parses the optional SUBMIT capture flag: "full" stores
+// every epoch's whole image, "delta" enables the incremental pipeline.
+func ParseDeltaOption(s string) (delta bool, err error) {
+	switch strings.ToLower(s) {
+	case "full":
+		return false, nil
+	case "delta":
+		return true, nil
 	default:
-		return false, 0, fmt.Errorf("unknown delta option %q", s)
+		return false, fmt.Errorf("unknown delta option %q", s)
 	}
 }
 
@@ -750,11 +741,7 @@ func (c *Client) Submit(spec proc.AppSpec) error {
 		strings.ToLower(spec.Policy.String()), spec.CkptEverySteps, args,
 		spec.Store)
 	if spec.DeltaCkpt {
-		if spec.FullEvery > 0 {
-			cmd += fmt.Sprintf(" delta:%d", spec.FullEvery)
-		} else {
-			cmd += " delta"
-		}
+		cmd += " delta"
 	}
 	_, err := c.Do(cmd)
 	return err

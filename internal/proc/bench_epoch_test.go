@@ -65,7 +65,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			for _, s := range stores {
 				s.UpdateView([]wire.NodeID{1, 2})
 			}
-			pipe := ckpt.NewPipeline(stores[0], 8)
+			pipe := ckpt.NewPipeline(stores[0], 0)
 
 			chunks := heapWords / 512 * pct / 100
 			app := &VMApp{

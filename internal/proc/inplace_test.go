@@ -38,7 +38,7 @@ func (r *recBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []b
 }
 
 func (r *recBackend) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
-	img, err := ckpt.ResolveChain(r, app, rank, n)
+	img, err := ckpt.Resolve(r, app, rank, n)
 	return img, &ckpt.Meta{Rank: rank, Index: n}, err
 }
 
@@ -82,12 +82,12 @@ type writer struct {
 	back *recBackend
 }
 
-func newWriter(arch svm.Arch, src string, globals, heap, fullEvery int, inPlace bool) *writer {
+func newWriter(arch svm.Arch, src string, globals, heap int, inPlace bool) *writer {
 	vm := svm.New(arch, svm.MustAssemble(src), globals)
 	vm.Grow(heap)
 	vm.TrackDirty()
 	back := newRecBackend()
-	tap := &imageTap{Pipeline: ckpt.NewPipeline(back, fullEvery)}
+	tap := &imageTap{Pipeline: ckpt.NewPipeline(back, 0)}
 	var app App = &VMApp{vm: vm}
 	if !inPlace {
 		app = assemblingVMApp{&VMApp{vm: vm}}
@@ -181,7 +181,7 @@ func heapChurn(r *rand.Rand, heap, globals int, grow bool) string {
 // two alternating buffers, the other assembles each from a fresh EncodeImage
 // and NewImage. After every epoch the image handed to the store and the
 // record the store was handed must be byte-identical, whatever happened in
-// between: an abandoned round, a store failure, a FullEvery re-base, a heap
+// between: an abandoned round, a store failure, a heap
 // that grew, message lists that changed the image's length, a plain Put on
 // the rank behind the module's back.
 func FuzzInPlaceCapture(f *testing.F) {
@@ -194,8 +194,8 @@ func FuzzInPlaceCapture(f *testing.F) {
 		arch := svm.Machines[r.Intn(len(svm.Machines))]
 		heap := 4000 + r.Intn(30000)
 		src := heapChurn(r, heap, globals, true)
-		in := newWriter(arch, src, globals, heap, 5, true)
-		ref := newWriter(arch, src, globals, heap, 5, false)
+		in := newWriter(arch, src, globals, heap, true)
+		ref := newWriter(arch, src, globals, heap, false)
 
 		inPlace, idx := 0, uint64(0)
 		for epoch := 1; epoch <= 48; epoch++ {
@@ -260,7 +260,7 @@ func FuzzInPlaceCapture(f *testing.F) {
 			}
 			sameLastRecord(t, idx, in.back, ref.back)
 			if got, _, err := in.tap.Get(9, 0, idx); err != nil || !bytes.Equal(got, a) {
-				t.Fatalf("checkpoint %d: the chain does not reconstruct the image (err %v)", idx, err)
+				t.Fatalf("checkpoint %d: the records do not reconstruct the image (err %v)", idx, err)
 			}
 			if halted {
 				break
@@ -280,7 +280,7 @@ func FuzzInPlaceCapture(f *testing.F) {
 func TestInPlaceCaptureFallbacks(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const heap = 20000
-	w := newWriter(svm.Machines[5], heapChurn(r, heap, 4, false), 4, heap, 4, true)
+	w := newWriter(svm.Machines[5], heapChurn(r, heap, 4, false), 4, heap, true)
 	msg := []mpi.RecordedMsg{{Src: 1, Tag: 3, Seq: 1, Data: []byte("pending")}}
 	steps := []struct {
 		what    string

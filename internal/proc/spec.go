@@ -67,12 +67,10 @@ type AppSpec struct {
 	// memory, or tiered). The zero value is disk, so specs encoded before
 	// the field existed keep their behavior.
 	Store ckpt.StoreKind
-	// DeltaCkpt enables the incremental checkpoint pipeline: epochs are
-	// captured as position-addressed full/delta records instead of opaque
-	// images. FullEvery is the full-record cadence (0 selects
-	// ckpt.DefaultFullEvery).
+	// DeltaCkpt enables the incremental checkpoint pipeline: an epoch's
+	// record carries only the blocks that changed since the previous one
+	// instead of its whole image.
 	DeltaCkpt bool
-	FullEvery uint32
 }
 
 // Encode serializes the spec for replication between daemons.
@@ -82,7 +80,7 @@ func (s *AppSpec) Encode() []byte {
 	w.U32(uint32(s.Ranks)).U8(uint8(s.Protocol)).U8(uint8(s.Encoder))
 	w.U64(s.CkptEverySteps).U8(uint8(s.Policy)).String(s.Owner)
 	w.U8(uint8(s.Store))
-	w.Bool(s.DeltaCkpt).U32(s.FullEvery)
+	w.Bool(s.DeltaCkpt)
 	return w.Bytes()
 }
 
@@ -103,9 +101,8 @@ func DecodeSpec(b []byte) (AppSpec, error) {
 		s.Store = ckpt.StoreKind(r.U8())
 	}
 	if r.Remaining() > 0 {
-		// Likewise the incremental-pipeline fields: absent means disabled.
+		// Likewise the incremental-pipeline flag: absent means disabled.
 		s.DeltaCkpt = r.Bool()
-		s.FullEvery = r.U32()
 	}
 	if r.Err() != nil {
 		return AppSpec{}, r.Err()

@@ -77,7 +77,7 @@ func TestPutFailsWhenClosedUnderIt(t *testing.T) {
 			if mode == "image" {
 				put = func() error { return stores[1].Put(21, 0, 1, img, nil) }
 			} else {
-				p := ckpt.NewPipeline(stores[1], 4)
+				p := ckpt.NewPipeline(stores[1], 0)
 				put = func() error { return p.Put(21, 0, 1, img, nil) }
 			}
 			link.down.Store(stores[1])

@@ -23,11 +23,11 @@ func (c *capture) PutRecord(_ wire.AppID, _ wire.Rank, n uint64, rec []byte, _ *
 	return nil
 }
 
-// records writes imgs as slots 1, 2, ... of one rank through a Pipeline of
-// the given cadence and returns the records it made.
-func records(fullEvery int, imgs ...[]byte) map[uint64][]byte {
+// records writes imgs as slots 1, 2, ... of one rank through a Pipeline and
+// returns the records it made.
+func records(imgs ...[]byte) map[uint64][]byte {
 	c := &capture{recs: map[uint64][]byte{}}
-	p := ckpt.NewPipeline(c, fullEvery)
+	p := ckpt.NewPipeline(c, 0)
 	for n, img := range imgs {
 		if err := p.Put(1, 0, uint64(n+1), img, nil); err != nil {
 			panic(err)
@@ -46,9 +46,12 @@ func FuzzPeerFrames(f *testing.F) {
 	img := chunkEpochs(1, 2)[0]
 	zeroed := bytes.Clone(img)
 	clear(zeroed[ckpt.DeltaBlockSize:])
-	full := records(1, img, zeroed)     // slot 1 carries both blocks, slot 2 is a carry list
-	delta := records(8, img, zeroed)[2] // a delta on slot 1 whose block is a zero sentinel
-	corrupt := bytes.Clone(full[1])     // a block that fails its crc32c
+	full := records(img, zeroed) // slot 1 carries both blocks, slot 2 is a carry list
+	whole := ckpt.ImageRecord(1, img)
+	if !bytes.Equal(whole, full[1]) {
+		f.Fatal("a rank's first record is not the image's record")
+	}
+	corrupt := bytes.Clone(full[1]) // a block that fails its crc32c
 	corrupt[len(corrupt)-1] ^= 1
 	r, err := ckpt.DecodeRecord(full[1])
 	if err != nil {
@@ -56,15 +59,21 @@ func FuzzPeerFrames(f *testing.F) {
 	}
 	kept := r.Keep([]uint32{0}) // a cut-down record, which resolves to nothing
 	hdr := encodeSlotHeader(7<<32|1, slotRecord, &ckpt.Meta{Rank: 0, Index: 1})
-	raw := encodeSlotHeader(7<<32|2, slotRaw, &ckpt.Meta{Rank: 0, Index: 1})
+	// Slot kind 0 — the retired raw slot — must be refused.
+	retired := encodeSlotHeader(7<<32|2, 0, &ckpt.Meta{Rank: 0, Index: 1})
+	if _, _, _, err := decodeSlotHeader(retired); err == nil {
+		f.Fatal("a slot header of retired kind 0 decodes")
+	}
 	huge := binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF)
 
-	f.Add(kPut, hdr, full[1], kPut, hdr, full[2])                       // a record, then the carry list naming it: installed
-	f.Add(kPut, hdr, delta, kPut, hdr, delta)                           // slot 2's record as slot 1: refused; a delta ahead of its base: refused
-	f.Add(kPut, raw, []byte("a raw image"), kHas, raw[:8], []byte(nil)) // names nothing: installed, had
-	f.Add(kPut, hdr[:5], full[1], kPut, hdr, full[2][:len(full[2])-3])  // truncated header, record truncated inside a block
-	f.Add(kCommit, huge, []byte(nil), kIndex, huge, []byte(nil))        // counts no payload backs
-	f.Add(kPut, hdr, corrupt, kPut, hdr, delta)                         // a block failing its crc32c: refused
+	f.Add(kPut, hdr, whole, kHas, hdr[:8], []byte(nil))                         // a record carrying its whole image: installed, had
+	f.Add(kPut, hdr, full[1], kPut, hdr, full[2])                               // a record, then the carry list naming it: installed
+	f.Add(kPut, hdr, full[2], kPut, hdr, full[2])                               // slot 2's record as slot 1: refused; a carry list ahead of its carrier: refused
+	f.Add(kPut, retired, whole, kHas, retired[:8], []byte(nil))                 // a slot of a retired kind: refused
+	f.Add(kPut, retired, []byte("a raw image"), kGet, []byte(nil), []byte(nil)) // the retired raw slot: refused
+	f.Add(kPut, hdr[:5], full[1], kPut, hdr, full[2][:len(full[2])-3])          // truncated header, record truncated inside a block
+	f.Add(kCommit, huge, []byte(nil), kIndex, huge, []byte(nil))                // counts no payload backs
+	f.Add(kPut, hdr, corrupt, kPut, hdr, full[2])                               // a block failing its crc32c: refused, and so the carry list naming it
 	f.Add(kGet, []byte(nil), []byte(nil), kGet, []byte(nil), []byte(nil))
 	f.Add(kGC, []byte(nil), []byte(nil), kDrop, []byte(nil), []byte(nil))
 	f.Add(kPut, hdr, kept, kPut, hdr, full[2]) // a cut-down record as a checkpoint: refused
@@ -96,6 +105,9 @@ func FuzzPeerFrames(f *testing.F) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for k, e := range s.images {
+			if e.kind != slotRecord && e.kind != slotRetained {
+				t.Fatalf("slot %+v installed as kind %d", k, e.kind)
+			}
 			if e.kind != slotRecord {
 				continue
 			}

@@ -159,16 +159,26 @@ func TestDeathMovesOnlyLostCopies(t *testing.T) {
 		}
 	})
 
-	// A delta chain at three copies loses its writer: the pusher role moves to
-	// a holder with no recorded acks, while the other holder already has every
-	// slot. Every record of the live chain stays owed below the committed line,
-	// so each of them lost one copy — and only that one moves.
+	// A run of delta epochs at three copies loses its writer: the pusher role
+	// moves to a holder with no recorded acks, while the other holder already
+	// has every slot. Below the committed line exactly the slots the line's
+	// record names stay owed, so each of those and the line's own record lost
+	// one copy — and only those move.
 	t.Run("delta-chain", func(t *testing.T) {
 		fn := vni.NewFastnet(0)
 		stores := newCluster(t, fn, 4, 3)
 		const app, writer, chain = 12, wire.NodeID(1), 4
-		p := ckpt.NewPipeline(stores[writer], chain)
-		imgs := chunkEpochs(chain, 16)
+		p := ckpt.NewPipeline(stores[writer], 0)
+		// Epoch 3 rewrites the one block epoch 2 wrote, so the line's record
+		// names slots 1 and 3 but not slot 2.
+		imgs := chunkEpochs(1, 16)
+		for _, blocks := range [][]int{{0}, {0, 1}, {2}} {
+			img := bytes.Clone(imgs[len(imgs)-1])
+			for _, b := range blocks {
+				img[b*ckpt.DeltaBlockSize]++
+			}
+			imgs = append(imgs, img)
+		}
 		for i, img := range imgs {
 			if err := p.Put(app, 0, uint64(i+1), img, nil); err != nil {
 				t.Fatal(err)
@@ -177,11 +187,20 @@ func TestDeathMovesOnlyLostCopies(t *testing.T) {
 		if err := stores[writer].CommitLine(app, ckpt.RecoveryLine{0: chain}); err != nil {
 			t.Fatal(err)
 		}
-		live, pushed, skipped := death(t, fn, stores, writer)
-		if pushed != chain || skipped == 0 {
-			t.Errorf("the writer took one copy of each of %d records, re-replication pushed %d (skipped %d)", chain, pushed, skipped)
+		env, err := stores[writer].GetEnvelope(app, 0, chain)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for n := uint64(1); n <= chain; n++ {
+		line, err := ckpt.DecodeRecord(env)
+		if err != nil || !slices.Equal(line.Names, []uint64{1, 3}) {
+			t.Fatalf("the line's record names %v, want [1 3]: %v", line.Names, err)
+		}
+		needed := append(slices.Clone(line.Names), chain)
+		live, pushed, skipped := death(t, fn, stores, writer)
+		if pushed != uint64(len(needed)) || skipped == 0 {
+			t.Errorf("the writer took one copy of each of %v, re-replication pushed %d (skipped %d)", needed, pushed, skipped)
+		}
+		for _, n := range needed {
 			if c := copiesOf(stores, live, app, 0, n); c != 3 {
 				t.Errorf("record #%d has %d live copies, want 3", n, c)
 			}
@@ -263,8 +282,8 @@ func TestReReplicateChainToFreshMember(t *testing.T) {
 			fresh = id
 		}
 	}
-	p := ckpt.NewPipeline(stores[writer], 4)
-	imgs := chunkEpochs(6, 16) // full, 3 deltas, a carry list, a delta
+	p := ckpt.NewPipeline(stores[writer], 0)
+	imgs := chunkEpochs(6, 16) // an image's record, then five carry lists
 	for n, img := range imgs {
 		if err := p.Put(app, 0, uint64(n+1), img, nil); err != nil {
 			t.Fatal(err)
@@ -273,7 +292,7 @@ func TestReReplicateChainToFreshMember(t *testing.T) {
 	if err := stores[writer].CommitLine(app, ckpt.RecoveryLine{0: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.GC(app, 0, 6); err != nil {
+	if err := p.GC(app, 0, 5); err != nil {
 		t.Fatal(err)
 	}
 	env, err := stores[writer].GetEnvelope(app, 0, 5)

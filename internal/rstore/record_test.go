@@ -35,7 +35,7 @@ func TestRecordReplicationAndRestore(t *testing.T) {
 	fn := vni.NewFastnet(0)
 	stores := newCluster(t, fn, 3, 2)
 	writer := stores[1]
-	p := ckpt.NewPipeline(writer, 4)
+	p := ckpt.NewPipeline(writer, 0)
 
 	imgs := chunkEpochs(6, 64)
 	for n, img := range imgs {
@@ -43,10 +43,10 @@ func TestRecordReplicationAndRestore(t *testing.T) {
 			t.Fatalf("put #%d: %v", n, err)
 		}
 	}
-	if st := p.Stats(); st.Deltas == 0 {
-		t.Fatalf("pipeline stats %+v: no delta records", st)
+	if st := p.Stats(); st.StoredBytes >= st.RawBytes/2 {
+		t.Fatalf("pipeline stats %+v: no incremental savings", st)
 	}
-	// The writer restores every epoch, mid-chain included.
+	// The writer restores every epoch.
 	for n, want := range imgs {
 		got, meta, err := p.Get(1, 0, uint64(n))
 		if err != nil || !bytes.Equal(got, want) {
@@ -56,7 +56,7 @@ func TestRecordReplicationAndRestore(t *testing.T) {
 			t.Fatalf("meta index = %d, want %d", meta.Index, n)
 		}
 	}
-	// Replica holders materialized the chain: their Get serves the raw image.
+	// Replica holders materialized the records: their Get serves the image.
 	copies := 0
 	for id, st := range stores {
 		if !st.Holds(1, 0, 5) {
@@ -73,8 +73,8 @@ func TestRecordReplicationAndRestore(t *testing.T) {
 	}
 
 	// Kill the writer. Every survivor — holder (materialized cache) and
-	// non-holder (peer chain walk, record by record) — still restores
-	// the newest epoch.
+	// non-holder (the record and the slots it names, fetched from a peer) —
+	// still restores the newest epoch.
 	fn.Crash(addr(1))
 	writer.Close()
 	survivors := []wire.NodeID{2, 3}
@@ -92,14 +92,13 @@ func TestRecordReplicationAndRestore(t *testing.T) {
 	}
 }
 
-// TestRecordReplicationDeduplicates: an epoch sends what changed, whatever
-// its record: a delta, or a full record whose carry list names the slots that
-// carry everything else.
+// TestRecordReplicationDeduplicates: an epoch sends what changed and a carry
+// list naming the slots that carry everything else.
 func TestRecordReplicationDeduplicates(t *testing.T) {
 	fn := vni.NewFastnet(0)
 	stores := newCluster(t, fn, 2, 2)
 	writer := stores[1]
-	p := ckpt.NewPipeline(writer, 2)
+	p := ckpt.NewPipeline(writer, 0)
 
 	imgs := chunkEpochs(3, 64)
 	if err := p.Put(1, 0, 0, imgs[0], nil); err != nil {
@@ -109,8 +108,8 @@ func TestRecordReplicationDeduplicates(t *testing.T) {
 	if fullCost < uint64(len(imgs[0])) {
 		t.Fatalf("first epoch replicated %d bytes for a %d-byte image", fullCost, len(imgs[0]))
 	}
-	// A delta epoch, then a full one: each sends its two changed blocks and
-	// an envelope, never the unchanged ones.
+	// Each later epoch sends its two changed blocks and an envelope, never
+	// the unchanged ones.
 	for n := 1; n <= 2; n++ {
 		before := writer.Stats().BytesReplicated
 		if err := p.Put(1, 0, uint64(n), imgs[n], nil); err != nil {
@@ -120,12 +119,9 @@ func TestRecordReplicationDeduplicates(t *testing.T) {
 			t.Errorf("epoch %d replicated %d bytes vs %d for the first: no savings", n, cost, fullCost)
 		}
 	}
-	if st := p.Stats(); st.Fulls != 2 || st.Deltas != 1 {
-		t.Fatalf("pipeline stats %+v: want the last epoch a full record", st)
-	}
 	got, _, err := stores[2].Get(1, 0, 2)
 	if err != nil || !bytes.Equal(got, imgs[2]) {
-		t.Fatalf("replica restore of the full record: %v", err)
+		t.Fatalf("replica restore of the newest record: %v", err)
 	}
 }
 
@@ -145,7 +141,7 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 
 	const app = 4
 	imgs := chunkEpochs(3, 8)
-	recs := records(8, imgs...) // a full record and two deltas
+	recs := records(imgs...) // the first image's record and two carry lists
 	held := make(map[uint64]entry)
 	writer.mu.Lock()
 	for n, rec := range recs {
@@ -157,13 +153,13 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 	}
 	writer.mu.Unlock()
 
-	// The peer has none of the chain: slot 2 is refused, naming slot 1.
+	// The peer has none of the records: slot 2 is refused, naming slot 1.
 	k := key{app, 0, 2}
 	put := &wire.Msg{Type: wire.TControl, Kind: kPut, App: k.app, Src: k.rank, Seq: k.n, Payload: encodeSlotHeader(held[2].tag, slotRecord, held[2].meta)}
 	data := &wire.Msg{Type: wire.TControl, Kind: kPutData, App: k.app, Src: k.rank, Seq: k.n, Payload: recs[2]}
 	replies, err := writer.exchange(2, []*wire.Msg{put, data}, nil)
 	if err != nil || replies[0].Kind != kOK || !bytes.Equal(replies[0].Payload, binary.BigEndian.AppendUint64(nil, 1)) {
-		t.Fatalf("kPut of a delta ahead of its base: %v, reply %+v", err, replies)
+		t.Fatalf("kPut of a carry list ahead of the slot it names: %v, reply %+v", err, replies)
 	}
 	if peer.Holds(app, 0, 2) {
 		t.Fatal("peer installed a record naming a slot it lacks")
@@ -173,11 +169,11 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !peer.Holds(app, 0, 1) || !peer.Holds(app, 0, 2) {
-		t.Fatal("the push did not leave the chain on the peer")
+		t.Fatal("the push did not leave both slots on the peer")
 	}
 
-	// Slot 3 names slot 2 — which the peer loses to a GC just before the
-	// record arrives.
+	// Slot 3 names slots 1 and 2 — which the peer loses to a GC just before
+	// the record arrives.
 	racing.act = func(send func() error) error {
 		peer.mu.Lock()
 		peer.gcLocked(app, 0, 3)
@@ -194,7 +190,7 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 		t.Fatal("no GC was raced; the test exercised nothing")
 	}
 	after := writer.Stats()
-	// Slot 3, then slot 2 it names, then slot 1 that names: three pushes.
+	// Slot 3, then slots 1 and 2 it names: three pushes.
 	if after.Pushes != before.Pushes+3 || after.PushFailures != before.PushFailures {
 		t.Errorf("the raced push counted %d pushes, %d failures; want 3, 0", after.Pushes-before.Pushes, after.PushFailures-before.PushFailures)
 	}
@@ -205,9 +201,9 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 
 // TestRecordNeverInstallsOverAnotherIncarnation: a restart rolls the rank back
 // to slot 1, the new incarnation rewrites slot 2 and its push to the holder —
-// which still has the dead incarnation's slot 2 — fails. Slot 3 is a delta on
-// slot 2. The holder must not patch it onto the dead incarnation's bytes: its
-// restore of slot 3 is the new incarnation's image.
+// which still has the dead incarnation's slot 2 — fails. Slot 3's carry list
+// names slot 2. The holder must not take blocks from the dead incarnation's
+// bytes: its restore of slot 3 is the new incarnation's image.
 func TestRecordNeverInstallsOverAnotherIncarnation(t *testing.T) {
 	// Armed, every kPut frame fails to send, so every attempt of a push
 	// fails: the action re-arms the tamper each time it fires.
@@ -230,8 +226,8 @@ func TestRecordNeverInstallsOverAnotherIncarnation(t *testing.T) {
 	dead1 := rewrite(base, 0)
 	live1 := rewrite(base, 1)
 	live2 := rewrite(live1, 2)
-	dead := records(8, base, dead1)        // slots 1 and 2 of the dead incarnation
-	live := records(8, base, live1, live2) // slot 3 is a delta on slot 2
+	dead := records(base, dead1)        // slots 1 and 2 of the dead incarnation
+	live := records(base, live1, live2) // slot 3 names slot 2 for block 1
 	if !bytes.Equal(dead[1], live[1]) {
 		t.Fatal("the two incarnations do not share slot 1")
 	}
@@ -265,14 +261,14 @@ func TestRecordNeverInstallsOverAnotherIncarnation(t *testing.T) {
 	}
 }
 
-// TestMaterializeInPlaceKeepsPublishedImages: the newest epoch's raw image is
-// patched in place from record to record — through deltas, a full record that
-// re-bases the chain, and resizes — and is exact on origin and replica at
-// every epoch; an image a reader was handed is never written again.
+// TestMaterializeInPlaceKeepsPublishedImages: the newest epoch's image is
+// patched in place from record to record — through carry lists and resizes —
+// and is exact on origin and replica at every epoch; an image a reader was
+// handed, or one that is a record's own data, is never written again.
 func TestMaterializeInPlaceKeepsPublishedImages(t *testing.T) {
 	fn := vni.NewFastnet(0)
 	stores := newCluster(t, fn, 2, 2)
-	p := ckpt.NewPipeline(stores[1], 4)
+	p := ckpt.NewPipeline(stores[1], 0)
 
 	imgs := chunkEpochs(12, 32)
 	imgs[6] = append(imgs[6], bytes.Repeat([]byte{7}, 5000)...) // grow
@@ -314,13 +310,13 @@ func TestMaterializeInPlaceKeepsPublishedImages(t *testing.T) {
 
 // TestCollectedRecordsAreCutDown: a collected record that carry lists still
 // name for a few of its blocks is cut down to those, on every holder, and the
-// newest epoch still restores — on a node that holds none of the chain and
-// walks it through its peers.
+// newest epoch still restores — on a node that holds none of the records and
+// fetches them from its peers.
 func TestCollectedRecordsAreCutDown(t *testing.T) {
 	fn := vni.NewFastnet(0)
 	stores := newCluster(t, fn, 3, 2)
 	const app = 6
-	p := ckpt.NewPipeline(stores[1], 2)
+	p := ckpt.NewPipeline(stores[1], 0)
 	// Epochs 2..5 rewrite blocks 0..11 three at a time, so by the carry list
 	// at slot 5 the first record carries only blocks 12..15 that are current.
 	imgs := chunkEpochs(1, 16)

@@ -24,20 +24,18 @@
 //     replicated to every member, so List/Ranks/GatherLine work on any node,
 //     including nodes that never hosted the rank. Committed recovery lines
 //     are likewise broadcast.
-//   - A slot holds a raw checkpoint image (Put) or a record of the
-//     incremental pipeline (PutRecord, ckpt.Pipeline): the blocks that
-//     changed since the previous slot, each named by its position — this
-//     slot, its index — and checked by its crc32c, plus, in a full record,
-//     the slot that carries every other block. Which of the two a slot holds
-//     travels with it in every frame. One put, one push, one fetch and one
-//     re-replication walk move both.
+//   - A slot holds one record (ckpt's chunk.go): the blocks the slot carries,
+//     each named by its position — this slot, its index — and checked by its
+//     crc32c, plus the slot that carries every other block. Put stores the
+//     record that carries a whole image (ckpt.ImageRecord), PutRecord one the
+//     incremental pipeline (ckpt.Pipeline) wrote. Whether a slot is listed or
+//     only kept for the blocks it carries travels with it in every frame.
 //   - On a view change the daemon calls UpdateView; a background pass then
 //     re-replicates what a restart can still need (each app's committed line
-//     and anything newer, every record of a live chain and every record a
-//     surviving carry list names). Exactly one holder acts for a slot — the
-//     writer while it is a member, else the first member of the order — and
-//     it asks each target "have?" before sending (kHas), so a death moves the
-//     copies it took and nothing else.
+//     and anything newer, and every record those name). Exactly one holder
+//     acts for a slot — the writer while it is a member, else the first
+//     member of the order — and it asks each target "have?" before sending
+//     (kHas), so a death moves the copies it took and nothing else.
 //   - GC deletes whole records: those no surviving record names. One that a
 //     surviving carry list still names stays, collected — neither listed nor
 //     restorable — until the last record naming it goes.
@@ -50,16 +48,17 @@
 // Pushing a slot to a peer (pushSlot) is one exchange, kPut + kPutData: the
 // slot's tag, kind and metadata, then the stored bytes in a frame of their
 // own. The receiver checks a record's blocks against their crc32c and
-// installs it only if it holds every slot the record names (a delta's base, a
-// carry list's slots); otherwise its kOK lists the slot numbers it lacks, and
-// the pusher sends those first and the pair again — the closing move of a push
-// racing a GC, or re-replicating a chain to a member that holds none of it. A
-// peer that saw half of the pair says so, and the pair is sent again.
+// installs it only if it holds every slot the record names; otherwise its kOK
+// lists the slot numbers it lacks, and the pusher sends those first and the
+// pair again — the closing move of a push racing a GC, or re-replicating a
+// rank's records to a member that holds none of them. A peer that saw half of
+// the pair says so, and the pair is sent again.
 //
 // Holders materialize the image behind the newest record of each (app, rank)
-// as records arrive (s.resolved), patching the previous one with the blocks
-// the record carries, so a restore from a delta chain is a map lookup, like a
-// raw image's, not a record-by-record chain walk.
+// as records arrive (s.resolved): a record that carries its whole image is its
+// own (ckpt.Record.Image), any other patches the previous image with the
+// blocks it carries, so a restore is a map lookup, not a walk over the slots a
+// carry list names.
 //
 // The store speaks TControl messages on its own listener, daemon-to-daemon —
 // the one route Table 1 allows for system traffic.
@@ -105,9 +104,8 @@ const (
 
 // Slot kinds, carried in the header of every frame that moves a slot.
 const (
-	slotRaw      uint8 = iota // a raw image
-	slotRecord                // a record, listed and restorable
-	slotRetained              // a collected record a surviving record still names
+	slotRecord   uint8 = 1 // a record, listed and restorable
+	slotRetained uint8 = 2 // a collected record a surviving record still names
 )
 
 // Config parameterizes a Store.
@@ -153,8 +151,8 @@ type entry struct {
 	img  []byte
 	meta *ckpt.Meta
 	kind uint8
-	// rec is img decoded, for a record, and nil for a raw image: parsed once
-	// on the way in, read by GC, materialization, pushes and Get.
+	// rec is img decoded: parsed once on the way in, read by GC,
+	// materialization, pushes and Get.
 	rec *ckpt.Record
 	// tag names the Put that produced these bytes: the writer's node in the
 	// high half, the writer's put count in the low. It travels with every
@@ -172,7 +170,7 @@ func encodeSlotHeader(tag uint64, kind uint8, meta *ckpt.Meta) []byte {
 }
 
 func decodeSlotHeader(b []byte) (uint64, uint8, *ckpt.Meta, error) {
-	if len(b) < 9 || b[8] > slotRetained {
+	if len(b) < 9 || b[8] != slotRecord && b[8] != slotRetained {
 		return 0, 0, nil, ckpt.ErrBadImage
 	}
 	meta, err := ckpt.DecodeMeta(b[9:])
@@ -183,9 +181,6 @@ func decodeSlotHeader(b []byte) (uint64, uint8, *ckpt.Meta, error) {
 // blocks against their crc32c: a record from a peer is installed whole or not
 // at all.
 func decodeSlot(k key, kind uint8, b []byte) (*ckpt.Record, error) {
-	if kind == slotRaw {
-		return nil, nil
-	}
 	rec, err := ckpt.DecodeRecord(b)
 	if err != nil {
 		return nil, err
@@ -208,9 +203,10 @@ func checkRecord(n uint64, kind uint8, rec *ckpt.Record) error {
 	return nil
 }
 
-// resolvedImage is the materialized raw image behind one record. Once a
-// reader was handed raw (published) it is immutable; until then the rank's
-// next record is applied onto it in place.
+// resolvedImage is the materialized image behind one record. Once a reader
+// was handed raw (published) it is immutable — so is one that is a record's
+// own data — and until then the rank's next record is applied onto it in
+// place.
 type resolvedImage struct {
 	raw       []byte
 	published bool
@@ -221,7 +217,8 @@ type Stats struct {
 	Node     wire.NodeID
 	Members  int
 	Replicas int
-	// Images and Bytes count locally resident checkpoint images.
+	// Images and Bytes count locally resident slots and the bytes their
+	// records take.
 	Images int
 	Bytes  int64
 	// IndexEntries counts cluster-wide known checkpoints (the replicated
@@ -241,10 +238,6 @@ type Stats struct {
 	PushesSkipped   uint64
 	PeerFetches     uint64
 	PeerFetchMisses uint64
-	// Records counts the resident slots that hold records (of the
-	// incremental pipeline), collected ones a carry list still names
-	// included.
-	Records int
 	// BytesReplicated is the total payload bytes this node actually pushed
 	// to peers (headers, images and records) — the savings metric of delta
 	// replication.
@@ -254,10 +247,10 @@ type Stats struct {
 // String formats the snapshot as a single management-protocol-friendly line.
 func (st Stats) String() string {
 	return fmt.Sprintf(
-		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d pushes-skipped %d peer-fetches %d peer-fetch-misses %d records %d replicated-bytes %d",
+		"node %d members %d replicas %d images %d bytes %d index %d commits %d under-replicated %d pushes %d push-failures %d pushes-skipped %d peer-fetches %d peer-fetch-misses %d replicated-bytes %d",
 		st.Node, st.Members, st.Replicas, st.Images, st.Bytes, st.IndexEntries,
 		st.Commits, st.UnderReplicated, st.Pushes, st.PushFailures, st.PushesSkipped,
-		st.PeerFetches, st.PeerFetchMisses, st.Records, st.BytesReplicated)
+		st.PeerFetches, st.PeerFetchMisses, st.BytesReplicated)
 }
 
 // peerConn is one lazily dialed, lockstep request/response connection to a
@@ -292,8 +285,8 @@ type Store struct {
 	// acked records which peers acknowledged holding a replica of a key.
 	acked map[key]map[wire.NodeID]bool
 	peers map[wire.NodeID]*peerConn
-	// resolved caches the raw image behind a record chain, materialized
-	// eagerly as records arrive so a restore from a chain is pointer-speed.
+	// resolved caches the image behind a rank's newest record, materialized
+	// eagerly as records arrive so a restore is pointer-speed.
 	resolved map[key]*resolvedImage
 
 	// puts numbers this node's Puts (the low half of an image tag).
@@ -430,11 +423,17 @@ func (s *Store) pushTargetsLocked(k key, e *entry) []wire.NodeID {
 
 // owedLocked lists the push targets of slot k that have not acknowledged a
 // copy, if a restart can still read the slot: anything at or past its app's
-// committed line (everything, for an app that has none), and every record —
-// GC already clamps those to the live chain. Callers hold s.mu.
+// committed line (everything, for an app that has none), and every slot the
+// line's record names — a record past the line names no earlier slot the
+// line's does not. A node that does not hold the line's record counts the
+// slot as needed. Callers hold s.mu.
 func (s *Store) owedLocked(k key, e *entry) []wire.NodeID {
-	if line, committed := s.commits[k.app]; committed && k.n < line[k.rank] && e.rec == nil {
-		return nil
+	if line, committed := s.commits[k.app]; committed && k.n < line[k.rank] {
+		if at, held := s.images[key{k.app, k.rank, line[k.rank]}]; held {
+			if _, named := slices.BinarySearch(at.rec.Names, k.n); !named {
+				return nil
+			}
+		}
 	}
 	return slices.DeleteFunc(s.pushTargetsLocked(k, e), func(h wire.NodeID) bool { return s.acked[k][h] })
 }
@@ -508,9 +507,6 @@ func (s *Store) Stats() Stats {
 	}
 	for k, e := range s.images {
 		st.Bytes += int64(len(e.img))
-		if e.rec != nil {
-			st.Records++
-		}
 		if len(s.owedLocked(k, e)) > 0 {
 			st.UnderReplicated++
 		}
@@ -543,31 +539,27 @@ func (s *Store) indexAddLocked(app wire.AppID, rank wire.Rank, n uint64) {
 // ckpt.Backend implementation
 // ---------------------------------------------------------------------------
 
-// Put stores a raw image: the one copy that makes the caller's buffer the
-// store's.
+// Put stores img as the record that carries all of it: the one copy that
+// makes the caller's buffer the store's.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
-	return s.putSlot(key{app, rank, n}, append([]byte(nil), img...), slotRaw, nil, meta)
+	return s.PutRecord(app, rank, n, ckpt.ImageRecord(n, img), meta)
 }
 
-// PutRecord stores a record, handed over: the store keeps and pushes rec
-// itself.
-func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
-	r, err := ckpt.DecodeRecord(rec)
+// PutRecord stores a record, handed over, in local RAM — replica #1 — pushes
+// the other Replicas-1 copies to the first members of the key's order, and
+// replicates the index entry to every member. The store keeps and pushes rec
+// itself. Replication failures do not fail the put — the local copy exists
+// and the under-replication counter (and the next view change's
+// re-replication pass) pick up the slack.
+func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, meta *ckpt.Meta) error {
+	k := key{app, rank, n}
+	rec, err := ckpt.DecodeRecord(slot)
 	if err == nil {
-		err = checkRecord(n, slotRecord, r)
+		err = checkRecord(n, slotRecord, rec)
 	}
 	if err != nil {
 		return fmt.Errorf("rstore: put #%d of app %d rank %d: %w", n, app, rank, err)
 	}
-	return s.putSlot(key{app, rank, n}, rec, slotRecord, r, meta)
-}
-
-// putSlot stores slot k in local RAM — replica #1 — pushes the other
-// Replicas-1 copies to the first members of the key's order, and replicates
-// the index entry to every member. Replication failures do not fail the put —
-// the local copy exists and the under-replication counter (and the next view
-// change's re-replication pass) pick up the slack.
-func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta) error {
 	if meta == nil {
 		meta = &ckpt.Meta{Rank: k.rank, Index: k.n}
 	}
@@ -578,7 +570,7 @@ func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *
 	}
 	s.puts++ // the tag names this put: this node, its put count
 	tag := uint64(s.cfg.Node)<<32 | uint64(s.puts)
-	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, kind, rec, meta, tag))
+	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, slotRecord, rec, meta, tag))
 	delete(s.acked, k) // acks were for the bytes this put replaces
 	s.indexAddLocked(k.app, k.rank, k.n)
 	s.materializeLocked(k)
@@ -587,7 +579,7 @@ func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *
 
 	// Push the caller's slot, not the entry's: once published in s.images, a
 	// concurrent replica push (handlePut) may swap the entry's fields.
-	e := entry{img: slot, kind: kind, rec: rec, meta: meta, tag: tag}
+	e := entry{img: slot, kind: slotRecord, rec: rec, meta: meta, tag: tag}
 	for _, h := range targets {
 		if _, err := s.pushSlot(h, k, e); err != nil {
 			s.logf("[rstore %d] push #%d of app %d rank %d to node %d: %v",
@@ -615,8 +607,8 @@ func (s *Store) putSlot(k key, slot []byte, kind uint8, rec *ckpt.Record, meta *
 // payload of the kPutData frame: nothing is staged, so the only copy is the
 // transport's own (fastnet's exact-size clone, TCP's writev). Transport
 // failures are retried below this loop (exchange); the loop is for a peer
-// that answers "not yet": it lacks slots the record names — it never had the
-// chain, or a GC took them between our pushes — and exactly those are pushed
+// that answers "not yet": it lacks slots the record names — it never had
+// them, or a GC took them between our pushes — and exactly those are pushed
 // first, or it saw half of the pair, and the pair is sent again (puts are
 // idempotent overwrites). A record goes only after the slots it names that
 // the peer may hold another incarnation's bytes of (pushOwedNames).
@@ -644,7 +636,7 @@ func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
 				for ; len(missing) > 0; missing = missing[8:] {
 					n := key{k.app, k.rank, binary.BigEndian.Uint64(missing)}
 					named, held := s.held(n)
-					if !held || e.rec == nil || !slices.Contains(e.rec.Names, n.n) {
+					if !held || !slices.Contains(e.rec.Names, n.n) {
 						break
 					}
 					nested, perr := s.pushSlot(peer, n, named)
@@ -680,9 +672,6 @@ func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
 // slot's tag. When no push failed every named slot is acknowledged and this
 // sends nothing. It returns the bytes that crossed.
 func (s *Store) pushOwedNames(peer wire.NodeID, k key, e entry) (int, error) {
-	if e.rec == nil {
-		return 0, nil
-	}
 	sent := 0
 	for _, n := range e.rec.Names {
 		nk := key{k.app, k.rank, n}
@@ -786,19 +775,15 @@ func (s *Store) broadcast(members []wire.NodeID, what string, m wire.Msg) {
 	}
 }
 
-// Get returns the image of checkpoint n of (app, rank): a raw slot verbatim,
-// a record as the state it encodes (materialized cache first, chain walk
-// otherwise). The returned image references store-internal memory; treat it
-// as read-only.
+// Get returns the image of checkpoint n of (app, rank): the state its record
+// encodes (materialized cache first, ckpt.Resolve otherwise). The returned
+// image references store-internal memory; treat it as read-only.
 func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Meta, error) {
 	e, err := s.getSlot(app, rank, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch e.kind {
-	case slotRaw:
-		return e.img, e.meta, nil
-	case slotRetained:
+	if e.kind == slotRetained {
 		return nil, nil, fmt.Errorf("%w: app %d rank %d #%d was collected", ckpt.ErrNoCheckpoint, app, rank, n)
 	}
 	k := key{app, rank, n}
@@ -811,11 +796,14 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Met
 	if ok {
 		return r.raw, e.meta, nil
 	}
-	// Cold path: the walk reads every record it needs through GetEnvelope,
-	// from peers where this node lacks one.
-	raw, err := ckpt.ResolveChain(s, app, rank, n)
-	if err != nil {
-		return nil, nil, err
+	// Cold path. A record that carries its whole image was checked when it
+	// was installed; any other goes through Resolve, which reads every record
+	// it needs through GetEnvelope, from peers where this node lacks one.
+	raw, whole := e.rec.Image()
+	if !whole {
+		if raw, err = ckpt.Resolve(s, app, rank, n); err != nil {
+			return nil, nil, err
+		}
 	}
 	s.mu.Lock()
 	s.resolved[k] = &resolvedImage{raw: raw, published: true}
@@ -826,9 +814,6 @@ func (s *Store) Get(app wire.AppID, rank wire.Rank, n uint64) ([]byte, *ckpt.Met
 // GetEnvelope returns the record stored in slot n.
 func (s *Store) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]byte, error) {
 	e, err := s.getSlot(app, rank, n)
-	if err == nil && e.kind == slotRaw {
-		err = fmt.Errorf("%w: app %d rank %d #%d holds no record", ckpt.ErrNoCheckpoint, app, rank, n)
-	}
 	return e.img, err
 }
 
@@ -998,11 +983,10 @@ func (s *Store) GC(app wire.AppID, rank wire.Rank, keepFrom uint64) error {
 	return nil
 }
 
-// gcLocked collects below keepFrom. A record a surviving record names — a
-// delta its base, a carry list the slots carrying its blocks — stays, as a
-// collected slot, until the last record naming it goes; one kept only for
-// blocks a carry list names is cut down to those once that halves it, so a
-// block nobody rewrites does not pin its whole record. Callers hold s.mu.
+// gcLocked collects below keepFrom. A record whose blocks a surviving carry
+// list names stays, as a collected slot, until the last record naming it
+// goes, cut down to those blocks once that halves it, so a block nobody
+// rewrites does not pin its whole record. Callers hold s.mu.
 func (s *Store) gcLocked(app wire.AppID, rank wire.Rank, keepFrom uint64) {
 	for n := range s.index[app][rank] {
 		if n < keepFrom {
@@ -1016,14 +1000,9 @@ func (s *Store) gcLocked(app wire.AppID, rank wire.Rank, keepFrom uint64) {
 	if !collecting {
 		return // what was kept below keepFrom is named as it was
 	}
-	bases := make(map[uint64]bool)
 	carried := make(map[uint64][]uint32)
 	for k, e := range s.images {
 		if k.app != app || k.rank != rank || k.n < keepFrom || e.kind != slotRecord {
-			continue
-		}
-		if e.rec.Kind == ckpt.RecDelta {
-			bases[e.rec.Base] = true
 			continue
 		}
 		for i := range uint32((e.rec.RawLen + ckpt.DeltaBlockSize - 1) / ckpt.DeltaBlockSize) {
@@ -1037,15 +1016,12 @@ func (s *Store) gcLocked(app wire.AppID, rank wire.Rank, keepFrom uint64) {
 			continue
 		}
 		keep := carried[k.n]
-		if e.rec == nil || !bases[k.n] && len(keep) == 0 {
+		if len(keep) == 0 {
 			s.deleteImageLocked(k)
 			continue
 		}
 		e.kind = slotRetained
 		delete(s.resolved, k)
-		if bases[k.n] {
-			continue
-		}
 		slices.Sort(keep)
 		if cut := e.rec.Keep(slices.Compact(keep)); cut != nil {
 			if rec, err := ckpt.DecodeRecord(cut); err == nil {
@@ -1099,9 +1075,9 @@ func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
 // Local bookkeeping (all *Locked: callers hold s.mu)
 // ---------------------------------------------------------------------------
 
-// setSlotLocked installs img, stored as kind and decoding to rec (nil: a raw
-// image), in slot k under the tag of the put that produced it. Any previously
-// materialized image for the slot is stale.
+// setSlotLocked installs img, stored as kind and decoding to rec, in slot k
+// under the tag of the put that produced it. Any previously materialized
+// image for the slot is stale.
 func (s *Store) setSlotLocked(k key, img []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
 	e, ok := s.images[k]
 	if !ok {
@@ -1121,42 +1097,38 @@ func (s *Store) deleteImageLocked(k key) {
 	delete(s.resolved, k)
 }
 
-// materializeLocked eagerly reconstructs the raw image behind the record in
-// slot k as patches onto the rank's previous materialization — one resident
-// raw image per rank bounds the cache, and restores overwhelmingly want the
-// newest epoch. A record carries the blocks that changed since the slot it
-// was diffed against (a delta's base, a full record's predecessor), so on the
-// image of that slot, resized, it patches exactly those; a full record with no
-// such image is materialized only if it carries every block itself. While no
-// reader was handed the previous image the patches go onto it in place, so an
-// epoch costs what changed, not the image. Failure is silent: the cold chain
-// walk in Get still works.
+// materializeLocked eagerly reconstructs the image behind the record in slot k
+// — one resident image per rank bounds the cache, and restores overwhelmingly
+// want the newest epoch. A record that carries its whole image is that image,
+// cached as published: nothing copies it and nothing patches it. Any other
+// record carries the blocks that changed since slot k-1, so on the image of
+// that slot, resized, it patches exactly those; with no such image it is
+// materialized only if it names no other slot. While no reader was handed the
+// previous image the patches go onto it in place, so an epoch costs what
+// changed, not the image. Failure is silent: Get's cold path still works.
 func (s *Store) materializeLocked(k key) {
 	e := s.images[k]
 	if e == nil || e.kind != slotRecord {
 		return
 	}
 	rec := e.rec
-	base := k.n - 1
-	if rec.Kind == ckpt.RecDelta {
-		base = rec.Base
-	}
-	prev := s.resolved[key{k.app, k.rank, base}]
-	switch {
-	case prev == nil && len(rec.Names) > 0:
-		return // it needs what other records carry: Get's cold path assembles it
-	case rec.Kind == ckpt.RecDelta && len(prev.raw) != rec.BaseLen:
-		return
-	}
-	img := prev
-	if prev == nil || prev.published || len(prev.raw) != rec.RawLen {
-		// A published image is immutable (Get returned pointers to it).
-		img = &resolvedImage{raw: make([]byte, rec.RawLen)}
-		if prev != nil {
-			copy(img.raw, prev.raw)
+	img := s.resolved[key{k.app, k.rank, k.n - 1}]
+	if whole, ok := rec.Image(); ok {
+		img = &resolvedImage{raw: whole, published: true}
+	} else {
+		prev := img
+		if prev == nil && len(rec.Names) > 0 {
+			return // it needs what other records carry: Get's cold path assembles it
 		}
+		if prev == nil || prev.published || len(prev.raw) != rec.RawLen {
+			// A published image is immutable (Get returned pointers to it).
+			img = &resolvedImage{raw: make([]byte, rec.RawLen)}
+			if prev != nil {
+				copy(img.raw, prev.raw)
+			}
+		}
+		rec.Apply(img.raw)
 	}
-	rec.Apply(img.raw)
 	for rk := range s.resolved {
 		if rk.app == k.app && rk.rank == k.rank && rk.n < k.n {
 			delete(s.resolved, rk)

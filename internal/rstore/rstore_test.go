@@ -437,7 +437,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	st := s.Stats()
-	if st.Images != 1 || st.Bytes != 4 {
+	if st.Images != 1 || st.Bytes != int64(len(ckpt.ImageRecord(1, []byte("abcd")))) {
 		t.Fatalf("Stats images/bytes = %d/%d", st.Images, st.Bytes)
 	}
 	if st.Members != 2 || st.Replicas != 2 {
@@ -507,14 +507,14 @@ func (c tamperConn) Send(m *wire.Msg) error {
 	return c.Conn.Send(m)
 }
 
-// slotKinds are the two shapes of slot every push and fetch guard must hold
-// for: put writes img into slot n of (app, rank 0) of s as that shape.
+// slotKinds are the two writers of a slot every push and fetch guard must hold
+// for: put writes img into slot n of (app, rank 0) of s through that writer.
 var slotKinds = map[string]func(s *Store, app wire.AppID, n uint64, img []byte) error{
 	"image": func(s *Store, app wire.AppID, n uint64, img []byte) error {
 		return s.Put(app, 0, n, img, nil)
 	},
 	"record": func(s *Store, app wire.AppID, n uint64, img []byte) error {
-		return ckpt.NewPipeline(s, 4).Put(app, 0, n, img, nil)
+		return ckpt.NewPipeline(s, 0).Put(app, 0, n, img, nil)
 	},
 }
 
@@ -560,5 +560,44 @@ func TestHalfSeenPairsAreSentAgain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorruptImageCopyIsRefused: a byte of one holder's copy of a stored image
+// flips in RAM. A node that holds no copy asks that holder first, refuses what
+// it sends, and restores the exact image from the other holder.
+func TestCorruptImageCopyIsRefused(t *testing.T) {
+	stores := newCluster(t, vni.NewFastnet(0), 3, 2)
+	const app = 15
+	k := key{app, 0, 1}
+	img := chunkEpochs(1, 8)[0]
+	if err := stores[1].Put(app, 0, 1, img, nil); err != nil {
+		t.Fatal(err)
+	}
+	var reader wire.NodeID
+	for id, s := range stores {
+		if !s.Holds(app, 0, 1) {
+			reader = id
+		}
+	}
+	var first wire.NodeID
+	for _, id := range HolderOrder(app, 0, []wire.NodeID{1, 2, 3}) {
+		if id != reader && first == 0 {
+			first = id
+		}
+	}
+	if reader == 0 || first == 0 {
+		t.Fatal("no node without a copy")
+	}
+	s := stores[first]
+	s.mu.Lock()
+	e := s.images[k]
+	e.img[len(e.img)-ckpt.DeltaBlockSize/2] ^= 0x10 // inside the image's last block
+	s.mu.Unlock()
+
+	got, _, err := stores[reader].Get(app, 0, 1)
+	if err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("node %d restored %d bytes (exact: %v), %v; want the image from the intact holder",
+			reader, len(got), bytes.Equal(got, img), err)
 	}
 }

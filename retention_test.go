@@ -40,7 +40,7 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	}{{"random", 87.6}, {"sweep", 38.3}} {
 		t.Run(c.pattern, func(t *testing.T) {
 			writer, holder := newRstorePair(t)
-			p := ckpt.NewPipeline(writer, ckpt.DefaultFullEvery)
+			p := ckpt.NewPipeline(writer, 0)
 			rng := rand.New(rand.NewSource(1))
 			base := newEpochImage(rng)
 			img := append([]byte(nil), base...)
@@ -77,7 +77,7 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			grew := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
 			t.Logf("%s: heap grew %.1f MB (content-addressed: %.1f MB); writer holds %d records, holder %d",
-				c.pattern, grew, c.parent, writer.Stats().Records, holder.Stats().Records)
+				c.pattern, grew, c.parent, writer.Stats().Images, holder.Stats().Images)
 			if grew > 1.25*c.parent {
 				t.Errorf("%s: heap grew %.1f MB, over 1.25x the content-addressed format's %.1f MB", c.pattern, grew, c.parent)
 			}

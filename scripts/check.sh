@@ -5,8 +5,8 @@
 #   packages), the allocation benchmarks (folded into BENCH_fastpath.json),
 #   the recovery benchmarks (folded into BENCH_recovery.json, which
 #   enforces the >=5x replicated-memory-vs-disk fetch bar at 8 MiB, a
-#   whole restore's copy budget, and re-replication pushes <= copies
-#   lost), the
+#   whole restore's copy budget, a disk restore allocating <=1.1x its
+#   image, and re-replication pushes <= copies lost), the
 #   collective benchmarks (folded into BENCH_collectives.json, which
 #   enforces >=3x on the 8 MiB / 8-rank Allreduce versus the seed
 #   algorithm, with allocs/op no worse, and the 1 MiB / 4-rank Allreduce's
@@ -259,8 +259,10 @@ body() {
     # a surviving RAM replica must be >=5x faster than the disk fetch; a whole
     # restore (Get, Decode, state split, App.Restore) may allocate <=1.25x its
     # 8 MiB state from local RAM and <=2.25x from a peer's (the application's
-    # copy, plus the transport's); and a death may make the survivors push no
-    # more images than it took copies.
+    # copy, plus the transport's); a disk restore may allocate <=1.1x the image
+    # (the file read: a record carrying its whole image resolves to its own
+    # blocks, never a copy); and a death may make the survivors push no more
+    # images than it took copies.
     python3 - "$RBENCH_OUT" <<'EOF'
 import sys
 from benchfold import fold
@@ -276,6 +278,11 @@ ok = speedup >= 5.0
 print(f"rstore restore {ram['ns_per_op']:.0f} ns vs disk {disk['ns_per_op']:.0f} ns "
       f"= {speedup:.0f}x ({'ok' if ok else 'FAIL: need >=5x'})")
 state = 8 << 20
+disk_ratio = disk["B_per_op"] / state
+fits = disk_ratio <= 1.1
+ok = ok and fits
+print(f"disk restore allocates {disk['B_per_op']:.0f} B/op = {disk_ratio:.3f}x the image "
+      f"({'ok' if fits else 'FAIL: need <=1.1x'})")
 for source, budget in (("local", 1.25), ("peer", 2.25)):
     e2e = current.get(f"BenchmarkRecovery/restore-e2e/source={source}")
     if e2e is None:
