@@ -113,12 +113,9 @@ func EncodeLine(line RecoveryLine) []byte {
 // DecodeLine parses a recovery line written by EncodeLine.
 func DecodeLine(b []byte) (RecoveryLine, error) {
 	r := wire.NewReader(b)
-	n := r.U32()
-	if uint64(n)*12 > uint64(r.Remaining()) {
-		return nil, ErrBadImage // a peer's kCommit: no allocation from an unchecked count
-	}
+	n := r.Count(12) // a peer's kCommit: no allocation from an unchecked count
 	line := make(RecoveryLine, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		rank := wire.Rank(r.U32())
 		line[rank] = r.U64()
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"starfish/internal/apps"
 	"starfish/internal/ckpt"
 	"starfish/internal/daemon"
+	"starfish/internal/lwg"
 	"starfish/internal/proc"
 	"starfish/internal/wire"
 )
@@ -217,6 +219,63 @@ func TestCrashDuringLaunch(t *testing.T) {
 		if n == 3 {
 			t.Errorf("rank %d finished on crashed node", r)
 		}
+	}
+}
+
+// TestCrashCreatorDuringLaunch crashes the node that creates the app's
+// stream (lwg.Creator over its placement hosts) right after the submit has
+// applied, while the other hosts wait for its contact or join through it.
+// The lost creator is handled like any host lost before its join: the
+// restart policy relaunches the app, which finishes with the exact value.
+// The app ids pick each of the three hosts as the creator in turn.
+func TestCrashCreatorDuringLaunch(t *testing.T) {
+	for _, app := range []wire.AppID{30, 31, 32} {
+		app := app
+		t.Run(fmt.Sprintf("app=%d", app), func(t *testing.T) {
+			c := newCluster(t, 4)
+			waitMainView(t, c, 4)
+			if err := c.Submit(ringSpec(app, 3, 5000)); err != nil {
+				t.Fatal(err)
+			}
+			// Every daemon must hold the app before its creator goes, or
+			// the submit could die with the node it was cast from.
+			var info daemon.AppInfo
+			deadline := time.Now().Add(10 * time.Second)
+			for _, id := range c.Nodes() {
+				d, err := c.Daemon(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ok := false
+				for info, ok = d.AppInfo(app); !ok; info, ok = d.AppInfo(app) {
+					if time.Now().After(deadline) {
+						t.Fatalf("node %d never applied the submit", id)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			hosts := make([]wire.NodeID, 0, len(info.Placement))
+			for _, n := range info.Placement {
+				hosts = append(hosts, n)
+			}
+			creator := lwg.Creator(app, hosts)
+			t.Logf("crashing creator %d of hosts %v while the app is %v", creator, hosts, info.Status)
+			if err := c.Crash(creator); err != nil {
+				t.Fatal(err)
+			}
+			info, err := c.WaitApp(app, 60*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Status != daemon.StatusDone {
+				t.Fatalf("status = %v, failure = %q", info.Status, info.Failure)
+			}
+			for r, n := range info.Placement {
+				if n == creator {
+					t.Errorf("rank %d finished on the crashed creator", r)
+				}
+			}
+		})
 	}
 }
 

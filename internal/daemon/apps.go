@@ -7,7 +7,6 @@ import (
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
 	"starfish/internal/gcs"
-	"starfish/internal/lwg"
 	"starfish/internal/proc"
 	"starfish/internal/wire"
 )
@@ -220,6 +219,8 @@ func (d *Daemon) applyCmd(c *Cmd) {
 		d.mu.Lock()
 		d.params[c.Key] = c.Value
 		d.mu.Unlock()
+	case CmdJoin:
+		d.applyJoin(c)
 	}
 }
 
@@ -283,7 +284,6 @@ func (d *Daemon) applyDelete(c *Cmd) {
 		ep.link.Close()
 	}
 	if d.leader() {
-		d.castLW(&lwg.Op{Kind: lwg.OpDissolve, App: c.App})
 		if be == nil {
 			be = d.cfg.Store
 		}
@@ -321,7 +321,7 @@ func (d *Daemon) applyRankDone(c *Cmd) {
 }
 
 // checkComplete marks an application done once every non-lost rank has
-// finished, tearing down local endpoints and dissolving the group.
+// finished, tearing down local endpoints and the app's stream.
 func (d *Daemon) checkComplete(app wire.AppID) {
 	d.mu.Lock()
 	st := d.apps[app]
@@ -342,12 +342,9 @@ func (d *Daemon) checkComplete(app wire.AppID) {
 	d.ev.Emit(evstore.EvApp("app-done", app))
 	d.router.Drop(app)
 	// All ranks finished: tear down local endpoints (processes exit their
-	// serve loop when the link closes) and dissolve the group.
+	// serve loop when the link closes).
 	for _, ep := range eps {
 		ep.link.Close()
-	}
-	if d.leader() {
-		d.castLW(&lwg.Op{Kind: lwg.OpDissolve, App: app})
 	}
 }
 
@@ -414,7 +411,8 @@ func (d *Daemon) applyRestart(c *Cmd) {
 // ---- spawning and start coordination ----
 
 // spawnLocal creates this daemon's share of an application's processes for
-// the current generation and announces them to the lightweight group.
+// the current generation and, once its endpoint on the app's stream has
+// joined, announces their addresses with a CmdJoin.
 func (d *Daemon) spawnLocal(app wire.AppID) {
 	d.mu.Lock()
 	st := d.apps[app]
@@ -434,67 +432,62 @@ func (d *Daemon) spawnLocal(app wire.AppID) {
 	}
 	sort.Slice(myRanks, func(i, j int) bool { return myRanks[i] < myRanks[j] })
 	d.mu.Unlock()
+	if len(myRanks) == 0 {
+		return // not a host of this generation, so not in its group
+	}
 	groupNodes := make([]wire.NodeID, 0, len(hosts))
 	for n := range hosts {
 		groupNodes = append(groupNodes, n)
 	}
-
-	meta := lwMeta{Gen: gen, Addrs: make(map[wire.Rank]string, len(myRanks))}
-	if len(myRanks) > 0 {
-		eps := make(map[wire.Rank]*endpoint, len(myRanks))
-		for _, rank := range myRanks {
-			pside, dside := proc.NewChanLink(0)
-			p, err := proc.New(proc.Config{
-				Spec:       spec,
-				Rank:       rank,
-				Arch:       d.cfg.Arch,
-				Store:      d.backendFor(&spec),
-				Link:       pside,
-				Transport:  d.cfg.Transport,
-				ListenAddr: d.cfg.DataAddr(app, gen, rank),
-				Events:     d.cfg.Events.Emitter("proc"),
-				Logf:       d.cfg.Logf,
-			})
-			if err != nil {
-				d.logf("spawn app %d rank %d: %v", app, rank, err)
-				continue
-			}
-			ep := &endpoint{rank: rank, gen: gen, link: dside, p: p}
-			eps[rank] = ep
-			meta.Addrs[rank] = p.Addr()
-			go d.pumpEndpoint(app, ep)
-			p.Start()
-		}
-		d.mu.Lock()
-		d.local[app] = eps
-		d.mu.Unlock()
-	}
-	// Join the lightweight group (even with zero local ranks a daemon may
-	// skip joining; only hosting daemons are members). The hosting daemons
-	// also form the app's per-group sequencer stream: the router announces
-	// our OpJoin only once the local stream endpoint exists (creator first,
-	// carrying its contact address in the metadata), so by the time every
-	// member's join has sequenced — the condition maybeStart gates on —
-	// every member's stream endpoint is up and scoped casts can bypass the
-	// main group entirely.
-	if len(myRanks) > 0 {
-		d.router.Ensure(app, gen, groupNodes, func(gcsAddr string) {
-			m := meta
-			m.GCS = gcsAddr
-			if err := d.castLW(&lwg.Op{
-				Kind: lwg.OpJoin, App: app, Node: d.cfg.Node, Meta: encodeLWMeta(&m),
-			}); err != nil {
-				d.logf("lw join app %d: %v", app, err)
-			}
+	addrs := make(map[wire.Rank]string, len(myRanks))
+	eps := make(map[wire.Rank]*endpoint, len(myRanks))
+	for _, rank := range myRanks {
+		pside, dside := proc.NewChanLink(0)
+		p, err := proc.New(proc.Config{
+			Spec:       spec,
+			Rank:       rank,
+			Arch:       d.cfg.Arch,
+			Store:      d.backendFor(&spec),
+			Link:       pside,
+			Transport:  d.cfg.Transport,
+			ListenAddr: d.cfg.DataAddr(app, gen, rank),
+			Events:     d.cfg.Events.Emitter("proc"),
+			Logf:       d.cfg.Logf,
 		})
-	} else {
-		// Not hosting this generation: leave the group if we were in it.
-		d.castLW(&lwg.Op{Kind: lwg.OpLeave, App: app, Node: d.cfg.Node})
+		if err != nil {
+			d.logf("spawn app %d rank %d: %v", app, rank, err)
+			continue
+		}
+		ep := &endpoint{rank: rank, gen: gen, link: dside, p: p}
+		eps[rank] = ep
+		addrs[rank] = p.Addr()
+		d.procs.Add(1)
+		go d.pumpEndpoint(app, ep)
+		p.Start()
 	}
+	d.mu.Lock()
+	d.local[app] = eps
+	d.mu.Unlock()
+	// The hosts form the app's stream; the router calls back once this
+	// node's endpoint joined it (the creator first, carrying its contact in
+	// the announce). The app starts when every host's CmdJoin has applied
+	// (maybeStart), so by then every host's stream endpoint is up.
+	d.router.Ensure(app, gen, groupNodes, func(gcsAddr string) {
+		join := &Cmd{Kind: CmdJoin, App: app, Node: d.cfg.Node, Gen: gen, Addrs: addrs, Contact: gcsAddr}
+		if err := d.castCmd(join); err != nil {
+			d.logf("join app %d gen %d: %v", app, gen, err)
+		}
+	})
 }
 
-// pumpEndpoint forwards one local process's messages into the daemon loop.
+// pumpEndpoint forwards one local process's messages into the daemon loop,
+// and once the link is gone waits for the process to exit before counting it
+// off d.procs.
 func (d *Daemon) pumpEndpoint(app wire.AppID, ep *endpoint) {
+	defer func() {
+		<-ep.p.Done()
+		d.procs.Done()
+	}()
 	for {
 		select {
 		case m := <-ep.link.Recv():
@@ -525,54 +518,32 @@ func (d *Daemon) handleProcessMsg(im inboxMsg) {
 		// Relay through the app's own sequencer stream: reliable, ordered,
 		// scoped to the daemons hosting this application, and independent
 		// of every other app's traffic. The message itself is opaque to us.
-		// When this node has no stream for the generation (formation
-		// fallback), the cast rides the main group instead — exactly one
-		// path either way.
-		payload := encodeRelay(&im.m)
-		if err := d.router.Cast(im.app, im.gen, payload); err != nil {
-			d.castLW(&lwg.Op{Kind: lwg.OpCast, App: im.app, Node: d.cfg.Node,
-				Payload: payload})
+		// A process runs only after this node's endpoint joined, so Cast
+		// fails only while the generation is being torn down.
+		if err := d.router.Cast(im.app, im.gen, encodeRelay(&im.m)); err != nil {
+			d.logf("scoped cast app %d gen %d dropped: %v", im.app, im.gen, err)
 		}
 	}
 }
 
-// applyLWOp feeds a lightweight-group operation through the membership
-// module and routes the resulting notifications.
-func (d *Daemon) applyLWOp(op lwg.Op, from wire.NodeID) {
-	notes := d.lwm.HandleOp(op, from)
-	for _, n := range notes {
-		d.handleLWNotification(n)
-	}
-	// Joins can complete an app's address map even if we produce no local
-	// notification payload changes. A creator's join also carries the
-	// per-group stream contact the other members' routers are waiting on.
-	if op.Kind == lwg.OpJoin {
-		if meta, err := decodeLWMeta(op.Meta); err == nil && meta.GCS != "" {
-			d.router.SetContact(op.App, meta.Gen, meta.GCS)
+// applyJoin records a host's rank addresses for the app's current
+// generation, hands the creator's stream contact to the local router, and
+// starts the app once every rank's address is known.
+func (d *Daemon) applyJoin(c *Cmd) {
+	d.mu.Lock()
+	st := d.apps[c.App]
+	current := st != nil && st.gen == c.Gen && !st.started
+	if current {
+		for r, a := range c.Addrs {
+			st.addrs[r] = a
 		}
-		d.maybeStart(op.App)
 	}
-}
-
-func (d *Daemon) handleLWNotification(n lwg.Notification) {
-	switch n.Kind {
-	case lwg.NCast:
-		m, err := decodeRelay(n.Payload)
-		if err != nil {
-			d.logf("bad relay payload: %v", err)
-			return
-		}
-		d.mu.Lock()
-		eps := d.localEndpointsLocked(n.App)
-		d.mu.Unlock()
-		for _, ep := range eps {
-			ep.link.Send(m)
-		}
-	case lwg.NView:
-		// Lightweight membership changes reach processes via the
-		// endpoint modules; crash-driven shrinks are handled in
-		// handleMainView (which has the policy context).
+	d.mu.Unlock()
+	if !current {
+		return
 	}
+	d.router.SetContact(c.App, c.Gen, c.Contact)
+	d.maybeStart(c.App)
 }
 
 // maybeStart issues CfgStart to local processes once every rank's data
@@ -584,27 +555,12 @@ func (d *Daemon) maybeStart(app wire.AppID) {
 		d.mu.Unlock()
 		return
 	}
-	// Collect addresses from all members' join metadata.
-	addrs := make(map[wire.Rank]string, st.spec.Ranks)
-	for _, member := range d.lwm.Members(app) {
-		metaBytes := d.lwm.MemberMeta(app, member)
-		if len(metaBytes) == 0 {
-			continue
-		}
-		meta, err := decodeLWMeta(metaBytes)
-		if err != nil || meta.Gen != st.gen {
-			continue
-		}
-		for r, a := range meta.Addrs {
-			addrs[r] = a
-		}
-	}
-	if len(addrs) < st.spec.Ranks {
+	if len(st.addrs) < st.spec.Ranks {
 		d.mu.Unlock()
 		return // not all ranks announced yet
 	}
 	st.started = true
-	st.addrs = addrs
+	addrs := st.addrs
 	if st.status == StatusLaunching || st.status == StatusRestarting {
 		st.status = StatusRunning
 	}
@@ -649,9 +605,9 @@ func (d *Daemon) localEndpointsLocked(app wire.AppID) []*endpoint {
 
 // ---- failure handling (§3.2.2) ----
 
-// handleMainView reacts to a Starfish-group view change: reconcile
-// lightweight groups, then apply each affected application's
-// fault-tolerance policy.
+// handleMainView reacts to a Starfish-group view change: mirror its failure
+// verdicts to the app streams, then apply the fault-tolerance policy of
+// every application that had ranks placed on a departed node.
 func (d *Daemon) handleMainView(v gcs.View) {
 	// Re-point the replicated memory store at the new membership before any
 	// recovery decision reads from it: replica placement and peer fetches
@@ -662,22 +618,10 @@ func (d *Daemon) handleMainView(v gcs.View) {
 	d.mu.Lock()
 	prev := d.view
 	d.view = v
+	// Placement decides, whether or not the node's CmdJoin sequenced: a
+	// host that dies before its join would otherwise leave the app waiting
+	// forever for a join that is never coming.
 	affected := map[wire.AppID][]wire.NodeID{}
-	for _, app := range d.lwm.Groups() {
-		var gone []wire.NodeID
-		for _, member := range d.lwm.Members(app) {
-			if !v.Contains(member) {
-				gone = append(gone, member)
-			}
-		}
-		if len(gone) > 0 {
-			affected[app] = gone
-		}
-	}
-	// Placement counts too, not just lightweight membership: a node can
-	// die after ranks were placed on it but before its (handshake-deferred)
-	// lightweight join sequenced. The app would otherwise wait forever for
-	// a join that is never coming.
 	for app, st := range d.apps {
 		if st.status == StatusDone || st.status == StatusFailed {
 			continue
@@ -703,9 +647,6 @@ func (d *Daemon) handleMainView(v gcs.View) {
 	for _, n := range v.Members {
 		d.router.SetDead(n, false)
 	}
-
-	// Update lightweight membership (deterministic at every daemon).
-	d.lwm.HandleMainView(v.Members)
 
 	for app, gone := range affected {
 		d.applyFailurePolicy(app, gone)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"slices"
 
 	"starfish/internal/ckpt"
 	"starfish/internal/proc"
@@ -9,16 +10,10 @@ import (
 )
 
 // Everything daemons agree on travels as a totally ordered multicast on the
-// main Starfish group. Each cast carries a one-byte envelope tag choosing
-// between lightweight-group operations and replicated cluster commands; the
-// commands form the deterministic state machine every daemon applies
-// identically (§3.1.1's coherent state via Ensemble's total order).
-
-// Envelope tags.
-const (
-	envLWG uint8 = 1 // payload: lwg.Op
-	envCmd uint8 = 2 // payload: Cmd
-)
+// main Starfish group, and every such cast is one Cmd: the commands form the
+// deterministic state machine every daemon applies identically (§3.1.1's
+// coherent state via Ensemble's total order). Scoped casts never ride the
+// main group; they travel on each application's own stream (lwg.Router).
 
 // CmdKind discriminates replicated cluster commands.
 type CmdKind uint8
@@ -49,6 +44,11 @@ const (
 	CmdSetNodeEnabled
 	// CmdSetParam updates a named cluster parameter.
 	CmdSetParam
+	// CmdJoin announces that Node hosts ranks of the app's generation Gen:
+	// their data addresses (Addrs) and, from the app's stream creator, the
+	// stream's Contact. A host casts it only once its own stream endpoint
+	// joined, so when every host's join has applied the app can start.
+	CmdJoin
 )
 
 func (k CmdKind) String() string {
@@ -71,6 +71,8 @@ func (k CmdKind) String() string {
 		return "set-node-enabled"
 	case CmdSetParam:
 		return "set-param"
+	case CmdJoin:
+		return "join"
 	default:
 		return fmt.Sprintf("daemon.CmdKind(%d)", uint8(k))
 	}
@@ -93,6 +95,9 @@ type Cmd struct {
 	// Flag is the enabled state for CmdSetNodeEnabled, and asks CmdRestart
 	// for a fresh deal.
 	Flag bool
+	// Addrs and Contact are set for CmdJoin.
+	Addrs   map[wire.Rank]string
+	Contact string
 }
 
 // encodeCmd serializes a command.
@@ -109,6 +114,15 @@ func encodeCmd(c *Cmd) []byte {
 	w.U32(uint32(len(c.Line)))
 	for _, r := range c.Line.Ranks() {
 		w.U32(uint32(r)).U64(c.Line[r])
+	}
+	ranks := make([]wire.Rank, 0, len(c.Addrs))
+	for r := range c.Addrs {
+		ranks = append(ranks, r)
+	}
+	slices.Sort(ranks)
+	w.String(c.Contact).U32(uint32(len(ranks)))
+	for _, r := range ranks {
+		w.U32(uint32(r)).String(c.Addrs[r])
 	}
 	return w.Bytes()
 }
@@ -134,13 +148,22 @@ func decodeCmd(b []byte) (Cmd, error) {
 		}
 		c.Spec = &spec
 	}
-	n := r.U32()
-	if n > 0 {
+	// Counts are bounded by the bytes left: a rank entry is at least 12
+	// bytes, an address entry 8.
+	if n := r.Count(12); n > 0 {
 		c.Line = make(ckpt.RecoveryLine, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			rank := wire.Rank(r.U32())
+			c.Line[rank] = r.U64()
+		}
 	}
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		rank := wire.Rank(r.U32())
-		c.Line[rank] = r.U64()
+	c.Contact = r.String()
+	if n := r.Count(8); n > 0 {
+		c.Addrs = make(map[wire.Rank]string, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			rank := wire.Rank(r.U32())
+			c.Addrs[rank] = r.String()
+		}
 	}
 	if r.Err() != nil {
 		return Cmd{}, r.Err()
@@ -148,65 +171,8 @@ func decodeCmd(b []byte) (Cmd, error) {
 	return c, nil
 }
 
-// envelope wraps a payload with its tag.
-func envelope(tag uint8, payload []byte) []byte {
-	out := make([]byte, 0, 1+len(payload))
-	out = append(out, tag)
-	return append(out, payload...)
-}
-
-// lwMeta is the metadata a daemon attaches when joining an application's
-// lightweight group: the ranks it hosts and their data-path addresses,
-// plus — when this daemon created the app's per-group sequencer stream —
-// the stream's contact address for the other members to join through.
-type lwMeta struct {
-	Gen   uint32
-	GCS   string // per-group stream contact (creator only; "" otherwise)
-	Addrs map[wire.Rank]string
-}
-
-func encodeLWMeta(m *lwMeta) []byte {
-	w := wire.NewWriter(16)
-	w.U32(m.Gen).String(m.GCS)
-	w.U32(uint32(len(m.Addrs)))
-	for _, p := range sortedAddrPairs(m.Addrs) {
-		w.U32(uint32(p.rank)).String(p.addr)
-	}
-	return w.Bytes()
-}
-
-type addrPair struct {
-	rank wire.Rank
-	addr string
-}
-
-func sortedAddrPairs(m map[wire.Rank]string) []addrPair {
-	out := make([]addrPair, 0, len(m))
-	for r, a := range m {
-		out = append(out, addrPair{r, a})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].rank < out[j-1].rank; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func decodeLWMeta(b []byte) (lwMeta, error) {
-	r := wire.NewReader(b)
-	m := lwMeta{Gen: r.U32(), GCS: r.String()}
-	n := r.U32()
-	m.Addrs = make(map[wire.Rank]string, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		rank := wire.Rank(r.U32())
-		m.Addrs[rank] = r.String()
-	}
-	return m, r.Err()
-}
-
-// encodeRelay wraps a process-level message for transport inside a
-// lightweight-group cast (coordination and C/R messages are opaque to the
+// encodeRelay wraps a process-level message for transport inside a scoped
+// cast on the app's stream (coordination and C/R messages are opaque to the
 // daemons, §2.2).
 func encodeRelay(m *wire.Msg) []byte {
 	buf, err := m.Encode()

@@ -7,9 +7,11 @@
 // A daemon is composed of the four modules of Figure 1: the group
 // communication system (internal/gcs, the Ensemble stand-in), a management
 // module (the replicated command state machine plus the management
-// protocol front end in internal/mgmt), the lightweight membership module
-// (internal/lwg), and one lightweight endpoint module per local
-// application process.
+// protocol front end in internal/mgmt), the lightweight groups — one
+// sequencer stream per application over its hosts (internal/lwg), whose
+// membership is the app's placement and whose joins are replicated
+// commands — and one lightweight endpoint module per local application
+// process.
 package daemon
 
 import (
@@ -119,8 +121,8 @@ type appState struct {
 	status    AppStatus
 	gen       uint32
 	placement map[wire.Rank]wire.NodeID
-	// addrs collects rank data addresses from lightweight joins of the
-	// current generation.
+	// addrs collects rank data addresses from the current generation's
+	// CmdJoins; the app starts once it holds every rank's.
 	addrs map[wire.Rank]string
 	// line is the recovery line the current generation restores from
 	// (nil for a fresh launch).
@@ -158,7 +160,6 @@ type inboxMsg struct {
 type Daemon struct {
 	cfg Config
 	ep  *gcs.Endpoint
-	lwm *lwg.Manager
 	// router runs the per-application sequencer streams: scoped casts of
 	// disjoint apps ride independent per-group coordinators instead of all
 	// ordering through the main group (the sharded control plane).
@@ -186,6 +187,9 @@ type Daemon struct {
 	inbox chan inboxMsg
 	stop  chan struct{}
 	dead  chan struct{}
+	// procs counts spawned processes that have not exited; Close waits for
+	// it, including processes a delete, completion or restart detached.
+	procs sync.WaitGroup
 
 	// pipelines caches one incremental-capture wrapper per delta-enabled
 	// app: the writer-side diff caches inside are stateful, so every
@@ -239,7 +243,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:       cfg,
 		ep:        ep,
-		lwm:       lwg.NewManager(cfg.Node),
 		ev:        cfg.Events.Emitter("daemon"),
 		apps:      make(map[wire.AppID]*appState),
 		disabled:  make(map[wire.NodeID]bool),
@@ -364,7 +367,8 @@ func (d *Daemon) GCSAddr() string { return d.ep.Addr() }
 
 // Close shuts the daemon down without leaving the group gracefully — the
 // failure detector will notice (this is how tests crash a node). Local
-// processes are aborted.
+// processes are aborted, and Close returns once every process it ever
+// spawned has exited.
 func (d *Daemon) Close() {
 	select {
 	case <-d.stop:
@@ -399,6 +403,7 @@ func (d *Daemon) run() {
 		}
 		d.router.Close()
 		d.ep.Close()
+		d.procs.Wait()
 		if d.tiered != nil {
 			d.tiered.Close() // drain pending disk spills
 		}
@@ -426,11 +431,10 @@ func (d *Daemon) run() {
 }
 
 // handleGroupEvent dispatches one event from a per-application sequencer
-// stream. A scoped cast carries exactly the relay payload the main-group
-// OpCast path would have delivered — hand it to the local endpoints of the
-// matching generation. Stream view changes need no action here: group
-// membership stays anchored in the main group (applyLWOp), and failure
-// policy runs off main-group views.
+// stream. A scoped cast carries a relayed process message — hand it to the
+// local endpoints of the matching generation. Stream view changes need no
+// action here: a stream's members are the app's placement hosts, and
+// failure policy runs off main-group views.
 func (d *Daemon) handleGroupEvent(ge lwg.GroupEvent) {
 	if ge.Ev.Kind != gcs.ECast {
 		return
@@ -482,16 +486,8 @@ func (d *Daemon) allEndpointsLocked() []*endpoint {
 	return out
 }
 
-// cast multicasts an envelope on the main group.
-func (d *Daemon) cast(tag uint8, payload []byte) error {
-	return d.ep.Cast(envelope(tag, payload))
-}
-
-// castCmd multicasts a replicated command.
-func (d *Daemon) castCmd(c *Cmd) error { return d.cast(envCmd, encodeCmd(c)) }
-
-// castLW multicasts a lightweight-group operation.
-func (d *Daemon) castLW(op *lwg.Op) error { return d.cast(envLWG, op.Encode()) }
+// castCmd multicasts a replicated command on the main group.
+func (d *Daemon) castCmd(c *Cmd) error { return d.ep.Cast(encodeCmd(c)) }
 
 // handleGCS dispatches one group event.
 func (d *Daemon) handleGCS(ev gcs.Event) {
@@ -499,26 +495,12 @@ func (d *Daemon) handleGCS(ev gcs.Event) {
 	case gcs.EView:
 		d.handleMainView(ev.View)
 	case gcs.ECast:
-		if len(ev.Payload) == 0 {
+		cmd, err := decodeCmd(ev.Payload)
+		if err != nil {
+			d.logf("bad command: %v", err)
 			return
 		}
-		tag, body := ev.Payload[0], ev.Payload[1:]
-		switch tag {
-		case envLWG:
-			op, err := lwg.DecodeOp(body)
-			if err != nil {
-				d.logf("bad lwg op: %v", err)
-				return
-			}
-			d.applyLWOp(op, ev.From)
-		case envCmd:
-			cmd, err := decodeCmd(body)
-			if err != nil {
-				d.logf("bad command: %v", err)
-				return
-			}
-			d.applyCmd(&cmd)
-		}
+		d.applyCmd(&cmd)
 	}
 }
 

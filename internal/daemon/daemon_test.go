@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/binary"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -48,12 +51,87 @@ func TestCmdEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2.Spec != nil || got2.Line != nil || got2.Kind != CmdSuspend {
+	if got2.Spec != nil || got2.Line != nil || got2.Addrs != nil || got2.Kind != CmdSuspend {
 		t.Errorf("round trip = %+v", got2)
 	}
 	if _, err := decodeCmd([]byte{1, 2}); err == nil {
 		t.Error("short command decoded")
 	}
+}
+
+// TestLWMetaEncodeDecode: a lightweight group's metadata — its generation
+// and its ranks' addresses — travels in a host's CmdJoin, together with the
+// stream contact from the creator.
+func TestLWMetaEncodeDecode(t *testing.T) {
+	j := Cmd{Kind: CmdJoin, App: 4, Node: 2, Gen: 3,
+		Addrs: map[wire.Rank]string{2: "b", 0: "a", 5: "c"}, Contact: "lwg-a4-g3-n2"}
+	enc := encodeCmd(&j)
+	got, err := decodeCmd(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != CmdJoin || got.Node != 2 || got.Gen != 3 || got.Contact != j.Contact || !maps.Equal(got.Addrs, j.Addrs) {
+		t.Errorf("join round trip = %+v", got)
+	}
+	if _, err := decodeCmd(enc[:len(enc)-1]); err == nil {
+		t.Error("truncated join decoded")
+	}
+}
+
+// hugeCountCmds are short command frames whose line or address count claims
+// 2^24 entries.
+func hugeCountCmds() [][]byte {
+	head := encodeCmd(&Cmd{Kind: CmdJoin, App: 1})
+	tail := 4 + 4 + 4 // line count, contact length, address count
+	line := bytes.Clone(head[:len(head)-tail])
+	line = binary.BigEndian.AppendUint32(line, 1<<24)
+	addrs := bytes.Clone(head[:len(head)-4])
+	addrs = binary.BigEndian.AppendUint32(addrs, 1<<24)
+	return [][]byte{append(line, 0, 0, 0, 1), append(addrs, 0, 0, 0, 1)}
+}
+
+// TestDecodeCmdBoundsCounts: a command's counts are peer-supplied, so a short
+// frame claiming 2^24 entries is refused without sizing anything by them.
+func TestDecodeCmdBoundsCounts(t *testing.T) {
+	for i, b := range hugeCountCmds() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeCmd(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("frame %d: a 2^24 count in %d bytes decoded", i, len(b))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("frame %d: decoding %d bytes allocated %d", i, len(b), n)
+		}
+	}
+}
+
+// FuzzDecodeCmd: any frame decodes to a command or an error, never a panic,
+// and a decoded command re-encodes to a frame that decodes to the same
+// encoding.
+func FuzzDecodeCmd(f *testing.F) {
+	spec := proc.AppSpec{ID: 7, Name: "ring", Ranks: 2}
+	f.Add(encodeCmd(&Cmd{Kind: CmdSubmit, App: 7, Spec: &spec}))
+	f.Add(encodeCmd(&Cmd{Kind: CmdRestart, App: 7, Line: ckpt.RecoveryLine{0: 3, 1: 2}}))
+	f.Add(encodeCmd(&Cmd{Kind: CmdJoin, App: 7, Gen: 2, Addrs: map[wire.Rank]string{0: "a"}, Contact: "c"}))
+	for _, b := range hugeCountCmds() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, err := decodeCmd(b)
+		if err != nil {
+			return
+		}
+		enc := encodeCmd(&c)
+		again, err := decodeCmd(enc)
+		if err != nil {
+			t.Fatalf("re-encoded command does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeCmd(&again), enc) {
+			t.Fatalf("command changed across a round trip: %+v vs %+v", c, again)
+		}
+	})
 }
 
 func TestCmdKindStrings(t *testing.T) {
@@ -66,20 +144,6 @@ func TestCmdKindStrings(t *testing.T) {
 			t.Errorf("kind %d has bad name %q", k, s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestLWMetaEncodeDecode(t *testing.T) {
-	m := lwMeta{Gen: 3, Addrs: map[wire.Rank]string{2: "b", 0: "a", 5: "c"}}
-	got, err := decodeLWMeta(encodeLWMeta(&m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Gen != 3 || len(got.Addrs) != 3 || got.Addrs[0] != "a" || got.Addrs[5] != "c" {
-		t.Errorf("round trip = %+v", got)
-	}
-	if _, err := decodeLWMeta([]byte{1}); err == nil {
-		t.Error("short meta decoded")
 	}
 }
 
@@ -390,8 +454,8 @@ func TestSubmitWithNoEligibleNodesFails(t *testing.T) {
 }
 
 // TestDaemonsOverTCP runs the full daemon stack on real loopback TCP —
-// group communication, lightweight-group relays, and application data all
-// cross kernel sockets, as they would between physical workstations.
+// group communication, the app's stream, and application data all cross
+// kernel sockets, as they would between physical workstations.
 func TestDaemonsOverTCP(t *testing.T) {
 	tcp := vni.NewTCP()
 	store, err := ckpt.NewStore(t.TempDir())
@@ -399,9 +463,10 @@ func TestDaemonsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataAddr := func(wire.AppID, uint32, wire.Rank) string { return "127.0.0.1:0" }
+	groupAddr := func(wire.AppID, uint32) string { return "127.0.0.1:0" }
 	d1, err := New(Config{
 		Node: 1, Transport: tcp, GCSAddr: "127.0.0.1:0", Store: store,
-		Arch: svm.Machines[0], DataAddr: dataAddr,
+		Arch: svm.Machines[0], DataAddr: dataAddr, GroupAddr: groupAddr,
 		HeartbeatEvery: 10 * time.Millisecond, FailAfter: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -410,7 +475,7 @@ func TestDaemonsOverTCP(t *testing.T) {
 	t.Cleanup(d1.Close)
 	d2, err := New(Config{
 		Node: 2, Transport: tcp, GCSAddr: "127.0.0.1:0", Contact: d1.GCSAddr(),
-		Store: store, Arch: svm.Machines[1], DataAddr: dataAddr,
+		Store: store, Arch: svm.Machines[1], DataAddr: dataAddr, GroupAddr: groupAddr,
 		HeartbeatEvery: 10 * time.Millisecond, FailAfter: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -550,6 +615,81 @@ loop:   loadg 0
 		})
 		if n := pipelines(d); n != 0 {
 			t.Errorf("node %d (leader: %v) still caches %d capture pipelines after DELETE", d.cfg.Node, d.leader(), n)
+		}
+	}
+}
+
+// slowApp steps forever, 20 ms a step, so an aborted process takes up to a
+// step to notice.
+type slowApp struct{}
+
+const slowAppName = "daemon-test-slow"
+
+func init() {
+	proc.Register(slowAppName, func([]byte) (proc.App, error) { return slowApp{}, nil })
+}
+
+func (slowApp) Init(*proc.Ctx) error            { return nil }
+func (slowApp) Restore(*proc.Ctx, []byte) error { return nil }
+func (slowApp) Snapshot() ([]byte, error)       { return nil, nil }
+func (slowApp) Step(*proc.Ctx) (bool, error)    { time.Sleep(20 * time.Millisecond); return false, nil }
+
+// TestCloseWaitsForProcesses: Close returns only once every process the
+// daemon spawned has exited — those still running and those a DELETE already
+// detached — so nothing a process does outlives its daemon.
+func TestCloseWaitsForProcesses(t *testing.T) {
+	store, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{
+		Node: 1, Transport: vni.NewFastnet(0), GCSAddr: "close-gcs", Store: store,
+		Arch: svm.Machines[0], HeartbeatEvery: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	var procs []*proc.Process
+	launch := func(app wire.AppID) {
+		t.Helper()
+		spec := proc.AppSpec{ID: app, Name: slowAppName, Ranks: 2,
+			Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart}
+		if err := d.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		for info, _ := d.AppInfo(app); info.Status != StatusRunning; info, _ = d.AppInfo(app) {
+			if time.Now().After(deadline) {
+				t.Fatalf("app %d never ran: %+v", app, info)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		d.mu.Lock()
+		for _, ep := range d.local[app] {
+			procs = append(procs, ep.p)
+		}
+		d.mu.Unlock()
+	}
+	launch(1)
+	launch(2)
+	if err := d.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, known := d.AppInfo(1); known; _, known = d.AppInfo(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("delete never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d.Close()
+	if len(procs) != 4 {
+		t.Fatalf("%d processes spawned, want 4", len(procs))
+	}
+	for _, p := range procs {
+		select {
+		case <-p.Done():
+		default:
+			t.Errorf("rank %d still running after Close", p.Rank())
 		}
 	}
 }

@@ -223,9 +223,9 @@ func encodeView(v *View) []byte {
 func decodeView(b []byte) (View, error) {
 	r := wire.NewReader(b)
 	v := View{ID: r.U64(), Coord: wire.NodeID(r.U32())}
-	n := r.U32()
+	n := r.Count(8) // a member is at least its id and an address length
 	v.Addrs = make(map[wire.NodeID]string, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		id := wire.NodeID(r.U32())
 		v.Members = append(v.Members, id)
 		v.Addrs[id] = r.String()

@@ -1,7 +1,9 @@
 package gcs
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -510,6 +512,55 @@ func TestViewEncodeDecodeRoundTrip(t *testing.T) {
 	if got.ID != 7 || got.Coord != 3 || !sameMembers(got.Members, v.Members) || got.Addrs[5] != "b" {
 		t.Errorf("round trip = %+v", got)
 	}
+}
+
+// hugeCountView is a short view frame whose member count claims 2^24.
+func hugeCountView() []byte {
+	w := wire.NewWriter(32)
+	w.U64(7).U32(3).U32(1 << 24).U32(3).String("a")
+	return w.Bytes()
+}
+
+// TestDecodeViewBoundsCount: a view's member count is peer-supplied (a
+// welcome or a sequenced view change), so a short frame claiming 2^24
+// members is refused without sizing anything by it.
+func TestDecodeViewBoundsCount(t *testing.T) {
+	b := hugeCountView()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeView(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("a 2^24 member count in %d bytes decoded", len(b))
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("decoding %d bytes allocated %d", len(b), n)
+	}
+}
+
+// FuzzDecodeView: any frame decodes to a view or an error, never a panic; a
+// decoded view has no more members than its frame has room for, and
+// re-encodes to a frame that decodes to the same encoding.
+func FuzzDecodeView(f *testing.F) {
+	f.Add(encodeView(&View{ID: 7, Coord: 3, Members: []wire.NodeID{3, 5}, Addrs: map[wire.NodeID]string{3: "a", 5: "b"}}))
+	f.Add(hugeCountView())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := decodeView(b)
+		if err != nil {
+			return
+		}
+		if len(v.Members)*8 > len(b) {
+			t.Fatalf("%d members from %d bytes", len(v.Members), len(b))
+		}
+		enc := encodeView(&v)
+		again, err := decodeView(enc)
+		if err != nil {
+			t.Fatalf("re-encoded view does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeView(&again), enc) {
+			t.Fatalf("view changed across a round trip: %+v vs %+v", v, again)
+		}
+	})
 }
 
 func TestSeqMsgRoundTrip(t *testing.T) {

@@ -1,3 +1,14 @@
+// Package lwg implements Starfish's lightweight groups (§2.1, figure 2).
+//
+// Every application running on the cluster is associated with a lightweight
+// group whose members are the daemons hosting that application's
+// processes. Membership derives from the single main Starfish group: the
+// members are the app's placement hosts, which every daemon computes from
+// the same totally ordered commands, and failure verdicts are the main
+// group's, mirrored into every group (Router.SetDead). What the group adds
+// is its own sequencer stream, so the scoped casts of disjoint apps are
+// ordered independently instead of all through the main group; lightweight
+// events do not disturb unrelated nodes.
 package lwg
 
 import (
@@ -12,8 +23,8 @@ import (
 	"starfish/internal/wire"
 )
 
-// ErrNoGroup is returned by Cast when this node has no joined per-group
-// stream for the app (yet); the caller falls back to the main-group path.
+// ErrNoGroup is returned by Cast when this node has no joined stream for
+// the app's generation: it has not joined yet, or the group was dropped.
 var ErrNoGroup = errors.New("lwg: no per-group stream for app")
 
 // GroupEvent is one event from a per-group sequencer stream, tagged with
@@ -38,8 +49,8 @@ type RouterConfig struct {
 	GroupAddr func(app wire.AppID, gen uint32) string
 	// HeartbeatEvery/FailAfter tune each per-group engine (detection is
 	// the main group's, so these only pace maintenance and the gap beacon);
-	// a group's formation timeout is 50 HeartbeatEvery. The daemon passes
-	// its own resolved values.
+	// a failed stream join is retried every HeartbeatEvery. The daemon
+	// passes its own resolved values.
 	HeartbeatEvery time.Duration
 	FailAfter      time.Duration
 	// Events receives per-group sequencer records; the router stamps the
@@ -73,8 +84,8 @@ type groupKey struct {
 type grp struct {
 	app wire.AppID
 	gen uint32
-	// contact receives the creator's endpoint address (from its OpJoin
-	// meta on the main stream); capacity 1, first value wins.
+	// contact receives the creator's endpoint address (from its announce
+	// on the main stream); capacity 1, first value wins.
 	contact chan string
 	stop    chan struct{}
 	// ep is set once this node's endpoint has joined (guarded by the
@@ -82,22 +93,23 @@ type grp struct {
 	ep *gcs.Endpoint
 }
 
-// Router runs one per-application gcs stream per (app, generation) this
-// node hosts: scoped casts for disjoint apps ride independent sequencers
-// instead of all ordering through the main group. Join/leave stay
-// anchored in the main group — the Manager remains the membership
-// authority — and so do failure verdicts: SetDead mirrors the main group's
+// Router runs one gcs stream per (app, generation) this node hosts; the
+// stream is the app's lightweight group. Scoped casts for disjoint apps
+// ride independent sequencers instead of all ordering through the main
+// group. Membership is the caller's (the app's placement hosts, passed to
+// Ensure), and failure verdicts are the main group's: SetDead mirrors its
 // view changes into one gcs.Verdicts that every per-group engine reads as
 // its Detector.
 //
-// Formation handshake, per group: the deterministic creator (chosen from
-// the group's sorted member set) joins first and only then announces its
-// OpJoin on the main stream, carrying its endpoint address as the
-// contact. The other members join through that contact and only then
-// announce their own OpJoins. Because the daemon gates application start
-// on *all* members' OpJoins, every member's stream endpoint exists before
-// the first scoped cast — each cast travels exactly one path (group
-// stream, or the main-group fallback when no stream formed), never both.
+// Formation handshake, per group: the deterministic creator (Creator over
+// the hosts) joins first and only then announces on the main stream,
+// carrying its endpoint address as the contact. The other members wait
+// for that contact, however long it takes, join through it and only then
+// announce. Because the daemon gates application start on every member's
+// announce, every member's stream endpoint exists before the first scoped
+// cast, and the stream is the one path a scoped cast takes. A group whose
+// creator never announces never forms; the main group's failure policy
+// handles the lost host and Drop releases the waiting members.
 type Router struct {
 	cfg RouterConfig
 
@@ -143,11 +155,11 @@ func Creator(app wire.AppID, nodes []wire.NodeID) wire.NodeID {
 }
 
 // Ensure starts (idempotently) this node's endpoint for one group.
-// announce is called exactly once the node is ready to publish its OpJoin
-// on the main stream: with the endpoint address when this node created
-// the stream, with the empty string otherwise (members and fallbacks).
-// It runs on a router goroutine, after the local join completed, so an
-// OpJoin on the main stream implies the sender's stream endpoint exists.
+// announce is called at most once, when this node's endpoint has joined the
+// stream: with the endpoint address when this node created the stream, with
+// the empty string otherwise. It runs on a router goroutine, so an announce
+// on the main stream implies the sender's stream endpoint exists. It is
+// never called if the group is dropped or the router closed first.
 func (r *Router) Ensure(app wire.AppID, gen uint32, nodes []wire.NodeID, announce func(gcsAddr string)) {
 	key := groupKey{app, gen}
 	r.mu.Lock()
@@ -185,9 +197,8 @@ func (r *Router) SetContact(app wire.AppID, gen uint32, addr string) {
 	}
 }
 
-// Cast multicasts a scoped payload on the app's stream. ErrNoGroup (or a
-// closed-endpoint error) tells the caller to fall back to the main-group
-// OpCast path; the cast was not sent.
+// Cast multicasts a scoped payload on the app's stream. On ErrNoGroup (or a
+// closed-endpoint error) the cast was not sent.
 func (r *Router) Cast(app wire.AppID, gen uint32, payload []byte) error {
 	r.mu.Lock()
 	g := r.grps[groupKey{app, gen}]
@@ -246,28 +257,9 @@ func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr str
 	defer r.wg.Done()
 	isCreator := creator == r.cfg.Self
 	contact := ""
-	announced := false
 	if !isCreator {
-		timer := time.NewTimer(50 * r.cfg.HeartbeatEvery)
 		select {
 		case contact = <-g.contact:
-			timer.Stop()
-		case <-timer.C:
-			// The creator never announced (it likely crashed mid-formation,
-			// which the main group's failure policy will handle). Announce
-			// without a stream so membership can still form; casts fall
-			// back to the main-group path on this node. If the contact
-			// arrives late we still join below.
-			r.logf("lwg: app %d gen %d: no contact from creator %d, falling back", g.app, g.gen, creator)
-			announce("")
-			announced = true
-			select {
-			case contact = <-g.contact:
-			case <-g.stop:
-				return
-			case <-r.stopCh:
-				return
-			}
 		case <-g.stop:
 			return
 		case <-r.stopCh:
@@ -275,22 +267,32 @@ func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr str
 		}
 	}
 
-	ep, err := gcs.Join(gcs.Config{
-		Node:           r.cfg.Self,
-		Transport:      r.cfg.Transport,
-		Addr:           r.cfg.GroupAddr(g.app, g.gen),
-		Contact:        contact,
-		HeartbeatEvery: r.cfg.HeartbeatEvery,
-		FailAfter:      r.cfg.FailAfter,
-		Detector:       &r.verdicts,
-		Events:         &groupSink{sink: r.cfg.Events, app: g.app},
-	})
-	if err != nil {
-		r.logf("lwg: app %d gen %d: stream join failed: %v", g.app, g.gen, err)
-		if !announced {
-			announce("")
+	var ep *gcs.Endpoint
+	for {
+		var err error
+		ep, err = gcs.Join(gcs.Config{
+			Node:           r.cfg.Self,
+			Transport:      r.cfg.Transport,
+			Addr:           r.cfg.GroupAddr(g.app, g.gen),
+			Contact:        contact,
+			HeartbeatEvery: r.cfg.HeartbeatEvery,
+			FailAfter:      r.cfg.FailAfter,
+			Detector:       &r.verdicts,
+			Events:         &groupSink{sink: r.cfg.Events, app: g.app},
+		})
+		if err == nil {
+			break
 		}
-		return
+		// The creator may be gone; if so, the main group's failure policy
+		// drops this generation, which ends the retries.
+		r.logf("lwg: app %d gen %d: stream join failed, retrying: %v", g.app, g.gen, err)
+		select {
+		case <-time.After(r.cfg.HeartbeatEvery):
+		case <-g.stop:
+			return
+		case <-r.stopCh:
+			return
+		}
 	}
 
 	r.mu.Lock()
@@ -302,12 +304,10 @@ func (r *Router) runGroup(g *grp, creator wire.NodeID, announce func(gcsAddr str
 	}
 	g.ep = ep
 	r.mu.Unlock()
-	if !announced {
-		if isCreator {
-			announce(ep.Addr())
-		} else {
-			announce("")
-		}
+	if isCreator {
+		announce(ep.Addr())
+	} else {
+		announce("")
 	}
 
 	for {

@@ -328,7 +328,9 @@ func (p *Process) serveUntilTeardown() {
 	for {
 		p.cr.sfsPoll()
 		if id, due := p.cr.pendingSnapshot(); due {
-			p.cr.clBegin(id)
+			if err := p.cr.clBegin(id); err != nil {
+				p.logff("%v", err)
+			}
 		}
 		select {
 		case m, open := <-p.ctl:
@@ -504,12 +506,6 @@ func (p *Process) initialize(si StartInfo) error {
 			}
 		}
 		return nil
-	}
-	if si.Restore && p.spec.Protocol == ckpt.Independent {
-		// This rank restarts from its initial state (line entry 0) but
-		// peers may still need nothing from us; nothing to replay — the
-		// full re-execution resends everything.
-		return p.app.Init(p.ctx)
 	}
 	return p.app.Init(p.ctx)
 }

@@ -198,14 +198,25 @@ func (r *Reader) Bytes32() []byte {
 // String reads a uint32-length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes32()) }
 
+// Count reads a uint32 element count for elements that take at least size
+// bytes each. A count that cannot fit in the bytes left sets ErrShortBuffer
+// and reads as 0, so a decoder may size an allocation by it: a peer's frame
+// cannot ask for more memory than it carries.
+func (r *Reader) Count(size int) int {
+	n := r.U32()
+	if r.err == nil && uint64(n)*uint64(size) > uint64(r.Remaining()) {
+		r.err = ErrShortBuffer
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // U32Slice reads a count-prefixed []uint32.
 func (r *Reader) U32Slice() []uint32 {
-	n := r.U32()
+	n := r.Count(4)
 	if r.err != nil {
-		return nil
-	}
-	if uint64(n)*4 > uint64(r.Remaining()) {
-		r.err = ErrShortBuffer
 		return nil
 	}
 	vs := make([]uint32, n)
@@ -217,12 +228,8 @@ func (r *Reader) U32Slice() []uint32 {
 
 // U64Slice reads a count-prefixed []uint64.
 func (r *Reader) U64Slice() []uint64 {
-	n := r.U32()
+	n := r.Count(8)
 	if r.err != nil {
-		return nil
-	}
-	if uint64(n)*8 > uint64(r.Remaining()) {
-		r.err = ErrShortBuffer
 		return nil
 	}
 	vs := make([]uint64, n)

@@ -188,11 +188,18 @@ stage "go test -race (fast-path packages)"
 
 body() {
     go test -race ./internal/svm/ ./internal/ckpt/ ./internal/rstore/ ./internal/proc/ ./internal/apps/ ./internal/daemon/ ./internal/cluster/
+    # A daemon's Close waits for every process it spawned; a process that
+    # outlives it writes into a removed store directory. Timing-dependent, so
+    # run the teardown tests 30 times.
+    go test -race -count 30 -run 'TestDeleteDropsCapturePipeline|TestCloseWaitsForProcesses' ./internal/daemon/
 }
 stage "go test -race (checkpoint-storage packages)"
 
 body() {
     go test -race ./internal/gcs/ ./internal/gossip/ ./internal/lwg/
+    # Stream formation races the creator's announce against the members'
+    # waits and join retries: run the router tests 10 times.
+    go test -race -count 10 -run 'TestRouter' ./internal/lwg/
 }
 stage "go test -race (control-plane packages)"
 
