@@ -18,7 +18,7 @@ import (
 // nothing is looked up by content:
 //
 //   - A record carries the blocks that changed since the slot before it
-//     (every block when there is none: ImageRecord, a rank's first epoch, the
+//     (every block when there is none: ImageRecordOf, a rank's first epoch, the
 //     first after a gap) and, for every block of the image, the slot whose
 //     record carries its current version: its carry list. It carries no
 //     unchanged bytes; the slots it names do.
@@ -91,23 +91,60 @@ func blockLen(rawLen int, i uint32) int { return min(DeltaBlockSize, rawLen-int(
 
 func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 
-// ImageRecord returns the record of slot n that carries every block of img —
-// what Backend.Put stores, and what Pipeline writes for a rank's first epoch.
-func ImageRecord(n uint64, img []byte) []byte {
-	nb := blocksOf(uint64(len(img)))
-	every := make([]uint32, nb)
-	for i := range every {
-		every[i] = uint32(i)
+// ImageRecordOf returns the record of slot n that carries every block of the
+// image parts concatenate to, without assembling the image first: it is the
+// record encodeRecord writes with every block listed — what Backend.Put
+// stores, what Pipeline writes for a rank's first epoch, and what capture
+// hands a store that takes no hints. The record is allocated
+// once, envelope plus image, and filled a block at a time: each block is
+// copied from the parts, then zero-tested and checksummed while it is in
+// cache. An all-zero block gets the sentinel, and the next block overwrites
+// its bytes.
+func ImageRecordOf(n uint64, parts ...[]byte) []byte {
+	rawLen := 0
+	for _, p := range parts {
+		rawLen += len(p)
 	}
-	rec, _ := encodeRecord(n, img, every, make([]uint64, nb))
-	return rec
+	nb := int(blocksOf(uint64(rawLen)))
+	env := headerLen + 16*nb
+	buf := make([]byte, env+rawLen)
+	buf[8] = RecFull
+	binary.BigEndian.PutUint64(buf[9:], n)
+	binary.BigEndian.PutUint64(buf[17:], uint64(rawLen))
+	binary.BigEndian.PutUint32(buf[25:], uint32(nb))
+	binary.BigEndian.PutUint32(buf[29:], uint32(nb))
+	list, carried, data := buf[headerLen:], buf[headerLen+8*nb:], buf[env:]
+	w, pi, po := 0, 0, 0 // bytes of data written; the next byte of the parts
+	for i := range nb {
+		b := data[w : w+blockLen(rawLen, uint32(i))]
+		for f := b; len(f) > 0; {
+			k := copy(f, parts[pi][po:])
+			if f, po = f[k:], po+k; po == len(parts[pi]) {
+				pi, po = pi+1, 0
+			}
+		}
+		idx, crc, slot := uint32(i), uint32(0), n
+		if isZero(b) {
+			idx, slot = idx|zeroBit, zeroSlot
+		} else {
+			crc, w = crc32.Checksum(b, castagnoli), w+len(b)
+		}
+		binary.BigEndian.PutUint32(list[8*i:], idx)
+		binary.BigEndian.PutUint32(list[8*i+4:], crc)
+		binary.BigEndian.PutUint64(carried[8*i:], slot)
+	}
+	if 2*w < rawLen {
+		// Mostly zeros: a backend keeps the record, so it keeps only what
+		// the record carries.
+		return sealEnvelope(slices.Clone(buf[:env+w]), env)
+	}
+	return sealEnvelope(buf[:env+w], env)
 }
 
-// encodeRecord writes the record of slot n of img: the blocks changed lists
-// (ascending) and the carry list, where patched with them. zero marks the
-// changed blocks that are all-zero.
-func encodeRecord(n uint64, img []byte, changed []uint32, where []uint64) (rec []byte, zero []bool) {
-	zero = make([]bool, len(changed))
+// encodeRecord writes the delta record of slot n of img: the blocks changed
+// lists (ascending) and the carry list, where patched with them.
+func encodeRecord(n uint64, img []byte, changed []uint32, where []uint64) []byte {
+	zero := make([]bool, len(changed))
 	dataLen := 0
 	for k, i := range changed {
 		lo := int(i) * DeltaBlockSize
@@ -146,7 +183,16 @@ func encodeRecord(n uint64, img []byte, changed []uint32, where []uint64) (rec [
 		}
 		h = binary.BigEndian.AppendUint64(h, s)
 	}
-	return sealEnvelope(buf, env), zero
+	return sealEnvelope(buf, env)
+}
+
+// carryList reads the carry list of rec, a RecFull record of a
+// len(where)-block image, into where.
+func carryList(rec []byte, where []uint64) {
+	c := rec[envelopeLen(rec)-8*uint64(len(where)):]
+	for i := range where {
+		where[i] = binary.BigEndian.Uint64(c[8*i:])
+	}
 }
 
 // sealEnvelope stamps the magic and the envelope's crc32c on a record whose

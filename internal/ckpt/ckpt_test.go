@@ -42,7 +42,7 @@ func TestNativeEncoderRoundTrip(t *testing.T) {
 func TestDecodeBorrows(t *testing.T) {
 	state := bytes.Repeat([]byte{0xA5}, 4096)
 	for _, e := range []Encoder{&NativeEncoder{RuntimeImageSize: 64}, &PortableEncoder{VMHeaderSize: 64}} {
-		img, window := e.NewImage(le32, len(state))
+		img, window := NewImage(e, le32, len(state))
 		copy(window, state)
 		got, err := e.Decode(img, le32)
 		if err != nil {
@@ -294,7 +294,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 						t.Fatalf("%s encoder, %s, segment %d, %d-byte state: image differs from the reference (err %v)",
 							c.enc.Kind(), arch, size, len(st), err)
 					}
-					img, window := c.enc.NewImage(arch, len(st))
+					img, window := NewImage(c.enc, arch, len(st))
 					if copy(window, st) != len(st) || !bytes.Equal(img, c.want) {
 						t.Fatalf("%s encoder: NewImage lays out a different image", c.enc.Kind())
 					}

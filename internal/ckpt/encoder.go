@@ -79,10 +79,12 @@ type Encoder interface {
 	Kind() Kind
 	// Encode wraps state into a checkpoint image taken on arch.
 	Encode(state []byte, arch svm.Arch) ([]byte, error)
-	// NewImage is Encode for a caller that assembles the state itself: it
-	// returns an exactly-sized image taken on arch with everything but the
-	// state written, and the stateLen-byte window of img the caller fills.
-	NewImage(arch svm.Arch, stateLen int) (img, state []byte)
+	// Prefix returns, in parts, what an image taken on arch has ahead of its
+	// stateLen-byte state: the one place an encoder lays out its image.
+	// NewImage writes it into an image; a caller that writes the image
+	// straight into a record hands it to ImageRecordOf. The parts are
+	// read-only: the runtime segment is shared by every image.
+	Prefix(arch svm.Arch, stateLen int) [][]byte
 	// Decode unwraps a checkpoint image for restoration on arch,
 	// returning the state bytes. Native images refuse foreign
 	// architectures; portable images convert. The state is a view into
@@ -125,17 +127,32 @@ func runtimeSegment(mult uint32, size int) []byte {
 	return seg.([]byte)
 }
 
-// newImage lays out a checkpoint image in one exactly-sized buffer — magic,
-// architecture tag, length-prefixed runtime segment, length-prefixed state —
-// and returns it with the window the state goes into.
-func newImage(magic uint32, runtime []byte, arch svm.Arch, stateLen int) (img, state []byte) {
-	img = make([]byte, 10+len(runtime)+4+stateLen)
-	binary.BigEndian.PutUint32(img, magic)
-	img[4], img[5] = uint8(arch.Order), uint8(arch.WordBits)
-	binary.BigEndian.PutUint32(img[6:], uint32(len(runtime)))
-	off := 10 + copy(img[10:], runtime)
-	binary.BigEndian.PutUint32(img[off:], uint32(stateLen))
-	return img, img[off+4:]
+// imagePrefix lays out what a checkpoint image has ahead of its state: magic,
+// architecture tag, length-prefixed runtime segment, the state's length.
+func imagePrefix(magic uint32, runtime []byte, arch svm.Arch, stateLen int) [][]byte {
+	head := make([]byte, 14)
+	binary.BigEndian.PutUint32(head, magic)
+	head[4], head[5] = uint8(arch.Order), uint8(arch.WordBits)
+	binary.BigEndian.PutUint32(head[6:], uint32(len(runtime)))
+	binary.BigEndian.PutUint32(head[10:], uint32(stateLen))
+	return [][]byte{head[:10], runtime, head[10:]}
+}
+
+// NewImage is Encode for a caller that assembles the state itself: it returns
+// an exactly-sized image e takes on arch with everything but the state written
+// (e's Prefix), and the stateLen-byte window of img the caller fills.
+func NewImage(e Encoder, arch svm.Arch, stateLen int) (img, state []byte) {
+	prefix := e.Prefix(arch, stateLen)
+	n := stateLen
+	for _, p := range prefix {
+		n += len(p)
+	}
+	img = make([]byte, n)
+	off := 0
+	for _, p := range prefix {
+		off += copy(img[off:], p)
+	}
+	return img, img[off:]
 }
 
 // NativeEncoder is the homogeneous, process-level encoder.
@@ -159,14 +176,14 @@ func (e *NativeEncoder) Overhead() int {
 // Encode implements Encoder. The image embeds the architecture tag, the
 // simulated runtime segments, and the raw state.
 func (e *NativeEncoder) Encode(state []byte, arch svm.Arch) ([]byte, error) {
-	img, dst := e.NewImage(arch, len(state))
+	img, dst := NewImage(e, arch, len(state))
 	copy(dst, state)
 	return img, nil
 }
 
-// NewImage implements Encoder.
-func (e *NativeEncoder) NewImage(arch svm.Arch, stateLen int) (img, state []byte) {
-	return newImage(imgMagicNative, runtimeSegment(2654435761, e.Overhead()), arch, stateLen)
+// Prefix implements Encoder.
+func (e *NativeEncoder) Prefix(arch svm.Arch, stateLen int) [][]byte {
+	return imagePrefix(imgMagicNative, runtimeSegment(2654435761, e.Overhead()), arch, stateLen)
 }
 
 // Decode implements Encoder.
@@ -214,14 +231,14 @@ func (e *PortableEncoder) Overhead() int {
 // already in the machine's native representation with its own tag, which
 // is what makes the portable path heterogeneous.
 func (e *PortableEncoder) Encode(state []byte, arch svm.Arch) ([]byte, error) {
-	img, dst := e.NewImage(arch, len(state))
+	img, dst := NewImage(e, arch, len(state))
 	copy(dst, state)
 	return img, nil
 }
 
-// NewImage implements Encoder.
-func (e *PortableEncoder) NewImage(arch svm.Arch, stateLen int) (img, state []byte) {
-	return newImage(imgMagicPortable, runtimeSegment(40503, e.Overhead()), arch, stateLen)
+// Prefix implements Encoder.
+func (e *PortableEncoder) Prefix(arch svm.Arch, stateLen int) [][]byte {
+	return imagePrefix(imgMagicPortable, runtimeSegment(40503, e.Overhead()), arch, stateLen)
 }
 
 // Decode implements Encoder. Any architecture may restore a portable image;

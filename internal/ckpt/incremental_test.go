@@ -83,10 +83,10 @@ func TestDeltaGrowAndShrink(t *testing.T) {
 func TestDeltaWrongBase(t *testing.T) {
 	be := newMemBackend()
 	base := bytes.Repeat([]byte{9}, 100)
-	if err := be.PutRecord(1, 0, 1, ImageRecord(1, base[:99]), nil); err != nil {
+	if err := be.PutRecord(1, 0, 1, ImageRecordOf(1, base[:99]), nil); err != nil {
 		t.Fatal(err)
 	}
-	next, _ := encodeRecord(2, base, nil, []uint64{1})
+	next := encodeRecord(2, base, nil, []uint64{1})
 	if err := be.PutRecord(1, 0, 2, next, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ const DefaultFullEvery = 8
 //     epoch: the writer compares the image with that epoch's (ComputeDelta's
 //     block rule, nothing hashed) — the caller's own buffer, borrowed, after
 //     PutHinted; a copy after Put. The first record of a rank, and the first
-//     after a gap in its indices, carries every block (ImageRecord's).
+//     after a gap in its indices, carries every block (ImageRecordOf's).
 //   - Every record's carry list names, for every block, the slot whose record
 //     carries its current version, so a checkpoint resolves from its own
 //     record and the slots that one names — no chain to replay.
@@ -139,21 +139,23 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	if dirty != nil && baseRaw != nil && hintBase == base {
 		hinted = spanBlocks(dirty, len(img))
 	}
-	changed := diffBlocks(baseRaw, img, hinted)
-	// The rank's carry list is patched in place once the record is stored;
-	// a resized image starts from a copy.
+	// The rank's carry list is the stored record's, copied in place once the
+	// record is stored; a resized image starts from a copy.
 	if nb := int(blocksOf(uint64(len(img)))); len(where) != nb {
 		where = append(make([]uint64, 0, nb), where[:min(len(where), nb)]...)[:nb]
 	}
-	rec, zero := encodeRecord(n, img, changed, where)
+	var changed []uint32
+	var rec []byte
+	if baseRaw == nil {
+		rec = ImageRecordOf(n, img)
+	} else {
+		changed = diffBlocks(baseRaw, img, hinted)
+		rec = encodeRecord(n, img, changed, where)
+	}
 	if err := p.Backend.PutRecord(app, rank, n, rec, meta); err != nil {
 		return nil, err
 	}
-	for k, i := range changed {
-		if where[i] = n; zero[k] {
-			where[i] = zeroSlot
-		}
-	}
+	carryList(rec, where)
 
 	raw, prev := img, last
 	if !borrow {
@@ -166,10 +168,11 @@ func (p *Pipeline) put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 		raw = raw[:len(img)]
 		if baseRaw == nil {
 			copy(raw, img)
-		}
-		for _, i := range changed {
-			lo := int(i) * DeltaBlockSize
-			copy(raw[lo:], img[lo:lo+blockLen(len(img), i)])
+		} else {
+			for _, i := range changed {
+				lo := int(i) * DeltaBlockSize
+				copy(raw[lo:], img[lo:lo+blockLen(len(img), i)])
+			}
 		}
 	}
 

@@ -363,6 +363,46 @@ func TestCrashNotifyRepartition(t *testing.T) {
 	}
 }
 
+// TestCrashNotifyBeforeJoin: under PolicyNotify, a rank whose host is lost
+// before its CmdJoin applied is accounted for like any lost rank — the
+// survivors start, see the departure upcall, and finish. The host, not the
+// stream's creator, is crashed before the submit, which places a rank on it
+// while the view still holds it; its join never comes.
+func TestCrashNotifyBeforeJoin(t *testing.T) {
+	c := newCluster(t, 3)
+	waitMainView(t, c, 3)
+	const lost = wire.NodeID(3)
+	app := wire.AppID(60)
+	for lwg.Creator(app, []wire.NodeID{1, 2, 3}) == lost {
+		app++
+	}
+	spec := proc.AppSpec{
+		ID: app, Name: apps.PartitionName, Args: apps.PartitionArgs(600, 3000),
+		Ranks: 3, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable,
+		Policy: proc.PolicyNotify,
+	}
+	if err := c.Crash(lost); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.WaitApp(app, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := false
+	for _, n := range info.Placement {
+		placed = placed || n == lost
+	}
+	if !placed {
+		t.Fatalf("placement %v has no rank on node %d: the submit applied after its removal", info.Placement, lost)
+	}
+	if info.Status != daemon.StatusDone {
+		t.Fatalf("status = %v, failure = %q", info.Status, info.Failure)
+	}
+}
+
 func TestMigrateToNewNode(t *testing.T) {
 	c := newCluster(t, 2)
 	waitMainView(t, c, 2)

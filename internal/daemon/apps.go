@@ -546,8 +546,9 @@ func (d *Daemon) applyJoin(c *Cmd) {
 	d.maybeStart(c.App)
 }
 
-// maybeStart issues CfgStart to local processes once every rank's data
-// address is known for the current generation.
+// maybeStart issues CfgStart to local processes once every rank of the
+// current generation is accounted for: its data address is known, or it was
+// lost (PolicyNotify) — a host lost before its join never sends one.
 func (d *Daemon) maybeStart(app wire.AppID) {
 	d.mu.Lock()
 	st := d.apps[app]
@@ -555,9 +556,11 @@ func (d *Daemon) maybeStart(app wire.AppID) {
 		d.mu.Unlock()
 		return
 	}
-	if len(st.addrs) < st.spec.Ranks {
-		d.mu.Unlock()
-		return // not all ranks announced yet
+	for r := range wire.Rank(st.spec.Ranks) {
+		if _, ok := st.addrs[r]; !ok && !st.lost[r] {
+			d.mu.Unlock()
+			return // not all ranks announced yet
+		}
 	}
 	st.started = true
 	addrs := st.addrs
@@ -737,8 +740,12 @@ func (d *Daemon) applyFailurePolicy(app wire.AppID, gone []wire.NodeID) {
 				Payload: info.Encode(),
 			})
 		}
-		// The lost ranks will never report; completion may already be
-		// satisfied by the survivors.
+		// A rank lost before its host's join applied no longer holds the
+		// start back; the upcall above waits in the processes' start
+		// buffer, so the survivors see it once started. The lost ranks
+		// will never report; completion may already be satisfied by the
+		// survivors.
+		d.maybeStart(app)
 		d.checkComplete(app)
 	case proc.PolicyRestart:
 		// The leader computes the recovery line and replicates the

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"starfish/internal/ckpt"
@@ -46,25 +47,45 @@ done:   halt
 // scripts/check.sh folds it into BENCH_checkpoint.json beside the root
 // package's mode=full and mode=delta, which stop at the pipeline, and gates
 // it against the opaque full-image epoch.
+//
+// BenchmarkCheckpoint/mode=image is the C/R module's whole-image epoch, as it
+// runs for an application that tracks no writes into a store that takes no
+// hints: Snapshot (an 8 MiB state the application keeps, not copied), the
+// record of the whole image written straight from the state, replication
+// into memory (k=2), the committed line's GC. check.sh gates its B/op.
 func BenchmarkCheckpoint(b *testing.B) {
 	const heapWords = 1 << 20
 	arch := svm.Machines[5]
+	b.Run("mode=image", func(b *testing.B) {
+		stores := benchStores(b)
+		app := &blobApp{state: make([]byte, 8<<20)}
+		rand.New(rand.NewSource(1)).Read(app.state)
+		spec := AppSpec{ID: 1, Ranks: 1, Encoder: ckpt.Portable}
+		p := &Process{spec: spec, arch: arch, store: stores[0], app: app, encoder: spec.NewEncoder()}
+		p.cr = newCRModule(p)
+		rep0 := stores[0].Stats().BytesReplicated
+		b.SetBytes(int64(len(app.state)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx := uint64(i + 1)
+			c := &cut{}
+			if err := p.cr.snapshotApp(idx, c); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.cr.capture(idx, "bench", c, nil, &ckpt.Meta{}); err != nil {
+				b.Fatal(err)
+			}
+			if err := stores[0].GC(1, 0, idx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rep := stores[0].Stats().BytesReplicated - rep0
+		b.ReportMetric(float64(rep)/float64(b.N), "replicated_B/op")
+	})
 	for _, pct := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("mode=epoch/mut=%d", pct), func(b *testing.B) {
-			fn := vni.NewFastnet(0)
-			addr := func(id wire.NodeID) string { return fmt.Sprintf("bench-epoch-n%d", id) }
-			var stores []*rstore.Store
-			for id := wire.NodeID(1); id <= 2; id++ {
-				s, err := rstore.New(rstore.Config{Node: id, Transport: fn, Addr: addr(id), PeerAddr: addr, Replicas: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { s.Close() })
-				stores = append(stores, s)
-			}
-			for _, s := range stores {
-				s.UpdateView([]wire.NodeID{1, 2})
-			}
+			stores := benchStores(b)
 			pipe := ckpt.NewPipeline(stores[0], 0)
 
 			chunks := heapWords / 512 * pct / 100
@@ -116,4 +137,24 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ReportMetric(float64(rep)/float64(b.N), "replicated_B/op")
 		})
 	}
+}
+
+// benchStores returns two replicated memory stores (k=2) on one fastnet, each
+// seeing both as members; the first is the writer's.
+func benchStores(b *testing.B) []*rstore.Store {
+	fn := vni.NewFastnet(0)
+	addr := func(id wire.NodeID) string { return fmt.Sprintf("bench-epoch-n%d", id) }
+	var stores []*rstore.Store
+	for id := wire.NodeID(1); id <= 2; id++ {
+		s, err := rstore.New(rstore.Config{Node: id, Transport: fn, Addr: addr(id), PeerAddr: addr, Replicas: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { s.Close() })
+		stores = append(stores, s)
+	}
+	for _, s := range stores {
+		s.UpdateView([]wire.NodeID{1, 2})
+	}
+	return stores
 }

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -235,47 +236,77 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 
 // capture writes checkpoint idx: the image — encoder header, application
 // state, the cut's pending messages and the channel state that followed it
-// (Chandy–Lamport, stop-and-sync) — in one exactly-sized buffer, stored with
-// the cut's dirty hint shifted to image offsets and with meta completed from
-// the cut, and the checkpoint record emitted under the given protocol name.
-// The buffer is the spare — only the lists are written — when the application
-// built its state there and the image kept its length, else a new one.
+// (Chandy–Lamport, stop-and-sync) — stored with meta completed from the cut,
+// and the checkpoint record emitted under the given protocol name.
 func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
 	p := cr.p
 	meta.Rank, meta.Index, meta.SentCounts, meta.RecvCounts = p.rank, idx, c.sent, c.recv
 	stateLen := ckptStateSize(c.state, c.pending, channel)
-	img := c.into.img
-	off := len(img) - stateLen + 4 // where an image of this size has the application state
-	if img == nil || off != c.into.off {
-		var window []byte
-		img, window = p.encoder.NewImage(p.arch, stateLen)
-		off = len(img) - stateLen + 4
-		wire.NewWriterOn(window).Bytes32(c.state)
+	var size int
+	var err error
+	if hs, ok := p.store.(hintedStore); ok {
+		size, err = cr.putImage(hs, idx, c, channel, stateLen, meta)
+	} else {
+		size, err = cr.putRecord(idx, c, channel, stateLen, meta)
 	}
-	// In place, the state is there and the rest depends only on lengths.
-	lists := img[off+len(c.state):]
-	w := wire.NewWriterOn(lists)
-	writeMsgList(w, c.pending)
-	writeMsgList(w, channel)
-	if w.Len() != len(lists) {
-		return fmt.Errorf("proc: checkpoint %d: message lists encode to %d bytes, sized %d", idx, w.Len(), len(lists))
-	}
-	if err := cr.store(idx, c, img, off, meta); err != nil {
+	if err != nil {
 		return fmt.Errorf("proc: store checkpoint %d: %w", idx, err)
 	}
 	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
 		evstore.F("index", idx), evstore.F("protocol", protocol),
-		evstore.F("bytes", len(img))))
+		evstore.F("bytes", size)))
 	return nil
 }
 
-// store puts the image, whose application state sits at off. A store that
-// takes hints keeps it and hands the previous one back: base and spare.
-func (cr *crModule) store(idx uint64, c *cut, img []byte, off int, meta *ckpt.Meta) error {
+// writeLists writes the cut's pending messages and channel state into lists,
+// sized for them by ckptStateSize.
+func writeLists(lists []byte, pending, channel []mpi.RecordedMsg) error {
+	w := wire.NewWriterOn(lists)
+	writeMsgList(w, pending)
+	writeMsgList(w, channel)
+	if w.Len() != len(lists) {
+		return fmt.Errorf("message lists encode to %d bytes, sized %d", w.Len(), len(lists))
+	}
+	return nil
+}
+
+// putRecord hands a store that takes no hints the record of the whole image,
+// written from the encoder's prefix, the application state and the lists: the
+// state is copied once, into the record, which PutRecord takes over. It
+// returns the image's length.
+func (cr *crModule) putRecord(idx uint64, c *cut, channel []mpi.RecordedMsg, stateLen int, meta *ckpt.Meta) (int, error) {
 	p := cr.p
-	hs, ok := p.store.(hintedStore)
-	if !ok {
-		return p.store.Put(p.spec.ID, p.rank, idx, img, meta)
+	frame := make([]byte, stateLen-len(c.state)) // the state's length, then the lists
+	binary.BigEndian.PutUint32(frame, uint32(len(c.state)))
+	if err := writeLists(frame[4:], c.pending, channel); err != nil {
+		return 0, err
+	}
+	parts := append(p.encoder.Prefix(p.arch, stateLen), frame[:4], c.state, frame[4:])
+	size := 0
+	for _, part := range parts {
+		size += len(part)
+	}
+	return size, p.store.PutRecord(p.spec.ID, p.rank, idx, ckpt.ImageRecordOf(idx, parts...), meta)
+}
+
+// putImage assembles the image in one exactly-sized buffer and puts it with
+// the cut's dirty hint shifted to image offsets. The buffer is the spare —
+// only the lists are written — when the application built its state there and
+// the image kept its length, else a new one. The store keeps the image and
+// hands the previous one back: base and spare. It returns the image's length.
+func (cr *crModule) putImage(hs hintedStore, idx uint64, c *cut, channel []mpi.RecordedMsg, stateLen int, meta *ckpt.Meta) (int, error) {
+	p := cr.p
+	img := c.into.img
+	off := len(img) - stateLen + 4 // where an image of this size has the application state
+	if img == nil || off != c.into.off {
+		var window []byte
+		img, window = ckpt.NewImage(p.encoder, p.arch, stateLen)
+		off = len(img) - stateLen + 4
+		wire.NewWriterOn(window).Bytes32(c.state)
+	}
+	// In place, the state is there and the rest depends only on lengths.
+	if err := writeLists(img[off+len(c.state):], c.pending, channel); err != nil {
+		return 0, err
 	}
 	var dirty []svm.Span
 	if c.dirty != nil {
@@ -301,7 +332,7 @@ func (cr *crModule) store(idx uint64, c *cut, img []byte, off int, meta *ckpt.Me
 			cr.spare = last
 		}
 	}
-	return err
+	return len(img), err
 }
 
 // ---- callbacks from the MPI matcher's intake ----

@@ -742,6 +742,61 @@ func TestAbortReportsError(t *testing.T) {
 	}
 }
 
+// drainAbortApp: rank 0 finishes at its first step, which opens a checkpoint
+// round (CkptEverySteps 1) that cannot commit, because rank 1 sits in a
+// receive nothing answers until its abort closes the communicator.
+type drainAbortApp struct{}
+
+// drainAbortStepped is signalled when rank 0 has taken its last step.
+var drainAbortStepped = make(chan struct{}, 1)
+
+func init() {
+	Register("test-drain-abort", func([]byte) (App, error) { return drainAbortApp{}, nil })
+}
+
+func (drainAbortApp) Init(*Ctx) error            { return nil }
+func (drainAbortApp) Restore(*Ctx, []byte) error { return nil }
+func (drainAbortApp) Snapshot() ([]byte, error)  { return nil, nil }
+func (drainAbortApp) Step(ctx *Ctx) (bool, error) {
+	if ctx.Rank == 0 {
+		drainAbortStepped <- struct{}{}
+		return true, nil
+	}
+	_, _, err := ctx.Comm.Recv(0, 99)
+	return true, err
+}
+
+// TestAbortWhileDrainingRoundExits: a coordinator that finished while its
+// round is outstanding waits for the round in drainRounds; an abort that
+// arrives there ends the process, rather than sending it on to serve protocol
+// traffic until the 60 s teardown backstop.
+func TestAbortWhileDrainingRoundExits(t *testing.T) {
+	spec := AppSpec{
+		ID: 46, Name: "test-drain-abort", Ranks: 2, Protocol: ckpt.StopAndSync,
+		Encoder: ckpt.Portable, Policy: PolicyRestart, CkptEverySteps: 1,
+	}
+	h := newHarness(t, spec)
+	h.launch(nil)
+	select {
+	case <-drainAbortStepped:
+	case <-time.After(20 * time.Second):
+		t.Fatal("rank 0 never stepped")
+	}
+	h.mu.Lock()
+	procs := h.procs
+	h.mu.Unlock()
+	for i := range procs {
+		h.sendTo(wire.Rank(i), wire.Msg{Type: wire.TConfiguration, Kind: CfgAbort})
+	}
+	for _, p := range procs {
+		select {
+		case <-p.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rank %d still running 5 s after its abort", p.Rank())
+		}
+	}
+}
+
 func TestCoordinationMessages(t *testing.T) {
 	spec := AppSpec{
 		ID: 11, Name: "test-coord", Ranks: 2,

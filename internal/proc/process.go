@@ -312,8 +312,11 @@ func (p *Process) run() {
 			p.finish(nil)
 			// Keep serving protocol traffic (acks, markers, flushes,
 			// late round requests) until the daemon tears the process
-			// down — peers may still be running.
-			p.serveUntilTeardown()
+			// down — peers may still be running — unless the drain
+			// already saw the teardown.
+			if !p.aborted {
+				p.serveUntilTeardown()
+			}
 			return
 		}
 	}
@@ -364,10 +367,8 @@ func (p *Process) drainRounds() {
 		}
 		select {
 		case m, open := <-p.ctl:
-			if !open {
-				return
-			}
-			if m.Type == wire.TConfiguration && m.Kind == CfgAbort {
+			if !open || m.Type == wire.TConfiguration && m.Kind == CfgAbort {
+				p.aborted = true
 				return
 			}
 			if err := p.handleCtl(m); err != nil {

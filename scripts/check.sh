@@ -17,8 +17,9 @@
 #   epoch in wall time while allocating <=1.25x the image size, and the
 #   in-place epoch's bars: encode-dirty <=0.2x EncodeImage, a whole epoch
 #   <=0.5x the full-image epoch and <=0.25x the image allocated, delta
-#   replication <=0.105x the full-image path's bytes, and the SVM's decoded
-#   interpreter >=1.8x the per-instruction reference on a 64-bit machine), and the
+#   replication <=0.105x the full-image path's bytes, the SVM's decoded
+#   interpreter >=1.8x the per-instruction reference on a 64-bit machine, and
+#   the whole-image epoch allocating one record and its replica), and the
 #   event-plane benchmarks (folded into
 #   BENCH_events.json, which enforces >=100k records/s ingest, >=2x
 #   indexed-query-vs-scan, and <=2% emitter overhead on the 64 KiB
@@ -192,6 +193,10 @@ body() {
     # outlives it writes into a removed store directory. Timing-dependent, so
     # run the teardown tests 30 times.
     go test -race -count 30 -run 'TestDeleteDropsCapturePipeline|TestCloseWaitsForProcesses' ./internal/daemon/
+    # The whole-image writer and the capture that hands its record over, and a
+    # host lost before its join under the notify policy: run them 10 times.
+    go test -race -count 10 -run 'TestImageRecordOfMatchesEncodeRecord|TestWholeImageEpochIsOneRecord' ./internal/ckpt/ ./internal/proc/
+    go test -race -count 10 -run 'TestCrashNotifyBeforeJoin' ./internal/cluster/
 }
 stage "go test -race (checkpoint-storage packages)"
 
@@ -370,7 +375,7 @@ body() {
     # -count=3 with min folding, as for the event plane: the wall-time gate
     # below compares two benchmarks run minutes apart on a shared host.
     # The root package has the pipeline and encoder benchmarks; internal/proc has
-    # BenchmarkCheckpoint/mode=epoch, which drives the C/R module itself;
+    # BenchmarkCheckpoint/mode=epoch and mode=image, which drive the C/R module itself;
     # internal/svm has BenchmarkRunSteps, the interpreter a VM rank steps.
     go test -run XXX -bench 'BenchmarkCheckpoint/|BenchmarkEncodeImage/|BenchmarkEncodeDirty/|BenchmarkRunSteps/' -benchmem -benchtime 1s -count=3 . ./internal/proc/ ./internal/svm/ | tee "$KBENCH_OUT"
 }
@@ -394,7 +399,12 @@ body() {
     # re-sends unchanged blocks on its full epochs fails here. And the SVM's
     # decoded interpreter must run the vmheap program >=1.8x as many
     # instructions per second as the per-instruction reference interpreter on a
-    # 64-bit machine, both measured in this run.
+    # 64-bit machine, both measured in this run. And the C/R module's
+    # whole-image epoch (mode=image: an 8 MiB state into replicated memory, no
+    # pipeline) must allocate no more than the record and the replica's copy of
+    # it, as measured when capture began writing the record directly
+    # (17424306 B/op), plus 0.1x the image: an epoch that assembles the image
+    # before writing its record allocates one image more.
     python3 - "$KBENCH_OUT" <<'EOF'
 import sys
 from benchfold import fold
@@ -472,7 +482,11 @@ for arch in ("le64", "le32"):
     if arch == "le64":
         interp_ok = fast >= 1.8 * ref
         print(f"decoded interpreter vs reference on le64: {'ok' if interp_ok else 'FAIL: need >=1.8x'}")
-if not (red_ok and resend_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok and interp_ok):
+whole = need("BenchmarkCheckpoint/mode=image")
+walloc_ok = whole["B_per_op"] <= 17424306 + 0.1 * image
+print(f"whole-image epoch: {whole['ns_per_op'] / 1e6:.2f} ms, allocates {whole['B_per_op'] / 1e6:.2f} MB/op "
+      f"({'ok' if walloc_ok else 'FAIL: need <=' + format((17424306 + 0.1 * image) / 1e6, '.2f') + ' MB/op'})")
+if not (red_ok and resend_ok and restore_ok and time_ok and alloc_ok and dirty_ok and etime_ok and ealloc_ok and interp_ok and walloc_ok):
     sys.exit(1)
 EOF
 }
