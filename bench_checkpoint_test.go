@@ -59,17 +59,44 @@ func mutateImage(img []byte, pct int, epoch uint64, rng *rand.Rand) []svm.Span {
 	return dirty
 }
 
+// rankWriter writes one rank's epochs into be as its C/R module does for an
+// application that tracks its writes: each a record of the blocks that
+// changed since the image it stored last (ckpt.RecordOf, hinted), handed to
+// PutRecord. The image stored becomes the next epoch's base, and the base
+// before it comes back as the buffer to write the next image in: two buffers
+// alternate, the one that comes back an epoch behind.
+type rankWriter struct {
+	be    ckpt.Backend
+	base  []byte
+	where []uint64
+	n     uint64 // the next epoch's slot
+}
+
+// put stores img as the next epoch, dirty its writes since the last (nil:
+// unknown), and returns the previous base (nil for the first epoch) and the
+// record's length.
+func (w *rankWriter) put(img []byte, dirty []svm.Span) (spare []byte, stored int, err error) {
+	rec := ckpt.RecordOf(w.n, w.base, w.where, dirty, img)
+	if err := w.be.PutRecord(1, 0, w.n, rec, nil); err != nil {
+		return nil, 0, err
+	}
+	spare, w.base, w.where = w.base, img, ckpt.CarryList(rec, w.where)
+	w.n++
+	return spare, len(rec), nil
+}
+
 // BenchmarkCheckpoint measures one rank's per-epoch checkpoint cost into
 // replicated memory (k=2, so every epoch crosses the wire to one peer):
 //
 //   - mode=full: the whole-image path — rstore.Put of the whole 8 MiB
 //     image every epoch, whatever changed.
-//   - mode=delta: the incremental pipeline — every epoch a record carrying
-//     only the blocks that changed and a carry list naming the slots that
-//     carry the rest, collected every 8th epoch. Each epoch hands PutHinted
-//     one of two alternating buffers with the dirty spans of its writes, as
-//     the C/R module does for a VM application, so an epoch compares only
-//     hinted blocks and copies no image.
+//   - mode=delta: the epochs of a rank whose application tracks its writes —
+//     every epoch a record carrying only the blocks that changed and a carry
+//     list naming the slots that carry the rest, collected every 8th epoch.
+//     Each epoch is written as the C/R module writes it for a VM application
+//     (rankWriter): one of two alternating buffers, diffed against the other
+//     with the dirty spans of its writes, so an epoch compares only hinted
+//     blocks and copies no image.
 //   - restore=chain: a surviving replica restores the newest of eight
 //     epochs written through the pipeline (the materialized cache: the
 //     replica applies each record as it arrives, so the restore is a
@@ -116,47 +143,41 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for _, pct := range []int{1, 5, 10, 20} {
 		b.Run(fmt.Sprintf("mode=delta/mut=%d", pct), func(b *testing.B) {
 			writer, _ := newRstorePair(b)
-			p := ckpt.NewPipeline(writer, 0)
+			w := &rankWriter{be: writer}
 			rng := rand.New(rand.NewSource(1))
-			// PutHinted keeps the image it is handed as the diff base and
-			// hands the previous base back, so the epochs alternate between
-			// two buffers exactly as the C/R module's do: the one that comes
-			// back is an epoch behind, catches up on what the last epoch
-			// wrote, and takes this epoch's writes.
 			base := newEpochImage(rng)
-			if _, err := p.PutHinted(1, 0, 0, base, nil, 0, nil); err != nil {
+			img, _, err := w.put(base, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-			img := append([]byte(nil), base...)
+			img = append(img, base...)
 			var stale []svm.Span
 			rep0 := writer.Stats().BytesReplicated
-			stored0 := p.Stats().StoredBytes
+			stored := 0
 			b.SetBytes(ckptImageSize)
 			b.ResetTimer()
-			n := uint64(1)
 			for i := 0; i < b.N; i++ {
+				n := w.n
 				for _, sp := range stale {
 					copy(img[sp.Off:sp.Off+sp.Len], base[sp.Off:])
 				}
 				dirty := mutateImage(img, pct, n, rng)
-				prev, err := p.PutHinted(1, 0, n, img, nil, n-1, dirty)
+				prev, size, err := w.put(img, dirty)
 				if err != nil {
 					b.Fatal(err)
 				}
-				base, img, stale = img, prev, dirty
+				base, img, stale, stored = img, prev, dirty, stored+size
 				// GC every 8th epoch collects, on both nodes, every older
 				// record but the ones the newest names, as the C/R module
 				// does on a committed line.
 				if n%8 == 0 {
-					if err := p.GC(1, 0, n); err != nil {
+					if err := writer.GC(1, 0, n); err != nil {
 						b.Fatal(err)
 					}
 				}
-				n++
 			}
 			b.StopTimer()
 			rep := writer.Stats().BytesReplicated - rep0
-			stored := p.Stats().StoredBytes - stored0
 			b.ReportMetric(float64(rep)/float64(b.N), "replicated_B/op")
 			b.ReportMetric(float64(stored)/float64(b.N), "stored_B/op")
 		})

@@ -22,16 +22,16 @@ import (
 // What a backend stores is a slot per (app, rank, n), holding one record
 // (chunk.go): an envelope and the blocks the slot carries, naming the slots
 // that carry the rest. Put stores the record that carries a whole image
-// (ImageRecordOf); PutRecord stores one its writer built: the C/R module's
-// whole-image record, or one Pipeline wrote, carrying the blocks that changed
-// since the previous slot. All three backends answer every method the
-// same way; Pipeline is a Backend too, adding the capture policy in front of
+// (RecordOf with no base); PutRecord stores one its writer built: a rank's
+// epoch, or one Pipeline wrote, carrying the blocks that changed since the
+// previous slot. All three backends answer every method the same way;
+// Pipeline is a Backend too, adding a diff against the last Put in front of
 // one.
 //
 // Implementations must be safe for concurrent use: every local application
 // process of every application shares one backend instance per node.
 type Backend interface {
-	// Put stores ImageRecordOf(n, img) in slot n of (app, rank), with its
+	// Put stores RecordOf(n, nil, nil, nil, img) in slot n of (app, rank), with its
 	// interval metadata (nil meta stores an empty Meta{Rank, Index}). img
 	// stays the caller's: the record is a copy of it.
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error

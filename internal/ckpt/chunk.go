@@ -9,6 +9,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"starfish/internal/svm"
 )
 
 // Position-addressed checkpoint records. Every slot of every Backend — one
@@ -18,10 +20,11 @@ import (
 // nothing is looked up by content:
 //
 //   - A record carries the blocks that changed since the slot before it
-//     (every block when there is none: ImageRecordOf, a rank's first epoch, the
-//     first after a gap) and, for every block of the image, the slot whose
-//     record carries its current version: its carry list. It carries no
-//     unchanged bytes; the slots it names do.
+//     (every block when there is none: Backend.Put, an application that
+//     tracks no writes, a rank's first epoch, the first after a gap) and,
+//     for every block of the image, the slot whose record carries its
+//     current version: its carry list. It carries no unchanged bytes; the
+//     slots it names do. RecordOf writes both.
 //   - An all-zero block is a sentinel in the envelope, never bytes.
 //   - Every carried block has its crc32c (Castagnoli) in the envelope, checked
 //     whenever the block is read back from a peer or from disk, and the
@@ -91,38 +94,75 @@ func blockLen(rawLen int, i uint32) int { return min(DeltaBlockSize, rawLen-int(
 
 func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 
-// ImageRecordOf returns the record of slot n that carries every block of the
-// image parts concatenate to, without assembling the image first: it is the
-// record encodeRecord writes with every block listed — what Backend.Put
-// stores, what Pipeline writes for a rank's first epoch, and what capture
-// hands a store that takes no hints. The record is allocated
-// once, envelope plus image, and filled a block at a time: each block is
-// copied from the parts, then zero-tested and checksummed while it is in
-// cache. An all-zero block gets the sentinel, and the next block overwrites
-// its bytes.
-func ImageRecordOf(n uint64, parts ...[]byte) []byte {
+// RecordOf returns the record of slot n of the image parts concatenate to.
+// It is the one writer of records: what Backend.Put stores, what a rank
+// writes each epoch, what Pipeline writes.
+//
+// With no base the record carries every block. It is allocated once, envelope
+// plus image, and filled a block at a time: each block is copied from the
+// parts, then zero-tested and checksummed while it is in cache. An all-zero
+// block gets the sentinel, and the next block overwrites its bytes.
+//
+// With a base — the image of the slot before n — and where, its carry list,
+// the record carries only the blocks that differ from base and names where's
+// slot for every other block. It diffs first and then allocates exactly, and
+// copies and checksums only the changed blocks. dirty, when non-nil, is a
+// hint: every byte of the image outside its spans equals base's byte at the
+// same offset, so a block no span touches is carried without looking when
+// base has a block of the same length there. A sound hint changes nothing in
+// the record, only the work.
+//
+//starfish:deterministic
+func RecordOf(n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...[]byte) []byte {
 	rawLen := 0
 	for _, p := range parts {
 		rawLen += len(p)
 	}
 	nb := int(blocksOf(uint64(rawLen)))
-	env := headerLen + 16*nb
-	buf := make([]byte, env+rawLen)
+	listed, dataLen := nb, rawLen
+	var changed []uint32
+	if base != nil {
+		changed, dataLen = changedBlocks(base, dirty, rawLen, parts)
+		listed = len(changed)
+	}
+	env := headerLen + 8*listed + 8*nb
+	buf := make([]byte, env+dataLen)
 	buf[8] = RecFull
 	binary.BigEndian.PutUint64(buf[9:], n)
 	binary.BigEndian.PutUint64(buf[17:], uint64(rawLen))
-	binary.BigEndian.PutUint32(buf[25:], uint32(nb))
+	binary.BigEndian.PutUint32(buf[25:], uint32(listed))
 	binary.BigEndian.PutUint32(buf[29:], uint32(nb))
-	list, carried, data := buf[headerLen:], buf[headerLen+8*nb:], buf[env:]
-	w, pi, po := 0, 0, 0 // bytes of data written; the next byte of the parts
+	list, carried, data := buf[headerLen:], buf[headerLen+8*listed:], buf[env:]
+	cur := cursor{parts: parts}
+	w := 0 // bytes of data written
+	if base != nil {
+		for i := range min(nb, len(where)) {
+			binary.BigEndian.PutUint64(carried[8*i:], where[i])
+		}
+		at := 0 // the block the cursor is at
+		for k, e := range changed {
+			i := e &^ zeroBit
+			cur.skip((int(i) - at) * DeltaBlockSize)
+			at = int(i) + 1
+			bl := blockLen(rawLen, i)
+			crc, slot := uint32(0), n
+			if e&zeroBit != 0 {
+				cur.skip(bl)
+				slot = zeroSlot
+			} else {
+				b := data[w : w+bl]
+				cur.read(b)
+				crc, w = crc32.Checksum(b, castagnoli), w+bl
+			}
+			binary.BigEndian.PutUint32(list[8*k:], e)
+			binary.BigEndian.PutUint32(list[8*k+4:], crc)
+			binary.BigEndian.PutUint64(carried[8*i:], slot)
+		}
+		return sealEnvelope(buf, env)
+	}
 	for i := range nb {
 		b := data[w : w+blockLen(rawLen, uint32(i))]
-		for f := b; len(f) > 0; {
-			k := copy(f, parts[pi][po:])
-			if f, po = f[k:], po+k; po == len(parts[pi]) {
-				pi, po = pi+1, 0
-			}
-		}
+		cur.read(b)
 		idx, crc, slot := uint32(i), uint32(0), n
 		if isZero(b) {
 			idx, slot = idx|zeroBit, zeroSlot
@@ -141,58 +181,114 @@ func ImageRecordOf(n uint64, parts ...[]byte) []byte {
 	return sealEnvelope(buf[:env+w], env)
 }
 
-// encodeRecord writes the delta record of slot n of img: the blocks changed
-// lists (ascending) and the carry list, where patched with them.
-func encodeRecord(n uint64, img []byte, changed []uint32, where []uint64) []byte {
-	zero := make([]bool, len(changed))
+// changedBlocks lists, ascending, the blocks of the rawLen-byte image parts
+// concatenate to that differ from base, zeroBit marking an all-zero one, and
+// returns the bytes the others hold. A block no dirty span touches is taken
+// as unchanged without looking, provided base has a block of the same length
+// there; growth past base and a resized tail block always differ.
+//
+//starfish:deterministic
+func changedBlocks(base []byte, dirty []svm.Span, rawLen int, parts [][]byte) ([]uint32, int) {
+	var hinted []bool
+	if dirty != nil {
+		hinted = spanBlocks(dirty, rawLen)
+	}
+	var changed []uint32
+	var scratch [DeltaBlockSize]byte
+	cur := cursor{parts: parts}
 	dataLen := 0
-	for k, i := range changed {
-		lo := int(i) * DeltaBlockSize
-		if zero[k] = isZero(img[lo : lo+blockLen(len(img), i)]); !zero[k] {
-			dataLen += blockLen(len(img), i)
+	for i, lo := 0, 0; lo < rawLen; i, lo = i+1, lo+DeltaBlockSize {
+		bl := min(DeltaBlockSize, rawLen-lo)
+		ob := base[min(lo, len(base)):min(lo+DeltaBlockSize, len(base))]
+		if len(ob) == bl && hinted != nil && !hinted[i] {
+			cur.skip(bl)
+			continue
 		}
-	}
-	env := headerLen + 8*len(changed) + 8*len(where)
-	buf := make([]byte, env+dataLen)
-	h := buf[:8] // magic and crc: sealEnvelope
-	h = append(h, RecFull)
-	h = binary.BigEndian.AppendUint64(h, n)
-	h = binary.BigEndian.AppendUint64(h, uint64(len(img)))
-	h = binary.BigEndian.AppendUint32(h, uint32(len(changed)))
-	h = binary.BigEndian.AppendUint32(h, uint32(len(where)))
-	data := buf[env:]
-	for k, i := range changed {
-		lo := int(i) * DeltaBlockSize
-		var crc uint32
-		if zero[k] {
-			i |= zeroBit
+		b := cur.take(bl, scratch[:])
+		if len(ob) == bl && bytes.Equal(ob, b) {
+			continue
+		}
+		e := uint32(i)
+		if isZero(b) {
+			e |= zeroBit
 		} else {
-			b := data[:copy(data, img[lo:lo+blockLen(len(img), i)])]
-			crc, data = crc32.Checksum(b, castagnoli), data[len(b):]
+			dataLen += bl
 		}
-		h = binary.BigEndian.AppendUint32(h, i)
-		h = binary.BigEndian.AppendUint32(h, crc)
+		changed = append(changed, e)
 	}
-	for i, k := 0, 0; i < len(where); i++ {
-		s := where[i]
-		if k < len(changed) && changed[k] == uint32(i) {
-			if s = n; zero[k] {
-				s = zeroSlot
-			}
-			k++
-		}
-		h = binary.BigEndian.AppendUint64(h, s)
-	}
-	return sealEnvelope(buf, env)
+	return changed, dataLen
 }
 
-// carryList reads the carry list of rec, a RecFull record of a
-// len(where)-block image, into where.
-func carryList(rec []byte, where []uint64) {
-	c := rec[envelopeLen(rec)-8*uint64(len(where)):]
+// spanBlocks marks the blocks of an n-byte image that overlap a dirty span.
+//
+//starfish:deterministic
+func spanBlocks(spans []svm.Span, n int) []bool {
+	dirty := make([]bool, blocksOf(uint64(n)))
+	for _, sp := range spans {
+		lo, hi := max(sp.Off, 0), min(sp.Off+sp.Len, n)
+		if lo >= hi {
+			continue
+		}
+		for b := lo / DeltaBlockSize; b <= (hi-1)/DeltaBlockSize; b++ {
+			dirty[b] = true
+		}
+	}
+	return dirty
+}
+
+// cursor reads the image parts concatenate to, front to back.
+type cursor struct {
+	parts  [][]byte
+	pi, po int // the next byte is parts[pi][po]
+}
+
+// read copies the next len(dst) bytes into dst.
+func (c *cursor) read(dst []byte) {
+	for len(dst) > 0 {
+		k := copy(dst, c.parts[c.pi][c.po:])
+		dst = dst[k:]
+		if c.po += k; c.po == len(c.parts[c.pi]) {
+			c.pi, c.po = c.pi+1, 0
+		}
+	}
+}
+
+// skip passes over the next n bytes.
+func (c *cursor) skip(n int) {
+	for n > 0 {
+		k := min(n, len(c.parts[c.pi])-c.po)
+		n -= k
+		if c.po += k; c.po == len(c.parts[c.pi]) {
+			c.pi, c.po = c.pi+1, 0
+		}
+	}
+}
+
+// take returns the next n bytes: a view of the part that holds them, or a
+// copy in scratch when they straddle parts.
+func (c *cursor) take(n int, scratch []byte) []byte {
+	for c.pi < len(c.parts) && c.po == len(c.parts[c.pi]) {
+		c.pi, c.po = c.pi+1, 0
+	}
+	if p := c.parts[c.pi]; len(p)-c.po >= n {
+		c.po += n
+		return p[c.po-n : c.po]
+	}
+	b := scratch[:n]
+	c.read(b)
+	return b
+}
+
+// CarryList returns the carry list of rec, a RecFull record, in where's
+// memory when it has room: the where of the record that follows it.
+func CarryList(rec []byte, where []uint64) []uint64 {
+	nb := int(binary.BigEndian.Uint32(rec[29:]))
+	where = slices.Grow(where[:0], nb)[:nb]
+	c := rec[envelopeLen(rec)-8*uint64(nb):]
 	for i := range where {
 		where[i] = binary.BigEndian.Uint64(c[8*i:])
 	}
+	return where
 }
 
 // sealEnvelope stamps the magic and the envelope's crc32c on a record whose

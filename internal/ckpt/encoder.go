@@ -82,7 +82,7 @@ type Encoder interface {
 	// Prefix returns, in parts, what an image taken on arch has ahead of its
 	// stateLen-byte state: the one place an encoder lays out its image.
 	// NewImage writes it into an image; a caller that writes the image
-	// straight into a record hands it to ImageRecordOf. The parts are
+	// straight into a record hands it to RecordOf. The parts are
 	// read-only: the runtime segment is shared by every image.
 	Prefix(arch svm.Arch, stateLen int) [][]byte
 	// Decode unwraps a checkpoint image for restoration on arch,

@@ -150,7 +150,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	whole := ImageRecordOf(1, img)
+	whole := RecordOf(1, nil, nil, nil, img)
 	if !bytes.Equal(whole, rec.slots[1]) {
 		f.Fatal("a rank's first record is not the image's record")
 	}

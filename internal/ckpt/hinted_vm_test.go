@@ -12,8 +12,8 @@ import (
 )
 
 // recorder is an in-memory Backend of one (app, rank) that keeps every
-// record a PutRecord was handed. It has the methods a Pipeline's Put and Get
-// use and no others.
+// record a PutRecord was handed. It has the methods a writer's PutRecord and
+// Get use and no others.
 type recorder struct {
 	Backend
 	recs  [][]byte
@@ -49,7 +49,7 @@ func sameLastRecord(t *testing.T, epoch int, a, b *recorder) {
 		t.Fatalf("epoch %d: %d vs %d records", epoch, len(a.recs), len(b.recs))
 	}
 	if !bytes.Equal(a.recs[i], b.recs[i]) {
-		t.Fatalf("epoch %d: hinted record differs from the unhinted one", epoch)
+		t.Fatalf("epoch %d: the records differ", epoch)
 	}
 }
 
@@ -92,11 +92,32 @@ func randomWriter(r *rand.Rand, heap, globals int) string {
 	return b.String()
 }
 
-// FuzzHintedPipeline: over random VM programs on every machine, a Put that
-// carries the VM's dirty spans emits byte-for-byte the records an unhinted
-// Put emits — across epochs that grow and shrink the image —
-// while comparing only hinted blocks; a hint tagged with any other base than
-// the previous epoch is ignored, however wrong its spans.
+// hintedRank writes a rank's epochs as its C/R module does for an
+// application that tracks its writes: each on top of the image it stored
+// last, with the spans written since as the hint. The images are the
+// caller's and are not written again.
+type hintedRank struct {
+	be    Backend
+	base  []byte
+	where []uint64
+}
+
+func (h *hintedRank) put(t *testing.T, n uint64, img []byte, dirty []svm.Span) []byte {
+	t.Helper()
+	rec := RecordOf(n, h.base, h.where, dirty, img)
+	if err := h.be.PutRecord(1, 0, n, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	h.base, h.where = img, CarryList(rec, h.where)
+	return rec
+}
+
+// FuzzHintedPipeline: over random VM programs on every machine, a rank's
+// epochs written with the VM's dirty spans as the hint are byte-for-byte the
+// records written without one and the records Pipeline.Put writes — across
+// epochs that grow and shrink the image — while comparing only hinted
+// blocks. Every block a record does not carry is carried, as it is now, by
+// the slot the record names.
 func FuzzHintedPipeline(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed)
@@ -109,8 +130,8 @@ func FuzzHintedPipeline(f *testing.F) {
 		m.Grow(heap)
 		m.TrackDirty()
 
-		hinted, plain, stale := newRecorder(), newRecorder(), newRecorder()
-		ph, pp, ps := NewPipeline(hinted, 0), NewPipeline(plain, 0), NewPipeline(stale, 0)
+		hinted, unhinted, plain := newRecorder(), newRecorder(), newRecorder()
+		h, u, pp := &hintedRank{be: hinted}, &hintedRank{be: unhinted}, NewPipeline(plain, 0)
 		// The VM image sits at an odd offset inside the stored image, as the
 		// application state does behind a checkpoint header.
 		prefix := make([]byte, 1+r.Intn(2*DeltaBlockSize))
@@ -124,28 +145,16 @@ func FuzzHintedPipeline(f *testing.F) {
 			for i := range spans {
 				spans[i].Off += len(prefix)
 			}
-			var noSpans []svm.Span
-			if n == 1 {
-				spans = nil // nothing to be relative to
-			} else {
-				noSpans = []svm.Span{}
-			}
-			if _, err := ph.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
-				t.Fatal(err)
-			}
+			rec := h.put(t, n, img, spans)
+			u.put(t, n, img, nil)
 			if err := pp.Put(1, 0, n, img, nil); err != nil {
 				t.Fatal(err)
 			}
-			// "Nothing changed" is as wrong as a hint gets; under a base
-			// that is not the previous epoch it must not be believed.
-			if _, err := ps.PutHinted(1, 0, n, img, nil, n+uint64(r.Intn(3)), noSpans); err != nil {
-				t.Fatal(err)
-			}
+			sameLastRecord(t, int(n), hinted, unhinted)
 			sameLastRecord(t, int(n), hinted, plain)
-			sameLastRecord(t, int(n), stale, plain)
 			// A record carries only what changed; every other block it
 			// names must be carried, as it is now, by the slot named.
-			if rec, err := DecodeRecord(hinted.recs[len(hinted.recs)-1]); err != nil {
+			if rec, err := DecodeRecord(rec); err != nil {
 				t.Fatal(err)
 			} else {
 				for i, b := range SplitBlocks(img) {
@@ -165,7 +174,7 @@ func FuzzHintedPipeline(f *testing.F) {
 					}
 				}
 			}
-			got, _, err := ph.Get(1, 0, n)
+			got, _, err := hinted.Get(1, 0, n)
 			if err != nil || !bytes.Equal(got, img) {
 				t.Fatalf("epoch %d: hinted records do not reconstruct the image (err %v)", n, err)
 			}
@@ -181,21 +190,14 @@ func FuzzHintedPipeline(f *testing.F) {
 	})
 }
 
-// TestHintIsUsed: with the right base the pipeline does take the hint's word
-// for it — an (unsound) empty hint yields an empty delta — so the equalities
+// TestHintIsUsed: the writer does take the hint's word for it — an (unsound)
+// empty hint yields a record that carries nothing — so the equalities
 // FuzzHintedPipeline checks are properties of sound hints, not of a hint path
 // that is never taken.
 func TestHintIsUsed(t *testing.T) {
-	rec := newRecorder()
-	p := NewPipeline(rec, 0)
 	imgs := epochImages(t, 2, 16)
-	if err := p.Put(1, 0, 1, imgs[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, []svm.Span{}); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := DecodeRecord(rec.recs[1]); err != nil {
+	where := CarryList(RecordOf(1, nil, nil, nil, imgs[0]), nil)
+	if r, err := DecodeRecord(RecordOf(2, imgs[0], where, []svm.Span{}, imgs[1])); err != nil {
 		t.Fatal(err)
 	} else if len(r.list) != 0 {
 		t.Fatalf("a record under an empty hint lists %d blocks, want 0", len(r.list)/8)
@@ -223,14 +225,15 @@ done:   halt
 `
 
 // TestHintedEpochsStayIncremental runs a VM across several checkpoint epochs
-// through the hinted pipeline path: every epoch restores exactly, and each
-// record is a sliver of the image.
+// written with its dirty hints into a disk store: every epoch restores
+// exactly, and each record after the first is a sliver of the image.
 func TestHintedEpochsStayIncremental(t *testing.T) {
 	m := svm.New(svm.Machines[0], svm.MustAssemble(memWriter), 2)
 	m.Globals[1] = 2000 // iterations
 	m.Grow(64 * 1024)   // 64K-word heap, mostly untouched
 	m.TrackDirty()
-	p, _ := pipeStore(t)
+	_, st := pipeStore(t)
+	h := &hintedRank{be: st}
 	for n := uint64(1); n <= 6; n++ {
 		spans := m.DirtyByteSpans()
 		if n == 1 {
@@ -238,16 +241,13 @@ func TestHintedEpochsStayIncremental(t *testing.T) {
 		}
 		img := m.EncodeImage()
 		m.ResetDirty()
-		before := p.Stats().StoredBytes
-		if _, err := p.PutHinted(1, 0, n, img, nil, n-1, spans); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := p.Get(1, 0, n)
+		rec := h.put(t, n, img, spans)
+		got, _, err := st.Get(1, 0, n)
 		if err != nil || !bytes.Equal(got, img) {
 			t.Fatalf("epoch %d does not reconstruct (err %v)", n, err)
 		}
-		if stored := int(p.Stats().StoredBytes - before); n > 1 && stored >= len(img)/4 {
-			t.Errorf("epoch %d: stored %d bytes for a %d-byte image", n, stored, len(img))
+		if n > 1 && len(rec) >= len(img)/4 {
+			t.Errorf("epoch %d: stored %d bytes for a %d-byte image", n, len(rec), len(img))
 		}
 		halted, err := m.RunSteps(1500)
 		if err != nil {
@@ -255,63 +255,6 @@ func TestHintedEpochsStayIncremental(t *testing.T) {
 		}
 		if halted {
 			break
-		}
-	}
-}
-
-// failOnce is a recorder whose next PutRecord fails.
-type failOnce struct {
-	*recorder
-	fail bool
-}
-
-func (f *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
-	if f.fail {
-		f.fail = false
-		return ErrNoCheckpoint
-	}
-	return f.recorder.PutRecord(app, rank, n, rec, meta)
-}
-
-// TestPutHintedBorrows pins the ownership contract: PutHinted keeps the image
-// it is handed by reference and hands back the one it held — the very memory,
-// not a copy — while Put copies in and never writes a borrowed base.
-func TestPutHintedBorrows(t *testing.T) {
-	be := &failOnce{recorder: newRecorder()}
-	p := NewPipeline(be, 0)
-	imgs := epochImages(t, 5, 16)
-	same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
-
-	if prev, err := p.PutHinted(1, 0, 1, imgs[0], nil, 0, nil); err != nil || prev != nil {
-		t.Fatalf("first put returned %d bytes, err %v; want nothing to hand back", len(prev), err)
-	}
-	if prev, err := p.PutHinted(1, 0, 2, imgs[1], nil, 1, nil); err != nil || !same(prev, imgs[0]) {
-		t.Fatalf("second put did not hand the first image back (err %v)", err)
-	}
-	// A put that fails keeps nothing and changes nothing.
-	be.fail = true
-	if prev, err := p.PutHinted(1, 0, 3, imgs[2], nil, 2, nil); err == nil || prev != nil {
-		t.Fatalf("failed put returned %d bytes, err %v; want nil and an error", len(prev), err)
-	}
-	if prev, err := p.PutHinted(1, 0, 3, imgs[2], nil, 2, nil); err != nil || !same(prev, imgs[1]) {
-		t.Fatalf("a failed put changed the base (err %v)", err)
-	}
-
-	// A plain Put on the rank copies in and leaves the borrowed base alone.
-	borrowed := append([]byte(nil), imgs[2]...)
-	if err := p.Put(1, 0, 4, imgs[3], nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(imgs[2], borrowed) {
-		t.Fatal("Put wrote into the borrowed base")
-	}
-	prev, err := p.PutHinted(1, 0, 5, imgs[4], nil, 4, nil)
-	if err != nil || same(prev, imgs[2]) || same(prev, imgs[3]) || !bytes.Equal(prev, imgs[3]) {
-		t.Fatalf("after a Put the base should be the pipeline's own copy of it (err %v)", err)
-	}
-	for n := uint64(1); n <= 5; n++ {
-		if got, _, err := p.Get(1, 0, n); err != nil || !bytes.Equal(got, imgs[n-1]) {
-			t.Fatalf("checkpoint %d does not reconstruct (err %v)", n, err)
 		}
 	}
 }

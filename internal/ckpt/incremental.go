@@ -15,8 +15,8 @@ const DeltaBlockSize = 4096
 // frozen end-to-end benchmark (bench/probes.go) times ComputeDelta as
 // ckpt.delta_diff_ms_p50 and HashBlock as part of ckpt.hash_seal_ms_p50, and a
 // change to this module may not edit bench/; they go when those probes do.
-// The shipping diff is Pipeline's diffBlocks, which applies the same block
-// rule without the per-block copies.
+// The shipping diff is RecordOf's, which applies the same block rule without
+// the per-block copies.
 
 // BlockID is a block's SHA-256 digest.
 type BlockID [32]byte

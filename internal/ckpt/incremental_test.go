@@ -9,22 +9,29 @@ import (
 )
 
 // checkDelta holds ComputeDelta to the shipping diff and the shipping format:
-// it names exactly the blocks diffBlocks does, with the same content, and next
-// written through a Pipeline on top of base resolves back to next.
+// it names exactly the blocks RecordOf carries on top of base (the reference
+// diff's), with the same content, and next written through a Pipeline on top
+// of base resolves back to next.
 func checkDelta(t testing.TB, base, next []byte) *Delta {
 	t.Helper()
 	d := ComputeDelta(base, next)
 	if d.BaseLen != len(base) || d.NewLen != len(next) {
 		t.Fatalf("delta lengths %d/%d, want %d/%d", d.BaseLen, d.NewLen, len(base), len(next))
 	}
-	changed := diffBlocks(base, next, nil)
+	changed := refDiffBlocks(base, next, nil)
 	if len(changed) != len(d.Blocks) {
-		t.Fatalf("ComputeDelta names %d blocks, diffBlocks %d", len(d.Blocks), len(changed))
+		t.Fatalf("ComputeDelta names %d blocks, the diff %d", len(d.Blocks), len(changed))
 	}
 	for _, i := range changed {
 		lo := int(i) * DeltaBlockSize
 		if b, ok := d.Blocks[int(i)]; !ok || !bytes.Equal(b, next[lo:lo+blockLen(len(next), i)]) {
-			t.Fatalf("block %d: ComputeDelta and diffBlocks disagree", i)
+			t.Fatalf("block %d: ComputeDelta and the diff disagree", i)
+		}
+	}
+	if base != nil {
+		where := CarryList(RecordOf(1, nil, nil, nil, base), nil)
+		if !bytes.Equal(RecordOf(2, base, where, nil, next), refRecord(2, base, where, nil, next)) {
+			t.Fatal("RecordOf carries other blocks than the diff names")
 		}
 	}
 	p := NewPipeline(newMemBackend(), 0)
@@ -83,10 +90,10 @@ func TestDeltaGrowAndShrink(t *testing.T) {
 func TestDeltaWrongBase(t *testing.T) {
 	be := newMemBackend()
 	base := bytes.Repeat([]byte{9}, 100)
-	if err := be.PutRecord(1, 0, 1, ImageRecordOf(1, base[:99]), nil); err != nil {
+	if err := be.PutRecord(1, 0, 1, RecordOf(1, nil, nil, nil, base[:99]), nil); err != nil {
 		t.Fatal(err)
 	}
-	next := encodeRecord(2, base, nil, []uint64{1})
+	next := RecordOf(2, base, []uint64{1}, nil, base)
 	if err := be.PutRecord(1, 0, 2, next, nil); err != nil {
 		t.Fatal(err)
 	}

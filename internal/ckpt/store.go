@@ -100,7 +100,7 @@ func atomicWrite(path string, data []byte) error {
 
 // Put stores img as the record that carries all of it.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return s.PutRecord(app, rank, n, ImageRecordOf(n, img), meta)
+	return s.PutRecord(app, rank, n, RecordOf(n, nil, nil, nil, img), meta)
 }
 
 // PutRecord writes slot n's record file, then its metadata. A GC collecting

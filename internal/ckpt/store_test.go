@@ -34,7 +34,7 @@ func put(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, n uint64) {
 // happened, the metadata rename did not.
 func orphanImage(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, n uint64) {
 	t.Helper()
-	writeRankFile(t, s, app, rank, fmt.Sprintf("ckpt-%d.rec", n), ImageRecordOf(n, []byte("partial")))
+	writeRankFile(t, s, app, rank, fmt.Sprintf("ckpt-%d.rec", n), RecordOf(n, nil, nil, nil, []byte("partial")))
 }
 
 func writeRankFile(t *testing.T, s *Store, app wire.AppID, rank wire.Rank, name string, data []byte) {

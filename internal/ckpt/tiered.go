@@ -119,7 +119,7 @@ func (t *Tiered) SpillErrors() int {
 
 // Put stores img as the record that carries all of it.
 func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error {
-	return t.PutRecord(app, rank, n, ImageRecordOf(n, img), meta)
+	return t.PutRecord(app, rank, n, RecordOf(n, nil, nil, nil, img), meta)
 }
 
 // PutRecord stores in the fast tier synchronously and spills to the slow

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"starfish/internal/ckpt"
 	"starfish/internal/daemon"
+	"starfish/internal/evstore"
 	"starfish/internal/proc"
 	"starfish/internal/svm"
 	"starfish/internal/wire"
@@ -118,39 +120,130 @@ func TestHeapCountVerifies(t *testing.T) {
 	}
 }
 
-// TestInPlaceEpochsRecover: a write-tracking VM job checkpoints deltas into
-// replicated memory, building every image from the third on in place in its
-// two alternating buffers. After enough epochs that the newest records and
-// the slots they name were written that way throughout, a node hosting a rank
-// is killed, and the restarted job must end with every rank's counter,
-// instruction count and heap exact. Once per protocol: stop-and-sync and
-// independent capture on the rank's main loop, Chandy–Lamport on the MPI
-// progress goroutine.
+// heapCountSpec is a job of heapCount ranks that runs until heapCountStop,
+// checkpointing every 20 steps of 500 iterations, one heap chunk each.
+func heapCountSpec(id wire.AppID, ranks int, protocol ckpt.Protocol, store ckpt.StoreKind) proc.AppSpec {
+	return proc.AppSpec{
+		ID: id, Name: heapCountName, Ranks: ranks,
+		Args: proc.EncodeVMApp(&proc.VMApp{
+			StepSlice: 500 * heapCountIter, Source: heapCount, NGlobals: 4,
+			Globals: []int64{0, 1 << 30, 0, heapCountWords}, HeapWords: heapCountWords,
+		}),
+		Protocol: protocol, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
+		Store: store, CkptEverySteps: 20,
+	}
+}
+
+// epochRecords returns the ckpt/epoch records every node holds for app.
+func epochRecords(t *testing.T, c *Cluster, app wire.AppID) []evstore.Record {
+	t.Helper()
+	q, err := evstore.ParseQuery(fmt.Sprintf("component=ckpt kind=epoch app=%d", app))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []evstore.Record
+	for _, id := range c.Nodes() {
+		ev, err := c.Events(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev.Query(q)...)
+	}
+	return out
+}
+
+// attr returns the numeric attribute k of an event record.
+func attr(t *testing.T, r *evstore.Record, k string) uint64 {
+	t.Helper()
+	v, _ := r.Get(k)
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		t.Fatalf("%s record: %s = %q", r.Kind, k, v)
+	}
+	return n
+}
+
+// killAndFinish crashes the node hosting the highest-placed rank of a running
+// heapCount job, waits for the job to restart, stops it and checks that it
+// ends done, restarted and off the crashed node. heapCountApp checks every
+// rank's counter, instruction count and heap when it halts.
+func killAndFinish(t *testing.T, c *Cluster, app wire.AppID) {
+	t.Helper()
+	info, ok := c.AnyDaemon().AppInfo(app)
+	if !ok {
+		t.Fatal("app vanished")
+	}
+	var victim wire.NodeID
+	for _, node := range info.Placement {
+		victim = max(victim, node)
+	}
+	if err := c.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	// The job ends only once it has restarted: a survivor that finished
+	// first would leave nothing to restore.
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if info, ok := c.AnyDaemon().AppInfo(app); ok && info.Gen >= 2 && info.Status == daemon.StatusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never restarted")
+		}
+	}
+	heapCountStop.Store(true)
+
+	final, err := c.WaitApp(app, 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != daemon.StatusDone {
+		t.Fatalf("status = %v, failure = %q", final.Status, final.Failure)
+	}
+	if final.Gen < 2 {
+		t.Errorf("gen = %d, want a restart", final.Gen)
+	}
+	for r, n := range final.Placement {
+		if n == victim {
+			t.Errorf("rank %d still on crashed node %d", r, n)
+		}
+	}
+}
+
+// TestInPlaceEpochsRecover: a write-tracking VM job checkpoints deltas — no
+// setting asks for them — building every image from the third on in place in
+// its two alternating buffers. After enough epochs that the newest records
+// and the slots they name were written that way throughout, a node hosting a
+// rank is killed, and the restarted job must end with every rank's counter,
+// instruction count and heap exact. Once per protocol into replicated
+// memory: stop-and-sync and independent capture on the rank's main loop,
+// Chandy–Lamport on the MPI progress goroutine; and stop-and-sync into the
+// disk store, whose every epoch after a rank's first must be a record smaller
+// than its image, so the restart resolves carry lists on disk.
 func TestInPlaceEpochsRecover(t *testing.T) {
 	// stored epochs before the kill: the first two images are built fresh.
 	const epochs = 6
-	for i, protocol := range []ckpt.Protocol{ckpt.StopAndSync, ckpt.ChandyLamport, ckpt.Independent} {
-		t.Run(protocol.String(), func(t *testing.T) {
+	for i, cs := range []struct {
+		name     string
+		protocol ckpt.Protocol
+		store    ckpt.StoreKind
+	}{
+		{"stop-and-sync", ckpt.StopAndSync, ckpt.StoreMemory},
+		{"chandy-lamport", ckpt.ChandyLamport, ckpt.StoreMemory},
+		{"independent", ckpt.Independent, ckpt.StoreMemory},
+		{"stop-and-sync-disk", ckpt.StopAndSync, ckpt.StoreDisk},
+	} {
+		t.Run(cs.name, func(t *testing.T) {
 			heapCountStop.Store(false)
 			c := newCluster(t, 3)
 			waitMainView(t, c, 3)
-			spec := proc.AppSpec{
-				ID: wire.AppID(60 + i), Name: heapCountName, Ranks: 2,
-				Args: proc.EncodeVMApp(&proc.VMApp{
-					// A step is 500 iterations, one heap chunk.
-					StepSlice: 500 * heapCountIter, Source: heapCount, NGlobals: 4,
-					Globals: []int64{0, 1 << 30, 0, heapCountWords}, HeapWords: heapCountWords,
-				}),
-				Protocol: protocol, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
-				Store: ckpt.StoreMemory, DeltaCkpt: true, CkptEverySteps: 20,
-			}
+			spec := heapCountSpec(wire.AppID(60+i), 2, cs.protocol, cs.store)
 			if err := c.Submit(spec); err != nil {
 				t.Fatal(err)
 			}
 
 			// stored is the newest checkpoint every rank can restart from.
 			stored := func() uint64 {
-				if protocol.Coordinated() {
+				if cs.protocol.Coordinated() {
 					line, err := c.AnyDaemon().CommittedLine(spec.ID)
 					if err != nil {
 						return 0
@@ -178,40 +271,27 @@ func TestInPlaceEpochsRecover(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-
-			info, ok := c.AnyDaemon().AppInfo(spec.ID)
-			if !ok {
-				t.Fatal("app vanished")
-			}
-			var victim wire.NodeID
-			for _, node := range info.Placement {
-				victim = max(victim, node)
-			}
-			if err := c.Crash(victim); err != nil {
-				t.Fatal(err)
-			}
-			// The job ends only once it has restarted: a survivor that
-			// finished first would leave nothing to restore.
-			for deadline = time.Now().Add(60 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-				if info, ok := c.AnyDaemon().AppInfo(spec.ID); ok && info.Gen >= 2 && info.Status == daemon.StatusRunning {
-					break
+			if cs.store == ckpt.StoreDisk {
+				first := map[int32]uint64{}
+				recs := epochRecords(t, c, spec.ID)
+				for i := range recs {
+					r := &recs[i]
+					if n, ok := first[r.Rank]; !ok || attr(t, r, "index") < n {
+						first[r.Rank] = attr(t, r, "index")
+					}
 				}
-				if time.Now().After(deadline) {
-					t.Fatal("the job never restarted")
+				for i := range recs {
+					r := &recs[i]
+					if idx := attr(t, r, "index"); idx != first[r.Rank] && attr(t, r, "stored") >= attr(t, r, "raw") {
+						t.Errorf("rank %d, epoch %d: a %d-byte record of a %d-byte image",
+							r.Rank, idx, attr(t, r, "stored"), attr(t, r, "raw"))
+					}
+				}
+				if len(recs) < 2*epochs {
+					t.Errorf("%d ckpt/epoch records for %d stored epochs of 2 ranks", len(recs), epochs)
 				}
 			}
-			heapCountStop.Store(true)
-
-			final, err := c.WaitApp(spec.ID, 120*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if final.Status != daemon.StatusDone {
-				t.Fatalf("status = %v, failure = %q", final.Status, final.Failure)
-			}
-			if final.Gen < 2 {
-				t.Errorf("gen = %d, want a restart", final.Gen)
-			}
+			killAndFinish(t, c, spec.ID)
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"starfish/internal/ckpt"
 	"starfish/internal/daemon"
-	"starfish/internal/evstore"
 	"starfish/internal/wire"
 )
 
@@ -94,39 +93,35 @@ func TestMemoryStoreRecoveryWithoutDisk(t *testing.T) {
 	}
 }
 
-// TestDeltaRecoveryMidRun is the acceptance test of the incremental
-// checkpoint pipeline under churn: an application checkpointing records to
-// replicated RAM is killed while its committed line points at a carry list
-// several epochs past the record that carries the whole first image, and the
-// restart must assemble the image from the slots it names on surviving
-// replicas.
+// TestDeltaRecoveryMidRun is the acceptance test of delta capture under
+// churn: a write-tracking VM job checkpointing records to replicated RAM is
+// killed while its committed line points at carry lists several epochs past
+// the records that carry the whole first images, and the restart must
+// assemble each image from the slots they name on surviving replicas.
 func TestDeltaRecoveryMidRun(t *testing.T) {
+	heapCountStop.Store(false)
 	c := newCluster(t, 3)
 	waitMainView(t, c, 3)
 
-	spec := ringSpec(42, 3, 300000)
-	spec.Store = ckpt.StoreMemory
-	spec.CkptEverySteps = 2000
-	spec.DeltaCkpt = true
+	spec := heapCountSpec(42, 3, ckpt.StopAndSync, ckpt.StoreMemory)
 	if err := c.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 
 	// Wait until the committed line is genuinely mid-run: at least two
-	// records past the first on some rank.
+	// records past the first on every rank.
 	deadline := time.Now().Add(30 * time.Second)
+	var line ckpt.RecoveryLine
 	for {
-		line, err := c.WaitCommittedLine(42, 20*time.Second)
-		if err != nil {
+		var err error
+		if line, err = c.WaitCommittedLine(42, 20*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		var top uint64
+		low := ^uint64(0)
 		for _, n := range line {
-			if n > top {
-				top = n
-			}
+			low = min(low, n)
 		}
-		if top >= 3 {
+		if low >= 3 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -134,54 +129,29 @@ func TestDeltaRecoveryMidRun(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The delta path is actually in use: the capture pipeline reported the
-	// epochs it wrote.
-	captured := 0
-	for _, id := range c.Nodes() {
-		ev, err := c.Events(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := evstore.ParseQuery("component=ckpt kind=epoch app=42")
-		if err != nil {
-			t.Fatal(err)
-		}
-		captured += len(ev.Query(q))
-	}
-	if captured == 0 {
-		t.Fatal("delta-enabled app captured no epoch through the pipeline")
-	}
-
-	// Kill a node hosting a rank mid-run.
-	info, ok := c.AnyDaemon().AppInfo(42)
-	if !ok {
-		t.Fatal("app vanished")
-	}
-	var victim wire.NodeID
-	for _, node := range info.Placement {
-		if node > victim {
-			victim = node
-		}
-	}
-	if err := c.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := c.WaitApp(42, 120*time.Second)
+	// Every rank's committed record names other slots: the restart cannot
+	// read its image from one record.
+	mem, err := c.MemStore(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != daemon.StatusDone {
-		t.Fatalf("status = %v, failure = %q", final.Status, final.Failure)
-	}
-	if final.Gen < 2 {
-		t.Errorf("gen = %d, want a restart", final.Gen)
-	}
-	for r, n := range final.Placement {
-		if n == victim {
-			t.Errorf("rank %d still on crashed node %d", r, n)
+	for r, n := range line {
+		b, err := mem.GetEnvelope(42, r, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ckpt.DecodeRecord(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Names) == 0 {
+			t.Errorf("rank %d: committed record #%d names no other slot", r, n)
 		}
 	}
+	if recs := epochRecords(t, c, 42); len(recs) < 3*3 {
+		t.Fatalf("%d ckpt/epoch records for three epochs of three ranks", len(recs))
+	}
+	killAndFinish(t, c, 42)
 }
 
 // TestTieredStoreSpillsAndRecovers runs an application on the tiered

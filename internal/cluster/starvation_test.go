@@ -73,7 +73,7 @@ func TestComputeBoundRanksDoNotStarveTheirDaemons(t *testing.T) {
 			Globals: []int64{iterations, 0, heapWords}, HeapWords: heapWords,
 		}),
 		Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
-		Store: ckpt.StoreMemory, DeltaCkpt: true, CkptEverySteps: every,
+		Store: ckpt.StoreMemory, CkptEverySteps: every,
 	}
 	if err := c.Submit(spec); err != nil {
 		t.Fatal(err)

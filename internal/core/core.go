@@ -106,8 +106,10 @@ type Job struct {
 	// Store selects the checkpoint storage backend (StoreDisk,
 	// StoreMemory, or StoreTiered); the zero value is StoreDisk.
 	Store ckpt.StoreKind
-	// Delta enables incremental checkpoint capture: an epoch stores only
-	// the blocks that changed since the previous one.
+	// Delta is ignored: a rank stores an epoch as the blocks that changed
+	// since the last exactly when its application tracks its writes (a VM
+	// application does), and whole images otherwise. It is kept for the
+	// frozen benchmark module, which sets it.
 	Delta bool
 }
 
@@ -116,7 +118,7 @@ func (j Job) spec() proc.AppSpec {
 		ID: j.ID, Name: j.Name, Args: j.Args, Ranks: j.Ranks,
 		Protocol: j.Protocol, Encoder: j.Encoder, Policy: j.Policy,
 		CkptEverySteps: j.CheckpointEverySteps, Owner: j.Owner,
-		Store: j.Store, DeltaCkpt: j.Delta,
+		Store: j.Store,
 	}
 	if s.Protocol == 0 {
 		s.Protocol = ckpt.StopAndSync

@@ -17,8 +17,8 @@ import (
 // every daemon, which derive the same placement and spawn their share of
 // the processes.
 func (d *Daemon) Submit(spec proc.AppSpec) error {
-	if spec.Ranks <= 0 {
-		return fmt.Errorf("daemon: spec needs at least one rank")
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("daemon: %w", err)
 	}
 	return d.castCmd(&Cmd{Kind: CmdSubmit, App: spec.ID, Spec: &spec})
 }
@@ -270,11 +270,6 @@ func (d *Daemon) applyDelete(c *Cmd) {
 	eps := d.localEndpointsLocked(c.App)
 	delete(d.local, c.App)
 	d.mu.Unlock()
-	// The capture pipeline goes on every node, with each local rank's borrowed
-	// diff base; the leader's DropApp below empties the storage tier itself.
-	d.pipeMu.Lock()
-	delete(d.pipelines, c.App)
-	d.pipeMu.Unlock()
 	if known {
 		d.ev.Emit(evstore.EvApp("delete", c.App))
 	}
@@ -447,7 +442,7 @@ func (d *Daemon) spawnLocal(app wire.AppID) {
 			Spec:       spec,
 			Rank:       rank,
 			Arch:       d.cfg.Arch,
-			Store:      d.backendFor(&spec),
+			Store:      d.tierFor(&spec),
 			Link:       pside,
 			Transport:  d.cfg.Transport,
 			ListenAddr: d.cfg.DataAddr(app, gen, rank),

@@ -107,8 +107,9 @@ type Config struct {
 	FailAfter      time.Duration
 	// Events, when non-nil, is this node's structured event store. The
 	// daemon records application lifecycle transitions in it and hands
-	// component-tagged emitters to the subsystems it owns (gcs, proc,
-	// ckpt). nil disables the event plane.
+	// component-tagged emitters to the subsystems it owns (gcs, lwg, gossip,
+	// proc; a process tags its checkpoint epochs ckpt). nil disables the
+	// event plane.
 	Events *evstore.Store
 	// Logf receives diagnostics when non-nil.
 	Logf func(string, ...any)
@@ -190,12 +191,6 @@ type Daemon struct {
 	// procs counts spawned processes that have not exited; Close waits for
 	// it, including processes a delete, completion or restart detached.
 	procs sync.WaitGroup
-
-	// pipelines caches one incremental-capture wrapper per delta-enabled
-	// app: the writer-side diff caches inside are stateful, so every
-	// checkpoint of an app must go through the same Pipeline instance.
-	pipeMu    sync.Mutex
-	pipelines map[wire.AppID]*ckpt.Pipeline
 }
 
 // New creates a daemon and joins (or creates) the cluster.
@@ -241,18 +236,17 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:       cfg,
-		ep:        ep,
-		ev:        cfg.Events.Emitter("daemon"),
-		apps:      make(map[wire.AppID]*appState),
-		disabled:  make(map[wire.NodeID]bool),
-		params:    make(map[string]string),
-		local:     make(map[wire.AppID]map[wire.Rank]*endpoint),
-		inbox:     make(chan inboxMsg, 1024),
-		change:    make(chan struct{}),
-		stop:      make(chan struct{}),
-		dead:      make(chan struct{}),
-		pipelines: make(map[wire.AppID]*ckpt.Pipeline),
+		cfg:      cfg,
+		ep:       ep,
+		ev:       cfg.Events.Emitter("daemon"),
+		apps:     make(map[wire.AppID]*appState),
+		disabled: make(map[wire.NodeID]bool),
+		params:   make(map[string]string),
+		local:    make(map[wire.AppID]map[wire.Rank]*endpoint),
+		inbox:    make(chan inboxMsg, 1024),
+		change:   make(chan struct{}),
+		stop:     make(chan struct{}),
+		dead:     make(chan struct{}),
 	}
 	if cfg.Memory != nil && cfg.Store != nil {
 		d.tiered = ckpt.NewTiered(cfg.Memory, cfg.Store, cfg.Logf)
@@ -284,36 +278,6 @@ func (d *Daemon) tierFor(spec *proc.AppSpec) ckpt.Backend {
 		}
 	}
 	return d.cfg.Store
-}
-
-// backendFor resolves the checkpoint backend an application's processes write
-// to: its storage tier, for a delta-enabled app wrapped in the app's cached
-// incremental capture pipeline (one per app — its writer-side diff state must
-// see every epoch; applyDelete drops it).
-func (d *Daemon) backendFor(spec *proc.AppSpec) ckpt.Backend {
-	be := d.tierFor(spec)
-	if !spec.DeltaCkpt {
-		return be
-	}
-	d.pipeMu.Lock()
-	defer d.pipeMu.Unlock()
-	p := d.pipelines[spec.ID]
-	if p == nil {
-		p = ckpt.NewPipeline(be, 0)
-		// Adapt the pipeline's observer callback onto the event plane
-		// (ckpt sits below evstore in the import graph, so it cannot
-		// emit records itself).
-		if em := d.cfg.Events.Emitter("ckpt"); em != nil {
-			p.Observer = func(e ckpt.EpochEvent) {
-				em.Emit(evstore.EvRank("epoch", e.App, e.Rank,
-					evstore.F("index", e.Index),
-					evstore.F("raw", e.RawBytes),
-					evstore.F("stored", e.StoredBytes)))
-			}
-		}
-		d.pipelines[spec.ID] = p
-	}
-	return p
 }
 
 // EventStore exposes this node's structured event store (nil when the

@@ -535,86 +535,47 @@ done:   halt`}
 	}
 }
 
-// TestDeleteDropsCapturePipeline: a delta app's capture pipeline — which holds
-// each local rank's newest image as its diff base — is cached per app on every
-// node that hosts a rank, and DELETE must drop it on every one of them, not
-// only where the leader's DropApp runs.
-func TestDeleteDropsCapturePipeline(t *testing.T) {
-	fn := vni.NewFastnet(0)
+// TestSubmitRejectsHugeRanks: a spec with more ranks than proc.MaxRanks, or
+// none, is refused before it is cast — every daemon would size its placement
+// and recovery lines from the count — while the submit that follows it is
+// cast and applies alone.
+func TestSubmitRejectsHugeRanks(t *testing.T) {
 	store, err := ckpt.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(node wire.NodeID, contact string) *Daemon {
-		d, err := New(Config{
-			Node: node, Transport: fn,
-			GCSAddr: string(rune('A'+node)) + "-gcs", Contact: contact,
-			Store: store, Arch: svm.Machines[0],
-			HeartbeatEvery: 5 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(d.Close)
-		return d
-	}
-	d1 := mk(1, "")
-	daemons := []*Daemon{d1, mk(2, d1.GCSAddr())}
-	deadline := time.Now().Add(20 * time.Second)
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitFor("a two-member view", func() bool {
-		return len(daemons[0].View().Members) == 2 && len(daemons[1].View().Members) == 2
+	d, err := New(Config{
+		Node: 1, Transport: vni.NewFastnet(0), GCSAddr: "huge-gcs", Store: store,
+		Arch: svm.Machines[0], HeartbeatEvery: 5 * time.Millisecond,
 	})
-	pipelines := func(d *Daemon) int {
-		d.pipeMu.Lock()
-		defer d.pipeMu.Unlock()
-		return len(d.pipelines)
-	}
-
-	// Two ranks, one per node, spinning until deleted and checkpointing as
-	// incremental records all the while.
-	vm := &proc.VMApp{StepSlice: 50, NGlobals: 1, HeapWords: 4 << 10, Source: `
-loop:   loadg 0
-        push 1
-        add
-        storeg 0
-        jmp loop`}
-	spec := proc.AppSpec{
-		ID: 7, Name: proc.VMAppName, Args: proc.EncodeVMApp(vm), Ranks: 2,
-		Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
-		CkptEverySteps: 3, DeltaCkpt: true,
-	}
-	if err := d1.Submit(spec); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor("a committed epoch", func() bool {
-		_, err := d1.CommittedLine(spec.ID)
-		return err == nil
-	})
-	for _, d := range daemons {
-		if pipelines(d) != 1 {
-			t.Fatalf("node %d caches %d pipelines for one running delta app", d.cfg.Node, pipelines(d))
+	t.Cleanup(d.Close)
+	spec := func(id wire.AppID, ranks int) proc.AppSpec {
+		return proc.AppSpec{
+			ID: id, Name: proc.VMAppName, Args: proc.EncodeVMApp(&proc.VMApp{Source: "halt"}),
+			Ranks: ranks, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyKill,
 		}
 	}
-	if err := d1.Delete(spec.ID); err != nil {
+	for i, ranks := range []int{2000000000, proc.MaxRanks + 1, 0, -1} {
+		if err := d.Submit(spec(wire.AppID(10+i), ranks)); err == nil {
+			t.Errorf("a spec of %d ranks was submitted", ranks)
+		}
+	}
+	if err := d.Submit(spec(9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range daemons {
-		d := d
-		waitFor("the delete to apply", func() bool {
-			_, known := d.AppInfo(spec.ID)
-			return !known
-		})
-		if n := pipelines(d); n != 0 {
-			t.Errorf("node %d (leader: %v) still caches %d capture pipelines after DELETE", d.cfg.Node, d.leader(), n)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, known := d.AppInfo(9); !known; _, known = d.AppInfo(9) {
+		if time.Now().After(deadline) {
+			t.Fatal("the valid submit never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := range 4 {
+		if _, known := d.AppInfo(wire.AppID(10 + i)); known {
+			t.Errorf("app %d, refused, was cast", 10+i)
 		}
 	}
 }

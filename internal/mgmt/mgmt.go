@@ -14,7 +14,7 @@
 //	NODES                       ENABLE NODE <id> | DISABLE NODE <id>
 //	SET <key> <value>           GET <key>
 //	APPS                        STATUS <app>
-//	SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [full|delta]
+//	SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store]
 //	SUSPEND <app>  RESUME <app>  DELETE <app>  CHECKPOINT <app>  MIGRATE <app>
 //	RSTORE                      (replicated-memory store health counters)
 //	EVENTS <query>              (structured event records matching the
@@ -408,8 +408,8 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 		}, nil
 
 	case "SUBMIT":
-		if len(fields) < 9 || len(fields) > 11 {
-			return nil, fmt.Errorf("usage: SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store] [full|delta]")
+		if len(fields) < 9 || len(fields) > 10 {
+			return nil, fmt.Errorf("usage: SUBMIT <app> <name> <ranks> <protocol> <encoder> <policy> <every> <hexargs> [store]")
 		}
 		id, err := parseAppID(fields[1])
 		if err != nil {
@@ -443,15 +443,8 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 			}
 		}
 		store := ckpt.StoreDisk
-		if len(fields) >= 10 {
+		if len(fields) == 10 {
 			store, err = ParseStoreKind(fields[9])
-			if err != nil {
-				return nil, err
-			}
-		}
-		var delta bool
-		if len(fields) == 11 {
-			delta, err = ParseDeltaOption(fields[10])
 			if err != nil {
 				return nil, err
 			}
@@ -460,7 +453,6 @@ func (s *Server) dispatch(admin bool, user, verb string, fields []string) ([]str
 			ID: id, Name: fields[2], Args: args, Ranks: ranks,
 			Protocol: protocol, Encoder: encoder, Policy: policy,
 			CkptEverySteps: every, Owner: user, Store: store,
-			DeltaCkpt: delta,
 		})
 
 	case "EVENTS":
@@ -549,19 +541,6 @@ func ParseStoreKind(s string) (ckpt.StoreKind, error) {
 		return ckpt.StoreTiered, nil
 	default:
 		return 0, fmt.Errorf("unknown store kind %q", s)
-	}
-}
-
-// ParseDeltaOption parses the optional SUBMIT capture flag: "full" stores
-// every epoch's whole image, "delta" enables the incremental pipeline.
-func ParseDeltaOption(s string) (delta bool, err error) {
-	switch strings.ToLower(s) {
-	case "full":
-		return false, nil
-	case "delta":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown delta option %q", s)
 	}
 }
 
@@ -740,9 +719,6 @@ func (c *Client) Submit(spec proc.AppSpec) error {
 		spec.ID, spec.Name, spec.Ranks, spec.Protocol, spec.Encoder,
 		strings.ToLower(spec.Policy.String()), spec.CkptEverySteps, args,
 		spec.Store)
-	if spec.DeltaCkpt {
-		cmd += " delta"
-	}
 	_, err := c.Do(cmd)
 	return err
 }

@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -120,6 +121,42 @@ func TestSubmitAndStatusViaProtocol(t *testing.T) {
 	for _, want := range []string{"app 1 ring", "status done", "rank 0 node", "rank 1 node"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("STATUS output missing %q:\n%s", want, joined)
+		}
+	}
+}
+
+// TestSubmitRejectsHugeRanks: an authenticated SUBMIT of more ranks than
+// proc.MaxRanks is refused and cast to no daemon — each would size per-rank
+// tables from the count — while the session goes on and the next SUBMIT runs.
+func TestSubmitRejectsHugeRanks(t *testing.T) {
+	cl, addr := startServer(t, 2)
+	c := dial(t, addr)
+	if err := c.LoginUser("alice"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{2000000000, proc.MaxRanks + 1} {
+		cmd := fmt.Sprintf("SUBMIT 9 %s %d sfs portable restart 0 -", apps.RingName, ranks)
+		if _, err := c.Do(cmd); err == nil {
+			t.Errorf("%q accepted", cmd)
+		}
+	}
+	spec := proc.AppSpec{
+		ID: 1, Name: apps.RingName, Args: apps.RingArgs(40), Ranks: 2,
+		Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
+	}
+	if err := c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.WaitApp(1, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cl.Nodes() {
+		d, err := cl.Daemon(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, known := d.AppInfo(9); known {
+			t.Errorf("node %d knows the refused app", id)
 		}
 	}
 }
@@ -249,6 +286,7 @@ func TestMalformedCommands(t *testing.T) {
 		"SUBMIT 1 ring 2 sfs bogus restart 0 -",
 		"SUBMIT 1 ring 2 sfs portable bogus 0 -",
 		"SUBMIT 1 ring 2 sfs portable restart 0 zz",
+		"SUBMIT 1 ring 2 sfs portable restart 0 - memory delta",
 	} {
 		if _, err := c.Do(bad); err == nil {
 			t.Errorf("%q accepted", bad)

@@ -41,18 +41,19 @@ done:   halt
 
 // BenchmarkCheckpoint/mode=epoch is one rank's whole checkpoint epoch as the
 // C/R module runs it for a write-tracking VM application — lend the spare
-// image, Snapshot into it, finish the image in place, hinted put into
-// replicated memory (k=2), the committed line's GC — on an 8 MiB heap of
-// which the program rewrote mut% of the 4 KiB chunks since the last epoch.
-// scripts/check.sh folds it into BENCH_checkpoint.json beside the root
-// package's mode=full and mode=delta, which stop at the pipeline, and gates
-// it against the opaque full-image epoch.
+// image, Snapshot into it, finish the image in place, write the record of the
+// hinted blocks that changed since the base, replicate it into memory (k=2),
+// the committed line's GC — on an 8 MiB heap of which the program rewrote
+// mut% of the 4 KiB chunks since the last epoch. scripts/check.sh folds it
+// into BENCH_checkpoint.json beside the root package's mode=full and
+// mode=delta, which start from an image, and gates it against the opaque
+// full-image epoch.
 //
 // BenchmarkCheckpoint/mode=image is the C/R module's whole-image epoch, as it
-// runs for an application that tracks no writes into a store that takes no
-// hints: Snapshot (an 8 MiB state the application keeps, not copied), the
-// record of the whole image written straight from the state, replication
-// into memory (k=2), the committed line's GC. check.sh gates its B/op.
+// runs for an application that tracks no writes: Snapshot (an 8 MiB state
+// the application keeps, not copied), the record of the whole image written
+// straight from the state, replication into memory (k=2), the committed
+// line's GC. check.sh gates its B/op.
 func BenchmarkCheckpoint(b *testing.B) {
 	const heapWords = 1 << 20
 	arch := svm.Machines[5]
@@ -86,7 +87,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 	for _, pct := range []int{1, 10, 50} {
 		b.Run(fmt.Sprintf("mode=epoch/mut=%d", pct), func(b *testing.B) {
 			stores := benchStores(b)
-			pipe := ckpt.NewPipeline(stores[0], 0)
 
 			chunks := heapWords / 512 * pct / 100
 			app := &VMApp{
@@ -94,7 +94,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				Globals: []int64{0, 0, heapWords, 1}, HeapWords: heapWords,
 			}
 			spec := AppSpec{ID: 1, Ranks: 1, Encoder: ckpt.Portable}
-			p := &Process{spec: spec, arch: arch, store: pipe, app: app, encoder: spec.NewEncoder()}
+			p := &Process{spec: spec, arch: arch, store: stores[0], app: app, encoder: spec.NewEncoder()}
 			p.cr = newCRModule(p)
 			if err := app.Init(&Ctx{Arch: arch}); err != nil {
 				b.Fatal(err)
@@ -114,7 +114,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 				if idx%8 == 0 {
-					if err := pipe.GC(1, 0, idx); err != nil {
+					if err := stores[0].GC(1, 0, idx); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -33,11 +33,14 @@ type crModule struct {
 	// relative to; snaps counts them, the serial of imageBuf. Main loop only.
 	snapIndex, snaps uint64
 
-	// In-place capture's alternating buffers (DESIGN, "Capture data flow"):
-	// base, the newest stored image, is the store's diff base and read-only
-	// here; spare, the one before, came back from the store and is ours to
-	// write. Under mu: Chandy–Lamport stores on a delivering goroutine.
+	// A write-tracking application's diff state (DESIGN, "Capture data
+	// flow"): base, the newest stored image, is what the next epoch is
+	// diffed against, and where its record's carry list; spare, the image
+	// before it, is the buffer the next image is built in. Both are ours:
+	// the store gets records, never these. Under mu: Chandy–Lamport stores on
+	// a delivering goroutine.
 	base, spare imageBuf
+	where       []uint64
 
 	// Independent-protocol state: receipts recorded since the last
 	// checkpoint.
@@ -148,12 +151,12 @@ func decodeCkptState(b []byte) (appState []byte, pending, recorded []mpi.Recorde
 }
 
 // imageBuf is a whole checkpoint image kept between epochs: the application
-// state of snapshot number snap is img[off:off+n].
+// state of snapshot number snap is img[off:off+n], stored as checkpoint index.
 type imageBuf struct {
-	img    []byte
-	off, n int
-	snap   uint64
-	dirty  []svm.Span // where it differs from snapshot snap-1's; nil: unknown
+	img         []byte
+	off, n      int
+	snap, index uint64
+	dirty       []svm.Span // where it differs from snapshot snap-1's; nil: unknown
 }
 
 func (b imageBuf) state() []byte { return b.img[b.off : b.off+b.n] }
@@ -180,9 +183,11 @@ type cut struct {
 	sent, recv map[wire.Rank]uint64
 }
 
-// dirtyTracker is the optional App extension behind hinted capture (VMApp
+// dirtyTracker is the optional App extension behind delta capture (VMApp
 // implements it): every byte of the next Snapshot outside the spans equals
-// the previous Snapshot's.
+// the previous Snapshot's. A rank whose application tracks its writes stores
+// each epoch as the blocks that changed since the last; any other stores
+// whole images.
 type dirtyTracker interface {
 	DirtySpans() []svm.Span
 }
@@ -190,11 +195,6 @@ type dirtyTracker interface {
 // snapshotLender is the App extension behind in-place capture (VMApp.LendSnapshot).
 type snapshotLender interface {
 	LendSnapshot(dst, prev []byte, stale []svm.Span)
-}
-
-// hintedStore keeps the image as its next diff base and returns the previous.
-type hintedStore interface {
-	PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta, hintBase uint64, dirty []svm.Span) ([]byte, error)
 }
 
 // snapshotApp takes the application's part of the cut for checkpoint idx.
@@ -238,20 +238,62 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 // state, the cut's pending messages and the channel state that followed it
 // (Chandy–Lamport, stop-and-sync) — stored with meta completed from the cut,
 // and the checkpoint record emitted under the given protocol name.
+//
+// An application that tracks its writes has its image assembled and kept: the
+// record carries the blocks that differ from the last stored image, looking
+// only at those the dirty hint names when the hint is relative to it, and
+// the image becomes the next epoch's base. Any other application's record is
+// written from the encoder's prefix, the state and the lists, so its state is
+// copied once, into the record. Either way the record is handed to PutRecord.
 func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
 	p := cr.p
 	meta.Rank, meta.Index, meta.SentCounts, meta.RecvCounts = p.rank, idx, c.sent, c.recv
 	stateLen := ckptStateSize(c.state, c.pending, channel)
-	var size int
+	_, tracks := p.app.(dirtyTracker)
+	var parts [][]byte
+	var next, last, base imageBuf
+	var where []uint64
+	var dirty []svm.Span
 	var err error
-	if hs, ok := p.store.(hintedStore); ok {
-		size, err = cr.putImage(hs, idx, c, channel, stateLen, meta)
+	if tracks {
+		next, err = cr.assemble(c, channel, stateLen)
+		next.index, parts = idx, [][]byte{next.img}
+		cr.mu.Lock()
+		last, where = cr.base, cr.where
+		cr.mu.Unlock()
+		if last.img != nil && last.index+1 == idx {
+			base = last
+			if c.dirty != nil && c.dirtyBase == last.index {
+				dirty = imageSpans(next, c.dirty)
+			}
+		}
 	} else {
-		size, err = cr.putRecord(idx, c, channel, stateLen, meta)
+		parts, err = cr.wholeParts(c, channel, stateLen)
+	}
+	var rec []byte
+	if err == nil {
+		rec = ckpt.RecordOf(idx, base.img, where, dirty, parts...)
+		err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
+	}
+	if tracks {
+		cr.mu.Lock()
+		cr.base, cr.spare, cr.where = imageBuf{}, imageBuf{}, nil
+		if err == nil {
+			cr.base, cr.spare, cr.where = next, last, ckpt.CarryList(rec, where)
+		}
+		cr.mu.Unlock()
 	}
 	if err != nil {
 		return fmt.Errorf("proc: store checkpoint %d: %w", idx, err)
 	}
+	size := 0
+	for _, part := range parts {
+		size += len(part)
+	}
+	ev := evstore.EvRank("epoch", p.spec.ID, p.rank,
+		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", len(rec)))
+	ev.Component = "ckpt"
+	p.event(ev)
 	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
 		evstore.F("index", idx), evstore.F("protocol", protocol),
 		evstore.F("bytes", size)))
@@ -270,31 +312,22 @@ func writeLists(lists []byte, pending, channel []mpi.RecordedMsg) error {
 	return nil
 }
 
-// putRecord hands a store that takes no hints the record of the whole image,
-// written from the encoder's prefix, the application state and the lists: the
-// state is copied once, into the record, which PutRecord takes over. It
-// returns the image's length.
-func (cr *crModule) putRecord(idx uint64, c *cut, channel []mpi.RecordedMsg, stateLen int, meta *ckpt.Meta) (int, error) {
+// wholeParts returns the image in parts: the encoder's prefix, the state's
+// length, the application state and the lists.
+func (cr *crModule) wholeParts(c *cut, channel []mpi.RecordedMsg, stateLen int) ([][]byte, error) {
 	p := cr.p
 	frame := make([]byte, stateLen-len(c.state)) // the state's length, then the lists
 	binary.BigEndian.PutUint32(frame, uint32(len(c.state)))
 	if err := writeLists(frame[4:], c.pending, channel); err != nil {
-		return 0, err
+		return nil, err
 	}
-	parts := append(p.encoder.Prefix(p.arch, stateLen), frame[:4], c.state, frame[4:])
-	size := 0
-	for _, part := range parts {
-		size += len(part)
-	}
-	return size, p.store.PutRecord(p.spec.ID, p.rank, idx, ckpt.ImageRecordOf(idx, parts...), meta)
+	return append(p.encoder.Prefix(p.arch, stateLen), frame[:4], c.state, frame[4:]), nil
 }
 
-// putImage assembles the image in one exactly-sized buffer and puts it with
-// the cut's dirty hint shifted to image offsets. The buffer is the spare —
-// only the lists are written — when the application built its state there and
-// the image kept its length, else a new one. The store keeps the image and
-// hands the previous one back: base and spare. It returns the image's length.
-func (cr *crModule) putImage(hs hintedStore, idx uint64, c *cut, channel []mpi.RecordedMsg, stateLen int, meta *ckpt.Meta) (int, error) {
+// assemble returns the image in one exactly-sized buffer: the spare — only
+// the lists are written — when the application built its state there and the
+// image kept its length, else a new one.
+func (cr *crModule) assemble(c *cut, channel []mpi.RecordedMsg, stateLen int) (imageBuf, error) {
 	p := cr.p
 	img := c.into.img
 	off := len(img) - stateLen + 4 // where an image of this size has the application state
@@ -305,34 +338,21 @@ func (cr *crModule) putImage(hs hintedStore, idx uint64, c *cut, channel []mpi.R
 		wire.NewWriterOn(window).Bytes32(c.state)
 	}
 	// In place, the state is there and the rest depends only on lengths.
-	if err := writeLists(img[off+len(c.state):], c.pending, channel); err != nil {
-		return 0, err
+	err := writeLists(img[off+len(c.state):], c.pending, channel)
+	return imageBuf{img: img, off: off, n: len(c.state), snap: c.snap, dirty: c.dirty}, err
+}
+
+// imageSpans shifts the cut's dirty hint, state offsets, to offsets of the
+// image b. Outside the application state everything but the encoder's
+// constant runtime segment counts as dirty: the image header, the two length
+// prefixes in front of the state, the message lists behind it.
+func imageSpans(b imageBuf, state []svm.Span) []svm.Span {
+	dirty := make([]svm.Span, 0, len(state)+3)
+	dirty = append(dirty, svm.Span{Off: 0, Len: 10}, svm.Span{Off: b.off - 8, Len: 8})
+	for _, sp := range state {
+		dirty = append(dirty, svm.Span{Off: b.off + sp.Off, Len: sp.Len})
 	}
-	var dirty []svm.Span
-	if c.dirty != nil {
-		// Outside the application state everything but the encoder's
-		// constant runtime segment counts as dirty: the image header, the
-		// two length prefixes in front of the state, the message lists
-		// behind it.
-		dirty = make([]svm.Span, 0, len(c.dirty)+3)
-		dirty = append(dirty, svm.Span{Off: 0, Len: 10}, svm.Span{Off: off - 8, Len: 8})
-		for _, sp := range c.dirty {
-			dirty = append(dirty, svm.Span{Off: off + sp.Off, Len: sp.Len})
-		}
-		dirty = append(dirty, svm.Span{Off: off + len(c.state), Len: len(img) - off - len(c.state)})
-	}
-	prev, err := hs.PutHinted(p.spec.ID, p.rank, idx, img, meta, c.dirtyBase, dirty)
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	last := cr.base
-	cr.base, cr.spare = imageBuf{}, imageBuf{}
-	if _, lends := p.app.(snapshotLender); err == nil && lends {
-		cr.base = imageBuf{img: img, off: off, n: len(c.state), snap: c.snap, dirty: c.dirty}
-		if sameBytes(prev, last.img) {
-			cr.spare = last
-		}
-	}
-	return len(img), err
+	return append(dirty, svm.Span{Off: b.off + b.n, Len: len(b.img) - b.off - b.n})
 }
 
 // ---- callbacks from the MPI matcher's intake ----

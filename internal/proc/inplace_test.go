@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"starfish/internal/ckpt"
+	"starfish/internal/evstore"
 	"starfish/internal/mpi"
 	"starfish/internal/svm"
 	"starfish/internal/wire"
@@ -50,18 +51,6 @@ func (r *recBackend) GetEnvelope(app wire.AppID, rank wire.Rank, n uint64) ([]by
 	return rec, nil
 }
 
-// imageTap is the Pipeline with a copy taken of every image the C/R module
-// hands it.
-type imageTap struct {
-	*ckpt.Pipeline
-	imgs [][]byte
-}
-
-func (s *imageTap) PutHinted(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta, hintBase uint64, dirty []svm.Span) ([]byte, error) {
-	s.imgs = append(s.imgs, append([]byte(nil), img...))
-	return s.Pipeline.PutHinted(app, rank, n, img, meta, hintBase, dirty)
-}
-
 // assemblingVMApp is VMApp without LendSnapshot: every snapshot is a fresh
 // EncodeImage and every image a fresh NewImage — the reference the in-place
 // path is compared against. It keeps the dirty hints.
@@ -73,37 +62,55 @@ func (r assemblingVMApp) Step(ctx *Ctx) (bool, error)       { return r.a.Step(ct
 func (r assemblingVMApp) Snapshot() ([]byte, error)         { return r.a.Snapshot() }
 func (r assemblingVMApp) DirtySpans() []svm.Span            { return r.a.DirtySpans() }
 
-// writer is one C/R module over a VM, a tapped pipeline and a recording
-// backend, without the process around it.
+// wholeVMApp is VMApp without its write tracking: the C/R module stores its
+// every epoch as a whole image, the reference images are read from.
+type wholeVMApp struct{ a *VMApp }
+
+func (r wholeVMApp) Init(ctx *Ctx) error               { return r.a.Init(ctx) }
+func (r wholeVMApp) Restore(ctx *Ctx, st []byte) error { return r.a.Restore(ctx, st) }
+func (r wholeVMApp) Step(ctx *Ctx) (bool, error)       { return r.a.Step(ctx) }
+func (r wholeVMApp) Snapshot() ([]byte, error)         { return r.a.Snapshot() }
+
+// How a writer's application captures.
+const (
+	inPlace    = iota // VMApp: delta records, images built in place
+	assembling        // delta records, every image assembled fresh
+	whole             // whole-image records
+)
+
+// writer is one C/R module over a VM and a recording backend, without the
+// process around it.
 type writer struct {
 	vm   *svm.VM
 	cr   *crModule
-	tap  *imageTap
 	back *recBackend
+	mode int
 }
 
-func newWriter(arch svm.Arch, src string, globals, heap int, inPlace bool) *writer {
+func newWriter(arch svm.Arch, src string, globals, heap int, mode int) *writer {
 	vm := svm.New(arch, svm.MustAssemble(src), globals)
 	vm.Grow(heap)
 	vm.TrackDirty()
 	back := newRecBackend()
-	tap := &imageTap{Pipeline: ckpt.NewPipeline(back, 0)}
-	var app App = &VMApp{vm: vm}
-	if !inPlace {
-		app = assemblingVMApp{&VMApp{vm: vm}}
-	}
+	app := map[int]App{
+		inPlace:    &VMApp{vm: vm},
+		assembling: assemblingVMApp{&VMApp{vm: vm}},
+		whole:      wholeVMApp{&VMApp{vm: vm}},
+	}[mode]
 	// A small odd-sized runtime segment, so the state sits at an odd offset.
 	p := &Process{
-		spec: AppSpec{ID: 9, Ranks: 1}, arch: arch, store: tap, app: app,
+		spec: AppSpec{ID: 9, Ranks: 1}, arch: arch, store: back, app: app,
 		encoder: &ckpt.PortableEncoder{VMHeaderSize: 3001},
 	}
 	p.cr = newCRModule(p)
-	return &writer{vm: vm, cr: p.cr, tap: tap, back: back}
+	return &writer{vm: vm, cr: p.cr, back: back, mode: mode}
 }
 
 // epoch takes the cut and, unless the round is abandoned, captures it. It
 // reports whether the image was built in place, and checks on the way that
-// the snapshot left the buffer lent to the pipeline as it was.
+// the snapshot left the base it was lent as it was, and that a stored epoch
+// swaps the two buffers: the image just stored is the base, and the base
+// before it is the spare the next epoch is built in.
 func (w *writer) epoch(t *testing.T, idx uint64, pending, channel []mpi.RecordedMsg, abandon bool) (inPlace bool, err error) {
 	t.Helper()
 	lentBase := w.cr.base.img
@@ -113,14 +120,34 @@ func (w *writer) epoch(t *testing.T, idx uint64, pending, channel []mpi.Recorded
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lentBase, before) {
-		t.Fatalf("checkpoint %d: the snapshot edited the image lent to the pipeline as its base", idx)
+		t.Fatalf("checkpoint %d: the snapshot edited the image lent to it as its base", idx)
 	}
 	if abandon {
 		return false, nil
 	}
 	spare := c.into.img
-	err = w.cr.capture(idx, "test", c, channel, &ckpt.Meta{})
-	return spare != nil && sameBytes(w.cr.base.img, spare), err
+	if err = w.cr.capture(idx, "test", c, channel, &ckpt.Meta{}); err != nil {
+		return false, err
+	}
+	switch {
+	case w.mode == whole && (w.cr.base.img != nil || w.cr.spare.img != nil):
+		t.Fatalf("checkpoint %d: an application that tracks no writes keeps images", idx)
+	case w.mode != whole && w.cr.base.img == nil:
+		t.Fatalf("checkpoint %d: no base kept", idx)
+	case lentBase != nil && !sameBytes(w.cr.spare.img, lentBase):
+		t.Fatalf("checkpoint %d: the base before the epoch is not the spare after it", idx)
+	}
+	return spare != nil && sameBytes(w.cr.base.img, spare), nil
+}
+
+// image returns the image checkpoint idx resolves to.
+func (w *writer) image(t *testing.T, idx uint64) []byte {
+	t.Helper()
+	img, _, err := w.back.Get(9, 0, idx)
+	if err != nil {
+		t.Fatalf("checkpoint %d does not resolve: %v", idx, err)
+	}
+	return img
 }
 
 // run executes at least n instructions and on to the next point where the
@@ -176,14 +203,16 @@ func heapChurn(r *rand.Rand, heap, globals int, grow bool) string {
 	return b.String()
 }
 
-// FuzzInPlaceCapture drives two C/R modules through the same epochs of the
+// FuzzInPlaceCapture drives three C/R modules through the same epochs of the
 // same random VM program on every machine: one builds its images in place in
-// two alternating buffers, the other assembles each from a fresh EncodeImage
-// and NewImage. After every epoch the image handed to the store and the
-// record the store was handed must be byte-identical, whatever happened in
-// between: an abandoned round, a store failure, a heap
-// that grew, message lists that changed the image's length, a plain Put on
-// the rank behind the module's back.
+// two alternating buffers, one assembles each from a fresh EncodeImage and
+// NewImage, and one, whose application tracks no writes, stores whole
+// images. After every epoch the first two must have handed the store
+// byte-identical records, resolving to the third's image, whatever happened
+// in between: an abandoned round, run again under its index (the dirty hint
+// is then relative to a snapshot never stored, and must not be believed), a store failure, a heap
+// that grew, message lists that changed the image's length, a record stored
+// for the rank behind the module's back.
 func FuzzInPlaceCapture(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed)
@@ -194,14 +223,17 @@ func FuzzInPlaceCapture(f *testing.F) {
 		arch := svm.Machines[r.Intn(len(svm.Machines))]
 		heap := 4000 + r.Intn(30000)
 		src := heapChurn(r, heap, globals, true)
-		in := newWriter(arch, src, globals, heap, true)
-		ref := newWriter(arch, src, globals, heap, false)
+		in := newWriter(arch, src, globals, heap, inPlace)
+		ref := newWriter(arch, src, globals, heap, assembling)
+		plain := newWriter(arch, src, globals, heap, whole)
+		all := []*writer{in, ref, plain}
 
 		inPlace, idx := 0, uint64(0)
 		for epoch := 1; epoch <= 48; epoch++ {
 			steps := 1 + r.Intn(150)
 			halted := in.run(t, steps)
 			ref.run(t, steps)
+			plain.run(t, steps)
 			idx++
 			var pending, channel []mpi.RecordedMsg
 			abandon := false
@@ -209,30 +241,30 @@ func FuzzInPlaceCapture(f *testing.F) {
 			case 0:
 				abandon = true
 			case 1:
-				in.back.failNext, ref.back.failNext = true, true
+				for _, w := range all {
+					w.back.failNext = true
+				}
 			case 2:
 				pending = []mpi.RecordedMsg{{Src: 1, Tag: 3, Seq: uint64(epoch), Data: make([]byte, r.Intn(9000))}}
 			case 3:
 				channel = []mpi.RecordedMsg{{Src: 1, Tag: 4, Seq: uint64(epoch), Data: []byte("in flight")}}
 			case 4:
-				// Somebody else puts on the rank: the pipeline must take
-				// its own copy and leave the borrowed base alone.
+				// Somebody else stores a slot of the rank: the module's next
+				// epoch does not follow its base.
 				foreign := make([]byte, 5000+r.Intn(5000))
 				r.Read(foreign)
-				base := append([]byte(nil), in.cr.base.img...)
-				for _, w := range []*writer{in, ref} {
-					if err := w.tap.Put(9, 0, idx, foreign, nil); err != nil {
+				for _, w := range all {
+					if err := w.back.PutRecord(9, 0, idx, ckpt.RecordOf(idx, nil, nil, nil, foreign), nil); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if !bytes.Equal(in.cr.base.img, base) {
-					t.Fatalf("checkpoint %d: a plain Put wrote into the borrowed base", idx)
-				}
-				sameLastRecord(t, idx, in.back, ref.back)
 				idx++
 			}
 			was, errIn := in.epoch(t, idx, pending, channel, abandon)
 			refInPlace, errRef := ref.epoch(t, idx, pending, channel, abandon)
+			if _, err := plain.epoch(t, idx, pending, channel, abandon); (err == nil) != (errIn == nil) {
+				t.Fatalf("checkpoint %d: store errors %v vs %v", idx, errIn, err)
+			}
 			if refInPlace {
 				t.Fatalf("checkpoint %d: the reference writer built an image in place", idx)
 			}
@@ -249,18 +281,18 @@ func FuzzInPlaceCapture(f *testing.F) {
 				continue
 			}
 			if abandon {
+				// The round is run again under its index: the next epoch
+				// follows the base, but the hint is relative to a
+				// snapshot nobody stored.
+				idx--
 				continue
 			}
 			if was {
 				inPlace++
 			}
-			a, b := in.tap.imgs[len(in.tap.imgs)-1], ref.tap.imgs[len(ref.tap.imgs)-1]
-			if !bytes.Equal(a, b) {
-				t.Fatalf("checkpoint %d (in place: %v): image differs from the assembled one", idx, was)
-			}
 			sameLastRecord(t, idx, in.back, ref.back)
-			if got, _, err := in.tap.Get(9, 0, idx); err != nil || !bytes.Equal(got, a) {
-				t.Fatalf("checkpoint %d: the records do not reconstruct the image (err %v)", idx, err)
+			if !bytes.Equal(in.image(t, idx), plain.image(t, idx)) {
+				t.Fatalf("checkpoint %d (in place: %v): the records do not reconstruct the image", idx, was)
 			}
 			if halted {
 				break
@@ -280,7 +312,7 @@ func FuzzInPlaceCapture(f *testing.F) {
 func TestInPlaceCaptureFallbacks(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const heap = 20000
-	w := newWriter(svm.Machines[5], heapChurn(r, heap, 4, false), 4, heap, true)
+	w := newWriter(svm.Machines[5], heapChurn(r, heap, 4, false), 4, heap, inPlace)
 	msg := []mpi.RecordedMsg{{Src: 1, Tag: 3, Seq: 1, Data: []byte("pending")}}
 	steps := []struct {
 		what    string
@@ -322,8 +354,7 @@ func TestInPlaceCaptureFallbacks(t *testing.T) {
 		if s.abandon || s.fail {
 			continue
 		}
-		img := w.tap.imgs[len(w.tap.imgs)-1]
-		state, err := w.cr.p.encoder.Decode(img, w.cr.p.arch)
+		state, err := w.cr.p.encoder.Decode(w.image(t, uint64(i+1)), w.cr.p.arch)
 		if err != nil {
 			t.Fatalf("%s: %v", s.what, err)
 		}
@@ -333,6 +364,59 @@ func TestInPlaceCaptureFallbacks(t *testing.T) {
 		}
 		if !bytes.Equal(appState, w.vm.EncodeImage()) {
 			t.Errorf("%s: the stored application state is not the VM's image", s.what)
+		}
+	}
+}
+
+// epochEvents collects the ckpt/epoch records a process emits.
+type epochEvents []evstore.Record
+
+func (e *epochEvents) Emit(r evstore.Record) {
+	if r.Component == "ckpt" && r.Kind == "epoch" {
+		*e = append(*e, r)
+	}
+}
+
+// TestEpochEventPerStoredEpoch: each stored epoch, delta or whole image,
+// emits exactly one ckpt/epoch record, its raw the image's length and its
+// stored the record's; an epoch the store refused emits none. A write
+// tracker's records after its first are a fraction of the image, with no
+// setting asked for.
+func TestEpochEventPerStoredEpoch(t *testing.T) {
+	const heap = 20000
+	src := heapChurn(rand.New(rand.NewSource(3)), heap, 4, false)
+	for _, mode := range []int{inPlace, whole} {
+		w := newWriter(svm.Machines[5], src, 4, heap, mode)
+		var evs epochEvents
+		w.cr.p.events = &evs
+		for idx := uint64(1); idx <= 6; idx++ {
+			w.run(t, 40)
+			fail := idx == 4
+			w.back.failNext = fail
+			before := len(evs)
+			_, err := w.epoch(t, idx, nil, nil, false)
+			if fail {
+				if err == nil || len(evs) != before {
+					t.Fatalf("mode %d, checkpoint %d: a refused epoch (err %v) emitted %d records", mode, idx, err, len(evs)-before)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(evs) != before+1 {
+				t.Fatalf("mode %d, checkpoint %d: %d ckpt/epoch records, want 1", mode, idx, len(evs)-before)
+			}
+			e := evs[len(evs)-1]
+			raw, stored := len(w.image(t, idx)), len(w.back.recs[len(w.back.recs)-1])
+			for k, want := range map[string]int{"index": int(idx), "raw": raw, "stored": stored} {
+				if got, _ := e.Get(k); got != fmt.Sprint(want) {
+					t.Errorf("mode %d, checkpoint %d: %s = %s, want %d", mode, idx, k, got, want)
+				}
+			}
+			if delta := mode != whole && idx != 1 && idx != 5; delta != (4*stored < raw) {
+				t.Errorf("mode %d, checkpoint %d: a %d-byte record of a %d-byte image", mode, idx, stored, raw)
+			}
 		}
 	}
 }

@@ -871,6 +871,28 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSpecRejectsHugeRanks: a decoded rank count is input, and every
+// daemon sizes per-rank tables from it, so one past MaxRanks is refused — a
+// spec carried in a replicated command or read back from a peer included —
+// and MaxRanks itself decodes. A spec written before the delta-capture flag
+// went, with its trailing byte, still decodes.
+func TestDecodeSpecRejectsHugeRanks(t *testing.T) {
+	s := AppSpec{ID: 3, Name: "x", Ranks: 2000000000, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyKill}
+	for _, ranks := range []int{2000000000, MaxRanks + 1} {
+		s.Ranks = ranks
+		if _, err := DecodeSpec(s.Encode()); err == nil {
+			t.Errorf("a spec of %d ranks decodes", ranks)
+		}
+	}
+	s.Ranks = MaxRanks
+	if got, err := DecodeSpec(s.Encode()); err != nil || got.Ranks != MaxRanks {
+		t.Errorf("a spec of MaxRanks ranks decodes as %d ranks, err %v", got.Ranks, err)
+	}
+	if got, err := DecodeSpec(append(s.Encode(), 1)); err != nil || got.Ranks != MaxRanks {
+		t.Errorf("a spec with the old flag byte decodes as %d ranks, err %v", got.Ranks, err)
+	}
+}
+
 func TestStartInfoRoundTrip(t *testing.T) {
 	si := StartInfo{
 		Gen: 2, Size: 3,

@@ -67,10 +67,21 @@ type AppSpec struct {
 	// memory, or tiered). The zero value is disk, so specs encoded before
 	// the field existed keep their behavior.
 	Store ckpt.StoreKind
-	// DeltaCkpt enables the incremental checkpoint pipeline: an epoch's
-	// record carries only the blocks that changed since the previous one
-	// instead of its whole image.
-	DeltaCkpt bool
+}
+
+// MaxRanks bounds a spec's rank count. Every daemon sizes per-rank tables —
+// the placement, recovery lines — from the count as soon as a spec is
+// submitted, so a count from outside is checked before anything is sized
+// from it. It is far more ranks than a cluster of workstations runs.
+const MaxRanks = 1 << 12
+
+// Validate reports whether the spec can be placed: it has between one and
+// MaxRanks ranks.
+func (s *AppSpec) Validate() error {
+	if s.Ranks <= 0 || s.Ranks > MaxRanks {
+		return fmt.Errorf("proc: spec with %d ranks, want 1 to %d", s.Ranks, MaxRanks)
+	}
+	return nil
 }
 
 // Encode serializes the spec for replication between daemons.
@@ -80,7 +91,6 @@ func (s *AppSpec) Encode() []byte {
 	w.U32(uint32(s.Ranks)).U8(uint8(s.Protocol)).U8(uint8(s.Encoder))
 	w.U64(s.CkptEverySteps).U8(uint8(s.Policy)).String(s.Owner)
 	w.U8(uint8(s.Store))
-	w.Bool(s.DeltaCkpt)
 	return w.Bytes()
 }
 
@@ -100,15 +110,11 @@ func DecodeSpec(b []byte) (AppSpec, error) {
 		// decode as disk.
 		s.Store = ckpt.StoreKind(r.U8())
 	}
-	if r.Remaining() > 0 {
-		// Likewise the incremental-pipeline flag: absent means disabled.
-		s.DeltaCkpt = r.Bool()
-	}
 	if r.Err() != nil {
 		return AppSpec{}, r.Err()
 	}
-	if s.Ranks <= 0 {
-		return AppSpec{}, fmt.Errorf("proc: spec with %d ranks", s.Ranks)
+	if err := s.Validate(); err != nil {
+		return AppSpec{}, err
 	}
 	return s, nil
 }

@@ -25,8 +25,7 @@ func (a *blobApp) Restore(_ *Ctx, state []byte) error { a.state = bytes.Clone(st
 func (a *blobApp) Snapshot() ([]byte, error)          { return a.state, nil }
 func (a *blobApp) Step(*Ctx) (bool, error)            { return true, nil }
 
-// putCounter is a store that takes no hints, as the disk store, rstore and
-// Tiered take none, counting the images handed to Put.
+// putCounter is a recording store counting the images handed to Put.
 type putCounter struct {
 	*recBackend
 	puts int
@@ -34,7 +33,7 @@ type putCounter struct {
 
 func (b *putCounter) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
 	b.puts++
-	return b.recBackend.PutRecord(app, rank, n, ckpt.ImageRecordOf(n, img), meta)
+	return b.recBackend.PutRecord(app, rank, n, ckpt.RecordOf(n, nil, nil, nil, img), meta)
 }
 
 // TestWholeImageEpochIsOneRecord: into a store that takes no hints, a

@@ -47,7 +47,7 @@ func FuzzPeerFrames(f *testing.F) {
 	zeroed := bytes.Clone(img)
 	clear(zeroed[ckpt.DeltaBlockSize:])
 	full := records(img, zeroed) // slot 1 carries both blocks, slot 2 is a carry list
-	whole := ckpt.ImageRecordOf(1, img)
+	whole := ckpt.RecordOf(1, nil, nil, nil, img)
 	if !bytes.Equal(whole, full[1]) {
 		f.Fatal("a rank's first record is not the image's record")
 	}

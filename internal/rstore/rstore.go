@@ -27,10 +27,10 @@
 //   - A slot holds one record (ckpt's chunk.go): the blocks the slot carries,
 //     each named by its position — this slot, its index — and checked by its
 //     crc32c, plus the slot that carries every other block. Put stores the
-//     record that carries a whole image (ckpt.ImageRecordOf), PutRecord one
-//     its writer built: the C/R module's whole-image record, or one the
-//     incremental pipeline (ckpt.Pipeline) wrote. Whether a slot is listed or
-//     only kept for the blocks it carries travels with it in every frame.
+//     record that carries a whole image (ckpt.RecordOf with no base),
+//     PutRecord one its writer built: a rank's epoch, or one ckpt.Pipeline
+//     wrote. Whether a slot is listed or only kept for the blocks it carries
+//     travels with it in every frame.
 //   - On a view change the daemon calls UpdateView; a background pass then
 //     re-replicates what a restart can still need (each app's committed line
 //     and anything newer, and every record those name). Exactly one holder
@@ -543,7 +543,7 @@ func (s *Store) indexAddLocked(app wire.AppID, rank wire.Rank, n uint64) {
 // Put stores img as the record that carries all of it: the one copy that
 // makes the caller's buffer the store's.
 func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *ckpt.Meta) error {
-	return s.PutRecord(app, rank, n, ckpt.ImageRecordOf(n, img), meta)
+	return s.PutRecord(app, rank, n, ckpt.RecordOf(n, nil, nil, nil, img), meta)
 }
 
 // PutRecord stores a record, handed over, in local RAM — replica #1 — pushes

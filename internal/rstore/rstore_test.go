@@ -437,7 +437,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	st := s.Stats()
-	if st.Images != 1 || st.Bytes != int64(len(ckpt.ImageRecordOf(1, []byte("abcd")))) {
+	if st.Images != 1 || st.Bytes != int64(len(ckpt.RecordOf(1, nil, nil, nil, []byte("abcd")))) {
 		t.Fatalf("Stats images/bytes = %d/%d", st.Images, st.Bytes)
 	}
 	if st.Members != 2 || st.Replicas != 2 {

@@ -28,11 +28,11 @@ func sweepBand(img []byte, pct int, epoch uint64, next *int) []svm.Span {
 // record stays while any one block of it is current, so a block nobody
 // rewrites pins its record's every other block. One rank writes 200 hinted
 // epochs of the 8 MiB image into a k=2 writer + holder pair, GC at every 8th,
-// under two write patterns; the heap the two stores and the pipeline hold at
-// the end must stay within 1.25x of what the content-addressed format held
-// (measured with this test on that code: 87.6 MB for random 10% whole-block
-// mutation, 38.3 MB for a contiguous 10% band sweep — the holder there kept
-// each 1 MiB block batch alive while any block in it was).
+// under two write patterns; the heap the two stores and the rank's two images
+// hold at the end must stay within 1.25x of what the content-addressed format
+// held (measured with this test on that code: 87.6 MB for random 10%
+// whole-block mutation, 38.3 MB for a contiguous 10% band sweep — the holder
+// there kept each 1 MiB block batch alive while any block in it was).
 func TestCheckpointRetentionBounded(t *testing.T) {
 	for _, c := range []struct {
 		pattern string
@@ -40,14 +40,14 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	}{{"random", 87.6}, {"sweep", 38.3}} {
 		t.Run(c.pattern, func(t *testing.T) {
 			writer, holder := newRstorePair(t)
-			p := ckpt.NewPipeline(writer, 0)
+			w := &rankWriter{be: writer}
 			rng := rand.New(rand.NewSource(1))
 			base := newEpochImage(rng)
 			img := append([]byte(nil), base...)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			if _, err := p.PutHinted(1, 0, 0, base, nil, 0, nil); err != nil {
+			if _, _, err := w.put(base, nil); err != nil {
 				t.Fatal(err)
 			}
 			var stale []svm.Span
@@ -62,13 +62,13 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 				} else {
 					dirty = sweepBand(img, 10, n, &next)
 				}
-				prev, err := p.PutHinted(1, 0, n, img, nil, n-1, dirty)
+				prev, _, err := w.put(img, dirty)
 				if err != nil {
 					t.Fatal(err)
 				}
 				base, img, stale = img, prev, dirty
 				if n%8 == 0 {
-					if err := p.GC(1, 0, n); err != nil {
+					if err := writer.GC(1, 0, n); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -83,7 +83,7 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 			}
 			runtime.KeepAlive(base)
 			runtime.KeepAlive(img)
-			runtime.KeepAlive(p)
+			runtime.KeepAlive(w)
 		})
 	}
 }

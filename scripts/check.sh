@@ -192,11 +192,15 @@ body() {
     # A daemon's Close waits for every process it spawned; a process that
     # outlives it writes into a removed store directory. Timing-dependent, so
     # run the teardown tests 30 times.
-    go test -race -count 30 -run 'TestDeleteDropsCapturePipeline|TestCloseWaitsForProcesses' ./internal/daemon/
-    # The whole-image writer and the capture that hands its record over, and a
-    # host lost before its join under the notify policy: run them 10 times.
-    go test -race -count 10 -run 'TestImageRecordOfMatchesEncodeRecord|TestWholeImageEpochIsOneRecord' ./internal/ckpt/ ./internal/proc/
+    go test -race -count 30 -run 'TestCloseWaitsForProcesses' ./internal/daemon/
+    # The record writer, whole and delta, and the capture that hands its
+    # record over, and a host lost before its join under the notify policy:
+    # run them 10 times.
+    go test -race -count 10 -run 'TestRecordOfMatchesReference|TestHintIsUsed|TestHintedEpochsStayIncremental|TestWholeImageEpochIsOneRecord|TestEpochEventPerStoredEpoch' ./internal/ckpt/ ./internal/proc/
     go test -race -count 10 -run 'TestCrashNotifyBeforeJoin' ./internal/cluster/
+    # A write-tracking job's delta records on disk, restored after a kill from
+    # carry lists resolved there: run it 5 times.
+    go test -race -count 5 -run 'TestInPlaceEpochsRecover/stop-and-sync-disk' ./internal/cluster/
 }
 stage "go test -race (checkpoint-storage packages)"
 
@@ -392,7 +396,7 @@ body() {
     # per epoch. The in-place epoch (ROADMAP item 1): re-encoding a tenth-dirty
     # heap into the image it already has must cost <=0.2x a full EncodeImage, and
     # a whole epoch of the C/R module over a write-tracking VM (mode=epoch:
-    # snapshot in place, hinted put, replication, GC) must allocate <=0.25x the
+    # snapshot in place, hinted record, replication, GC) must allocate <=0.25x the
     # image and run in <=0.5x the opaque full-image epoch's time. And the delta
     # pipeline's replicated bytes at 10% must stay <=0.105x the full-image
     # path's — a tenth of the blocks and their envelopes — so a format that
