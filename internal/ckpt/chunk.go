@@ -98,19 +98,17 @@ func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 // It is the one writer of records: what Backend.Put stores, what a rank
 // writes each epoch, what Pipeline writes.
 //
-// With no base the record carries every block. It is allocated once, envelope
-// plus image, and filled a block at a time: each block is copied from the
-// parts, then zero-tested and checksummed while it is in cache. An all-zero
-// block gets the sentinel, and the next block overwrites its bytes.
-//
-// With a base — the image of the slot before n — and where, its carry list,
-// the record carries only the blocks that differ from base and names where's
-// slot for every other block. It diffs first and then allocates exactly, and
-// copies and checksums only the changed blocks. dirty, when non-nil, is a
-// hint: every byte of the image outside its spans equals base's byte at the
-// same offset, so a block no span touches is carried without looking when
-// base has a block of the same length there. A sound hint changes nothing in
-// the record, only the work.
+// With no base the record carries every block that is not all zero. With a
+// base — the image of the slot before n — and where, its carry list, it
+// carries only the blocks that differ from base and names where's slot for
+// every other block. Either way it looks first (changedBlocks: with no base
+// that is a zero test per block, which a non-zero block fails on its first
+// bytes), then allocates the record exactly — envelope plus the bytes it
+// carries — and copies and checksums only the blocks it carries. dirty, when
+// non-nil, is a hint: every byte of the image outside its spans equals base's
+// byte at the same offset, so a block no span touches is carried without
+// looking when base has a block of the same length there. A sound hint
+// changes nothing in the record, only the work.
 //
 //starfish:deterministic
 func RecordOf(n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...[]byte) []byte {
@@ -119,73 +117,48 @@ func RecordOf(n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...
 		rawLen += len(p)
 	}
 	nb := int(blocksOf(uint64(rawLen)))
-	listed, dataLen := nb, rawLen
-	var changed []uint32
-	if base != nil {
-		changed, dataLen = changedBlocks(base, dirty, rawLen, parts)
-		listed = len(changed)
-	}
-	env := headerLen + 8*listed + 8*nb
+	changed, dataLen := changedBlocks(base, dirty, rawLen, parts)
+	env := headerLen + 8*len(changed) + 8*nb
 	buf := make([]byte, env+dataLen)
 	buf[8] = RecFull
 	binary.BigEndian.PutUint64(buf[9:], n)
 	binary.BigEndian.PutUint64(buf[17:], uint64(rawLen))
-	binary.BigEndian.PutUint32(buf[25:], uint32(listed))
+	binary.BigEndian.PutUint32(buf[25:], uint32(len(changed)))
 	binary.BigEndian.PutUint32(buf[29:], uint32(nb))
-	list, carried, data := buf[headerLen:], buf[headerLen+8*listed:], buf[env:]
-	cur := cursor{parts: parts}
-	w := 0 // bytes of data written
-	if base != nil {
-		for i := range min(nb, len(where)) {
-			binary.BigEndian.PutUint64(carried[8*i:], where[i])
-		}
-		at := 0 // the block the cursor is at
-		for k, e := range changed {
-			i := e &^ zeroBit
-			cur.skip((int(i) - at) * DeltaBlockSize)
-			at = int(i) + 1
-			bl := blockLen(rawLen, i)
-			crc, slot := uint32(0), n
-			if e&zeroBit != 0 {
-				cur.skip(bl)
-				slot = zeroSlot
-			} else {
-				b := data[w : w+bl]
-				cur.read(b)
-				crc, w = crc32.Checksum(b, castagnoli), w+bl
-			}
-			binary.BigEndian.PutUint32(list[8*k:], e)
-			binary.BigEndian.PutUint32(list[8*k+4:], crc)
-			binary.BigEndian.PutUint64(carried[8*i:], slot)
-		}
-		return sealEnvelope(buf, env)
+	list, carried, data := buf[headerLen:], buf[headerLen+8*len(changed):], buf[env:]
+	for i := range min(nb, len(where)) {
+		binary.BigEndian.PutUint64(carried[8*i:], where[i])
 	}
-	for i := range nb {
-		b := data[w : w+blockLen(rawLen, uint32(i))]
-		cur.read(b)
-		idx, crc, slot := uint32(i), uint32(0), n
-		if isZero(b) {
-			idx, slot = idx|zeroBit, zeroSlot
+	cur := cursor{parts: parts}
+	w := 0  // bytes of data written
+	at := 0 // the block the cursor is at
+	for k, e := range changed {
+		i := e &^ zeroBit
+		cur.skip((int(i) - at) * DeltaBlockSize)
+		at = int(i) + 1
+		bl := blockLen(rawLen, i)
+		crc, slot := uint32(0), n
+		if e&zeroBit != 0 {
+			cur.skip(bl)
+			slot = zeroSlot
 		} else {
-			crc, w = crc32.Checksum(b, castagnoli), w+len(b)
+			b := data[w : w+bl]
+			cur.read(b)
+			crc, w = crc32.Checksum(b, castagnoli), w+bl
 		}
-		binary.BigEndian.PutUint32(list[8*i:], idx)
-		binary.BigEndian.PutUint32(list[8*i+4:], crc)
+		binary.BigEndian.PutUint32(list[8*k:], e)
+		binary.BigEndian.PutUint32(list[8*k+4:], crc)
 		binary.BigEndian.PutUint64(carried[8*i:], slot)
 	}
-	if 2*w < rawLen {
-		// Mostly zeros: a backend keeps the record, so it keeps only what
-		// the record carries.
-		return sealEnvelope(slices.Clone(buf[:env+w]), env)
-	}
-	return sealEnvelope(buf[:env+w], env)
+	return sealEnvelope(buf, env)
 }
 
 // changedBlocks lists, ascending, the blocks of the rawLen-byte image parts
-// concatenate to that differ from base, zeroBit marking an all-zero one, and
-// returns the bytes the others hold. A block no dirty span touches is taken
-// as unchanged without looking, provided base has a block of the same length
-// there; growth past base and a resized tail block always differ.
+// concatenate to that differ from base — every block, when base is nil —
+// zeroBit marking an all-zero one, and returns the bytes the others hold. A
+// block no dirty span touches is taken as unchanged without looking, provided
+// base has a block of the same length there; growth past base and a resized
+// tail block always differ.
 //
 //starfish:deterministic
 func changedBlocks(base []byte, dirty []svm.Span, rawLen int, parts [][]byte) ([]uint32, int) {
@@ -194,6 +167,9 @@ func changedBlocks(base []byte, dirty []svm.Span, rawLen int, parts [][]byte) ([
 		hinted = spanBlocks(dirty, rawLen)
 	}
 	var changed []uint32
+	if base == nil {
+		changed = make([]uint32, 0, blocksOf(uint64(rawLen)))
+	}
 	var scratch [DeltaBlockSize]byte
 	cur := cursor{parts: parts}
 	dataLen := 0

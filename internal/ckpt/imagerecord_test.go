@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"starfish/internal/svm"
@@ -141,8 +140,8 @@ func randomSplit(rng *rand.Rand, img []byte) [][]byte {
 // parts is byte for byte the one the reference encoder writes from their
 // concatenation with every block listed, and that it reads back: it decodes,
 // verifies, resolves to the image, and aliases it when no block is all-zero.
-// A store holds the record, so it may keep at most twice the bytes it has,
-// and one that is mostly zero blocks must not keep the room of the zeros.
+// A store holds the record, so it is sized exactly: it keeps no room for the
+// zero blocks it does not carry.
 func checkImageRecordOf(t *testing.T, n uint64, parts [][]byte) {
 	t.Helper()
 	img := bytes.Join(parts, nil)
@@ -169,11 +168,8 @@ func checkImageRecordOf(t *testing.T, n uint64, parts [][]byte) {
 	if err != nil || !bytes.Equal(res, img) {
 		t.Fatalf("resolve: %v (equal %v)", err, bytes.Equal(res, img))
 	}
-	if cap(got) > 2*len(got) {
+	if cap(got) != len(got) {
 		t.Fatalf("a %d-byte record keeps %d bytes", len(got), cap(got))
-	}
-	if 2*len(rec.data) < len(img) && cap(got) > cap(slices.Clone(got)) {
-		t.Fatalf("a record carrying %d of %d bytes keeps the room of its zero blocks", len(rec.data), len(img))
 	}
 	hasZero := false
 	for k := range rec.offs {

@@ -53,7 +53,8 @@ const (
 	// sender's cumulative per-peer sent counts, so receivers know when
 	// their channels are drained.
 	KFlush uint16 = 0x31
-	// KAck: participant -> coordinator. Payload: ckpt index (u64).
+	// KAck: participant -> coordinator. Payload: ckpt index (u64), then
+	// whether the participant stored it (bool).
 	KAck uint16 = 0x32
 	// KCommit: coordinator -> participants. Payload: ckpt index (u64).
 	KCommit uint16 = 0x33

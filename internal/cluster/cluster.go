@@ -51,6 +51,10 @@ type Options struct {
 	// fastnet. Faults are programmed through Chaos(); with no faults set
 	// the layer is transparent.
 	ChaosSeed int64
+	// Interpose, when set, wraps the transport each node's components dial
+	// and listen through (after chaosnet's, if any): a hook for faults
+	// chaosnet does not model, such as holding one message.
+	Interpose func(node wire.NodeID, tr vni.Transport) vni.Transport
 	// Logf receives daemon diagnostics.
 	Logf func(string, ...any)
 }
@@ -174,12 +178,17 @@ func chaosClassOf(addr string) string {
 
 // nodeTransport is the transport a node's components dial and listen
 // through: the shared fastnet directly, or its chaosnet facade (which tags
-// outbound traffic with the node's identity for per-link fault targeting).
+// outbound traffic with the node's identity for per-link fault targeting),
+// wrapped by Options.Interpose when set.
 func (c *Cluster) nodeTransport(id wire.NodeID) vni.Transport {
+	var tr vni.Transport = c.fn
 	if c.chaos != nil {
-		return c.chaos.Node(chaosNode(id))
+		tr = c.chaos.Node(chaosNode(id))
 	}
-	return c.fn
+	if c.opts.Interpose != nil {
+		tr = c.opts.Interpose(id, tr)
+	}
+	return tr
 }
 
 // AddNode starts a new node (daemon) and joins it to the cluster,

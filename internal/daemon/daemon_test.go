@@ -3,10 +3,12 @@ package daemon
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -595,16 +597,78 @@ func (slowApp) Restore(*proc.Ctx, []byte) error { return nil }
 func (slowApp) Snapshot() ([]byte, error)       { return nil, nil }
 func (slowApp) Step(*proc.Ctx) (bool, error)    { time.Sleep(20 * time.Millisecond); return false, nil }
 
+// countingTransport counts the frames sent on the connections it dials.
+type countingTransport struct {
+	vni.Transport
+	sent atomic.Int64
+}
+
+func (t *countingTransport) Dial(addr string) (vni.Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: c, t: t}, nil
+}
+
+type countingConn struct {
+	vni.Conn
+	t *countingTransport
+}
+
+func (c *countingConn) Send(m *wire.Msg) error {
+	c.t.sent.Add(1)
+	return c.Conn.Send(m)
+}
+
 // TestCloseWaitsForProcesses: Close returns only once every process the
-// daemon spawned has exited — those still running and those a DELETE already
-// detached — so nothing a process does outlives its daemon.
+// daemon spawned has exited — those still running, those a DELETE already
+// detached, and one whose checkpoint is being stored when the abort comes —
+// so nothing a process does outlives its daemon: no store runs after Close.
+// The stored app checkpoints every step into replicated memory whose second
+// member takes pushes in and never answers, so each store lasts a few
+// request timeouts; a store still running would send on.
 func TestCloseWaitsForProcesses(t *testing.T) {
 	store, err := ckpt.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fn := vni.NewFastnet(0)
+	rstoreAddr := func(id wire.NodeID) string { return fmt.Sprintf("close-rstore-%d", id) }
+	mute, err := fn.Listen(rstoreAddr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	go func() {
+		for {
+			c, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				for {
+					m, err := c.Recv()
+					if err != nil {
+						return
+					}
+					m.Release()
+				}
+			}()
+		}
+	}()
+	pushes := &countingTransport{Transport: fn}
+	mem, err := rstore.New(rstore.Config{
+		Node: 1, Transport: pushes, Addr: rstoreAddr(1), PeerAddr: rstoreAddr,
+		Replicas: 2, RequestTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
 	d, err := New(Config{
-		Node: 1, Transport: vni.NewFastnet(0), GCSAddr: "close-gcs", Store: store,
+		Node: 1, Transport: fn, GCSAddr: "close-gcs", Store: store, Memory: mem,
 		Arch: svm.Machines[0], HeartbeatEvery: 5 * time.Millisecond,
 	})
 	if err != nil {
@@ -612,10 +676,11 @@ func TestCloseWaitsForProcesses(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	var procs []*proc.Process
-	launch := func(app wire.AppID) {
+	launch := func(app wire.AppID, st ckpt.StoreKind, every uint64) {
 		t.Helper()
 		spec := proc.AppSpec{ID: app, Name: slowAppName, Ranks: 2,
-			Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart}
+			Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart,
+			Store: st, CkptEverySteps: every}
 		if err := d.Submit(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -631,8 +696,8 @@ func TestCloseWaitsForProcesses(t *testing.T) {
 		}
 		d.mu.Unlock()
 	}
-	launch(1)
-	launch(2)
+	launch(1, ckpt.StoreDisk, 0)
+	launch(2, ckpt.StoreDisk, 0)
 	if err := d.Delete(1); err != nil {
 		t.Fatal(err)
 	}
@@ -642,9 +707,20 @@ func TestCloseWaitsForProcesses(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// The daemon's view is installed (its apps run): from here on the
+	// memory store replicates to the mute member too.
+	mem.UpdateView([]wire.NodeID{1, 2})
+	launch(3, ckpt.StoreMemory, 1)
+	for pushes.sent.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint was ever pushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	d.Close()
-	if len(procs) != 4 {
-		t.Fatalf("%d processes spawned, want 4", len(procs))
+	sent := pushes.sent.Load()
+	if len(procs) != 6 {
+		t.Fatalf("%d processes spawned, want 6", len(procs))
 	}
 	for _, p := range procs {
 		select {
@@ -652,5 +728,9 @@ func TestCloseWaitsForProcesses(t *testing.T) {
 		default:
 			t.Errorf("rank %d still running after Close", p.Rank())
 		}
+	}
+	time.Sleep(200 * time.Millisecond)
+	if now := pushes.sent.Load(); now != sent {
+		t.Errorf("%d frames pushed after Close returned", now-sent)
 	}
 }

@@ -74,7 +74,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			if err := p.cr.snapshotApp(idx, c); err != nil {
 				b.Fatal(err)
 			}
-			if err := p.cr.capture(idx, "bench", c, nil, &ckpt.Meta{}); err != nil {
+			if err := storeEpoch(p.cr, idx, "bench", c, nil, &ckpt.Meta{}); err != nil {
 				b.Fatal(err)
 			}
 			if err := stores[0].GC(1, 0, idx); err != nil {
@@ -110,7 +110,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				if err := p.cr.snapshotApp(idx, c); err != nil {
 					b.Fatal(err)
 				}
-				if err := p.cr.capture(idx, "bench", c, nil, &ckpt.Meta{}); err != nil {
+				if err := storeEpoch(p.cr, idx, "bench", c, nil, &ckpt.Meta{}); err != nil {
 					b.Fatal(err)
 				}
 				if idx%8 == 0 {

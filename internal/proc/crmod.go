@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
@@ -37,10 +38,16 @@ type crModule struct {
 	// flow"): base, the newest stored image, is what the next epoch is
 	// diffed against, and where its record's carry list; spare, the image
 	// before it, is the buffer the next image is built in. Both are ours:
-	// the store gets records, never these. Under mu: Chandy–Lamport stores on
-	// a delivering goroutine.
+	// the store gets records, never these. Under mu: the capture worker swaps
+	// them once it has stored an epoch.
 	base, spare imageBuf
 	where       []uint64
+
+	// worker is the epoch handed to the capture worker last (nil: none yet);
+	// closed refuses further hand-offs. Under mu: a Chandy–Lamport round
+	// hands off on the goroutine delivering its last marker.
+	worker *inflight
+	closed bool
 
 	// Independent-protocol state: receipts recorded since the last
 	// checkpoint.
@@ -64,10 +71,14 @@ type crModule struct {
 	sfsTargets map[wire.Rank]uint64 // peer -> messages it sent us pre-cut
 	sfsFlushes map[wire.Rank]bool
 
-	// Coordinator (rank 0) ack collection and commit tracking.
+	// Coordinator (rank 0) ack collection and commit tracking. due: a round
+	// was asked for while one ran; it starts once that one has ended, so
+	// a round that outlasts the cadence delays the next rather than
+	// cancelling it.
 	acks         map[wire.Rank]bool
 	ackRound     uint64
 	awaitingAcks bool
+	due          bool
 }
 
 func newCRModule(p *Process) *crModule {
@@ -183,6 +194,27 @@ type cut struct {
 	sent, recv map[wire.Rank]uint64
 }
 
+// epoch is a cut handed to the capture worker, with what storing it takes:
+// the checkpoint index, the protocol's name for the record, the channel state
+// that followed the cut (Chandy–Lamport, stop-and-sync), the meta to complete
+// and whether the coordinator is owed an ack.
+type epoch struct {
+	idx      uint64
+	protocol string
+	c        *cut
+	channel  []mpi.RecordedMsg
+	meta     *ckpt.Meta
+	ack      bool
+}
+
+// inflight is an epoch with its capture worker: done closes once the worker
+// has stored the epoch, or failed to, and sent its ack; err, read after done,
+// is the outcome.
+type inflight struct {
+	done chan struct{}
+	err  error
+}
+
 // dirtyTracker is the optional App extension behind delta capture (VMApp
 // implements it): every byte of the next Snapshot outside the spans equals
 // the previous Snapshot's. A rank whose application tracks its writes stores
@@ -198,8 +230,12 @@ type snapshotLender interface {
 }
 
 // snapshotApp takes the application's part of the cut for checkpoint idx.
-// Main loop, step boundary.
+// Main loop, step boundary. It first waits for the epoch before to be stored:
+// that epoch's worker still reads the state the application returned, and
+// swaps the buffers the spare is lent from. So at most one epoch per rank is
+// in flight.
 func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
+	cr.wait()
 	app := cr.p.app
 	// Snapshot re-baselines the write tracking: the hint is read first.
 	if t, ok := app.(dirtyTracker); ok && cr.snapIndex != 0 {
@@ -234,10 +270,59 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 	return nil
 }
 
-// capture writes checkpoint idx: the image — encoder header, application
-// state, the cut's pending messages and the channel state that followed it
-// (Chandy–Lamport, stop-and-sync) — stored with meta completed from the cut,
-// and the checkpoint record emitted under the given protocol name.
+// handOff gives epoch e to a capture worker, a goroutine that lives as long as
+// the epoch: it writes and stores the record, emits the epoch's records and,
+// when e is owed one, acks the coordinator with the outcome. The rank steps
+// on. Once the module is closed nothing more is stored.
+func (cr *crModule) handOff(e epoch) {
+	handed := time.Now()
+	w := &inflight{done: make(chan struct{})}
+	cr.mu.Lock()
+	if cr.closed {
+		cr.mu.Unlock()
+		return
+	}
+	cr.worker = w
+	cr.mu.Unlock()
+	go func() {
+		defer close(w.done)
+		w.err = cr.capture(e, time.Since(handed))
+		if w.err != nil {
+			cr.p.logff("%v", w.err)
+		}
+		if e.ack {
+			cr.sendAck(e.idx, w.err == nil)
+		}
+	}()
+}
+
+// wait blocks until the epoch handed off last is stored and acked, and
+// returns its outcome.
+func (cr *crModule) wait() error {
+	cr.mu.Lock()
+	w := cr.worker
+	cr.mu.Unlock()
+	if w == nil {
+		return nil
+	}
+	<-w.done
+	return w.err
+}
+
+// close refuses further hand-offs and waits for the epoch in flight: after
+// it, nothing of this process stores.
+func (cr *crModule) close() {
+	cr.mu.Lock()
+	cr.closed = true
+	cr.mu.Unlock()
+	cr.wait()
+}
+
+// capture writes checkpoint e.idx: the image — encoder header, application
+// state, the cut's pending messages and the channel state that followed it —
+// stored with e.meta completed from the cut, and the checkpoint record emitted
+// under e's protocol name. It runs on the capture worker only; wait is how
+// long the epoch waited for it. An epoch of an aborted process is not stored.
 //
 // An application that tracks its writes has its image assembled and kept: the
 // record carries the blocks that differ from the last stored image, looking
@@ -245,8 +330,10 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 // the image becomes the next epoch's base. Any other application's record is
 // written from the encoder's prefix, the state and the lists, so its state is
 // copied once, into the record. Either way the record is handed to PutRecord.
-func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
+func (cr *crModule) capture(e epoch, wait time.Duration) error {
 	p := cr.p
+	idx, c, channel := e.idx, e.c, e.channel
+	meta := e.meta
 	meta.Rank, meta.Index, meta.SentCounts, meta.RecvCounts = p.rank, idx, c.sent, c.recv
 	stateLen := ckptStateSize(c.state, c.pending, channel)
 	_, tracks := p.app.(dirtyTracker)
@@ -271,10 +358,15 @@ func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.R
 		parts, err = cr.wholeParts(c, channel, stateLen)
 	}
 	var rec []byte
+	start := time.Now()
 	if err == nil {
 		rec = ckpt.RecordOf(idx, base.img, where, dirty, parts...)
-		err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
+		err = ErrAborted
+		if !p.hardAbort.Load() {
+			err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
+		}
 	}
+	store := time.Since(start)
 	if tracks {
 		cr.mu.Lock()
 		cr.base, cr.spare, cr.where = imageBuf{}, imageBuf{}, nil
@@ -291,11 +383,12 @@ func (cr *crModule) capture(idx uint64, protocol string, c *cut, channel []mpi.R
 		size += len(part)
 	}
 	ev := evstore.EvRank("epoch", p.spec.ID, p.rank,
-		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", len(rec)))
+		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", len(rec)),
+		evstore.F("wait_us", wait.Microseconds()), evstore.F("store_us", store.Microseconds()))
 	ev.Component = "ckpt"
 	p.event(ev)
 	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
-		evstore.F("index", idx), evstore.F("protocol", protocol),
+		evstore.F("index", idx), evstore.F("protocol", e.protocol),
 		evstore.F("bytes", size)))
 	return nil
 }
@@ -376,8 +469,9 @@ func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
 // delivering the channel it arrived on, synchronously before any later
 // message of that channel is processed — which is what makes
 // StopRecordingFrom cut the channel's recorded state exactly at the marker.
-// The marker that completes a round finalizes it here: on fastnet, on the
-// goroutine of the rank that sent it, inside its clBegin marker loop.
+// The marker that completes a round finalizes it here — on fastnet, on the
+// goroutine of the rank that sent it, inside its clBegin marker loop — which
+// only takes the channel state and hands the epoch to the capture worker.
 func (cr *crModule) onMarker(src wire.Rank, id uint64) {
 	cr.mu.Lock()
 	if !cr.clActive {
@@ -481,8 +575,9 @@ func (cr *crModule) clBegin(id uint64) error {
 	return nil
 }
 
-// finalizeCL writes the completed Chandy–Lamport checkpoint (snapshot +
-// channel state) and acks the coordinator.
+// finalizeCL hands the completed Chandy–Lamport checkpoint (snapshot +
+// channel state) to the capture worker, which stores it and acks the
+// coordinator.
 func (cr *crModule) finalizeCL() {
 	cr.mu.Lock()
 	if !cr.clActive {
@@ -498,40 +593,56 @@ func (cr *crModule) finalizeCL() {
 	}
 	cr.mu.Unlock()
 
-	if err := cr.capture(id, "chandy-lamport", c, cr.p.comm.TakeRecorded(), &ckpt.Meta{}); err != nil {
-		cr.p.logff("%v", err)
-		return
-	}
-	cr.sendAck(id)
+	cr.handOff(epoch{idx: id, protocol: "chandy-lamport", c: c, channel: cr.p.comm.TakeRecorded(), meta: &ckpt.Meta{}, ack: true})
 }
 
-func (cr *crModule) sendAck(id uint64) {
+// sendAck tells the coordinator whether checkpoint id is stored here.
+func (cr *crModule) sendAck(id uint64, stored bool) {
 	w := wire.NewWriter(12)
 	w.U64(id)
+	w.Bool(stored)
 	cr.p.link.Send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KAck, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})
 }
 
-// onAck collects coordinator-side acknowledgements (rank 0 only).
-func (cr *crModule) onAck(from wire.Rank, id uint64) {
+// onAck collects coordinator-side acknowledgements (rank 0 only) of the
+// round it awaits; an ack of any other round is stale and ignored. Once every
+// rank has answered, the line commits if every rank stored its checkpoint,
+// and the round is dropped otherwise: the next round opens the next index.
+func (cr *crModule) onAck(from wire.Rank, id uint64, stored bool) {
 	if cr.p.rank != 0 {
 		return
 	}
 	cr.mu.Lock()
-	if cr.acks == nil || cr.ackRound != id {
-		cr.acks = make(map[wire.Rank]bool)
-		cr.ackRound = id
+	if !cr.awaitingAcks || cr.ackRound != id {
+		cr.mu.Unlock()
+		return
 	}
-	cr.acks[from] = true
+	if cr.acks == nil {
+		cr.acks = make(map[wire.Rank]bool)
+	}
+	cr.acks[from] = stored
 	complete := len(cr.acks) == cr.p.spec.Ranks
+	due := false
 	if complete {
+		for _, ok := range cr.acks {
+			stored = stored && ok
+		}
 		cr.acks = nil
 		cr.awaitingAcks = false
+		due, cr.due = cr.due, false
 	}
 	cr.mu.Unlock()
 	if !complete {
+		return
+	}
+	if due {
+		cr.p.requestCheckpoint()
+	}
+	if !stored {
+		cr.p.logff("checkpoint %d not stored at every rank: round dropped", id)
 		return
 	}
 	line := make(ckpt.RecoveryLine, cr.p.spec.Ranks)
@@ -553,8 +664,15 @@ func (cr *crModule) onAck(from wire.Rank, id uint64) {
 
 // ---- independent (uncoordinated) checkpointing ----
 
-// takeLocal writes an independent checkpoint at the current boundary.
+// takeLocal takes an independent checkpoint's cut at the current boundary and
+// hands it to the capture worker. It first waits for the checkpoint before,
+// and returns its store error: the rank fail-stops rather than take a
+// checkpoint after a missing one, whose meta held the receipts (Deps) and
+// sends (SentLog) of the interval it closed.
 func (cr *crModule) takeLocal() error {
+	if err := cr.wait(); err != nil {
+		return err
+	}
 	cr.mu.Lock()
 	idx := cr.lastIndex + 1
 	deps := cr.deps
@@ -569,9 +687,7 @@ func (cr *crModule) takeLocal() error {
 	// Persist the sends of the interval this checkpoint closes, for
 	// lost-message replay at restart.
 	meta := &ckpt.Meta{Deps: deps, SentLog: encodeMsgList(cr.p.comm.TakeSentLog())}
-	if err := cr.capture(idx, "independent", c, nil, meta); err != nil {
-		return err
-	}
+	cr.handOff(epoch{idx: idx, protocol: "independent", c: c, meta: meta})
 
 	cr.mu.Lock()
 	cr.lastIndex = idx
@@ -676,8 +792,8 @@ func (cr *crModule) onFlush(m wire.Msg) {
 }
 
 // sfsPoll finalizes the round once every flush arrived and every announced
-// message has been received. Called at step boundaries and on protocol
-// events; never blocks.
+// message has been received, handing the epoch to the capture worker. Called
+// at step boundaries and on protocol events; never blocks.
 func (cr *crModule) sfsPoll() {
 	cr.mu.Lock()
 	if !cr.sfsActive || len(cr.sfsFlushes) < cr.p.spec.Ranks {
@@ -718,11 +834,7 @@ func (cr *crModule) sfsPoll() {
 			channelState = append(channelState, m)
 		}
 	}
-	if err := cr.capture(idx, "sync-flush", c, channelState, &ckpt.Meta{}); err != nil {
-		cr.p.logff("%v", err)
-		return
-	}
-	cr.sendAck(idx)
+	cr.handOff(epoch{idx: idx, protocol: "sync-flush", c: c, channel: channelState, meta: &ckpt.Meta{}, ack: true})
 }
 
 // handleAckCommit processes KAck/KCommit outside and inside rounds.
@@ -734,7 +846,9 @@ func (cr *crModule) handleAckCommit(m wire.Msg) {
 	}
 	switch m.Kind {
 	case ckpt.KAck:
-		cr.onAck(m.Src, id)
+		if stored := r.Bool(); r.Err() == nil {
+			cr.onAck(m.Src, id, stored)
+		}
 	case ckpt.KCommit:
 		cr.mu.Lock()
 		if cr.lastIndex < id {
@@ -780,8 +894,9 @@ func (cr *crModule) initiate() error {
 		}
 		cr.mu.Lock()
 		if cr.clActive || cr.sfsActive || cr.awaitingAcks {
+			cr.due = true // round already running: the next follows it
 			cr.mu.Unlock()
-			return nil // round already running
+			return nil
 		}
 		idx := cr.nextIndex
 		cr.awaitingAcks = true

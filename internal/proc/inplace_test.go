@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -126,7 +127,7 @@ func (w *writer) epoch(t *testing.T, idx uint64, pending, channel []mpi.Recorded
 		return false, nil
 	}
 	spare := c.into.img
-	if err = w.cr.capture(idx, "test", c, channel, &ckpt.Meta{}); err != nil {
+	if err = storeEpoch(w.cr, idx, "test", c, channel, &ckpt.Meta{}); err != nil {
 		return false, err
 	}
 	switch {
@@ -138,6 +139,13 @@ func (w *writer) epoch(t *testing.T, idx uint64, pending, channel []mpi.Recorded
 		t.Fatalf("checkpoint %d: the base before the epoch is not the spare after it", idx)
 	}
 	return spare != nil && sameBytes(w.cr.base.img, spare), nil
+}
+
+// storeEpoch hands the epoch to the capture worker and waits for it to be
+// stored, as a rank taking its next cut at once does.
+func storeEpoch(cr *crModule, idx uint64, protocol string, c *cut, channel []mpi.RecordedMsg, meta *ckpt.Meta) error {
+	cr.handOff(epoch{idx: idx, protocol: protocol, c: c, channel: channel, meta: meta})
+	return cr.wait()
 }
 
 // image returns the image checkpoint idx resolves to.
@@ -378,8 +386,10 @@ func (e *epochEvents) Emit(r evstore.Record) {
 }
 
 // TestEpochEventPerStoredEpoch: each stored epoch, delta or whole image,
-// emits exactly one ckpt/epoch record, its raw the image's length and its
-// stored the record's; an epoch the store refused emits none. A write
+// emits exactly one ckpt/epoch record, its raw the image's length, its
+// stored the record's, and its wait_us and store_us the time it waited for
+// its capture worker and the time the worker took to write and store it; an
+// epoch the store refused emits none. A write
 // tracker's records after its first are a fraction of the image, with no
 // setting asked for.
 func TestEpochEventPerStoredEpoch(t *testing.T) {
@@ -412,6 +422,14 @@ func TestEpochEventPerStoredEpoch(t *testing.T) {
 			for k, want := range map[string]int{"index": int(idx), "raw": raw, "stored": stored} {
 				if got, _ := e.Get(k); got != fmt.Sprint(want) {
 					t.Errorf("mode %d, checkpoint %d: %s = %s, want %d", mode, idx, k, got, want)
+				}
+			}
+			// How long the epoch waited for its worker, and how long the
+			// worker took to write and store it, in microseconds.
+			for _, k := range []string{"wait_us", "store_us"} {
+				got, _ := e.Get(k)
+				if us, err := strconv.ParseInt(got, 10, 64); err != nil || us < 0 {
+					t.Errorf("mode %d, checkpoint %d: %s = %q", mode, idx, k, got)
 				}
 			}
 			if delta := mode != whole && idx != 1 && idx != 5; delta != (4*stored < raw) {

@@ -3,6 +3,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,8 +105,10 @@ type harness struct {
 	store *ckpt.Store
 	spec  AppSpec
 	gen   uint32
-	// events, when set before launch, receives every process's records.
+	// events, when set before launch, receives every process's records;
+	// back, when set, is the processes' store in store's place.
 	events evstore.Sink
+	back   ckpt.Backend
 
 	mu     sync.Mutex
 	procs  []*Process
@@ -141,6 +144,16 @@ func newHarness(t testing.TB, spec AppSpec) *harness {
 	t.Cleanup(func() {
 		close(h.stop)
 		h.closeLinks()
+		// A process stores nothing once done: wait for that before the
+		// store's directory goes.
+		h.mu.Lock()
+		procs := h.procs
+		h.mu.Unlock()
+		for _, p := range procs {
+			if p != nil {
+				<-p.Done()
+			}
+		}
 	})
 	return h
 }
@@ -211,6 +224,10 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 	h.dsides = make([]*ChanLink, n)
 	h.mu.Unlock()
 
+	var store ckpt.Backend = h.store
+	if h.back != nil {
+		store = h.back
+	}
 	addrs := make(map[wire.Rank]string, n)
 	for i := 0; i < n; i++ {
 		pside, dside := NewChanLink(0)
@@ -218,7 +235,7 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 			Spec:       h.spec,
 			Rank:       wire.Rank(i),
 			Arch:       svm.Machines[i%len(svm.Machines)],
-			Store:      h.store,
+			Store:      store,
 			Link:       pside,
 			Events:     h.events,
 			Transport:  h.tr,
@@ -794,6 +811,175 @@ func TestAbortWhileDrainingRoundExits(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("rank %d still running 5 s after its abort", p.Rank())
 		}
+	}
+}
+
+// failOnce is the harness's store, except that it refuses rank's PutRecord of
+// checkpoint n, once.
+type failOnce struct {
+	ckpt.Backend
+	rank   wire.Rank
+	n      uint64
+	failed atomic.Bool
+}
+
+func (s *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	if rank == s.rank && n == s.n && s.failed.CompareAndSwap(false, true) {
+		return errPlanted
+	}
+	return s.Backend.PutRecord(app, rank, n, rec, meta)
+}
+
+// TestFailedStoreDropsRound: a rank whose store refuses its checkpoint acks
+// the failure, the coordinator drops that round without committing, and the
+// next round opens the next index — so later lines commit and the job ends
+// without the coordinator waiting out drainRounds' 10 s for a round that can
+// never complete.
+func TestFailedStoreDropsRound(t *testing.T) {
+	for _, proto := range []ckpt.Protocol{ckpt.StopAndSync, ckpt.ChandyLamport} {
+		t.Run(proto.String(), func(t *testing.T) {
+			spec := ringSpec(48, 3, 2000)
+			spec.Protocol, spec.CkptEverySteps = proto, 100
+			h := newHarness(t, spec)
+			back := &failOnce{Backend: h.store, rank: 1, n: 2}
+			h.back = back
+			start := time.Now()
+			h.launch(nil)
+			h.waitAll()
+			if took := time.Since(start); took > 5*time.Second {
+				t.Errorf("the job took %v", took)
+			}
+			if !back.failed.Load() {
+				t.Fatal("no store was refused")
+			}
+			line, err := h.store.CommittedLine(spec.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range spec.Ranks {
+				if line[wire.Rank(r)] <= 2 {
+					t.Fatalf("committed line %v: nothing committed after the refused checkpoint 2", line)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedIndependentStoreFailsRank: an independent checkpoint that fails to
+// store fails its rank at the next checkpoint, as the synchronous store did,
+// rather than leaving a gap that later checkpoints step over: the missing
+// checkpoint's meta held its interval's receipts and sends, without which a
+// line through a later checkpoint could keep an orphan or miss a replay. The
+// restart from the checkpoints stored finishes with the exact result.
+func TestFailedIndependentStoreFailsRank(t *testing.T) {
+	spec := ringSpec(51, 3, 1000)
+	spec.Protocol, spec.CkptEverySteps = ckpt.Independent, 100
+	h := newHarness(t, spec)
+	back := &failOnce{Backend: h.store, rank: 1, n: 2}
+	h.back = back
+	h.launch(nil)
+	select {
+	case d := <-h.doneCh:
+		if d.rank != 1 {
+			t.Fatalf("rank %d finished (%q) before rank 1 failed", d.rank, d.err)
+		}
+		if !strings.Contains(d.err, errPlanted.Error()) {
+			t.Fatalf("rank 1 finished with %q, want the refused store", d.err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("rank 1 did not fail on its refused checkpoint")
+	}
+	h.abortAll()
+	if ns, _ := h.store.List(spec.ID, 1); len(ns) == 0 || ns[len(ns)-1] != 1 {
+		t.Fatalf("rank 1 stored checkpoints %v, want none after checkpoint 1", ns)
+	}
+	line, err := ckpt.GatherLine(h.store, spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.launch(line)
+	h.waitAll()
+}
+
+// holdPut is the harness's store, except that rank's first PutRecord waits
+// for release; entered closes when it begins to.
+type holdPut struct {
+	ckpt.Backend
+	rank             wire.Rank
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *holdPut) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	if rank == s.rank {
+		first := false
+		s.once.Do(func() { first = true })
+		if first {
+			close(s.entered)
+			<-s.release
+		}
+	}
+	return s.Backend.PutRecord(app, rank, n, rec, meta)
+}
+
+// TestRankStepsOnWhileStoring: after its cut a rank hands the epoch to its
+// capture worker and steps on — up to its next cadence point, where it waits
+// for the store, so its recovery line never falls more than an interval
+// behind. With rank 1's first store held, rank 1 keeps stepping until the
+// first cadence point at or after its hand-off and stops there; no line
+// commits until the store is released, and then the job finishes.
+func TestRankStepsOnWhileStoring(t *testing.T) {
+	const every = 100
+	spec := ringSpec(50, 2, 5000)
+	spec.CkptEverySteps = every
+	h := newHarness(t, spec)
+	back := &holdPut{Backend: h.store, rank: 1, entered: make(chan struct{}), release: make(chan struct{})}
+	h.back = back
+	h.launch(nil)
+	defer func() {
+		select {
+		case <-back.release:
+		default:
+			close(back.release)
+		}
+	}()
+	select {
+	case <-back.entered:
+	case <-time.After(20 * time.Second):
+		t.Fatal("rank 1 never stored a checkpoint")
+	}
+	h.mu.Lock()
+	p := h.procs[1]
+	h.mu.Unlock()
+	p.cmu.Lock()
+	comm := p.comm
+	p.cmu.Unlock()
+	// Rank 1 takes a step per message from rank 0, which runs at most one
+	// step ahead of it, so its count is its step or one more. The hand-off
+	// came at or before the step it was at when its store began; a stop-and-
+	// sync round drains while the ranks step, so that can be any step.
+	ceil := func(n uint64) uint64 { return (n + every - 1) / every * every }
+	entered := comm.RecvCounts()[0]
+	got := entered
+	for deadline, still := time.Now().Add(10*time.Second), time.Now(); time.Since(still) < 100*time.Millisecond; time.Sleep(5 * time.Millisecond) {
+		if n := comm.RecvCounts()[0]; n != got {
+			got, still = n, time.Now()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank 1 still stepping (step %d) 10 s into its held store", got)
+		}
+	}
+	t.Logf("rank 1's store began at step %d; it stopped at step %d", entered, got)
+	if lo, hi := ceil(entered-1)-1, ceil(entered)+1; got < lo || got > hi {
+		t.Fatalf("rank 1 stopped at step %d with its store held from step %d on, want the cadence point after it (%d..%d)", got, entered, lo, hi)
+	}
+	if _, err := h.store.CommittedLine(spec.ID); err == nil {
+		t.Fatal("a line committed while rank 1's checkpoint was unstored")
+	}
+	close(back.release)
+	h.waitAll()
+	if _, err := h.store.CommittedLine(spec.ID); err != nil {
+		t.Fatalf("no line committed: %v", err)
 	}
 }
 

@@ -212,6 +212,9 @@ func (p *Process) run() {
 			p.comm.Close()
 		}
 		p.nic.Close()
+		// Done means done storing too: a daemon that waited for it sees no
+		// checkpoint written after.
+		p.cr.close()
 		close(p.done)
 	}()
 
@@ -293,6 +296,10 @@ func (p *Process) run() {
 		p.cr.sfsPoll()
 		if p.spec.CkptEverySteps > 0 && p.sinceCkpt >= p.spec.CkptEverySteps {
 			p.sinceCkpt = 0
+			// A rank steps on while its epoch is stored, but not past the
+			// next cadence point: a store slower than the cadence slows the
+			// rank instead of letting its recovery line fall behind.
+			p.cr.wait()
 			// System-initiated cadence: coordinated rounds start at rank
 			// 0 only (the index authority); the independent protocol
 			// checkpoints locally at every rank.
@@ -304,8 +311,14 @@ func (p *Process) run() {
 			}
 		}
 		if done {
-			// The coordinator finishes its outstanding round before
-			// declaring completion so end-of-run checkpoints commit.
+			// A rank reports completion once its last epoch is stored, and
+			// the coordinator finishes its outstanding round first, so
+			// end-of-run checkpoints commit. An independent checkpoint that
+			// failed to store fails the rank, as at the next one (takeLocal).
+			if err := p.cr.wait(); err != nil && p.spec.Protocol == ckpt.Independent {
+				p.finish(err)
+				return
+			}
 			if p.rank == 0 {
 				p.drainRounds()
 			}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"starfish/internal/ckpt"
-	"starfish/internal/evstore"
 	"starfish/internal/vni"
 	"starfish/internal/wire"
 )
@@ -152,18 +151,18 @@ func (a *streamApp) Step(ctx *Ctx) (bool, error) {
 // markerGate wraps the harness's transport. A rank's first marker waits
 // until every rank has sent one: every rank then has its cut staged before
 // any marker arrives, so each rank's round finalizes in onMarker, on the
-// goroutine delivering its last marker. sending counts, per destination
-// rank, the marker sends under way. Accepted connections are not wrapped,
-// so every message is still delivered by the send that carries it; the
-// application's first step connected every pair, long before the round, so
-// no marker waits for a connection to be accepted either.
+// goroutine delivering its last marker. returned counts the marker sends that
+// have returned. Accepted connections are not wrapped, so every message is
+// still delivered by the send that carries it; the application's first step
+// connected every pair, long before the round, so no marker waits for a
+// connection to be accepted either.
 type markerGate struct {
 	vni.Transport
-	ranks   int
-	mu      sync.Mutex
-	arrived map[wire.Rank]bool
-	all     chan struct{}
-	sending [4]atomic.Int32
+	ranks    int
+	mu       sync.Mutex
+	arrived  map[wire.Rank]bool
+	all      chan struct{}
+	returned atomic.Int32
 }
 
 func (g *markerGate) Dial(addr string) (vni.Conn, error) {
@@ -193,37 +192,46 @@ func (c *gatedConn) Send(m *wire.Msg) error {
 	g.mu.Unlock()
 	select {
 	case <-g.all:
-	case <-time.After(20 * time.Second): // the test fails on the missing ride below
+	case <-time.After(20 * time.Second): // the line then never commits
 	}
-	g.sending[m.Dst].Add(1)
-	defer g.sending[m.Dst].Add(-1)
+	defer g.returned.Add(1)
 	return c.Conn.Send(m)
 }
 
-// riddenCheckpoints records, for each checkpoint a rank writes, whether a
-// marker send toward that rank was under way at the time.
-type riddenCheckpoints struct {
-	g      *markerGate
-	mu     sync.Mutex
-	ridden map[int32]bool
+// markerFreeStore is the harness's store, except that a rank's PutRecord
+// first waits until every marker send of the round has returned. A store
+// running on a marker's sender would wait for its own send: it gives up after
+// 5 s, and the rank is recorded as having blocked its sender.
+type markerFreeStore struct {
+	ckpt.Backend
+	g       *markerGate
+	mu      sync.Mutex
+	blocked map[wire.Rank]bool
 }
 
-func (r *riddenCheckpoints) Emit(rec evstore.Record) {
-	if rec.Kind != "checkpoint" {
-		return
+func (s *markerFreeStore) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	sends := int32(s.g.ranks * (s.g.ranks - 1))
+	for deadline := time.Now().Add(5 * time.Second); s.g.returned.Load() < sends; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.mu.Lock()
+			s.blocked[rank] = true
+			s.mu.Unlock()
+			break
+		}
 	}
-	r.mu.Lock()
-	r.ridden[rec.Rank] = r.g.sending[rec.Rank].Load() > 0
-	r.mu.Unlock()
+	return s.Backend.PutRecord(app, rank, n, rec, meta)
 }
 
 // TestChandyLamportFinalizesOnMarkerSender: on fastnet the matcher's intake
 // runs inside the Send that carries a message, so a Chandy–Lamport round
-// whose last marker arrives after the cut finalizes — capture, store, ack —
-// on the goroutine of the rank sending that marker, inside its clBegin
-// marker loop. With four ranks all in that loop at once, every round rides
-// a sender; the line must still commit, and a restart from it must hand
-// each rank back exactly its snapshot and lose or repeat no message.
+// whose last marker arrives after the cut finalizes on the goroutine of the
+// rank sending that marker, inside its clBegin marker loop. There it only
+// takes the channel state and hands the epoch off: the capture worker stores
+// and acks, and the sender is never blocked by the store. With four ranks all
+// in that loop at once, every round rides a sender, and every store waits
+// for all marker sends to return; the line must still commit, and a restart
+// from it must hand each rank back exactly its snapshot and lose or repeat no
+// message.
 func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
 	const ranks = 4
 	streamSnaps.Lock()
@@ -237,8 +245,8 @@ func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
 	}
 	h := newHarness(t, spec)
 	gate := &markerGate{Transport: h.tr, ranks: ranks, arrived: map[wire.Rank]bool{}, all: make(chan struct{})}
-	rides := &riddenCheckpoints{g: gate, ridden: map[int32]bool{}}
-	h.tr, h.events = gate, rides
+	store := &markerFreeStore{Backend: h.store, g: gate, blocked: map[wire.Rank]bool{}}
+	h.tr, h.back = gate, store
 	h.launch(nil)
 	line := h.waitForCommittedLine()
 	h.abortAll()
@@ -247,14 +255,15 @@ func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
 			t.Fatalf("committed line %v, want checkpoint 1 at every rank", line)
 		}
 	}
-	rides.mu.Lock()
-	for r := int32(0); r < ranks; r++ {
-		if ridden, ok := rides.ridden[r]; !ok || !ridden {
-			t.Errorf("rank %d: checkpoint written %v, riding a marker send %v", r, ok, ridden)
+	store.mu.Lock()
+	for r, blocked := range store.blocked {
+		if blocked {
+			t.Errorf("rank %d: the store of its checkpoint blocked a marker send", r)
 		}
 	}
-	rides.mu.Unlock()
+	store.mu.Unlock()
 
+	h.tr, h.back = gate.Transport, nil
 	h.launch(line)
 	h.waitAll()
 }

@@ -84,7 +84,7 @@ func TestWholeImageEpochIsOneRecord(t *testing.T) {
 				if err := p.cr.snapshotApp(idx, c); err != nil {
 					t.Fatal(err)
 				}
-				if err := p.cr.capture(idx, "chandy-lamport", c, channel, &ckpt.Meta{}); err != nil {
+				if err := storeEpoch(p.cr, idx, "chandy-lamport", c, channel, &ckpt.Meta{}); err != nil {
 					t.Fatal(err)
 				}
 				if back.puts != 0 || len(back.recs) != int(idx) {
