@@ -37,7 +37,8 @@ type Backend interface {
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error
 	// PutRecord stores a record in slot n of (app, rank). rec is handed
 	// over: the caller never writes it again, so the backend keeps, pushes
-	// and spills it as it is.
+	// and spills it as it is. A replicated backend that kept it here but
+	// could not push every copy fails with ErrUnreplicated.
 	PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error
 	// Get returns the checkpoint image of slot n: its record resolved with
 	// the blocks the slots it names carry (ErrMissingBlock when that cannot

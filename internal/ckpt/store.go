@@ -40,6 +40,10 @@ var _ Backend = (*Store)(nil)
 // ErrNoCheckpoint is returned when a requested checkpoint does not exist.
 var ErrNoCheckpoint = errors.New("ckpt: no such checkpoint")
 
+// ErrUnreplicated is wrapped by a PutRecord that stored the record on this
+// node but did not reach every holder a replicated backend keeps it on.
+var ErrUnreplicated = errors.New("ckpt: stored without all its replicas")
+
 // NewStore creates (if needed) and opens a store rooted at dir.
 func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

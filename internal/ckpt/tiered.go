@@ -124,13 +124,16 @@ func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta 
 
 // PutRecord stores in the fast tier synchronously and spills to the slow
 // tier in the background. The record was handed over and is never written
-// again, so both tiers share it: nothing is copied.
+// again, so both tiers share it: nothing is copied. A record the fast tier
+// kept without all its replicas (ErrUnreplicated) is spilled too, and the
+// put still fails with that error.
 func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
-	if err := t.fast.PutRecord(app, rank, n, rec, meta); err != nil {
+	err := t.fast.PutRecord(app, rank, n, rec, meta)
+	if err != nil && !errors.Is(err, ErrUnreplicated) {
 		return err
 	}
 	t.spill(func() error { return t.slow.PutRecord(app, rank, n, rec, meta) })
-	return nil
+	return err
 }
 
 // Get reads the fast tier, which resolves its own records, and falls back to

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -20,6 +21,9 @@ type memBackend struct {
 	metas   map[[3]uint64]*Meta
 	commits map[wire.AppID]RecoveryLine
 	fail    bool
+	// unreplicated: PutRecord keeps the record and fails as a replicated
+	// store whose push was refused does.
+	unreplicated bool
 }
 
 func newMemBackend() *memBackend {
@@ -83,6 +87,9 @@ func (m *memBackend) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []b
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.records[bkey(app, rank, n)] = true
+	if m.unreplicated {
+		return fmt.Errorf("memBackend: push to node 2: %w", ErrUnreplicated)
+	}
 	return nil
 }
 
@@ -191,6 +198,29 @@ func TestTieredSpillsToDisk(t *testing.T) {
 	line, err := disk.CommittedLine(1)
 	if err != nil || line[0] != 1 {
 		t.Fatalf("disk CommittedLine after spill = %v, %v", line, err)
+	}
+}
+
+// TestTieredSpillsUnreplicatedRecord: a record the fast tier kept without its
+// replicas still goes to disk, and the put reports the fast tier's error.
+func TestTieredSpillsUnreplicatedRecord(t *testing.T) {
+	fast := newMemBackend()
+	fast.unreplicated = true
+	disk, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := NewTiered(fast, disk, t.Logf)
+	defer tiered.Close()
+
+	img := bytes.Repeat([]byte{7}, 512)
+	if err := tiered.Put(1, 0, 1, img, nil); !errors.Is(err, ErrUnreplicated) {
+		t.Fatalf("Put = %v, want ErrUnreplicated", err)
+	}
+	tiered.Flush()
+	got, _, err := disk.Get(1, 0, 1)
+	if err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("disk Get of the unreplicated record = %v", err)
 	}
 }
 

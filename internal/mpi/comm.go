@@ -86,7 +86,11 @@ type Config struct {
 	// may send on the data path.
 	OnMarker func(src wire.Rank, ckptID uint64)
 	// OnReceive is invoked for every data message, with the sender's
-	// interval — the C/R module records the dependency.
+	// interval — the C/R module records the dependency, or wakes a rank
+	// whose drain awaits the message. It is called with the communicator's
+	// lock held, once the message is counted and queued and before any
+	// receive can match it, so it must not call into the communicator: a
+	// Cut either counts the message and follows the call or precedes both.
 	OnReceive func(src wire.Rank, srcInterval uint64)
 	// LogSends keeps a copy of every outgoing data message (sender-based
 	// message logging). The uncoordinated C/R protocol persists the log
@@ -242,12 +246,6 @@ func (c *Comm) handle(m wire.Msg) {
 			m.Release()
 			return
 		}
-		if c.cfg.OnReceive != nil {
-			// The C/R module locks itself and calls back into c.
-			c.mu.Unlock()
-			c.cfg.OnReceive(m.Src, interval)
-			c.mu.Lock()
-		}
 		if c.recording && c.recordFrom[m.Src] {
 			wire.CountCopy(wire.CopyCR, len(m.Payload))
 			c.recorded = append(c.recorded, RecordedMsg{
@@ -258,6 +256,9 @@ func (c *Comm) handle(m wire.Msg) {
 		}
 		c.unexpected = append(c.unexpected, env)
 		c.bumpRecvLocked(m.Src, env.seq)
+		if c.cfg.OnReceive != nil {
+			c.cfg.OnReceive(m.Src, interval)
+		}
 		c.cond.Broadcast()
 		c.mu.Unlock()
 		if c.cfg.Timer != nil {

@@ -320,6 +320,29 @@ func TestIntervalStamping(t *testing.T) {
 	}
 }
 
+// TestOnReceiveAfterCount: OnReceive runs once the message is counted, under
+// the communicator's lock, so whoever it wakes reads a count that includes
+// the message — even while the callback has not returned.
+func TestOnReceiveAfterCount(t *testing.T) {
+	called := make(chan struct{})
+	comms := worldCfg(t, 2, func(cfg *Config) {
+		if cfg.Rank == 1 {
+			cfg.OnReceive = func(wire.Rank, uint64) {
+				close(called)
+				time.Sleep(50 * time.Millisecond)
+			}
+		}
+	})
+	go comms[0].Send(1, 0, []byte("x"))
+	<-called
+	if rc := comms[1].RecvCounts(); rc[0] != 1 {
+		t.Fatalf("recv counts = %v once OnReceive ran, want the message counted", rc)
+	}
+	if _, _, err := comms[1].Recv(0, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMarkersAndRecording(t *testing.T) {
 	markerc := make(chan [2]uint64, 4)
 	comms := worldCfg(t, 2, func(cfg *Config) {

@@ -2,8 +2,10 @@ package proc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"starfish/internal/ckpt"
@@ -19,6 +21,12 @@ import (
 // the generic C/R message vocabulary (ckpt.K*), different applications on
 // the same cluster can run different protocols side by side — one of the
 // paper's architectural goals.
+//
+// Every round's work runs on the rank's own loop, at a safe point: the
+// module's intake callbacks (onMarker, onArrival, onReceive) only record what
+// arrived and raise the loop's attention word. mu guards what onMarker
+// shares with the loop; the OnReceive callbacks run under the communicator's
+// lock, so they take no lock but receiptsMu.
 type crModule struct {
 	p *Process
 
@@ -38,27 +46,26 @@ type crModule struct {
 	// flow"): base, the newest stored image, is what the next epoch is
 	// diffed against, and where its record's carry list; spare, the image
 	// before it, is the buffer the next image is built in. Both are ours:
-	// the store gets records, never these. Under mu: the capture worker swaps
-	// them once it has stored an epoch.
+	// the store gets records, never these. The capture worker swaps them
+	// once it has stored an epoch; the loop reads them only after waiting
+	// for it, and starts the next worker after that.
 	base, spare imageBuf
 	where       []uint64
 
-	// worker is the epoch handed to the capture worker last (nil: none yet);
-	// closed refuses further hand-offs. Under mu: a Chandy–Lamport round
-	// hands off on the goroutine delivering its last marker.
+	// worker is the epoch handed to the capture worker last (nil: none yet).
+	// Loop only: every hand-off is made there.
 	worker *inflight
-	closed bool
 
-	// Independent-protocol state: receipts recorded since the last
-	// checkpoint.
-	deps []ckpt.Dep
+	// Independent-protocol state: the sender intervals of the messages
+	// counted since the last checkpoint's cut (onReceive).
+	receiptsMu sync.Mutex
+	receipts   []ckpt.IntervalID
 
 	// Chandy–Lamport round state. clCut is staged once the local snapshot
 	// is complete; the round finalizes when it and every marker are in.
 	clActive        bool
 	clID            uint64
 	clSnapshotTaken bool
-	clPendingFlag   bool
 	clMarkersIn     map[wire.Rank]bool
 	clCut           *cut
 
@@ -70,6 +77,9 @@ type crModule struct {
 	sfsCut     *cut
 	sfsTargets map[wire.Rank]uint64 // peer -> messages it sent us pre-cut
 	sfsFlushes map[wire.Rank]bool
+	// draining is set from just before the cut until the hand-off, so
+	// onArrival wakes the loop for every message counted after the cut.
+	draining atomic.Bool
 
 	// Coordinator (rank 0) ack collection and commit tracking. due: a round
 	// was asked for while one ran; it starts once that one has ended, so
@@ -181,6 +191,8 @@ func sameBytes(a, b []byte) bool {
 // state and the MPI layer's pending messages and counters.
 type cut struct {
 	state []byte
+	// at is when the application's snapshot was complete.
+	at time.Time
 	// snap is the snapshot's serial; into, when set, the spare the
 	// application brought up to date: state is its state window.
 	snap uint64
@@ -247,13 +259,11 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 		// The spare becomes this snapshot's image when the buffers hold the
 		// last snapshot and the one before, of one layout, and the last
 		// one's changes are known; a round that never stored breaks that.
-		cr.mu.Lock()
 		base, spare := cr.base, cr.spare
 		if spare.img != nil && base.dirty != nil && base.snap == c.snap-1 && spare.snap == base.snap-1 &&
 			len(spare.img) == len(base.img) && spare.n == base.n {
 			c.into, cr.spare = spare, imageBuf{} // being rewritten: nobody's image until it is stored
 		}
-		cr.mu.Unlock()
 		if c.into.img != nil {
 			l.LendSnapshot(c.into.state(), base.state(), base.dirty)
 		}
@@ -265,7 +275,7 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 	if c.into.img != nil && !sameBytes(state, c.into.state()) {
 		c.into = imageBuf{} // declined: capture assembles
 	}
-	c.state = state
+	c.state, c.at = state, time.Now()
 	cr.snapIndex = idx
 	return nil
 }
@@ -273,20 +283,14 @@ func (cr *crModule) snapshotApp(idx uint64, c *cut) error {
 // handOff gives epoch e to a capture worker, a goroutine that lives as long as
 // the epoch: it writes and stores the record, emits the epoch's records and,
 // when e is owed one, acks the coordinator with the outcome. The rank steps
-// on. Once the module is closed nothing more is stored.
+// on. Loop only.
 func (cr *crModule) handOff(e epoch) {
 	handed := time.Now()
 	w := &inflight{done: make(chan struct{})}
-	cr.mu.Lock()
-	if cr.closed {
-		cr.mu.Unlock()
-		return
-	}
 	cr.worker = w
-	cr.mu.Unlock()
 	go func() {
 		defer close(w.done)
-		w.err = cr.capture(e, time.Since(handed))
+		w.err = cr.capture(e, handed.Sub(e.c.at), time.Since(handed))
 		if w.err != nil {
 			cr.p.logff("%v", w.err)
 		}
@@ -297,32 +301,22 @@ func (cr *crModule) handOff(e epoch) {
 }
 
 // wait blocks until the epoch handed off last is stored and acked, and
-// returns its outcome.
+// returns its outcome. Loop only.
 func (cr *crModule) wait() error {
-	cr.mu.Lock()
-	w := cr.worker
-	cr.mu.Unlock()
-	if w == nil {
+	if cr.worker == nil {
 		return nil
 	}
-	<-w.done
-	return w.err
-}
-
-// close refuses further hand-offs and waits for the epoch in flight: after
-// it, nothing of this process stores.
-func (cr *crModule) close() {
-	cr.mu.Lock()
-	cr.closed = true
-	cr.mu.Unlock()
-	cr.wait()
+	<-cr.worker.done
+	return cr.worker.err
 }
 
 // capture writes checkpoint e.idx: the image — encoder header, application
 // state, the cut's pending messages and the channel state that followed it —
 // stored with e.meta completed from the cut, and the checkpoint record emitted
-// under e's protocol name. It runs on the capture worker only; wait is how
-// long the epoch waited for it. An epoch of an aborted process is not stored.
+// under e's protocol name. It runs on the capture worker only; drain is how
+// long the epoch took from its snapshot to its hand-off (the channel state's
+// drain), wait how long it then waited for the worker. An epoch of an aborted
+// process is not stored.
 //
 // An application that tracks its writes has its image assembled and kept: the
 // record carries the blocks that differ from the last stored image, looking
@@ -330,7 +324,7 @@ func (cr *crModule) close() {
 // the image becomes the next epoch's base. Any other application's record is
 // written from the encoder's prefix, the state and the lists, so its state is
 // copied once, into the record. Either way the record is handed to PutRecord.
-func (cr *crModule) capture(e epoch, wait time.Duration) error {
+func (cr *crModule) capture(e epoch, drain, wait time.Duration) error {
 	p := cr.p
 	idx, c, channel := e.idx, e.c, e.channel
 	meta := e.meta
@@ -345,9 +339,7 @@ func (cr *crModule) capture(e epoch, wait time.Duration) error {
 	if tracks {
 		next, err = cr.assemble(c, channel, stateLen)
 		next.index, parts = idx, [][]byte{next.img}
-		cr.mu.Lock()
 		last, where = cr.base, cr.where
-		cr.mu.Unlock()
 		if last.img != nil && last.index+1 == idx {
 			base = last
 			if c.dirty != nil && c.dirtyBase == last.index {
@@ -365,15 +357,18 @@ func (cr *crModule) capture(e epoch, wait time.Duration) error {
 		if !p.hardAbort.Load() {
 			err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
 		}
+		if errors.Is(err, ckpt.ErrUnreplicated) && p.spec.Protocol == ckpt.Independent {
+			// Stored here; no line commits on it and nothing is collected for it.
+			p.logff("%v", err)
+			err = nil
+		}
 	}
 	store := time.Since(start)
 	if tracks {
-		cr.mu.Lock()
 		cr.base, cr.spare, cr.where = imageBuf{}, imageBuf{}, nil
 		if err == nil {
 			cr.base, cr.spare, cr.where = next, last, ckpt.CarryList(rec, where)
 		}
-		cr.mu.Unlock()
 	}
 	if err != nil {
 		return fmt.Errorf("proc: store checkpoint %d: %w", idx, err)
@@ -384,7 +379,8 @@ func (cr *crModule) capture(e epoch, wait time.Duration) error {
 	}
 	ev := evstore.EvRank("epoch", p.spec.ID, p.rank,
 		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", len(rec)),
-		evstore.F("wait_us", wait.Microseconds()), evstore.F("store_us", store.Microseconds()))
+		evstore.F("drain_us", drain.Microseconds()), evstore.F("wait_us", wait.Microseconds()),
+		evstore.F("store_us", store.Microseconds()))
 	ev.Component = "ckpt"
 	p.event(ev)
 	p.event(evstore.EvRank("checkpoint", p.spec.ID, p.rank,
@@ -450,28 +446,35 @@ func imageSpans(b imageBuf, state []svm.Span) []svm.Span {
 
 // ---- callbacks from the MPI matcher's intake ----
 //
-// Both are called on the goroutine delivering the connection the message
+// They are called on the goroutine delivering the connection the message
 // arrived on — on fastnet the sender's, inside its Send: concurrently across
-// connections, in order within one. Neither sends on the data path: the
-// sender may be holding that connection.
+// connections, in order within one. None sends on the data path, where the
+// sender may be holding that connection, and none stores or hands off: they
+// record and raise the loop's attention word. onReceive and onArrival run
+// under the communicator's lock, after it counted the message.
 
-// onReceive records a dependency for uncoordinated checkpointing.
+// onReceive records a receipt for uncoordinated checkpointing: the message
+// is counted, and no receive has matched it yet.
 func (cr *crModule) onReceive(src wire.Rank, srcInterval uint64) {
-	cr.mu.Lock()
-	cr.deps = append(cr.deps, ckpt.Dep{
-		From: ckpt.IntervalID{Rank: src, Index: srcInterval},
-		To:   ckpt.IntervalID{Rank: cr.p.rank, Index: cr.lastIndex},
-	})
-	cr.mu.Unlock()
+	cr.receiptsMu.Lock()
+	cr.receipts = append(cr.receipts, ckpt.IntervalID{Rank: src, Index: srcInterval})
+	cr.receiptsMu.Unlock()
+}
+
+// onArrival wakes the loop of a stop-and-sync rank for a data message counted
+// while a round is open: the message may be the last its drain awaits.
+func (cr *crModule) onArrival(wire.Rank, uint64) {
+	if cr.draining.Load() {
+		cr.p.raise()
+	}
 }
 
 // onMarker handles a Chandy–Lamport marker. Runs on the goroutine
 // delivering the channel it arrived on, synchronously before any later
 // message of that channel is processed — which is what makes
 // StopRecordingFrom cut the channel's recorded state exactly at the marker.
-// The marker that completes a round finalizes it here — on fastnet, on the
-// goroutine of the rank that sent it, inside its clBegin marker loop — which
-// only takes the channel state and hands the epoch to the capture worker.
+// A marker before the rank's snapshot asks the loop for one; the marker that
+// completes a round asks it to finalize.
 func (cr *crModule) onMarker(src wire.Rank, id uint64) {
 	cr.mu.Lock()
 	if !cr.clActive {
@@ -490,16 +493,16 @@ func (cr *crModule) onMarker(src wire.Rank, id uint64) {
 		// our snapshot are harmless: they are captured with the pending
 		// queue, and the sender's deterministic re-execution resends
 		// them with the same per-pair sequence numbers, which duplicate
-		// suppression drops.
-		cr.clPendingFlag = true
+		// suppression drops. The loop takes the snapshot (serve).
 		cr.mu.Unlock()
+		cr.p.raise()
 		return
 	}
 	cr.p.comm.StopRecordingFrom(src)
 	finalize := cr.allMarkersInLocked()
 	cr.mu.Unlock()
 	if finalize {
-		cr.finalizeCL()
+		cr.p.raise()
 	}
 }
 
@@ -518,12 +521,22 @@ func (cr *crModule) allMarkersInLocked() bool {
 	return cr.clCut != nil && len(cr.clMarkersIn) == cr.p.spec.Ranks-1
 }
 
-// pendingSnapshot reports whether the main loop must take a CL snapshot at
-// the next boundary, and for which round.
-func (cr *crModule) pendingSnapshot() (uint64, bool) {
+// serve does the module's round work at a safe point of the rank's loop:
+// the Chandy–Lamport snapshot of a round a peer's marker started, the
+// hand-off of a Chandy–Lamport round whose markers are all in, and that of a
+// stop-and-sync round whose drain is complete.
+func (cr *crModule) serve() error {
 	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.clID, cr.clPendingFlag && !cr.clSnapshotTaken
+	id, snap := cr.clID, cr.clActive && !cr.clSnapshotTaken
+	cr.mu.Unlock()
+	if snap {
+		if err := cr.clBegin(id); err != nil {
+			return err
+		}
+	}
+	cr.finalizeCL()
+	cr.sfsPoll()
+	return nil
 }
 
 // clBegin takes the local Chandy–Lamport snapshot. Main loop, at a step
@@ -537,7 +550,6 @@ func (cr *crModule) clBegin(id uint64) error {
 		cr.mu.Unlock()
 		return nil
 	}
-	cr.clPendingFlag = false
 	cr.clSnapshotTaken = true
 	// Record every channel whose marker has not yet arrived.
 	var recordFrom []wire.Rank
@@ -557,11 +569,11 @@ func (cr *crModule) clBegin(id uint64) error {
 
 	cr.mu.Lock()
 	cr.clCut = c
-	finalize := cr.allMarkersInLocked()
 	cr.mu.Unlock()
 
 	// Markers go out after the snapshot point and before any further
 	// application sends (we are at a step boundary, so none can race).
+	// The round finalizes in serve, which follows.
 	for r := 0; r < cr.p.spec.Ranks; r++ {
 		if rank := wire.Rank(r); rank != cr.p.rank {
 			if err := cr.p.comm.SendMarker(rank, id); err != nil {
@@ -569,24 +581,20 @@ func (cr *crModule) clBegin(id uint64) error {
 			}
 		}
 	}
-	if finalize {
-		cr.finalizeCL()
-	}
 	return nil
 }
 
-// finalizeCL hands the completed Chandy–Lamport checkpoint (snapshot +
-// channel state) to the capture worker, which stores it and acks the
-// coordinator.
+// finalizeCL hands a Chandy–Lamport round whose cut and markers are all in
+// (snapshot + channel state) to the capture worker, which stores it and acks
+// the coordinator. Loop only.
 func (cr *crModule) finalizeCL() {
 	cr.mu.Lock()
-	if !cr.clActive {
+	if !cr.clActive || !cr.allMarkersInLocked() {
 		cr.mu.Unlock()
 		return
 	}
 	id, c := cr.clID, cr.clCut
 	cr.clActive = false
-	cr.clPendingFlag = false
 	cr.lastIndex = id
 	if cr.nextIndex <= id {
 		cr.nextIndex = id + 1
@@ -675,12 +683,21 @@ func (cr *crModule) takeLocal() error {
 	}
 	cr.mu.Lock()
 	idx := cr.lastIndex + 1
-	deps := cr.deps
-	cr.deps = nil
 	cr.mu.Unlock()
 
 	c := &cut{}
 	c.pending, c.sent, c.recv = cr.p.comm.Cut(nil)
+	// Every message the cut counted was received in the interval this
+	// checkpoint closes; one counted since is attributed to it too, which
+	// can only make a recovery line roll back further.
+	cr.receiptsMu.Lock()
+	receipts := cr.receipts
+	cr.receipts = nil
+	cr.receiptsMu.Unlock()
+	deps := make([]ckpt.Dep, len(receipts))
+	for i, from := range receipts {
+		deps[i] = ckpt.Dep{From: from, To: ckpt.IntervalID{Rank: cr.p.rank, Index: idx - 1}}
+	}
 	if err := cr.snapshotApp(idx, c); err != nil {
 		return err
 	}
@@ -729,22 +746,22 @@ func (cr *crModule) sfsBegin(idx uint64) error {
 
 	// Cut: capture pending + counters and record every channel from here
 	// on (the recording is trimmed to the announced counts at finalize).
+	// Set before the cut, draining makes onArrival wake the loop for every
+	// message the cut does not count.
 	var allPeers []wire.Rank
 	for r := 0; r < cr.p.spec.Ranks; r++ {
 		if rank := wire.Rank(r); rank != cr.p.rank {
 			allPeers = append(allPeers, rank)
 		}
 	}
+	cr.draining.Store(true)
 	c := &cut{}
 	c.pending, c.sent, c.recv = cr.p.comm.Cut(allPeers)
 	if err := cr.snapshotApp(idx, c); err != nil {
 		return err
 	}
 	sent := c.sent
-
-	cr.mu.Lock()
-	cr.sfsCut = c
-	cr.mu.Unlock()
+	cr.sfsCut = c // loop only
 
 	// Announce cumulative sent counts: each receiver drains until it has
 	// everything we sent before our cut.
@@ -788,53 +805,44 @@ func (cr *crModule) onFlush(m wire.Msg) {
 		}
 	}
 	cr.mu.Unlock()
-	cr.sfsPoll()
 }
 
-// sfsPoll finalizes the round once every flush arrived and every announced
-// message has been received, handing the epoch to the capture worker. Called
-// at step boundaries and on protocol events; never blocks.
+// sfsPoll hands the round to the capture worker once every flush arrived and
+// every announced message has been counted. Loop only. Until then the loop is
+// woken by each flush (ctl) and by each message counted after the cut
+// (onArrival).
 func (cr *crModule) sfsPoll() {
 	cr.mu.Lock()
 	if !cr.sfsActive || len(cr.sfsFlushes) < cr.p.spec.Ranks {
 		cr.mu.Unlock()
 		return
 	}
-	targets := cr.sfsTargets
-	idx := cr.sfsID
-	cr.mu.Unlock()
-
 	recv := cr.p.comm.RecvCounts()
-	for peer, want := range targets {
+	for peer, want := range cr.sfsTargets {
 		if recv[peer] < want {
-			return // still draining
+			cr.mu.Unlock()
+			return
 		}
 	}
-
-	cr.mu.Lock()
-	if !cr.sfsActive || cr.sfsID != idx {
-		cr.mu.Unlock()
-		return
-	}
-	c := cr.sfsCut
+	idx := cr.sfsID
+	cr.draining.Store(false)
 	cr.sfsActive = false
 	cr.lastIndex = idx
 	if cr.nextIndex <= idx {
 		cr.nextIndex = idx + 1
 	}
 	cr.mu.Unlock()
-
 	// Channel state: recorded messages up to each sender's announced
 	// count; anything later was sent after the sender's cut and will be
 	// resent by its re-execution. Taking the list ends the recording, so
 	// traffic between rounds is not copied.
 	var channelState []mpi.RecordedMsg
 	for _, m := range cr.p.comm.TakeRecorded() {
-		if m.Seq <= targets[m.Src] {
+		if m.Seq <= cr.sfsTargets[m.Src] {
 			channelState = append(channelState, m)
 		}
 	}
-	cr.handOff(epoch{idx: idx, protocol: "sync-flush", c: c, channel: channelState, meta: &ckpt.Meta{}, ack: true})
+	cr.handOff(epoch{idx: idx, protocol: "sync-flush", c: cr.sfsCut, channel: channelState, meta: &ckpt.Meta{}, ack: true})
 }
 
 // handleAckCommit processes KAck/KCommit outside and inside rounds.
@@ -874,43 +882,34 @@ func (cr *crModule) handleAckCommit(m wire.Msg) {
 // the lightweight group); for the independent protocol the checkpoint is
 // purely local.
 func (cr *crModule) initiate() error {
-	switch cr.p.spec.Protocol {
-	case ckpt.Independent:
+	if cr.p.spec.Protocol == ckpt.Independent {
 		return cr.takeLocal()
-	default:
-		// Round indices are assigned by rank 0 (the checkpoint
-		// coordinator). A user-initiated downcall on another rank casts a
-		// proposal (index 0); rank 0 turns it into a real round. This
-		// keeps a single index authority so delayed duplicate triggers
-		// cannot restart old rounds.
-		if cr.p.rank != 0 {
-			w := wire.NewWriter(12)
-			w.U64(0)
-			w.U8(uint8(cr.p.spec.Protocol))
-			return cr.p.link.Send(wire.Msg{
-				Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
-				Src: cr.p.rank, Payload: w.Bytes(),
-			})
-		}
+	}
+	// Round indices are assigned by rank 0 (the checkpoint
+	// coordinator). A user-initiated downcall on another rank casts a
+	// proposal (index 0); rank 0 turns it into a real round. This
+	// keeps a single index authority so delayed duplicate triggers
+	// cannot restart old rounds.
+	var idx uint64
+	if cr.p.rank == 0 {
 		cr.mu.Lock()
 		if cr.clActive || cr.sfsActive || cr.awaitingAcks {
 			cr.due = true // round already running: the next follows it
 			cr.mu.Unlock()
 			return nil
 		}
-		idx := cr.nextIndex
-		cr.awaitingAcks = true
-		cr.ackRound = idx
-		cr.acks = nil
+		idx = cr.nextIndex
+		cr.awaitingAcks, cr.ackRound, cr.acks = true, idx, nil
 		cr.mu.Unlock()
-		w := wire.NewWriter(12)
-		w.U64(idx)
-		w.U8(uint8(cr.p.spec.Protocol))
-		return cr.p.link.Send(wire.Msg{
-			Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
-			Src: cr.p.rank, Payload: w.Bytes(),
-		})
 	}
+	w := wire.NewWriter(12)
+	w.U64(idx)
+	w.U8(uint8(cr.p.spec.Protocol))
+	return cr.p.link.Send(wire.Msg{
+		Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
+		Src: cr.p.rank, Payload: w.Bytes(),
+	})
+
 }
 
 // handleRequest reacts to a KRequest broadcast (main loop, step boundary).

@@ -387,9 +387,10 @@ func (e *epochEvents) Emit(r evstore.Record) {
 
 // TestEpochEventPerStoredEpoch: each stored epoch, delta or whole image,
 // emits exactly one ckpt/epoch record, its raw the image's length, its
-// stored the record's, and its wait_us and store_us the time it waited for
-// its capture worker and the time the worker took to write and store it; an
-// epoch the store refused emits none. A write
+// stored the record's, and its drain_us, wait_us and store_us the time from
+// its snapshot to its hand-off, the time it waited for its capture worker and
+// the time the worker took to write and store it; an epoch the store refused
+// emits none. A write
 // tracker's records after its first are a fraction of the image, with no
 // setting asked for.
 func TestEpochEventPerStoredEpoch(t *testing.T) {
@@ -424,11 +425,12 @@ func TestEpochEventPerStoredEpoch(t *testing.T) {
 					t.Errorf("mode %d, checkpoint %d: %s = %s, want %d", mode, idx, k, got, want)
 				}
 			}
-			// How long the epoch waited for its worker, and how long the
-			// worker took to write and store it, in microseconds.
-			for _, k := range []string{"wait_us", "store_us"} {
+			// How long the epoch took from its snapshot to its hand-off,
+			// how long it waited for its worker, and how long the worker
+			// took to write and store it, in microseconds.
+			for _, k := range []string{"drain_us", "wait_us", "store_us"} {
 				got, _ := e.Get(k)
-				if us, err := strconv.ParseInt(got, 10, 64); err != nil || us < 0 {
+				if us, err := strconv.ParseInt(got, 10, 64); err != nil || us < 0 || us > 60e6 {
 					t.Errorf("mode %d, checkpoint %d: %s = %q", mode, idx, k, got)
 				}
 			}

@@ -3,6 +3,8 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 	"starfish/internal/ckpt"
 	"starfish/internal/evstore"
 	"starfish/internal/mpi"
+	"starfish/internal/rstore"
 	"starfish/internal/svm"
 	"starfish/internal/vni"
 	"starfish/internal/wire"
@@ -744,6 +747,186 @@ func TestSuspendResume(t *testing.T) {
 	h.waitAll()
 }
 
+// lateApp: rank 0 sends rank 1 one message, tagged lateTag, at its first
+// step, and idles until lateGates.finish is closed. Rank 1 idles as well or,
+// with args {1}, finishes at its first step. Nobody receives the message: to a
+// checkpoint it is pending or channel state.
+type lateApp struct{ finishes bool }
+
+const lateTag int32 = 23
+
+// lateGates: sent is closed when rank 0 has sent its message.
+var lateGates struct{ sent, finish chan struct{} }
+
+func init() {
+	Register("test-late", func(args []byte) (App, error) {
+		return &lateApp{finishes: len(args) > 0 && args[0] == 1}, nil
+	})
+}
+
+func (a *lateApp) Init(*Ctx) error            { return nil }
+func (a *lateApp) Restore(*Ctx, []byte) error { return nil }
+func (a *lateApp) Snapshot() ([]byte, error)  { return nil, nil }
+func (a *lateApp) Step(ctx *Ctx) (bool, error) {
+	if ctx.Rank == 0 && lateGates.sent != nil {
+		if err := ctx.Comm.Send(1, lateTag, []byte("late")); err != nil {
+			return true, err
+		}
+		close(lateGates.sent)
+		lateGates.sent = nil
+	}
+	if ctx.Rank == 1 && a.finishes {
+		return true, nil
+	}
+	select {
+	case <-lateGates.finish:
+		return true, nil
+	case <-time.After(time.Millisecond):
+		return false, nil
+	}
+}
+
+// lateGate wraps the harness's transport: it takes the data message tagged
+// lateTag from its sender at once and delivers it only once release is
+// closed, on a goroutine of its own, as a TCP connection's reader may deliver
+// a message after the control plane carried the round's flushes.
+type lateGate struct {
+	vni.Transport
+	release chan struct{}
+}
+
+func (g *lateGate) Dial(addr string) (vni.Conn, error) {
+	c, err := g.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return lateConn{Conn: c, g: g}, nil
+}
+
+type lateConn struct {
+	vni.Conn
+	g *lateGate
+}
+
+func (c lateConn) Send(m *wire.Msg) error {
+	if m.Type != wire.TData || m.Tag != lateTag {
+		return c.Conn.Send(m)
+	}
+	out := *m
+	if !m.Pooled {
+		out = m.Clone()
+	}
+	go func() {
+		<-c.g.release
+		c.Conn.Send(&out)
+	}()
+	return nil
+}
+
+// TestBlockedRankCompletesDrain: a rank whose stop-and-sync drain still
+// awaits a data message when the round's last flush reaches it completes the
+// drain when the message arrives, whether its loop is suspended, its
+// application has finished, or it is running and receives nothing else: the
+// arrival wakes the loop, which hands the epoch off, and the line commits.
+// Suspended, the rank commits before it is resumed; finished, it hands off
+// with no timer to wait on.
+func TestBlockedRankCompletesDrain(t *testing.T) {
+	for i, state := range []string{"suspended", "finished", "running"} {
+		t.Run(state, func(t *testing.T) {
+			lateGates.sent, lateGates.finish = make(chan struct{}), make(chan struct{})
+			sent := lateGates.sent
+			spec := AppSpec{
+				ID: wire.AppID(52 + i), Name: "test-late", Ranks: 2,
+				Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyRestart,
+			}
+			if state == "finished" {
+				spec.Args = []byte{1}
+			}
+			h := newHarness(t, spec)
+			gate := &lateGate{Transport: h.tr, release: make(chan struct{})}
+			h.tr = gate
+			h.launch(nil)
+			defer func() {
+				select {
+				case <-gate.release:
+				default:
+					close(gate.release)
+				}
+			}()
+			select {
+			case <-sent:
+			case <-time.After(20 * time.Second):
+				t.Fatal("rank 0 never sent")
+			}
+			h.mu.Lock()
+			p := h.procs[1]
+			h.mu.Unlock()
+			switch state {
+			case "suspended":
+				h.sendTo(1, wire.Msg{Type: wire.TConfiguration, Kind: CfgSuspend})
+			case "finished":
+				select {
+				case d := <-h.doneCh:
+					if d.rank != 1 || d.err != "" {
+						t.Fatalf("rank %d finished (%q), want rank 1 cleanly", d.rank, d.err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("rank 1 never finished")
+				}
+			}
+			h.sendTo(0, wire.Msg{Type: wire.TConfiguration, Kind: CfgCkptNow, App: spec.ID})
+			// Rank 1's drain is open once both flushes are in; only the
+			// held message is missing.
+			for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+				p.cr.mu.Lock()
+				flushes := len(p.cr.sfsFlushes)
+				p.cr.mu.Unlock()
+				if flushes == spec.Ranks {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("rank 1 has %d of %d flushes", flushes, spec.Ranks)
+				}
+			}
+			if _, err := h.store.CommittedLine(spec.ID); err == nil {
+				t.Fatal("a line committed before rank 1's drain could complete")
+			}
+			close(gate.release)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				line, err := h.store.CommittedLine(spec.ID)
+				if err == nil {
+					if line[0] != 1 || line[1] != 1 {
+						t.Fatalf("committed line %v, want {1,1}", line)
+					}
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no line committed after the %s rank's last awaited message arrived", state)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			close(lateGates.finish)
+			if state != "finished" {
+				if state == "suspended" {
+					h.sendTo(1, wire.Msg{Type: wire.TConfiguration, Kind: CfgResume})
+				}
+				h.waitAll()
+				return
+			}
+			select {
+			case d := <-h.doneCh:
+				if d.rank != 0 || d.err != "" {
+					t.Fatalf("rank %d finished (%q), want rank 0 cleanly", d.rank, d.err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("rank 0 never finished")
+			}
+			h.closeLinks()
+		})
+	}
+}
+
 func TestAbortReportsError(t *testing.T) {
 	spec := ringSpec(10, 2, 1<<40) // effectively endless
 	h := newHarness(t, spec)
@@ -784,8 +967,8 @@ func (drainAbortApp) Step(ctx *Ctx) (bool, error) {
 }
 
 // TestAbortWhileDrainingRoundExits: a coordinator that finished while its
-// round is outstanding waits for the round in drainRounds; an abort that
-// arrives there ends the process, rather than sending it on to serve protocol
+// round is outstanding waits for the round in its finished state (linger);
+// an abort that arrives there ends the process, rather than sending it on to serve protocol
 // traffic until the 60 s teardown backstop.
 func TestAbortWhileDrainingRoundExits(t *testing.T) {
 	spec := AppSpec{
@@ -833,8 +1016,8 @@ func (s *failOnce) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byt
 // TestFailedStoreDropsRound: a rank whose store refuses its checkpoint acks
 // the failure, the coordinator drops that round without committing, and the
 // next round opens the next index — so later lines commit and the job ends
-// without the coordinator waiting out drainRounds' 10 s for a round that can
-// never complete.
+// without the finished coordinator waiting out its 10 s bound for a round
+// that can never complete.
 func TestFailedStoreDropsRound(t *testing.T) {
 	for _, proto := range []ckpt.Protocol{ckpt.StopAndSync, ckpt.ChandyLamport} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -901,6 +1084,179 @@ func TestFailedIndependentStoreFailsRank(t *testing.T) {
 	h.waitAll()
 }
 
+// refusingNet is a transport on which, while on is set, every send fails:
+// the replicated store dialing out over it reaches no holder.
+type refusingNet struct {
+	vni.Transport
+	on atomic.Bool
+}
+
+func (n *refusingNet) Dial(addr string) (vni.Conn, error) {
+	c, err := n.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return refusingConn{Conn: c, n: n}, nil
+}
+
+type refusingConn struct {
+	vni.Conn
+	n *refusingNet
+}
+
+func (c refusingConn) Send(m *wire.Msg) error {
+	if c.n.on.Load() {
+		return errors.New("refused")
+	}
+	return c.Conn.Send(m)
+}
+
+// failLog is a store that records, per rank, the highest index whose
+// PutRecord failed.
+type failLog struct {
+	ckpt.Backend
+	mu     sync.Mutex
+	failed map[wire.Rank]uint64
+}
+
+func (s *failLog) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	err := s.Backend.PutRecord(app, rank, n, rec, meta)
+	if err != nil {
+		s.mu.Lock()
+		s.failed[rank] = max(s.failed[rank], n)
+		s.mu.Unlock()
+	}
+	return err
+}
+
+func (s *failLog) highest() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	for _, f := range s.failed {
+		n = max(n, f)
+	}
+	return n
+}
+
+// TestUnreplicatedCheckpointCommitsNoLine: on the replicated memory store, a
+// checkpoint whose push to its holder fails is not stored: its put fails, the
+// rank acks the failure and the coordinator drops the round, so no line
+// commits on a checkpoint held by its writer's node alone — and that line's
+// commit cannot collect the older copies. Once the holder answers again, a
+// later round commits, on checkpoints the holder has.
+func TestUnreplicatedCheckpointCommitsNoLine(t *testing.T) {
+	net, writer, holder := refusedPair(t)
+	spec := ringSpec(54, 3, 1<<40) // runs until aborted
+	spec.CkptEverySteps = 100
+	h := newHarness(t, spec)
+	back := &failLog{Backend: writer, failed: map[wire.Rank]uint64{}}
+	h.back = back
+	h.launch(nil)
+	defer h.abortAll()
+	// Two rounds failed at rank 0: none of their checkpoints reached the
+	// holder, and no line committed.
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		back.mu.Lock()
+		failed := back.failed[0]
+		back.mu.Unlock()
+		if failed >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0's puts did not fail while the holder refused them")
+		}
+	}
+	if line, err := writer.CommittedLine(spec.ID); err == nil {
+		t.Fatalf("line %v committed on checkpoints its holder refused", line)
+	}
+	net.on.Store(false)
+
+	var line ckpt.RecoveryLine
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		var err error
+		if line, err = writer.CommittedLine(spec.ID); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no line committed once the holder answered")
+		}
+	}
+	// A rank's puts run one at a time, in index order, so every failed put
+	// came before the committed round's.
+	refused := back.highest()
+	for r := range spec.Ranks {
+		n := line[wire.Rank(r)]
+		if n <= refused {
+			t.Fatalf("line %v commits checkpoint %d; puts failed up to %d", line, n, refused)
+		}
+		if _, _, err := holder.Get(spec.ID, wire.Rank(r), n); err != nil {
+			t.Errorf("the holder lacks rank %d's committed checkpoint %d: %v", r, n, err)
+		}
+	}
+}
+
+// refusedPair is a two-node replicated memory store, writer and holder,
+// keeping two copies of each record; the writer's sends are refused while
+// net.on is set.
+func refusedPair(t *testing.T) (net *refusingNet, writer, holder *rstore.Store) {
+	net = &refusingNet{Transport: vni.NewFastnet(0)}
+	net.on.Store(true)
+	addr := func(id wire.NodeID) string { return fmt.Sprintf("rs-proc-n%d", id) }
+	stores := make([]*rstore.Store, 2)
+	for i, tr := range []vni.Transport{net, net.Transport} {
+		s, err := rstore.New(rstore.Config{
+			Node: wire.NodeID(i + 1), Transport: tr, Addr: addr(wire.NodeID(i + 1)), PeerAddr: addr,
+			Replicas: 2, RequestTimeout: time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		stores[i] = s
+	}
+	for _, s := range stores {
+		s.UpdateView([]wire.NodeID{1, 2})
+	}
+	return net, stores[0], stores[1]
+}
+
+// TestUnreplicatedIndependentCheckpointReachesDisk: on the tiered store, an
+// independent checkpoint whose replica push failed counts as stored, so the
+// rank steps on — and the record its fast tier kept alone is spilled to disk,
+// where it can be read once the writer's memory is gone.
+func TestUnreplicatedIndependentCheckpointReachesDisk(t *testing.T) {
+	_, writer, _ := refusedPair(t)
+	disk, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := ckpt.NewTiered(writer, disk, t.Logf)
+	defer tiered.Close()
+
+	spec := ringSpec(55, 2, 1<<40) // runs until aborted
+	spec.Protocol = ckpt.Independent
+	spec.CkptEverySteps = 100
+	h := newHarness(t, spec)
+	back := &failLog{Backend: tiered, failed: map[wire.Rank]uint64{}}
+	h.back = back
+	h.launch(nil)
+	defer h.abortAll()
+	var n uint64
+	for deadline := time.Now().Add(20 * time.Second); n < 2; time.Sleep(time.Millisecond) {
+		back.mu.Lock()
+		n = back.failed[0]
+		back.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0's puts did not fail while the holder refused them")
+		}
+	}
+	tiered.Flush()
+	if _, _, err := disk.Get(spec.ID, 0, n); err != nil {
+		t.Fatalf("rank 0's checkpoint %d, stored without its replica, is not on disk: %v", n, err)
+	}
+}
+
 // holdPut is the harness's store, except that rank's first PutRecord waits
 // for release; entered closes when it begins to.
 type holdPut struct {
@@ -935,6 +1291,8 @@ func TestRankStepsOnWhileStoring(t *testing.T) {
 	h := newHarness(t, spec)
 	back := &holdPut{Backend: h.store, rank: 1, entered: make(chan struct{}), release: make(chan struct{})}
 	h.back = back
+	drains := &drainLog{}
+	h.events = drains
 	h.launch(nil)
 	defer func() {
 		select {
@@ -981,6 +1339,31 @@ func TestRankStepsOnWhileStoring(t *testing.T) {
 	if _, err := h.store.CommittedLine(spec.ID); err != nil {
 		t.Fatalf("no line committed: %v", err)
 	}
+	t.Logf("snapshot to hand-off of each stored epoch: %s", drains)
+}
+
+// drainLog collects the drain_us of every ckpt/epoch record.
+type drainLog struct {
+	mu sync.Mutex
+	us []int
+}
+
+func (d *drainLog) Emit(r evstore.Record) {
+	if r.Component == "ckpt" && r.Kind == "epoch" {
+		v, _ := r.Get("drain_us")
+		us, _ := strconv.Atoi(v)
+		d.mu.Lock()
+		d.us = append(d.us, us)
+		d.mu.Unlock()
+	}
+}
+
+// String lists the drains in µs, ascending.
+func (d *drainLog) String() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	slices.Sort(d.us)
+	return fmt.Sprint(d.us, " µs")
 }
 
 func TestCoordinationMessages(t *testing.T) {

@@ -73,6 +73,15 @@ type Process struct {
 	ctl      chan wire.Msg
 	deferred []wire.Msg
 
+	// attn is the attention word. Whoever queues work for the scheduler
+	// raises it (raise): the group handler after it puts a message on ctl,
+	// the C/R module's intake callbacks, a checkpoint request. The scheduler
+	// reads it once per step and takes its slow path (attend) only when it is
+	// set. wake carries one token to a scheduler that is blocked, suspended
+	// or finished.
+	attn atomic.Uint32
+	wake chan struct{}
+
 	viewHandler  func(alive, departed []wire.Rank)
 	coordHandler func(from wire.Rank, payload []byte)
 	pendingViews []LWViewInfo
@@ -87,7 +96,6 @@ type Process struct {
 	// (out-of-band abort).
 	cmu sync.Mutex
 
-	steps     uint64
 	sinceCkpt uint64
 
 	done chan struct{}
@@ -120,6 +128,7 @@ func New(cfg Config) (*Process, error) {
 		timer:   cfg.Timer,
 		logf:    cfg.Logf,
 		ctl:     make(chan wire.Msg, 1024),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
 	p.cr = newCRModule(p)
@@ -159,6 +168,7 @@ func (p *Process) groupHandler() {
 			}
 			select {
 			case p.ctl <- m:
+				p.raise()
 			case <-p.done:
 				return
 			}
@@ -170,6 +180,7 @@ func (p *Process) groupHandler() {
 			// receive either way.
 			p.interrupt()
 			close(p.ctl)
+			p.raise()
 			return
 		case <-p.done:
 			return
@@ -201,11 +212,31 @@ func (p *Process) logff(format string, args ...any) {
 	}
 }
 
-func (p *Process) requestCheckpoint() { p.ckptRequested = true }
+func (p *Process) requestCheckpoint() {
+	p.ckptRequested = true
+	p.raise()
+}
+
+// raise sets the attention word, after the caller queued work for the
+// scheduler, and wakes the scheduler if it is blocked. Safe from any
+// goroutine. Only the raise that sets the word sends the token: one that
+// finds it set comes before the scheduler clears it, and so before it looks
+// for work.
+func (p *Process) raise() {
+	if p.attn.Swap(1) == 0 {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // run is the scheduler: it waits for the daemon's start message, builds
-// the MPI module, restores state if this is a restart, and then alternates
-// application steps with control-message handling.
+// the MPI module, restores state if this is a restart, and then runs one
+// loop in three states. Running, it steps the application and, between
+// steps, does the work queued for it whenever the attention word is set;
+// suspended, it blocks until woken and does that work; finished, it does the
+// same in linger until the daemon tears it down.
 func (p *Process) run() {
 	defer func() {
 		if p.comm != nil {
@@ -214,7 +245,7 @@ func (p *Process) run() {
 		p.nic.Close()
 		// Done means done storing too: a daemon that waited for it sees no
 		// checkpoint written after.
-		p.cr.close()
+		p.cr.wait()
 		close(p.done)
 	}()
 
@@ -237,51 +268,23 @@ func (p *Process) run() {
 			evstore.F("size", si.Size)))
 	}
 
+	// Messages deferred before the start wait for the first pass.
+	p.attn.Store(1)
 	for {
 		// A compute-bound Step never blocks: without this yield a rank
 		// keeps its processor from its own node's daemon, group engines
 		// and stores until the scheduler's 10 ms preemption, and every hop
 		// of a commit or a failure-detector probe waits that long.
 		runtime.Gosched()
-		// Handle everything the daemon queued, then any deferred
-		// messages from a blocking protocol round.
-		if err := p.drainCtl(); err != nil {
-			p.finish(err)
-			return
-		}
-		if p.aborted {
-			p.finish(ErrAborted)
-			return
+		if p.attn.Load() != 0 {
+			if err := p.attend(false); err != nil {
+				p.finish(err)
+				return
+			}
 		}
 		if p.suspended {
-			m, open := <-p.ctl
-			if !open {
-				p.finish(ErrAborted)
-				return
-			}
-			if err := p.handleCtl(m); err != nil {
-				p.finish(err)
-				return
-			}
+			<-p.wake
 			continue
-		}
-
-		// Deliver pending upcalls at the safe point.
-		p.deliverUpcalls()
-
-		// Checkpoint work due at this boundary.
-		if id, due := p.cr.pendingSnapshot(); due {
-			if err := p.cr.clBegin(id); err != nil {
-				p.finish(err)
-				return
-			}
-		}
-		if p.ckptRequested {
-			p.ckptRequested = false
-			if err := p.cr.initiate(); err != nil {
-				p.finish(err)
-				return
-			}
 		}
 
 		done, err := p.app.Step(p.ctx)
@@ -289,11 +292,7 @@ func (p *Process) run() {
 			p.finish(err)
 			return
 		}
-		p.steps++
 		p.sinceCkpt++
-		// Stop-and-sync drains complete as messages arrive; poll at the
-		// boundary.
-		p.cr.sfsPoll()
 		if p.spec.CkptEverySteps > 0 && p.sinceCkpt >= p.spec.CkptEverySteps {
 			p.sinceCkpt = 0
 			// A rank steps on while its epoch is stored, but not past the
@@ -311,90 +310,83 @@ func (p *Process) run() {
 			}
 		}
 		if done {
-			// A rank reports completion once its last epoch is stored, and
-			// the coordinator finishes its outstanding round first, so
-			// end-of-run checkpoints commit. An independent checkpoint that
-			// failed to store fails the rank, as at the next one (takeLocal).
+			// A rank reports completion once its last epoch is stored. An
+			// independent checkpoint that failed to store fails the rank,
+			// as at the next one (takeLocal).
 			if err := p.cr.wait(); err != nil && p.spec.Protocol == ckpt.Independent {
 				p.finish(err)
 				return
 			}
-			if p.rank == 0 {
-				p.drainRounds()
-			}
-			p.finish(nil)
-			// Keep serving protocol traffic (acks, markers, flushes,
-			// late round requests) until the daemon tears the process
-			// down — peers may still be running — unless the drain
-			// already saw the teardown.
-			if !p.aborted {
-				p.serveUntilTeardown()
-			}
+			p.linger()
 			return
 		}
 	}
 }
 
-// serveUntilTeardown keeps a completed process responsive to C/R protocol
-// traffic until its daemon closes the connection (all ranks reported done)
-// or aborts it. Without this, a round initiated just before the last
-// application step would lose participants and never commit.
-func (p *Process) serveUntilTeardown() {
-	backstop := time.After(60 * time.Second)
-	for {
-		p.cr.sfsPoll()
-		if id, due := p.cr.pendingSnapshot(); due {
-			if err := p.cr.clBegin(id); err != nil {
-				p.logff("%v", err)
-			}
-		}
-		select {
-		case m, open := <-p.ctl:
-			if !open {
-				return
-			}
-			if m.Type == wire.TConfiguration && m.Kind == CfgAbort {
-				return
-			}
-			if err := p.handleCtl(m); err != nil {
-				return
-			}
-		case <-time.After(5 * time.Millisecond):
-			// Drain progress is driven by data-path arrivals; re-poll.
-		case <-backstop:
-			return
-		}
+// attend is the scheduler's slow path, taken in every state once the
+// attention word is set: it clears the word, handles the daemon's messages,
+// and does the C/R module's work at this safe point (cr.serve). A running
+// rank then delivers its upcalls, and a rank that has not finished starts a
+// checkpoint asked for. It returns the error that ends the process.
+func (p *Process) attend(finished bool) error {
+	p.attn.Store(0)
+	if err := p.drainCtl(); err != nil {
+		return err
+	}
+	if p.aborted {
+		return ErrAborted
+	}
+	if !finished && !p.suspended {
+		p.deliverUpcalls()
+	}
+	if err := p.cr.serve(); err != nil {
+		return err
+	}
+	if p.ckptRequested && !finished {
+		p.ckptRequested = false
+		return p.cr.initiate()
+	}
+	return nil
+}
+
+// linger is the finished state. The coordinator first serves until the
+// rounds it takes part in or coordinates have finished, so end-of-run
+// checkpoints still commit, for at most 10 s, so a crashed peer cannot hold
+// it hostage. Then the rank reports done and serves C/R protocol traffic
+// (acks, markers, flushes, late round requests) until its daemon closes the
+// connection (all ranks reported done) or aborts it, for at most 60 s:
+// without this, a round started just before the last step would lose
+// participants and never commit.
+func (p *Process) linger() {
+	if p.rank == 0 && !p.serveFor(10*time.Second, p.cr.roundsOutstanding) {
+		p.logff("giving up on unfinished checkpoint round")
+	}
+	p.finish(nil)
+	if !p.aborted {
+		p.serveFor(60*time.Second, func() bool { return true })
 	}
 }
 
-// drainRounds keeps the process alive after application completion until
-// any in-flight checkpoint round it participates in (or coordinates) has
-// finished, so end-of-run checkpoints still commit. Bounded so a crashed
-// peer cannot hold a finished process hostage.
-func (p *Process) drainRounds() {
-	deadline := time.After(10 * time.Second)
-	for p.cr.roundsOutstanding() {
-		p.cr.sfsPoll()
-		if !p.cr.roundsOutstanding() {
-			return
-		}
+// serveFor does the work the scheduler is woken for while more holds and the
+// process is neither aborted nor failed, for at most d. It reports whether it
+// stopped before d was up.
+func (p *Process) serveFor(d time.Duration, more func() bool) bool {
+	bound := time.NewTimer(d)
+	defer bound.Stop()
+	for more() {
 		select {
-		case m, open := <-p.ctl:
-			if !open || m.Type == wire.TConfiguration && m.Kind == CfgAbort {
-				p.aborted = true
-				return
+		case <-p.wake:
+		case <-bound.C:
+			return false
+		}
+		if err := p.attend(true); err != nil {
+			if !errors.Is(err, ErrAborted) {
+				p.logff("finished rank: %v", err)
 			}
-			if err := p.handleCtl(m); err != nil {
-				return
-			}
-		case <-time.After(5 * time.Millisecond):
-			// Re-poll: drain progress is driven by data arrivals, which
-			// do not come through the control queue.
-		case <-deadline:
-			p.logff("giving up on unfinished checkpoint round")
-			return
+			return true
 		}
 	}
+	return true
 }
 
 func (p *Process) finish(err error) {
@@ -453,6 +445,8 @@ func (p *Process) initialize(si StartInfo) error {
 		Timer: p.timer,
 	}
 	switch p.spec.Protocol {
+	case ckpt.StopAndSync:
+		mcfg.OnReceive = p.cr.onArrival
 	case ckpt.ChandyLamport:
 		mcfg.OnMarker = p.cr.onMarker
 	case ckpt.Independent:

@@ -65,6 +65,16 @@ func TestRankGoroutines(t *testing.T) {
 type streamApp struct {
 	rank                   wire.Rank
 	rounds, sent, got, sum int64
+	// hold: the next Step waits for streamHold.release.
+	hold bool
+}
+
+// streamHold, while release is set, holds rank's first Step after its
+// snapshot until release is closed; held is closed when that Step begins to
+// wait.
+var streamHold struct {
+	rank          wire.Rank
+	held, release chan struct{}
 }
 
 const streamTag int32 = 9
@@ -105,6 +115,7 @@ func (a *streamApp) Restore(ctx *Ctx, state []byte) error {
 func (a *streamApp) Snapshot() ([]byte, error) {
 	w := wire.NewWriter(32)
 	w.I64(a.rounds).I64(a.sent).I64(a.got).I64(a.sum)
+	a.hold = streamHold.release != nil && a.rank == streamHold.rank
 	streamSnaps.Lock()
 	streamSnaps.state[a.rank] = append([]byte(nil), w.Bytes()...)
 	streamSnaps.Unlock()
@@ -112,6 +123,11 @@ func (a *streamApp) Snapshot() ([]byte, error) {
 }
 
 func (a *streamApp) Step(ctx *Ctx) (bool, error) {
+	if a.hold {
+		a.hold = false
+		close(streamHold.held)
+		<-streamHold.release
+	}
 	peers := int64(ctx.Size - 1)
 	if a.sent < a.rounds {
 		w := wire.NewWriter(8)
@@ -149,16 +165,20 @@ func (a *streamApp) Step(ctx *Ctx) (bool, error) {
 }
 
 // markerGate wraps the harness's transport. A rank's first marker waits
-// until every rank has sent one: every rank then has its cut staged before
-// any marker arrives, so each rank's round finalizes in onMarker, on the
-// goroutine delivering its last marker. returned counts the marker sends that
-// have returned. Accepted connections are not wrapped, so every message is
-// still delivered by the send that carries it; the application's first step
-// connected every pair, long before the round, so no marker waits for a
-// connection to be accepted either.
+// until every rank has sent one, so every rank takes its cut from the
+// round's request, not from a marker; a marker to rank hold then waits until
+// that rank's application is held in the Step after its cut, so its markers
+// all arrive while its loop is inside Step. returned counts the marker sends
+// that have returned. Accepted connections are not wrapped, so every message
+// is still delivered by the send that carries it, and its marker callback
+// runs on the sender's goroutine; the application's first step connected
+// every pair, long before the round, so no marker waits for a connection to
+// be accepted either.
 type markerGate struct {
 	vni.Transport
 	ranks    int
+	hold     wire.Rank
+	held     chan struct{}
 	mu       sync.Mutex
 	arrived  map[wire.Rank]bool
 	all      chan struct{}
@@ -190,9 +210,16 @@ func (c *gatedConn) Send(m *wire.Msg) error {
 		}
 	}
 	g.mu.Unlock()
+	// Past 20 s the line never commits.
 	select {
 	case <-g.all:
-	case <-time.After(20 * time.Second): // the line then never commits
+	case <-time.After(20 * time.Second):
+	}
+	if m.Dst == g.hold {
+		select {
+		case <-g.held:
+		case <-time.After(20 * time.Second):
+		}
 	}
 	defer g.returned.Add(1)
 	return c.Conn.Send(m)
@@ -201,15 +228,19 @@ func (c *gatedConn) Send(m *wire.Msg) error {
 // markerFreeStore is the harness's store, except that a rank's PutRecord
 // first waits until every marker send of the round has returned. A store
 // running on a marker's sender would wait for its own send: it gives up after
-// 5 s, and the rank is recorded as having blocked its sender.
+// 5 s, and the rank is recorded as having blocked its sender. entered records
+// the ranks whose PutRecord has begun.
 type markerFreeStore struct {
 	ckpt.Backend
-	g       *markerGate
-	mu      sync.Mutex
-	blocked map[wire.Rank]bool
+	g                *markerGate
+	mu               sync.Mutex
+	blocked, entered map[wire.Rank]bool
 }
 
 func (s *markerFreeStore) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *ckpt.Meta) error {
+	s.mu.Lock()
+	s.entered[rank] = true
+	s.mu.Unlock()
 	sends := int32(s.g.ranks * (s.g.ranks - 1))
 	for deadline := time.Now().Add(5 * time.Second); s.g.returned.Load() < sends; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -222,21 +253,21 @@ func (s *markerFreeStore) PutRecord(app wire.AppID, rank wire.Rank, n uint64, re
 	return s.Backend.PutRecord(app, rank, n, rec, meta)
 }
 
-// TestChandyLamportFinalizesOnMarkerSender: on fastnet the matcher's intake
-// runs inside the Send that carries a message, so a Chandy–Lamport round
-// whose last marker arrives after the cut finalizes on the goroutine of the
-// rank sending that marker, inside its clBegin marker loop. There it only
-// takes the channel state and hands the epoch off: the capture worker stores
-// and acks, and the sender is never blocked by the store. With four ranks all
-// in that loop at once, every round rides a sender, and every store waits
-// for all marker sends to return; the line must still commit, and a restart
-// from it must hand each rank back exactly its snapshot and lose or repeat no
-// message.
-func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
-	const ranks = 4
+// TestChandyLamportFinalizesOnOwnRank: a Chandy–Lamport round finalizes, and
+// is handed to the capture worker, only on its own rank's loop, at a safe
+// point. On fastnet the matcher's intake runs inside the Send that carries a
+// message, so a round's last marker arrives on its sender's goroutine; there
+// it is only recorded. With rank 2 held inside the Step after its cut while
+// every marker reaches it, rank 2 stores nothing until its Step returns. No
+// store ever blocks a marker send; the line commits, and a restart from it
+// hands each rank back exactly its snapshot and loses or repeats no message.
+func TestChandyLamportFinalizesOnOwnRank(t *testing.T) {
+	const ranks, held = 4, wire.Rank(2)
 	streamSnaps.Lock()
 	streamSnaps.state = make(map[wire.Rank][]byte)
 	streamSnaps.Unlock()
+	streamHold.rank, streamHold.held, streamHold.release = held, make(chan struct{}), make(chan struct{})
+	defer func() { streamHold.release = nil }()
 	w := wire.NewWriter(8)
 	w.I64(500)
 	spec := AppSpec{
@@ -244,10 +275,49 @@ func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
 		Protocol: ckpt.ChandyLamport, Encoder: ckpt.Portable, Policy: PolicyRestart,
 	}
 	h := newHarness(t, spec)
-	gate := &markerGate{Transport: h.tr, ranks: ranks, arrived: map[wire.Rank]bool{}, all: make(chan struct{})}
-	store := &markerFreeStore{Backend: h.store, g: gate, blocked: map[wire.Rank]bool{}}
+	gate := &markerGate{Transport: h.tr, ranks: ranks, hold: held, held: streamHold.held,
+		arrived: map[wire.Rank]bool{}, all: make(chan struct{})}
+	store := &markerFreeStore{Backend: h.store, g: gate, blocked: map[wire.Rank]bool{}, entered: map[wire.Rank]bool{}}
 	h.tr, h.back = gate, store
 	h.launch(nil)
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(streamHold.release)
+		}
+	}
+	defer release()
+
+	select {
+	case <-streamHold.held:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("rank %d never took its cut", held)
+	}
+	h.mu.Lock()
+	p := h.procs[held]
+	h.mu.Unlock()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.cr.mu.Lock()
+		in := len(p.cr.clMarkersIn)
+		p.cr.mu.Unlock()
+		if in == ranks-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank %d: %d of %d markers in", held, in, ranks-1)
+		}
+	}
+	// Give a finalize off the rank's loop time to show.
+	time.Sleep(100 * time.Millisecond)
+	store.mu.Lock()
+	stored := store.entered[held]
+	store.mu.Unlock()
+	if stored {
+		t.Fatalf("rank %d stored its checkpoint while its loop was inside Step", held)
+	}
+	release()
+
 	line := h.waitForCommittedLine()
 	h.abortAll()
 	for r := 0; r < ranks; r++ {
@@ -263,6 +333,7 @@ func TestChandyLamportFinalizesOnMarkerSender(t *testing.T) {
 	}
 	store.mu.Unlock()
 
+	streamHold.release = nil
 	h.tr, h.back = gate.Transport, nil
 	h.launch(line)
 	h.waitAll()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"starfish/internal/ckpt"
@@ -237,12 +238,16 @@ func TestRecordNeverInstallsOverAnotherIncarnation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Rolled back to slot 1: the rewrite of slot 2 stays on the writer.
+	// Rolled back to slot 1: the rewrite of slot 2 stays on the writer, and
+	// the put fails, naming the holder its push did not reach.
 	link.done.Store(false)
-	if err := writer.PutRecord(app, 0, 2, live[2], nil); err != nil {
-		t.Fatal(err)
+	if err := writer.PutRecord(app, 0, 2, live[2], nil); !errors.Is(err, ckpt.ErrUnreplicated) || !strings.Contains(err.Error(), "node 2") {
+		t.Fatalf("a put whose push failed returned %v", err)
 	}
 	link.done.Store(true)
+	if got, _, err := writer.Get(app, 0, 2); err != nil || !bytes.Equal(got, live1) {
+		t.Fatalf("the writer's slot 2 is not the rewrite: %v", err)
+	}
 	if got, _, err := holder.Get(app, 0, 2); err != nil || !bytes.Equal(got, dead1) {
 		t.Fatalf("the holder's slot 2 is not the dead incarnation's: %v", err)
 	}

@@ -68,6 +68,7 @@ package rstore
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -549,9 +550,11 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 // PutRecord stores a record, handed over, in local RAM — replica #1 — pushes
 // the other Replicas-1 copies to the first members of the key's order, and
 // replicates the index entry to every member. The store keeps and pushes rec
-// itself. Replication failures do not fail the put — the local copy exists
-// and the under-replication counter (and the next view change's
-// re-replication pass) pick up the slack.
+// itself. A push that fails fails the put with ckpt.ErrUnreplicated, naming
+// the peer: the local copy stays (the under-replication counter and the next
+// view change's re-replication pass pick it up), but a checkpoint held by its
+// writer's node alone must not be acknowledged for a round, or a line could
+// commit on it and its commit collect every older copy.
 func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, meta *ckpt.Meta) error {
 	k := key{app, rank, n}
 	rec, err := ckpt.DecodeRecord(slot)
@@ -581,21 +584,25 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte,
 	// Push the caller's slot, not the entry's: once published in s.images, a
 	// concurrent replica push (handlePut) may swap the entry's fields.
 	e := entry{img: slot, kind: slotRecord, rec: rec, meta: meta, tag: tag}
+	var failed []error
 	for _, h := range targets {
 		if _, err := s.pushSlot(h, k, e); err != nil {
 			s.logf("[rstore %d] push #%d of app %d rank %d to node %d: %v",
 				s.cfg.Node, k.n, k.app, k.rank, h, err)
 			s.event(evstore.EvRank("push-failure", k.app, k.rank,
 				evstore.F("n", k.n), evstore.F("peer", h)))
+			failed = append(failed, fmt.Errorf("push to node %d: %w", h, err))
 		}
 	}
 	s.broadcastIndex(members, []key{k})
-	// A put the store was closed under fails: its pushes
+	// A put the store was closed under fails too: its pushes
 	// may have died with the store, and a node going down must not vouch for
-	// a checkpoint that exists nowhere else — the rank would acknowledge it
-	// and the line commit.
+	// a checkpoint that exists nowhere else.
 	if s.isClosed() {
 		return fmt.Errorf("rstore: store closed")
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("rstore: put #%d of app %d rank %d: %w: %w", k.n, k.app, k.rank, ckpt.ErrUnreplicated, errors.Join(failed...))
 	}
 	return nil
 }

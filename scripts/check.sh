@@ -198,12 +198,13 @@ body() {
     # run them 10 times.
     go test -race -count 10 -run 'TestRecordOfMatchesReference|TestHintIsUsed|TestHintedEpochsStayIncremental|TestWholeImageEpochIsOneRecord|TestEpochEventPerStoredEpoch' ./internal/ckpt/ ./internal/proc/
     go test -race -count 10 -run 'TestCrashNotifyBeforeJoin' ./internal/cluster/
-    # The capture worker: a rank stepping on while its epoch is stored, a
-    # failed store acked and its round dropped (or, independent, failing its
-    # rank), a Chandy–Lamport round handed off on its last marker's sender, an
-    # abort while a round drains, and a rank at rest costing three goroutines:
-    # run them 20 times.
-    go test -race -count 20 -run 'TestRankStepsOnWhileStoring|TestFailedStoreDropsRound|TestFailedIndependentStoreFailsRank|TestChandyLamportFinalizesOnMarkerSender|TestAbortWhileDrainingRoundExits|TestRankGoroutines' ./internal/proc/
+    # The capture worker and the rank's one loop: a rank stepping on while its
+    # epoch is stored, a failed store acked and its round dropped (or,
+    # independent, failing its rank), a Chandy–Lamport round handed off only on
+    # its own rank's loop, a suspended or finished rank woken by the last
+    # message its drain awaits, an abort while a round drains, and a rank at
+    # rest costing three goroutines: run them 20 times.
+    go test -race -count 20 -run 'TestRankStepsOnWhileStoring|TestFailedStoreDropsRound|TestFailedIndependentStoreFailsRank|TestChandyLamportFinalizesOnOwnRank|TestBlockedRankCompletesDrain|TestAbortWhileDrainingRoundExits|TestRankGoroutines' ./internal/proc/
     # A write-tracking job's delta records on disk, restored after a kill from
     # carry lists resolved there: run it 5 times.
     go test -race -count 5 -run 'TestInPlaceEpochsRecover/stop-and-sync-disk' ./internal/cluster/
