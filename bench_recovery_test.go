@@ -155,20 +155,20 @@ const (
 // played here: start it, hand its checkpoint traffic back in order, wait for
 // its done report, tear it down.
 func runRank(b *testing.B, fn *vni.Fastnet, spec proc.AppSpec, store ckpt.Backend, si proc.StartInfo) {
-	pside, dside := proc.NewChanLink(0)
+	sent := make(chan wire.Msg, 256)
 	p, err := proc.New(proc.Config{
 		Spec: spec, Arch: svm.Machines[0], Store: store,
-		Link: pside, Transport: fn, ListenAddr: "bench-restore-r0",
+		ToDaemon: func(m wire.Msg) { sent <- m }, Transport: fn, ListenAddr: "bench-restore-r0",
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	si.Size, si.Addrs = 1, map[wire.Rank]string{0: p.Addr()}
 	p.Start()
-	dside.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgStart, App: spec.ID, Payload: si.Encode()})
+	p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgStart, App: spec.ID, Payload: si.Encode()})
 	for done := false; !done; {
 		select {
-		case m := <-dside.Recv():
+		case m := <-sent:
 			switch {
 			case m.Type == wire.TConfiguration && m.Kind == proc.CfgDone:
 				if len(m.Payload) != 0 {
@@ -176,13 +176,13 @@ func runRank(b *testing.B, fn *vni.Fastnet, spec proc.AppSpec, store ckpt.Backen
 				}
 				done = true
 			case m.Type == wire.TCheckpoint:
-				dside.Send(m)
+				p.Deliver(m)
 			}
 		case <-time.After(30 * time.Second):
 			b.Fatal("rank did not finish")
 		}
 	}
-	dside.Close()
+	p.Close()
 	<-p.Done()
 }
 

@@ -79,35 +79,31 @@ var borrowApps = []struct {
 }
 
 // incarnation is one generation of a job's processes with the daemon's part
-// played by the test: daemon links, one total order for checkpoint traffic.
+// played by the test: one total order for checkpoint traffic.
 type incarnation struct {
 	t      *testing.T
 	procs  []*proc.Process
-	links  []*proc.ChanLink
 	relayq chan wire.Msg
 	done   chan string
+	closed chan struct{}
 }
 
 func startIncarnation(t *testing.T, fn *vni.Fastnet, spec proc.AppSpec, store ckpt.Backend, tag string, line ckpt.RecoveryLine) *incarnation {
 	t.Helper()
-	inc := &incarnation{t: t, relayq: make(chan wire.Msg, 1024), done: make(chan string, spec.Ranks)}
+	inc := &incarnation{t: t, relayq: make(chan wire.Msg, 1024), done: make(chan string, spec.Ranks), closed: make(chan struct{})}
 	addrs := make(map[wire.Rank]string, spec.Ranks)
 	for r := 0; r < spec.Ranks; r++ {
-		pside, dside := proc.NewChanLink(0)
 		p, err := proc.New(proc.Config{
 			Spec: spec, Rank: wire.Rank(r), Arch: svm.Machines[0], Store: store,
-			Link: pside, Transport: fn, ListenAddr: fmt.Sprintf("borrow-%s-r%d", tag, r),
+			ToDaemon: inc.fromProcess, Transport: fn, ListenAddr: fmt.Sprintf("borrow-%s-r%d", tag, r),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc.procs, inc.links = append(inc.procs, p), append(inc.links, dside)
+		inc.procs = append(inc.procs, p)
 		addrs[wire.Rank(r)] = p.Addr()
 	}
 	t.Cleanup(inc.stop)
-	for _, l := range inc.links {
-		go inc.pump(l)
-	}
 	go inc.relay()
 	var next uint64 = 1
 	for _, n := range line {
@@ -119,23 +115,19 @@ func startIncarnation(t *testing.T, fn *vni.Fastnet, spec proc.AppSpec, store ck
 			si.Gen, si.Restore, si.RestoreIndex, si.Line = 2, true, line[wire.Rank(r)], line
 		}
 		p.Start()
-		inc.links[r].Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgStart, App: spec.ID, Payload: si.Encode()})
+		p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgStart, App: spec.ID, Payload: si.Encode()})
 	}
 	return inc
 }
 
-func (inc *incarnation) pump(l *proc.ChanLink) {
-	for {
+func (inc *incarnation) fromProcess(m wire.Msg) {
+	switch {
+	case m.Type == wire.TConfiguration && m.Kind == proc.CfgDone:
+		inc.done <- string(m.Payload)
+	case m.Type == wire.TCheckpoint || m.Type == wire.TCoordination:
 		select {
-		case <-l.Done():
-			return
-		case m := <-l.Recv():
-			switch {
-			case m.Type == wire.TConfiguration && m.Kind == proc.CfgDone:
-				inc.done <- string(m.Payload)
-			case m.Type == wire.TCheckpoint || m.Type == wire.TCoordination:
-				inc.relayq <- m
-			}
+		case inc.relayq <- m:
+		case <-inc.closed:
 		}
 	}
 }
@@ -143,22 +135,26 @@ func (inc *incarnation) pump(l *proc.ChanLink) {
 func (inc *incarnation) relay() {
 	for {
 		select {
-		case <-inc.links[0].Done():
+		case <-inc.closed:
 			return
 		case m := <-inc.relayq:
-			for _, l := range inc.links {
-				l.Send(m)
+			for _, p := range inc.procs {
+				p.Deliver(m)
 			}
 		}
 	}
 }
 
-// stop tears the incarnation down the way its daemon would — abort, then
-// close the link — and waits for the processes to exit.
+// stop tears the incarnation down the way its daemon would and waits for
+// the processes to exit.
 func (inc *incarnation) stop() {
-	for _, l := range inc.links {
-		l.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort})
-		l.Close()
+	select {
+	case <-inc.closed:
+	default:
+		close(inc.closed)
+	}
+	for _, p := range inc.procs {
+		p.Close()
 	}
 	for _, p := range inc.procs {
 		select {

@@ -186,7 +186,7 @@ func (d *Daemon) applyCmd(c *Cmd) {
 			d.ev.Emit(evstore.EvApp(name, c.App))
 		}
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: kind, App: c.App})
+			ep.p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: kind, App: c.App})
 		}
 	case CmdCheckpoint:
 		d.mu.Lock()
@@ -201,7 +201,7 @@ func (d *Daemon) applyCmd(c *Cmd) {
 		}
 		d.mu.Unlock()
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgCkptNow, App: c.App})
+			ep.p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgCkptNow, App: c.App})
 		}
 	case CmdRankDone:
 		d.applyRankDone(c)
@@ -275,8 +275,7 @@ func (d *Daemon) applyDelete(c *Cmd) {
 	}
 	d.router.Drop(c.App)
 	for _, ep := range eps {
-		ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort, App: c.App})
-		ep.link.Close()
+		ep.p.Close()
 	}
 	if d.leader() {
 		if be == nil {
@@ -305,8 +304,7 @@ func (d *Daemon) applyRankDone(c *Cmd) {
 		d.router.Drop(c.App)
 		// A genuine application error: tear everything down.
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort, App: c.App})
-			ep.link.Close()
+			ep.p.Close()
 		}
 		return
 	}
@@ -336,10 +334,10 @@ func (d *Daemon) checkComplete(app wire.AppID) {
 	d.mu.Unlock()
 	d.ev.Emit(evstore.EvApp("app-done", app))
 	d.router.Drop(app)
-	// All ranks finished: tear down local endpoints (processes exit their
-	// serve loop when the link closes).
+	// All ranks finished: tear down local endpoints (processes stop serving
+	// protocol traffic once closed).
 	for _, ep := range eps {
-		ep.link.Close()
+		ep.p.Close()
 	}
 }
 
@@ -394,8 +392,7 @@ func (d *Daemon) applyRestart(c *Cmd) {
 	// sequencer streams; the new generation forms fresh ones in spawnLocal.
 	d.router.Drop(c.App)
 	for _, ep := range oldEps {
-		ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort, App: c.App})
-		ep.link.Close()
+		ep.p.Close()
 	}
 	if noNodes {
 		return
@@ -437,13 +434,12 @@ func (d *Daemon) spawnLocal(app wire.AppID) {
 	addrs := make(map[wire.Rank]string, len(myRanks))
 	eps := make(map[wire.Rank]*endpoint, len(myRanks))
 	for _, rank := range myRanks {
-		pside, dside := proc.NewChanLink(0)
 		p, err := proc.New(proc.Config{
 			Spec:       spec,
 			Rank:       rank,
 			Arch:       d.cfg.Arch,
 			Store:      d.tierFor(&spec),
-			Link:       pside,
+			ToDaemon:   d.fromProcess(app, gen, rank),
 			Transport:  d.cfg.Transport,
 			ListenAddr: d.cfg.DataAddr(app, gen, rank),
 			Events:     d.cfg.Events.Emitter("proc"),
@@ -453,15 +449,25 @@ func (d *Daemon) spawnLocal(app wire.AppID) {
 			d.logf("spawn app %d rank %d: %v", app, rank, err)
 			continue
 		}
-		ep := &endpoint{rank: rank, gen: gen, link: dside, p: p}
-		eps[rank] = ep
+		eps[rank] = &endpoint{rank: rank, p: p}
 		addrs[rank] = p.Addr()
-		d.procs.Add(1)
-		go d.pumpEndpoint(app, ep)
 		p.Start()
 	}
 	d.mu.Lock()
 	d.local[app] = eps
+	// Close waits for every process spawned; forget those already gone.
+	live := d.spawned[:0]
+	for _, p := range d.spawned {
+		select {
+		case <-p.Done():
+		default:
+			live = append(live, p)
+		}
+	}
+	d.spawned = live
+	for _, ep := range eps {
+		d.spawned = append(d.spawned, ep.p)
+	}
 	d.mu.Unlock()
 	// The hosts form the app's stream; the router calls back once this
 	// node's endpoint joined it (the creator first, carrying its contact in
@@ -475,26 +481,13 @@ func (d *Daemon) spawnLocal(app wire.AppID) {
 	})
 }
 
-// pumpEndpoint forwards one local process's messages into the daemon loop,
-// and once the link is gone waits for the process to exit before counting it
-// off d.procs.
-func (d *Daemon) pumpEndpoint(app wire.AppID, ep *endpoint) {
-	defer func() {
-		<-ep.p.Done()
-		d.procs.Done()
-	}()
-	for {
+// fromProcess is a local process's line to the daemon loop: the process
+// calls it with each message it sends.
+func (d *Daemon) fromProcess(app wire.AppID, gen uint32, rank wire.Rank) func(wire.Msg) {
+	return func(m wire.Msg) {
 		select {
-		case m := <-ep.link.Recv():
-			select {
-			case d.inbox <- inboxMsg{app: app, rank: ep.rank, gen: ep.gen, m: m}:
-			case <-d.stop:
-				return
-			}
-		case <-ep.link.Done():
-			return
+		case d.inbox <- inboxMsg{app: app, rank: rank, gen: gen, m: m}:
 		case <-d.stop:
-			return
 		}
 	}
 }
@@ -584,7 +577,7 @@ func (d *Daemon) maybeStart(app wire.AppID) {
 			si.RestoreIndex = line[ep.rank]
 			si.Line = map[wire.Rank]uint64(line)
 		}
-		ep.link.Send(wire.Msg{
+		ep.p.Deliver(wire.Msg{
 			Type: wire.TConfiguration, Kind: proc.CfgStart, App: app,
 			Payload: si.Encode(),
 		})
@@ -701,8 +694,7 @@ func (d *Daemon) applyFailurePolicy(app wire.AppID, gone []wire.NodeID) {
 		d.mu.Unlock()
 		d.router.Drop(app)
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort, App: app})
-			ep.link.Close()
+			ep.p.Close()
 		}
 	case proc.PolicyNotify:
 		// Tell surviving local processes which ranks are gone; they
@@ -730,7 +722,7 @@ func (d *Daemon) applyFailurePolicy(app wire.AppID, gone []wire.NodeID) {
 		eps := d.localEndpointsLocked(app)
 		d.mu.Unlock()
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{
+			ep.p.Deliver(wire.Msg{
 				Type: wire.TLWMembership, Kind: proc.LWViewKind, App: app,
 				Payload: info.Encode(),
 			})

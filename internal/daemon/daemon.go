@@ -144,8 +144,6 @@ type appState struct {
 // local application process.
 type endpoint struct {
 	rank wire.Rank
-	gen  uint32
-	link *proc.ChanLink
 	p    *proc.Process
 }
 
@@ -185,12 +183,14 @@ type Daemon struct {
 	// local endpoints per app.
 	local map[wire.AppID]map[wire.Rank]*endpoint
 
+	// spawned lists the processes this daemon started that may not have
+	// exited; Close waits for each, including those a delete, completion or
+	// restart detached.
+	spawned []*proc.Process
+
 	inbox chan inboxMsg
 	stop  chan struct{}
 	dead  chan struct{}
-	// procs counts spawned processes that have not exited; Close waits for
-	// it, including processes a delete, completion or restart detached.
-	procs sync.WaitGroup
 }
 
 // New creates a daemon and joins (or creates) the cluster.
@@ -360,14 +360,16 @@ func (d *Daemon) run() {
 	defer func() {
 		d.mu.Lock()
 		eps := d.allEndpointsLocked()
+		spawned := d.spawned
 		d.mu.Unlock()
 		for _, ep := range eps {
-			ep.link.Send(wire.Msg{Type: wire.TConfiguration, Kind: proc.CfgAbort})
-			ep.link.Close()
+			ep.p.Close()
 		}
 		d.router.Close()
 		d.ep.Close()
-		d.procs.Wait()
+		for _, p := range spawned {
+			<-p.Done()
+		}
 		if d.tiered != nil {
 			d.tiered.Close() // drain pending disk spills
 		}
@@ -415,7 +417,7 @@ func (d *Daemon) handleGroupEvent(ge lwg.GroupEvent) {
 	}
 	d.mu.Unlock()
 	for _, ep := range eps {
-		ep.link.Send(m)
+		ep.p.Deliver(m)
 	}
 }
 

@@ -734,3 +734,55 @@ func TestCloseWaitsForProcesses(t *testing.T) {
 		t.Errorf("%d frames pushed after Close returned", now-sent)
 	}
 }
+
+// TestLocalRankGoroutines: on a one-node cluster, each local rank an app
+// adds costs two goroutines — the process's scheduler and its NIC's accept
+// loop. The daemon runs none per process: it calls the process, and the
+// process calls it back.
+func TestLocalRankGoroutines(t *testing.T) {
+	store, err := ckpt.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{
+		Node: 1, Transport: vni.NewFastnet(0), GCSAddr: "goroutines-gcs", Store: store,
+		Arch: svm.Machines[0], HeartbeatEvery: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	deadline := time.Now().Add(20 * time.Second)
+	// run submits an app of the given size and, once it runs, reports the
+	// node's goroutines: the fewest seen over 100 ms, so that short-lived
+	// ones (timers, probes) do not count.
+	run := func(app wire.AppID, ranks int) int {
+		t.Helper()
+		spec := proc.AppSpec{ID: app, Name: slowAppName, Ranks: ranks,
+			Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: proc.PolicyRestart}
+		if err := d.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		for info, _ := d.AppInfo(app); info.Status != StatusRunning; info, _ = d.AppInfo(app) {
+			if time.Now().After(deadline) {
+				t.Fatalf("app %d never ran: %+v", app, info)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		least := runtime.NumGoroutine()
+		for range 50 {
+			time.Sleep(2 * time.Millisecond)
+			least = min(least, runtime.NumGoroutine())
+		}
+		return least
+	}
+	// The first app starts whatever the daemon starts once; the next two
+	// differ only in their size.
+	before := run(1, 1)
+	one := run(2, 1)
+	three := run(3, 3)
+	if extra := (three - one) - (one - before); extra != 2*2 {
+		t.Fatalf("a one-rank app adds %d goroutines and a three-rank app %d: its two extra ranks cost %d, want 4",
+			one-before, three-one, extra)
+	}
+}

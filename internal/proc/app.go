@@ -1,7 +1,9 @@
 // Package proc implements the Starfish application process: the runtime
-// that hosts user MPI code together with the group handler, MPI module,
-// checkpoint/restart module and VNI of Figure 1, wired through the object
-// bus and driven by a step scheduler.
+// that hosts user MPI code together with the MPI module, checkpoint/restart
+// module and VNI of Figure 1, wired through the object bus and driven by a
+// step scheduler. Figure 1's group handler is two calls, not a goroutine:
+// the daemon, in the same Go process, calls Deliver and Close, and the
+// process calls it back.
 //
 // An application process is goroutine-hosted (Go cannot checkpoint live OS
 // processes), so checkpointable state is explicit: applications implement
@@ -146,7 +148,7 @@ func (c *Ctx) Coordinate(payload []byte) error {
 	if c.p == nil {
 		return fmt.Errorf("proc: no runtime")
 	}
-	return c.p.link.Send(wire.Msg{
+	return c.p.send(wire.Msg{
 		Type: wire.TCoordination, App: c.p.spec.ID, Src: c.Rank, Payload: payload,
 	})
 }

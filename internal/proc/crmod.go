@@ -354,7 +354,7 @@ func (cr *crModule) capture(e epoch, drain, wait time.Duration) error {
 	if err == nil {
 		rec = ckpt.RecordOf(idx, base.img, where, dirty, parts...)
 		err = ErrAborted
-		if !p.hardAbort.Load() {
+		if !p.closed.Load() {
 			err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
 		}
 		if errors.Is(err, ckpt.ErrUnreplicated) && p.spec.Protocol == ckpt.Independent {
@@ -609,7 +609,7 @@ func (cr *crModule) sendAck(id uint64, stored bool) {
 	w := wire.NewWriter(12)
 	w.U64(id)
 	w.Bool(stored)
-	cr.p.link.Send(wire.Msg{
+	cr.p.send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KAck, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})
@@ -664,7 +664,7 @@ func (cr *crModule) onAck(from wire.Rank, id uint64, stored bool) {
 	cr.p.event(evstore.EvApp("commit", cr.p.spec.ID, evstore.F("line", id)))
 	w := wire.NewWriter(8)
 	w.U64(id)
-	cr.p.link.Send(wire.Msg{
+	cr.p.send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KCommit, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})
@@ -773,7 +773,7 @@ func (cr *crModule) sfsBegin(idx uint64) error {
 			fw.U32(uint32(r)).U64(n)
 		}
 	}
-	cr.p.link.Send(wire.Msg{
+	cr.p.send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KFlush, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: fw.Bytes(),
 	})
@@ -905,7 +905,7 @@ func (cr *crModule) initiate() error {
 	w := wire.NewWriter(12)
 	w.U64(idx)
 	w.U8(uint8(cr.p.spec.Protocol))
-	return cr.p.link.Send(wire.Msg{
+	return cr.p.send(wire.Msg{
 		Type: wire.TCheckpoint, Kind: ckpt.KRequest, App: cr.p.spec.ID,
 		Src: cr.p.rank, Payload: w.Bytes(),
 	})

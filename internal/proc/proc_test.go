@@ -115,7 +115,6 @@ type harness struct {
 
 	mu     sync.Mutex
 	procs  []*Process
-	dsides []*ChanLink
 	doneCh chan doneEvent
 
 	relayq chan wire.Msg
@@ -146,7 +145,7 @@ func newHarness(t testing.TB, spec AppSpec) *harness {
 	go h.relay()
 	t.Cleanup(func() {
 		close(h.stop)
-		h.closeLinks()
+		h.closeAll()
 		// A process stores nothing once done: wait for that before the
 		// store's directory goes.
 		h.mu.Lock()
@@ -161,12 +160,13 @@ func newHarness(t testing.TB, spec AppSpec) *harness {
 	return h
 }
 
-func (h *harness) closeLinks() {
+// closeAll tears the current incarnation down, as its daemons do.
+func (h *harness) closeAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, l := range h.dsides {
-		if l != nil {
-			l.Close()
+	for _, p := range h.procs {
+		if p != nil {
+			p.Close()
 		}
 	}
 }
@@ -179,38 +179,31 @@ func (h *harness) relay() {
 			return
 		case m := <-h.relayq:
 			h.mu.Lock()
-			links := append([]*ChanLink(nil), h.dsides...)
+			procs := append([]*Process(nil), h.procs...)
 			h.mu.Unlock()
-			for _, l := range links {
-				if l != nil {
-					l.Send(m)
+			for _, p := range procs {
+				if p != nil {
+					p.Deliver(m)
 				}
 			}
 		}
 	}
 }
 
-// pump reads one process's daemon-side link.
-func (h *harness) pump(gen uint32, rank wire.Rank, dside *ChanLink) {
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-dside.Done():
-			return
-		case m := <-dside.Recv():
-			switch m.Type {
-			case wire.TConfiguration:
-				if m.Kind == CfgDone {
-					h.doneCh <- doneEvent{gen: gen, rank: rank, err: string(m.Payload)}
-				}
-			case wire.TCheckpoint, wire.TCoordination:
-				select {
-				case h.relayq <- m:
-				case <-h.stop:
-					return
-				}
+// fromProcess is the daemon's side of one process's sends.
+func (h *harness) fromProcess(gen uint32, rank wire.Rank, m wire.Msg) {
+	switch m.Type {
+	case wire.TConfiguration:
+		if m.Kind == CfgDone {
+			select {
+			case h.doneCh <- doneEvent{gen: gen, rank: rank, err: string(m.Payload)}:
+			case <-h.stop:
 			}
+		}
+	case wire.TCheckpoint, wire.TCoordination:
+		select {
+		case h.relayq <- m:
+		case <-h.stop:
 		}
 	}
 }
@@ -218,13 +211,12 @@ func (h *harness) pump(gen uint32, rank wire.Rank, dside *ChanLink) {
 // launch starts a fresh or restored incarnation.
 func (h *harness) launch(line ckpt.RecoveryLine) {
 	h.t.Helper()
-	h.closeLinks()
+	h.closeAll()
 	h.mu.Lock()
 	h.gen++
 	gen := h.gen
 	n := h.spec.Ranks
 	h.procs = make([]*Process, n)
-	h.dsides = make([]*ChanLink, n)
 	h.mu.Unlock()
 
 	var store ckpt.Backend = h.store
@@ -233,13 +225,13 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 	}
 	addrs := make(map[wire.Rank]string, n)
 	for i := 0; i < n; i++ {
-		pside, dside := NewChanLink(0)
+		rank := wire.Rank(i)
 		p, err := New(Config{
 			Spec:       h.spec,
-			Rank:       wire.Rank(i),
+			Rank:       rank,
 			Arch:       svm.Machines[i%len(svm.Machines)],
 			Store:      store,
-			Link:       pside,
+			ToDaemon:   func(m wire.Msg) { h.fromProcess(gen, rank, m) },
 			Events:     h.events,
 			Transport:  h.tr,
 			ListenAddr: fmt.Sprintf("app%d-g%d-r%d", h.spec.ID, gen, i),
@@ -249,10 +241,8 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 		}
 		h.mu.Lock()
 		h.procs[i] = p
-		h.dsides[i] = dside
 		h.mu.Unlock()
-		addrs[wire.Rank(i)] = p.Addr()
-		go h.pump(gen, wire.Rank(i), dside)
+		addrs[rank] = p.Addr()
 		p.Start()
 	}
 
@@ -281,10 +271,10 @@ func (h *harness) launch(line ckpt.RecoveryLine) {
 
 func (h *harness) sendTo(rank wire.Rank, m wire.Msg) {
 	h.mu.Lock()
-	l := h.dsides[rank]
+	p := h.procs[rank]
 	h.mu.Unlock()
-	if l != nil {
-		l.Send(m)
+	if p != nil {
+		p.Deliver(m)
 	}
 }
 
@@ -319,7 +309,7 @@ func (h *harness) waitAllExpect(okErr func(string) bool) {
 	// Every rank reported done: tear the incarnation down (this is what
 	// the daemons do), releasing processes still serving protocol
 	// traffic.
-	h.closeLinks()
+	h.closeAll()
 }
 
 // abortAll kills the current incarnation and waits for the processes to
@@ -329,9 +319,7 @@ func (h *harness) abortAll() {
 	h.mu.Lock()
 	procs := append([]*Process(nil), h.procs...)
 	h.mu.Unlock()
-	for i := range procs {
-		h.sendTo(wire.Rank(i), wire.Msg{Type: wire.TConfiguration, Kind: CfgAbort})
-	}
+	h.closeAll()
 	for _, p := range procs {
 		select {
 		case <-p.Done():
@@ -723,9 +711,18 @@ func TestViewUpcallAndDeadMarking(t *testing.T) {
 	// Simulate the daemon reporting rank 1's node crash to rank 0.
 	v := LWViewInfo{Alive: []wire.Rank{0}, Departed: []wire.Rank{1}}
 	h.sendTo(0, wire.Msg{Type: wire.TLWMembership, Kind: LWViewKind, App: spec.ID, Payload: v.Encode()})
-	// Rank 1 is "dead": finish it via abort; rank 0 must complete cleanly.
-	h.sendTo(1, wire.Msg{Type: wire.TConfiguration, Kind: CfgAbort})
-	h.waitAllExpect(func(e string) bool { return e == ErrAborted.Error() })
+	// Rank 1 is "dead": its daemon closes it; rank 0 must complete cleanly.
+	h.mu.Lock()
+	h.procs[1].Close()
+	h.mu.Unlock()
+	select {
+	case d := <-h.doneCh:
+		if d.rank != 0 || d.err != "" {
+			t.Fatalf("rank %d reported done with %q, want rank 0 with no error", d.rank, d.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("rank 0 never finished")
+	}
 }
 
 func TestSuspendResume(t *testing.T) {
@@ -922,7 +919,7 @@ func TestBlockedRankCompletesDrain(t *testing.T) {
 			case <-time.After(20 * time.Second):
 				t.Fatal("rank 0 never finished")
 			}
-			h.closeLinks()
+			h.closeAll()
 		})
 	}
 }
@@ -985,8 +982,8 @@ func TestAbortWhileDrainingRoundExits(t *testing.T) {
 	h.mu.Lock()
 	procs := h.procs
 	h.mu.Unlock()
-	for i := range procs {
-		h.sendTo(wire.Rank(i), wire.Msg{Type: wire.TConfiguration, Kind: CfgAbort})
+	for _, p := range procs {
+		p.Close()
 	}
 	for _, p := range procs {
 		select {
@@ -1579,29 +1576,152 @@ func (deafApp) Step(ctx *Ctx) (bool, error) {
 	return false, err
 }
 
-// TestLinkDownInterruptsBlockedReceive: a daemon tears a process down with
-// CfgAbort followed at once by closing the link, and the group handler may
-// see the closed link first. That must unblock an application stuck inside a
-// receive just as the abort would, or the process — its state, its NIC —
-// never goes away.
-func TestLinkDownInterruptsBlockedReceive(t *testing.T) {
-	pside, dside := NewChanLink(0)
-	spec := AppSpec{ID: 47, Name: "test-deaf", Ranks: 2, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyRestart}
-	p, err := New(Config{Spec: spec, Arch: svm.Machines[0], Link: pside, Transport: vni.NewFastnet(0), ListenAddr: "deaf-r0"})
+// soloDeaf starts a deaf rank 0 of a two-rank job whose rank 1 never
+// exists, so the rank blocks in its first receive. Its sends go to toDaemon.
+func soloDeaf(t *testing.T, id wire.AppID, toDaemon func(wire.Msg)) *Process {
+	t.Helper()
+	spec := AppSpec{ID: id, Name: "test-deaf", Ranks: 2, Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyRestart}
+	p, err := New(Config{Spec: spec, Arch: svm.Machines[0], ToDaemon: toDaemon, Transport: vni.NewFastnet(0), ListenAddr: fmt.Sprintf("deaf-a%d-r0", id)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Start()
 	si := StartInfo{Gen: 1, Size: 2, Addrs: map[wire.Rank]string{0: p.Addr(), 1: "deaf-r1"}, NextCkptIndex: 1}
-	dside.Send(wire.Msg{Type: wire.TConfiguration, Kind: CfgStart, App: spec.ID, Payload: si.Encode()})
+	p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: CfgStart, App: id, Payload: si.Encode()})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		p.cmu.Lock()
+		started := p.comm != nil
+		p.cmu.Unlock()
+		if started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the rank never started")
+		}
+	}
 	time.Sleep(20 * time.Millisecond) // let it block in Recv
-	dside.Close()
+	return p
+}
+
+// waitAborted fails the test unless p ends within 10 s with ErrAborted.
+func waitAborted(t *testing.T, p *Process) {
+	t.Helper()
 	select {
 	case <-p.Done():
 	case <-time.After(10 * time.Second):
-		t.Fatal("process still blocked in a receive after its daemon link closed")
+		t.Fatal("process still running 10 s after Close")
 	}
 	if !errors.Is(p.Err(), ErrAborted) {
 		t.Errorf("terminal error = %v, want ErrAborted", p.Err())
 	}
+}
+
+// TestCloseInterruptsBlockedReceive: a daemon tearing a process down with
+// Close unblocks an application stuck inside a receive, or the process —
+// its state, its NIC — never goes away. After Close the process reaches no
+// daemon: a coordination message it sends returns an error and is dropped.
+func TestCloseInterruptsBlockedReceive(t *testing.T) {
+	var coord atomic.Int32
+	p := soloDeaf(t, 47, func(m wire.Msg) {
+		if m.Type == wire.TCoordination {
+			coord.Add(1)
+		}
+	})
+	p.Close()
+	waitAborted(t, p)
+	if err := p.ctx.Coordinate([]byte("late")); err == nil {
+		t.Error("Coordinate after Close returned no error")
+	}
+	if n := coord.Load(); n != 0 {
+		t.Errorf("%d coordination messages reached the daemon after Close", n)
+	}
+}
+
+// coordOrderApp finishes once it has had want coordination upcalls, and
+// fails if one carries another message than the next one sent.
+type coordOrderApp struct {
+	want, got uint32
+	err       error
+}
+
+func init() {
+	Register("test-coord-order", func(args []byte) (App, error) {
+		r := wire.NewReader(args)
+		return &coordOrderApp{want: r.U32()}, r.Err()
+	})
+}
+
+func (a *coordOrderApp) Init(ctx *Ctx) error {
+	ctx.OnCoordination(func(_ wire.Rank, payload []byte) {
+		if n := wire.NewReader(payload).U32(); n != a.got && a.err == nil {
+			a.err = fmt.Errorf("upcall %d carried message %d", a.got, n)
+		}
+		a.got++
+	})
+	return nil
+}
+func (a *coordOrderApp) Restore(*Ctx, []byte) error { return nil }
+func (a *coordOrderApp) Snapshot() ([]byte, error)  { return nil, nil }
+func (a *coordOrderApp) Step(*Ctx) (bool, error)    { return a.got >= a.want, a.err }
+
+// TestDeliverNeverBlocks: the daemon's event loop delivers to every local
+// process, so one process that does not reach a step boundary must not stall
+// it. A burst of coordination messages to a rank blocked in a receive, or to
+// one not yet started, is taken at once; the rank still ends on Close, and
+// one started after the burst has its upcalls in the order sent.
+func TestDeliverNeverBlocks(t *testing.T) {
+	const burst = 10000
+	deliver := func(t *testing.T, p *Process) {
+		t.Helper()
+		sent := make(chan int, 1)
+		go func() {
+			for i := range burst {
+				p.Deliver(wire.Msg{Type: wire.TCoordination, App: p.spec.ID, Src: 1, Payload: wire.NewWriter(4).U32(uint32(i)).Bytes()})
+			}
+			sent <- burst
+		}()
+		select {
+		case <-sent:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Deliver blocked before %d messages were taken", burst)
+		}
+	}
+
+	t.Run("blocked", func(t *testing.T) {
+		p := soloDeaf(t, 48, func(wire.Msg) {})
+		deliver(t, p)
+		p.Close()
+		waitAborted(t, p)
+	})
+
+	t.Run("unstarted", func(t *testing.T) {
+		spec := AppSpec{ID: 49, Name: "test-coord-order", Args: wire.NewWriter(4).U32(burst).Bytes(), Ranks: 1,
+			Protocol: ckpt.StopAndSync, Encoder: ckpt.Portable, Policy: PolicyRestart}
+		done := make(chan string, 1)
+		p, err := New(Config{Spec: spec, Arch: svm.Machines[0], Transport: vni.NewFastnet(0), ListenAddr: "coord-order-r0",
+			ToDaemon: func(m wire.Msg) {
+				if m.Type == wire.TConfiguration && m.Kind == CfgDone {
+					done <- string(m.Payload)
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			p.Close()
+			<-p.Done()
+		}()
+		p.Start()
+		deliver(t, p)
+		si := StartInfo{Gen: 1, Size: 1, Addrs: map[wire.Rank]string{0: p.Addr()}, NextCkptIndex: 1}
+		p.Deliver(wire.Msg{Type: wire.TConfiguration, Kind: CfgStart, App: spec.ID, Payload: si.Encode()})
+		select {
+		case e := <-done:
+			if e != "" {
+				t.Fatalf("rank failed: %s", e)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the rank never had its upcalls")
+		}
+	})
 }

@@ -31,8 +31,10 @@ type Config struct {
 	// restores from (disk, replicated memory, or tiered — chosen per
 	// application at submission time).
 	Store ckpt.Backend
-	// Link connects to the local daemon's lightweight endpoint module.
-	Link DaemonLink
+	// ToDaemon hands a message to the local daemon's lightweight endpoint
+	// module (the paper's local connection). The daemon calls back with
+	// Deliver and Close.
+	ToDaemon func(wire.Msg)
 	// Transport and ListenAddr create the process's data-path NIC.
 	Transport  vni.Transport
 	ListenAddr string
@@ -47,13 +49,15 @@ type Config struct {
 }
 
 // Process is one running application process: the container of Figure 1's
-// group handler, application module, C/R module, MPI module and VNI.
+// application module, C/R module, MPI module and VNI. Its group handler is
+// no goroutine: the daemon calls Deliver and Close, and the process calls
+// back through Config.ToDaemon.
 type Process struct {
 	spec    AppSpec
 	rank    wire.Rank
 	arch    svm.Arch
 	store   ckpt.Backend
-	link    DaemonLink
+	daemon  func(wire.Msg)
 	nic     *vni.NIC
 	comm    *mpi.Comm
 	app     App
@@ -65,20 +69,20 @@ type Process struct {
 
 	ctx *Ctx
 
-	// ctl carries daemon messages into the main loop (fed by the group
-	// handler goroutine). It is the paper's object bus (§2.2): the one
-	// route by which configuration, lightweight-membership, coordination
-	// and C/R messages reach the process's modules; the scheduler hands
-	// each to its module at a step boundary.
-	ctl      chan wire.Msg
+	// ctl is the queue of daemon messages for the main loop (filled by
+	// Deliver). It is the paper's object bus (§2.2): the one route by which
+	// configuration, lightweight-membership, coordination and C/R messages
+	// reach the process's modules; the scheduler takes the whole queue and
+	// hands each message to its module at a step boundary.
+	ctlMu    sync.Mutex
+	ctl      []wire.Msg
 	deferred []wire.Msg
 
 	// attn is the attention word. Whoever queues work for the scheduler
-	// raises it (raise): the group handler after it puts a message on ctl,
-	// the C/R module's intake callbacks, a checkpoint request. The scheduler
-	// reads it once per step and takes its slow path (attend) only when it is
-	// set. wake carries one token to a scheduler that is blocked, suspended
-	// or finished.
+	// raises it (raise): Deliver and Close, the C/R module's intake
+	// callbacks, a checkpoint request. The scheduler reads it once per step
+	// and takes its slow path (attend) only when it is set. wake carries one
+	// token to a scheduler that is blocked, suspended or finished.
 	attn atomic.Uint32
 	wake chan struct{}
 
@@ -89,11 +93,10 @@ type Process struct {
 
 	ckptRequested bool
 	suspended     bool
-	aborted       bool
-	hardAbort     atomic.Bool
+	// closed is set by Close: the daemon tore the process down.
+	closed atomic.Bool
 
-	// cmu guards comm for access from the group-handler goroutine
-	// (out-of-band abort).
+	// cmu guards comm for access from Close (out-of-band abort).
 	cmu sync.Mutex
 
 	sinceCkpt uint64
@@ -120,14 +123,13 @@ func New(cfg Config) (*Process, error) {
 		rank:    cfg.Rank,
 		arch:    cfg.Arch,
 		store:   cfg.Store,
-		link:    cfg.Link,
+		daemon:  cfg.ToDaemon,
 		nic:     nic,
 		app:     app,
 		events:  cfg.Events,
 		encoder: cfg.Spec.NewEncoder(),
 		timer:   cfg.Timer,
 		logf:    cfg.Logf,
-		ctl:     make(chan wire.Msg, 1024),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -147,56 +149,50 @@ func (p *Process) Done() <-chan struct{} { return p.done }
 // Err returns the terminal error (nil on success); valid after Done.
 func (p *Process) Err() error { return p.err }
 
-// Start launches the group handler and main loop.
-func (p *Process) Start() {
-	go p.groupHandler()
-	go p.run()
+// Start launches the main loop.
+func (p *Process) Start() { go p.run() }
+
+// Deliver queues a message from the daemon for the main loop. It never
+// blocks.
+func (p *Process) Deliver(m wire.Msg) {
+	wire.CountMsg(m.Type)
+	p.ctlMu.Lock()
+	p.ctl = append(p.ctl, m)
+	p.ctlMu.Unlock()
+	p.raise()
 }
 
-// groupHandler is the module connecting the process to its daemon: it
-// forwards daemon messages to the main loop's control queue.
-func (p *Process) groupHandler() {
-	for {
-		select {
-		case m := <-p.link.Recv():
-			// An abort must be able to interrupt an application blocked
-			// inside a receive, so it is handled out of band: closing
-			// the communicator unblocks the main loop, which then sees
-			// the queued CfgAbort.
-			if m.Type == wire.TConfiguration && m.Kind == CfgAbort {
-				p.interrupt()
-			}
-			select {
-			case p.ctl <- m:
-				p.raise()
-			case <-p.done:
-				return
-			}
-		case <-p.link.Done():
-			// Daemon connection lost: the scheduler sees a closed queue
-			// and aborts. A daemon tearing a process down sends CfgAbort
-			// and closes the link at once, so this case can win the select
-			// over the queued abort; the application may be blocked in a
-			// receive either way.
-			p.interrupt()
-			close(p.ctl)
-			p.raise()
-			return
-		case <-p.done:
-			return
-		}
-	}
-}
-
-// interrupt unblocks an application stuck inside a receive by closing its
-// communicator; whatever error that surfaces is reported as ErrAborted.
-func (p *Process) interrupt() {
-	p.hardAbort.Store(true)
+// Close is the daemon tearing the process down: the process sends nothing
+// more, and its main loop aborts at its next pass. An application blocked
+// inside a receive is interrupted by closing its communicator, so that pass
+// comes; whatever error that surfaces is reported as ErrAborted.
+func (p *Process) Close() {
+	p.closed.Store(true)
 	p.cmu.Lock()
 	if p.comm != nil {
 		p.comm.Close()
 	}
 	p.cmu.Unlock()
+	p.raise()
+}
+
+// send hands a message to the daemon; after Close it reaches none.
+func (p *Process) send(m wire.Msg) error {
+	wire.CountMsg(m.Type)
+	if p.closed.Load() {
+		return ErrAborted
+	}
+	p.daemon(m)
+	return nil
+}
+
+// takeCtl takes the queued daemon messages.
+func (p *Process) takeCtl() []wire.Msg {
+	p.ctlMu.Lock()
+	defer p.ctlMu.Unlock()
+	msgs := p.ctl
+	p.ctl = nil
+	return msgs
 }
 
 // event forwards a structured record to the configured sink.
@@ -330,11 +326,11 @@ func (p *Process) run() {
 // checkpoint asked for. It returns the error that ends the process.
 func (p *Process) attend(finished bool) error {
 	p.attn.Store(0)
+	if p.closed.Load() {
+		return ErrAborted
+	}
 	if err := p.drainCtl(); err != nil {
 		return err
-	}
-	if p.aborted {
-		return ErrAborted
 	}
 	if !finished && !p.suspended {
 		p.deliverUpcalls()
@@ -362,7 +358,7 @@ func (p *Process) linger() {
 		p.logff("giving up on unfinished checkpoint round")
 	}
 	p.finish(nil)
-	if !p.aborted {
+	if !p.closed.Load() {
 		p.serveFor(60*time.Second, func() bool { return true })
 	}
 }
@@ -390,7 +386,7 @@ func (p *Process) serveFor(d time.Duration, more func() bool) bool {
 }
 
 func (p *Process) finish(err error) {
-	if p.hardAbort.Load() && err != nil {
+	if p.closed.Load() && err != nil {
 		err = ErrAborted
 	}
 	p.err = err
@@ -407,30 +403,36 @@ func (p *Process) reportDone(err error) {
 	if err != nil {
 		msg.Payload = []byte(err.Error())
 	}
-	p.link.Send(msg)
+	p.send(msg)
 }
 
 // waitStart blocks until CfgStart, buffering any earlier protocol traffic
 // for handling once the communicator exists.
 func (p *Process) waitStart() (StartInfo, bool) {
-	for m := range p.ctl {
-		if m.Type == wire.TConfiguration {
-			switch m.Kind {
-			case CfgStart:
-				si, err := DecodeStartInfo(m.Payload)
-				if err != nil {
-					p.logff("bad start info: %v", err)
-					return StartInfo{}, false
-				}
-				return si, true
-			case CfgAbort:
+	for {
+		p.attn.Store(0)
+		if p.closed.Load() {
+			return StartInfo{}, false
+		}
+		msgs := p.takeCtl()
+		for i, m := range msgs {
+			if m.Type != wire.TConfiguration {
+				p.deferred = append(p.deferred, m)
+				continue
+			}
+			if m.Kind != CfgStart {
+				continue
+			}
+			p.deferred = append(p.deferred, msgs[i+1:]...)
+			si, err := DecodeStartInfo(m.Payload)
+			if err != nil {
+				p.logff("bad start info: %v", err)
 				return StartInfo{}, false
 			}
-			continue
+			return si, true
 		}
-		p.deferred = append(p.deferred, m)
+		<-p.wake
 	}
-	return StartInfo{}, false
 }
 
 // initialize builds the communicator and application state for this
@@ -492,7 +494,7 @@ func (p *Process) initialize(si StartInfo) error {
 	}
 	p.cmu.Lock()
 	p.comm = comm
-	aborting := p.hardAbort.Load()
+	aborting := p.closed.Load()
 	p.cmu.Unlock()
 	if aborting {
 		comm.Close()
@@ -580,29 +582,17 @@ func (p *Process) replayLostMessages(si StartInfo) error {
 
 // drainCtl handles all queued control messages without blocking.
 func (p *Process) drainCtl() error {
+	msgs := p.takeCtl()
 	if len(p.deferred) > 0 {
-		msgs := p.deferred
+		msgs = append(p.deferred, msgs...)
 		p.deferred = nil
-		for _, m := range msgs {
-			if err := p.handleCtl(m); err != nil {
-				return err
-			}
+	}
+	for _, m := range msgs {
+		if err := p.handleCtl(m); err != nil {
+			return err
 		}
 	}
-	for {
-		select {
-		case m, open := <-p.ctl:
-			if !open {
-				p.aborted = true
-				return nil
-			}
-			if err := p.handleCtl(m); err != nil {
-				return err
-			}
-		default:
-			return nil
-		}
-	}
+	return nil
 }
 
 // handleCtl dispatches one daemon message. Runs in the main loop, i.e. at
@@ -611,8 +601,6 @@ func (p *Process) handleCtl(m wire.Msg) error {
 	switch m.Type {
 	case wire.TConfiguration:
 		switch m.Kind {
-		case CfgAbort:
-			p.aborted = true
 		case CfgCkptNow:
 			p.ckptRequested = true
 		case CfgSuspend:

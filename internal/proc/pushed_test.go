@@ -13,11 +13,11 @@ import (
 	"starfish/internal/wire"
 )
 
-// TestRankGoroutines: a running rank costs three goroutines — its group
-// handler, its scheduler and its NIC's accept loop — however many
-// connections it has. Its fastnet connections are pushed (no polling
-// goroutine at either end), and daemon messages go straight to the
-// scheduler's ctl queue (no object-bus goroutine).
+// TestRankGoroutines: a running rank costs two goroutines — its scheduler
+// and its NIC's accept loop — however many connections it has. Its fastnet
+// connections are pushed (no polling goroutine at either end), and its
+// daemon calls it and is called back (no group-handler goroutine, and none
+// in the daemon to read what it sends).
 func TestRankGoroutines(t *testing.T) {
 	spec := ringSpec(12, 4, 1<<40) // runs until aborted
 	h := newHarness(t, spec)
@@ -46,8 +46,7 @@ func TestRankGoroutines(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Per rank: the three above plus the harness's pump of its daemon link.
-	want := base + spec.Ranks*(3+1)
+	want := base + spec.Ranks*2
 	var now int
 	for deadline = time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		if now = runtime.NumGoroutine(); now <= want {

@@ -133,8 +133,6 @@ const (
 	// CfgStart carries StartInfo: the process may build its communicator
 	// and begin (or resume) execution.
 	CfgStart uint16 = 0x50
-	// CfgAbort tells the process to terminate immediately.
-	CfgAbort uint16 = 0x51
 	// CfgCkptNow asks the process to initiate a checkpoint round at its
 	// next safe point (system-initiated checkpointing).
 	CfgCkptNow uint16 = 0x52

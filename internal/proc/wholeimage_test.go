@@ -107,9 +107,8 @@ func TestWholeImageEpochIsOneRecord(t *testing.T) {
 
 			// Restart from the last checkpoint.
 			fn := vni.NewFastnet(0)
-			pside, _ := NewChanLink(0)
 			r, err := New(Config{
-				Spec: spec, Rank: 0, Arch: arch, Store: back, Link: pside,
+				Spec: spec, Rank: 0, Arch: arch, Store: back,
 				Transport: fn, ListenAddr: fmt.Sprintf("whole-image-%s", kind),
 			})
 			if err != nil {

@@ -2,8 +2,9 @@ package wire
 
 import "sync/atomic"
 
-// Global per-type message counters, incremented by every transport and
-// daemon-process link send in the system. They exist for the Table-1
+// Global per-type message counters, incremented by every transport send
+// and every message between a daemon and its processes (either way) in the
+// system. They exist for the Table-1
 // audit: a full application run can be accounted for by message type,
 // demonstrating which traffic flows through the system (and, notably, that
 // data volume dwarfs control volume). The counters are process-global and

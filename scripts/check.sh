@@ -202,9 +202,10 @@ body() {
     # epoch is stored, a failed store acked and its round dropped (or,
     # independent, failing its rank), a Chandy–Lamport round handed off only on
     # its own rank's loop, a suspended or finished rank woken by the last
-    # message its drain awaits, an abort while a round drains, and a rank at
-    # rest costing three goroutines: run them 20 times.
-    go test -race -count 20 -run 'TestRankStepsOnWhileStoring|TestFailedStoreDropsRound|TestFailedIndependentStoreFailsRank|TestChandyLamportFinalizesOnOwnRank|TestBlockedRankCompletesDrain|TestAbortWhileDrainingRoundExits|TestRankGoroutines' ./internal/proc/
+    # message its drain awaits, an abort while a round drains, a rank at rest
+    # costing two goroutines, a daemon's Deliver never blocking and its Close
+    # ending a rank blocked in a receive: run them 20 times.
+    go test -race -count 20 -run 'TestRankStepsOnWhileStoring|TestFailedStoreDropsRound|TestFailedIndependentStoreFailsRank|TestChandyLamportFinalizesOnOwnRank|TestBlockedRankCompletesDrain|TestAbortWhileDrainingRoundExits|TestRankGoroutines|TestDeliverNeverBlocks|TestCloseInterruptsBlockedReceive' ./internal/proc/
     # A write-tracking job's delta records on disk, restored after a kill from
     # carry lists resolved there: run it 5 times.
     go test -race -count 5 -run 'TestInPlaceEpochsRecover/stop-and-sync-disk' ./internal/cluster/
