@@ -336,6 +336,20 @@ func TestCrashKillPolicy(t *testing.T) {
 	if info.Status != daemon.StatusFailed {
 		t.Fatalf("status = %v, want failed", info.Status)
 	}
+	// Every survivor records the failure once, as it records one on every
+	// other path to failed.
+	const failed = "component=daemon kind=app-failed app=7"
+	for _, id := range c.Nodes() {
+		ev, err := c.Events(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evWait(t, ev, failed, 1)
+		time.Sleep(50 * time.Millisecond)
+		if recs := evWait(t, ev, failed, 1); len(recs) != 1 {
+			t.Errorf("node %d holds %d app-failed records, want 1: %v", id, len(recs), recs)
+		}
+	}
 }
 
 func TestCrashNotifyRepartition(t *testing.T) {

@@ -6,8 +6,9 @@
 //
 // A daemon is composed of the four modules of Figure 1: the group
 // communication system (internal/gcs, the Ensemble stand-in), a management
-// module (the replicated command state machine plus the management
-// protocol front end in internal/mgmt), the lightweight groups — one
+// module (the replicated command state machine — one value, agreed, whose
+// effects the daemon loop carries out — plus the management protocol front
+// end in internal/mgmt), the lightweight groups — one
 // sequencer stream per application over its hosts (internal/lwg), whose
 // membership is the app's placement and whose joins are replicated
 // commands — and one lightweight endpoint module per local application
@@ -17,7 +18,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -115,36 +115,10 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
-// appState is the replicated per-application state; every daemon holds an
-// identical copy, updated only by totally ordered commands and views.
-type appState struct {
-	spec      proc.AppSpec
-	status    AppStatus
-	gen       uint32
-	placement map[wire.Rank]wire.NodeID
-	// addrs collects rank data addresses from the current generation's
-	// CmdJoins; the app starts once it holds every rank's.
-	addrs map[wire.Rank]string
-	// line is the recovery line the current generation restores from
-	// (nil for a fresh launch).
-	line ckpt.RecoveryLine
-	// started records that CfgStart was issued for the current gen.
-	started bool
-	// done tracks finished ranks of the current gen.
-	done map[wire.Rank]bool
-	// lost tracks ranks abandoned under PolicyNotify (their nodes died
-	// and the survivors repartitioned); they no longer count toward
-	// completion.
-	lost map[wire.Rank]bool
-	// failure holds the first rank error, if any.
-	failure string
-}
-
 // endpoint is a lightweight endpoint module: the daemon-side handle of one
 // local application process.
 type endpoint struct {
-	rank wire.Rank
-	p    *proc.Process
+	p *proc.Process
 }
 
 // inboxMsg is a message from a local process entering the daemon loop.
@@ -170,22 +144,22 @@ type Daemon struct {
 	// both tiers are configured.
 	tiered *ckpt.Tiered
 
-	mu   sync.Mutex
-	view gcs.View
-	apps map[wire.AppID]*appState
+	mu sync.Mutex
+	// agreed is the replicated cluster configuration, guarded by mu: the
+	// loop applies each command and view to it and then carries out the
+	// effects (handleGCS).
+	agreed
 	// change is the current state generation: closed and replaced by the
 	// event loop whenever observable state may have moved, so waiters can
 	// block on it instead of polling (see Changed).
 	change chan struct{}
-	// disabled nodes are excluded from new placements.
-	disabled map[wire.NodeID]bool
-	params   map[string]string
-	// local endpoints per app.
+	// local endpoints per app, of the current generation. Only the loop
+	// writes it, under mu.
 	local map[wire.AppID]map[wire.Rank]*endpoint
 
 	// spawned lists the processes this daemon started that may not have
 	// exited; Close waits for each, including those a delete, completion or
-	// restart detached.
+	// restart detached. Only the loop touches it.
 	spawned []*proc.Process
 
 	inbox chan inboxMsg
@@ -236,17 +210,15 @@ func New(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:      cfg,
-		ep:       ep,
-		ev:       cfg.Events.Emitter("daemon"),
-		apps:     make(map[wire.AppID]*appState),
-		disabled: make(map[wire.NodeID]bool),
-		params:   make(map[string]string),
-		local:    make(map[wire.AppID]map[wire.Rank]*endpoint),
-		inbox:    make(chan inboxMsg, 1024),
-		change:   make(chan struct{}),
-		stop:     make(chan struct{}),
-		dead:     make(chan struct{}),
+		cfg:    cfg,
+		ep:     ep,
+		ev:     cfg.Events.Emitter("daemon"),
+		agreed: newAgreed(cfg.Node),
+		local:  make(map[wire.AppID]map[wire.Rank]*endpoint),
+		inbox:  make(chan inboxMsg, 1024),
+		change: make(chan struct{}),
+		stop:   make(chan struct{}),
+		dead:   make(chan struct{}),
 	}
 	if cfg.Memory != nil && cfg.Store != nil {
 		d.tiered = ckpt.NewTiered(cfg.Memory, cfg.Store, cfg.Logf)
@@ -266,8 +238,8 @@ func New(cfg Config) (*Daemon, error) {
 
 // tierFor resolves the storage tier an application's spec selects, falling
 // back to disk when the requested tier is not configured on this node.
-func (d *Daemon) tierFor(spec *proc.AppSpec) ckpt.Backend {
-	switch spec.Store {
+func (d *Daemon) tierFor(kind ckpt.StoreKind) ckpt.Backend {
+	switch kind {
 	case ckpt.StoreMemory:
 		if d.cfg.Memory != nil {
 			return d.cfg.Memory
@@ -310,7 +282,7 @@ func (d *Daemon) CommittedLine(app wire.AppID) (ckpt.RecoveryLine, error) {
 	if !ok {
 		return nil, fmt.Errorf("daemon: unknown app %d", app)
 	}
-	return d.tierFor(&st.spec).CommittedLine(app)
+	return d.tierFor(st.spec.Store).CommittedLine(app)
 }
 
 // StoreStats reports this node's replicated-memory store counters; ok is
@@ -358,16 +330,12 @@ func (d *Daemon) logf(format string, args ...any) {
 // process traffic and shutdown.
 func (d *Daemon) run() {
 	defer func() {
-		d.mu.Lock()
-		eps := d.allEndpointsLocked()
-		spawned := d.spawned
-		d.mu.Unlock()
-		for _, ep := range eps {
-			ep.p.Close()
+		for app := range d.local {
+			d.do(closeApp{app})
 		}
 		d.router.Close()
 		d.ep.Close()
-		for _, p := range spawned {
+		for _, p := range d.spawned {
 			<-p.Done()
 		}
 		if d.tiered != nil {
@@ -411,13 +379,13 @@ func (d *Daemon) handleGroupEvent(ge lwg.GroupEvent) {
 		return
 	}
 	d.mu.Lock()
-	var eps []*endpoint
-	if st := d.apps[ge.App]; st != nil && st.gen == ge.Gen {
-		eps = d.localEndpointsLocked(ge.App)
-	}
+	st := d.apps[ge.App]
+	current := st != nil && st.gen == ge.Gen
 	d.mu.Unlock()
-	for _, ep := range eps {
-		ep.p.Deliver(m)
+	if current {
+		for _, ep := range d.local[ge.App] {
+			ep.p.Deliver(m)
+		}
 	}
 }
 
@@ -442,107 +410,14 @@ func (d *Daemon) bump() {
 	close(ch)
 }
 
-func (d *Daemon) allEndpointsLocked() []*endpoint {
-	var out []*endpoint
-	for _, eps := range d.local {
-		for _, ep := range eps {
-			out = append(out, ep)
-		}
-	}
-	return out
-}
-
 // castCmd multicasts a replicated command on the main group.
 func (d *Daemon) castCmd(c *Cmd) error { return d.ep.Cast(encodeCmd(c)) }
 
-// handleGCS dispatches one group event.
-func (d *Daemon) handleGCS(ev gcs.Event) {
-	switch ev.Kind {
-	case gcs.EView:
-		d.handleMainView(ev.View)
-	case gcs.ECast:
-		cmd, err := decodeCmd(ev.Payload)
-		if err != nil {
-			d.logf("bad command: %v", err)
-			return
-		}
-		d.applyCmd(&cmd)
-	}
-}
-
-// leader reports whether this daemon is the current view's leader (lowest
-// id) — the one that makes non-deterministic decisions (recovery lines)
-// and turns them into deterministic commands.
+// leader reports whether this daemon leads the current view.
 func (d *Daemon) leader() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.view.Members) > 0 && d.view.Members[0] == d.cfg.Node
-}
-
-// eligibleNodes returns the enabled members of the current view, sorted.
-func (d *Daemon) eligibleNodesLocked() []wire.NodeID {
-	var out []wire.NodeID
-	for _, n := range d.view.Members {
-		if !d.disabled[n] {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// placeRanks distributes ranks round-robin over the given nodes. Every
-// daemon computes the same placement from the same replicated inputs.
-func placeRanks(ranks int, nodes []wire.NodeID) map[wire.Rank]wire.NodeID {
-	if len(nodes) == 0 {
-		return nil
-	}
-	out := make(map[wire.Rank]wire.NodeID, ranks)
-	for r := 0; r < ranks; r++ {
-		out[wire.Rank(r)] = nodes[r%len(nodes)]
-	}
-	return out
-}
-
-// restartPlacement places a failure restart where the bytes are. Every rank
-// whose node is still eligible stays on it — its newest checkpoints are in
-// that node's RAM — and each other rank goes to the least-loaded eligible
-// node, ties broken by the order the replicated store ranks the holders of
-// that rank's checkpoints in: when a replica holder is as idle as any other
-// node, the rank restarts beside its replica. Like placeRanks it is a pure
-// function of replicated inputs, identical at every daemon.
-func restartPlacement(app wire.AppID, ranks int, prev map[wire.Rank]wire.NodeID, nodes []wire.NodeID) map[wire.Rank]wire.NodeID {
-	if len(nodes) == 0 {
-		return nil
-	}
-	load := make(map[wire.NodeID]int, len(nodes))
-	for _, n := range nodes {
-		load[n] = 0
-	}
-	out := make(map[wire.Rank]wire.NodeID, ranks)
-	for r := wire.Rank(0); int(r) < ranks; r++ {
-		if n, placed := prev[r]; placed {
-			if _, eligible := load[n]; eligible {
-				out[r] = n
-				load[n]++
-			}
-		}
-	}
-	for r := wire.Rank(0); int(r) < ranks; r++ {
-		if _, kept := out[r]; kept {
-			continue
-		}
-		order := rstore.HolderOrder(app, r, nodes)
-		best := order[0]
-		for _, n := range order[1:] {
-			if load[n] < load[best] {
-				best = n
-			}
-		}
-		out[r] = best
-		load[best]++
-	}
-	return out
+	return d.agreed.leader()
 }
 
 // ErrNoNodes is returned when an application cannot be placed.

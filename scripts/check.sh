@@ -193,6 +193,10 @@ body() {
     # outlives it writes into a removed store directory. Timing-dependent, so
     # run the teardown tests 30 times.
     go test -race -count 30 -run 'TestCloseWaitsForProcesses' ./internal/daemon/
+    # The daemon's agreed state without a cluster: every command kind and
+    # policy view against its exact effects, and seeded replicas that differ
+    # only in self converging: run them 10 times.
+    go test -race -count 10 -run 'TestAgreedTransitions|TestAgreedReplicasConverge' ./internal/daemon/
     # The record writer, whole and delta, and the capture that hands its
     # record over, and a host lost before its join under the notify policy:
     # run them 10 times.
