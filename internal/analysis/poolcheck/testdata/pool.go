@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 
+	"starfish/internal/ckpt"
 	"starfish/internal/mpi"
 	"starfish/internal/wire"
 )
@@ -69,6 +70,26 @@ func payloadAfterRelease(r io.Reader) int {
 	return len(m.Payload) // want "after release"
 }
 
+// readAfterPutRecord reads a checkpoint record after a backend took it over:
+// a replicated backend may collect and recycle it as soon as PutRecord
+// returns.
+func readAfterPutRecord(be ckpt.Backend, img []byte, where []uint64) []uint64 {
+	rec := ckpt.RecordOf(1, nil, nil, nil, img)
+	if err := be.PutRecord(1, 0, 1, rec, nil); err != nil {
+		return nil
+	}
+	return ckpt.CarryList(rec, where) // want "after release"
+}
+
+func recordLeaks(img []byte, stop bool) error {
+	rec := ckpt.RecordOf(1, nil, nil, nil, img) // want "leaks on the return"
+	if stop {
+		return errBoom
+	}
+	wire.PutBuf(rec)
+	return nil
+}
+
 // ---- interprocedural: helpers wrapping the pool API ----
 
 // freeFrame is a release helper: its summary says the parameter is
@@ -109,6 +130,14 @@ func useAfterHelperRelease() byte {
 }
 
 // ---- compliant ----
+
+// readBeforePutRecord reads what it needs of the record before handing it
+// over, as a rank's capture worker does.
+func readBeforePutRecord(be ckpt.Backend, img []byte, where []uint64) ([]uint64, error) {
+	rec := ckpt.RecordOf(1, nil, nil, nil, img)
+	where = ckpt.CarryList(rec, where)
+	return where, be.PutRecord(1, 0, 1, rec, nil)
+}
 
 func balancedBranches(fail bool) error {
 	b := wire.GetBuf(64)

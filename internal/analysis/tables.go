@@ -22,16 +22,19 @@ var PoolAcquires = map[string]PoolAcquireSpec{
 	"(*starfish/internal/wire.BufPool).Get":      {0, false},
 	"(*starfish/internal/wire.BufPool).GetAlloc": {0, false},
 	"starfish/internal/wire.ReadMsgBuf":          {0, true},
+	"starfish/internal/ckpt.RecordOf":            {0, false},
 }
 
 // PoolReleases maps callee full names to the index of the argument whose
 // ownership the call consumes. SendOwned/IsendOwned take ownership even on
-// error.
+// error, and so does a checkpoint backend's PutRecord: its record is the
+// backend's to keep, push and give back.
 var PoolReleases = map[string]int{
-	"starfish/internal/wire.PutBuf":            0,
-	"(*starfish/internal/wire.BufPool).Put":    0,
-	"(*starfish/internal/mpi.Comm).SendOwned":  2,
-	"(*starfish/internal/mpi.Comm).IsendOwned": 2,
+	"starfish/internal/wire.PutBuf":              0,
+	"(*starfish/internal/wire.BufPool).Put":      0,
+	"(*starfish/internal/mpi.Comm).SendOwned":    2,
+	"(*starfish/internal/mpi.Comm).IsendOwned":   2,
+	"(starfish/internal/ckpt.Backend).PutRecord": 3,
 }
 
 // MsgRelease is the idempotent pooled-payload release method on wire.Msg.

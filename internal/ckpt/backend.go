@@ -36,9 +36,12 @@ type Backend interface {
 	// stays the caller's: the record is a copy of it.
 	Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *Meta) error
 	// PutRecord stores a record in slot n of (app, rank). rec is handed
-	// over: the caller never writes it again, so the backend keeps, pushes
-	// and spills it as it is. A replicated backend that kept it here but
-	// could not push every copy fails with ErrUnreplicated.
+	// over, whether or not the put succeeds: the caller never reads or
+	// writes it again, so the backend keeps, pushes and spills it as it is,
+	// and gives it back to wire.Pool once it holds it no longer and let no
+	// reader have it (RecordOf's records come from there; any other buffer
+	// the pool ignores). A replicated backend that kept it here but could
+	// not push every copy fails with ErrUnreplicated.
 	PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error
 	// Get returns the checkpoint image of slot n: its record resolved with
 	// the blocks the slots it names carry (ErrMissingBlock when that cannot

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"starfish/internal/svm"
+	"starfish/internal/wire"
 )
 
 // Position-addressed checkpoint records. Every slot of every Backend — one
@@ -103,8 +104,11 @@ func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 // carries only the blocks that differ from base and names where's slot for
 // every other block. Either way it looks first (changedBlocks: with no base
 // that is a zero test per block, which a non-zero block fails on its first
-// bytes), then allocates the record exactly — envelope plus the bytes it
-// carries — and copies and checksums only the blocks it carries. dirty, when
+// bytes), then takes the record's buffer from wire.Pool — unzeroed: it writes
+// every byte — and copies and checksums only the blocks it carries. The
+// record is sized exactly, envelope plus the bytes it carries (cap == len),
+// and pool-owned: whoever drops it last may give it back with wire.PutBuf
+// (Backend.PutRecord takes it over). dirty, when
 // non-nil, is a hint: every byte of the image outside its spans equals base's
 // byte at the same offset, so a block no span touches is carried without
 // looking when base has a block of the same length there. A sound hint
@@ -112,6 +116,14 @@ func isZero(b []byte) bool { return bytes.Equal(b, zeroBlock[:len(b)]) }
 //
 //starfish:deterministic
 func RecordOf(n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...[]byte) []byte {
+	return recordInto(wire.GetBuf, n, base, where, dirty, parts...)
+}
+
+// recordInto is RecordOf writing into a buffer from get, whose contents it
+// never reads: every byte of the record is written here.
+//
+//starfish:deterministic
+func recordInto(get func(int) []byte, n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...[]byte) []byte {
 	rawLen := 0
 	for _, p := range parts {
 		rawLen += len(p)
@@ -119,16 +131,19 @@ func RecordOf(n uint64, base []byte, where []uint64, dirty []svm.Span, parts ...
 	nb := int(blocksOf(uint64(rawLen)))
 	changed, dataLen := changedBlocks(base, dirty, rawLen, parts)
 	env := headerLen + 8*len(changed) + 8*nb
-	buf := make([]byte, env+dataLen)
+	size := env + dataLen
+	buf := get(size)[:size:size]
 	buf[8] = RecFull
 	binary.BigEndian.PutUint64(buf[9:], n)
 	binary.BigEndian.PutUint64(buf[17:], uint64(rawLen))
 	binary.BigEndian.PutUint32(buf[25:], uint32(len(changed)))
 	binary.BigEndian.PutUint32(buf[29:], uint32(nb))
 	list, carried, data := buf[headerLen:], buf[headerLen+8*len(changed):], buf[env:]
-	for i := range min(nb, len(where)) {
+	known := min(nb, len(where))
+	for i := range known {
 		binary.BigEndian.PutUint64(carried[8*i:], where[i])
 	}
+	clear(carried[8*known : 8*nb]) // past a short carry list: the changed blocks below, or slot 0
 	cur := cursor{parts: parts}
 	w := 0  // bytes of data written
 	at := 0 // the block the cursor is at
@@ -431,8 +446,8 @@ func (r *Record) BlockAt(i uint32) ([]byte, bool) {
 }
 
 // Keep returns the record cut down to the blocks it carries whose indices keep
-// lists (ascending, no repeats) — a RecKept record — or nil when that would
-// not halve what it carries.
+// lists (ascending, no repeats) — a RecKept record, in a wire.Pool buffer as
+// RecordOf's records are — or nil when that would not halve what it carries.
 func (r *Record) Keep(keep []uint32) []byte {
 	var ks []int
 	size, total := 0, 0
@@ -451,11 +466,12 @@ func (r *Record) Keep(keep []uint32) []byte {
 		return nil
 	}
 	env := headerLen + 8*len(ks)
-	buf := make([]byte, env+size)
+	buf := wire.GetBuf(env + size)[: env+size : env+size]
 	buf[8] = RecKept
 	binary.BigEndian.PutUint64(buf[9:], r.Slot)
 	binary.BigEndian.PutUint64(buf[17:], uint64(r.RawLen))
 	binary.BigEndian.PutUint32(buf[25:], uint32(len(ks)))
+	binary.BigEndian.PutUint32(buf[29:], 0) // it carries for others; it names none
 	list, data := buf[headerLen:], buf[env:]
 	for _, k := range ks {
 		list = list[copy(list, r.list[8*k:8*k+8]):]

@@ -31,11 +31,11 @@ type Pipeline struct {
 }
 
 // rankState is the diff state of one rank: the image of slot index, our copy,
-// and its carry list.
+// and its carry list (spare is the next one's array).
 type rankState struct {
-	image []byte
-	where []uint64
-	index uint64
+	image        []byte
+	where, spare []uint64
+	index        uint64
 }
 
 // PipelineStats counts capture-side work, the savings metric of the
@@ -76,10 +76,12 @@ func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 		base = nil
 	}
 	rec := RecordOf(n, base, st.where, nil, img)
+	// What is read of the record is read before the backend takes it over.
+	stored, where := len(rec), CarryList(rec, st.spare)
 	if err := p.Backend.PutRecord(app, rank, n, rec, meta); err != nil {
 		return err
 	}
-	st.where, st.index = CarryList(rec, st.where), n
+	st.where, st.spare, st.index = where, st.where, n
 	if base != nil && len(base) == len(img) {
 		// Our copy differs from img only in the blocks the record carries.
 		for i, s := range st.where {
@@ -93,7 +95,7 @@ func (p *Pipeline) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, met
 	}
 	p.mu.Lock()
 	p.stats.RawBytes += uint64(len(img))
-	p.stats.StoredBytes += uint64(len(rec))
+	p.stats.StoredBytes += uint64(stored)
 	p.mu.Unlock()
 	return nil
 }

@@ -107,11 +107,13 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 	return s.PutRecord(app, rank, n, RecordOf(n, nil, nil, nil, img), meta)
 }
 
-// PutRecord writes slot n's record file, then its metadata. A GC collecting
-// below a keepFrom past n may remove a staging file before its rename: the
-// slot was garbage already, as if that GC had run just after the put, so that
-// is no error. A put whose rank directory is gone (DropApp) fails.
+// PutRecord writes slot n's record file, then its metadata, and gives the
+// record back to wire.Pool. A GC collecting below a keepFrom past n may
+// remove a staging file before its rename: the slot was garbage already, as
+// if that GC had run just after the put, so that is no error. A put whose
+// rank directory is gone (DropApp) fails.
 func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	defer wire.PutBuf(rec)
 	dir := s.rankDir(app, rank)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -123,16 +123,21 @@ func (t *Tiered) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta 
 }
 
 // PutRecord stores in the fast tier synchronously and spills to the slow
-// tier in the background. The record was handed over and is never written
-// again, so both tiers share it: nothing is copied. A record the fast tier
-// kept without all its replicas (ErrUnreplicated) is spilled too, and the
-// put still fails with that error.
+// tier in the background. Each tier takes its record over and may give it
+// back to wire.Pool while the other still needs it, so the spill gets a
+// pooled copy of its own, taken before the fast tier has the record. A
+// record the fast tier kept without all its replicas (ErrUnreplicated) is
+// spilled too, and the put still fails with that error.
 func (t *Tiered) PutRecord(app wire.AppID, rank wire.Rank, n uint64, rec []byte, meta *Meta) error {
+	spilled := wire.GetBuf(len(rec))[:len(rec):len(rec)]
+	copy(spilled, rec)
+	wire.CountCopy(wire.CopyCR, len(rec))
 	err := t.fast.PutRecord(app, rank, n, rec, meta)
 	if err != nil && !errors.Is(err, ErrUnreplicated) {
+		wire.PutBuf(spilled)
 		return err
 	}
-	t.spill(func() error { return t.slow.PutRecord(app, rank, n, rec, meta) })
+	t.spill(func() error { return t.slow.PutRecord(app, rank, n, spilled, meta) })
 	return err
 }
 

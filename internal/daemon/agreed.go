@@ -289,6 +289,7 @@ func (a *agreed) restart(c *Cmd) []effect {
 // ranks placed on a departed node. Placement decides, whether or not the
 // node's CmdJoin sequenced: a host that dies before its join would
 // otherwise leave the app waiting forever for a join that is never coming.
+// A rank an earlier view already lost (PolicyNotify) is not lost again.
 //
 //starfish:deterministic
 func (a *agreed) viewChange(v gcs.View) []effect {
@@ -311,7 +312,7 @@ func (a *agreed) viewChange(v gcs.View) []effect {
 		var gone []wire.NodeID
 		var lost []wire.Rank
 		for r := range wire.Rank(st.spec.Ranks) {
-			if node := st.placement[r]; !v.Contains(node) {
+			if node := st.placement[r]; !v.Contains(node) && !st.lost[r] {
 				lost = append(lost, r)
 				if !slices.Contains(gone, node) {
 					gone = append(gone, node)
@@ -346,7 +347,7 @@ func (a *agreed) lose(app wire.AppID, st *appState, gone []wire.NodeID, lost []w
 		for r := range wire.Rank(st.spec.Ranks) {
 			if slices.Contains(lost, r) {
 				st.lost[r] = true
-			} else {
+			} else if !st.lost[r] {
 				alive = append(alive, r)
 			}
 		}

@@ -63,6 +63,14 @@ func running(self wire.NodeID, policy proc.Policy, protocol ckpt.Protocol) *agre
 	return a
 }
 
+// viewed installs views on a in order.
+func viewed(a *agreed, views ...gcs.View) *agreed {
+	for _, v := range views {
+		a.viewChange(v)
+	}
+	return a
+}
+
 func then(a *agreed, cmds ...*Cmd) *agreed {
 	for _, c := range cmds {
 		a.apply(c)
@@ -375,6 +383,22 @@ func TestAgreedTransitions(t *testing.T) {
 			want: append(slices.Clone(viewLost3), rankLost(proc.PolicyNotify),
 				deliver{testApp, 1, lwViewMsg([]wire.Rank{0, 1}, []wire.Rank{2})},
 				emit{evstore.EvApp("app-done", testApp)}, closeApp{testApp}),
+		},
+		{
+			name:   "notify policy: a later view does not lose a lost rank again",
+			before: viewed(running(1, proc.PolicyNotify, ckpt.StopAndSync), testView(2, 1, 2)),
+			view:   &gcs.View{ID: 3, Coord: 1, Members: []wire.NodeID{1, 2, 4}},
+			want:   []effect{setDead{1, false}, setDead{2, false}, setDead{4, false}},
+		},
+		{
+			name:   "notify policy: a later loss reports only its own ranks",
+			before: viewed(running(1, proc.PolicyNotify, ckpt.StopAndSync), testView(2, 1, 2), testView(3, 1, 2, 4)),
+			view:   &gcs.View{ID: 4, Coord: 1, Members: []wire.NodeID{1, 4}},
+			app:    func(st *appState) *appState { st.lost = map[wire.Rank]bool{1: true, 2: true}; return st },
+			want: []effect{setDead{2, true}, setDead{1, false}, setDead{4, false},
+				emit{evstore.EvApp("rank-lost", testApp, evstore.F("nodes", "2"), evstore.F("ranks", "1"),
+					evstore.F("policy", proc.PolicyNotify))},
+				deliver{testApp, 0, lwViewMsg([]wire.Rank{0}, []wire.Rank{1})}},
 		},
 		{
 			name: "restart policy: the leader decides", before: running(1, proc.PolicyRestart, ckpt.StopAndSync),

@@ -349,12 +349,19 @@ func (cr *crModule) capture(e epoch, drain, wait time.Duration) error {
 	} else {
 		parts, err = cr.wholeParts(c, channel, stateLen)
 	}
-	var rec []byte
+	stored := 0
 	start := time.Now()
 	if err == nil {
-		rec = ckpt.RecordOf(idx, base.img, where, dirty, parts...)
-		err = ErrAborted
-		if !p.closed.Load() {
+		rec := ckpt.RecordOf(idx, base.img, where, dirty, parts...)
+		// PutRecord takes the record over: what is read of it is read first.
+		stored = len(rec)
+		if tracks {
+			where = ckpt.CarryList(rec, where) // the next epoch's, in this one's array
+		}
+		if p.closed.Load() {
+			wire.PutBuf(rec)
+			err = ErrAborted
+		} else {
 			err = p.store.PutRecord(p.spec.ID, p.rank, idx, rec, meta)
 		}
 		if errors.Is(err, ckpt.ErrUnreplicated) && p.spec.Protocol == ckpt.Independent {
@@ -367,7 +374,7 @@ func (cr *crModule) capture(e epoch, drain, wait time.Duration) error {
 	if tracks {
 		cr.base, cr.spare, cr.where = imageBuf{}, imageBuf{}, nil
 		if err == nil {
-			cr.base, cr.spare, cr.where = next, last, ckpt.CarryList(rec, where)
+			cr.base, cr.spare, cr.where = next, last, where
 		}
 	}
 	if err != nil {
@@ -378,7 +385,7 @@ func (cr *crModule) capture(e epoch, drain, wait time.Duration) error {
 		size += len(part)
 	}
 	ev := evstore.EvRank("epoch", p.spec.ID, p.rank,
-		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", len(rec)),
+		evstore.F("index", idx), evstore.F("raw", size), evstore.F("stored", stored),
 		evstore.F("drain_us", drain.Microseconds()), evstore.F("wait_us", wait.Microseconds()),
 		evstore.F("store_us", store.Microseconds()))
 	ev.Component = "ckpt"

@@ -1248,6 +1248,9 @@ func TestUnreplicatedIndependentCheckpointReachesDisk(t *testing.T) {
 			t.Fatal("rank 0's puts did not fail while the holder refused them")
 		}
 	}
+	// The ranks stop first: a rank that checkpoints faster than the disk
+	// takes its spills would keep Flush waiting, its queue growing.
+	h.abortAll()
 	tiered.Flush()
 	if _, _, err := disk.Get(spec.ID, 0, n); err != nil {
 		t.Fatalf("rank 0's checkpoint %d, stored without its replica, is not on disk: %v", n, err)

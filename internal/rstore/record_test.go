@@ -150,7 +150,7 @@ func TestPutAckListsMissingSlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held[n] = *writer.setSlotLocked(key{app, 0, n}, rec, slotRecord, r, &ckpt.Meta{Rank: 0, Index: n}, 1<<32|n)
+		held[n] = *writer.setSlotLocked(key{app, 0, n}, rec, slotRecord, r, &ckpt.Meta{Rank: 0, Index: n}, 1<<32|n, false)
 	}
 	writer.mu.Unlock()
 

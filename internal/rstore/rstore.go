@@ -41,10 +41,17 @@
 //     surviving carry list still names stays, collected — neither listed nor
 //     restorable — until the last record naming it goes.
 //   - The store sends what it stores: a slot goes into the frame as the
-//     stored slice itself (fastnet clones it once at exact size, TCP writev's
-//     it), and Get returns the store's internal buffer (callers treat images
-//     as read-only), so a restore from local RAM never copies the image and
-//     a restore from a peer's RAM copies it once, in the transport.
+//     stored slice itself (fastnet copies it once, into a pool buffer the
+//     receiver keeps; TCP writev's it), and Get returns the store's internal
+//     buffer (callers treat images as read-only), so a restore from local RAM
+//     never copies the image and a restore from a peer's RAM copies it once,
+//     in the transport.
+//   - A slot's bytes go back to wire.Pool when the store drops them — on
+//     collection, replacement, a cut-down, DropApp or Close — if it owns
+//     them and let nobody else have them (entry.owned, entry.lent). The
+//     writer's record and a pushed replica are owned (the writer's once its
+//     pushes returned); whatever a Get, a GetEnvelope, a peer fetch or the
+//     snapshot behind a push let out is never given back, only dropped.
 //
 // Pushing a slot to a peer (pushSlot) is one exchange, kPut + kPutData: the
 // slot's tag, kind and metadata, then the stored bytes in a frame of their
@@ -162,9 +169,25 @@ type entry struct {
 	// "have?" answers for these bytes, not for an earlier incarnation's
 	// checkpoint of the same index.
 	tag uint64
+	// owned: img is a pool buffer only the store holds; lent: a snapshot of
+	// the entry let img out. Bytes go back to wire.Pool only when owned and
+	// never lent (release).
+	owned, lent bool
 }
 
 func (e *entry) writer() wire.NodeID { return wire.NodeID(e.tag >> 32) }
+
+// release gives e's bytes back to wire.Pool if the store may: it owns them
+// and lent them to nobody. Callers hold s.mu and drop the bytes after.
+func (e *entry) release() {
+	if e.owned && !e.lent {
+		wire.PutBuf(e.img)
+	}
+}
+
+// sameBytes reports whether a and b are one buffer: they start at the same
+// byte.
+func sameBytes(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // encodeSlotHeader is the first half of every frame pair that moves a slot.
 func encodeSlotHeader(tag uint64, kind uint8, meta *ckpt.Meta) []byte {
@@ -333,9 +356,9 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// Close stops serving peers and drops all connections. Held images remain
-// readable locally (the daemon may still be draining), but no further
-// replication happens.
+// Close stops serving peers, drops all connections and drops the slots it
+// holds, giving back to wire.Pool the bytes it owns. What a Get handed out
+// stays readable; nothing is replicated or served after.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -343,6 +366,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	for k := range s.images {
+		s.deleteImageLocked(k)
+	}
 	peers := s.peers
 	s.peers = map[wire.NodeID]*peerConn{}
 	s.mu.Unlock()
@@ -550,11 +576,13 @@ func (s *Store) Put(app wire.AppID, rank wire.Rank, n uint64, img []byte, meta *
 // PutRecord stores a record, handed over, in local RAM — replica #1 — pushes
 // the other Replicas-1 copies to the first members of the key's order, and
 // replicates the index entry to every member. The store keeps and pushes rec
-// itself. A push that fails fails the put with ckpt.ErrUnreplicated, naming
-// the peer: the local copy stays (the under-replication counter and the next
-// view change's re-replication pass pick it up), but a checkpoint held by its
-// writer's node alone must not be acknowledged for a round, or a line could
-// commit on it and its commit collect every older copy.
+// itself, and owns it once the pushes returned: until then they read it, so
+// nothing gives it back to wire.Pool. A push that fails fails the put with
+// ckpt.ErrUnreplicated, naming the peer: the local copy stays (the
+// under-replication counter and the next view change's re-replication pass
+// pick it up), but a checkpoint held by its writer's node alone must not be
+// acknowledged for a round, or a line could commit on it and its commit
+// collect every older copy.
 func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte, meta *ckpt.Meta) error {
 	k := key{app, rank, n}
 	rec, err := ckpt.DecodeRecord(slot)
@@ -562,6 +590,7 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte,
 		err = checkRecord(n, slotRecord, rec)
 	}
 	if err != nil {
+		wire.PutBuf(slot)
 		return fmt.Errorf("rstore: put #%d of app %d rank %d: %w", n, app, rank, err)
 	}
 	if meta == nil {
@@ -570,11 +599,12 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte,
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		wire.PutBuf(slot)
 		return fmt.Errorf("rstore: store closed")
 	}
 	s.puts++ // the tag names this put: this node, its put count
 	tag := uint64(s.cfg.Node)<<32 | uint64(s.puts)
-	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, slotRecord, rec, meta, tag))
+	targets := s.pushTargetsLocked(k, s.setSlotLocked(k, slot, slotRecord, rec, meta, tag, false))
 	delete(s.acked, k) // acks were for the bytes this put replaces
 	s.indexAddLocked(k.app, k.rank, k.n)
 	s.materializeLocked(k)
@@ -595,10 +625,16 @@ func (s *Store) PutRecord(app wire.AppID, rank wire.Rank, n uint64, slot []byte,
 		}
 	}
 	s.broadcastIndex(members, []key{k})
+	s.mu.Lock()
+	if e := s.images[k]; e != nil && sameBytes(e.img, slot) {
+		e.owned = true // the pushes are done with it
+	}
+	closed := s.closed
+	s.mu.Unlock()
 	// A put the store was closed under fails too: its pushes
 	// may have died with the store, and a node going down must not vouch for
 	// a checkpoint that exists nowhere else.
-	if s.isClosed() {
+	if closed {
 		return fmt.Errorf("rstore: store closed")
 	}
 	if len(failed) > 0 {
@@ -643,7 +679,7 @@ func (s *Store) pushSlot(peer wire.NodeID, k key, e entry) (int, error) {
 				err = fmt.Errorf("rstore: node %d lacked slots record #%d names", peer, k.n)
 				for ; len(missing) > 0; missing = missing[8:] {
 					n := key{k.app, k.rank, binary.BigEndian.Uint64(missing)}
-					named, held := s.held(n)
+					named, held := s.lend(n)
 					if !held || !slices.Contains(e.rec.Names, n.n) {
 						break
 					}
@@ -688,6 +724,7 @@ func (s *Store) pushOwedNames(peer wire.NodeID, k key, e entry) (int, error) {
 		owed = owed && !s.acked[nk][peer]
 		var snap entry
 		if owed {
+			named.lent = true // the push reads it unlocked
 			snap = *named
 		}
 		s.mu.Unlock()
@@ -702,15 +739,18 @@ func (s *Store) pushOwedNames(peer wire.NodeID, k key, e entry) (int, error) {
 	return sent, nil
 }
 
-// held snapshots slot k's entry, under mu: a concurrent replica push
-// (handlePut) swaps an entry's fields in place.
-func (s *Store) held(k key) (entry, bool) {
+// lend snapshots slot k's entry, under mu (a concurrent replica push,
+// handlePut, swaps an entry's fields in place), and marks its bytes lent:
+// whoever reads the snapshot reads them unlocked, so they never go back to
+// wire.Pool.
+func (s *Store) lend(k key) (entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.images[k]
 	if !ok {
 		return entry{}, false
 	}
+	e.lent = true
 	return *e, true
 }
 
@@ -833,6 +873,7 @@ func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error)
 	k := key{app, rank, n}
 	s.mu.Lock()
 	if e, ok := s.images[k]; ok {
+		e.lent = true
 		snap := *e // under mu: a concurrent replica push swaps an entry's fields
 		s.mu.Unlock()
 		return snap, nil
@@ -856,8 +897,9 @@ func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error)
 		s.peerFetches++
 		e, ok := s.images[k]
 		if !ok {
-			e = s.setSlotLocked(k, img, kind, rec, meta, tag)
+			e = s.setSlotLocked(k, img, kind, rec, meta, tag, false)
 		}
+		e.lent = true
 		snap := *e
 		s.mu.Unlock()
 		return snap, nil
@@ -874,9 +916,8 @@ func (s *Store) getSlot(app wire.AppID, rank wire.Rank, n uint64) (entry, error)
 
 // fetchSlot asks one peer for one slot. A hit comes back as two frames:
 // kGetOK carrying the header, then kGetData carrying the bytes, which this
-// store keeps as they arrived — fastnet's exact-size clone of the peer's
-// slice, or TCP's pooled receive buffer (capacity rounded up to the pool's
-// power-of-two class), which is simply never recycled.
+// store keeps as they arrived — the transport's pooled copy, which the
+// caller lends at once and so never recycles.
 func (s *Store) fetchSlot(peer wire.NodeID, k key) ([]byte, uint8, *ckpt.Meta, uint64, error) {
 	m := &wire.Msg{Type: wire.TControl, Kind: kGet, App: k.app, Src: k.rank, Seq: k.n}
 	for attempt := 0; ; attempt++ {
@@ -1033,7 +1074,8 @@ func (s *Store) gcLocked(app wire.AppID, rank wire.Rank, keepFrom uint64) {
 		slices.Sort(keep)
 		if cut := e.rec.Keep(slices.Compact(keep)); cut != nil {
 			if rec, err := ckpt.DecodeRecord(cut); err == nil {
-				e.img, e.rec = cut, rec
+				e.release()
+				e.img, e.rec, e.owned, e.lent = cut, rec, true, false
 			}
 		}
 	}
@@ -1075,7 +1117,9 @@ func (s *Store) Evict(app wire.AppID, rank wire.Rank, n uint64) {
 
 // Holds reports whether this node's RAM currently contains the image.
 func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
-	_, ok := s.held(key{app, rank, n})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.images[key{app, rank, n}]
 	return ok
 }
 
@@ -1084,22 +1128,29 @@ func (s *Store) Holds(app wire.AppID, rank wire.Rank, n uint64) bool {
 // ---------------------------------------------------------------------------
 
 // setSlotLocked installs img, stored as kind and decoding to rec, in slot k
-// under the tag of the put that produced it. Any previously materialized
-// image for the slot is stale.
-func (s *Store) setSlotLocked(k key, img []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta, tag uint64) *entry {
+// under the tag of the put that produced it, owned as the caller says. The
+// bytes it replaces are released, and any previously materialized image for
+// the slot is stale.
+func (s *Store) setSlotLocked(k key, img []byte, kind uint8, rec *ckpt.Record, meta *ckpt.Meta, tag uint64, owned bool) *entry {
 	e, ok := s.images[k]
 	if !ok {
 		e = &entry{}
 		s.images[k] = e
+	} else if !sameBytes(e.img, img) {
+		e.release()
+		e.lent = false
 	}
-	e.img, e.kind, e.rec, e.meta, e.tag = img, kind, rec, meta, tag
+	e.img, e.kind, e.rec, e.meta, e.tag, e.owned = img, kind, rec, meta, tag, owned
 	delete(s.resolved, k)
 	return e
 }
 
-// deleteImageLocked removes slot k and every piece of state hanging off it
-// (replica acks, the materialized image).
+// deleteImageLocked removes slot k, releasing its bytes, and every piece of
+// state hanging off it (replica acks, the materialized image).
 func (s *Store) deleteImageLocked(k key) {
+	if e, ok := s.images[k]; ok {
+		e.release()
+	}
 	delete(s.images, k)
 	delete(s.acked, k)
 	delete(s.resolved, k)
@@ -1209,6 +1260,7 @@ func (s *Store) reReplicate(gen uint64) {
 			s.mu.Unlock()
 			continue
 		}
+		e.lent = true // the pushes read it unlocked
 		snap := *e
 		s.mu.Unlock()
 		for _, h := range targets {
@@ -1450,7 +1502,7 @@ func (s *Store) handlePut(m, data *wire.Msg) []*wire.Msg {
 		}
 	}
 	if len(missing) == 0 {
-		s.setSlotLocked(k, data.Payload, kind, rec, meta, tag)
+		s.setSlotLocked(k, data.Payload, kind, rec, meta, tag, data.Pooled)
 		if kind != slotRetained {
 			s.indexAddLocked(k.app, k.rank, k.n)
 		}
@@ -1467,7 +1519,7 @@ func (s *Store) handle(m *wire.Msg) []*wire.Msg {
 	one := func(r *wire.Msg) []*wire.Msg { return []*wire.Msg{r} }
 	switch m.Kind {
 	case kGet:
-		snap, ok := s.held(key{m.App, m.Src, m.Seq})
+		snap, ok := s.lend(key{m.App, m.Src, m.Seq})
 		if !ok {
 			return one(&wire.Msg{Type: wire.TControl, Kind: kGetMiss})
 		}

@@ -289,7 +289,9 @@ func (c *fastConn) Send(m *wire.Msg) error {
 	} else {
 		// One payload copy models the DMA into the NIC and guarantees
 		// the caller can reuse its buffer, mirroring MPI send semantics.
-		out = m.Clone()
+		// The copy is a pool buffer the receiver owns, as every payload
+		// TCP's ReadMsgBuf delivers is.
+		out = m.PooledClone()
 	}
 	p := c.out
 	p.mu.Lock()
@@ -298,6 +300,9 @@ func (c *fastConn) Send(m *wire.Msg) error {
 	}
 	if c.link.closed.Load() {
 		p.mu.Unlock()
+		if !m.Pooled {
+			out.Release() // our copy; a moved payload stays the caller's
+		}
 		return ErrClosed
 	}
 	p.put(out)

@@ -141,6 +141,45 @@ func TestFastnetMoveSemantics(t *testing.T) {
 	got.Release()
 }
 
+// TestFastnetCopyIsPooled: a non-pooled send over fastnet copies the payload
+// once, into a pool buffer the receiver owns, and leaves the sender's buffer
+// to the sender, who may overwrite it at once.
+func TestFastnetCopyIsPooled(t *testing.T) {
+	cli, srv := connPair(t, NewFastnet(0), "copy")
+	for _, n := range []int{8, 1000, 40 << 10, 1<<20 + 3} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(n + i)
+		}
+		want := append([]byte(nil), payload...)
+		copiedBefore := wire.CopiedBytes()
+		m := wire.Msg{Type: wire.TData, Payload: payload}
+		if err := cli.Send(&m); err != nil {
+			t.Fatal(err)
+		}
+		if &m.Payload[0] != &payload[0] || m.Pooled {
+			t.Errorf("size %d: a non-pooled send took the sender's payload", n)
+		}
+		for i := range payload {
+			payload[i] = 0xEE // the sender reuses its buffer
+		}
+		got, err := srv.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Pooled {
+			t.Errorf("size %d: fastnet copy not pooled", n)
+		}
+		if !bytes.Equal(got.Payload, want) || &got.Payload[0] == &payload[0] {
+			t.Errorf("size %d: the receiver's payload is not an equal copy", n)
+		}
+		if copied := wire.CopiedBytes() - copiedBefore; copied != uint64(n) {
+			t.Errorf("size %d: %d bytes recorded as copied, want %d", n, copied, n)
+		}
+		got.Release()
+	}
+}
+
 // TestTCPRecvDeliversPooled: the serialized transport reads payloads into
 // pooled buffers and hands ownership to the receiver.
 func TestTCPRecvDeliversPooled(t *testing.T) {

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -13,8 +15,12 @@ func TestPoolClassFor(t *testing.T) {
 		{1, 0}, {255, 0}, {256, 0},
 		{257, 1}, {512, 1},
 		{513, 2},
-		{64 << 10, 16 - 8}, // 2^16 class
-		{(64 << 10) + 1, 17 - 8},
+		{32 << 10, smallClasses - 1},                   // the largest power-of-two class
+		{(32 << 10) + 1, smallClasses},                 // 5 pages
+		{40 << 10, smallClasses},                       // 5 pages
+		{(40 << 10) + 1, smallClasses + 1},             // 6 pages
+		{64 << 10, smallClasses + 8 - minPages},        // 8 pages
+		{(4 << 20) + 1, smallClasses + 513 - minPages}, // 513 pages
 		{1 << 24, poolClassCount - 1},
 		{(1 << 24) + 1, -1},
 	}
@@ -25,6 +31,11 @@ func TestPoolClassFor(t *testing.T) {
 	}
 	if poolClassSize(poolClassCount-1) != MaxPayload {
 		t.Errorf("largest class %d != MaxPayload %d", poolClassSize(poolClassCount-1), MaxPayload)
+	}
+	for i := range poolClassCount {
+		if got := poolClassFor(poolClassSize(i)); got != i {
+			t.Fatalf("class %d (%d bytes) maps back to class %d", i, poolClassSize(i), got)
+		}
 	}
 }
 
@@ -163,4 +174,98 @@ func TestCloneIsNotPooled(t *testing.T) {
 		t.Errorf("CopyStats clone = %d/%d, want 1/40", counts[CopyClone], bytes_[CopyClone])
 	}
 	m.Release()
+}
+
+// TestPagePoolHoldsWholePages checks that every buffer over 32 KiB the pool
+// hands out holds exactly the 8 KiB pages make([]byte, n) would, whether it
+// is new or recycled, and that one trimmed to its length comes back whole.
+func TestPagePoolHoldsWholePages(t *testing.T) {
+	var p BufPool
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{32<<10 + 1, 40 << 10, 40<<10 + 1, 1 << 20, 4<<20 + 12345, MaxPayload}
+	for range 30 {
+		sizes = append(sizes, 32<<10+1+rng.Intn(1<<20))
+	}
+	for _, n := range sizes {
+		pages := (n + 8<<10 - 1) / (8 << 10)
+		b := p.Get(n)
+		if len(b) != n || cap(b) != pages*8<<10 {
+			t.Fatalf("Get(%d): len %d cap %d, want cap %d (%d pages)", n, len(b), cap(b), pages*8<<10, pages)
+		}
+		p.Put(b[:n:n]) // an exactly sized record goes back whole
+		// Another size of the same page count gets the same pages back.
+		m := (pages-1)*8<<10 + 1 + rng.Intn(8<<10)
+		b2 := p.Get(m)
+		if &b2[0] != &b[0] || len(b2) != m || cap(b2) != pages*8<<10 {
+			t.Fatalf("Get(%d) after Put of a %d-byte record: same %v, len %d cap %d",
+				m, n, &b2[0] == &b[0], len(b2), cap(b2))
+		}
+		// Dropped, not Put: the free list's bound would otherwise turn away
+		// a later size's record once the distinct sizes fill it.
+	}
+}
+
+// TestPagePoolBoundedAndKept checks the page-class free list: what it holds
+// survives garbage collections, and it never holds more than maxFreeBytes.
+func TestPagePoolBoundedAndKept(t *testing.T) {
+	var p BufPool
+	b := p.Get(1 << 20)
+	p.Put(b)
+	runtime.GC()
+	runtime.GC()
+	if b2 := p.Get(1 << 20); &b2[0] != &b[0] {
+		t.Error("a garbage collection emptied the free list")
+	} else {
+		p.Put(b2)
+	}
+	var out [][]byte
+	for range 2 * maxFreeBytes / (4 << 20) {
+		out = append(out, p.Get(4<<20))
+	}
+	for _, b := range out {
+		p.Put(b)
+	}
+	held, n := p.FreeBytes()
+	if held > maxFreeBytes || held < maxFreeBytes-(4<<20) {
+		t.Errorf("free list holds %d bytes in %d buffers, want at most %d and within a buffer of it", held, n, maxFreeBytes)
+	}
+	_, puts, _ := p.Stats()
+	if int(puts) != 1+len(out)+1 {
+		t.Errorf("puts = %d, want %d", puts, len(out)+2)
+	}
+}
+
+// TestPagePoolIgnoresForeign checks that a buffer over 32 KiB the pool did
+// not hand out is kept only when its capacity is whole pages: a trimmed
+// foreign buffer cannot be grown past what its allocation holds.
+func TestPagePoolIgnoresForeign(t *testing.T) {
+	var p BufPool
+	p.Put(make([]byte, 40000))
+	b := p.Get(1 << 20)
+	p.Put(b[8<<10 : 8<<10+40000 : 8<<10+40000]) // not where Get's buffer starts
+	if _, puts, _ := p.Stats(); puts != 0 {
+		t.Errorf("puts = %d after foreign Puts, want 0", puts)
+	}
+	p.Put(b)
+}
+
+// TestReadMsgBufWithinItsPages checks that a payload over 32 KiB read off a
+// stream sits in a buffer of its own page count, not a power of two.
+func TestReadMsgBufWithinItsPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for range 20 {
+		n := 32<<10 + 1 + rng.Intn(1<<20)
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, &Msg{Type: TControl, Payload: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadMsgBuf(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pages := (n + 8<<10 - 1) / (8 << 10); len(m.Payload) != n || cap(m.Payload) > pages*8<<10 {
+			t.Errorf("a %d-byte payload (%d pages) sits in a %d-byte buffer", n, pages, cap(m.Payload))
+		}
+		m.Release()
+	}
 }

@@ -378,6 +378,21 @@ func ReadMsgBuf(r io.Reader) (Msg, error) {
 	return m, nil
 }
 
+// PooledClone returns a deep copy of m whose payload is a buffer checked out
+// of the global BufPool: the copy is pool-owned (Pooled), and its final
+// consumer should call Release, as for a payload ReadMsgBuf read.
+func (m *Msg) PooledClone() Msg {
+	c := *m
+	c.Payload, c.Pooled = nil, false
+	if len(m.Payload) > 0 {
+		CountCopy(CopyClone, len(m.Payload))
+		c.Payload = GetBuf(len(m.Payload))
+		copy(c.Payload, m.Payload)
+		c.Pooled = true
+	}
+	return c
+}
+
 // Clone returns a deep copy of m: its payload no longer aliases any buffer
 // and is not pool-owned.
 func (m *Msg) Clone() Msg {

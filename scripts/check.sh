@@ -202,6 +202,11 @@ body() {
     # run them 10 times.
     go test -race -count 10 -run 'TestRecordOfMatchesReference|TestHintIsUsed|TestHintedEpochsStayIncremental|TestWholeImageEpochIsOneRecord|TestEpochEventPerStoredEpoch' ./internal/ckpt/ ./internal/proc/
     go test -race -count 10 -run 'TestCrashNotifyBeforeJoin' ./internal/cluster/
+    # Slot bytes and wire.Pool: a slot a Get, a GetEnvelope, a peer fetch or a
+    # re-replication push let out is never given back, a collected slot's
+    # pages are reused, and the writer's record is kept while its push reads
+    # it: run them 20 times.
+    go test -race -count 20 -run 'TestLentSlotsAreNeverReleased|TestCollectedSlotsAreReused|TestWritersSlotIsKeptWhilePushed' ./internal/rstore/
     # The capture worker and the rank's one loop: a rank stepping on while its
     # epoch is stored, a failed store acked and its round dropped (or,
     # independent, failing its rank), a Chandy–Lamport round handed off only on
